@@ -12,31 +12,14 @@ message-count/latency ablation against NetChain and primary-backup.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.baselines.server_kv import ServerBaselineKVClient
+from repro.baselines.server_kv import ServerBaselineKVClient, ServerResult
 from repro.netsim.host import Host
 from repro.netsim.tcp import TcpConfig, TcpConnection, TcpEndpoint
 
 _request_ids = itertools.count(1)
 _client_ids = itertools.count(1)
-
-
-@dataclass
-class ChainResult:
-    """Outcome of one operation against the server chain."""
-
-    ok: bool
-    op: str
-    key: str
-    value: bytes = b""
-    version: int = 0
-    latency: float = 0.0
-    #: A compare-and-swap lost (expected value did not match at the head).
-    cas_failed: bool = False
-    #: A delete targeted a key the chain never stored.
-    not_found: bool = False
 
 
 class ServerChainReplica:
@@ -131,38 +114,38 @@ class ServerChainClient:
         endpoint.on_message = self._on_reply
         return endpoint
 
-    def read_async(self, key: str, callback: Optional[Callable[[ChainResult], None]] = None) -> int:
+    def read_async(self, key: str, callback: Optional[Callable[[ServerResult], None]] = None) -> int:
         return self._submit("read", key, b"", self._tail_endpoint, callback)
 
     def write_async(self, key: str, value: bytes,
-                    callback: Optional[Callable[[ChainResult], None]] = None) -> int:
+                    callback: Optional[Callable[[ServerResult], None]] = None) -> int:
         return self._submit("write", key, value, self._head_endpoint, callback)
 
     def cas_async(self, key: str, expected: bytes, new_value: bytes,
-                  callback: Optional[Callable[[ChainResult], None]] = None) -> int:
+                  callback: Optional[Callable[[ServerResult], None]] = None) -> int:
         return self._submit("cas", key, new_value, self._head_endpoint, callback,
                             expected=expected)
 
     def delete_async(self, key: str,
-                     callback: Optional[Callable[[ChainResult], None]] = None) -> int:
+                     callback: Optional[Callable[[ServerResult], None]] = None) -> int:
         return self._submit("delete", key, b"", self._head_endpoint, callback)
 
-    def read(self, key: str, deadline: float = 5.0) -> ChainResult:
+    def read(self, key: str, deadline: float = 5.0) -> ServerResult:
         return self._sync(lambda cb: self.read_async(key, cb), deadline)
 
-    def write(self, key: str, value: bytes, deadline: float = 5.0) -> ChainResult:
+    def write(self, key: str, value: bytes, deadline: float = 5.0) -> ServerResult:
         return self._sync(lambda cb: self.write_async(key, value, cb), deadline)
 
     def cas(self, key: str, expected: bytes, new_value: bytes,
-            deadline: float = 5.0) -> ChainResult:
+            deadline: float = 5.0) -> ServerResult:
         return self._sync(lambda cb: self.cas_async(key, expected, new_value, cb),
                           deadline)
 
-    def delete(self, key: str, deadline: float = 5.0) -> ChainResult:
+    def delete(self, key: str, deadline: float = 5.0) -> ServerResult:
         return self._sync(lambda cb: self.delete_async(key, cb), deadline)
 
     def _submit(self, op: str, key: str, value: bytes, endpoint: TcpEndpoint,
-                callback: Optional[Callable[[ChainResult], None]],
+                callback: Optional[Callable[[ServerResult], None]],
                 **extra: Any) -> int:
         request_id = next(_request_ids)
         message = {"kind": "request", "request_id": request_id, "op": op, "key": key,
@@ -173,8 +156,8 @@ class ServerChainClient:
         endpoint.send(message, self.cluster.message_bytes)
         return request_id
 
-    def _sync(self, submit, deadline: float) -> ChainResult:
-        box: List[ChainResult] = []
+    def _sync(self, submit, deadline: float) -> ServerResult:
+        box: List[ServerResult] = []
         submit(box.append)
         limit = self.sim.now + deadline
         while not box and self.sim.pending() and self.sim.now < limit:
@@ -192,7 +175,7 @@ class ServerChainClient:
         latency = self.sim.now - pending["sent_at"]
         self.completed += 1
         self.latencies.append(latency)
-        result = ChainResult(ok=message.get("ok", False), op=pending["op"],
+        result = ServerResult(ok=message.get("ok", False), op=pending["op"],
                              key=pending["key"], value=message.get("value", b""),
                              version=message.get("version", 0), latency=latency,
                              cas_failed=message.get("cas_failed", False),

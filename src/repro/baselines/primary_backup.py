@@ -10,31 +10,14 @@ them before replying.  A write therefore costs ``2n`` messages (versus
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.baselines.server_kv import ServerBaselineKVClient
+from repro.baselines.server_kv import ServerBaselineKVClient, ServerResult
 from repro.netsim.host import Host
 from repro.netsim.tcp import TcpConfig, TcpConnection, TcpEndpoint
 
 _request_ids = itertools.count(1)
 _client_ids = itertools.count(1)
-
-
-@dataclass
-class PBResult:
-    """Outcome of a primary-backup operation."""
-
-    ok: bool
-    op: str
-    key: str
-    value: bytes = b""
-    version: int = 0
-    latency: float = 0.0
-    #: A compare-and-swap lost (expected value did not match at the primary).
-    cas_failed: bool = False
-    #: A delete targeted a key the primary never stored.
-    not_found: bool = False
 
 
 class _Backup:
@@ -202,37 +185,37 @@ class PrimaryBackupClient:
         self.completed = 0
         self.latencies: List[float] = []
 
-    def read_async(self, key: str, callback: Optional[Callable[[PBResult], None]] = None) -> int:
+    def read_async(self, key: str, callback: Optional[Callable[[ServerResult], None]] = None) -> int:
         return self._submit("read", key, b"", callback)
 
     def write_async(self, key: str, value: bytes,
-                    callback: Optional[Callable[[PBResult], None]] = None) -> int:
+                    callback: Optional[Callable[[ServerResult], None]] = None) -> int:
         return self._submit("write", key, value, callback)
 
     def cas_async(self, key: str, expected: bytes, new_value: bytes,
-                  callback: Optional[Callable[[PBResult], None]] = None) -> int:
+                  callback: Optional[Callable[[ServerResult], None]] = None) -> int:
         return self._submit("cas", key, new_value, callback, expected=expected)
 
     def delete_async(self, key: str,
-                     callback: Optional[Callable[[PBResult], None]] = None) -> int:
+                     callback: Optional[Callable[[ServerResult], None]] = None) -> int:
         return self._submit("delete", key, b"", callback)
 
-    def read(self, key: str, deadline: float = 5.0) -> PBResult:
+    def read(self, key: str, deadline: float = 5.0) -> ServerResult:
         return self._sync(lambda cb: self.read_async(key, cb), deadline)
 
-    def write(self, key: str, value: bytes, deadline: float = 5.0) -> PBResult:
+    def write(self, key: str, value: bytes, deadline: float = 5.0) -> ServerResult:
         return self._sync(lambda cb: self.write_async(key, value, cb), deadline)
 
     def cas(self, key: str, expected: bytes, new_value: bytes,
-            deadline: float = 5.0) -> PBResult:
+            deadline: float = 5.0) -> ServerResult:
         return self._sync(lambda cb: self.cas_async(key, expected, new_value, cb),
                           deadline)
 
-    def delete(self, key: str, deadline: float = 5.0) -> PBResult:
+    def delete(self, key: str, deadline: float = 5.0) -> ServerResult:
         return self._sync(lambda cb: self.delete_async(key, cb), deadline)
 
     def _submit(self, op: str, key: str, value: bytes,
-                callback: Optional[Callable[[PBResult], None]],
+                callback: Optional[Callable[[ServerResult], None]],
                 **extra: Any) -> int:
         request_id = next(_request_ids)
         self._pending[request_id] = {"callback": callback, "op": op, "key": key,
@@ -243,8 +226,8 @@ class PrimaryBackupClient:
         self._endpoint.send(message, self.cluster.message_bytes)
         return request_id
 
-    def _sync(self, submit, deadline: float) -> PBResult:
-        box: List[PBResult] = []
+    def _sync(self, submit, deadline: float) -> ServerResult:
+        box: List[ServerResult] = []
         submit(box.append)
         limit = self.sim.now + deadline
         while not box and self.sim.pending() and self.sim.now < limit:
@@ -262,7 +245,7 @@ class PrimaryBackupClient:
         latency = self.sim.now - pending["sent_at"]
         self.completed += 1
         self.latencies.append(latency)
-        result = PBResult(ok=message.get("ok", False), op=pending["op"], key=pending["key"],
+        result = ServerResult(ok=message.get("ok", False), op=pending["op"], key=pending["key"],
                           value=message.get("value", b""), version=message.get("version", 0),
                           latency=latency, cas_failed=message.get("cas_failed", False),
                           not_found=message.get("not_found", False))

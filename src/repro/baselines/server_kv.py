@@ -1,16 +1,34 @@
 """Shared :class:`KVClient` adapter base for the server-hosted baselines.
 
 The server chain and primary-backup clients expose the same
-callback-based ``*_async`` surface and structurally identical result
-objects (``ok`` / ``value`` / ``version`` / ``cas_failed`` /
-``not_found`` / ``latency``), so one adapter maps both onto the unified
-futures protocol.  Subclasses only name their backend; the not_found
-heuristic and error mapping live here exactly once.
+callback-based ``*_async`` surface and report the same
+:class:`ServerResult`, so one adapter maps both onto the unified futures
+protocol.  Subclasses only name their backend; the not_found heuristic
+and error mapping live here exactly once.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.core.client import KVClient, KVFuture, KVResult, _raw_key
+
+
+@dataclass
+class ServerResult:
+    """Outcome of one operation against a server-hosted baseline."""
+
+    ok: bool
+    op: str
+    key: str
+    value: bytes = b""
+    version: int = 0
+    latency: float = 0.0
+    #: A compare-and-swap lost (expected value did not match at the
+    #: chain head / primary).
+    cas_failed: bool = False
+    #: A delete targeted a key the servers never stored.
+    not_found: bool = False
 
 
 class ServerBaselineKVClient(KVClient):

@@ -21,7 +21,6 @@ and the transaction benchmark run unmodified against the ensemble.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -76,50 +75,37 @@ class ZooKeeperClient:
     # Asynchronous API.
     # ------------------------------------------------------------------ #
 
-    def submit(self, op: str, callback: Optional[Callable[[ZkResult], None]] = None,
-               **fields: Any) -> KVFuture:
+    def submit(self, op: str, **fields: Any) -> KVFuture:
         """Send a request; the returned future resolves with the
-        :class:`ZkResult`.
-
-        The ``callback`` argument is deprecated: chain the callable with
-        ``.then()`` on the returned future instead (it receives the same
-        :class:`ZkResult`).
-        """
-        if callback is not None:
-            warnings.warn(
-                f"the callback= argument of ZooKeeperClient.{op}_async/"
-                f"submit is deprecated; chain the callable with .then() on "
-                f"the returned KVFuture instead",
-                DeprecationWarning, stacklevel=3)
+        :class:`ZkResult`."""
         xid = next(self._xids)
         request = {"kind": "request", "xid": xid, "op": op}
         request.update(fields)
         future = KVFuture(self.sim, op=op)
         future.xid = xid
-        self._pending[xid] = {"callback": callback, "op": op, "sent_at": self.sim.now,
-                              "future": future}
+        self._pending[xid] = {"op": op, "sent_at": self.sim.now, "future": future}
         self._endpoint.send(request, self.ensemble.config.message_bytes)
         return future
 
-    def get_async(self, path: str, callback=None, watch: bool = False) -> KVFuture:
-        return self.submit("get", callback, path=path, watch=watch)
+    def get_async(self, path: str, watch: bool = False) -> KVFuture:
+        return self.submit("get", path=path, watch=watch)
 
-    def set_async(self, path: str, data, callback=None, version: int = -1) -> KVFuture:
-        return self.submit("set", callback, path=path, data=_to_bytes(data), version=version)
+    def set_async(self, path: str, data, version: int = -1) -> KVFuture:
+        return self.submit("set", path=path, data=_to_bytes(data), version=version)
 
-    def create_async(self, path: str, data=b"", callback=None, ephemeral: bool = False,
+    def create_async(self, path: str, data=b"", ephemeral: bool = False,
                      sequential: bool = False) -> KVFuture:
-        return self.submit("create", callback, path=path, data=_to_bytes(data),
+        return self.submit("create", path=path, data=_to_bytes(data),
                            ephemeral=ephemeral, sequential=sequential)
 
-    def delete_async(self, path: str, callback=None, version: int = -1) -> KVFuture:
-        return self.submit("delete", callback, path=path, version=version)
+    def delete_async(self, path: str, version: int = -1) -> KVFuture:
+        return self.submit("delete", path=path, version=version)
 
-    def children_async(self, path: str, callback=None, watch: bool = False) -> KVFuture:
-        return self.submit("children", callback, path=path, watch=watch)
+    def children_async(self, path: str, watch: bool = False) -> KVFuture:
+        return self.submit("children", path=path, watch=watch)
 
-    def exists_async(self, path: str, callback=None, watch: bool = False) -> KVFuture:
-        return self.submit("exists", callback, path=path, watch=watch)
+    def exists_async(self, path: str, watch: bool = False) -> KVFuture:
+        return self.submit("exists", path=path, watch=watch)
 
     # ------------------------------------------------------------------ #
     # Synchronous API (thin wrappers that drive the simulator).
@@ -190,12 +176,7 @@ class ZooKeeperClient:
                           children=message.get("children", []),
                           exists=message.get("exists", False),
                           error=message.get("error"), latency=latency)
-        callback = pending["callback"]
-        if callback is not None:
-            callback(result)
-        future = pending.get("future")
-        if future is not None:
-            future.resolve(result)
+        pending["future"].resolve(result)
 
 
 class ZooKeeperKVClient(KVClient):

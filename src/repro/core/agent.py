@@ -11,17 +11,14 @@ The agent implements the backend-agnostic :class:`repro.core.client.KVClient`
 protocol: every operation returns a :class:`repro.core.client.KVFuture`
 resolved when the reply (or a terminal retry failure) arrives, so the same
 coordination recipes, load generators and benchmarks drive NetChain and the
-ZooKeeper baseline interchangeably.  The legacy ``callback=`` argument is
-deprecated (it predates the futures API; pass the callable to
-:meth:`KVFuture.then` instead) and warns on use.  The ``*_sync`` wrappers
-remain first-class: they are how synchronous recipes (e.g.
+ZooKeeper baseline interchangeably.  The ``*_sync`` wrappers are
+first-class: they are how synchronous recipes (e.g.
 :class:`repro.core.hybrid.HybridStore`) drive the simulator.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -45,15 +42,6 @@ from repro.netsim.packet import Packet
 from repro.netsim.stats import LatencyRecorder
 
 _agent_ports = itertools.count(9000)
-
-
-def _warn_callback(op_name: str, callback) -> None:
-    if callback is not None:
-        warnings.warn(
-            f"the callback= argument of NetChainAgent.{op_name} is "
-            f"deprecated; chain the callable with .then() on the returned "
-            f"KVFuture instead",
-            DeprecationWarning, stacklevel=3)
 
 
 class QueryTimeout(KVTimeout):
@@ -167,36 +155,30 @@ class NetChainAgent(KVClient):
     # Public API (futures; the KVClient protocol).
     # ------------------------------------------------------------------ #
 
-    def read(self, key, callback: Optional[Callable[[QueryResult], None]] = None) -> KVFuture:
+    def read(self, key) -> KVFuture:
         """Read the value of ``key``; the reply comes from the chain tail
         (or, for a tier-managed hot key, a rotated chain replica)."""
-        _warn_callback("read", callback)
         cache = self.read_cache
         if cache is not None:
-            return cache.read(self, key, callback)
-        return self._submit(OpCode.READ, key, callback=callback, op_name="read")
+            return cache.read(self, key)
+        return self._submit(OpCode.READ, key, op_name="read")
 
-    def write(self, key, value, callback: Optional[Callable[[QueryResult], None]] = None) -> KVFuture:
+    def write(self, key, value) -> KVFuture:
         """Write ``value`` under ``key``; the query enters at the chain head."""
-        _warn_callback("write", callback)
         return self._submit(OpCode.WRITE, key, value=normalize_value(value),
-                            callback=callback, op_name="write")
+                            op_name="write")
 
-    def cas(self, key, expected, new_value,
-            callback: Optional[Callable[[QueryResult], None]] = None) -> KVFuture:
+    def cas(self, key, expected, new_value) -> KVFuture:
         """Compare-and-swap, the primitive behind exclusive locks (Section 8.5)."""
-        _warn_callback("cas", callback)
         return self._submit(OpCode.CAS, key, value=normalize_value(new_value),
                             cas_expected=normalize_value(expected),
-                            callback=callback, op_name="cas")
+                            op_name="cas")
 
-    def delete(self, key, callback: Optional[Callable[[QueryResult], None]] = None) -> KVFuture:
+    def delete(self, key) -> KVFuture:
         """Invalidate ``key`` in the data plane (control plane GC happens later)."""
-        _warn_callback("delete", callback)
-        return self._submit(OpCode.DELETE, key, callback=callback, op_name="delete")
+        return self._submit(OpCode.DELETE, key, op_name="delete")
 
-    def insert(self, key, value=b"",
-               callback: Optional[Callable[[QueryResult], None]] = None) -> KVFuture:
+    def insert(self, key, value=b"") -> KVFuture:
         """Insert a new key.
 
         Inserts are control-plane operations (Section 4.1): the controller
@@ -204,14 +186,11 @@ class NetChainAgent(KVClient):
         than a data-plane query.  The future resolves after the control-plane
         latency plus an initial write of the value.
         """
-        _warn_callback("insert", callback)
         raw_key = _raw_key(key)
         future = KVFuture(self.sim, op="insert", key=raw_key)
         started = self.sim.now
 
         def finish(result: QueryResult) -> None:
-            if callback is not None:
-                callback(result)
             kv = self._to_kv(result, "insert")
             # The future reports the full elapsed time including the
             # control-plane install, which dominates; the raw QueryResult

@@ -302,11 +302,13 @@ def _write_index(run_dir: Path, offsets: Dict[bytes, array],
 # Reading.
 # --------------------------------------------------------------------- #
 
-def _scan_records(path: Path, limit: Optional[int] = None
+def _scan_records(path: Path, limit: Optional[int] = None,
+                  schema: str = SCHEMA
                   ) -> Iterator[Tuple[int, bytes, Dict[str, Any]]]:
     """Sequentially yield ``(offset, line, record)`` for every record line.
 
-    The header line is validated and skipped.  A line that does not end in
+    The header line is validated against ``schema`` (the ``trace/v1``
+    readers pass theirs) and skipped.  A line that does not end in
     a newline (the file was cut mid-record) or does not parse raises
     :class:`TruncatedHistoryError` naming the byte offset where the intact
     prefix ends.  ``limit`` stops the scan at a byte offset -- the intact
@@ -328,14 +330,16 @@ def _scan_records(path: Path, limit: Optional[int] = None
                     path, offset, f"unparseable record ({exc})") from None
             if first:
                 first = False
-                schema = record.get("schema") if isinstance(record, dict) else None
-                if schema != SCHEMA:
-                    raise ValueError(f"{path}: unsupported history schema "
-                                     f"{schema!r} (expected {SCHEMA!r})")
+                found = record.get("schema") if isinstance(record, dict) else None
+                if found != schema:
+                    raise ValueError(f"{path}: unsupported schema "
+                                     f"{found!r} (expected {schema!r})")
                 offset += len(line)
                 continue
             yield offset, line, record
             offset += len(line)
+        if first:
+            raise TruncatedHistoryError(path, 0, "missing header line")
 
 
 class HistoryStore:

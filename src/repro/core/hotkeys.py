@@ -624,7 +624,7 @@ class _CacheEntry:
     def __init__(self, vgroup: int, epoch: int) -> None:
         self.vgroup = vgroup
         self.epoch = epoch
-        # (future, callback, invoked_at) per coalesced waiter.
+        # (future, invoked_at) per coalesced waiter.
         self.waiters: List[Tuple] = []
 
 
@@ -648,7 +648,7 @@ class ClientReadCache:
             return 0
         return epochs.get(vgroup, 0)
 
-    def read(self, agent, key, callback=None) -> KVFuture:
+    def read(self, agent, key) -> KVFuture:
         """Serve one read through the cache (called by the agent)."""
         raw = normalize_key(key)
         self.stats.lookups += 1
@@ -656,7 +656,7 @@ class ClientReadCache:
         if entry is not None:
             self.stats.coalesced += 1
             future = KVFuture(agent.sim, op="read", key=raw)
-            entry.waiters.append((future, callback, agent.sim.now))
+            entry.waiters.append((future, agent.sim.now))
             return future
         try:
             _ips, vgroup, epoch = agent._route(raw)
@@ -666,13 +666,9 @@ class ClientReadCache:
         self._inflight[raw] = entry
         self.stats.network_reads += 1
 
-        def on_reply(result) -> None:
-            if callback is not None:
-                callback(result)
-            self._resolve(agent, raw, entry, result)
-
-        return agent._submit(OpCode.READ, raw, callback=on_reply,
-                             op_name="read")
+        return agent._submit(
+            OpCode.READ, raw, op_name="read",
+            callback=lambda result: self._resolve(agent, raw, entry, result))
 
     def _resolve(self, agent, raw: bytes, entry: _CacheEntry, result) -> None:
         if self._inflight.get(raw) is entry:
@@ -685,21 +681,18 @@ class ClientReadCache:
             # entry is stale by the epoch rule, so its waiters re-fetch
             # (re-coalescing onto one fresh read).
             self.stats.epoch_invalidations += 1
-            for future, waiter_callback, _invoked_at in waiters:
-                inner = self.read(agent, raw, waiter_callback)
-                inner.then(future.resolve)
+            for future, _invoked_at in waiters:
+                self.read(agent, raw).then(future.resolve)
             return
         if not result.ok:
             self.stats.shared_failures += len(waiters)
         now = agent.sim.now
-        for future, waiter_callback, invoked_at in waiters:
+        for future, invoked_at in waiters:
             shared = type(result)(
                 ok=result.ok, op=result.op, key=result.key,
                 status=result.status, value=result.value, seq=result.seq,
                 session=result.session, latency=now - invoked_at,
                 retries=result.retries, timed_out=result.timed_out)
-            if waiter_callback is not None:
-                waiter_callback(shared)
             future.resolve(agent._to_kv(shared, "read"))
 
 

@@ -55,7 +55,12 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.history_store import encode_bytes
+from repro.core.history_store import (
+    _record_line,
+    _scan_records,
+    encode_bytes,
+    read_ndjson_meta,
+)
 from repro.netsim.telemetry import (
     ControlEventLog,
     MetricsRegistry,
@@ -76,11 +81,6 @@ EVENTS_FILE = "events.ndjson"
 #: the residual (retry timeouts, in-flight waits not covered by spans).
 STAGES = ("host_stack", "nic_queue", "link", "switch_queue",
           "switch_pipeline")
-
-
-def _record_line(record: Dict[str, Any]) -> bytes:
-    return json.dumps(record, sort_keys=True,
-                      separators=(",", ":")).encode("ascii") + b"\n"
 
 
 def _key_label(raw: bytes) -> str:
@@ -376,46 +376,42 @@ class TelemetryPlane:
 # Reading + reconstruction.
 # --------------------------------------------------------------------- #
 
-def read_ndjson(path) -> Tuple[dict, List[dict]]:
-    """Read one trace NDJSON file: (header, records)."""
+def read_ndjson(path, schema: str) -> Tuple[dict, List[dict]]:
+    """Read one trace NDJSON file of the given schema: (header meta, records).
+
+    A cut or corrupt file raises
+    :class:`~repro.core.history_store.TruncatedHistoryError` naming the
+    byte offset where the intact prefix ends; a file of another schema
+    raises :class:`ValueError`.
+    """
     path = Path(path)
-    header: dict = {}
-    records: List[dict] = []
-    with open(path, "rb") as handle:
-        for i, line in enumerate(handle):
-            record = json.loads(line)
-            if i == 0:
-                header = record
-            else:
-                records.append(record)
-    return header, records
+    records = [record for _offset, _line, record
+               in _scan_records(path, schema=schema)]
+    return read_ndjson_meta(path), records
 
 
 def iter_spans(run_dir) -> Iterator[dict]:
     path = Path(run_dir) / SPANS_FILE
     if not path.exists():  # metrics-only run (TelemetryConfig(trace=False))
         return
-    with open(path, "rb") as handle:
-        first = True
-        for line in handle:
-            if first:
-                first = False
-                continue
-            yield json.loads(line)
+    for _offset, _line, record in _scan_records(path, schema=TRACE_SCHEMA):
+        yield record
 
 
 def run_info(run_dir) -> dict:
     """Headers and record counts of every file in a trace/v1 run dir."""
     run_dir = Path(run_dir)
     info: Dict[str, Any] = {"run_dir": str(run_dir)}
-    for name in (SPANS_FILE, METRICS_FILE, EVENTS_FILE):
+    for name, schema in ((SPANS_FILE, TRACE_SCHEMA),
+                         (METRICS_FILE, METRICS_SCHEMA),
+                         (EVENTS_FILE, EVENTS_SCHEMA)):
         path = run_dir / name
         if not path.exists():
             continue
-        header, records = read_ndjson(path)
+        meta, records = read_ndjson(path, schema)
         info[name] = {
-            "schema": header.get("schema"),
-            "meta": header.get("meta", {}),
+            "schema": schema,
+            "meta": meta,
             "records": len(records),
             "bytes": path.stat().st_size,
         }
@@ -578,7 +574,7 @@ def format_report(run_dir, top: int = 1) -> str:
 
     events_path = run_dir / EVENTS_FILE
     if events_path.exists():
-        _, events = read_ndjson(events_path)
+        _, events = read_ndjson(events_path, EVENTS_SCHEMA)
         if events:
             lines.append("### Control-plane events")
             lines.append("")
@@ -606,7 +602,7 @@ def format_report(run_dir, top: int = 1) -> str:
 
     metrics_path = run_dir / METRICS_FILE
     if metrics_path.exists():
-        header, series = read_ndjson(metrics_path)
+        _, series = read_ndjson(metrics_path, METRICS_SCHEMA)
         if series:
             lines.append("### Sampled time series")
             lines.append("")

@@ -15,11 +15,6 @@ protocol:
   Figure 1(a).
 * ``hybrid``         -- NetChain as an accelerator tier in front of a
   server-based store (Section 6).
-
-The deployment classes double as the (deprecated) dataclasses the
-experiment drivers historically received from
-:mod:`repro.experiments.setup`; field layout and construction order are
-preserved so same-seed runs through either path are byte-identical.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ Usage::
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import random
 import tempfile
 from dataclasses import dataclass, field
@@ -316,12 +315,12 @@ def run_scenario(spec: DeploymentSpec,
                  schedule_builder: Optional[Callable] = None) -> ScenarioResult:
     """Run one workload against one deployment spec and check the outcome.
 
-    This is the single scenario entry point: the fault harness
-    (:func:`repro.experiments.failures.run_fault_scenario`) and the
-    reconfiguration harness
-    (:func:`repro.experiments.elasticity.run_reconfig_scenario`) are thin
-    wrappers over it, and :mod:`repro.deploy.matrix` workers reconstruct
-    its three inputs from JSON alone.  Planned membership changes ride
+    This is the single scenario entry point:
+    :func:`repro.experiments.failures.fault_scenario` and
+    :func:`repro.experiments.elasticity.reconfig_scenario` only construct
+    its three inputs, the figure drivers read their numbers off its
+    result, and :mod:`repro.deploy.matrix` workers reconstruct the inputs
+    from JSON alone.  Planned membership changes ride
     ``spec.options["reconfig"]`` (``{"changes": [(at, joins, leaves),
     ...], "config": ReconfigConfig | field dict, "link_new_to": [...]}``)
     and a failure detector config rides ``spec.options["detector_config"]``
@@ -336,11 +335,11 @@ def run_scenario(spec: DeploymentSpec,
             ``spec`` (the spec is still used for seeds and fault events).
         schedule_builder: escape hatch for fault schedules that need live
             objects (trigger predicates over the cluster):
-            ``schedule_builder(schedule)`` or ``schedule_builder(schedule,
-            cluster)`` receives the un-armed :class:`FaultSchedule` --
-            with ``spec.faults`` already added -- and returns it with its
-            events added.  Not serializable; matrix cells use
-            ``spec.faults`` instead.
+            ``schedule_builder(schedule, cluster)`` receives the un-armed
+            :class:`FaultSchedule` -- with ``spec.faults`` already added --
+            plus the cluster (the deployment itself for backends without
+            one) and returns the schedule with its events added.  Not
+            serializable; matrix cells use ``spec.faults`` instead.
     """
     workload = (workload or WorkloadSpec()).validate()
     checks = (checks or ScenarioChecks()).validate()
@@ -421,11 +420,8 @@ def run_scenario(spec: DeploymentSpec,
         for event in spec.faults:
             schedule.at(event[0], event[1], *event[2:])
         if schedule_builder is not None:
-            if len(inspect.signature(schedule_builder).parameters) >= 2:
-                schedule = schedule_builder(
-                    schedule, cluster if cluster is not None else deployment)
-            else:
-                schedule = schedule_builder(schedule)
+            schedule = schedule_builder(
+                schedule, cluster if cluster is not None else deployment)
         injector = schedule.injector
 
     violations: List[str] = []
@@ -575,9 +571,6 @@ def run_scenario(spec: DeploymentSpec,
             cache = checks.verdict_cache
             if cache == "default":
                 cache = default_verdict_cache()
-            elif cache is not None and not isinstance(cache, VerdictCache):
-                raise TypeError(f"verdict_cache must be 'default', None or a "
-                                f"VerdictCache, got {type(cache).__name__}")
             report = check_linearizable_streaming(
                 store, initial=initial, workers=checks.verify_workers,
                 cache=cache)

@@ -18,24 +18,12 @@ from repro.deploy import (
 )
 from repro.experiments.elasticity import (
     ElasticityTimeline,
-    ReconfigScenarioResult,
     elasticity_experiment,
-    run_reconfig_scenario,
+    reconfig_scenario,
 )
-from repro.experiments.failures import (
-    FailureTimeline,
-    FaultScenarioResult,
-    failure_experiment,
-    run_fault_scenario,
-)
+from repro.experiments.failures import FailureTimeline, failure_experiment, fault_scenario
 from repro.experiments.latency import LatencyPoint, netchain_latency_curve, zookeeper_latency_curve
 from repro.experiments.scalability import scalability_experiment
-from repro.experiments.setup import (
-    NetChainDeployment,
-    ZooKeeperDeployment,
-    build_netchain_deployment,
-    build_zookeeper_deployment,
-)
 from repro.experiments.tables import table1
 from repro.experiments.throughput import (
     ThroughputResult,
@@ -57,10 +45,6 @@ __all__ = [
     "available_backends",
     "build_deployment",
     "run_scenario",
-    "NetChainDeployment",
-    "ZooKeeperDeployment",
-    "build_netchain_deployment",
-    "build_zookeeper_deployment",
     "ThroughputResult",
     "netchain_throughput",
     "zookeeper_throughput",
@@ -69,13 +53,11 @@ __all__ = [
     "netchain_latency_curve",
     "zookeeper_latency_curve",
     "FailureTimeline",
-    "FaultScenarioResult",
     "failure_experiment",
-    "run_fault_scenario",
+    "fault_scenario",
     "ElasticityTimeline",
-    "ReconfigScenarioResult",
     "elasticity_experiment",
-    "run_reconfig_scenario",
+    "reconfig_scenario",
     "TransactionResult",
     "netchain_transactions",
     "zookeeper_transactions",

@@ -8,8 +8,8 @@ while switches join or leave.
 
 Two drivers:
 
-* :func:`run_reconfig_scenario` -- the consistency harness, mirroring
-  :func:`repro.experiments.failures.run_fault_scenario`: paced recorded
+* :func:`reconfig_scenario` -- the consistency scenario, mirroring
+  :func:`repro.experiments.failures.fault_scenario`: paced recorded
   load on every host, one or more planned membership changes (optionally
   combined with a fault schedule, e.g. fail-stopping the joining switch
   mid-migration), chain invariants sampled at every migration commit and
@@ -25,22 +25,12 @@ Two drivers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.controller import ControllerConfig
-from repro.core.detector import DetectorConfig
-from repro.core.history import History, LinearizabilityReport
 from repro.core.reconfig import MigrationCoordinator, MigrationReport, ReconfigConfig
-from repro.deploy import (
-    DeploymentSpec,
-    NetChainDeployment,
-    ScenarioChecks,
-    WorkloadSpec,
-    build_deployment,
-    run_scenario,
-)
-from repro.experiments.failures import _fill_from_scenario, fault_scenario_spec
-from repro.netsim.faults import FaultEvent
+from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec, build_deployment
+from repro.experiments.failures import fault_scenario
 from repro.netsim.stats import ThroughputTimeSeries
 from repro.workloads.clients import LoadClient
 from repro.workloads.generators import KeyValueWorkload, WorkloadConfig
@@ -49,110 +39,38 @@ from repro.workloads.generators import KeyValueWorkload, WorkloadConfig
 MembershipChange = Tuple[float, Sequence[str], Sequence[str]]
 
 
-@dataclass
-class ReconfigScenarioResult:
-    """Outcome of one reconfiguration scenario under recorded load."""
-
-    seed: int
-    duration: float
-    completed_ops: int = 0
-    failed_ops: int = 0
-    #: The fault injector's replayable trace (empty without a schedule).
-    fault_trace: List[FaultEvent] = field(default_factory=list)
-    #: Invariant violations sampled at every migration commit, fault
-    #: boundary, and once at the end (empty == consistent).
-    invariant_violations: List[str] = field(default_factory=list)
-    history: Optional[History] = None
-    linearizability: Optional[LinearizabilityReport] = None
-    #: Run directory with the spilled NDJSON history (spill mode only).
-    run_dir: Optional[str] = None
-    #: Keys whose verdict came from the memoized cache (spill mode only).
-    verdict_cache_hits: int = 0
-    drop_report: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    deployment: Optional[NetChainDeployment] = None
-    #: One report per executed membership change, in order.
-    migrations: List[MigrationReport] = field(default_factory=list)
-    #: Keys that were unreadable at the end of the run (must be empty:
-    #: migration loses no keys).
-    lost_keys: List[str] = field(default_factory=list)
-
-    def trace_signature(self) -> List[Tuple[float, str, str, str]]:
-        return [event.signature() for event in self.fault_trace]
-
-    def migration_signature(self) -> List[Tuple[int, str, str, int]]:
-        """Hashable per-step outcome used by replay-identity assertions."""
-        return [(step.vgroup, step.kind, step.status, step.keys_moved)
-                for report in self.migrations for step in report.steps]
-
-    def consistent(self) -> bool:
-        if self.invariant_violations or self.lost_keys:
-            return False
-        if self.linearizability is None:
-            return True
-        return self.linearizability.ok and not self.linearizability.exhausted_keys()
-
-
-def run_reconfig_scenario(changes: Sequence[MembershipChange],
-                          seed: int = 0,
-                          duration: float = 3.0,
-                          num_clients: int = 3,
-                          concurrency: int = 2,
-                          think_time: float = 1e-3,
-                          store_size: int = 24,
-                          write_ratio: float = 0.4,
-                          virtual_groups: int = 2,
-                          sync_items_per_sec: float = 2000.0,
-                          reconfig_config: Optional[ReconfigConfig] = None,
-                          build_schedule=None,
-                          detector_config: Optional[DetectorConfig] = None,
-                          drain: float = 0.5,
-                          value_size: int = 32,
-                          link_new_to: Optional[List[str]] = None,
-                          history_mode: str = "memory",
-                          run_dir=None,
-                          ) -> ReconfigScenarioResult:
-    """Run planned membership changes under a recorded mixed workload.
+def reconfig_scenario(changes: Sequence[MembershipChange],
+                      reconfig_config: Optional[ReconfigConfig] = None,
+                      link_new_to: Optional[List[str]] = None,
+                      **scenario,
+                      ) -> Tuple[DeploymentSpec, WorkloadSpec, ScenarioChecks]:
+    """The ``(spec, workload, checks)`` triple of planned membership
+    changes under a recorded mixed workload.
 
     ``changes`` is a list of ``(time, joins, leaves)``: at each ``time``
     the listed switches are hot-plugged (joins) and a live migration to the
-    new membership starts.  ``build_schedule(schedule, cluster)`` may add a
-    fault schedule on top, exactly as in
-    :func:`repro.experiments.failures.run_fault_scenario` -- fail-stopping
-    a switch mid-migration is the interesting combination.
+    new membership starts.  The plan rides ``spec.options["reconfig"]``
+    (fully serializable, so matrix cells can carry it); every other
+    keyword is :func:`repro.experiments.failures.fault_scenario`'s, and a
+    fault schedule combines with the plan exactly as there -- fail-stopping
+    a switch mid-migration is the interesting combination::
+
+        run_scenario(*reconfig_scenario([(0.5, ["S4"], [])], seed=s),
+                     schedule_builder=kill_joiner)
 
     Everything stochastic derives from ``seed``; two runs with the same
     arguments produce identical fault traces, migration step outcomes and
     operation histories.
-
-    This is a thin wrapper over :func:`repro.deploy.run_scenario`: the
-    membership plan rides ``spec.options["reconfig"]`` (fully
-    serializable, so matrix cells can carry the same plan) and the
-    unified result is repackaged into the historical dataclass.
     """
-    spec = fault_scenario_spec(seed=seed, store_size=store_size,
-                               value_size=value_size,
-                               virtual_groups=virtual_groups,
-                               sync_items_per_sec=sync_items_per_sec,
-                               detector_config=detector_config)
+    spec, workload, checks = fault_scenario(**scenario)
     spec.options["reconfig"] = {
         "changes": [(at, list(joins), list(leaves))
                     for at, joins, leaves in changes],
         "config": reconfig_config,
         "link_new_to": list(link_new_to) if link_new_to is not None else None,
     }
-    workload = WorkloadSpec(num_clients=num_clients, concurrency=concurrency,
-                            write_ratio=write_ratio, think_time=think_time,
-                            duration=duration, drain=drain)
-    checks = ScenarioChecks(history_mode=history_mode, run_dir=run_dir,
-                            require_progress=False, chain_invariants=True,
-                            no_lost_keys=True)
-    scenario = run_scenario(spec, workload, checks,
-                            schedule_builder=build_schedule)
-    result = ReconfigScenarioResult(seed=seed, duration=duration)
-    _fill_from_scenario(result, scenario)
-    result.migrations = scenario.migrations
-    result.lost_keys = scenario.lost_keys
-    return result
+    checks.no_lost_keys = True
+    return spec, workload, checks
 
 
 # --------------------------------------------------------------------- #

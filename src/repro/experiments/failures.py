@@ -21,31 +21,22 @@ its :class:`repro.core.detector.FailureDetector` (it is never called
 directly), and every phase boundary is *observed* from the controller's
 event log and recovery reports rather than computed from the input knobs.
 
-:func:`run_fault_scenario` generalizes the same harness to arbitrary
-schedules: a paced mixed workload records a full operation history, the
-chain invariants are sampled at every fault boundary, and the history is
-checked for per-key linearizability afterwards.
+:func:`fault_scenario` generalizes the same setup to arbitrary schedules:
+it builds the ``(spec, workload, checks)`` triple that
+:func:`repro.deploy.run_scenario` runs -- a paced mixed workload records a
+full operation history, the chain invariants are sampled at every fault
+boundary, and the history is checked for per-key linearizability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.client import canonical_key
 from repro.core.controller import ControllerConfig
 from repro.core.detector import DetectorConfig
-from repro.core.history import History, LinearizabilityReport
-from repro.deploy import (
-    DeploymentSpec,
-    NetChainDeployment,
-    ScenarioChecks,
-    ScenarioResult,
-    WorkloadSpec,
-    build_deployment,
-    run_scenario,
-)
-from repro.netsim.faults import FaultEvent, FaultSchedule
+from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec, build_deployment
+from repro.netsim.faults import FaultEvent
 from repro.netsim.stats import ThroughputTimeSeries
 from repro.workloads.clients import LoadClient
 from repro.workloads.generators import KeyValueWorkload, WorkloadConfig
@@ -184,145 +175,56 @@ def failure_experiment(virtual_groups: int = 1,
 # Generic fault scenarios with consistency checking.
 # --------------------------------------------------------------------- #
 
-@dataclass
-class FaultScenarioResult:
-    """Outcome of one scheduled fault scenario under recorded load."""
+def fault_scenario(seed: int = 0,
+                   duration: float = 3.0,
+                   num_clients: int = 3,
+                   concurrency: int = 2,
+                   think_time: float = 1e-3,
+                   store_size: int = 24,
+                   write_ratio: float = 0.4,
+                   virtual_groups: int = 2,
+                   sync_items_per_sec: float = 2000.0,
+                   detector_config: Optional[DetectorConfig] = None,
+                   drain: float = 0.5,
+                   value_size: int = 32,
+                   history_mode: str = "memory",
+                   run_dir=None,
+                   faults: Optional[List[Tuple]] = None,
+                   ) -> Tuple[DeploymentSpec, WorkloadSpec, ScenarioChecks]:
+    """The ``(spec, workload, checks)`` triple of one seeded fault scenario.
 
-    seed: int
-    duration: float
-    completed_ops: int = 0
-    failed_ops: int = 0
-    #: The injector's replayable trace; identical across same-seed reruns.
-    fault_trace: List[FaultEvent] = field(default_factory=list)
-    #: Chain-invariant violations sampled at each fault boundary and once
-    #: at the end of the run (empty == consistent).
-    invariant_violations: List[str] = field(default_factory=list)
-    history: Optional[History] = None
-    linearizability: Optional[LinearizabilityReport] = None
-    #: Run directory with the spilled NDJSON history (spill mode only).
-    run_dir: Optional[str] = None
-    #: Keys whose verdict came from the memoized cache (spill mode only).
-    verdict_cache_hits: int = 0
-    #: Per-link delivery/drop counters, keyed by link name.
-    drop_report: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: The deployment the scenario ran on (controller, detector, agents).
-    deployment: Optional[NetChainDeployment] = None
+    Hand it to :func:`repro.deploy.run_scenario`::
 
-    def trace_signature(self) -> List[Tuple[float, str, str, str]]:
-        return [event.signature() for event in self.fault_trace]
+        run_scenario(*fault_scenario(seed=s, duration=2.0,
+                                     faults=[(0.4, "fail_switch", "S1")]))
 
-    def consistent(self) -> bool:
-        """No invariant violation and a linearizable history."""
-        if self.invariant_violations:
-            return False
-        if self.linearizability is None:
-            return True
-        return self.linearizability.ok and not self.linearizability.exhausted_keys()
-
-
-def run_fault_scenario(build_schedule: Callable[..., FaultSchedule],
-                       seed: int = 0,
-                       duration: float = 3.0,
-                       num_clients: int = 3,
-                       concurrency: int = 2,
-                       think_time: float = 1e-3,
-                       store_size: int = 24,
-                       write_ratio: float = 0.4,
-                       virtual_groups: int = 2,
-                       sync_items_per_sec: float = 2000.0,
-                       detector_config: Optional[DetectorConfig] = None,
-                       deployment: Optional[NetChainDeployment] = None,
-                       drain: float = 0.5,
-                       value_size: int = 32,
-                       history_mode: str = "memory",
-                       run_dir=None,
-                       ) -> FaultScenarioResult:
-    """Run one seeded fault schedule under a recorded mixed workload.
-
-    ``build_schedule(schedule, cluster)`` receives an un-armed
-    :class:`FaultSchedule` over the deployment's injector (plus the cluster
-    for trigger predicates) and returns it with the scenario's events
-    added; the harness arms it, starts the failure detector, drives paced
-    load clients on every host, samples the chain invariants at every
-    fault boundary, and checks the recorded history for linearizability.
-    Builders that only need the schedule may take a single argument.
+    The scenario arms ``faults`` on the deployment's injector, starts the
+    failure detector, drives paced load clients on every host, samples the
+    chain invariants at every fault boundary, and checks the recorded
+    history for linearizability.  Schedules that need live objects
+    (trigger predicates over the cluster) pass
+    ``schedule_builder=lambda schedule, cluster: ...`` to ``run_scenario``.
 
     Everything stochastic -- workload key/op choices, fault models,
     controller replacement choices -- derives from ``seed``, so the whole
-    scenario (including the fault trace) replays byte-identically.
-
-    This is a thin wrapper over :func:`repro.deploy.run_scenario`: it
-    translates the historical keyword surface into a
-    :class:`DeploymentSpec` + :class:`WorkloadSpec` +
-    :class:`ScenarioChecks` triple (the same one a matrix cell
-    serializes) and repackages the unified result.
-    """
-    spec = fault_scenario_spec(seed=seed, store_size=store_size,
-                               value_size=value_size,
-                               virtual_groups=virtual_groups,
-                               sync_items_per_sec=sync_items_per_sec,
-                               detector_config=detector_config)
-    workload = WorkloadSpec(num_clients=num_clients, concurrency=concurrency,
-                            write_ratio=write_ratio, think_time=think_time,
-                            duration=duration, drain=drain)
-    checks = ScenarioChecks(history_mode=history_mode, run_dir=run_dir,
-                            require_progress=False, chain_invariants=True)
-    scenario = run_scenario(spec, workload, checks, deployment=deployment,
-                            schedule_builder=build_schedule)
-    result = FaultScenarioResult(seed=seed, duration=duration)
-    _fill_from_scenario(result, scenario)
-    return result
-
-
-def fault_scenario_spec(seed: int = 0,
-                        store_size: int = 24,
-                        value_size: int = 32,
-                        virtual_groups: int = 2,
-                        sync_items_per_sec: float = 2000.0,
-                        detector_config: Optional[DetectorConfig] = None,
-                        faults: Optional[List[Tuple]] = None,
-                        ) -> DeploymentSpec:
-    """The harness's NetChain deployment spec, reusable by matrix grids.
-
-    Construction parameters are identical to the historical in-line
-    builder (controller seed, store slots, retry timeout), so same-seed
-    runs through the wrapper and through older revisions replay the same
-    histories.
+    scenario (including the fault trace) replays byte-identically, and the
+    triple is the same one a matrix cell serializes.
     """
     controller_config = ControllerConfig(replication=3,
                                          vnodes_per_switch=virtual_groups,
                                          store_slots=max(1024, store_size + 64),
                                          sync_items_per_sec=sync_items_per_sec,
                                          seed=seed)
-    return DeploymentSpec(
+    spec = DeploymentSpec(
         backend="netchain", scale=1000.0, store_size=store_size,
         value_size=value_size, vnodes_per_switch=virtual_groups,
         retry_timeout=200e-6, seed=seed, faults=list(faults or []),
         options={"controller_config": controller_config,
                  "detector_config": detector_config or DetectorConfig(
                      probe_interval=50e-3, suspicion_threshold=2)})
-
-
-def _fill_from_scenario(result, scenario: ScenarioResult) -> None:
-    """Copy the unified scenario outcome into a legacy result dataclass."""
-    result.completed_ops = scenario.completed_ops
-    result.failed_ops = scenario.failed_ops
-    result.fault_trace = scenario.fault_trace
-    result.invariant_violations = scenario.invariant_violations
-    result.history = scenario.history
-    result.linearizability = scenario.linearizability
-    result.run_dir = str(scenario.run_dir) if scenario.run_dir is not None \
-        else None
-    result.verdict_cache_hits = scenario.verdict_cache_hits
-    result.drop_report = scenario.drop_report
-    result.deployment = scenario.deployment
-
-
-def history_key(key) -> bytes:
-    """The canonical bytes form a :class:`History` records keys under.
-
-    Normalization happens once, at record time (:func:`canonical_key`), so
-    initial-state snapshots built here match the per-key streams of both
-    the in-memory history and a spilled NDJSON run.
-    """
-    return canonical_key(key)
+    workload = WorkloadSpec(num_clients=num_clients, concurrency=concurrency,
+                            write_ratio=write_ratio, think_time=think_time,
+                            duration=duration, drain=drain)
+    checks = ScenarioChecks(history_mode=history_mode, run_dir=run_dir,
+                            require_progress=False, chain_invariants=True)
+    return spec, workload, checks

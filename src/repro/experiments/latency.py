@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.deploy import DeploymentSpec, build_deployment
-from repro.workloads.clients import LoadClient, measure_load
-from repro.workloads.generators import KeyValueWorkload, WorkloadConfig
+from repro.deploy import DeploymentSpec
+from repro.experiments.throughput import measure
 
 
 @dataclass
@@ -59,22 +58,16 @@ def netchain_latency_curve(concurrency_levels: Sequence[int] = (1, 4, 16),
     points: List[LatencyPoint] = []
     for write_ratio, op_name in ((0.0, "read"), (1.0, "write")):
         for concurrency in concurrency_levels:
-            deployment = build_deployment(DeploymentSpec(
-                backend="netchain", store_size=store_size,
-                value_size=value_size, seed=seed, unlimited_capacity=True))
-            agents = deployment.clients(num_servers)
-            clients = []
-            for i, agent in enumerate(agents):
-                workload = KeyValueWorkload(WorkloadConfig(store_size=store_size,
-                                                           value_size=value_size,
-                                                           write_ratio=write_ratio,
-                                                           seed=seed + i))
-                clients.append(LoadClient(agent, workload, concurrency=concurrency))
-            measurement = measure_load(clients, warmup=warmup, duration=duration)
-            latency = (measurement.mean_write_latency if write_ratio > 0.5
-                       else measurement.mean_read_latency)
+            result = measure(
+                DeploymentSpec(backend="netchain", store_size=store_size,
+                               value_size=value_size, seed=seed,
+                               unlimited_capacity=True),
+                num_clients=num_servers, concurrency=concurrency,
+                write_ratio=write_ratio, warmup=warmup, duration=duration)
+            latency = (result.mean_write_latency if op_name == "write"
+                       else result.mean_read_latency)
             points.append(LatencyPoint(system="NetChain", op=op_name,
-                                       qps=measurement.success_qps,
+                                       qps=result.success_qps,
                                        mean_latency=latency))
     return points
 
@@ -98,21 +91,15 @@ def zookeeper_latency_curve(client_counts: Sequence[int] = (1, 10, 50, 100),
     points: List[LatencyPoint] = []
     for write_ratio, op_name in ((0.0, "read"), (1.0, "write")):
         for count in client_counts:
-            deployment = build_deployment(DeploymentSpec(
-                backend="zookeeper", scale=scale, store_size=store_size,
-                value_size=value_size, seed=seed, unlimited_capacity=True))
-            clients = []
-            for i, kv_client in enumerate(deployment.clients(count)):
-                workload = KeyValueWorkload(WorkloadConfig(store_size=store_size,
-                                                           value_size=value_size,
-                                                           write_ratio=write_ratio,
-                                                           seed=seed + i))
-                clients.append(LoadClient(kv_client, workload,
-                                          concurrency=1))
-            measurement = measure_load(clients, warmup=warmup, duration=duration)
-            latency = (measurement.mean_write_latency if write_ratio > 0.5
-                       else measurement.mean_read_latency)
+            result = measure(
+                DeploymentSpec(backend="zookeeper", scale=scale,
+                               store_size=store_size, value_size=value_size,
+                               seed=seed, unlimited_capacity=True),
+                num_clients=count, concurrency=1,
+                write_ratio=write_ratio, warmup=warmup, duration=duration)
+            latency = (result.mean_write_latency if op_name == "write"
+                       else result.mean_read_latency)
             points.append(LatencyPoint(system="ZooKeeper", op=op_name,
-                                       qps=measurement.success_qps,
+                                       qps=result.success_qps,
                                        mean_latency=latency))
     return points

@@ -1,9 +1,9 @@
 """Throughput experiments: Figures 9(a), 9(b), 9(c) and 9(d).
 
-Each driver builds the testbed deployment, attaches closed-loop load
-clients, runs the simulation past a warmup, and reports the saturation
-throughput scaled back to the paper's absolute units (MQPS for NetChain,
-KQPS for ZooKeeper).
+Each driver describes the testbed deployment and its closed-loop load as
+a :func:`repro.deploy.run_scenario` call, measured past a warmup, and
+reports the saturation throughput scaled back to the paper's absolute
+units (MQPS for NetChain, KQPS for ZooKeeper).
 
 The evaluated quantities:
 
@@ -21,10 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.deploy import DeploymentSpec, NetChainDeployment, ZooKeeperDeployment, build_deployment
+from repro.deploy import (
+    DeploymentSpec,
+    ScenarioChecks,
+    ScenarioResult,
+    WorkloadSpec,
+    run_scenario,
+)
 from repro.perfmodel.devices import TOFINO
-from repro.workloads.clients import LoadClient, measure_load
-from repro.workloads.generators import KeyValueWorkload, WorkloadConfig
 
 
 @dataclass
@@ -75,6 +79,16 @@ def adaptive_retry_timeout(concurrency: int, scale: float,
     return max(floor, 4.0 * concurrency * scale / client_pps)
 
 
+def measure(spec: DeploymentSpec, **workload) -> ScenarioResult:
+    """Drive unrecorded closed-loop load on ``spec`` and return the
+    scenario result of the measurement window (``workload`` holds
+    :class:`WorkloadSpec` fields; nothing is drained or checked)."""
+    return run_scenario(
+        spec,
+        WorkloadSpec(unique_values=False, drain=0.0, **workload),
+        ScenarioChecks(linearizability=False, require_progress=False))
+
+
 def netchain_throughput(num_servers: int = 4,
                         value_size: int = 64,
                         store_size: int = 2000,
@@ -85,27 +99,18 @@ def netchain_throughput(num_servers: int = 4,
                         warmup: float = 0.1,
                         concurrency: int = 16,
                         retry_timeout: Optional[float] = None,
-                        seed: int = 0,
-                        deployment: Optional[NetChainDeployment] = None) -> ThroughputResult:
+                        seed: int = 0) -> ThroughputResult:
     """Measure NetChain(num_servers) under the given workload knobs."""
     if retry_timeout is None:
         retry_timeout = adaptive_retry_timeout(concurrency, scale)
-    if deployment is None:
-        deployment = build_deployment(DeploymentSpec(
-            backend="netchain", scale=scale, store_size=store_size,
-            value_size=value_size, loss_rate=loss_rate,
-            retry_timeout=retry_timeout, seed=seed))
-    agents = deployment.clients(num_servers)
-    clients = []
-    for i, agent in enumerate(agents):
-        workload = KeyValueWorkload(WorkloadConfig(store_size=store_size,
-                                                   value_size=value_size,
-                                                   write_ratio=write_ratio,
-                                                   seed=seed + i))
-        clients.append(LoadClient(agent, workload, concurrency=concurrency))
-    measurement = measure_load(clients, warmup=warmup, duration=duration)
+    result = measure(
+        DeploymentSpec(backend="netchain", scale=scale, store_size=store_size,
+                       value_size=value_size, loss_rate=loss_rate,
+                       retry_timeout=retry_timeout, seed=seed),
+        num_clients=num_servers, concurrency=concurrency,
+        write_ratio=write_ratio, warmup=warmup, duration=duration)
     return ThroughputResult(system=f"NetChain({num_servers})",
-                            qps=measurement.scaled_qps(deployment.scale),
+                            qps=result.scaled_qps,
                             value_size=value_size, store_size=store_size,
                             write_ratio=write_ratio, loss_rate=loss_rate,
                             num_load_generators=num_servers)
@@ -119,23 +124,15 @@ def zookeeper_throughput(num_clients: int = 100,
                          scale: float = 1000.0,
                          duration: float = 3.0,
                          warmup: float = 1.0,
-                         seed: int = 0,
-                         deployment: Optional[ZooKeeperDeployment] = None) -> ThroughputResult:
+                         seed: int = 0) -> ThroughputResult:
     """Measure the ZooKeeper ensemble under the given workload knobs."""
-    if deployment is None:
-        deployment = build_deployment(DeploymentSpec(
-            backend="zookeeper", scale=scale, store_size=store_size,
-            value_size=value_size, loss_rate=loss_rate, seed=seed))
-    clients: List[LoadClient] = []
-    for i, kv_client in enumerate(deployment.clients(num_clients)):
-        workload = KeyValueWorkload(WorkloadConfig(store_size=store_size,
-                                                   value_size=value_size,
-                                                   write_ratio=write_ratio,
-                                                   seed=seed + i))
-        clients.append(LoadClient(kv_client, workload, concurrency=1))
-    measurement = measure_load(clients, warmup=warmup, duration=duration)
+    result = measure(
+        DeploymentSpec(backend="zookeeper", scale=scale, store_size=store_size,
+                       value_size=value_size, loss_rate=loss_rate, seed=seed),
+        num_clients=num_clients, concurrency=1,
+        write_ratio=write_ratio, warmup=warmup, duration=duration)
     return ThroughputResult(system="ZooKeeper",
-                            qps=measurement.scaled_qps(deployment.scale),
+                            qps=result.scaled_qps,
                             value_size=value_size, store_size=store_size,
                             write_ratio=write_ratio, loss_rate=loss_rate,
                             num_load_generators=num_clients)
@@ -164,19 +161,12 @@ def zookeeper_loss_degradation(loss_rates,
     """
     rates = {}
     for loss_rate in loss_rates:
-        deployment = build_deployment(DeploymentSpec(
-            backend="zookeeper", store_size=store_size, loss_rate=loss_rate,
-            seed=seed, unlimited_capacity=True))
-        clients = []
-        for i, kv_client in enumerate(deployment.clients(num_clients)):
-            workload = KeyValueWorkload(WorkloadConfig(store_size=store_size,
-                                                       value_size=64,
-                                                       write_ratio=write_ratio,
-                                                       seed=seed + i))
-            clients.append(LoadClient(kv_client, workload,
-                                      concurrency=1))
-        measurement = measure_load(clients, warmup=warmup, duration=duration)
-        rates[loss_rate] = measurement.success_qps
+        rates[loss_rate] = measure(
+            DeploymentSpec(backend="zookeeper", store_size=store_size,
+                           loss_rate=loss_rate, seed=seed,
+                           unlimited_capacity=True),
+            num_clients=num_clients, concurrency=1, write_ratio=write_ratio,
+            warmup=warmup, duration=duration).success_qps
     baseline = rates.get(0.0) or max(rates.values())
     if baseline <= 0:
         return {loss: 0.0 for loss in rates}

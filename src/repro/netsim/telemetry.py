@@ -487,14 +487,22 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     from repro.core import trace as trace_mod
 
-    print(trace_mod.format_report(args.run_dir, top=args.top))
+    try:
+        print(trace_mod.format_report(args.run_dir, top=args.top))
+    except ValueError as exc:  # cut file (names the byte offset) or wrong schema
+        print(exc, file=sys.stderr)
+        return 1
     return 0
 
 
 def _cmd_info(args) -> int:
     from repro.core import trace as trace_mod
 
-    info = trace_mod.run_info(args.run_dir)
+    try:
+        info = trace_mod.run_info(args.run_dir)
+    except ValueError as exc:  # cut file (names the byte offset) or wrong schema
+        print(exc, file=sys.stderr)
+        return 1
     print(json.dumps(info, sort_keys=True, indent=2))
     return 0
 

@@ -4,11 +4,10 @@
   key distributions, read/write mixes, value sizes, store sizes -- the knobs
   of Figures 9(a)-(d).
 * :mod:`repro.workloads.clients` -- the backend-generic closed-loop load
-  driver over the :class:`repro.core.client.KVClient` protocol, plus
-  throughput measurement helpers.
+  driver over the :class:`repro.core.client.KVClient` protocol.
 """
 
-from repro.workloads.clients import LoadClient, LoadMeasurement, measure_load
+from repro.workloads.clients import LoadClient
 from repro.workloads.generators import (
     KeyValueWorkload,
     Operation,
@@ -24,6 +23,4 @@ __all__ = [
     "OpType",
     "zipf_probabilities",
     "LoadClient",
-    "LoadMeasurement",
-    "measure_load",
 ]

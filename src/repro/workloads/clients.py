@@ -1,4 +1,4 @@
-"""Load-driving clients and throughput measurement helpers.
+"""Load-driving clients.
 
 Both systems are driven by **closed-loop** logical clients: each logical
 client keeps a fixed number of queries outstanding and issues the next one
@@ -17,8 +17,7 @@ and the same code path exercises either system.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.client import KVClient, KVResult
 from repro.core.history import History, HistoryOp
@@ -110,45 +109,3 @@ class LoadClient:
             self.sim.schedule(self.think_time, self._issue)
         else:
             self._issue()
-
-
-@dataclass
-class LoadMeasurement:
-    """Throughput/latency over a measurement window, in simulated units."""
-
-    qps: float
-    success_qps: float
-    mean_read_latency: float
-    mean_write_latency: float
-    window: float
-
-    def scaled_qps(self, scale: float) -> float:
-        """Throughput mapped back to the paper's absolute units."""
-        return self.success_qps * scale
-
-
-def measure_load(clients: List[LoadClient], warmup: float,
-                 duration: float) -> LoadMeasurement:
-    """Run load clients and measure the steady-state window."""
-    if not clients:
-        raise ValueError("need at least one load client")
-    sim = clients[0].sim
-    start = sim.now
-    for client in clients:
-        client.start()
-    sim.run(until=start + warmup + duration)
-    for client in clients:
-        client.stop()
-    window_start = start + warmup
-    window_end = start + warmup + duration
-    total = sum(c.completions.rate_between(window_start, window_end) for c in clients)
-    success = sum(c.successes.rate_between(window_start, window_end) for c in clients)
-    read_lat = LatencyRecorder()
-    write_lat = LatencyRecorder()
-    for client in clients:
-        read_lat.merge(client.read_latency)
-        write_lat.merge(client.write_latency)
-    return LoadMeasurement(qps=total, success_qps=success,
-                           mean_read_latency=read_lat.mean(),
-                           mean_write_latency=write_lat.mean(),
-                           window=duration)

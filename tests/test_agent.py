@@ -102,16 +102,6 @@ def test_async_callbacks_and_outstanding_tracking(cluster, agent):
     assert agent.completed == 2
 
 
-def test_callback_kwarg_is_deprecated_but_still_fires(cluster, agent):
-    cluster.controller.populate(["a"])
-    results = []
-    with pytest.deprecated_call():
-        agent.read("a", callback=results.append)
-    cluster.run(until=cluster.sim.now + 0.01)
-    assert len(results) == 1
-    assert results[0].ok
-
-
 def test_agent_statistics_separate_reads_and_writes(cluster, agent):
     cluster.controller.populate(["k"])
     agent.write_sync("k", b"v")

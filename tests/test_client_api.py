@@ -22,7 +22,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.host import HostConfig
 from repro.netsim.routing import install_shortest_path_routes
 from repro.netsim.topology import build_testbed
-from repro.workloads import KeyValueWorkload, LoadClient, WorkloadConfig, measure_load
+from repro.workloads import KeyValueWorkload, LoadClient, WorkloadConfig
 from tests.conftest import make_cluster
 
 
@@ -372,10 +372,14 @@ def test_load_client_measures_on_any_backend(backend):
                                                write_ratio=0.5, seed=0))
     client = LoadClient(backend.make_client(), workload, concurrency=4)
     duration = 0.05 if backend.name == "netchain" else 0.5
-    measurement = measure_load([client], warmup=duration / 5, duration=duration)
-    assert measurement.success_qps > 0
-    assert measurement.mean_read_latency > 0
-    assert measurement.mean_write_latency > 0
+    start = backend.sim.now
+    client.start()
+    backend.sim.run(until=start + 1.2 * duration)
+    client.stop()
+    assert client.successes.rate_between(start + 0.2 * duration,
+                                         start + 1.2 * duration) > 0
+    assert client.read_latency.mean() > 0
+    assert client.write_latency.mean() > 0
 
 
 def test_transaction_client_commits_on_any_backend(backend):

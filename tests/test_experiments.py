@@ -11,8 +11,6 @@ import pytest
 
 from repro.deploy import DeploymentSpec, build_deployment
 from repro.experiments import (
-    build_netchain_deployment,
-    build_zookeeper_deployment,
     failure_experiment,
     netchain_latency_curve,
     netchain_max_throughput_qps,
@@ -182,12 +180,3 @@ def test_deployment_builders():
     assert len(zookeeper.paths) == 10
     client = zookeeper.new_client(0)
     assert client.get(zookeeper.paths[0]).ok
-
-
-def test_legacy_builder_shims_warn_and_still_build():
-    with pytest.deprecated_call():
-        netchain = build_netchain_deployment(scale=SCALE, store_size=10)
-    assert len(netchain.keys) == 10
-    with pytest.deprecated_call():
-        zookeeper = build_zookeeper_deployment(scale=1000.0, store_size=10)
-    assert len(zookeeper.paths) == 10

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.failures import run_fault_scenario
+from repro.deploy import run_scenario
+from repro.experiments.failures import fault_scenario
 from tests.conftest import fault_seeds
 
 SEEDS = fault_seeds()
@@ -27,10 +28,8 @@ def assert_consistent(result):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_single_switch_failure_with_recovery(seed):
-    def schedule(s):
-        return s.at(0.4, "fail_switch", "S1")
-
-    result = run_fault_scenario(schedule, seed=seed, duration=2.0)
+    result = run_scenario(*fault_scenario(
+        seed=seed, duration=2.0, faults=[(0.4, "fail_switch", "S1")]))
     assert_consistent(result)
     controller = result.deployment.cluster.controller
     detector = result.deployment.cluster.detector
@@ -48,10 +47,9 @@ def test_single_switch_failure_with_recovery(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_double_switch_failure(seed):
-    def schedule(s):
-        return s.at(0.4, "fail_switch", "S1").at(1.2, "fail_switch", "S3")
-
-    result = run_fault_scenario(schedule, seed=seed, duration=2.6)
+    result = run_scenario(*fault_scenario(
+        seed=seed, duration=2.6,
+        faults=[(0.4, "fail_switch", "S1"), (1.2, "fail_switch", "S3")]))
     assert_consistent(result)
     controller = result.deployment.cluster.controller
     assert {"S1", "S3"} <= controller.failed_switches
@@ -70,8 +68,9 @@ def test_second_failure_during_recovery(seed):
                  .when(lambda: "S1" in controller.recovering,
                        "fail_switch", "S2", label="fail S2 mid-recovery"))
 
-    result = run_fault_scenario(schedule, seed=seed, duration=3.0,
-                                sync_items_per_sec=500.0)
+    result = run_scenario(*fault_scenario(seed=seed, duration=3.0,
+                                          sync_items_per_sec=500.0),
+                          schedule_builder=schedule)
     assert_consistent(result)
     controller = result.deployment.cluster.controller
     assert {"S1", "S2"} <= controller.failed_switches
@@ -84,10 +83,9 @@ def test_second_failure_during_recovery(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_partition_heal_reintroduces_switch(seed):
-    def schedule(s):
-        return s.at(0.3, "partition", {"S3"}).at(1.0, "heal_partition")
-
-    result = run_fault_scenario(schedule, seed=seed, duration=2.4)
+    result = run_scenario(*fault_scenario(
+        seed=seed, duration=2.4,
+        faults=[(0.3, "partition", ["S3"]), (1.0, "heal_partition")]))
     assert_consistent(result)
     detector = result.deployment.cluster.detector
     controller = result.deployment.cluster.controller
@@ -98,10 +96,10 @@ def test_partition_heal_reintroduces_switch(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_gray_failure_is_detected_and_recovered(seed):
-    def schedule(s):
-        return s.at(0.4, "gray_fail_switch", "S1").at(1.6, "recover_switch", "S1")
-
-    result = run_fault_scenario(schedule, seed=seed, duration=2.4)
+    result = run_scenario(*fault_scenario(
+        seed=seed, duration=2.4,
+        faults=[(0.4, "gray_fail_switch", "S1"),
+                (1.6, "recover_switch", "S1")]))
     assert_consistent(result)
     cluster = result.deployment.cluster
     # The gray switch kept forwarding but dropped service traffic...
@@ -113,14 +111,16 @@ def test_gray_failure_is_detected_and_recovered(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lossy_link_write_storm(seed):
-    def schedule(s):
+    # Keyword arguments: beyond the (at, action, *args) tuple form.
+    def schedule(s, _cluster):
         return (s.at(0.2, "set_link_faults", "S0", "S1",
                      loss_rate=0.08, corrupt_rate=0.02, reorder_jitter=30e-6)
                  .at(0.2, "set_link_faults", "S1", "S2",
                      loss_rate=0.08, reorder_jitter=30e-6))
 
-    result = run_fault_scenario(schedule, seed=seed, duration=2.0,
-                                write_ratio=0.9)
+    result = run_scenario(*fault_scenario(seed=seed, duration=2.0,
+                                          write_ratio=0.9),
+                          schedule_builder=schedule)
     assert_consistent(result)
     drops = result.drop_report
     assert drops["S0-S1"]["dropped_loss"] > 0
@@ -136,24 +136,24 @@ def test_acceptance_scenario_replays_identically(seed):
     under a concurrent mixed workload; consistent, and byte-identical on
     rerun with the same seed."""
 
-    def schedule(s):
+    def schedule(s, _cluster):
         return (s.at(0.3, "set_link_faults", "S3", "S0", loss_rate=0.03,
                      reorder_jitter=20e-6)
                  .at(0.5, "fail_switch", "S1")
                  .at(1.4, "partition", {"S3"})
                  .at(1.7, "heal_partition"))
 
-    first = run_fault_scenario(schedule, seed=seed, duration=2.2)
+    def run():
+        return run_scenario(*fault_scenario(seed=seed, duration=2.2),
+                            schedule_builder=schedule)
+
+    first = run()
     assert_consistent(first)
     assert first.fault_trace  # something actually happened
-    second = run_fault_scenario(schedule, seed=seed, duration=2.2)
+    second = run()
     assert first.trace_signature() == second.trace_signature()
     assert first.completed_ops == second.completed_ops
     assert first.failed_ops == second.failed_ops
     assert first.drop_report == second.drop_report
     # The recorded histories are identical operation for operation.
-    ops_a = [(op.client, op.op, op.key, op.value, op.invoked_at, op.returned_at,
-              op.ok) for op in first.history.ops]
-    ops_b = [(op.client, op.op, op.key, op.value, op.invoked_at, op.returned_at,
-              op.ok) for op in second.history.ops]
-    assert ops_a == ops_b
+    assert first.signature() == second.signature()

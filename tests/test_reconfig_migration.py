@@ -9,7 +9,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.detector import DetectorConfig
-from repro.experiments.elasticity import run_reconfig_scenario
+from repro.deploy import run_scenario
+from repro.experiments.elasticity import reconfig_scenario
 from tests.conftest import fault_seeds
 
 SEEDS = fault_seeds()
@@ -27,7 +28,8 @@ def assert_consistent(result):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_join_under_load(seed):
-    result = run_reconfig_scenario([(0.5, ["S4"], [])], seed=seed, duration=2.0)
+    result = run_scenario(*reconfig_scenario([(0.5, ["S4"], [])], seed=seed,
+                                             duration=2.0))
     assert_consistent(result)
     report = result.migrations[0]
     assert report.committed_steps() and not report.skipped_steps()
@@ -42,7 +44,8 @@ def test_join_under_load(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_leave_under_load(seed):
-    result = run_reconfig_scenario([(0.5, [], ["S1"])], seed=seed, duration=2.0)
+    result = run_scenario(*reconfig_scenario([(0.5, [], ["S1"])], seed=seed,
+                                             duration=2.0))
     assert_consistent(result)
     controller = result.deployment.cluster.controller
     assert "S1" not in controller.ring.switch_names
@@ -54,8 +57,8 @@ def test_leave_under_load(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_double_join_under_load(seed):
-    result = run_reconfig_scenario([(0.5, ["S4", "S5"], [])], seed=seed,
-                                   duration=2.4)
+    result = run_scenario(*reconfig_scenario([(0.5, ["S4", "S5"], [])],
+                                             seed=seed, duration=2.4))
     assert_consistent(result)
     controller = result.deployment.cluster.controller
     distribution = controller.ring.load_distribution()
@@ -77,12 +80,12 @@ def test_joining_switch_fails_mid_migration(seed):
                              "fail_switch", "S4",
                              label="fail-stop joiner at provision")
 
-    result = run_reconfig_scenario(
+    result = run_scenario(*reconfig_scenario(
         [(0.5, ["S4"], [])], seed=seed, duration=3.5,
         sync_items_per_sec=100.0,
         detector_config=DetectorConfig(probe_interval=10e-3,
-                                       suspicion_threshold=1),
-        build_schedule=kill_joiner)
+                                       suspicion_threshold=1)),
+        schedule_builder=kill_joiner)
     assert_consistent(result)
     assert any(e.kind == "switch_fail" for e in result.fault_trace)
     controller = result.deployment.cluster.controller
@@ -110,10 +113,10 @@ def test_member_fails_during_scale_out(seed):
                         for info in controller.chain_table.values()),
             "fail_switch", "S2", label="fail S2 mid-migration")
 
-    result = run_reconfig_scenario(
+    result = run_scenario(*reconfig_scenario(
         [(0.5, ["S4"], [])], seed=seed, duration=3.5,
-        sync_items_per_sec=300.0,
-        build_schedule=kill_member)
+        sync_items_per_sec=300.0),
+        schedule_builder=kill_member)
     assert_consistent(result)
     controller = result.deployment.cluster.controller
     assert "S2" in controller.failed_switches
@@ -128,10 +131,10 @@ def test_acceptance_grow_then_shrink(seed):
     """The flagship elasticity schedule: grow 4 -> 8 under sustained
     read/write load, then shrink 8 -> 6, with zero lost keys, a
     linearizable history, and bounded per-group freeze windows."""
-    result = run_reconfig_scenario(
+    result = run_scenario(*reconfig_scenario(
         [(0.4, ["S4", "S5", "S6", "S7"], []),
          (2.2, [], ["S1", "S4"])],
-        seed=seed, duration=4.0, sync_items_per_sec=3000.0)
+        seed=seed, duration=4.0, sync_items_per_sec=3000.0))
     assert_consistent(result)
     grow, shrink = result.migrations
     controller = result.deployment.cluster.controller
@@ -158,9 +161,9 @@ def test_scenario_replays_identically(seed):
                              "fail_switch", "S4", label="kill joiner")
 
     def run():
-        return run_reconfig_scenario(
+        return run_scenario(*reconfig_scenario(
             [(0.5, ["S4"], [])], seed=seed, duration=2.5,
-            sync_items_per_sec=300.0, build_schedule=kill_joiner)
+            sync_items_per_sec=300.0), schedule_builder=kill_joiner)
 
     first, second = run(), run()
     assert first.trace_signature() == second.trace_signature()
@@ -168,8 +171,4 @@ def test_scenario_replays_identically(seed):
     assert first.completed_ops == second.completed_ops
     assert first.failed_ops == second.failed_ops
     assert first.drop_report == second.drop_report
-    ops_a = [(op.client, op.op, op.key, op.value, op.invoked_at,
-              op.returned_at, op.ok) for op in first.history.ops]
-    ops_b = [(op.client, op.op, op.key, op.value, op.invoked_at,
-              op.returned_at, op.ok) for op in second.history.ops]
-    assert ops_a == ops_b
+    assert first.signature() == second.signature()

@@ -14,7 +14,10 @@ This is the acceptance surface of the declarative deployment API:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,7 @@ from repro.deploy import (
     available_backends,
     run_scenario,
 )
+from repro.experiments import fault_scenario, reconfig_scenario
 from repro.workloads.clients import LoadClient
 from repro.workloads.generators import KeyValueWorkload, WorkloadConfig
 
@@ -76,7 +80,7 @@ def test_netchain_scenario_is_byte_identical_to_legacy_construction():
     workload = matrix_workload()
     via_registry = run_scenario(matrix_spec("netchain"), workload)
 
-    # The pre-refactor path: what build_netchain_deployment(scale=1000.0,
+    # The pre-refactor path: what the keyword builder (scale=1000.0,
     # store_size=20, value_size=32, seed=5) used to assemble by hand.
     config = ClusterConfig(scale=1000.0, num_hosts=4, vnodes_per_switch=4,
                            store_slots=max(1024, STORE_SIZE + 1024),
@@ -108,6 +112,34 @@ def test_netchain_scenario_is_byte_identical_to_legacy_construction():
     assert via_registry.signature() == legacy_signature
     initial = {key.encode("utf-8"): bytes(VALUE_SIZE) for key in keys}
     assert check_linearizable(history, initial=initial).ok
+
+
+@pytest.mark.parametrize("name, scenario", [
+    ("fault", lambda: fault_scenario(
+        seed=0, duration=2.0, faults=[(0.4, "fail_switch", "S1")])),
+    ("reconfig", lambda: reconfig_scenario(
+        [(0.5, ["S4"], [])], seed=0, duration=2.0)),
+])
+def test_replay_digests_match_the_pre_consolidation_wrappers(name, scenario):
+    """Cross-commit replay anchor: ``fixtures/replay_digests.json`` was
+    captured through the keyword wrapper harnesses on the commit before
+    they became spec constructors; the same scenarios through
+    ``run_scenario`` must reproduce every digest."""
+    expected = json.loads((Path(__file__).parent / "fixtures"
+                           / "replay_digests.json").read_text())[name]
+    result = run_scenario(*scenario())
+
+    def sha(value) -> str:
+        return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
+
+    assert {
+        "signature_sha256": sha(result.signature()),
+        "trace_signature_sha256": sha(result.trace_signature()),
+        "migration_signature_sha256": sha(result.migration_signature()),
+        "completed_ops": result.completed_ops,
+        "failed_ops": result.failed_ops,
+    } == expected
+    assert result.ok(), result.failures
 
 
 def test_declarative_fault_schedule_in_a_scenario():

@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.core import trace as trace_mod
+from repro.core.history_store import TruncatedHistoryError
 from repro.core.trace import (
     STAGES,
     iter_spans,
@@ -269,9 +270,8 @@ def test_trace_run_dir_layout_and_schemas(tmp_path):
     for name, schema in (("spans.ndjson", "trace/v1"),
                          ("metrics.ndjson", "trace-metrics/v1"),
                          ("events.ndjson", "trace-events/v1")):
-        header, records = read_ndjson(run_dir / name)
-        assert header["schema"] == schema
-        assert header["meta"]["seed"] == SEED
+        meta, records = read_ndjson(run_dir / name, schema)  # schema-checked
+        assert meta["seed"] == SEED
         for record in records:
             assert "t" in record
     # Span records are ASCII NDJSON with sorted keys (canonical bytes).
@@ -317,7 +317,7 @@ def test_metrics_only_mode(tmp_path):
     run_dir = tmp_path / "run"
     result = _run(_spec(telemetry={"run_dir": str(run_dir), "trace": False}))
     assert not (run_dir / "spans.ndjson").exists()
-    _, records = read_ndjson(run_dir / "metrics.ndjson")
+    _, records = read_ndjson(run_dir / "metrics.ndjson", "trace-metrics/v1")
     assert records
     assert result.metrics["spans"] == 0
     # The sampler still tracked engine + queue state.
@@ -337,7 +337,7 @@ def test_event_log_records_failover(tmp_path):
     result = run_scenario(spec, _workload(duration=0.05),
                           ScenarioChecks(linearizability=True))
     assert result.ok()
-    _, events = read_ndjson(run_dir / "events.ndjson")
+    _, events = read_ndjson(run_dir / "events.ndjson", "trace-events/v1")
     kinds = [event["ev"] for event in events]
     assert "failure_detected" in kinds
     assert "fast_failover" in kinds
@@ -369,6 +369,36 @@ def test_cli_report_smoke(tmp_path, capsys):
     assert telemetry_cli(["info", str(run_dir)]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["spans.ndjson"]["records"] > 0
+
+
+def test_truncated_trace_file_reports_the_offset(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    _run(_spec(telemetry={"run_dir": str(run_dir)}))
+    spans = run_dir / "spans.ndjson"
+    data = spans.read_bytes()
+    spans.write_bytes(data[:-5])  # cut mid-record, as a crashed run would
+    intact = data.rfind(b"\n", 0, len(data) - 1) + 1
+    with pytest.raises(TruncatedHistoryError) as exc_info:
+        list(iter_spans(run_dir))
+    assert exc_info.value.offset == intact
+    for command in ("report", "info"):
+        assert telemetry_cli([command, str(run_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1  # one line, no traceback
+        assert f"byte offset {intact}" in captured.err
+
+
+def test_wrong_schema_trace_file_is_rejected(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    _run(_spec(telemetry={"run_dir": str(run_dir)}))
+    # An events file where the spans are expected.
+    (run_dir / "spans.ndjson").write_bytes(
+        (run_dir / "events.ndjson").read_bytes())
+    with pytest.raises(ValueError, match="expected 'trace/v1'"):
+        read_ndjson(run_dir / "spans.ndjson", "trace/v1")
+    for command in ("report", "info"):
+        assert telemetry_cli([command, str(run_dir)]) == 1
+        assert "unsupported schema 'trace-events/v1'" in capsys.readouterr().err
 
 
 def test_format_report_handles_empty_events(tmp_path):

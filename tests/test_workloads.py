@@ -9,7 +9,6 @@ from repro.workloads import (
     LoadClient,
     OpType,
     WorkloadConfig,
-    measure_load,
     zipf_probabilities,
 )
 from tests.conftest import make_cluster
@@ -121,9 +120,11 @@ def test_skewed_load_client_replays_identically():
                                                    zipf_theta=0.99,
                                                    write_ratio=0.1, seed=9))
         client = LoadClient(cluster.agent("H0"), workload, concurrency=4)
-        measurement = measure_load([client], warmup=0.0, duration=0.05)
+        client.start()
+        cluster.run(until=0.05)
+        client.stop()
         return (client.completions.total(), client.successes.total(),
-                measurement.success_qps)
+                client.successes.rate_between(0.0, 0.05))
 
     assert run_once() == run_once()
 
@@ -134,11 +135,12 @@ def test_closed_loop_client_measures_throughput_and_latency():
     workload = KeyValueWorkload(WorkloadConfig(store_size=20, key_prefix="k",
                                                write_ratio=0.5, seed=0))
     client = LoadClient(cluster.agent("H0"), workload, concurrency=4)
-    measurement = measure_load([client], warmup=0.01, duration=0.05)
-    assert measurement.success_qps > 0
-    assert measurement.mean_read_latency > 0
-    assert measurement.mean_write_latency > 0
-    assert measurement.scaled_qps(cluster.config.scale) > measurement.success_qps
+    client.start()
+    cluster.run(until=0.06)
+    client.stop()
+    assert client.successes.rate_between(0.01, 0.06) > 0
+    assert client.read_latency.mean() > 0
+    assert client.write_latency.mean() > 0
 
 
 def test_load_client_stop_halts_new_queries():
@@ -153,8 +155,3 @@ def test_load_client_stop_halts_new_queries():
     completed = client.completions.total()
     cluster.run(until=cluster.sim.now + 0.05)
     assert client.completions.total() == completed
-
-
-def test_measure_requires_clients():
-    with pytest.raises(ValueError):
-        measure_load([], warmup=0.0, duration=0.1)
