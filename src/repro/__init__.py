@@ -22,6 +22,8 @@ Sub-packages:
   hybrid) and the scenario runner.
 * :mod:`repro.experiments` -- drivers that regenerate every figure and table
   of the paper's evaluation.
+* :mod:`repro.artifacts`   -- the run-directory format (NDJSON streams, JSON
+  documents); :mod:`repro.cli` is ``python -m repro matrix|history|trace|lint``.
 
 Quickstart (the unified futures-based client API, :mod:`repro.core.client`)::
 

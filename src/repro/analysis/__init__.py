@@ -10,11 +10,11 @@ no third-party dependencies.
 
 CLI::
 
-    python -m repro.analysis check src/ benchmarks/ tests/
-    python -m repro.analysis explain DET002
-    python -m repro.analysis baseline src/ -o analysis/baseline.json
+    python -m repro lint check src/ benchmarks/ tests/
+    python -m repro lint explain DET002
+    python -m repro lint baseline src/ -o analysis/baseline.json
 
-Rules (see ``python -m repro.analysis explain`` for the full docs):
+Rules (see ``python -m repro lint explain`` for the full docs):
 
 ========  ==============================================================
 DET000    detlint meta findings (parse errors, bad / unused pragmas)

@@ -5,7 +5,7 @@ introduced (or last re-baselined): CI stays green on them while any *new*
 finding fails the build.  Entries are keyed by content fingerprints, so
 unrelated edits that shift line numbers do not invalidate the baseline,
 and fixed findings show up as "stale" entries that should be pruned with
-``python -m repro.analysis baseline``.
+``python -m repro lint baseline``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.engine import Finding
+from repro.artifacts import write_json
 
 BASELINE_SCHEMA = "detlint-baseline/v1"
-DEFAULT_BASELINE_PATH = Path("analysis") / "baseline.json"
 
 
 @dataclass
@@ -76,6 +76,4 @@ class Baseline:
         }
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(path, payload)

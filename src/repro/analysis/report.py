@@ -8,10 +8,9 @@ fields, so reports for identical trees are byte-identical.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.engine import CheckResult, Finding, Suppression
+from repro.analysis.engine import CheckResult, Finding
 from repro.analysis.rules import RULES
 
 REPORT_SCHEMA = "detlint-report/v1"
@@ -53,10 +52,6 @@ def build_report(
         "stale_baseline": list(stale),
         "ok": not new,
     }
-
-
-def dump_report(report: Dict[str, object]) -> str:
-    return json.dumps(report, indent=1, sort_keys=True) + "\n"
 
 
 def format_text(

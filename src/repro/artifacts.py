@@ -1,0 +1,158 @@
+"""The run-directory artifact format: NDJSON streams and JSON documents.
+
+Every stream a run spills (``history/v1`` operations, ``trace/v1`` spans,
+metric series, control events) is one file of the same shape, and this
+module is the only code that knows how it is spelled:
+
+* line 1 is the header ``{"schema": <tag>}``, plus ``"meta": {...}`` when
+  the writer was given any;
+* every later line is one record -- sorted keys, compact separators,
+  ASCII, ``\\n``-terminated -- so a seeded run's bytes are identical
+  across replays and machines.
+
+The NDJSON is the source of truth; whatever an index or report derives
+from it is disposable.  Whole documents (``index.json``, matrix and
+detlint reports, baselines) go through :func:`write_json`.  Stdlib only,
+and nothing here imports from ``repro``.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any, Dict, Iterator, Optional, Tuple
+
+#: Records between explicit flushes of an :class:`NdjsonWriter`.
+FLUSH_EVERY = 4096
+
+
+class TruncatedArtifactError(ValueError):
+    """An NDJSON file ends (or breaks) mid-record.
+
+    ``offset`` is the byte offset of the first unreadable record: the
+    intact prefix ends there, and ``scan(..., limit=offset)`` reads
+    exactly that prefix.
+    """
+
+    def __init__(self, path, offset: int, reason: str) -> None:
+        self.path = Path(path)
+        self.offset = offset
+        self.reason = reason
+        super().__init__(
+            f"{self.path}: truncated at byte offset {offset}: {reason}")
+
+
+def record_line(record: Dict[str, Any]) -> bytes:
+    """One record as its canonical line."""
+    return json.dumps(record, sort_keys=True,
+                      separators=(",", ":")).encode("ascii") + b"\n"
+
+
+class NdjsonWriter:
+    """Incremental stream writer: header line first, one record per line.
+
+    ``offset`` is the number of bytes written so far, i.e. the byte offset
+    the next record will start at.
+    """
+
+    def __init__(self, path, schema: str,
+                 meta: Optional[Dict[str, Any]] = None) -> None:
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._file = open(self.path, "wb")
+        header: Dict[str, Any] = {"schema": schema}
+        if meta:
+            header["meta"] = dict(meta)
+        line = record_line(header)
+        self._file.write(line)
+        self.offset = len(line)
+        self.records = 0
+        self.closed = False
+
+    def write(self, record: Dict[str, Any]) -> bytes:
+        """Append one record; returns the line written."""
+        line = record_line(record)
+        self._file.write(line)
+        self.offset += len(line)
+        self.records += 1
+        if self.records % FLUSH_EVERY == 0:
+            self._file.flush()
+        return line
+
+    def close(self) -> None:
+        if not self.closed:
+            self.closed = True
+            self._file.flush()
+            self._file.close()
+
+    def __enter__(self) -> "NdjsonWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _parse_header(path, line: bytes, schema: str) -> Dict[str, Any]:
+    """Validate a stream's first line; returns its ``meta`` dict."""
+    if not line:
+        raise TruncatedArtifactError(path, 0, "missing header line")
+    if not line.endswith(b"\n"):
+        raise TruncatedArtifactError(
+            path, 0, "file ends mid-header (no trailing newline)")
+    try:
+        header = json.loads(line)
+    except ValueError as exc:
+        raise TruncatedArtifactError(
+            path, 0, f"unparseable header ({exc})") from None
+    found = header.get("schema") if isinstance(header, dict) else None
+    if found != schema:
+        raise ValueError(f"{path}: unsupported schema {found!r} "
+                         f"(expected {schema!r})")
+    return header.get("meta", {})
+
+
+def read_header(path, schema: str) -> Dict[str, Any]:
+    """The header metadata of a stream, after checking its schema tag."""
+    with open(path, "rb") as handle:
+        return _parse_header(path, handle.readline(), schema)
+
+
+def scan(path, schema: str, limit: Optional[int] = None
+         ) -> Iterator[Tuple[int, bytes, Dict[str, Any]]]:
+    """Sequentially yield ``(offset, line, record)`` for every record line.
+
+    The header is validated against ``schema`` and skipped.  A line that
+    does not end in a newline (the file was cut mid-record) or does not
+    parse raises :class:`TruncatedArtifactError` naming the byte offset
+    where the intact prefix ends.  ``limit`` stops the scan at a byte
+    offset -- the intact prefix a tolerant index rebuild recorded.
+    """
+    if limit is not None and limit <= 0:
+        return  # an empty intact prefix: not even the header survived
+    with open(path, "rb") as handle:
+        header = handle.readline()
+        _parse_header(path, header, schema)
+        offset = len(header)
+        for line in handle:
+            if limit is not None and offset >= limit:
+                return
+            if not line.endswith(b"\n"):
+                raise TruncatedArtifactError(
+                    path, offset, "file ends mid-record (no trailing newline)")
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise TruncatedArtifactError(
+                    path, offset, f"unparseable record ({exc})") from None
+            yield offset, line, record
+            offset += len(line)
+
+
+def json_document(document: Any) -> str:
+    """A whole JSON document as canonical text: sorted keys, indent 1."""
+    return json.dumps(document, sort_keys=True, indent=1) + "\n"
+
+
+def write_json(path, document: Any) -> None:
+    """Write one canonical JSON document (see :func:`json_document`)."""
+    Path(path).write_text(json_document(document), encoding="utf-8")

@@ -103,6 +103,24 @@ class HistoryOp:
         return f"{self.client} {self.op}{detail} {window} {outcome}"
 
 
+def fill_response(record: HistoryOp, result: KVResult, now: float) -> None:
+    """Copy a backend response into its invocation record: the one
+    result -> record mapping every recording surface shares."""
+    record.returned_at = now
+    record.ok = bool(result.ok)
+    record.not_found = bool(result.not_found)
+    record.cas_failed = bool(result.cas_failed)
+    record.timed_out = bool(result.timed_out)
+    record.retries = int(getattr(result, "retries", 0) or 0)
+    if record.op == "read" and result.ok:
+        record.output = bytes(result.value)
+    raw = result.raw
+    if raw is not None and hasattr(raw, "session") and hasattr(raw, "seq"):
+        record.version = (raw.session, raw.seq)
+    elif raw is not None and hasattr(raw, "version") and result.ok:
+        record.version = (0, raw.version)
+
+
 class History:
     """A concurrent history of key-value operations, in invocation order."""
 
@@ -141,19 +159,7 @@ class History:
 
     def complete(self, record: HistoryOp, result: KVResult) -> None:
         """Attach the response to a previously recorded invocation."""
-        record.returned_at = self.sim.now
-        record.ok = bool(result.ok)
-        record.not_found = bool(result.not_found)
-        record.cas_failed = bool(result.cas_failed)
-        record.timed_out = bool(result.timed_out)
-        record.retries = int(getattr(result, "retries", 0) or 0)
-        if record.op == "read" and result.ok:
-            record.output = bytes(result.value)
-        raw = result.raw
-        if raw is not None and hasattr(raw, "session") and hasattr(raw, "seq"):
-            record.version = (raw.session, raw.seq)
-        elif raw is not None and hasattr(raw, "version") and result.ok:
-            record.version = (0, raw.version)
+        fill_response(record, result, self.sim.now)
 
     # -- views ----------------------------------------------------------- #
 
@@ -238,37 +244,28 @@ class RecordingClient(KVClient):
         self.backend = inner.backend
         self.name = name or history.anonymous_client_name()
 
-    def _recorded(self, op: str, key, future: KVFuture, value=None,
-                  expected=None) -> KVFuture:
+    def _recorded(self, op: str, key, *args, value=None, expected=None) -> KVFuture:
+        """Record the invocation, then submit ``inner.<op>(key, *args)``."""
         record = self.history.invoke(self.name, op, key, value=value,
                                      expected=expected)
-        return future.then(lambda result: self.history.complete(record, result))
+        return getattr(self.inner, op)(key, *args).then(
+            lambda result: self.history.complete(record, result))
 
     def read(self, key) -> KVFuture:
-        record = self.history.invoke(self.name, "read", key)
-        return self.inner.read(key).then(
-            lambda result: self.history.complete(record, result))
+        return self._recorded("read", key)
 
     def write(self, key, value) -> KVFuture:
-        record = self.history.invoke(self.name, "write", key, value=value)
-        return self.inner.write(key, value).then(
-            lambda result: self.history.complete(record, result))
+        return self._recorded("write", key, value, value=value)
 
     def cas(self, key, expected, new_value) -> KVFuture:
-        record = self.history.invoke(self.name, "cas", key, value=new_value,
-                                     expected=expected)
-        return self.inner.cas(key, expected, new_value).then(
-            lambda result: self.history.complete(record, result))
+        return self._recorded("cas", key, expected, new_value,
+                              value=new_value, expected=expected)
 
     def delete(self, key) -> KVFuture:
-        record = self.history.invoke(self.name, "delete", key)
-        return self.inner.delete(key).then(
-            lambda result: self.history.complete(record, result))
+        return self._recorded("delete", key)
 
     def insert(self, key, value=b"") -> KVFuture:
-        record = self.history.invoke(self.name, "insert", key, value=value)
-        return self.inner.insert(key, value).then(
-            lambda result: self.history.complete(record, result))
+        return self._recorded("insert", key, value, value=value)
 
 
 # --------------------------------------------------------------------- #

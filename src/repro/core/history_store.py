@@ -31,12 +31,12 @@ in-flight operations stay resident.
 
 A spilled run re-checks offline::
 
-    PYTHONPATH=src python -m repro.core.history_store check <run_dir>
-    PYTHONPATH=src python -m repro.core.history_store index <run_dir>  # rebuild
-    PYTHONPATH=src python -m repro.core.history_store info <run_dir>
+    PYTHONPATH=src python -m repro history check <run_dir>
+    PYTHONPATH=src python -m repro history index <run_dir>  # rebuild
+    PYTHONPATH=src python -m repro history info <run_dir>
 
-Record schema (``history/v1``): one JSON object per line, first line is
-the header ``{"schema": "history/v1", ...}``.  Fields -- ``id``,
+Record schema (``history/v1``): a :mod:`repro.artifacts` NDJSON stream --
+header line, then one record per line.  Fields -- ``id``,
 ``client``, ``op``, ``key``, ``inv`` (invocation time) always; ``ret``
 (return time) and ``ok`` when the operation completed; ``value``,
 ``expected``, ``out`` when present; ``nf``/``cf``/``to`` (not-found /
@@ -47,7 +47,6 @@ ASCII when printable, else ``"hex:<digits>"``.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import mmap
@@ -57,8 +56,15 @@ import sys
 from array import array
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from repro.artifacts import (
+    NdjsonWriter,
+    TruncatedArtifactError,
+    read_header,
+    scan,
+    write_json,
+)
 from repro.core.client import canonical_key
 from repro.core.history import (
     MISSING,
@@ -66,6 +72,7 @@ from repro.core.history import (
     KeyReport,
     LinearizabilityReport,
     check_key_linearizable,
+    fill_response,
     version_violations_of,
 )
 
@@ -83,22 +90,6 @@ CHECKER_VERSION = 1
 #: Marker distinguishing "key starts missing" from "key starts empty" in
 #: verdict digests (``b""`` is a legitimate initial value).
 _MISSING_MARK = "<missing>"
-
-
-class TruncatedHistoryError(ValueError):
-    """An NDJSON history file ends (or breaks) mid-record.
-
-    ``offset`` is the byte offset of the first unreadable record -- the
-    intact prefix ends there, and :func:`rebuild_index` with
-    ``allow_truncated=True`` recovers exactly that prefix.
-    """
-
-    def __init__(self, path: Path, offset: int, reason: str) -> None:
-        self.path = Path(path)
-        self.offset = offset
-        self.reason = reason
-        super().__init__(
-            f"{self.path}: truncated history at byte offset {offset}: {reason}")
 
 
 # --------------------------------------------------------------------- #
@@ -186,14 +177,58 @@ def record_to_op(record: Dict[str, Any]) -> HistoryOp:
     )
 
 
-def _record_line(record: Dict[str, Any]) -> bytes:
-    return json.dumps(record, sort_keys=True,
-                      separators=(",", ":")).encode("ascii") + b"\n"
-
-
 # --------------------------------------------------------------------- #
 # Writing.
 # --------------------------------------------------------------------- #
+
+class _IndexBuilder:
+    """The derived index of a record stream, accumulated record by record."""
+
+    def __init__(self) -> None:
+        #: Per-key byte offsets; ``array('Q')`` keeps a million offsets at
+        #: 8 bytes each instead of a Python int object apiece.
+        self.offsets: Dict[bytes, array] = {}
+        self.hashes: Dict[bytes, Any] = {}
+        self.total_ops = 0
+        self.completed_ops = 0
+
+    def add(self, op: HistoryOp, offset: int, line: bytes) -> None:
+        offsets = self.offsets.get(op.key)
+        if offsets is None:
+            offsets = self.offsets[op.key] = array("Q")
+            self.hashes[op.key] = hashlib.sha256()
+        offsets.append(offset)
+        self.hashes[op.key].update(line)
+        self.total_ops += 1
+        if op.completed:
+            self.completed_ops += 1
+
+    def write(self, run_dir: Path, data_bytes: int, meta: Dict[str, Any]) -> None:
+        """Persist ``index.bin`` + ``index.json`` (deterministic key order)."""
+        table: Dict[str, Any] = {}
+        start = 0
+        with open(run_dir / INDEX_BIN, "wb") as bin_file:
+            for key in sorted(self.offsets, key=encode_bytes):
+                arr = self.offsets[key]
+                if sys.byteorder != "little":
+                    arr = array("Q", arr)
+                    arr.byteswap()
+                bin_file.write(arr.tobytes())
+                table[encode_bytes(key)] = {
+                    "start": start,
+                    "count": len(arr),
+                    "sha256": self.hashes[key].hexdigest(),
+                }
+                start += len(arr)
+        write_json(run_dir / INDEX_JSON, {
+            "schema": INDEX_SCHEMA,
+            "data_bytes": data_bytes,
+            "total_ops": self.total_ops,
+            "completed_ops": self.completed_ops,
+            "meta": meta,
+            "keys": table,
+        })
+
 
 class HistoryWriter:
     """Appends completed operations to a run directory as NDJSON.
@@ -203,59 +238,30 @@ class HistoryWriter:
     :meth:`close` as ``index.bin`` + ``index.json``.
     """
 
-    def __init__(self, run_dir, meta: Optional[Dict[str, Any]] = None,
-                 flush_every: int = 4096) -> None:
+    def __init__(self, run_dir, meta: Optional[Dict[str, Any]] = None) -> None:
         self.run_dir = Path(run_dir)
-        self.run_dir.mkdir(parents=True, exist_ok=True)
         self.meta = dict(meta or {})
-        self.flush_every = max(1, flush_every)
         self.ops_path = self.run_dir / OPS_FILE
-        self._file = open(self.ops_path, "wb")
-        header = {"schema": SCHEMA}
-        if self.meta:
-            header["meta"] = self.meta
-        line = _record_line(header)
-        self._file.write(line)
-        self._offset = len(line)
-        #: Per-key byte offsets; ``array('Q')`` keeps a million offsets at
-        #: 8 bytes each instead of a Python int object apiece.
-        self._offsets: Dict[bytes, array] = {}
-        self._hashes: Dict[bytes, Any] = {}
-        self.total_ops = 0
-        self.completed_ops = 0
+        self._stream = NdjsonWriter(self.ops_path, SCHEMA, meta=self.meta)
+        self._index = _IndexBuilder()
         self.closed = False
 
     def append(self, op: HistoryOp) -> None:
         """Append one operation record and index it."""
         if self.closed:
             raise RuntimeError("HistoryWriter already closed")
-        key = canonical_key(op.key)
-        op.key = key  # the spilled record carries the canonical spelling
-        line = _record_line(op_to_record(op))
-        offsets = self._offsets.get(key)
-        if offsets is None:
-            offsets = self._offsets[key] = array("Q")
-            self._hashes[key] = hashlib.sha256()
-        offsets.append(self._offset)
-        self._hashes[key].update(line)
-        self._file.write(line)
-        self._offset += len(line)
-        self.total_ops += 1
-        if op.completed:
-            self.completed_ops += 1
-        if self.total_ops % self.flush_every == 0:
-            self._file.flush()
+        op.key = canonical_key(op.key)  # spilled records carry the canonical spelling
+        stream = self._stream
+        offset = stream.offset
+        self._index.add(op, offset, stream.write(op_to_record(op)))
 
     def close(self) -> None:
         """Flush the data file and persist the derived index."""
         if self.closed:
             return
         self.closed = True
-        self._file.flush()
-        self._file.close()
-        _write_index(self.run_dir, self._offsets, self._hashes,
-                     data_bytes=self._offset, total_ops=self.total_ops,
-                     completed_ops=self.completed_ops, meta=self.meta)
+        self._stream.close()
+        self._index.write(self.run_dir, self._stream.offset, self.meta)
 
     def __enter__(self) -> "HistoryWriter":
         return self
@@ -264,83 +270,9 @@ class HistoryWriter:
         self.close()
 
 
-def _write_index(run_dir: Path, offsets: Dict[bytes, array],
-                 hashes: Dict[bytes, Any], data_bytes: int, total_ops: int,
-                 completed_ops: int, meta: Dict[str, Any]) -> None:
-    """Persist ``index.bin`` + ``index.json`` (deterministic key order)."""
-    ordered = sorted(offsets, key=encode_bytes)
-    table: Dict[str, Any] = {}
-    start = 0
-    with open(run_dir / INDEX_BIN, "wb") as bin_file:
-        for key in ordered:
-            arr = offsets[key]
-            if sys.byteorder != "little":
-                arr = array("Q", arr)
-                arr.byteswap()
-            bin_file.write(arr.tobytes())
-            digest = hashes[key]
-            table[encode_bytes(key)] = {
-                "start": start,
-                "count": len(offsets[key]),
-                "sha256": digest.hexdigest() if hasattr(digest, "hexdigest")
-                else digest,
-            }
-            start += len(offsets[key])
-    index = {
-        "schema": INDEX_SCHEMA,
-        "data_bytes": data_bytes,
-        "total_ops": total_ops,
-        "completed_ops": completed_ops,
-        "meta": meta,
-        "keys": table,
-    }
-    (run_dir / INDEX_JSON).write_text(
-        json.dumps(index, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-
-
 # --------------------------------------------------------------------- #
 # Reading.
 # --------------------------------------------------------------------- #
-
-def _scan_records(path: Path, limit: Optional[int] = None,
-                  schema: str = SCHEMA
-                  ) -> Iterator[Tuple[int, bytes, Dict[str, Any]]]:
-    """Sequentially yield ``(offset, line, record)`` for every record line.
-
-    The header line is validated against ``schema`` (the ``trace/v1``
-    readers pass theirs) and skipped.  A line that does not end in
-    a newline (the file was cut mid-record) or does not parse raises
-    :class:`TruncatedHistoryError` naming the byte offset where the intact
-    prefix ends.  ``limit`` stops the scan at a byte offset -- the intact
-    prefix recorded by an ``allow_truncated`` index rebuild.
-    """
-    with open(path, "rb") as handle:
-        offset = 0
-        first = True
-        for line in handle:
-            if limit is not None and offset >= limit:
-                return
-            if not line.endswith(b"\n"):
-                raise TruncatedHistoryError(
-                    path, offset, "file ends mid-record (no trailing newline)")
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise TruncatedHistoryError(
-                    path, offset, f"unparseable record ({exc})") from None
-            if first:
-                first = False
-                found = record.get("schema") if isinstance(record, dict) else None
-                if found != schema:
-                    raise ValueError(f"{path}: unsupported schema "
-                                     f"{found!r} (expected {schema!r})")
-                offset += len(line)
-                continue
-            yield offset, line, record
-            offset += len(line)
-        if first:
-            raise TruncatedHistoryError(path, 0, "missing header line")
-
 
 class HistoryStore:
     """Read side of a spilled run: mmapped index, per-key record streams.
@@ -356,7 +288,7 @@ class HistoryStore:
         if not index_path.exists():
             raise FileNotFoundError(
                 f"{index_path} missing -- rebuild with rebuild_index() or "
-                f"`python -m repro.core.history_store index {self.run_dir}`")
+                f"`python -m repro history index {self.run_dir}`")
         index = json.loads(index_path.read_text(encoding="utf-8"))
         if index.get("schema") != INDEX_SCHEMA:
             raise ValueError(f"{index_path}: unsupported index schema "
@@ -405,12 +337,12 @@ class HistoryStore:
         self._data.seek(offset)
         line = self._data.readline()
         if not line.endswith(b"\n"):
-            raise TruncatedHistoryError(
+            raise TruncatedArtifactError(
                 self.ops_path, offset, "record cut short (stale index?)")
         try:
             return record_to_op(json.loads(line))
         except (ValueError, KeyError) as exc:
-            raise TruncatedHistoryError(
+            raise TruncatedArtifactError(
                 self.ops_path, offset, f"unparseable record ({exc})") from None
 
     def iter_ops(self) -> Iterator[HistoryOp]:
@@ -419,8 +351,8 @@ class HistoryStore:
         Bounded by the index's ``data_bytes``: after an ``allow_truncated``
         rebuild this iterates exactly the intact prefix.
         """
-        for _offset, _line, record in _scan_records(self.ops_path,
-                                                    limit=self.data_bytes):
+        for _offset, _line, record in scan(self.ops_path, SCHEMA,
+                                           limit=self.data_bytes):
             yield record_to_op(record)
 
     def per_key(self) -> Dict[bytes, List[HistoryOp]]:
@@ -460,46 +392,27 @@ def rebuild_index(run_dir, allow_truncated: bool = False
     """Regenerate the index from ``ops.ndjson`` alone.
 
     Returns ``(total_ops, truncated_at)``.  A truncated or corrupt tail
-    raises :class:`TruncatedHistoryError` unless ``allow_truncated`` is
-    set, in which case the index covers the intact prefix and
-    ``truncated_at`` is the byte offset where it ends.
+    raises :class:`~repro.artifacts.TruncatedArtifactError` unless
+    ``allow_truncated`` is set, in which case the index covers the intact
+    prefix and ``truncated_at`` is the byte offset where it ends.
     """
     run_dir = Path(run_dir)
     path = run_dir / OPS_FILE
-    offsets: Dict[bytes, array] = {}
-    hashes: Dict[bytes, Any] = {}
+    index = _IndexBuilder()
     meta: Dict[str, Any] = {}
-    total = completed = 0
     end = 0
     truncated_at: Optional[int] = None
-    with open(path, "rb") as handle:
-        header = handle.readline()
-    if header:
-        try:
-            meta = json.loads(header).get("meta", {})
-        except ValueError:
-            meta = {}
     try:
-        for offset, line, record in _scan_records(path):
-            op = record_to_op(record)
-            key = op.key
-            if key not in offsets:
-                offsets[key] = array("Q")
-                hashes[key] = hashlib.sha256()
-            offsets[key].append(offset)
-            hashes[key].update(line)
-            total += 1
-            if op.completed:
-                completed += 1
+        meta = read_header(path, SCHEMA)
+        for offset, line, record in scan(path, SCHEMA):
+            index.add(record_to_op(record), offset, line)
             end = offset + len(line)
-    except TruncatedHistoryError as exc:
+    except TruncatedArtifactError as exc:
         if not allow_truncated:
             raise
-        truncated_at = exc.offset
-        end = exc.offset
-    _write_index(run_dir, offsets, hashes, data_bytes=end, total_ops=total,
-                 completed_ops=completed, meta=meta)
-    return total, truncated_at
+        truncated_at = end = exc.offset
+    index.write(run_dir, end, meta)
+    return index.total_ops, truncated_at
 
 
 # --------------------------------------------------------------------- #
@@ -509,31 +422,19 @@ def rebuild_index(run_dir, allow_truncated: bool = False
 def write_ndjson(path, ops: Iterable[HistoryOp],
                  meta: Optional[Dict[str, Any]] = None) -> None:
     """Write a standalone ``history/v1`` NDJSON file (no derived index)."""
-    path = Path(path)
-    header: Dict[str, Any] = {"schema": SCHEMA}
-    if meta:
-        header["meta"] = dict(meta)
-    with open(path, "wb") as handle:
-        handle.write(_record_line(header))
+    with NdjsonWriter(path, SCHEMA, meta=meta) as stream:
         for op in ops:
             op.key = canonical_key(op.key)
-            handle.write(_record_line(op_to_record(op)))
-
-
-def read_ndjson_meta(path) -> Dict[str, Any]:
-    """The header metadata of a standalone NDJSON history file."""
-    with open(path, "rb") as handle:
-        header = json.loads(handle.readline())
-    return header.get("meta", {})
+            stream.write(op_to_record(op))
 
 
 def iter_ndjson(path) -> Iterator[HistoryOp]:
     """Stream the operations of a standalone NDJSON history file.
 
-    Raises :class:`TruncatedHistoryError` (with the byte offset of the
-    first unreadable record) on a cut or corrupt file.
+    Raises :class:`~repro.artifacts.TruncatedArtifactError` (with the byte
+    offset of the first unreadable record) on a cut or corrupt file.
     """
-    for _offset, _line, record in _scan_records(Path(path)):
+    for _offset, _line, record in scan(path, SCHEMA):
         yield record_to_op(record)
 
 
@@ -562,15 +463,14 @@ class SpillingHistory:
 
     def __init__(self, sim, run_dir,
                  initial: Optional[Dict[bytes, Optional[bytes]]] = None,
-                 meta: Optional[Dict[str, Any]] = None,
-                 flush_every: int = 4096) -> None:
+                 meta: Optional[Dict[str, Any]] = None) -> None:
         self.sim = sim
         meta = dict(meta or {})
         if initial is not None:
             meta["initial"] = {
                 encode_bytes(canonical_key(key)): encode_bytes(value)
                 for key, value in initial.items()}
-        self.writer = HistoryWriter(run_dir, meta=meta, flush_every=flush_every)
+        self.writer = HistoryWriter(run_dir, meta=meta)
         self.run_dir = self.writer.run_dir
         self._pending: Dict[int, HistoryOp] = {}
         self._ids = 0
@@ -589,19 +489,7 @@ class SpillingHistory:
         return record
 
     def complete(self, record: HistoryOp, result) -> None:
-        record.returned_at = self.sim.now
-        record.ok = bool(result.ok)
-        record.not_found = bool(result.not_found)
-        record.cas_failed = bool(result.cas_failed)
-        record.timed_out = bool(result.timed_out)
-        record.retries = int(getattr(result, "retries", 0) or 0)
-        if record.op == "read" and result.ok:
-            record.output = bytes(result.value)
-        raw = result.raw
-        if raw is not None and hasattr(raw, "session") and hasattr(raw, "seq"):
-            record.version = (raw.session, raw.seq)
-        elif raw is not None and hasattr(raw, "version") and result.ok:
-            record.version = (0, raw.version)
+        fill_response(record, result, self.sim.now)
         self.writer.append(record)
         self._pending.pop(record.op_id, None)
 
@@ -699,8 +587,7 @@ class VerdictCache:
     def save(self) -> None:
         if self.path is None:
             raise ValueError("VerdictCache was created without a path")
-        self.path.write_text(
-            json.dumps(self._entries, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(self.path, self._entries)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -827,75 +714,3 @@ def check_linearizable_streaming(
     report.keys = {key: results[key] for key in store.keys()}
     report.ok = all(key_report.ok for key_report in report.keys.values())
     return report
-
-
-# --------------------------------------------------------------------- #
-# CLI: re-check a spilled run offline.
-# --------------------------------------------------------------------- #
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.core.history_store",
-        description="Inspect, re-index and re-check spilled NDJSON histories.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="re-check a run's linearizability")
-    check.add_argument("run_dir")
-    check.add_argument("--workers", type=int, default=0,
-                       help="worker processes (0 = in-process)")
-    check.add_argument("--state-budget", type=int, default=500_000)
-    check.add_argument("--cache", default=None,
-                       help="path of a persistent verdict cache (JSON)")
-
-    index = sub.add_parser("index", help="rebuild the derived index")
-    index.add_argument("run_dir")
-    index.add_argument("--allow-truncated", action="store_true",
-                       help="index the intact prefix of a truncated file")
-
-    info = sub.add_parser("info", help="print run metadata and counts")
-    info.add_argument("run_dir")
-
-    args = parser.parse_args(argv)
-    if args.command == "index":
-        try:
-            total, truncated_at = rebuild_index(
-                args.run_dir, allow_truncated=args.allow_truncated)
-        except TruncatedHistoryError as exc:
-            print(exc, file=sys.stderr)
-            return 1
-        note = (f" (truncated at byte {truncated_at})"
-                if truncated_at is not None else "")
-        print(f"indexed {total} ops{note}")
-        return 0
-
-    with HistoryStore(args.run_dir) as store:
-        if args.command == "info":
-            print(f"schema: {SCHEMA}")
-            print(f"ops: {store.total_ops} ({store.completed_ops} completed)")
-            print(f"keys: {len(store.keys())}")
-            print(f"data bytes: {store.data_bytes}")
-            if store.meta:
-                print(f"meta: {json.dumps(store.meta, sort_keys=True)}")
-            return 0
-
-        cache = VerdictCache(args.cache) if args.cache else None
-        report = check_linearizable_streaming(
-            store, state_budget=args.state_budget, workers=args.workers,
-            cache=cache)
-        if cache is not None and cache.path is not None:
-            cache.save()
-        print(report.summary())
-        if report.cache_hits:
-            print(f"verdict cache hits: {report.cache_hits}/{len(report.keys)}")
-        violations = store.version_violations()
-        for violation in violations[:10]:
-            print(f"version violation: {violation}")
-        exhausted = report.exhausted_keys()
-        if exhausted:
-            print(f"exhausted keys: {[r.key for r in exhausted]}")
-        ok = report.ok and not exhausted and not violations
-        return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

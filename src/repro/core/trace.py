@@ -10,17 +10,17 @@ registry, histograms, sampler, event log -- lives in
   enables telemetry it points at one shared tracer, and every hop of a
   traced query emits one span record keyed on sim-time.
 * ``trace/v1`` run directories -- spans, metric time series and
-  control-plane events spill as NDJSON, mirroring the ``history/v1``
-  idiom (header line, compact sorted-key ASCII records, incremental
-  flush), so a seeded run's telemetry is byte-identical across replays.
+  control-plane events spill as :mod:`repro.artifacts` NDJSON streams,
+  the format ``history/v1`` uses, so a seeded run's telemetry is
+  byte-identical across replays.
 * :class:`TelemetryPlane` -- composes tracer + metrics registry +
   periodic sampler + control event log for one scenario, wired through
   ``DeploymentSpec(telemetry=...)``.
 * Reconstruction -- :func:`trace_breakdowns` / :func:`stage_percentiles`
   / :func:`format_report` rebuild per-query critical paths (host stack,
   NIC queue, link transit, switch queue, pipeline stages) and per-stage
-  percentiles from a spilled run; ``python -m repro.netsim.telemetry
-  report <run_dir>`` is the CLI front end.
+  percentiles from a spilled run; ``python -m repro trace report
+  <run_dir>`` is the CLI front end.
 
 Span records (``spans.ndjson``) -- all carry ``t`` (sim-time), ``id``
 (per-run trace id, dense from 1) and ``ev``:
@@ -55,12 +55,10 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.history_store import (
-    _record_line,
-    _scan_records,
-    encode_bytes,
-    read_ndjson_meta,
-)
+# ``TraceWriter`` is the name benchmarks/hostbench constructs the writer under.
+from repro.artifacts import NdjsonWriter as TraceWriter
+from repro.artifacts import read_header, scan
+from repro.core.history_store import encode_bytes
 from repro.netsim.telemetry import (
     ControlEventLog,
     MetricsRegistry,
@@ -76,6 +74,8 @@ EVENTS_SCHEMA = "trace-events/v1"
 SPANS_FILE = "spans.ndjson"
 METRICS_FILE = "metrics.ndjson"
 EVENTS_FILE = "events.ndjson"
+_FILES = ((SPANS_FILE, TRACE_SCHEMA), (METRICS_FILE, METRICS_SCHEMA),
+          (EVENTS_FILE, EVENTS_SCHEMA))
 
 #: Critical-path stages a query's latency decomposes into.  ``other`` is
 #: the residual (retry timeouts, in-flight waits not covered by spans).
@@ -86,35 +86,6 @@ STAGES = ("host_stack", "nic_queue", "link", "switch_queue",
 def _key_label(raw: bytes) -> str:
     """Human-readable spelling of a fixed-width key (trailing NULs stripped)."""
     return encode_bytes(raw.rstrip(b"\x00")) or ""
-
-
-class TraceWriter:
-    """Incremental NDJSON writer: header line first, one record per line."""
-
-    def __init__(self, path, schema: str, meta: Optional[dict] = None,
-                 flush_every: int = 4096) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file = open(self.path, "wb")
-        header: Dict[str, Any] = {"schema": schema}
-        if meta:
-            header["meta"] = dict(meta)
-        self._file.write(_record_line(header))
-        self.records = 0
-        self.flush_every = max(1, flush_every)
-        self.closed = False
-
-    def write(self, record: Dict[str, Any]) -> None:
-        self._file.write(_record_line(record))
-        self.records += 1
-        if self.records % self.flush_every == 0:
-            self._file.flush()
-
-    def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            self._file.flush()
-            self._file.close()
 
 
 class Tracer:
@@ -333,17 +304,15 @@ class TelemetryPlane:
             self.sampler.stop()
 
         if self.config.metrics:
-            writer = TraceWriter(self.run_dir / METRICS_FILE, METRICS_SCHEMA,
-                                 meta=self.meta)
-            for record in self.registry.series:
-                writer.write(record)
-            writer.close()
+            with TraceWriter(self.run_dir / METRICS_FILE, METRICS_SCHEMA,
+                             meta=self.meta) as writer:
+                for record in self.registry.series:
+                    writer.write(record)
         if self.event_log is not None:
-            writer = TraceWriter(self.run_dir / EVENTS_FILE, EVENTS_SCHEMA,
-                                 meta=self.meta)
-            for record in self.event_log.as_records():
-                writer.write(record)
-            writer.close()
+            with TraceWriter(self.run_dir / EVENTS_FILE, EVENTS_SCHEMA,
+                             meta=self.meta) as writer:
+                for record in self.event_log.as_records():
+                    writer.write(record)
         if self.tracer.writer is not None:
             self.tracer.writer.close()
         return self.summary()
@@ -351,18 +320,12 @@ class TelemetryPlane:
     def summary(self) -> dict:
         """Deterministic scenario-level metrics (``ScenarioResult.metrics``)."""
         tracer = self.tracer
-        registry = self.registry
         out: Dict[str, Any] = {
             "schema": "telemetry/v1",
             "spans": tracer.span_count,
             "traces": tracer.traces,
             "queries": tracer.submits,
-            "sampled_ticks": len(registry.series),
-            "gauges": {k: registry.gauges[k] for k in sorted(registry.gauges)},
-            "counters": {k: registry.counters[k]
-                         for k in sorted(registry.counters)},
-            "histograms": {k: registry.histograms[k].summary()
-                           for k in sorted(registry.histograms)},
+            **self.registry.summary(),
             "opmix": {f"vg{vg}:{op}": count
                       for (vg, op), count in sorted(tracer.opmix.items())},
             "engine": self.sim.stats(),
@@ -380,34 +343,34 @@ def read_ndjson(path, schema: str) -> Tuple[dict, List[dict]]:
     """Read one trace NDJSON file of the given schema: (header meta, records).
 
     A cut or corrupt file raises
-    :class:`~repro.core.history_store.TruncatedHistoryError` naming the
-    byte offset where the intact prefix ends; a file of another schema
-    raises :class:`ValueError`.
+    :class:`~repro.artifacts.TruncatedArtifactError` naming the byte
+    offset where the intact prefix ends; a file of another schema raises
+    :class:`ValueError`.
     """
-    path = Path(path)
-    records = [record for _offset, _line, record
-               in _scan_records(path, schema=schema)]
-    return read_ndjson_meta(path), records
+    return read_header(path, schema), [
+        record for _offset, _line, record in scan(path, schema)]
 
 
 def iter_spans(run_dir) -> Iterator[dict]:
     path = Path(run_dir) / SPANS_FILE
     if not path.exists():  # metrics-only run (TelemetryConfig(trace=False))
         return
-    for _offset, _line, record in _scan_records(path, schema=TRACE_SCHEMA):
+    for _offset, _line, record in scan(path, TRACE_SCHEMA):
         yield record
 
 
 def run_info(run_dir) -> dict:
-    """Headers and record counts of every file in a trace/v1 run dir."""
+    """Headers and record counts of every file in a trace/v1 run dir
+    (:class:`FileNotFoundError` when it holds none of them)."""
     run_dir = Path(run_dir)
     info: Dict[str, Any] = {"run_dir": str(run_dir)}
-    for name, schema in ((SPANS_FILE, TRACE_SCHEMA),
-                         (METRICS_FILE, METRICS_SCHEMA),
-                         (EVENTS_FILE, EVENTS_SCHEMA)):
+    present = [entry for entry in _FILES if (run_dir / entry[0]).exists()]
+    if not present:
+        raise FileNotFoundError(
+            f"{run_dir}: not a trace/v1 run dir (none of "
+            f"{', '.join(name for name, _ in _FILES)} found)")
+    for name, schema in present:
         path = run_dir / name
-        if not path.exists():
-            continue
         meta, records = read_ndjson(path, schema)
         info[name] = {
             "schema": schema,
@@ -508,12 +471,8 @@ def stage_percentiles(traces: Dict[int, dict],
     return out
 
 
-def _fmt_us(seconds: float) -> str:
-    return f"{seconds * 1e6:10.2f}"
-
-
-def format_report(run_dir, top: int = 1) -> str:
-    """Human/CI-facing report: stage percentiles, slowest traces, timeline."""
+def format_report(run_dir) -> str:
+    """Human/CI-facing report: stage percentiles, slowest trace, timeline."""
     run_dir = Path(run_dir)
     info = run_info(run_dir)
     lines: List[str] = []
@@ -553,24 +512,23 @@ def format_report(run_dir, top: int = 1) -> str:
                 f"| {row['p99'] * 1e6:.2f} |")
         lines.append("")
 
-        slowest = sorted(completed, key=lambda t: (-t["latency"], t["id"]))
-        for trace in slowest[:max(0, top)]:
-            lines.append(
-                f"### Slowest trace #{trace['id']}: {trace['op']} "
-                f"{trace['key']!r} -- {trace['latency'] * 1e6:.2f} us, "
-                f"{trace['chain_hops']} chain hop(s), "
-                f"{trace['retries']} retries")
-            lines.append("")
-            lines.append("| t (us) | hop | detail |")
-            lines.append("|---|---|---|")
-            start = trace["start"] or 0.0
-            for span in trace["spans"]:
-                offset = (span["t"] - start) * 1e6
-                detail = {k: v for k, v in span.items()
-                          if k not in ("t", "id", "ev", "n")}
-                lines.append(f"| {offset:.2f} | {span['ev']} {span.get('n', '')} "
-                             f"| `{json.dumps(detail, sort_keys=True)}` |")
-            lines.append("")
+        trace = min(completed, key=lambda t: (-t["latency"], t["id"]))
+        lines.append(
+            f"### Slowest trace #{trace['id']}: {trace['op']} "
+            f"{trace['key']!r} -- {trace['latency'] * 1e6:.2f} us, "
+            f"{trace['chain_hops']} chain hop(s), "
+            f"{trace['retries']} retries")
+        lines.append("")
+        lines.append("| t (us) | hop | detail |")
+        lines.append("|---|---|---|")
+        start = trace["start"] or 0.0
+        for span in trace["spans"]:
+            offset = (span["t"] - start) * 1e6
+            detail = {k: v for k, v in span.items()
+                      if k not in ("t", "id", "ev", "n")}
+            lines.append(f"| {offset:.2f} | {span['ev']} {span.get('n', '')} "
+                         f"| `{json.dumps(detail, sort_keys=True)}` |")
+        lines.append("")
 
     events_path = run_dir / EVENTS_FILE
     if events_path.exists():

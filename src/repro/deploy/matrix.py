@@ -33,17 +33,14 @@ Usage::
     assert not report["totals"]["failed_cells"]
 
     # CLI (CI runs this with workers from nproc):
-    #   python -m repro.deploy.matrix run --workers auto -o report.json
+    #   python -m repro matrix --workers auto -o report.json
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import multiprocessing
-import os
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
@@ -234,7 +231,6 @@ class MatrixSpec:
 def default_matrix(seeds: Sequence[int] = (0, 1, 2),
                    backends: Optional[Sequence[str]] = None,
                    duration: float = 0.6,
-                   store_size: int = 24,
                    history_mode: str = "memory") -> MatrixSpec:
     """The CI grid: every backend x ``seeds`` on a mixed workload, plus
     three fault profiles (middle-switch failure, head failure,
@@ -246,7 +242,7 @@ def default_matrix(seeds: Sequence[int] = (0, 1, 2),
     """
     detector = {"probe_interval": 50e-3, "suspicion_threshold": 2}
     return MatrixSpec(
-        base=DeploymentSpec(store_size=store_size, value_size=32,
+        base=DeploymentSpec(store_size=24, value_size=32,
                             vnodes_per_switch=2, retry_timeout=200e-6),
         seeds=list(seeds),
         backends=list(backends) if backends is not None
@@ -508,88 +504,3 @@ def summarize_report(report: Dict[str, Any]) -> str:
             for failure in cell["failures"]:
                 lines.append(f"- `{cell['cell_id']}`: {failure}")
     return "\n".join(lines)
-
-
-# --------------------------------------------------------------------- #
-# CLI.
-# --------------------------------------------------------------------- #
-
-def _parse_workers(value: str) -> int:
-    if value == "auto":
-        return max(1, os.cpu_count() or 1)
-    return int(value)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.deploy.matrix",
-        description="Run the seed x backend x fault-profile scenario "
-                    "matrix across a worker pool.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    run_parser = sub.add_parser("run", help="run a matrix and merge the report")
-    run_parser.add_argument("--workers", type=_parse_workers, default=1,
-                            help="worker processes, or 'auto' for one per CPU")
-    run_parser.add_argument("--seeds", default="0,1,2",
-                            help="comma-separated seed axis")
-    run_parser.add_argument("--backends", default="all",
-                            help="comma-separated backend axis, or 'all'")
-    run_parser.add_argument("--duration", type=float, default=0.6,
-                            help="measured seconds of simulated load per cell")
-    run_parser.add_argument("--store-size", type=int, default=24,
-                            help="preloaded keys per cell")
-    run_parser.add_argument("--spec", default=None,
-                            help="JSON file holding a MatrixSpec dict "
-                                 "(overrides the axis flags)")
-    run_parser.add_argument("-o", "--out", default=None,
-                            help="write the merged report JSON here")
-    run_parser.add_argument("--summary", action="store_true",
-                            help="print a markdown summary to stdout")
-    run_parser.add_argument("--compare-serial", action="store_true",
-                            help="rerun with workers=1 and assert the "
-                                 "canonical reports are identical")
-    args = parser.parse_args(argv)
-
-    if args.spec is not None:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            matrix = MatrixSpec.from_dict(json.load(handle))
-    else:
-        backends = None if args.backends == "all" \
-            else [name.strip() for name in args.backends.split(",")]
-        seeds = [int(seed) for seed in args.seeds.split(",")]
-        matrix = default_matrix(seeds=seeds, backends=backends,
-                                duration=args.duration,
-                                store_size=args.store_size)
-
-    def progress(summary: Dict[str, Any], done: int, total: int) -> None:
-        status = "ok" if summary["ok"] else "FAILED"
-        print(f"[{done}/{total}] {summary['cell_id']}: {status} "
-              f"({summary['completed_ops']} ops, "
-              f"{summary['wall_clock_s']:.2f}s)", file=sys.stderr)
-
-    report = run_matrix(matrix, workers=args.workers, on_result=progress)
-
-    if args.compare_serial:
-        print("rerunning serially for the determinism check...",
-              file=sys.stderr)
-        serial = run_matrix(matrix, workers=1, on_result=progress)
-        if canonical_report(serial) != canonical_report(report):
-            print("FAIL: serial and parallel reports differ beyond "
-                  "wall-clock fields", file=sys.stderr)
-            return 1
-        parallel_wall = report["totals"]["wall_clock_s"]
-        serial_wall = serial["totals"]["wall_clock_s"]
-        print(f"serial == parallel (canonical); speedup "
-              f"{serial_wall / parallel_wall:.2f}x at "
-              f"{report['workers']} workers", file=sys.stderr)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.summary:
-        print(summarize_report(report))
-    return 0 if not report["totals"]["failed_cells"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

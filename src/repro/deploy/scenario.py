@@ -221,7 +221,7 @@ class ScenarioResult:
     history: Optional[Union[History, SpillingHistory]] = None
     linearizability: Optional[LinearizabilityReport] = None
     #: Run directory holding the spilled NDJSON history (spill mode only);
-    #: re-check offline with ``python -m repro.core.history_store check``.
+    #: re-check offline with ``python -m repro history check <run_dir>``.
     run_dir: Optional[Path] = None
     #: The *process-wide high-water mark* of resident set size, in bytes,
     #: read after verification so spill-mode runs report what the pipeline

@@ -13,19 +13,12 @@ no process-global counters leak into the output, so a seeded run spills
 byte-identical telemetry every time it is replayed.  When telemetry is
 disabled (the default) none of this module is on the hot path at all --
 instrumented call sites carry a single ``if tel is not None`` branch on
-an attribute that stays ``None``.
-
-``python -m repro.netsim.telemetry`` is the operator CLI::
-
-    run    -- execute one traced seeded scenario into a trace/v1 run dir
-    report -- reconstruct critical-path breakdowns + per-stage percentiles
-    info   -- print the run header and record counts
+an attribute that stays ``None``.  The operator tooling over the spilled
+run dirs is ``python -m repro trace run|report|info``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import resource
 import sys
@@ -437,110 +430,3 @@ class PeriodicSampler:
             peak_util = max(links.values())
             if peak_util > gauges.get("max_link_utilization", 0.0):
                 registry.gauge("max_link_utilization", peak_util)
-
-
-# ---------------------------------------------------------------------------
-# CLI -- lazy imports keep netsim free of module-level repro.core/deploy deps.
-# ---------------------------------------------------------------------------
-
-def _cmd_run(args) -> int:
-    from repro.deploy import (
-        DeploymentSpec,
-        ScenarioChecks,
-        WorkloadSpec,
-        run_scenario,
-    )
-
-    faults = []
-    if args.failover:
-        faults = [(args.duration / 2.0, "fail_switch", "S1")]
-    spec = DeploymentSpec(
-        backend=args.backend,
-        store_size=args.store_size,
-        value_size=64,
-        seed=args.seed,
-        faults=faults,
-        options={"fault_reaction": True} if args.failover else {},
-        telemetry={
-            "run_dir": args.out,
-            "sample_interval": args.sample_interval,
-        },
-    )
-    workload = WorkloadSpec(
-        num_clients=args.clients,
-        concurrency=4,
-        write_ratio=args.write_ratio,
-        duration=args.duration,
-        drain=0.1,
-    )
-    checks = ScenarioChecks(linearizability=True)
-    result = run_scenario(spec, workload, checks)
-    print(f"backend={spec.backend} seed={spec.seed} "
-          f"ops={result.completed_ops} failed={result.failed_ops} "
-          f"qps={result.success_qps:.0f}")
-    print(f"trace run dir: {result.telemetry_dir}")
-    metrics = result.metrics or {}
-    print(json.dumps(metrics, sort_keys=True, indent=2, default=str))
-    return 0
-
-
-def _cmd_report(args) -> int:
-    from repro.core import trace as trace_mod
-
-    try:
-        print(trace_mod.format_report(args.run_dir, top=args.top))
-    except ValueError as exc:  # cut file (names the byte offset) or wrong schema
-        print(exc, file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_info(args) -> int:
-    from repro.core import trace as trace_mod
-
-    try:
-        info = trace_mod.run_info(args.run_dir)
-    except ValueError as exc:  # cut file (names the byte offset) or wrong schema
-        print(exc, file=sys.stderr)
-        return 1
-    print(json.dumps(info, sort_keys=True, indent=2))
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.netsim.telemetry",
-        description="Trace/metrics tooling for seeded simulator runs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run one traced seeded scenario")
-    run.add_argument("--backend", default="netchain")
-    run.add_argument("--seed", type=int, default=11)
-    run.add_argument("--store-size", type=int, default=64)
-    run.add_argument("--clients", type=int, default=2)
-    run.add_argument("--write-ratio", type=float, default=0.3)
-    run.add_argument("--duration", type=float, default=0.1)
-    run.add_argument("--sample-interval", type=float, default=5e-3)
-    run.add_argument("--failover", action="store_true",
-                     help="fail switch S1 mid-run and react")
-    run.add_argument("--out", required=True, help="trace/v1 run directory")
-    run.set_defaults(func=_cmd_run)
-
-    report = sub.add_parser(
-        "report", help="critical-path breakdown + per-stage percentiles")
-    report.add_argument("run_dir")
-    report.add_argument("--top", type=int, default=1,
-                        help="show the N slowest traces hop by hop")
-    report.set_defaults(func=_cmd_report)
-
-    info = sub.add_parser("info", help="print run header and record counts")
-    info.add_argument("run_dir")
-    info.set_defaults(func=_cmd_info)
-
-    args = parser.parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,0 +1,175 @@
+"""The one command line: ``python -m repro <verb>`` (:mod:`repro.cli`).
+
+Every verb through ``repro.cli.main([...])``: ``--help`` at each level, the
+history / trace / lint / matrix round trips, the shared error policy (one
+stderr line, non-zero exit) and the removal of the old entry points.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.analysis.report import REPORT_SCHEMA
+from repro.cli import main
+from repro.core.history_gen import generate_history, initial_values
+from repro.core.history_store import encode_bytes, write_ndjson
+from repro.deploy import default_matrix
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+CORPUS = REPO_ROOT / "tests" / "fixtures" / "detlint" / "corpus"
+HISTORIES = REPO_ROOT / "tests" / "fixtures" / "histories"
+
+
+def one_error_line(capsys) -> str:
+    """The captured stderr, asserted to be one line (no traceback)."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("verb", [[], ["matrix"], ["history"], ["trace"], ["lint"]])
+def test_help_at_every_level(verb, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(verb + ["--help"])
+    assert exc_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: python -m repro")
+    if not verb:
+        assert "{matrix,history,trace,lint}" in out  # exactly these four
+
+
+@pytest.mark.parametrize("module", ["repro.deploy", "repro.analysis"])
+def test_old_package_entry_points_are_gone(module):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "__main__" in proc.stderr
+
+
+def test_history_index_info_check(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    write_ndjson(run_dir / "ops.ndjson", generate_history(19, keys=3, ops=120).ops,
+                 meta={"initial": {encode_bytes(k): encode_bytes(v)
+                                   for k, v in initial_values(3).items()}})
+    # The NDJSON alone is a run dir once ``index`` has derived the rest.
+    assert main(["history", "info", str(run_dir)]) == 1
+    assert f"python -m repro history index {run_dir}" in one_error_line(capsys)
+    assert main(["history", "index", str(run_dir)]) == 0
+    assert main(["history", "info", str(run_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "ops: 120" in out and "keys: 3" in out
+
+    cache = str(tmp_path / "cache.json")
+    assert main(["history", "check", str(run_dir), "--cache", cache]) == 0
+    assert "linearizable" in capsys.readouterr().out
+    # Second check hits the persisted cache for every key.
+    assert main(["history", "check", str(run_dir), "--cache", cache]) == 0
+    assert "verdict cache hits: 3/3" in capsys.readouterr().out
+
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    shutil.copy(HISTORIES / "bad_stale_read.ndjson", bad / "ops.ndjson")
+    assert main(["history", "index", str(bad)]) == 0
+    assert main(["history", "check", str(bad)]) == 1
+
+
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("trace") / "run"
+    assert main(["trace", "run", "--seed", "11", "--out", str(run_dir)]) == 0
+    return run_dir
+
+
+def test_trace_run_report_info(traced_run, capsys):
+    assert main(["trace", "report", str(traced_run)]) == 0
+    out = capsys.readouterr().out
+    assert "Critical-path stages" in out
+    assert "host_stack" in out
+    assert "Slowest trace" in out
+    assert main(["trace", "info", str(traced_run)]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["spans.ndjson"]["records"] > 0
+
+
+def test_trace_wrong_schema_is_one_line(traced_run, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(traced_run, run_dir)
+    # An events file where the spans are expected.
+    shutil.copy(run_dir / "events.ndjson", run_dir / "spans.ndjson")
+    for command in ("report", "info"):
+        assert main(["trace", command, str(run_dir)]) == 1
+        assert "unsupported schema 'trace-events/v1'" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["report", "info"])
+def test_trace_on_a_missing_or_empty_dir_is_an_error(command, tmp_path, capsys):
+    for run_dir in (tmp_path / "no-such-dir", tmp_path):
+        assert main(["trace", command, str(run_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # an error, not an empty report
+        assert captured.err.count("\n") == 1
+        assert "not a trace/v1 run dir" in captured.err
+
+
+def test_matrix_spec_file_round_trip(tmp_path, capsys):
+    matrix = default_matrix(seeds=(0,), backends=("netchain",), duration=0.2)
+    matrix.fault_profiles = {"none": {}}
+    spec_path, out_path = tmp_path / "spec.json", tmp_path / "report.json"
+    spec_path.write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
+    assert main(["matrix", "--spec", str(spec_path), "-o", str(out_path)]) == 0
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    assert report["totals"]["cells"] == 1 and not report["totals"]["failed_cells"]
+    assert report["matrix"] == matrix.to_dict()
+
+
+def test_matrix_missing_spec_file_is_one_line(tmp_path, capsys):
+    assert main(["matrix", "--spec", str(tmp_path / "missing.json")]) == 1
+    assert "missing.json" in one_error_line(capsys)
+
+
+def lint_check(*argv):
+    return main(["lint", "check", *argv, "--root", str(REPO_ROOT), "--include-fixtures"])
+
+
+def test_lint_check_fails_on_corpus_and_reports_json(capsys):
+    assert lint_check(str(CORPUS), "--no-baseline", "--format", "json") == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["schema"] == REPORT_SCHEMA
+    assert report["ok"] is False
+    assert report["counts"]["DET001"] == 5
+
+
+def test_lint_check_passes_on_good_file(capsys):
+    good = CORPUS / "repro" / "netsim" / "det001_good.py"
+    assert lint_check(str(good), "--no-baseline") == 0
+    assert "0 finding(s)" in capsys.readouterr().out
+
+
+def test_lint_baseline_then_check_is_clean(tmp_path, capsys):
+    baseline_path = str(tmp_path / "baseline.json")
+    assert main(["lint", "baseline", str(CORPUS), "--root", str(REPO_ROOT),
+                 "--include-fixtures", "-o", baseline_path]) == 0
+    assert lint_check(str(CORPUS), "--baseline", baseline_path) == 0
+
+
+def test_lint_explain(capsys):
+    assert main(["lint", "explain", "DET003"]) == 0
+    out = capsys.readouterr().out
+    assert "DET003" in out and "sorted" in out
+    assert main(["lint", "explain", "DET999"]) == 2
+
+
+def test_lint_summary_markdown(capsys):
+    pragmas = CORPUS / "repro" / "pragmas.py"
+    assert lint_check(str(pragmas), "--no-baseline", "--summary") == 1
+    out = capsys.readouterr().out
+    assert out.startswith("## detlint")
+    assert "| DET004 |" in out

@@ -5,8 +5,8 @@ Three layers:
 * the fixture corpus under ``tests/fixtures/detlint/corpus/`` exercises every
   rule in both directions (bad file -> findings, good file -> silence) plus
   pragma handling and path scoping;
-* the engine pieces (fingerprints, baseline, report, CLI) are tested on
-  synthetic trees;
+* the engine pieces (fingerprints, baseline, report) are tested on
+  synthetic trees (the ``python -m repro lint`` verbs in ``tests/test_cli.py``);
 * a self-check asserts the repository itself is clean against the committed
   baseline, and regression tests pin the determinism fixes the pass found.
 """
@@ -20,14 +20,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.baseline import BASELINE_SCHEMA, Baseline
-from repro.analysis.cli import main
 from repro.analysis.engine import check_paths
-from repro.analysis.report import REPORT_SCHEMA, build_report, dump_report
+from repro.analysis.report import REPORT_SCHEMA, build_report
 from repro.analysis.rules import RULES, rule_ids
+from repro.artifacts import json_document
 from repro.core.history import History, RecordingClient
 from repro.netsim.engine import Simulator
 from repro.netsim.host import Host
-from repro.netsim.node import stable_name_seed
 from repro.netsim.switch import Switch
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -206,103 +205,9 @@ def test_report_schema_and_determinism():
     assert report["counts"]["DET004"] == 1
     assert {f["rule"] for f in report["findings"]} == {"DET000", "DET004"}
     assert all(s["justification"] for s in report["suppressed"])
-    assert dump_report(report) == dump_report(build_report(result, new, baselined, stale, None))
-
-
-# --------------------------------------------------------------------------- #
-# CLI.
-# --------------------------------------------------------------------------- #
-
-
-def test_cli_check_fails_on_corpus_and_reports_json(capsys):
-    code = main(
-        [
-            "check",
-            str(CORPUS),
-            "--root",
-            str(REPO_ROOT),
-            "--include-fixtures",
-            "--no-baseline",
-            "--format",
-            "json",
-        ]
+    assert json_document(report) == json_document(
+        build_report(result, new, baselined, stale, None)
     )
-    assert code == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["schema"] == REPORT_SCHEMA
-    assert report["ok"] is False
-    assert report["counts"]["DET001"] == 5
-
-
-def test_cli_check_passes_on_good_file(capsys):
-    code = main(
-        [
-            "check",
-            str(CORPUS / "repro" / "netsim" / "det001_good.py"),
-            "--root",
-            str(REPO_ROOT),
-            "--include-fixtures",
-            "--no-baseline",
-        ]
-    )
-    assert code == 0
-    assert "0 finding(s)" in capsys.readouterr().out
-
-
-def test_cli_baseline_then_check_is_clean(tmp_path, capsys):
-    baseline_path = tmp_path / "baseline.json"
-    assert (
-        main(
-            [
-                "baseline",
-                str(CORPUS),
-                "--root",
-                str(REPO_ROOT),
-                "--include-fixtures",
-                "-o",
-                str(baseline_path),
-            ]
-        )
-        == 0
-    )
-    code = main(
-        [
-            "check",
-            str(CORPUS),
-            "--root",
-            str(REPO_ROOT),
-            "--include-fixtures",
-            "--baseline",
-            str(baseline_path),
-        ]
-    )
-    capsys.readouterr()
-    assert code == 0
-
-
-def test_cli_explain(capsys):
-    assert main(["explain", "DET003"]) == 0
-    out = capsys.readouterr().out
-    assert "DET003" in out and "sorted" in out
-    assert main(["explain", "DET999"]) == 2
-
-
-def test_cli_summary_markdown(capsys):
-    code = main(
-        [
-            "check",
-            str(CORPUS / "repro" / "pragmas.py"),
-            "--root",
-            str(REPO_ROOT),
-            "--include-fixtures",
-            "--no-baseline",
-            "--summary",
-        ]
-    )
-    assert code == 1
-    out = capsys.readouterr().out
-    assert out.startswith("## detlint")
-    assert "| DET004 |" in out
 
 
 # --------------------------------------------------------------------------- #
@@ -316,13 +221,13 @@ def test_repository_is_clean_against_committed_baseline():
     baseline = Baseline.load(baseline_path) if baseline_path.exists() else Baseline()
     new, _, stale = baseline.partition(result.findings)
     assert new == [], "\n".join(f"{f.location()}: {f.rule}: {f.message}" for f in new)
-    assert stale == [], "stale baseline entries; re-run 'python -m repro.analysis baseline'"
+    assert stale == [], "stale baseline entries; re-run 'python -m repro lint baseline'"
 
 
 def test_analyzer_is_clean_on_itself():
     result = check_paths(["src/repro/analysis"], root=REPO_ROOT)
     assert result.findings == [] and result.suppressed == []
-    assert result.files_scanned >= 6
+    assert result.files_scanned >= 5
 
 
 def test_rule_metadata_complete():

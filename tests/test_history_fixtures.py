@@ -17,14 +17,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.artifacts import read_header
 from repro.core.history import check_linearizable, version_violations_of
 from repro.core.history_store import (
+    SCHEMA,
     HistoryStore,
     HistoryWriter,
     check_linearizable_streaming,
     decode_bytes,
     load_ndjson,
-    read_ndjson_meta,
 )
 
 CORPUS = Path(__file__).parent / "fixtures" / "histories"
@@ -79,7 +80,7 @@ def test_fixture_verdicts_agree(entry, tmp_path):
 @pytest.mark.parametrize("entry", FIXTURES,
                          ids=[entry["file"] for entry in FIXTURES])
 def test_fixture_headers_carry_meta(entry):
-    meta = read_ndjson_meta(CORPUS / entry["file"])
+    meta = read_header(CORPUS / entry["file"], SCHEMA)
     assert meta["initial"] == entry["initial"]
     assert meta["description"] == entry["description"]
 

@@ -15,6 +15,7 @@ import tracemalloc
 
 import pytest
 
+from repro.artifacts import TruncatedArtifactError
 from repro.core.client import canonical_key
 from repro.core.history import History, HistoryOp, check_linearizable
 from repro.core.history_gen import generate_history, initial_values, iter_history
@@ -22,14 +23,12 @@ from repro.core.history_store import (
     HistoryStore,
     HistoryWriter,
     SpillingHistory,
-    TruncatedHistoryError,
     VerdictCache,
     check_linearizable_streaming,
     decode_bytes,
     encode_bytes,
     iter_ndjson,
     load_ndjson,
-    main as store_cli,
     op_to_record,
     rebuild_index,
     record_to_op,
@@ -153,7 +152,7 @@ def test_truncated_file_surfaces_clean_error_with_offset(tmp_path):
     intact = b"".join(lines[:-1])
     path.write_bytes(intact + lines[-1][:10])  # cut the last record short
 
-    with pytest.raises(TruncatedHistoryError) as exc_info:
+    with pytest.raises(TruncatedArtifactError) as exc_info:
         list(iter_ndjson(path))
     err = exc_info.value
     assert err.offset == len(intact)
@@ -163,7 +162,7 @@ def test_truncated_file_surfaces_clean_error_with_offset(tmp_path):
     # json.JSONDecodeError traceback.
     garbled = intact[:len(lines[0]) + len(lines[1])] + b'{"id": oops}\n'
     path.write_bytes(garbled)
-    with pytest.raises(TruncatedHistoryError) as exc_info:
+    with pytest.raises(TruncatedArtifactError) as exc_info:
         list(iter_ndjson(path))
     assert exc_info.value.offset == len(lines[0]) + len(lines[1])
 
@@ -176,7 +175,7 @@ def test_index_rebuilds_from_intact_prefix(tmp_path):
     cut = data.splitlines(keepends=True)
     path.write_bytes(b"".join(cut[:-1]) + cut[-1][:5])
 
-    with pytest.raises(TruncatedHistoryError):
+    with pytest.raises(TruncatedArtifactError):
         rebuild_index(tmp_path / "run")
     total, truncated_at = rebuild_index(tmp_path / "run",
                                         allow_truncated=True)
@@ -194,7 +193,7 @@ def test_stale_index_is_detected_not_garbled(tmp_path):
     # past the end must fail cleanly.
     data = store.ops_path.read_bytes()
     store.ops_path.write_bytes(data[: len(data) - 20])
-    with pytest.raises(TruncatedHistoryError):
+    with pytest.raises(TruncatedArtifactError):
         HistoryStore(tmp_path / "run").ops_for_key(b"k0")
 
 
@@ -259,53 +258,9 @@ def test_streaming_flags_the_corrupted_keys(tmp_path):
     assert flagged == sorted(gen.corrupted_keys)
 
 
-# --------------------------------------------------------------------- #
-# CLI.
-# --------------------------------------------------------------------- #
-
-def test_cli_check_index_info(tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    write_run(run_dir, generate_history(19, keys=3, ops=120).ops,
-              meta={"initial": {encode_bytes(k): encode_bytes(v)
-                                for k, v in initial_values(3).items()}})
-    assert store_cli(["info", str(run_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "ops: 120" in out and "keys: 3" in out
-
-    assert store_cli(["check", str(run_dir), "--cache",
-                      str(tmp_path / "cache.json")]) == 0
-    assert "linearizable" in capsys.readouterr().out
-    # Second check hits the persisted cache for every key.
-    assert store_cli(["check", str(run_dir), "--cache",
-                      str(tmp_path / "cache.json")]) == 0
-    assert "verdict cache hits: 3/3" in capsys.readouterr().out
-
-    (run_dir / "index.json").unlink()
-    (run_dir / "index.bin").unlink()
-    assert store_cli(["index", str(run_dir)]) == 0
-    assert store_cli(["check", str(run_dir)]) == 0
-
-    bad = tmp_path / "bad"
-    ops = load_ndjson_ops()
-    write_run(bad, ops)
-    assert store_cli(["check", str(bad)]) == 1
-
-
-def load_ndjson_ops():
-    """A tiny non-linearizable history (stale read)."""
-    return [
-        HistoryOp(op_id=0, client="c0", op="write", key=b"k", value=b"B",
-                  invoked_at=1.0, returned_at=2.0, ok=True),
-        HistoryOp(op_id=1, client="c1", op="read", key=b"k",
-                  invoked_at=3.0, returned_at=4.0, ok=True, output=b"B"),
-        HistoryOp(op_id=2, client="c1", op="read", key=b"k",
-                  invoked_at=5.0, returned_at=6.0, ok=True, output=b"Z"),
-    ]
-
-
 def test_write_ndjson_standalone_round_trip(tmp_path):
     path = tmp_path / "history.ndjson"
-    ops = load_ndjson_ops()
+    ops = generate_history(23, keys=2, ops=20).ops
     write_ndjson(path, ops, meta={"name": "stale-read"})
     loaded = load_ndjson(path)
     assert loaded == ops

@@ -21,7 +21,7 @@ from repro.core.hotkeys import (
 from repro.core.hybrid import HybridStore
 from repro.core.protocol import normalize_key
 from repro.deploy import DeploymentSpec
-from repro.deploy.base import available_backends, build_deployment, get_backend
+from repro.deploy.base import available_backends, get_backend
 from repro.deploy.scenario import ScenarioChecks, WorkloadSpec, run_scenario
 from repro.netsim.registers import RegisterAllocationError, RegisterFile
 from tests.conftest import make_cluster

@@ -5,8 +5,9 @@ Covers the building blocks (log-bucket histograms, the bounded
 contracts (two traced seeded runs spill byte-identical ``trace/v1``
 artifacts; enabling telemetry leaves the replay signature untouched),
 the control-plane event log and its derived failure timeline under an
-injected switch failure, and the ``python -m repro.netsim.telemetry``
-report CLI.
+injected switch failure, and the readers' handling of cut and
+wrong-schema files (the ``python -m repro trace`` verbs themselves are
+covered in ``tests/test_cli.py``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import json
 
 import pytest
 
+from repro.artifacts import TruncatedArtifactError
+from repro.cli import main as repro_cli
 from repro.core import trace as trace_mod
-from repro.core.history_store import TruncatedHistoryError
 from repro.core.trace import (
     STAGES,
     iter_spans,
@@ -33,7 +35,6 @@ from repro.netsim.telemetry import (
     MetricsRegistry,
     TelemetryConfig,
     failure_timeline,
-    main as telemetry_cli,
     peak_rss_bytes,
 )
 
@@ -354,21 +355,8 @@ def test_event_log_records_failover(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# CLI.
+# Damaged run dirs.
 # --------------------------------------------------------------------- #
-
-
-def test_cli_report_smoke(tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    _run(_spec(telemetry={"run_dir": str(run_dir)}))
-    assert telemetry_cli(["report", str(run_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "Critical-path stages" in out
-    assert "host_stack" in out
-    assert "Slowest trace" in out
-    assert telemetry_cli(["info", str(run_dir)]) == 0
-    info = json.loads(capsys.readouterr().out)
-    assert info["spans.ndjson"]["records"] > 0
 
 
 def test_truncated_trace_file_reports_the_offset(tmp_path, capsys):
@@ -378,17 +366,19 @@ def test_truncated_trace_file_reports_the_offset(tmp_path, capsys):
     data = spans.read_bytes()
     spans.write_bytes(data[:-5])  # cut mid-record, as a crashed run would
     intact = data.rfind(b"\n", 0, len(data) - 1) + 1
-    with pytest.raises(TruncatedHistoryError) as exc_info:
+    with pytest.raises(TruncatedArtifactError) as exc_info:
         list(iter_spans(run_dir))
     assert exc_info.value.offset == intact
+    assert "history" not in str(exc_info.value)  # it is a span file
     for command in ("report", "info"):
-        assert telemetry_cli([command, str(run_dir)]) == 1
+        assert repro_cli(["trace", command, str(run_dir)]) == 1
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1  # one line, no traceback
         assert f"byte offset {intact}" in captured.err
+        assert "history" not in captured.err
 
 
-def test_wrong_schema_trace_file_is_rejected(tmp_path, capsys):
+def test_wrong_schema_trace_file_is_rejected(tmp_path):
     run_dir = tmp_path / "run"
     _run(_spec(telemetry={"run_dir": str(run_dir)}))
     # An events file where the spans are expected.
@@ -396,9 +386,6 @@ def test_wrong_schema_trace_file_is_rejected(tmp_path, capsys):
         (run_dir / "events.ndjson").read_bytes())
     with pytest.raises(ValueError, match="expected 'trace/v1'"):
         read_ndjson(run_dir / "spans.ndjson", "trace/v1")
-    for command in ("report", "info"):
-        assert telemetry_cli([command, str(run_dir)]) == 1
-        assert "unsupported schema 'trace-events/v1'" in capsys.readouterr().err
 
 
 def test_format_report_handles_empty_events(tmp_path):
