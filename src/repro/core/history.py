@@ -7,15 +7,41 @@ response into a :class:`History`, arbitrary fault schedules run underneath
 (:mod:`repro.netsim.faults`), and :func:`check_linearizable` then decides
 whether the recorded concurrent history is linearizable per key.
 
-The checker is the Wing & Gong algorithm with Lowe's memoization: search
-for a total order of the operations on one key that (a) respects real-time
-order -- an operation that returned before another was invoked must be
-ordered first -- and (b) steps a sequential register/CAS specification
-through every response.  Operations that never produced a definite
-response (client-side retry exhaustion, still in flight at the end of the
-run) are *ambiguous*: the search may linearize them at any point after
-their invocation or drop them entirely, which is exactly the latitude a
-lost-reply gives a real system.
+The checker is the Wing & Gong search with Lowe's memoization -- find a
+total order of one key's operations that (a) respects real-time order and
+(b) steps a sequential register/CAS specification through every response
+-- run over *quiescent-cut windows* instead of the whole key.  In
+invocation order, a window closes before the first operation invoked
+strictly after every *certain* operation in it returned, so everything in
+it precedes everything after it and only a window's own operations are
+ever permuted: O(n * w) for n operations in windows of w, not O(n^2).
+Operations with no definite response (retry exhaustion, still in flight at
+the end) are *ambiguous*: they may take effect at any point after their
+invocation, or never -- the latitude a lost reply gives a real system --
+so they close no window and float across cuts.  What crosses a cut is a
+configuration: the register state, the lost cas/delete/insert operations
+not yet spent, and the values lost writes and retry echoes can still
+impose.  Each configuration is followed into the next window depth-first,
+as it is reached; a violation names the deepest window entered.
+
+Lost operations are applied *on demand*.  Offered as ordinary candidates
+(the whole-key search this replaced did that) every lost operation still
+floating multiplies the states behind each dead end -- 5 states per op on
+500 ops of one ``history_gen`` key, 50 on 4,000 -- so the cost would grow
+with the stream again.  Two facts make on-demand exact.  *Dominance*: lost
+operations are optional and stay available once they are, so what a
+configuration can do, the same state with more of them unspent can do too.
+*Postponement*: an imposed value, a lost delete and a lost insert apply
+from any state, so each can be applied later instead, up to the operation
+that observes what it leaves; a lost CAS can wait for as long as the
+register holds the value it expects.  Hence a lost operation is spent only
+to hand an operation the state it observes (``reach``), or to move a
+failed CAS off the value it expected -- the one step where the register
+must leave a value and is free where to go, while a lost CAS expecting
+that value is spent now or never, so every lost operation that applies
+there is tried.  Each branch of the search states which fact it uses;
+``tests/test_history_properties.py`` holds the whole-key search as the
+differential oracle and a hand-written history per branch.
 
 One refinement matches NetChain's retry protocol (Section 4.3: clients
 retry over UDP and "because writes are idempotent, retrying is benign").
@@ -33,6 +59,7 @@ paper's TLA+ spec checks -- is enforced separately by
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -219,13 +246,16 @@ def version_violations_of(ops: Iterable[HistoryOp]) -> List[str]:
     violations: List[str] = []
     for (client, key), key_ops in grouped.items():
         key_ops.sort(key=lambda op: op.invoked_at)
-        for i, op in enumerate(key_ops):
-            settled = [prev.version for prev in key_ops[:i]
-                       if prev.returned_at <= op.invoked_at]
-            if settled and op.version < max(settled):
+        returning: List[Tuple[float, Tuple[int, int]]] = []  # heap, earlier ops
+        settled: tuple = ()  # newest version already returned; () sorts first
+        for op in key_ops:
+            while returning and returning[0][0] <= op.invoked_at:
+                settled = max(settled, heapq.heappop(returning)[1])
+            if op.version < settled:
                 violations.append(
                     f"{client} observed {key!r} going backwards: "
-                    f"{max(settled)} -> {op.version}")
+                    f"{settled} -> {op.version}")
+            heapq.heappush(returning, (op.returned_at, op.version))
     return violations
 
 
@@ -316,171 +346,35 @@ class LinearizabilityReport:
         return "\n".join(lines)
 
 
-_FAIL = object()
+#: In a transition: any state will do / no state to avoid / state unchanged.
+_ANY = object()
 
 
-def _step(op: HistoryOp, state: Optional[bytes]):
-    """Step the sequential register/CAS spec with ``op``'s actual response.
+def _transition(op: HistoryOp):
+    """The sequential register/CAS spec of ``op``'s actual response, as data.
 
-    Returns the new state, or ``_FAIL`` when the response is impossible
-    from ``state``.
+    Returns ``(want, avoid, result)``: the op can be linearized at register
+    state ``s`` iff ``want in (_ANY, s)`` and ``s != avoid``, and leaves
+    ``result`` behind (``s`` itself when ``_ANY``).  An ambiguous op is
+    described as if it took effect -- a lost CAS only from a matching state.
     """
-    if op.op == "read":
-        if op.ok:
-            return state if op.output == state else _FAIL
-        if op.not_found:
-            return state if state is MISSING else _FAIL
-        return state  # reads with other definite errors observe nothing
-    if op.op == "write":
-        if op.ok:
-            return op.value
-        if op.not_found:
-            return state if state is MISSING else _FAIL
-        return state
-    if op.op == "cas":
-        if op.ok:
-            return op.value if state == op.expected else _FAIL
-        if op.cas_failed:
-            return state if state != op.expected else _FAIL
-        if op.not_found:
-            return state if state is MISSING else _FAIL
-        return state
-    if op.op == "delete":
-        if op.ok:
-            return MISSING
-        if op.not_found:
-            return state if state is MISSING else _FAIL
-        return state
-    if op.op == "insert":
-        if op.ok:
-            return op.value if op.value is not None else b""
-        return state
-    return state
-
-
-def _step_ambiguous_success(op: HistoryOp, state: Optional[bytes]):
-    """State transition if an ambiguous (lost-reply) op *did* take effect."""
-    if op.op == "read":
-        return state
-    if op.op in ("write", "insert"):
-        return op.value if op.value is not None else b""
-    if op.op == "cas":
-        # A lost CAS took effect only if it would have succeeded.
-        return op.value if state == op.expected else _FAIL
-    if op.op == "delete":
-        return MISSING
-    return state
-
-
-def _check_key(ops: List[HistoryOp], initial: Optional[bytes],
-               state_budget: int) -> KeyReport:
-    key = ops[0].key if ops else b""
-    has_cas = any(op.op == "cas" for op in ops)
-    observed = {op.output for op in ops
-                if op.op == "read" and op.completed and op.ok}
-    relevant: List[HistoryOp] = []
-    for op in ops:
-        if op.ambiguous and op.op == "read":
-            continue  # an unanswered read constrains nothing
-        if (op.ambiguous and op.op == "write" and not has_cas
-                and op.value not in observed):
-            # A lost write whose value no completed read ever returned can
-            # always be linearized as "never took effect": with unique
-            # values and no CAS on the key, applying it could only be
-            # observed through a read of its value, and there is none.
-            # Dropping these up front keeps the search polynomial even
-            # when an outage times out hundreds of writes.
-            continue
-        relevant.append(op)
-    ambiguous_count = sum(1 for op in relevant if op.ambiguous)
-    n = len(relevant)
-    report = KeyReport(key=key, ok=True, ops=n, ambiguous_ops=ambiguous_count)
-    if n == 0:
-        return report
-
-    relevant.sort(key=lambda op: (op.invoked_at, op.op_id))
-    invoked = [op.invoked_at for op in relevant]
-    returned = [op.returned_at if not op.ambiguous else float("inf")
-                for op in relevant]
-    full_mask = (1 << n) - 1
-    certain_mask = 0
-    for i, op in enumerate(relevant):
-        if not op.ambiguous:
-            certain_mask |= 1 << i
-    #: Certain retried writes may "echo" (re-impose their value through a
-    #: straggler retransmission) after their linearization point.  Echoes
-    #: of values no read observed are invisible (without CAS) and pruned.
-    echoes: List[Tuple[int, Optional[bytes]]] = [
-        (1 << i, op.value) for i, op in enumerate(relevant)
-        if (not op.ambiguous and op.op == "write" and op.retries > 0
-            and (has_cas or op.value in observed))]
-    seen: set = set()
-    explored = 0
-
-    # Iterative depth-first search over (remaining-ops bitmask, state).
-    # Ambiguous ops (lost replies) may take effect at any point after their
-    # invocation -- several times for writes, since every retry is a fresh
-    # application -- or never; "never" is canonicalized by simply leaving
-    # them in the mask: their return time is +inf, so they never constrain
-    # another op's candidacy, and a mask holding only ambiguous ops is a
-    # completed linearization.  This avoids branching on explicit drops,
-    # which would blow the state space up exponentially in the number of
-    # timed-out operations.
-    def candidates_for(mask: int) -> List[int]:
-        remaining = [i for i in range(n) if mask & (1 << i)]
-        horizon = min(returned[i] for i in remaining)
-        return [i for i in remaining if invoked[i] <= horizon]
-
-    def successors(index: int, mask: int, state) -> List[Tuple[int, Any]]:
-        op = relevant[index]
-        outcomes = []
-        if op.ambiguous:
-            applied = _step_ambiguous_success(op, state)
-            if applied is not _FAIL:
-                if op.op == "write":
-                    # Zero-or-more applications: stays in the mask so it can
-                    # re-apply; success ignores ambiguous ops anyway.
-                    outcomes.append((mask, applied))
-                else:
-                    outcomes.append((mask & ~(1 << index), applied))
-        else:
-            stepped = _step(op, state)
-            if stepped is not _FAIL:
-                outcomes.append((mask & ~(1 << index), stepped))
-        return outcomes
-
-    stack: List[List[Any]] = [[full_mask, initial]]
-    while stack:
-        mask, state = stack.pop()
-        if mask & certain_mask == 0:
-            report.states_explored = explored
-            return report
-        marker = (mask, state)
-        if marker in seen:
-            continue
-        seen.add(marker)
-        explored += 1
-        if explored > state_budget:
-            report.exhausted = True
-            report.states_explored = explored
-            report.message = (f"state budget {state_budget} exhausted over "
-                              f"{n} operations")
-            return report
-        for index in candidates_for(mask):
-            for next_mask, next_state in successors(index, mask, state):
-                stack.append([next_mask, next_state])
-        for bit, value in echoes:
-            # A straggler retry of an already linearized retried write.
-            if not (mask & bit) and state != value:
-                stack.append([mask, value])
-
-    report.ok = False
-    report.states_explored = explored
-    shown = "\n    ".join(op.describe() for op in relevant[:25])
-    more = f"\n    ... {n - 25} more" if n > 25 else ""
-    report.message = (f"no valid linearization of {n} operations "
-                      f"(explored {explored} states):\n    {shown}{more}")
-    return report
+    kind = op.op
+    if op.ambiguous or op.ok:
+        if kind == "read":
+            return op.output, _ANY, _ANY
+        if kind == "cas":
+            return op.expected, _ANY, op.value
+        if kind == "delete":
+            return _ANY, _ANY, MISSING
+        if kind == "write" and not op.ambiguous:
+            return _ANY, _ANY, op.value
+        if kind in ("write", "insert"):
+            return _ANY, _ANY, op.value if op.value is not None else b""
+    elif kind == "cas" and op.cas_failed:
+        return _ANY, op.expected, _ANY
+    elif op.not_found and kind in ("read", "write", "cas", "delete"):
+        return MISSING, _ANY, _ANY
+    return _ANY, _ANY, _ANY  # other definite errors observe nothing
 
 
 def check_key_linearizable(ops: List[HistoryOp],
@@ -493,7 +387,170 @@ def check_key_linearizable(ops: List[HistoryOp],
     list of operations on a single key, order-insensitive (the search sorts
     by invocation time), no :class:`History` required.
     """
-    return _check_key(list(ops), initial, state_budget)
+    # An unanswered read constrains nothing.
+    relevant = [op for op in ops if not (op.ambiguous and op.op == "read")]
+    relevant.sort(key=lambda op: (op.invoked_at, op.op_id))
+    n = len(relevant)
+    report = KeyReport(key=relevant[0].key if relevant else b"", ok=True, ops=n,
+                       ambiguous_ops=sum(1 for op in relevant if op.ambiguous))
+    #: Values lost writes and retry echoes impose, any number of times (every
+    #: retransmission is a fresh write), by the first window inheriting each.
+    carried: Dict[Optional[bytes], int] = {}
+    #: Lost cas/delete/insert ops as (want, result, op).  They take effect at
+    #: most once: a search state's ``floating`` mask says which it still has.
+    once: List[Tuple[Any, Any, HistoryOp]] = []
+    producers: Dict[Optional[bytes], List[int]] = {}  # result -> indices in once
+
+    # Cut the stream into windows (the rule is in the module docstring).  A
+    # window's certain ops get the bits of a search state's ``todo`` mask; its
+    # lost writes and retry echoes go to ``local`` and its other lost ops to
+    # ``once``, each usable once the certain ops in its guard mask are done.
+    windows: List[tuple] = []
+    end = 0
+    while end < n:
+        start, closes, fresh = end, None, 0
+        invoked, returned, steps, local, guards = [], [], [], [], {}
+        while end < n and (closes is None or relevant[end].invoked_at <= closes):
+            op = relevant[end]
+            end += 1
+            want, _avoid, result = step = _transition(op)
+            if not op.ambiguous:
+                if closes is None or op.returned_at > closes:
+                    closes = op.returned_at
+                if op.op == "write" and op.retries > 0:
+                    local.append((1 << len(steps), op.value))
+                invoked.append(op.invoked_at)
+                returned.append(op.returned_at)
+                steps.append(step)
+                continue
+            guard = sum(1 << j for j, at in enumerate(returned) if at < op.invoked_at)
+            if op.op == "write":
+                local.append((guard, result))
+            else:
+                guards[len(once)] = guard
+                fresh |= 1 << len(once)
+                producers.setdefault(result, []).append(len(once))
+                once.append((want, result, op))
+        for _guard, value in local:
+            carried.setdefault(value, len(windows) + 1)
+        windows.append(((1 << len(steps)) - 1, fresh, invoked, returned, steps,
+                        local, guards, start, end))
+
+    # The two helpers read the search state being expanded from the loop below.
+    def imposable(value, todo):
+        """Can a lost write or retry echo impose ``value`` in this state?"""
+        return (carried.get(value, len(windows)) <= k
+                or any(v == value and not todo & guard for guard, v in local))
+
+    def reach(value, todo, floating):
+        """Make the register hold ``value``: yields the ``floating`` mask
+        left by each way that spends no lost op it does not have to."""
+        chains = [(value, floating)]
+        while chains:
+            value, floating = chains.pop()
+            if state == value or imposable(value, todo):
+                yield floating
+                continue
+            tried = set()  # equal lost ops are interchangeable: spend the earliest
+            for rank in producers.get(value, ()):
+                want = once[rank][0]
+                if (floating >> rank & 1 and not todo & guards.get(rank, 0)
+                        and want not in tried):
+                    tried.add(want)
+                    if want is _ANY:
+                        yield floating ^ (1 << rank)
+                    else:  # a lost CAS: first make the register hold what it expects
+                        chains.append((want, floating ^ (1 << rank)))
+
+    # Depth-first over (window, todo, floating, register state), memoized.
+    # Lost ops are applied on demand (dominance and postponement, module
+    # docstring), so no cut has to forget anything: a value no later read
+    # returns is never asked for.
+    stack: List[tuple] = [(-1, 0, 0, initial)]
+    seen: set = set()
+    while stack:
+        marker = stack.pop()
+        k, todo, floating, state = marker
+        while not todo:  # window linearized: carry the configuration over the cut
+            k += 1
+            if k == len(windows):
+                return report
+            todo, fresh = windows[k][:2]
+            floating |= fresh
+            marker = (k, todo, floating, state)
+        if marker in seen:
+            continue
+        seen.add(marker)
+        report.states_explored += 1
+        if report.states_explored > state_budget:
+            report.exhausted = True
+            report.message = f"state budget {state_budget} exhausted over {n} operations"
+            return report
+        invoked, returned, steps, local, guards = windows[k][2:7]
+        # Candidates: invoked no later than the earliest return among the
+        # ops still to do -- both scans stop early, in invocation order.
+        horizon = float("inf")
+        rest = todo
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            if invoked[j] > horizon:
+                break
+            rest ^= low
+            horizon = min(horizon, returned[j])
+        rest ^= todo
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            if invoked[j] > horizon:
+                break
+            want, avoid, result = steps[j]
+            after = todo ^ low
+            if want is not _ANY:
+                # Observes ``want``.  Holding it, spending anything first is
+                # dominated; otherwise each cheapest way there is a successor.
+                for left in (floating,) if state == want else reach(want, todo, floating):
+                    stack.append((k, after, left, want if result is _ANY else result))
+            elif state != avoid:
+                # Objects to nothing here.  Lost ops applied just before it are
+                # overwritten if it sets the state and can wait if it does not.
+                stack.append((k, after, floating, state if result is _ANY else result))
+            else:
+                # A failed CAS on exactly the value it expected: the register must
+                # leave ``avoid`` first and stays where it went.  The step that
+                # leaves is an imposed value -- one stands for all, any other can
+                # replace it for free later -- or a lost op applying at ``avoid``;
+                # every one is tried, since a lost CAS expecting ``avoid`` cannot
+                # be spent once the register has left it.  Further steps can wait.
+                moved = next((v for v in [*carried, *(v for _g, v in local)]
+                              if v != avoid and imposable(v, todo)), _ANY)
+                if moved is not _ANY:
+                    stack.append((k, after, floating, moved))
+                for rank, (needs, leaves, _op) in enumerate(once):
+                    if (floating >> rank & 1 and not todo & guards.get(rank, 0)
+                            and needs in (_ANY, avoid) and leaves != avoid):
+                        stack.append((k, after, floating ^ (1 << rank), leaves))
+
+    # A violation: name the deepest window entered, which nothing got through.
+    report.ok = False
+    k = max(marker[0] for marker in seen)
+    full, fresh, _invoked, returned, *_rest, start, end = windows[k]
+    entries = sorted({(state, floating & ~fresh) for at, todo, floating, state
+                      in seen if at == k and todo == full}, key=repr)
+    floats = [op.describe() for rank, (_w, _r, op) in enumerate(once)
+              if any(floating >> rank & 1 for _state, floating in entries)]
+    shown = [op.describe() for op in relevant[start:end][:25]]
+    if end - start > 25:
+        shown.append(f"... {end - start - 25} more")
+    report.message = (
+        f"no valid linearization of window [{relevant[start].invoked_at:.6f}, "
+        f"{max(returned):.6f}] (ops {start + 1}-{end} of {n}, explored "
+        f"{report.states_explored} states) from carried values "
+        f"{sorted({state for state, _ in entries}, key=repr)}"
+        + (f" with {floats} still floating" if floats else "")
+        + "".join(f"\n    {line}" for line in shown))
+    return report
 
 
 def group_ops_by_key(ops: Iterable[HistoryOp]) -> Dict[bytes, List[HistoryOp]]:
@@ -535,8 +592,7 @@ def check_linearizable(history,
         total = sum(len(ops) for ops in grouped.values())
     report = LinearizabilityReport(ok=True, total_ops=total)
     for key, ops in grouped.items():
-        key_report = _check_key(ops, initial.get(key, MISSING), state_budget)
-        report.keys[key] = key_report
-        if not key_report.ok:
-            report.ok = False
+        report.keys[key] = check_key_linearizable(
+            ops, initial.get(key, MISSING), state_budget)
+    report.ok = not report.violations()
     return report

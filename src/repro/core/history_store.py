@@ -14,7 +14,7 @@ hold.  This module removes that cap without weakening the check:
   during the run.  The index owns no data: delete it and
   :func:`rebuild_index` regenerates it from the NDJSON alone.
 * **Streaming verification** -- :func:`check_linearizable_streaming`
-  drives the existing Wing & Gong per-key checker
+  drives the per-key window checker
   (:func:`repro.core.history.check_key_linearizable`) over per-key
   streams, fanning keys out to a ``multiprocessing`` worker pool as each
   key's stream is read, so memory is bounded by the largest single key
@@ -85,7 +85,7 @@ INDEX_JSON = "index.json"
 
 #: Bumped whenever checker semantics change; part of every verdict digest,
 #: so a semantic change invalidates memoized verdicts wholesale.
-CHECKER_VERSION = 1
+CHECKER_VERSION = 2
 
 #: Marker distinguishing "key starts missing" from "key starts empty" in
 #: verdict digests (``b""`` is a legitimate initial value).
@@ -101,8 +101,10 @@ def encode_bytes(data: Optional[bytes]) -> Optional[str]:
     ``hex:`` otherwise; ``None`` stays ``None``."""
     if data is None:
         return None
-    if all(0x20 <= b < 0x7F for b in data) and not data.startswith(b"hex:"):
-        return data.decode("ascii")
+    if data.isascii() and not data.startswith(b"hex:"):
+        text = data.decode("ascii")
+        if text.isprintable():  # of ASCII, exactly 0x20-0x7E
+            return text
     return "hex:" + data.hex()
 
 
@@ -621,7 +623,7 @@ def verdict_digest(stream_sha256: str, initial: Optional[bytes],
 # --------------------------------------------------------------------- #
 
 def _check_key_task(args) -> Tuple[bytes, KeyReport]:
-    """Worker-pool unit: one key's stream through the Wing & Gong search."""
+    """Worker-pool unit: one key's stream through the window search."""
     key, ops, initial, state_budget = args
     return key, check_key_linearizable(ops, initial, state_budget)
 

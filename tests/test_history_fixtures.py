@@ -13,12 +13,15 @@ ambiguous-op latitude, CAS atomicity, version monotonicity) fails here.
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
+from typing import Dict, List, Tuple
 
 import pytest
 
 from repro.artifacts import read_header
-from repro.core.history import check_linearizable, version_violations_of
+from repro.core.history import HistoryOp, check_linearizable, version_violations_of
+from repro.core.history_gen import generate_history
 from repro.core.history_store import (
     SCHEMA,
     HistoryStore,
@@ -83,6 +86,77 @@ def test_fixture_headers_carry_meta(entry):
     meta = read_header(CORPUS / entry["file"], SCHEMA)
     assert meta["initial"] == entry["initial"]
     assert meta["description"] == entry["description"]
+
+
+@pytest.mark.parametrize("name,interval,window,others", [
+    ("bad_stale_read.ndjson", "[5.000000, 6.000000]", ["ok<-b'A'"],
+     ["write(b'B')", "ok<-b'B'"]),
+    ("bad_split_brain_write.ndjson", "[5.000000, 6.000000]",
+     ["c2 read [5.000000, 6.000000] ok<-b'B'"],
+     ["write(b'B')", "write(b'C')", "ok<-b'C'", "[9.000000, 10.000000]"]),
+])
+def test_violation_names_the_failing_window(name, interval, window, others):
+    """The message is the window nothing gets through -- its sim-time
+    interval, its ops, the register values carried into it -- not the head
+    of the key's stream."""
+    entry = next(e for e in FIXTURES if e["file"] == name)
+    report = check_linearizable(load_ndjson(CORPUS / name),
+                                initial=fixture_initial(entry))
+    message = report.keys[b"k"].message
+    assert f"no valid linearization of window {interval}" in message
+    assert "(ops 3-3 of " in message
+    assert "from carried values [b'B']" in message or \
+        "from carried values [b'C']" in message
+    for text in window:
+        assert text in message
+    for text in others:
+        assert text not in message
+    assert message in report.summary()
+
+
+def quadratic_version_violations(ops) -> List[str]:
+    """:func:`version_violations_of` as it was before the heap sweep,
+    verbatim: rescans every earlier op of the (client, key) per op."""
+    grouped: Dict[Tuple[str, bytes], List[HistoryOp]] = {}
+    for op in ops:
+        if op.version is None or not op.ok or not op.completed:
+            continue
+        grouped.setdefault((op.client, op.key), []).append(op)
+    violations: List[str] = []
+    for (client, key), key_ops in grouped.items():
+        key_ops.sort(key=lambda op: op.invoked_at)
+        for i, op in enumerate(key_ops):
+            settled = [prev.version for prev in key_ops[:i]
+                       if prev.returned_at <= op.invoked_at]
+            if settled and op.version < max(settled):
+                violations.append(
+                    f"{client} observed {key!r} going backwards: "
+                    f"{max(settled)} -> {op.version}")
+    return violations
+
+
+def test_version_sweep_reports_what_the_rescan_reported():
+    """Same messages in the same order: on the corpus, and on generated
+    histories given versions that regress here and there, with the
+    pipelined (overlapping) ops of one client that must not be compared."""
+    histories = [load_ndjson(CORPUS / entry["file"]) for entry in FIXTURES]
+    for seed in range(40):
+        rng = random.Random(seed)
+        ops = generate_history(seed, clients=3, keys=2, ops=120).ops
+        for op in ops:
+            op.client = f"c{rng.randrange(2)}"  # merged clients overlap
+            if op.ok:
+                drift = rng.choice([0, 0, 0, -7])
+                op.version = (1, max(0, int(op.invoked_at * 10) + drift))
+        histories.append(ops)
+    flagged = 0
+    for ops in histories:
+        expected = quadratic_version_violations(ops)
+        assert version_violations_of(ops) == expected
+        assert version_violations_of(reversed(ops)) == \
+            quadratic_version_violations(reversed(ops))
+        flagged += bool(expected)
+    assert flagged > 10
 
 
 def test_retry_echo_is_load_bearing():

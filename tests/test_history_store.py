@@ -16,8 +16,9 @@ import tracemalloc
 import pytest
 
 from repro.artifacts import TruncatedArtifactError
+from repro.core import history_store
 from repro.core.client import canonical_key
-from repro.core.history import History, HistoryOp, check_linearizable
+from repro.core.history import History, HistoryOp, KeyReport, check_linearizable
 from repro.core.history_gen import generate_history, initial_values, iter_history
 from repro.core.history_store import (
     HistoryStore,
@@ -32,6 +33,7 @@ from repro.core.history_store import (
     op_to_record,
     rebuild_index,
     record_to_op,
+    verdict_digest,
     write_ndjson,
 )
 from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec, run_scenario
@@ -57,6 +59,24 @@ def test_bytes_encoding_round_trips():
     # or decoding would misread it.
     assert encode_bytes(b"\x00\x01") == "hex:0001"
     assert encode_bytes(b"hex:dec0y").startswith("hex:")
+
+
+def test_bytes_encoding_is_the_per_byte_predicate_in_bulk():
+    """``encode_bytes`` classifies with ``isascii``/``isprintable`` instead
+    of a Python loop over the bytes; the spelling must not move by a byte."""
+    def per_byte(data):
+        if all(0x20 <= b < 0x7F for b in data) and not data.startswith(b"hex:"):
+            return data.decode("ascii")
+        return "hex:" + data.hex()
+
+    singles = [bytes([b]) for b in range(256)]
+    cases = singles + [b"", b"hex:", b"hex:printable", b"hex", b"Hex:abc",
+                       b"mixed \x7f tail", b"tab\there", b"caf\xc3\xa9",
+                       b"\x80", b"k00000042", b"~ \x1f"]
+    cases += [b"ab" + single + b"yz" for single in singles]
+    for data in cases:
+        assert encode_bytes(data) == per_byte(data), data
+        assert decode_bytes(encode_bytes(data)) == data
 
 
 def test_op_record_round_trips_every_field():
@@ -245,6 +265,24 @@ def test_verdict_cache_memoizes_by_stream_content(tmp_path):
     again = check_linearizable_streaming(store, initial=gen.initial,
                                          cache=reloaded)
     assert again.cache_hits == len(store.keys())
+
+
+def test_verdicts_of_the_whole_key_search_are_not_served(tmp_path, monkeypatch):
+    """CHECKER_VERSION 2 is the window checker: its ``states_explored`` and
+    messages differ, so a cache file written under version 1 must miss."""
+    gen = generate_history(13, clients=3, keys=6, ops=300)
+    store = write_run(tmp_path / "a", list(gen.ops))
+    assert history_store.CHECKER_VERSION == 2
+    monkeypatch.setattr(history_store, "CHECKER_VERSION", 1)
+    old = VerdictCache()
+    for key in store.keys():
+        old.put(verdict_digest(store.key_digest(key), gen.initial[key], 500_000),
+                KeyReport(key=key, ok=False, ops=0, ambiguous_ops=0,
+                          message="decided by the whole-key search"))
+    monkeypatch.undo()
+    report = check_linearizable_streaming(store, initial=gen.initial, cache=old)
+    assert report.cache_hits == 0 and old.hits == 0
+    assert report.ok and len(old) == 2 * len(store.keys())
 
 
 def test_streaming_flags_the_corrupted_keys(tmp_path):
