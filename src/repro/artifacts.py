@@ -19,8 +19,10 @@ and nothing here imports from ``repro``.
 from __future__ import annotations
 
 import json
+from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Records between explicit flushes of an :class:`NdjsonWriter`.
 FLUSH_EVERY = 4096
@@ -42,17 +44,76 @@ class TruncatedArtifactError(ValueError):
             f"{self.path}: truncated at byte offset {offset}: {reason}")
 
 
+#: Any JSON value in the canonical spelling (ASCII is ``json.dumps``'s default).
+_spell = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
 def record_line(record: Dict[str, Any]) -> bytes:
     """One record as its canonical line."""
-    return json.dumps(record, sort_keys=True,
-                      separators=(",", ":")).encode("ascii") + b"\n"
+    return _spell(record).encode("ascii") + b"\n"
+
+
+#: Per declared field type: the test a value must pass for a shape's template
+#: to spell it (only a finite float minus itself is 0.0), and what is formatted.
+_FIELD = {
+    int: ("type({0}) is int", "{0}"),
+    float: ("type({0}) is float and {0} - {0} == 0.0", "{0}"),
+    str: ("type({0}) is str", "esc({0})"),
+}
+
+
+class RecordShape:
+    """One record kind whose keys and value types are fixed.
+
+    Declared from keywords: ``name=int``, ``float`` or ``str`` is a field,
+    any other value a constant.  The constant parts of the canonical line
+    are compiled once, so ``line(*values)`` -- the fields' values in
+    declared order -- is one format operation, and its text is always
+    ``record_line(record(*values))``: values of exactly the declared types
+    (floats finite) take the template; anything else (an int for a float,
+    a bool, NaN) is spelled by ``record_line`` itself, and what JSON cannot
+    spell is a :class:`ValueError`.
+    """
+
+    def __init__(self, **fields: Any) -> None:
+        self.fields = fields
+        self.names = [key for key in fields if isinstance(fields[key], type)]
+        args = ", ".join(f"v{index}" for index in range(len(self.names)))
+        template, tests, values = [], [], []
+        for key in sorted(fields):
+            code = "%s"
+            if key in self.names:
+                test, value = (part.format(f"v{self.names.index(key)}")
+                               for part in _FIELD[fields[key]])
+                tests.append(test)
+                values.append(value + ",")
+            else:
+                code = _spell(fields[key]).replace("%", "%%")
+            template.append(_spell(key).replace("%", "%%") + ":" + code)
+        self.line = eval(  # one function per shape, as namedtuple builds its own
+            f"lambda {args}: template % ({' '.join(values)}) "
+            f"if {' and '.join(tests) or True} else reference({args})",
+            {"template": "{" + ",".join(template) + "}\n",
+             "esc": encode_basestring_ascii, "reference": self._reference})
+
+    def record(self, *values: Any) -> Dict[str, Any]:
+        """The record that ``line(*values)`` spells."""
+        return {**self.fields, **dict(zip(self.names, values, strict=True))}
+
+    def _reference(self, *values: Any) -> str:
+        try:
+            return record_line(self.record(*values)).decode("ascii")
+        except TypeError as exc:
+            raise ValueError(f"not a JSON value: {exc}") from None
 
 
 class NdjsonWriter:
     """Incremental stream writer: header line first, one record per line.
 
     ``offset`` is the number of bytes written so far, i.e. the byte offset
-    the next record will start at.
+    the next record will start at.  Lines a :class:`RecordShape` spelled
+    (:meth:`write_line`) are held as text and encoded in one piece at the
+    next flush; :meth:`write` is the path for records whose shape varies.
     """
 
     def __init__(self, path, schema: str,
@@ -68,21 +129,38 @@ class NdjsonWriter:
         self.offset = len(line)
         self.records = 0
         self.closed = False
+        self._lines: List[str] = []
 
     def write(self, record: Dict[str, Any]) -> bytes:
         """Append one record; returns the line written."""
         line = record_line(record)
+        if self._lines:
+            self._flush()  # file order is call order
         self._file.write(line)
         self.offset += len(line)
         self.records += 1
         if self.records % FLUSH_EVERY == 0:
-            self._file.flush()
+            self._flush()
         return line
+
+    def write_line(self, line: str) -> None:
+        """Append one record given as the line a :class:`RecordShape` spelled."""
+        self._lines.append(line)
+        self.offset += len(line)
+        self.records += 1
+        if self.records % FLUSH_EVERY == 0:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._lines:
+            self._file.write("".join(self._lines).encode("ascii"))
+            self._lines.clear()
+        self._file.flush()
 
     def close(self) -> None:
         if not self.closed:
             self.closed = True
-            self._file.flush()
+            self._flush()
             self._file.close()
 
     def __enter__(self) -> "NdjsonWriter":

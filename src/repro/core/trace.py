@@ -22,43 +22,25 @@ registry, histograms, sampler, event log -- lives in
   percentiles from a spilled run; ``python -m repro trace report
   <run_dir>`` is the CLI front end.
 
-Span records (``spans.ndjson``) -- all carry ``t`` (sim-time), ``id``
-(per-run trace id, dense from 1) and ``ev``:
-
-``sub``
-    query submitted by an agent: ``n`` agent, ``op``, ``key``.
-``qtx``
-    one (re)transmission: ``n`` agent, ``r`` retry index, ``dst`` IP.
-``htx`` / ``hrx``
-    host TX/RX path: ``n`` host, ``d`` stack delay, ``q`` NIC-queue wait
-    (omitted when zero).
-``lnk``
-    link transit: ``n`` link, ``l`` latency (propagation+serialization).
-``swq``
-    switch ingress: ``n`` switch, ``w`` queue wait (omitted when zero),
-    ``p`` pipeline delay.
-``swp``
-    switch-program stage on a chain hop: ``n`` switch, ``op``, ``vg``
-    vgroup, ``sc`` remaining chain hops (chain position).
-``rep`` / ``tmo``
-    terminal reply / retry exhaustion: ``n`` agent, ``st`` status,
-    ``l`` end-to-end latency, ``r`` retries.
-
-Nothing machine- or process-dependent appears in any record: trace ids
-are allocated per run (not the process-global query ids), times are
-sim-times, and the header carries only the deployment meta.
+The span records of ``spans.ndjson`` are declared once, as
+:data:`SPAN_SHAPES` below.  Nothing machine- or process-dependent appears
+in any record: trace ids are allocated per run (not the process-global
+query ids), times are sim-times, and the header carries only the
+deployment meta.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 # ``TraceWriter`` is the name benchmarks/hostbench constructs the writer under.
 from repro.artifacts import NdjsonWriter as TraceWriter
-from repro.artifacts import read_header, scan
+from repro.artifacts import RecordShape, read_header, scan
 from repro.core.history_store import encode_bytes
+from repro.core.protocol import OpCode, QueryStatus
 from repro.netsim.telemetry import (
     ControlEventLog,
     MetricsRegistry,
@@ -83,6 +65,33 @@ STAGES = ("host_stack", "nic_queue", "link", "switch_queue",
           "switch_pipeline")
 
 
+# The span kinds.  Every span carries ``ev``, ``t`` (sim-time), ``id`` (per-run
+# trace id, dense from 1) and ``n`` (the agent, host, link or switch emitting
+# it); a hook passes the values in the order declared.  The variant under a
+# kind adds the one field that is omitted when it is zero.
+_SPAN = {"t": float, "id": int, "n": str}
+_SUB = RecordShape(ev="sub", **_SPAN, op=str, key=str)  # query submitted by an agent
+_QTX = RecordShape(ev="qtx", **_SPAN, r=int, dst=str)  # one (re)transmission: retry index, IP
+_HTX = RecordShape(ev="htx", **_SPAN, d=float)  # host TX path: d stack delay
+_HTX_Q = RecordShape(**_HTX.fields, q=float)  # ... q NIC-queue wait
+_HRX = RecordShape(ev="hrx", **_SPAN, d=float)  # host RX path: d stack delay
+_HRX_Q = RecordShape(**_HRX.fields, q=float)  # ... q NIC-queue wait
+_LNK = RecordShape(ev="lnk", **_SPAN, l=float)  # link transit: propagation + serialization
+_SWQ = RecordShape(ev="swq", **_SPAN, p=float)  # switch ingress: p pipeline delay
+_SWQ_W = RecordShape(**_SWQ.fields, w=float)  # ... w queue wait
+_SWP = RecordShape(ev="swp", **_SPAN, op=str, vg=int, sc=int)  # chain hop: vgroup, hops left
+_REP = RecordShape(ev="rep", **_SPAN, st=str, l=float)  # reply: status, end-to-end latency
+_REP_R = RecordShape(**_REP.fields, r=int)  # ... r retries
+_TMO = RecordShape(ev="tmo", **_SPAN, r=int)  # retry exhaustion: r retries
+#: The nine span kinds of ``spans.ndjson`` and their optional-field variants.
+SPAN_SHAPES = (_SUB, _QTX, _HTX, _HTX_Q, _HRX, _HRX_Q, _LNK, _SWQ, _SWQ_W,
+               _SWP, _REP, _REP_R, _TMO)
+
+_OP_NAMES = {op: op.name.lower() for op in OpCode}
+_STATUS_NAMES = {status: status.name.lower() for status in QueryStatus}
+
+
+@lru_cache(maxsize=1 << 16)
 def _key_label(raw: bytes) -> str:
     """Human-readable spelling of a fixed-width key (trailing NULs stripped)."""
     return encode_bytes(raw.rstrip(b"\x00")) or ""
@@ -101,8 +110,7 @@ class Tracer:
     """
 
     __slots__ = ("sim", "writer", "registry", "trace_packets",
-                 "sample_every", "submits", "span_count", "opmix",
-                 "_next_id")
+                 "sample_every", "submits", "opmix", "_next_id", "_latency")
 
     def __init__(self, sim, writer: Optional[TraceWriter] = None,
                  registry: Optional[MetricsRegistry] = None,
@@ -113,20 +121,22 @@ class Tracer:
         self.trace_packets = trace_packets and writer is not None
         self.sample_every = max(1, sample_every)
         self.submits = 0
-        self.span_count = 0
         #: ``(vgroup, op_name) -> completed queries`` -- sampled into the
         #: metrics time series and totalled in the summary.
         self.opmix: Dict[Tuple[int, str], int] = {}
         self._next_id = 1
+        #: ``op_name -> histograms`` a reply's latency is recorded into.
+        self._latency: Dict[str, list] = {}
 
     @property
     def traces(self) -> int:
         """Trace ids allocated so far."""
         return self._next_id - 1
 
-    def _span(self, record: Dict[str, Any]) -> None:
-        self.span_count += 1
-        self.writer.write(record)
+    @property
+    def span_count(self) -> int:
+        """Spans written so far (the span file holds nothing else)."""
+        return self.writer.records if self.writer is not None else 0
 
     # ------------------------------------------------------------------ #
     # Agent hooks.
@@ -141,36 +151,43 @@ class Tracer:
             return 0
         tid = self._next_id
         self._next_id = tid + 1
-        self._span({"t": self.sim._now, "id": tid, "ev": "sub",
-                    "n": agent.name, "op": pending.op_name or pending.op.name.lower(),
-                    "key": _key_label(pending.key)})
+        self.writer.write_line(_SUB.line(
+            self.sim._now, tid, agent.name,
+            pending.op_name or _OP_NAMES[pending.op], _key_label(pending.key)))
         return tid
 
     def query_tx(self, agent, pending, dst_ip: str) -> None:
-        self._span({"t": self.sim._now, "id": pending.trace_id, "ev": "qtx",
-                    "n": agent.name, "r": pending.retries, "dst": dst_ip})
+        self.writer.write_line(_QTX.line(
+            self.sim._now, pending.trace_id, agent.name, pending.retries, dst_ip))
 
     def query_reply(self, agent, pending, header, latency: float) -> None:
         registry = self.registry
         if registry is not None:
-            registry.histogram("query_latency_s").record(latency)
-            if pending.op_name:
-                registry.histogram(f"query_latency_s:{pending.op_name}").record(latency)
-        if pending.trace_id:
-            rec = {"t": self.sim._now, "id": pending.trace_id, "ev": "rep",
-                   "n": agent.name, "st": header.status.name.lower(),
-                   "l": latency}
-            if pending.retries:
-                rec["r"] = pending.retries
-            self._span(rec)
+            op_name = pending.op_name
+            histograms = self._latency.get(op_name)
+            if histograms is None:
+                histograms = self._latency[op_name] = [
+                    registry.histogram("query_latency_s")]
+                if op_name:
+                    histograms.append(
+                        registry.histogram(f"query_latency_s:{op_name}"))
+            for histogram in histograms:
+                histogram.record(latency)
+        tid = pending.trace_id
+        if tid:
+            status = _STATUS_NAMES[header.status]
+            self.writer.write_line(
+                _REP_R.line(self.sim._now, tid, agent.name, status, latency,
+                            pending.retries) if pending.retries else
+                _REP.line(self.sim._now, tid, agent.name, status, latency))
 
     def query_timeout(self, agent, pending) -> None:
         registry = self.registry
         if registry is not None:
             registry.inc("query_timeouts")
         if pending.trace_id:
-            self._span({"t": self.sim._now, "id": pending.trace_id,
-                        "ev": "tmo", "n": agent.name, "r": pending.retries})
+            self.writer.write_line(_TMO.line(
+                self.sim._now, pending.trace_id, agent.name, pending.retries))
 
     # ------------------------------------------------------------------ #
     # Netsim hooks (hosts, links, switches).
@@ -180,39 +197,37 @@ class Tracer:
         tid = packet.trace_id
         if tid:
             stack = host.config.stack_delay
-            rec = {"t": self.sim._now, "id": tid, "ev": "htx",
-                   "n": host.name, "d": stack}
             queue = delay - stack
-            if queue > 0:
-                rec["q"] = queue
-            self._span(rec)
+            self.writer.write_line(
+                _HTX_Q.line(self.sim._now, tid, host.name, stack, queue)
+                if queue > 0 else
+                _HTX.line(self.sim._now, tid, host.name, stack))
 
     def host_rx(self, host, packet, delay: float) -> None:
         tid = packet.trace_id
         if tid:
             stack = host.config.stack_delay
-            rec = {"t": self.sim._now, "id": tid, "ev": "hrx",
-                   "n": host.name, "d": stack}
             queue = delay - stack
-            if queue > 0:
-                rec["q"] = queue
-            self._span(rec)
+            self.writer.write_line(
+                _HRX_Q.line(self.sim._now, tid, host.name, stack, queue)
+                if queue > 0 else
+                _HRX.line(self.sim._now, tid, host.name, stack))
 
     def link_tx(self, link, packet, latency: float, size: int) -> None:
         link.tel_bits += size * 8.0
         tid = packet.trace_id
         if tid:
-            self._span({"t": self.sim._now, "id": tid, "ev": "lnk",
-                        "n": link.name, "l": latency})
+            self.writer.write_line(
+                _LNK.line(self.sim._now, tid, link.name, latency))
 
     def switch_enq(self, switch, packet, wait: float) -> None:
         tid = packet.trace_id
         if tid:
-            rec = {"t": self.sim._now, "id": tid, "ev": "swq",
-                   "n": switch.name, "p": switch.config.pipeline_delay}
-            if wait > 0:
-                rec["w"] = wait
-            self._span(rec)
+            pipeline = switch.config.pipeline_delay
+            self.writer.write_line(
+                _SWQ_W.line(self.sim._now, tid, switch.name, pipeline, wait)
+                if wait > 0 else
+                _SWQ.line(self.sim._now, tid, switch.name, pipeline))
 
     # ------------------------------------------------------------------ #
     # Switch-program hooks.
@@ -221,13 +236,13 @@ class Tracer:
     def switch_stage(self, switch, packet, header) -> None:
         tid = packet.trace_id
         if tid:
-            self._span({"t": self.sim._now, "id": tid, "ev": "swp",
-                        "n": switch.name, "op": header.op.name.lower(),
-                        "vg": header.vgroup, "sc": len(header.chain)})
+            self.writer.write_line(_SWP.line(
+                self.sim._now, tid, switch.name, _OP_NAMES[header.op],
+                header.vgroup, len(header.chain)))
 
     def op_complete(self, header) -> None:
         """Called by the switch program as a reply is minted (op mix)."""
-        key = (header.vgroup, header.op.name.lower())
+        key = (header.vgroup, _OP_NAMES[header.op])
         self.opmix[key] = self.opmix.get(key, 0) + 1
 
 
@@ -371,11 +386,10 @@ def run_info(run_dir) -> dict:
             f"{', '.join(name for name, _ in _FILES)} found)")
     for name, schema in present:
         path = run_dir / name
-        meta, records = read_ndjson(path, schema)
         info[name] = {
             "schema": schema,
-            "meta": meta,
-            "records": len(records),
+            "meta": read_header(path, schema),
+            "records": sum(1 for _record in scan(path, schema)),
             "bytes": path.stat().st_size,
         }
     return info

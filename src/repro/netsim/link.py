@@ -71,6 +71,9 @@ class Link:
         self.telemetry = None
         #: Bits carried (accumulated by the tracer for utilization series).
         self.tel_bits = 0.0
+        #: Stable ``a-b`` label used in fault traces and stats reports (a
+        #: node is named once, at construction).
+        self.name = "-".join(sorted((port_a.node.name, port_b.node.name)))
         port_a.link = self
         port_b.link = self
 
@@ -81,12 +84,6 @@ class Link:
     def set_up(self) -> None:
         """Bring the link back up."""
         self.up = True
-
-    @property
-    def name(self) -> str:
-        """Stable ``a-b`` label used in fault traces and stats reports."""
-        ends = sorted([self.port_a.node.name, self.port_b.node.name])
-        return f"{ends[0]}-{ends[1]}"
 
     def other_end(self, port: Port) -> Port:
         """The port at the opposite end from ``port``."""

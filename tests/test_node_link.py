@@ -38,6 +38,9 @@ def test_connect_creates_ports_and_peers():
     assert b.neighbors() == [a]
     assert a.port_to(b) is a.ports[0]
     assert link.connects(a, b) and link.connects(b, a)
+    # The label does not depend on which end connects, and is computed once.
+    assert link.name == connect(sim, b, a).name == "a-b"
+    assert "name" in vars(link)
 
 
 def test_transmit_delivers_after_propagation_delay():

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from repro.artifacts import TruncatedArtifactError
+from repro.artifacts import NdjsonWriter, TruncatedArtifactError
 from repro.cli import main as repro_cli
 from repro.core import trace as trace_mod
 from repro.core.trace import (
@@ -41,6 +43,10 @@ from repro.netsim.telemetry import (
 SEED = 11
 
 TRACE_FILES = ("spans.ndjson", "metrics.ndjson", "events.ndjson")
+
+#: ``repro trace run`` arguments -> sha256 of each file they must write.
+TRACE_DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "trace_digests.json").read_text())
 
 
 def _spec(seed=SEED, telemetry=None, **overrides) -> DeploymentSpec:
@@ -257,6 +263,16 @@ def test_traced_runs_are_byte_identical(tmp_path):
     assert signatures[0] == signatures[1]
 
 
+@pytest.mark.parametrize("argv", sorted(TRACE_DIGESTS))
+def test_trace_digests_match_the_dict_per_span_writer(tmp_path, capsys, argv):
+    """Cross-commit anchor: ``fixtures/trace_digests.json`` holds the sha256
+    of every file ``repro trace run <argv>`` wrote on the last commit that
+    built a dict and ran ``json.dumps`` per span; no byte may have moved."""
+    assert repro_cli(["trace", "run", *argv.split(), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _dir_digests(tmp_path) == TRACE_DIGESTS[argv]
+
+
 def test_telemetry_does_not_perturb_replay(tmp_path):
     off = _run(_spec(telemetry=None))
     on = _run(_spec(telemetry={"run_dir": str(tmp_path / "run")}))
@@ -285,6 +301,45 @@ def test_trace_run_dir_layout_and_schemas(tmp_path):
         assert line == canonical
     info = run_info(run_dir)
     assert info["spans.ndjson"]["records"] > 0
+
+
+def test_run_info_counts_without_holding_the_records(tmp_path):
+    """``trace info`` on a long run: records are counted as they are scanned,
+    so the peak is a few records, not the file."""
+    spans = 100_000
+    with NdjsonWriter(tmp_path / "spans.ndjson", "trace/v1", meta={"seed": 1}) as writer:
+        for index in range(spans):
+            writer.write_line(trace_mod._LNK.line(index * 1e-6, index + 1, "S0-S1", 2.3e-07))
+    tracemalloc.start()
+    try:
+        info = run_info(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entry = info["spans.ndjson"]
+    assert (entry["records"], entry["meta"]) == (spans, {"seed": 1})
+    assert entry["bytes"] == writer.offset > 50 * peak
+
+
+def test_readme_span_table_is_the_shape_declarations():
+    """One source: the README's span-kind table restates ``SPAN_SHAPES``."""
+    def cell(shape, names):
+        return ", ".join(f"`{name}` {shape.fields[name].__name__}" for name in names)
+
+    declared = {}
+    for shape in trace_mod.SPAN_SHAPES:
+        assert shape.names[:3] == ["t", "id", "n"]
+        ev, own = shape.fields["ev"], shape.names[3:]
+        if ev in declared:  # the variant: the kind's fields, then the optional one
+            assert cell(shape, own[:-1]) == declared[ev][0]
+            declared[ev][1] = cell(shape, own[-1:])
+        else:
+            declared[ev] = [cell(shape, own), ""]
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme[readme.index("| `ev` | fields |"):].split("\n\n")[0].splitlines()[2:]
+    rows = [[text.strip() for text in row.strip("|").split("|")] for row in table]
+    assert {row[0].strip("`"): row[1:3] for row in rows} == declared
+    assert len(declared) == 9
 
 
 def test_trace_breakdowns_account_latency(tmp_path):
