@@ -29,10 +29,6 @@ from repro.core.protocol import (
     OpCode,
     QueryStatus,
     build_query_packet,
-    make_cas,
-    make_delete,
-    make_read,
-    make_write,
     next_query_id,
     normalize_key,
     normalize_value,
@@ -42,6 +38,15 @@ from repro.netsim.packet import Packet
 from repro.netsim.stats import LatencyRecorder
 
 _agent_ports = itertools.count(9000)
+
+#: Hoisted enum members (member access is a metaclass lookup per use),
+#: compared by identity: a header's ``op`` / ``status`` is always a member.
+_READ = OpCode.READ
+_READ_REPLY = OpCode.READ_REPLY
+_WRITE_REPLIES = frozenset((OpCode.WRITE_REPLY, OpCode.CAS_REPLY, OpCode.DELETE_REPLY))
+_OK = QueryStatus.OK
+_KEY_NOT_FOUND = QueryStatus.KEY_NOT_FOUND
+_CAS_FAILED = QueryStatus.CAS_FAILED
 
 
 class QueryTimeout(KVTimeout):
@@ -80,9 +85,8 @@ class AgentConfig:
     udp_port: Optional[int] = None
 
 
-@dataclass(slots=True)
 class _Pending:
-    """One outstanding query.
+    """One outstanding query (built once per op, positionally).
 
     The pending record stores the *operation*, not a frozen packet: every
     transmission (first send and each retry) re-resolves the chain through
@@ -92,20 +96,27 @@ class _Pending:
     what keeps retries useful across reconfigurations.
     """
 
-    op: OpCode
-    key: bytes
-    callback: Optional[Callable[[QueryResult], None]]
-    created_at: float
-    query_id: int
-    value: bytes = b""
-    cas_expected: Optional[bytes] = None
-    future: Optional[KVFuture] = None
-    op_name: str = ""
-    retries: int = 0
-    timer: object = None
-    done: bool = False
-    #: Telemetry trace id (0 = untraced), stamped into every transmission.
-    trace_id: int = 0
+    __slots__ = ("op", "key", "callback", "created_at", "query_id", "value",
+                 "cas_expected", "future", "op_name", "retries", "timer", "trace_id")
+
+    def __init__(self, op: OpCode, key: bytes,
+                 callback: Optional[Callable[[QueryResult], None]],
+                 created_at: float, query_id: int, value: bytes,
+                 cas_expected: Optional[bytes], future: KVFuture,
+                 op_name: str) -> None:
+        self.op = op
+        self.key = key
+        self.callback = callback
+        self.created_at = created_at
+        self.query_id = query_id
+        self.value = value
+        self.cas_expected = cas_expected
+        self.future = future
+        self.op_name = op_name
+        self.retries = 0
+        self.timer = None
+        #: Telemetry trace id (0 = untraced), stamped into every transmission.
+        self.trace_id = 0
 
 
 class NetChainAgent(KVClient):
@@ -137,6 +148,12 @@ class NetChainAgent(KVClient):
         self.read_cache = None
         #: Hot-key-tier rotated-read routing, when the directory offers it.
         self._read_route = getattr(directory, "read_route_for_key", None)
+        #: ``key -> (chain IPs, vgroup, epoch)``, called per transmission.
+        #: Directories that predate chain epochs (custom test doubles) only
+        #: expose ``chain_ips_for_key``; their queries carry epoch 0, which
+        #: every switch accepts until an epoch is explicitly installed.
+        self._route = (getattr(directory, "route_for_key", None)
+                       or (lambda key: (*directory.chain_ips_for_key(key), 0)))
         #: Optional telemetry tracer (:class:`repro.core.trace.Tracer`);
         #: ``None`` keeps the query path untraced.
         self.telemetry = None
@@ -161,7 +178,7 @@ class NetChainAgent(KVClient):
         cache = self.read_cache
         if cache is not None:
             return cache.read(self, key)
-        return self._submit(OpCode.READ, key, op_name="read")
+        return self._submit(_READ, key, op_name="read")
 
     def write(self, key, value) -> KVFuture:
         """Write ``value`` under ``key``; the query enters at the chain head."""
@@ -259,56 +276,36 @@ class NetChainAgent(KVClient):
             error = "timeout"
         else:
             error = status.name.lower() if status is not None else "failed"
-        return KVResult(ok=result.ok, op=op_name, key=result.key, value=result.value,
-                        not_found=status == QueryStatus.KEY_NOT_FOUND,
-                        cas_failed=status == QueryStatus.CAS_FAILED,
-                        timed_out=result.timed_out, error=error,
-                        latency=result.latency, retries=result.retries,
-                        backend=self.backend, raw=result)
-
-    def _route(self, key):
-        """(chain IPs, vgroup, epoch) for a key, from the directory.
-
-        Directories that predate chain epochs (custom test doubles) only
-        expose ``chain_ips_for_key``; their queries carry epoch 0, which
-        every switch accepts until an epoch is explicitly installed.
-        """
-        route = getattr(self.directory, "route_for_key", None)
-        if route is not None:
-            return route(key)
-        chain_ips, vgroup = self.directory.chain_ips_for_key(key)
-        return chain_ips, vgroup, 0
+        return KVResult(result.ok, op_name, result.key, result.value,
+                        status is _KEY_NOT_FOUND, status is _CAS_FAILED,
+                        result.timed_out, error, result.latency, result.retries,
+                        self.backend, result)
 
     def _build_query(self, pending: _Pending) -> Tuple[NetChainHeader, str]:
-        if pending.op == OpCode.READ and self._read_route is not None:
-            # Hot-key tier: rotate reads of widened keys across the wide
-            # chain.  Re-resolved per transmission, so a retry issued
-            # after a widen/narrow follows the current layout.
-            hot = self._read_route(pending.key)
-            if hot is not None:
-                dst_ip, suffix, vgroup, epoch = hot
-                header = NetChainHeader(op=OpCode.READ, key=pending.key,
-                                        chain=list(suffix), vgroup=vgroup,
-                                        epoch=epoch)
-                header.query_id = pending.query_id
-                return header, dst_ip
-        chain_ips, vgroup, epoch = self._route(pending.key)
-        if pending.op == OpCode.READ:
-            header = make_read(pending.key, chain_ips, vgroup=vgroup, epoch=epoch)
-            dst_ip = chain_ips[-1]
-        elif pending.op == OpCode.CAS:
-            header = make_cas(pending.key, pending.cas_expected, pending.value,
-                              chain_ips, vgroup=vgroup, epoch=epoch)
-            dst_ip = chain_ips[0]
-        elif pending.op == OpCode.DELETE:
-            header = make_delete(pending.key, chain_ips, vgroup=vgroup, epoch=epoch)
-            dst_ip = chain_ips[0]
-        else:
-            header = make_write(pending.key, pending.value, chain_ips,
-                                vgroup=vgroup, epoch=epoch)
-            dst_ip = chain_ips[0]
-        header.query_id = pending.query_id
-        return header, dst_ip
+        """The header of one transmission and the switch it is addressed to,
+        spelled as ``make_read|write|cas|delete`` spell them but in one
+        positional call that carries the pending query's id, key and value
+        as already normalised at submit."""
+        op, key = pending.op, pending.key
+        if op is _READ:
+            if self._read_route is not None:
+                # Hot-key tier: rotate reads of widened keys across the wide
+                # chain.  Re-resolved per transmission, so a retry issued
+                # after a widen/narrow follows the current layout.
+                hot = self._read_route(key)
+                if hot is not None:
+                    dst_ip, suffix, vgroup, epoch = hot
+                    return NetChainHeader(_READ, key, b"", 0, 0, list(suffix), vgroup,
+                                          epoch, pending.query_id), dst_ip
+            # Addressed to the tail, the rest of the chain in reverse order.
+            chain_ips, vgroup, epoch = self._route(key)
+            return NetChainHeader(_READ, key, b"", 0, 0, list(chain_ips[-2::-1]),
+                                  vgroup, epoch, pending.query_id), chain_ips[-1]
+        # Write, CAS, delete: addressed to the head, the rest in chain order.
+        chain_ips, vgroup, epoch = self._route(key)
+        return NetChainHeader(op, key, pending.value, 0, 0, list(chain_ips[1:]), vgroup,
+                              epoch, pending.query_id, _OK,
+                              pending.cas_expected), chain_ips[0]
 
     def _submit(self, op: OpCode, key, value: bytes = b"",
                 cas_expected: Optional[bytes] = None,
@@ -316,12 +313,10 @@ class NetChainAgent(KVClient):
                 op_name: str = "") -> KVFuture:
         raw_key = normalize_key(key)
         query_id = next_query_id()
-        future = KVFuture(self.sim, op=op_name, key=raw_key)
+        future = KVFuture(self.sim, op_name, raw_key)
         future.query_id = query_id
-        pending = _Pending(op=op, key=raw_key, callback=callback,
-                           created_at=self.sim.now, query_id=query_id,
-                           value=value, cas_expected=cas_expected,
-                           future=future, op_name=op_name)
+        pending = _Pending(op, raw_key, callback, self.sim._now, query_id, value,
+                           cas_expected, future, op_name)
         self._pending[query_id] = pending
         tel = self.telemetry
         if tel is not None:
@@ -332,7 +327,7 @@ class NetChainAgent(KVClient):
     def _transmit(self, pending: _Pending) -> None:
         header, dst_ip = self._build_query(pending)
         packet = build_query_packet(self.host.ip, self.udp_port, dst_ip, header,
-                                    created_at=pending.created_at)
+                                    pending.created_at)
         if pending.trace_id:
             packet.trace_id = pending.trace_id
             tel = self.telemetry
@@ -344,11 +339,10 @@ class NetChainAgent(KVClient):
 
     def _on_timeout(self, query_id: int) -> None:
         pending = self._pending.get(query_id)
-        if pending is None or pending.done:
-            return
+        if pending is None:
+            return  # answered: a pending query leaves the table exactly once
         if pending.retries >= self.config.max_retries:
             self._pending.pop(query_id, None)
-            pending.done = True
             self.timeouts += 1
             self.failed += 1
             result = QueryResult(ok=False, op=pending.op, key=pending.key,
@@ -365,26 +359,28 @@ class NetChainAgent(KVClient):
 
     def _on_packet(self, packet: Packet) -> None:
         header = packet.payload
-        if type(header) is not NetChainHeader or header.op not in REPLY_OPS:
+        if type(header) is not NetChainHeader:
+            return
+        op = header.op
+        if op not in REPLY_OPS:
             return
         pending = self._pending.pop(header.query_id, None)
-        if pending is None or pending.done:
+        if pending is None:
             return  # duplicate or late reply from a retried query
-        pending.done = True
         if pending.timer is not None:
             pending.timer.cancel()
         latency = self.sim._now - pending.created_at
-        ok = header.status == QueryStatus.OK
-        result = QueryResult(ok=ok, op=header.op, key=header.key, status=header.status,
-                             value=header.value, seq=header.seq, session=header.session,
-                             latency=latency, retries=pending.retries)
+        status = header.status
+        ok = status is _OK
+        result = QueryResult(ok, op, header.key, status, header.value, header.seq,
+                             header.session, latency, pending.retries)
         self.completed += 1
         if not ok:
             self.failed += 1
         self.latency.record(latency)
-        if header.op == OpCode.READ_REPLY:
+        if op is _READ_REPLY:
             self.read_latency.record(latency)
-        elif header.op in (OpCode.WRITE_REPLY, OpCode.CAS_REPLY, OpCode.DELETE_REPLY):
+        elif op in _WRITE_REPLIES:
             self.write_latency.record(latency)
         tel = self.telemetry
         if tel is not None:
@@ -396,5 +392,4 @@ class NetChainAgent(KVClient):
             self.results_log.append(result)
         if pending.callback is not None:
             pending.callback(result)
-        if pending.future is not None:
-            pending.future.resolve(self._to_kv(result, pending.op_name))
+        pending.future.resolve(self._to_kv(result, pending.op_name))

@@ -77,7 +77,8 @@ class KVFuture:
 
     #: Slots (futures are allocated once per operation): the two optional
     #: trailing fields are backend correlation ids (``query_id`` for the
-    #: NetChain agent, ``xid`` for the ZooKeeper client).
+    #: NetChain agent, ``xid`` for the ZooKeeper client).  ``_callbacks`` is
+    #: ``None``, the one continuation most futures get, or a list of several.
     __slots__ = ("sim", "op", "key", "_result", "_done", "_callbacks",
                  "query_id", "xid")
 
@@ -87,7 +88,7 @@ class KVFuture:
         self.key = key
         self._result: Any = None
         self._done = False
-        self._callbacks: List[Callable[[Any], None]] = []
+        self._callbacks: Any = None
         self.query_id: Optional[int] = None
         self.xid: Optional[int] = None
 
@@ -107,9 +108,12 @@ class KVFuture:
             return
         self._done = True
         self._result = result
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(result)
+        callbacks, self._callbacks = self._callbacks, None
+        if type(callbacks) is list:
+            for callback in callbacks:
+                callback(result)
+        elif callbacks is not None:
+            callbacks(result)
 
     # -- composition ----------------------------------------------------- #
 
@@ -121,8 +125,12 @@ class KVFuture:
         """
         if self._done:
             callback(self._result)
-        else:
+        elif self._callbacks is None:
+            self._callbacks = callback
+        elif type(self._callbacks) is list:
             self._callbacks.append(callback)
+        else:
+            self._callbacks = [self._callbacks, callback]
         return self
 
     # -- waiting --------------------------------------------------------- #

@@ -196,11 +196,14 @@ class SwitchKVStore:
             return self._loc_of_key.get(key)
         return self._loc_of_key.get(normalize_key(key))
 
+    def load_loc(self, loc: int) -> Tuple[bytes, int, int, bool]:
+        """``(value, seq, session, valid)`` at ``loc``: the per-query register read."""
+        return (self._value_data[loc], self._seq_data[loc],
+                self._session_data[loc], self._valid_data[loc])
+
     def read_loc(self, loc: int) -> StoredItem:
         """Read the value, sequence and session stored at ``loc``."""
-        return StoredItem(value=self._value_data[loc], seq=self._seq_data[loc],
-                          session=self._session_data[loc],
-                          valid=self._valid_data[loc])
+        return StoredItem(*self.load_loc(loc))
 
     def write_loc(self, loc: int, value: bytes, seq: int, session: int = 0,
                   valid: bool = True) -> None:
@@ -214,13 +217,16 @@ class SwitchKVStore:
                 and value_len > self.switch.max_value_bytes_per_pass()):
             raise ValueTooLargeError(
                 f"value of {value_len} bytes needs recirculation, which is disabled")
-        stage_bytes = self.stage_bytes
-        start = 0
-        for data in self._stage_data:
-            data[loc] = value[start:start + stage_bytes] if start < value_len else b""
-            start += stage_bytes
-        self._value_data[loc] = value
-        self._vlen_data[loc] = value_len
+        if value != self._value_data[loc]:
+            # The stage arrays already spell an equal value (every value
+            # write goes through here), so only a new value is restriped.
+            stage_bytes = self.stage_bytes
+            start = 0
+            for data in self._stage_data:
+                data[loc] = value[start:start + stage_bytes] if start < value_len else b""
+                start += stage_bytes
+            self._value_data[loc] = value
+            self._vlen_data[loc] = value_len
         self._seq_data[loc] = seq
         self._session_data[loc] = session
         self._valid_data[loc] = valid

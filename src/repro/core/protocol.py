@@ -54,13 +54,9 @@ KEY_BYTES = 16
 #: 128 bytes with 8 stages x 16 bytes).
 MAX_PROTOTYPE_VALUE_BYTES = 128
 
-_query_ids = itertools.count(1)
-
-
-def next_query_id() -> int:
-    """Allocate a globally unique query id (shared with header defaults, so
-    client-chosen ids never collide with implicitly numbered headers)."""
-    return next(_query_ids)
+#: Allocate a globally unique query id (shared with header defaults, so
+#: client-chosen ids never collide with implicitly numbered headers).
+next_query_id = itertools.count(1).__next__
 
 
 class OpCode(IntEnum):
@@ -154,7 +150,9 @@ class NetChainHeader:
     chain: List[str] = field(default_factory=list)
     vgroup: int = 0
     epoch: int = 0
-    query_id: int = field(default_factory=lambda: next(_query_ids))
+    #: Drawn from :data:`next_query_id` only when the caller passes none
+    #: (the agent passes the pending query's id, so an op consumes one).
+    query_id: int = field(default_factory=next_query_id)
     status: QueryStatus = QueryStatus.OK
     cas_expected: Optional[bytes] = None
 
@@ -210,18 +208,14 @@ class NetChainHeader:
             cas_expected: Optional[bytes] = None
         else:
             cas_expected = data[offset:offset + cas_len]
-        return cls(op=OpCode(op), key=key, value=value, seq=seq, session=session,
-                   chain=chain, vgroup=vgroup, epoch=epoch, query_id=query_id,
-                   status=QueryStatus(status), cas_expected=cas_expected)
+        return cls(OpCode(op), key, value, seq, session, chain, vgroup, epoch,
+                   query_id, QueryStatus(status), cas_expected)
 
     def copy(self) -> "NetChainHeader":
         """Deep-enough copy for retransmissions and forwarding."""
-        return NetChainHeader(op=self.op, key=self.key, value=self.value,
-                              seq=self.seq, session=self.session,
-                              chain=list(self.chain), vgroup=self.vgroup,
-                              epoch=self.epoch, query_id=self.query_id,
-                              status=self.status,
-                              cas_expected=self.cas_expected)
+        return NetChainHeader(self.op, self.key, self.value, self.seq, self.session,
+                              list(self.chain), self.vgroup, self.epoch,
+                              self.query_id, self.status, self.cas_expected)
 
     def is_request(self) -> bool:
         return self.op in REQUEST_OPS
@@ -233,10 +227,9 @@ class NetChainHeader:
 def build_query_packet(client_ip: str, client_port: int, dst_ip: str,
                        header: NetChainHeader, created_at: float = 0.0) -> Packet:
     """Wrap a NetChain header into a UDP packet addressed to ``dst_ip``."""
-    return Packet(ip=IPv4Header(src_ip=client_ip, dst_ip=dst_ip),
-                  udp=UDPHeader(src_port=client_port, dst_port=NETCHAIN_UDP_PORT),
-                  payload=header, payload_bytes=header.wire_size(),
-                  created_at=created_at)
+    return Packet(None, IPv4Header(client_ip, dst_ip),
+                  UDPHeader(client_port, NETCHAIN_UDP_PORT),
+                  header, header.wire_size(), None, 0, created_at)
 
 
 def make_read(key, chain_ips: List[str], vgroup: int = 0,
@@ -249,9 +242,8 @@ def make_read(key, chain_ips: List[str], vgroup: int = 0,
     The caller addresses the packet to ``chain_ips[-1]`` (the tail); the
     header's chain list holds the remaining switches from the tail backwards.
     """
-    remaining = list(chain_ips[-2::-1])
-    return NetChainHeader(op=OpCode.READ, key=normalize_key(key), chain=remaining,
-                          vgroup=vgroup, epoch=epoch)
+    return NetChainHeader(OpCode.READ, normalize_key(key), b"", 0, 0,
+                          list(chain_ips[-2::-1]), vgroup, epoch)
 
 
 def make_write(key, value, chain_ips: List[str], vgroup: int = 0,
@@ -261,29 +253,24 @@ def make_write(key, value, chain_ips: List[str], vgroup: int = 0,
     Write queries are addressed to the head; the header carries the rest of
     the chain in traversal order (head to tail).
     """
-    remaining = list(chain_ips[1:])
-    return NetChainHeader(op=OpCode.WRITE, key=normalize_key(key),
-                          value=normalize_value(value), chain=remaining,
-                          vgroup=vgroup, epoch=epoch)
+    return NetChainHeader(OpCode.WRITE, normalize_key(key), normalize_value(value),
+                          0, 0, list(chain_ips[1:]), vgroup, epoch)
 
 
 def make_cas(key, expected, new_value, chain_ips: List[str], vgroup: int = 0,
              epoch: int = 0) -> NetChainHeader:
     """Build a compare-and-swap query (write path, conditional on ``expected``)."""
-    remaining = list(chain_ips[1:])
-    return NetChainHeader(op=OpCode.CAS, key=normalize_key(key),
-                          value=normalize_value(new_value),
-                          cas_expected=normalize_value(expected),
-                          chain=remaining, vgroup=vgroup, epoch=epoch)
+    return NetChainHeader(OpCode.CAS, normalize_key(key), normalize_value(new_value),
+                          0, 0, list(chain_ips[1:]), vgroup, epoch,
+                          cas_expected=normalize_value(expected))
 
 
 def make_delete(key, chain_ips: List[str], vgroup: int = 0,
                 epoch: int = 0) -> NetChainHeader:
     """Build a delete query header (data-plane invalidation; the control
     plane garbage-collects the slot, Section 4.1)."""
-    remaining = list(chain_ips[1:])
-    return NetChainHeader(op=OpCode.DELETE, key=normalize_key(key), chain=remaining,
-                          vgroup=vgroup, epoch=epoch)
+    return NetChainHeader(OpCode.DELETE, normalize_key(key), b"", 0, 0,
+                          list(chain_ips[1:]), vgroup, epoch)
 
 
 def make_clean(key, seq: int, session: int, vgroup: int = 0,

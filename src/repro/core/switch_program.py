@@ -47,11 +47,19 @@ from repro.netsim.switch import PipelineAction, PipelineProgram, Switch
 
 _rule_ids = itertools.count(1)
 
-#: Module-level aliases for the hot pipeline path (enum member access is an
-#: attribute lookup per use).
+#: Module-level aliases for the hot pipeline path (enum member access is a
+#: metaclass lookup per use).  Ops and statuses are compared by identity:
+#: every header's ``op`` / ``status`` is an enum member, whether the agent,
+#: this program or ``NetChainHeader.from_bytes`` built it.
 _CONTINUE = PipelineAction.CONTINUE
 _FORWARD = PipelineAction.FORWARD
 _DROP = PipelineAction.DROP
+_READ = OpCode.READ
+_CAS = OpCode.CAS
+_DELETE = OpCode.DELETE
+_CLEAN = OpCode.CLEAN
+_OK = QueryStatus.OK
+_KEY_NOT_FOUND = QueryStatus.KEY_NOT_FOUND
 
 
 @dataclass
@@ -83,7 +91,7 @@ class RedirectRule:
             return False
         if self.vgroups is not None and header.vgroup not in self.vgroups:
             return False
-        if self.write_only and header.op == OpCode.READ:
+        if self.write_only and header.op is _READ:
             return False
         return True
 
@@ -240,7 +248,8 @@ class NetChainSwitchProgram(PipelineProgram):
         # the query.
         ip = packet.ip
         my_ip = switch.ip
-        if ip.dst_ip == my_ip and header.op in REPLY_OPS:
+        local = ip.dst_ip == my_ip
+        if local and header.op in REPLY_OPS:
             # A reply addressed to a switch is a protocol error; drop it
             # rather than forward it in a loop.
             return _DROP
@@ -249,7 +258,7 @@ class NetChainSwitchProgram(PipelineProgram):
             # Fast path: no failure-handling rules installed (the steady
             # state).  Process locally-addressed queries once and forward;
             # the rule/processing alternation below cannot trigger.
-            if ip.dst_ip != my_ip or header.op not in REQUEST_OPS:
+            if not local or header.op not in REQUEST_OPS:
                 return _FORWARD
             if not self.active:
                 return _DROP
@@ -280,7 +289,7 @@ class NetChainSwitchProgram(PipelineProgram):
                     packet.ip.dst_ip = header.chain.pop(0)
                     continue
                 # The failed switch was the last hop: reply on its behalf.
-                self._make_reply(switch, packet, header, QueryStatus.OK)
+                self._make_reply(switch, packet, header, _OK)
                 return _FORWARD
             raise ValueError(f"unknown rule kind {rule.kind!r}")
         return _FORWARD
@@ -297,13 +306,10 @@ class NetChainSwitchProgram(PipelineProgram):
 
     def _process_query(self, switch: Switch, packet: Packet,
                        header: NetChainHeader) -> PipelineAction:
-        if not header.is_request():
-            # A reply addressed to the switch itself is a protocol error;
-            # drop it rather than loop.
-            return _DROP
         tel = self.telemetry
         if tel is not None:
             tel.switch_stage(switch, packet, header)
+        op = header.op
         # Reconfiguration guards, checked before the store lookup so a
         # straggler addressed under a superseded chain layout drops even
         # after its keys were garbage-collected here (replying NOT_FOUND
@@ -312,41 +318,36 @@ class NetChainSwitchProgram(PipelineProgram):
         if installed_epoch is not None and header.epoch < installed_epoch:
             self.stats.dropped_stale_epoch += 1
             return _DROP
-        if (header.vgroup in self.frozen_write_vgroups
-                and header.op != OpCode.READ):
+        if op is not _READ and header.vgroup in self.frozen_write_vgroups:
             # Migration phase 1: the group's state is being synchronized;
             # writes drop and the client's retry lands after the commit.
             self.stats.dropped_frozen += 1
             return _DROP
-        if header.op == OpCode.CLEAN:
+        if op is _CLEAN:
             # Hot-key tier: a clean-version notification from the wide
             # tail.  Pure metadata -- no store access, never replied to.
             # Losing one only leaves the replica dirty (it keeps
             # forwarding reads to the tail) until the next commit.
             return self._apply_clean(header)
-        if self.kvstore is None:
-            # A transit-only switch (no storage role) addressed directly:
-            # treat as a miss.
-            self.stats.misses += 1
-            if self.reply_on_miss:
-                self._make_reply(switch, packet, header, QueryStatus.KEY_NOT_FOUND)
-                return _FORWARD
-            return _DROP
-        loc = self.kvstore.lookup(header.key)
+        # A transit-only switch (no storage role) addressed directly is a miss.
+        store = self.kvstore
+        loc = store.lookup(header.key) if store is not None else None
         if loc is None:
             self.stats.misses += 1
             if self.reply_on_miss:
-                self._make_reply(switch, packet, header, QueryStatus.KEY_NOT_FOUND)
+                self._make_reply(switch, packet, header, _KEY_NOT_FOUND)
                 return _FORWARD
             return _DROP
-        self._charge_recirculation(switch, header)
-        if header.op == OpCode.READ:
+        cfg = switch.config
+        if len(header.value) > cfg.value_stages * cfg.stage_value_bytes:
+            self._charge_recirculation(switch, header)  # more than one pass
+        if op is _READ:
             return self._process_read(switch, packet, header, loc)
         return self._process_write(switch, packet, header, loc)
 
     def _process_read(self, switch: Switch, packet: Packet, header: NetChainHeader,
                       loc: int) -> PipelineAction:
-        item = self.kvstore.read_loc(loc)
+        value, seq, session, valid = self.kvstore.load_loc(loc)
         self.stats.reads += 1
         hotkeys = self.hotkeys
         if hotkeys is not None:
@@ -357,45 +358,46 @@ class NetChainSwitchProgram(PipelineProgram):
             # read only while its copy is clean (== committed); dirty
             # copies forward toward the wide tail, which always serves.
             clean = gate.get(header.key)
-            if clean is not None and (item.session, item.seq) != clean:
+            if clean is not None and (session, seq) != clean:
                 packet.ip.dst_ip = header.chain.pop(0)
                 packet.payload_bytes = header.wire_size()
                 self.stats.reads_forwarded_dirty += 1
                 return _FORWARD
-        if not item.valid:
-            self._make_reply(switch, packet, header, QueryStatus.KEY_NOT_FOUND)
+        if not valid:
+            self._make_reply(switch, packet, header, _KEY_NOT_FOUND)
             return _FORWARD
-        header.value = item.value
-        header.seq = item.seq
-        header.session = item.session
-        self._make_reply(switch, packet, header, QueryStatus.OK)
+        header.value = value
+        header.seq = seq
+        header.session = session
+        self._make_reply(switch, packet, header, _OK)
         return _FORWARD
 
     def _process_write(self, switch: Switch, packet: Packet, header: NetChainHeader,
                        loc: int) -> PipelineAction:
-        stored = self.kvstore.read_loc(loc)
-        is_head = header.seq == 0 and header.session == 0
-        if is_head:
+        store = self.kvstore
+        stored_value, stored_seq, stored_session, _valid = store.load_loc(loc)
+        op = header.op
+        if header.seq == 0 and header.session == 0:
             # Head: assign a monotonically increasing version.  A new head
             # promoted after a failure uses a larger session number so its
             # versions order after everything the failed head issued.
-            session = max(self.head_sessions.get(header.vgroup, 0), stored.session)
-            header.session = session
-            header.seq = stored.seq + 1
-            if header.op == OpCode.CAS and stored.value != (header.cas_expected or b""):
+            header.session = max(self.head_sessions.get(header.vgroup, 0), stored_session)
+            header.seq = stored_seq + 1
+            if op is _CAS and stored_value != (header.cas_expected or b""):
                 self.stats.cas_failures += 1
-                header.value = stored.value
+                header.value = stored_value
                 self._make_reply(switch, packet, header, QueryStatus.CAS_FAILED)
                 return _FORWARD
-            self._apply_write(loc, header)
+        elif (header.session, header.seq) <= (stored_session, stored_seq):
+            # Stale write: Algorithm 1 line 13, Drop().  The client's
+            # retry (writes are idempotent) will carry a newer version.
+            self.stats.writes_stale_dropped += 1
+            return _DROP
+        if op is _DELETE:
+            store.write_loc(loc, b"", header.seq, header.session, False)
         else:
-            if (header.session, header.seq) > (stored.session, stored.seq):
-                self._apply_write(loc, header)
-            else:
-                # Stale write: Algorithm 1 line 13, Drop().  The client's
-                # retry (writes are idempotent) will carry a newer version.
-                self.stats.writes_stale_dropped += 1
-                return _DROP
+            store.write_loc(loc, header.value, header.seq, header.session, True)
+        self.stats.writes_applied += 1
         if header.chain:
             packet.ip.dst_ip = header.chain.pop(0)
             packet.payload_bytes = header.wire_size()
@@ -408,7 +410,7 @@ class NetChainSwitchProgram(PipelineProgram):
             targets = notify.get(header.key)
             if targets is not None:
                 self._send_clean(switch, header, targets)
-        self._make_reply(switch, packet, header, QueryStatus.OK)
+        self._make_reply(switch, packet, header, _OK)
         return _FORWARD
 
     def _apply_clean(self, header: NetChainHeader) -> "PipelineAction":
@@ -436,21 +438,12 @@ class NetChainSwitchProgram(PipelineProgram):
             switch.forward(packet)
             self.stats.clean_notifications += 1
 
-    def _apply_write(self, loc: int, header: NetChainHeader) -> None:
-        valid = header.op != OpCode.DELETE
-        value = b"" if header.op == OpCode.DELETE else header.value
-        self.kvstore.write_loc(loc, value, header.seq, header.session, valid=valid)
-        self.stats.writes_applied += 1
-
     # ------------------------------------------------------------------ #
     # Helpers.
     # ------------------------------------------------------------------ #
 
     def _charge_recirculation(self, switch: Switch, header: NetChainHeader) -> None:
         """Account for extra pipeline passes needed by oversized values."""
-        cfg = switch.config
-        if len(header.value) <= cfg.value_stages * cfg.stage_value_bytes:
-            return  # fits in one pass, nothing to charge
         passes = self.kvstore.passes_required(len(header.value))
         if passes > 1:
             extra = passes - 1
@@ -466,12 +459,11 @@ class NetChainSwitchProgram(PipelineProgram):
         header.op = REPLY_FOR.get(header.op, header.op)
         header.status = status
         header.chain = []
-        client_ip = packet.ip.src_ip
-        client_port = packet.udp.src_port
-        packet.ip.src_ip = switch.ip
-        packet.ip.dst_ip = client_ip
-        packet.udp.src_port = NETCHAIN_UDP_PORT
-        packet.udp.dst_port = client_port
-        packet.ip.ttl = 64
+        ip, udp = packet.ip, packet.udp
+        ip.dst_ip = ip.src_ip
+        ip.src_ip = switch.ip
+        udp.dst_port = udp.src_port
+        udp.src_port = NETCHAIN_UDP_PORT
+        ip.ttl = 64
         packet.payload_bytes = header.wire_size()
         self.stats.replies_sent += 1

@@ -196,71 +196,56 @@ class Simulator:
         # ``self._processed`` is incremented per event (not batched in a
         # local) because callbacks may re-enter ``run`` -- a synchronous
         # future waiting on a reply drives a nested loop over this queue.
+        # Both loops pop first: only the one event past ``until`` is pushed
+        # back, under its own ``(time, seq)``, so its place in the order
+        # holds and a later run() continues where this one stopped.  The
+        # entry is marked fired *before* the callback runs: a late
+        # ``Event.cancel`` (e.g. a reply cancelling its own retry timer from
+        # inside that timer's callback chain) must not count a tombstone
+        # for an entry that already left the queue.
+        limit = float("inf") if until is None else until
         if stop_when is None and max_events is None:
             # Fast path for the dominant call shape, ``run(until=...)``:
             # no per-event predicate or budget checks.
-            limit = float("inf") if until is None else until
             while queue and self._running:
-                entry = queue[0]
-                callback = entry[2]
+                entry = heappop(queue)
+                event_time, _seq, callback, args = entry
                 if callback is None:
-                    heappop(queue)
                     self._tombstones -= 1
                     continue
-                event_time = entry[0]
                 if event_time > limit:
+                    heappush(queue, entry)
                     self._now = until
                     self._running = False
                     return
-                heappop(queue)
                 self._now = event_time
-                args = entry[3]
                 entry[2] = None
-                entry[3] = None
-                if args:
-                    callback(*args)
-                else:
-                    callback()
-                self._processed += 1
-            if until is not None and self._now < until:
-                self._now = until
-            self._running = False
-            return
-        executed = 0
-        while queue and self._running:
-            entry = queue[0]
-            callback = entry[2]
-            if callback is None:
-                heappop(queue)
-                self._tombstones -= 1
-                continue
-            event_time = entry[0]
-            if until is not None and event_time > until:
-                # Leave it queued so a later run() continues where we stopped.
-                self._now = until
-                self._running = False
-                return
-            heappop(queue)
-            self._now = event_time
-            args = entry[3]
-            # Mark the entry fired *before* the callback runs: a late
-            # ``Event.cancel`` (e.g. a reply cancelling its own retry timer
-            # from inside that timer's callback chain) must not count a
-            # tombstone for an entry that already left the queue.
-            entry[2] = None
-            entry[3] = None
-            if args:
                 callback(*args)
-            else:
-                callback()
-            self._processed += 1
-            executed += 1
-            if stop_when is not None and stop_when():
-                self._running = False
-                return
-            if max_events is not None and executed >= max_events:
-                self._running = False
-                return
+                self._processed += 1
+        else:
+            executed = 0
+            while queue and self._running:
+                entry = heappop(queue)
+                event_time, _seq, callback, args = entry
+                if callback is None:
+                    self._tombstones -= 1
+                    continue
+                if event_time > limit:
+                    heappush(queue, entry)
+                    self._now = until
+                    self._running = False
+                    return
+                self._now = event_time
+                entry[2] = None
+                callback(*args)
+                self._processed += 1
+                executed += 1
+                if stop_when is not None and stop_when():
+                    self._running = False
+                    return
+                if max_events is not None and executed >= max_events:
+                    self._running = False
+                    return
         if until is not None and self._now < until:
             self._now = until
         self._running = False

@@ -77,6 +77,9 @@ class Host(Node):
         self._rx_busy_until = 0.0
         self.tx_dropped = 0
         self.failed = False
+        #: The uplink, remembered by the first :meth:`send` that finds one
+        #: (hosts are single-homed and a link, once plugged, stays).
+        self._uplink: Optional[Port] = None
         #: Optional telemetry tracer (:class:`repro.core.trace.Tracer`);
         #: ``None`` keeps send/receive on the untraced fast path.
         self.telemetry = None
@@ -108,10 +111,12 @@ class Host(Node):
         """Send a packet out of the uplink after stack delay and NIC pacing."""
         if self.failed:
             return
-        port = self.uplink_port()
+        port = self._uplink
         if port is None:
-            self.packets_dropped += 1
-            return
+            port = self._uplink = self.uplink_port()
+            if port is None:
+                self.packets_dropped += 1
+                return
         cfg = self.config
         delay = cfg.stack_delay
         if cfg.nic_pps:

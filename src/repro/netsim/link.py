@@ -56,9 +56,8 @@ class Link:
         self.port_b = port_b
         self.config = config or LinkConfig()
         self.rng = rng or random.Random(0)
-        self.delivered = 0
-        self.dropped = 0
-        #: Per-cause delivery/drop accounting (see :class:`LinkStats`).
+        #: Per-cause delivery/drop accounting (see :class:`LinkStats`), the
+        #: one store per packet; ``delivered`` / ``dropped`` read it.
         self.stats = LinkStats()
         #: Administrative/fault state: a downed link drops every packet
         #: (counted in ``stats.dropped_down``) instead of delivering.
@@ -76,6 +75,16 @@ class Link:
         self.name = "-".join(sorted((port_a.node.name, port_b.node.name)))
         port_a.link = self
         port_b.link = self
+
+    @property
+    def delivered(self) -> int:
+        """Packets handed to the far end so far."""
+        return self.stats.delivered
+
+    @property
+    def dropped(self) -> int:
+        """Packets lost on this link for any reason."""
+        return self.stats.total_dropped()
 
     def set_down(self) -> None:
         """Take the link down; subsequent packets are dropped and counted."""
@@ -107,12 +116,10 @@ class Link:
         else:
             raise ValueError("port is not attached to this link")
         if not self.up:
-            self.dropped += 1
             self.stats.dropped_down += 1
             return
         cfg = self.config
         if cfg.loss_rate > 0 and self.rng.random() < cfg.loss_rate:
-            self.dropped += 1
             self.stats.dropped_loss += 1
             return
         latency = cfg.delay
@@ -126,7 +133,6 @@ class Link:
         if self.faults is not None:
             verdict = self.faults.on_transmit(packet)
             if verdict.drop:
-                self.dropped += 1
                 if verdict.reason == "corrupt":
                     self.stats.dropped_corrupt += 1
                 else:
@@ -146,7 +152,6 @@ class Link:
         self.sim.call_after(latency, self._deliver, packet, dst_port)
 
     def _deliver(self, packet: Packet, dst_port: Port) -> None:
-        self.delivered += 1
         self.stats.delivered += 1
         # Inlined Node.deliver (one call per hop on the hot path).
         node = dst_port.node

@@ -39,9 +39,13 @@ def int_to_ip(value: int) -> str:
     return str(ipaddress.IPv4Address(value))
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class EthernetHeader:
-    """Layer-2 header.  MAC addresses are plain strings (``"02:00:00:00:00:01"``)."""
+    """Layer-2 header.  MAC addresses are plain strings (``"02:00:00:00:00:01"``).
+
+    Frozen: nothing in the simulator switches on layer 2, so every packet
+    built without one shares :data:`_DEFAULT_ETH`.
+    """
 
     src_mac: str = "02:00:00:00:00:00"
     dst_mac: str = "02:00:00:00:00:00"
@@ -131,6 +135,8 @@ class UDPHeader:
         return UDPHeader(self.src_port, self.dst_port, self.length)
 
 
+_DEFAULT_ETH = EthernetHeader()
+
 #: ETH + IP header bytes, the fixed part of every packet's wire size.
 _BASE_HEADER_BYTES = EthernetHeader.HEADER_BYTES + IPv4Header.HEADER_BYTES
 
@@ -166,7 +172,7 @@ class Packet:
                  pipeline_passes: int = 0,
                  created_at: float = 0.0,
                  trace_id: int = 0) -> None:
-        self.eth = eth if eth is not None else EthernetHeader()
+        self.eth = eth if eth is not None else _DEFAULT_ETH
         self.ip = ip if ip is not None else IPv4Header()
         self.udp = udp
         self.payload = payload

@@ -206,6 +206,8 @@ class Switch(Node):
 
     def _process(self, packet: Packet, port: Port) -> None:
         if self.failed:
+            # Admitted before fail() and due after it: received, so dropped.
+            self.packets_dropped += 1
             return
         self.pipeline_passes += 1
         packet.pipeline_passes += 1
@@ -228,7 +230,8 @@ class Switch(Node):
 
     def forward(self, packet: Packet) -> None:
         """L3 forward based on destination IP."""
-        dst = packet.ip.dst_ip
+        ip = packet.ip
+        dst = ip.dst_ip
         if dst == self.ip:
             # Destined to the switch itself: hand it to the control agent.
             if self.control_agent is not None:
@@ -240,8 +243,8 @@ class Switch(Node):
         if out_port is None:
             self.dropped_no_route += 1
             return
-        ttl = packet.ip.ttl - 1
-        packet.ip.ttl = ttl
+        ttl = ip.ttl - 1
+        ip.ttl = ttl
         if ttl <= 0:
             self.packets_dropped += 1
             return

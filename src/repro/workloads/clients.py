@@ -25,6 +25,7 @@ from repro.netsim.stats import IntervalCounter, LatencyRecorder, ThroughputTimeS
 from repro.workloads.generators import KeyValueWorkload, OpType
 
 _client_names = itertools.count()
+_WRITE = OpType.WRITE
 
 
 class LoadClient:
@@ -76,7 +77,7 @@ class LoadClient:
             return
         operation = self.workload.next_operation()
         record: Optional[HistoryOp] = None
-        if operation.op is OpType.WRITE:
+        if operation.op is _WRITE:
             if self.history is not None:
                 record = self.history.invoke(self.name, "write", operation.key,
                                              value=operation.value)
@@ -91,7 +92,8 @@ class LoadClient:
             future.then(lambda result: self._on_done(result, record))
 
     def _on_done(self, result: KVResult, record: Optional[HistoryOp] = None) -> None:
-        now = self.sim.now
+        sim = self.client.sim
+        now = sim.now
         if record is not None:
             self.history.complete(record, result)
         self.completions.record(now)
@@ -106,6 +108,6 @@ class LoadClient:
         else:
             self.failed_queries += 1
         if self.think_time > 0:
-            self.sim.schedule(self.think_time, self._issue)
+            sim.call_after(self.think_time, self._issue)
         else:
             self._issue()

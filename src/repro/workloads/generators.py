@@ -37,7 +37,12 @@ class OpType(Enum):
     WRITE = auto()
 
 
-@dataclass
+#: Hoisted members: enum member access is a metaclass lookup per use.
+_READ = OpType.READ
+_WRITE = OpType.WRITE
+
+
+@dataclass(slots=True)
 class Operation:
     """One generated operation."""
 
@@ -106,7 +111,7 @@ class KeyValueWorkload:
     def pick_key(self) -> str:
         """One key according to the configured popularity distribution."""
         if self.config.zipf_theta <= 0:
-            return self.keys[self.rng.randrange(len(self.keys))]
+            return self.rng.choice(self.keys)
         u = self.rng.random()
         index = int(np.searchsorted(self._cumulative, u))
         return self.keys[min(index, len(self.keys) - 1)]
@@ -130,8 +135,8 @@ class KeyValueWorkload:
     def next_operation(self) -> Operation:
         """Generate the next operation."""
         if self.rng.random() < self.config.write_ratio:
-            return Operation(op=OpType.WRITE, key=self.pick_key(), value=self.make_value())
-        return Operation(op=OpType.READ, key=self.pick_key())
+            return Operation(_WRITE, self.pick_key(), self.make_value())
+        return Operation(_READ, self.pick_key())
 
     def operations(self, count: int) -> List[Operation]:
         """Generate a batch of operations."""

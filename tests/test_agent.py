@@ -5,7 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.core.agent import AgentConfig, NetChainAgent, QueryTimeout
-from repro.core.protocol import OpCode, QueryStatus
+from repro.core.protocol import (
+    NetChainHeader,
+    OpCode,
+    QueryStatus,
+    build_query_packet,
+    make_cas,
+    make_delete,
+    make_read,
+    make_write,
+)
 
 
 def test_write_then_read_roundtrip(cluster, agent):
@@ -126,3 +135,89 @@ def test_value_sizes_up_to_prototype_limit(cluster, agent):
     payload = bytes(range(128))
     assert agent.write_sync("big", payload).ok
     assert agent.read_sync("big").value == payload
+
+
+# --------------------------------------------------------------------- #
+# The agent's one positional header/packet against the public constructors.
+# --------------------------------------------------------------------- #
+
+#: op -> (submit through the agent, the reference header and destination).
+_SPELLINGS = {
+    "read": (lambda agent: agent.read("k"),
+             lambda ips, **route: (make_read("k", ips, **route), ips[-1])),
+    "write": (lambda agent: agent.write("k", "v1"),
+              lambda ips, **route: (make_write("k", "v1", ips, **route), ips[0])),
+    "cas": (lambda agent: agent.cas("k", "old", 17),
+            lambda ips, **route: (make_cas("k", "old", 17, ips, **route), ips[0])),
+    "delete": (lambda agent: agent.delete("k"),
+               lambda ips, **route: (make_delete("k", ips, **route), ips[0])),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_SPELLINGS))
+def test_agent_spells_queries_as_the_public_constructors_do(cluster, agent, op):
+    """First send and a retry after ``commit_chain`` moved the route: header
+    and packet equal ``make_*`` + ``build_query_packet`` field by field."""
+    submit, reference = _SPELLINGS[op]
+    controller = cluster.controller
+    controller.populate(["k"])
+    sent = []
+    agent.host.send = sent.append  # nothing is delivered, so the retry timer fires
+    created_at = cluster.sim.now
+    future = submit(agent)
+
+    def check(packet):
+        ips, vgroup, epoch = controller.route_for_key("k")
+        header, dst_ip = reference(list(ips), vgroup=vgroup, epoch=epoch)
+        header.query_id = future.query_id
+        expected = build_query_packet(agent.host.ip, agent.udp_port, dst_ip, header,
+                                      created_at=created_at)
+        assert packet.payload == header  # dataclass equality: every field
+        assert type(packet.payload.op) is OpCode
+        assert type(packet.payload.status) is QueryStatus
+        for name in ("eth", "ip", "udp", "payload_bytes", "pipeline_passes",
+                     "created_at", "trace_id"):
+            assert getattr(packet, name) == getattr(expected, name), name
+        return ips, vgroup, epoch
+
+    ips, vgroup, epoch = check(sent[0])
+    controller.commit_chain(vgroup, controller.chain_for_key("k").switches[::-1])
+    controller.bump_group_epoch(vgroup)
+    cluster.run(until=cluster.sim.now + 1.5 * agent.config.retry_timeout)
+    assert len(sent) == 2 and agent.retransmissions == 1
+    assert check(sent[1]) == (ips[::-1], vgroup, epoch + 1)
+    assert sent[1].payload.chain is not sent[0].payload.chain
+
+
+def test_every_header_on_the_wire_carries_enum_members(cluster, agent):
+    """Identity comparison of ops and statuses rests on this: whoever builds
+    or rewrites a header -- agent, switch program, ``from_bytes`` -- leaves
+    an ``OpCode`` / ``QueryStatus`` member in it, never a bare int."""
+    cluster.controller.populate(["k"])
+    seen = []
+    deliver = agent.host._sockets[agent.udp_port]
+    agent.host.bind(agent.udp_port, lambda packet: (seen.append(packet.payload),
+                                                    deliver(packet)))
+    agent.write_sync("k", b"v")
+    agent.cas_sync("k", b"nope", b"w")
+    agent.read_sync("k")
+    agent.delete_sync("k")
+    agent.read_sync("k")
+    agent.read_sync("absent")
+    assert [(h.op, h.status) for h in seen] == [
+        (OpCode.WRITE_REPLY, QueryStatus.OK), (OpCode.CAS_REPLY, QueryStatus.CAS_FAILED),
+        (OpCode.READ_REPLY, QueryStatus.OK), (OpCode.DELETE_REPLY, QueryStatus.OK),
+        (OpCode.READ_REPLY, QueryStatus.KEY_NOT_FOUND),
+        (OpCode.READ_REPLY, QueryStatus.KEY_NOT_FOUND)]
+    for header in seen + [NetChainHeader.from_bytes(h.to_bytes()) for h in seen]:
+        assert type(header.op) is OpCode and type(header.status) is QueryStatus
+
+
+def test_an_operation_consumes_one_query_id(cluster, agent):
+    """The header is built with the pending query's id; its default factory
+    (for headers built without one) must not burn a second id per op."""
+    cluster.controller.populate(["k"])
+    ids = [agent.read("k").query_id, agent.write("k", b"v").query_id,
+           agent.cas("k", b"v", b"w").query_id, agent.delete("k").query_id]
+    assert ids == list(range(ids[0], ids[0] + 4))
+    assert make_read("k", ["10.0.0.1"]).query_id == ids[-1] + 1

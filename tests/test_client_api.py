@@ -136,6 +136,28 @@ def test_future_then_chaining(backend):
     assert len(observed) == 3
 
 
+@pytest.mark.parametrize("registered", [0, 1, 3])
+def test_future_continuations_fire_once_each_in_registration_order(registered):
+    """A future holds no list for its usual one continuation; any number,
+    one registered during resolution and one after, fire once, in order."""
+    future = KVFuture(Simulator(), op="noop")
+    fired = []
+
+    def registers_another(result):
+        fired.append(("during", result))
+        future.then(lambda r: fired.append(("nested", r)))
+
+    for index in range(registered):
+        future.then(lambda r, index=index: fired.append((index, r)))
+    future.then(registers_another)
+    future.resolve("done")
+    future.resolve("a late duplicate")
+    future.then(lambda r: fired.append(("after", r)))
+    assert fired == [(index, "done") for index in range(registered)] + [
+        ("during", "done"), ("nested", "done"), ("after", "done")]
+    assert future.result() == "done"
+
+
 def test_gather_preserves_order(backend):
     keys = [f"g{i}" for i in range(6)]
     backend.prepare_keys(keys)

@@ -253,6 +253,44 @@ def test_compaction_during_run_keeps_queue_reference_valid():
     assert sim.pending() == 0
 
 
+def test_event_past_until_stays_queued_under_its_own_seq():
+    """The loop pops first and pushes the one event past ``until`` back:
+    it must come back as the same entry, so a same-time event scheduled in
+    between still runs after it (FIFO by the seq given at schedule time)."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "early")
+    late = sim.schedule(10.0, fired.append, "late")
+    seq = late.seq
+    sim.run(until=5.0)
+    assert fired == ["early"] and sim.now == 5.0
+    assert sim.pending() == sim.pending_live() == 1
+    assert (late.time, late.seq) == (10.0, seq)
+    sim.schedule_at(10.0, fired.append, "later, same time")
+    # The predicate loop leaves it queued the same way.
+    sim.run(until=6.0, stop_when=lambda: False)
+    assert sim.pending() == 2 and sim.now == 6.0
+    sim.run()
+    assert fired == ["early", "late", "later, same time"]
+    assert sim.processed_events == 3
+
+
+def test_cancel_from_inside_the_fired_callback_counts_no_tombstone():
+    """An entry is marked fired before its callback runs: cancelling the
+    handle from inside that callback (a reply cancelling its own retry
+    timer) must not count a tombstone for an entry that left the queue."""
+    for predicate in (None, lambda: False):
+        sim = Simulator()
+        handles = []
+        handles.append(sim.schedule(1.0, lambda: handles[0].cancel()))
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.5, stop_when=predicate)
+        assert handles[0].cancelled
+        assert sim.tombstones == 0 and sim.pending_live() == 1
+        sim.run(stop_when=predicate)
+        assert sim.processed_events == 2 and sim.tombstones == 0
+
+
 def test_periodic_process_via_every_still_cancellable():
     sim = Simulator()
     ticks = []

@@ -177,3 +177,42 @@ def test_keys_listing():
     store.insert_key("a")
     store.insert_key("b")
     assert len(list(store.keys())) == 2
+
+
+def test_equal_value_rewrite_keeps_the_stripes_and_a_new_value_restripes():
+    """``write_loc`` restripes the stage arrays only for a value that differs
+    from the stored one; the version registers are written either way."""
+    store = make_store(stages=8, stage_bytes=16)
+    loc = store.insert_key("k")
+    value = bytes(range(100))
+    store.write_loc(loc, value, seq=1)
+    store.write_loc(loc, bytes(range(100)), seq=2, session=3, valid=False)
+    assert [stage.read(loc) for stage in store._stages] == [
+        value[:16], value[16:32], value[32:48], value[48:64], value[64:80],
+        value[80:96], value[96:100], b""]
+    assert store._vlen.read(loc) == 100
+    item = store.read_loc(loc)
+    assert (item.value, item.seq, item.session, item.valid) == (value, 2, 3, False)
+    assert store.load_loc(loc) == (value, 2, 3, False)
+    shorter = bytes(range(50, 70))
+    store.write_loc(loc, shorter, seq=3)
+    assert [stage.read(loc) for stage in store._stages] == [
+        shorter[:16], shorter[16:20]] + [b""] * 6
+    assert store._vlen.read(loc) == 20
+    assert store.load_loc(loc) == (shorter, 3, 0, True)
+
+
+def test_size_checks_come_before_the_equal_value_shortcut():
+    """Both limits are enforced whatever is stored, even an equal value."""
+    store = make_store(stages=8, stage_bytes=16, allow_recirculation=True)
+    loc = store.insert_key("k")
+    value = bytes(40)
+    store.write_loc(loc, value, seq=1)
+    store.config.allow_recirculation = False
+    store.switch.config.value_stages = 2  # one pass now carries 32 bytes
+    with pytest.raises(ValueTooLargeError, match="recirculation"):
+        store.write_loc(loc, value, seq=2)
+    store.num_stages = 2  # and the pipeline limit is 32 bytes
+    with pytest.raises(ValueTooLargeError, match="pipeline limit"):
+        store.write_loc(loc, value, seq=2)
+    assert store.load_loc(loc) == (value, 1, 0, True)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.netsim.engine import Simulator
+from repro.netsim.faults import LinkFaultModel
 from repro.netsim.link import LinkConfig, connect
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
@@ -102,6 +103,38 @@ def test_counters_track_tx_rx():
     assert a.ports[0].tx_packets == 1
     assert b.ports[0].rx_packets == 1
     assert link.delivered == 1
+
+
+def test_delivered_and_dropped_read_the_per_cause_stats():
+    """``Link.delivered`` / ``Link.dropped`` are views of ``Link.stats`` (one
+    store per packet), so they agree with it after every kind of traffic:
+    lossy, downed, corrupted and delayed."""
+    sim, a, b, link = make_pair(LinkConfig(loss_rate=0.3), seed=5)
+    sent = 0
+
+    def burst(count=200):
+        nonlocal sent
+        for _ in range(count):
+            a.transmit(Packet(), a.ports[0])
+        sent += count
+        sim.run()
+
+    burst()
+    link.set_down()
+    burst(10)
+    link.set_up()
+    link.config = LinkConfig()
+    link.faults = LinkFaultModel(random.Random(2), loss_rate=0.1, corrupt_rate=0.2,
+                                 extra_delay=5e-6)
+    burst()
+    stats = link.stats
+    assert min(stats.dropped_loss, stats.dropped_corrupt, stats.delayed) > 0
+    assert stats.dropped_down == 10
+    assert link.delivered == stats.delivered == len(b.received)
+    assert link.dropped == stats.total_dropped() == sent - len(b.received)
+    for name in ("delivered", "dropped"):
+        with pytest.raises(AttributeError):
+            setattr(link, name, 0)
 
 
 def test_transmit_without_link_drops():

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from repro.netsim.packet import (
     JUMBO_FRAME_BYTES,
     EthernetHeader,
@@ -80,6 +84,18 @@ def test_packet_copy_gets_fresh_identity_and_headers():
     clone.udp.dst_port = 99
     assert packet.ip.dst_ip == "10.0.0.9"
     assert packet.udp.dst_port == 2
+
+
+def test_default_ethernet_header_is_shared_immutable_and_not_aliased_by_copy():
+    first, second = Packet(), Packet()
+    assert first.eth is second.eth  # one default header, not one per packet
+    assert first.eth == EthernetHeader()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.eth.src_mac = "02:00:00:00:00:01"
+    clone = first.copy()
+    assert clone.eth == first.eth and clone.eth is not first.eth
+    own = EthernetHeader(src_mac="02:00:00:00:00:01")
+    assert Packet(eth=own).eth is own
 
 
 def test_packet_copy_copies_payload_when_supported():

@@ -94,6 +94,26 @@ def test_failed_switch_drops_everything():
     assert len(sink.received) == 1
 
 
+def test_packets_queued_when_the_switch_fails_are_counted_as_dropped():
+    """Conservation across a fail-stop: every packet the switch received is
+    either sent or in a drop counter -- including the ones admitted to the
+    ingress queue before ``fail()`` and due out of the pipeline after it."""
+    config = SwitchConfig(capacity_pps=1000.0)  # 1 ms apart behind the queue
+    sim, switch, sink = make_switch(config)
+    port = list(switch.ports.values())[0]
+    for _ in range(5):
+        switch.deliver(packet_to(sink.ip), port)
+    sim.run(until=2.5e-3)
+    switch.fail()
+    switch.deliver(packet_to(sink.ip), port)  # arrives at a failed switch
+    sim.run()
+    assert len(sink.received) == switch.packets_sent == 3
+    assert switch.packets_received == 6
+    assert switch.packets_dropped == 3  # two in the pipeline, one at ingress
+    assert switch.pipeline_passes == 3
+    assert switch.packets_received == switch.packets_sent + switch.packets_dropped
+
+
 def test_injected_loss_drops_fraction():
     sim, switch, sink = make_switch()
     switch.injected_loss_rate = 1.0
