@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.baselines.server_kv import ServerBaselineKVClient, ServerResult
+from repro.baselines.server_kv import BlockingCalls, ServerBaselineKVClient, ServerResult
 from repro.netsim.host import Host
 from repro.netsim.tcp import TcpConfig, TcpConnection, TcpEndpoint
 
@@ -45,52 +45,62 @@ class ServerChainReplica:
         endpoint.on_message = self.handle_message
 
     def handle_message(self, message: Dict[str, Any]) -> None:
-        """Process a read, a (possibly forwarded) write/cas, or a delete."""
+        """Process a read, a (possibly forwarded) write/cas, or a delete.
+
+        A received message is shared with its sender and with every
+        retransmission: it is read, never changed in place.
+        """
         self.messages_processed += 1
         op = message["op"]
+        key = message["key"]
         if op == "read":
-            value, version = self.store.get(message["key"], (b"", 0))
-            self._reply(message, value=value, version=version)
-        elif op in ("write", "cas"):
-            stored_value, stored_version = self.store.get(message["key"], (b"", 0))
-            if op == "cas" and "version" not in message:
-                # Head of the chain: evaluate the comparison once; an
-                # accepted CAS propagates down the chain exactly like a
-                # write (the resolved version travels with it).
-                if stored_value != message.get("expected", b""):
-                    self._reply(message, ok=False, cas_failed=True,
-                                value=stored_value, version=stored_version)
+            value, version = self.store.get(key, (b"", 0))
+            self._reply(message, value, version)
+        elif op == "write" or op == "cas":
+            version = message.get("version")
+            if version is None:
+                # Head of the chain: it assigns the version, and evaluates
+                # a CAS comparison once; an accepted CAS propagates down
+                # the chain exactly like a write (the resolved version
+                # travels with it).
+                stored_value, stored_version = self.store.get(key, (b"", 0))
+                if op == "cas" and stored_value != message["expected"]:
+                    self._reply(message, stored_value, stored_version,
+                                ok=False, cas_failed=True)
                     return
-            version = message.get("version", stored_version + 1)
-            self.store[message["key"]] = (message["value"], version)
+                version = stored_version + 1
+                message = {**message, "version": version}
+            value = message["value"]
+            self.store[key] = (value, version)
             if self.next_endpoint is not None:
-                forwarded = dict(message)
-                forwarded["version"] = version
-                self.next_endpoint.send(forwarded, self.message_bytes)
+                self.next_endpoint.send(message, self.message_bytes)
             else:
-                self._reply(message, value=message["value"], version=version)
+                self._reply(message, value, version)
         elif op == "delete":
             if "existed" not in message:
-                message = dict(message)
-                message["existed"] = message["key"] in self.store
-            self.store.pop(message["key"], None)
+                message = {**message, "existed": key in self.store}
+            self.store.pop(key, None)
             if self.next_endpoint is not None:
-                self.next_endpoint.send(dict(message), self.message_bytes)
+                self.next_endpoint.send(message, self.message_bytes)
             else:
                 self._reply(message, not_found=not message["existed"])
 
-    def _reply(self, message: Dict[str, Any], **fields: Any) -> None:
+    def _reply(self, message: Dict[str, Any], value: bytes = b"", version: int = 0,
+               ok: bool = True, cas_failed: bool = False,
+               not_found: bool = False) -> None:
         endpoint = self.client_endpoints.get(message["client"])
         if endpoint is None:
             return
-        reply = {"kind": "reply", "request_id": message["request_id"], "ok": True,
-                 "op": message["op"], "key": message["key"]}
-        reply.update(fields)
-        endpoint.send(reply, self.message_bytes)
+        endpoint.send({"kind": "reply", "request_id": message["request_id"], "ok": ok,
+                       "op": message["op"], "key": message["key"], "value": value,
+                       "version": version, "cas_failed": cas_failed,
+                       "not_found": not_found}, self.message_bytes)
 
 
-class ServerChainClient:
+class ServerChainClient(BlockingCalls):
     """A client of the server chain: writes go to the head, reads to the tail."""
+
+    peer = "the server chain"
 
     def __init__(self, host: Host, cluster: "ServerChainCluster") -> None:
         self.host = host
@@ -99,9 +109,8 @@ class ServerChainClient:
         # The name keys the per-client reply endpoints on the replicas, so
         # several clients on one host must not collide.
         self.name = f"chain-client-{host.name}-{next(_client_ids)}"
-        self._pending: Dict[int, Dict[str, Any]] = {}
-        self.completed = 0
-        self.latencies: List[float] = []
+        #: ``request_id -> (callback, op, key, sent_at)``.
+        self._pending: Dict[int, Tuple[Optional[Callable], str, str, float]] = {}
         # One connection to the head (writes) and one to the tail (replies
         # and reads), as in the original protocol.
         self._head_endpoint = self._connect(cluster.head())
@@ -124,47 +133,21 @@ class ServerChainClient:
     def cas_async(self, key: str, expected: bytes, new_value: bytes,
                   callback: Optional[Callable[[ServerResult], None]] = None) -> int:
         return self._submit("cas", key, new_value, self._head_endpoint, callback,
-                            expected=expected)
+                            expected)
 
     def delete_async(self, key: str,
                      callback: Optional[Callable[[ServerResult], None]] = None) -> int:
         return self._submit("delete", key, b"", self._head_endpoint, callback)
 
-    def read(self, key: str, deadline: float = 5.0) -> ServerResult:
-        return self._sync(lambda cb: self.read_async(key, cb), deadline)
-
-    def write(self, key: str, value: bytes, deadline: float = 5.0) -> ServerResult:
-        return self._sync(lambda cb: self.write_async(key, value, cb), deadline)
-
-    def cas(self, key: str, expected: bytes, new_value: bytes,
-            deadline: float = 5.0) -> ServerResult:
-        return self._sync(lambda cb: self.cas_async(key, expected, new_value, cb),
-                          deadline)
-
-    def delete(self, key: str, deadline: float = 5.0) -> ServerResult:
-        return self._sync(lambda cb: self.delete_async(key, cb), deadline)
-
     def _submit(self, op: str, key: str, value: bytes, endpoint: TcpEndpoint,
                 callback: Optional[Callable[[ServerResult], None]],
-                **extra: Any) -> int:
+                expected: bytes = b"") -> int:
         request_id = next(_request_ids)
-        message = {"kind": "request", "request_id": request_id, "op": op, "key": key,
-                   "value": value, "client": self.name}
-        message.update(extra)
-        self._pending[request_id] = {"callback": callback, "op": op, "key": key,
-                                     "sent_at": self.sim.now}
-        endpoint.send(message, self.cluster.message_bytes)
+        self._pending[request_id] = (callback, op, key, self.sim.now)
+        endpoint.send({"kind": "request", "request_id": request_id, "op": op,
+                       "key": key, "value": value, "client": self.name,
+                       "expected": expected}, self.cluster.message_bytes)
         return request_id
-
-    def _sync(self, submit, deadline: float) -> ServerResult:
-        box: List[ServerResult] = []
-        submit(box.append)
-        limit = self.sim.now + deadline
-        while not box and self.sim.pending() and self.sim.now < limit:
-            self.sim.run(until=min(limit, self.sim.now + 0.05))
-        if not box:
-            raise TimeoutError("no reply from the server chain")
-        return box[0]
 
     def _on_reply(self, message: Dict[str, Any]) -> None:
         if message.get("kind") != "reply":
@@ -172,16 +155,11 @@ class ServerChainClient:
         pending = self._pending.pop(message.get("request_id"), None)
         if pending is None:
             return
-        latency = self.sim.now - pending["sent_at"]
-        self.completed += 1
-        self.latencies.append(latency)
-        result = ServerResult(ok=message.get("ok", False), op=pending["op"],
-                             key=pending["key"], value=message.get("value", b""),
-                             version=message.get("version", 0), latency=latency,
-                             cas_failed=message.get("cas_failed", False),
-                             not_found=message.get("not_found", False))
-        if pending["callback"] is not None:
-            pending["callback"](result)
+        callback, op, key, sent_at = pending
+        if callback is not None:
+            callback(ServerResult(message["ok"], op, key, message["value"],
+                                  message["version"], self.sim.now - sent_at,
+                                  message["cas_failed"], message["not_found"]))
 
 
 class ServerChainCluster:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.baselines.server_kv import ServerBaselineKVClient, ServerResult
+from repro.baselines.server_kv import BlockingCalls, ServerBaselineKVClient, ServerResult
 from repro.netsim.host import Host
 from repro.netsim.tcp import TcpConfig, TcpConnection, TcpEndpoint
 
@@ -167,8 +167,10 @@ class PrimaryBackupCluster:
                 backup.store[key] = (value, 1)
 
 
-class PrimaryBackupClient:
+class PrimaryBackupClient(BlockingCalls):
     """A client that talks to the primary for both reads and writes."""
+
+    peer = "the primary"
 
     def __init__(self, host: Host, cluster: PrimaryBackupCluster) -> None:
         self.host = host
@@ -181,9 +183,8 @@ class PrimaryBackupClient:
         cluster.primary.accept_client(self.name, conn.endpoint(cluster.primary.host))
         self._endpoint = conn.endpoint(host)
         self._endpoint.on_message = self._on_reply
-        self._pending: Dict[int, Dict[str, Any]] = {}
-        self.completed = 0
-        self.latencies: List[float] = []
+        #: ``request_id -> (callback, op, key, sent_at)``.
+        self._pending: Dict[int, Tuple[Optional[Callable], str, str, float]] = {}
 
     def read_async(self, key: str, callback: Optional[Callable[[ServerResult], None]] = None) -> int:
         return self._submit("read", key, b"", callback)
@@ -194,47 +195,21 @@ class PrimaryBackupClient:
 
     def cas_async(self, key: str, expected: bytes, new_value: bytes,
                   callback: Optional[Callable[[ServerResult], None]] = None) -> int:
-        return self._submit("cas", key, new_value, callback, expected=expected)
+        return self._submit("cas", key, new_value, callback, expected)
 
     def delete_async(self, key: str,
                      callback: Optional[Callable[[ServerResult], None]] = None) -> int:
         return self._submit("delete", key, b"", callback)
 
-    def read(self, key: str, deadline: float = 5.0) -> ServerResult:
-        return self._sync(lambda cb: self.read_async(key, cb), deadline)
-
-    def write(self, key: str, value: bytes, deadline: float = 5.0) -> ServerResult:
-        return self._sync(lambda cb: self.write_async(key, value, cb), deadline)
-
-    def cas(self, key: str, expected: bytes, new_value: bytes,
-            deadline: float = 5.0) -> ServerResult:
-        return self._sync(lambda cb: self.cas_async(key, expected, new_value, cb),
-                          deadline)
-
-    def delete(self, key: str, deadline: float = 5.0) -> ServerResult:
-        return self._sync(lambda cb: self.delete_async(key, cb), deadline)
-
     def _submit(self, op: str, key: str, value: bytes,
                 callback: Optional[Callable[[ServerResult], None]],
-                **extra: Any) -> int:
+                expected: bytes = b"") -> int:
         request_id = next(_request_ids)
-        self._pending[request_id] = {"callback": callback, "op": op, "key": key,
-                                     "sent_at": self.sim.now}
-        message = {"op": op, "request_id": request_id, "key": key, "value": value,
-                   "client": self.name}
-        message.update(extra)
-        self._endpoint.send(message, self.cluster.message_bytes)
+        self._pending[request_id] = (callback, op, key, self.sim.now)
+        self._endpoint.send({"op": op, "request_id": request_id, "key": key,
+                             "value": value, "client": self.name,
+                             "expected": expected}, self.cluster.message_bytes)
         return request_id
-
-    def _sync(self, submit, deadline: float) -> ServerResult:
-        box: List[ServerResult] = []
-        submit(box.append)
-        limit = self.sim.now + deadline
-        while not box and self.sim.pending() and self.sim.now < limit:
-            self.sim.run(until=min(limit, self.sim.now + 0.05))
-        if not box:
-            raise TimeoutError("no reply from the primary")
-        return box[0]
 
     def _on_reply(self, message: Dict[str, Any]) -> None:
         if message.get("kind") != "reply":
@@ -242,15 +217,11 @@ class PrimaryBackupClient:
         pending = self._pending.pop(message.get("request_id"), None)
         if pending is None:
             return
-        latency = self.sim.now - pending["sent_at"]
-        self.completed += 1
-        self.latencies.append(latency)
-        result = ServerResult(ok=message.get("ok", False), op=pending["op"], key=pending["key"],
-                          value=message.get("value", b""), version=message.get("version", 0),
-                          latency=latency, cas_failed=message.get("cas_failed", False),
-                          not_found=message.get("not_found", False))
-        if pending["callback"] is not None:
-            pending["callback"](result)
+        callback, op, key, sent_at = pending
+        if callback is not None:
+            callback(ServerResult(message["ok"], op, key, message["value"],
+                                  message["version"], self.sim.now - sent_at,
+                                  message["cas_failed"], message["not_found"]))
 
 
 class PrimaryBackupKVClient(ServerBaselineKVClient):

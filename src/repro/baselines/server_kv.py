@@ -1,20 +1,21 @@
-"""Shared :class:`KVClient` adapter base for the server-hosted baselines.
+"""What the server-hosted baseline clients share.
 
 The server chain and primary-backup clients expose the same
 callback-based ``*_async`` surface and report the same
 :class:`ServerResult`, so one adapter maps both onto the unified futures
-protocol.  Subclasses only name their backend; the not_found heuristic
-and error mapping live here exactly once.
+protocol (subclasses only name their backend; the not_found heuristic
+and error mapping live here exactly once) and one mixin spells their
+blocking calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.client import KVClient, KVFuture, KVResult, _raw_key
+from repro.core.client import KVClient, KVFuture, KVResult, KVTimeout, _raw_key
 
 
-@dataclass
+@dataclass(slots=True)
 class ServerResult:
     """Outcome of one operation against a server-hosted baseline."""
 
@@ -46,47 +47,74 @@ class ServerBaselineKVClient(KVClient):
         self.client = client
         self.sim = client.sim
 
-    def _wrap(self, op: str, key, submit) -> KVFuture:
-        future = KVFuture(self.sim, op=op, key=_raw_key(key))
+    def _wrap(self, op: str, key, submit, *args) -> KVFuture:
+        """``submit(key, *args, callback)`` behind a future."""
+        raw_key = _raw_key(key)
+        future = KVFuture(self.sim, op, raw_key)
+        backend = self.backend
 
         def on_done(result) -> None:
             not_found = result.not_found or (
                 op == "read" and result.version == 0 and not result.value)
             ok = result.ok and not not_found
             future.resolve(KVResult(
-                ok=ok, op=op, key=_raw_key(key), value=result.value,
-                not_found=not_found, cas_failed=result.cas_failed,
-                error=None if ok else ("cas_failed" if result.cas_failed
-                                       else "key_not_found" if not_found
-                                       else "failed"),
-                latency=result.latency, backend=self.backend, raw=result))
+                ok, op, raw_key, result.value, not_found, result.cas_failed, False,
+                None if ok else ("cas_failed" if result.cas_failed
+                                 else "key_not_found" if not_found
+                                 else "failed"),
+                result.latency, 0, backend, result))
 
-        submit(on_done)
+        submit(_key_str(key), *args, on_done)
         return future
 
     def read(self, key) -> KVFuture:
-        return self._wrap("read", key,
-                          lambda cb: self.client.read_async(_key_str(key), cb))
+        return self._wrap("read", key, self.client.read_async)
 
     def write(self, key, value) -> KVFuture:
-        return self._wrap("write", key,
-                          lambda cb: self.client.write_async(_key_str(key),
-                                                             _value_bytes(value), cb))
+        return self._wrap("write", key, self.client.write_async, _value_bytes(value))
 
     def cas(self, key, expected, new_value) -> KVFuture:
-        return self._wrap("cas", key,
-                          lambda cb: self.client.cas_async(_key_str(key),
-                                                           _value_bytes(expected),
-                                                           _value_bytes(new_value), cb))
+        return self._wrap("cas", key, self.client.cas_async,
+                          _value_bytes(expected), _value_bytes(new_value))
 
     def delete(self, key) -> KVFuture:
-        return self._wrap("delete", key,
-                          lambda cb: self.client.delete_async(_key_str(key), cb))
+        return self._wrap("delete", key, self.client.delete_async)
 
     def insert(self, key, value=b"") -> KVFuture:
-        return self._wrap("insert", key,
-                          lambda cb: self.client.write_async(_key_str(key),
-                                                             _value_bytes(value), cb))
+        return self._wrap("insert", key, self.client.write_async, _value_bytes(value))
+
+
+class BlockingCalls:
+    """The blocking spelling of each ``*_async`` call of a baseline client.
+
+    A call waits on a :class:`KVFuture`, so the clock stops at the reply
+    and the call costs exactly ``result.latency`` of simulated time; with
+    no reply it raises :class:`TimeoutError` at the deadline.
+    """
+
+    #: Who failed to answer, for the timeout message.
+    peer = "the servers"
+
+    def read(self, key: str, deadline: float = 5.0) -> ServerResult:
+        return self._sync(deadline, self.read_async, key)
+
+    def write(self, key: str, value: bytes, deadline: float = 5.0) -> ServerResult:
+        return self._sync(deadline, self.write_async, key, value)
+
+    def cas(self, key: str, expected: bytes, new_value: bytes,
+            deadline: float = 5.0) -> ServerResult:
+        return self._sync(deadline, self.cas_async, key, expected, new_value)
+
+    def delete(self, key: str, deadline: float = 5.0) -> ServerResult:
+        return self._sync(deadline, self.delete_async, key)
+
+    def _sync(self, deadline: float, submit, *args) -> ServerResult:
+        future = KVFuture(self.sim)
+        submit(*args, future.resolve)
+        try:
+            return future.result(deadline)
+        except KVTimeout:
+            raise TimeoutError(f"no reply from {self.peer}") from None
 
 
 def _key_str(key) -> str:

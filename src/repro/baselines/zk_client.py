@@ -68,8 +68,6 @@ class ZooKeeperClient:
         self._pending: Dict[int, Dict[str, Any]] = {}
         self.watch_events: List[Dict[str, Any]] = []
         self.on_watch: Optional[Callable[[Dict[str, Any]], None]] = None
-        self.completed = 0
-        self.latencies: List[float] = []
 
     # ------------------------------------------------------------------ #
     # Asynchronous API.
@@ -168,8 +166,6 @@ class ZooKeeperClient:
         if pending is None:
             return
         latency = self.sim.now - pending["sent_at"]
-        self.completed += 1
-        self.latencies.append(latency)
         result = ZkResult(ok=message.get("ok", False), op=pending["op"],
                           path=message.get("path"), data=message.get("data", b""),
                           version=message.get("version", 0),

@@ -72,6 +72,7 @@ class Host(Node):
         self.config = config or HostConfig()
         self.rng = rng or random.Random(stable_name_seed(name))
         self._sockets: Dict[int, PacketHandler] = {}
+        self._next_ephemeral_port = 40000
         self.default_handler: Optional[PacketHandler] = None
         self._tx_busy_until = 0.0
         self._rx_busy_until = 0.0
@@ -95,6 +96,12 @@ class Host(Node):
     def unbind(self, udp_port: int) -> None:
         """Remove a previously bound handler."""
         self._sockets.pop(udp_port, None)
+
+    def ephemeral_port(self) -> int:
+        """The next unused ephemeral UDP port of this host (40000 upwards)."""
+        port = self._next_ephemeral_port
+        self._next_ephemeral_port = port + 1
+        return port
 
     def uplink_port(self) -> Optional[Port]:
         """The host's single uplink port (hosts are single-homed here)."""
@@ -144,10 +151,9 @@ class Host(Node):
     def send_udp(self, dst_ip: str, dst_port: int, payload, payload_bytes: int,
                  src_port: int = 0) -> Packet:
         """Convenience wrapper that builds and sends a UDP packet."""
-        packet = Packet(ip=IPv4Header(src_ip=self.ip, dst_ip=dst_ip),
-                        udp=UDPHeader(src_port=src_port, dst_port=dst_port),
-                        payload=payload, payload_bytes=payload_bytes,
-                        created_at=self.sim._now)
+        packet = Packet(None, IPv4Header(self.ip, dst_ip),
+                        UDPHeader(src_port, dst_port),
+                        payload, payload_bytes, None, 0, self.sim._now)
         self.send(packet)
         return packet
 

@@ -19,20 +19,14 @@ preserving the dynamics that matter for throughput under loss.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.netsim.host import Host
 from repro.netsim.packet import Packet
 
 _conn_ids = itertools.count(1)
-_port_allocator: Dict[str, int] = {}
-
-
-def _allocate_port(host: Host) -> int:
-    port = _port_allocator.get(host.name, 40000)
-    _port_allocator[host.name] = port + 1
-    return port
 
 
 @dataclass
@@ -62,27 +56,27 @@ class TcpConfig:
     header_bytes: int = 40
 
 
-@dataclass
 class Segment:
-    """A data or ACK segment carried inside a UDP packet."""
+    """A data or ACK segment carried inside a UDP packet.
 
-    conn_id: int
-    kind: str  # "data" or "ack"
-    seq: int
-    message: Any = None
-    size_bytes: int = 0
+    One object per message: every (re)transmission carries it and the
+    receiver reads it, and nothing mutates it once built.  :meth:`copy` is
+    what :meth:`Packet.copy` calls for an injected duplicate.
+    """
+
+    __slots__ = ("conn_id", "kind", "seq", "message", "size_bytes")
+
+    def __init__(self, conn_id: int, kind: str, seq: int, message: Any = None,
+                 size_bytes: int = 0) -> None:
+        self.conn_id = conn_id
+        self.kind = kind  # "data" or "ack"
+        self.seq = seq
+        self.message = message
+        self.size_bytes = size_bytes
 
     def copy(self) -> "Segment":
-        return Segment(conn_id=self.conn_id, kind=self.kind, seq=self.seq,
-                       message=self.message, size_bytes=self.size_bytes)
-
-
-@dataclass
-class _Outstanding:
-    segment: Segment
-    sent_at: float
-    retries: int = 0
-    timer: Any = None
+        return Segment(self.conn_id, self.kind, self.seq, self.message,
+                       self.size_bytes)
 
 
 class TcpEndpoint:
@@ -96,12 +90,17 @@ class TcpEndpoint:
         self.remote_host = remote_host
         self.remote_port = remote_port
         self.on_message: Optional[Callable[[Any], None]] = None
-        # Sender state.
+        # Fixed for the life of the connection, read once.
+        self._sim = host.sim
+        self._conn_id = conn.conn_id
+        self._config = config = conn.config
+        self._remote_ip = remote_host.ip
+        # Sender state.  ``seq -> (segment, sent_at, retries, RTO timer)``.
         self._next_seq = 0
-        self._send_queue: List[Segment] = []
-        self._outstanding: Dict[int, _Outstanding] = {}
-        self._cwnd = float(conn.config.initial_cwnd)
-        self._rto = conn.config.initial_rto
+        self._send_queue: Deque[Segment] = deque()
+        self._outstanding: Dict[int, Tuple[Segment, float, int, Any]] = {}
+        self._cwnd = float(config.initial_cwnd)
+        self._rto = config.initial_rto
         self._srtt: Optional[float] = None
         # Receiver state.
         self._expected_seq = 0
@@ -121,29 +120,33 @@ class TcpEndpoint:
         """Queue an application message for reliable in-order delivery."""
         if self.closed:
             return
-        segment = Segment(conn_id=self.conn.conn_id, kind="data", seq=self._next_seq,
-                          message=message, size_bytes=size_bytes)
-        self._next_seq += 1
-        self._send_queue.append(segment)
+        seq = self._next_seq
+        self._next_seq = seq + 1
         self.messages_sent += 1
-        self._pump()
+        segment = Segment(self._conn_id, "data", seq, message, size_bytes)
+        # A non-empty queue means a closed window: whatever opens the
+        # window (an ACK) pumps the queue before returning.
+        if self._send_queue or len(self._outstanding) >= int(self._cwnd):
+            self._send_queue.append(segment)
+        else:
+            self._transmit(segment, 0)
 
     def _pump(self) -> None:
-        while self._send_queue and len(self._outstanding) < int(self._cwnd):
-            segment = self._send_queue.pop(0)
-            self._transmit(segment, retries=0)
+        queue = self._send_queue
+        while queue and len(self._outstanding) < int(self._cwnd):
+            self._transmit(queue.popleft(), 0)
 
     def _transmit(self, segment: Segment, retries: int) -> None:
         if self.closed:
             return
-        cfg = self.conn.config
-        self.host.send_udp(self.remote_host.ip, self.remote_port, segment.copy(),
-                           payload_bytes=segment.size_bytes + cfg.header_bytes,
-                           src_port=self.local_port)
-        out = _Outstanding(segment=segment, sent_at=self.host.sim.now, retries=retries)
-        rto = min(cfg.max_rto, self._rto * (2 ** retries))
-        out.timer = self.host.sim.schedule(rto, self._on_timeout, segment.seq)
-        self._outstanding[segment.seq] = out
+        config = self._config
+        self.host.send_udp(self._remote_ip, self.remote_port, segment,
+                           segment.size_bytes + config.header_bytes, self.local_port)
+        sim = self._sim
+        rto = min(config.max_rto, self._rto * (2 ** retries))
+        self._outstanding[segment.seq] = (
+            segment, sim._now, retries,
+            sim.schedule(rto, self._on_timeout, segment.seq))
 
     def _on_timeout(self, seq: int) -> None:
         out = self._outstanding.get(seq)
@@ -152,7 +155,7 @@ class TcpEndpoint:
         # Loss event: retransmit with backoff and halve the window.
         self.retransmissions += 1
         self._cwnd = max(1.0, self._cwnd / 2.0)
-        self._transmit(out.segment, retries=out.retries + 1)
+        self._transmit(out[0], out[2] + 1)
 
     # -------------------------------------------------------------- #
     # Receiving.
@@ -160,51 +163,54 @@ class TcpEndpoint:
 
     def _on_packet(self, packet: Packet) -> None:
         segment = packet.payload
-        if not isinstance(segment, Segment) or segment.conn_id != self.conn.conn_id:
+        if not isinstance(segment, Segment) or segment.conn_id != self._conn_id:
             return
+        seq = segment.seq
         if segment.kind == "ack":
-            self._on_ack(segment.seq)
+            self._on_ack(seq)
             return
-        # Data segment: always acknowledge (the ACK carries the segment seq).
-        self._send_ack(segment.seq)
-        if segment.seq < self._expected_seq:
-            return  # duplicate
-        self._reorder_buffer[segment.seq] = segment
-        while self._expected_seq in self._reorder_buffer:
-            ready = self._reorder_buffer.pop(self._expected_seq)
+        # Data segment: always acknowledge, duplicates included (the ACK
+        # carries the segment seq).
+        self.host.send_udp(self._remote_ip, self.remote_port,
+                           Segment(self._conn_id, "ack", seq),
+                           self._config.ack_bytes, self.local_port)
+        if seq != self._expected_seq:
+            if seq > self._expected_seq:
+                self._reorder_buffer[seq] = segment
+            return  # out of order: parked; or a duplicate
+        # In order: deliver it, then whatever it releases from the buffer.
+        buffer = self._reorder_buffer
+        while segment is not None:
             self._expected_seq += 1
             self.messages_delivered += 1
             if self.on_message is not None:
-                self.on_message(ready.message)
-
-    def _send_ack(self, seq: int) -> None:
-        cfg = self.conn.config
-        ack = Segment(conn_id=self.conn.conn_id, kind="ack", seq=seq)
-        self.host.send_udp(self.remote_host.ip, self.remote_port, ack,
-                           payload_bytes=cfg.ack_bytes, src_port=self.local_port)
+                self.on_message(segment.message)
+            segment = buffer.pop(self._expected_seq, None) if buffer else None
 
     def _on_ack(self, seq: int) -> None:
         out = self._outstanding.pop(seq, None)
         if out is None:
             return
-        if out.timer is not None:
-            out.timer.cancel()
-        if out.retries == 0:
-            sample = self.host.sim.now - out.sent_at
-            cfg = self.conn.config
-            self._srtt = sample if self._srtt is None else 0.875 * self._srtt + 0.125 * sample
-            self._rto = min(cfg.max_rto, max(cfg.min_rto, 2.0 * self._srtt))
+        _segment, sent_at, retries, timer = out
+        timer.cancel()
+        config = self._config
+        if retries == 0:
+            # Karn's rule: only a segment sent once gives an RTT sample.
+            sample = self._sim._now - sent_at
+            srtt = self._srtt
+            self._srtt = srtt = sample if srtt is None else 0.875 * srtt + 0.125 * sample
+            self._rto = min(config.max_rto, max(config.min_rto, 2.0 * srtt))
         # Additive increase: one message per window's worth of ACKs.
-        cfg = self.conn.config
-        self._cwnd = min(float(cfg.max_cwnd), self._cwnd + 1.0 / max(self._cwnd, 1.0))
-        self._pump()
+        cwnd = self._cwnd
+        self._cwnd = min(float(config.max_cwnd), cwnd + 1.0 / max(cwnd, 1.0))
+        if self._send_queue:
+            self._pump()
 
     def close(self) -> None:
         """Tear down this side of the connection."""
         self.closed = True
-        for out in self._outstanding.values():
-            if out.timer is not None:
-                out.timer.cancel()
+        for _segment, _sent_at, _retries, timer in self._outstanding.values():
+            timer.cancel()
         self._outstanding.clear()
         self._send_queue.clear()
         self.host.unbind(self.local_port)
@@ -217,8 +223,8 @@ class TcpConnection:
                  config: Optional[TcpConfig] = None) -> None:
         self.conn_id = next(_conn_ids)
         self.config = config or TcpConfig()
-        port_a = _allocate_port(host_a)
-        port_b = _allocate_port(host_b)
+        port_a = host_a.ephemeral_port()
+        port_b = host_b.ephemeral_port()
         self._endpoints: Dict[str, TcpEndpoint] = {}
         self._endpoints[host_a.name] = TcpEndpoint(self, host_a, port_a, host_b, port_b)
         self._endpoints[host_b.name] = TcpEndpoint(self, host_b, port_b, host_a, port_a)

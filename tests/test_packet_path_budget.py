@@ -2,10 +2,11 @@
 
 One seeded 0.1 sim-second closed-loop scenario per query kind, shaped like
 hostbench's ``chain_read`` / ``chain_write`` (64 keys, 64-byte values,
-4 clients x 8 outstanding, no loss, no faults, no telemetry), run under
-``sys.setprofile``.  What is asserted is a *count*, not a speed: Python
-calls and C calls per completed operation at or under a committed budget,
-and events per operation pinned exactly.  A per-hop call creeping back into
+4 clients x 8 outstanding, no loss, no faults, no telemetry), on NetChain
+and on the server-hosted chain over TCP, run under ``sys.setprofile``.
+What is asserted is a *count*, not a speed: Python calls and C calls per
+completed operation at or under a committed budget, and events per
+operation pinned exactly.  A per-hop call creeping back into
 the path (a wrapper, a property, a keyword-built record) trips it on any
 machine; a budget is raised deliberately, with the call that needs it named
 in the commit.
@@ -28,20 +29,23 @@ from repro.deploy import (
     run_scenario,
 )
 
-OPS = 8232
-#: kind -> (write ratio, Python calls/op, C calls/op, events in the run).
-#: Measured 81.0 / 55.3 per read and 117.8 / 88.8 per write when committed
-#: (93.0 / 63.3 and 139.8 / 97.8 before the path was built positionally);
-#: the budgets are that plus ~3%.  9.48 events per read, 13.68 per write.
+#: kind -> (backend, write ratio, Python calls/op, C calls/op, ops, events).
+#: Measured when committed (before the path was built positionally):
+#: NetChain 81.0 / 55.3 per read (93.0 / 63.3) and 117.8 / 88.8 per write
+#: (139.8 / 97.8), 9.48 and 13.68 events; server chain 131.1 / 95.0 per read
+#: (149.1 / 111.0) and 237.1 / 178.1 per write (271.1 / 202.1), 20.00 and
+#: 40.00 events.  The budgets are the measured count plus ~3%.
 BUDGET = {
-    "read": (0.0, 83.5, 57.0, 78052),
-    "write": (1.0, 121.4, 91.5, 112632),
+    "read": ("netchain", 0.0, 83.5, 57.0, 8232, 78052),
+    "write": ("netchain", 1.0, 121.4, 91.5, 8232, 112632),
+    "server-chain-read": ("server-chain", 0.0, 135.0, 98.0, 19776, 395520),
+    "server-chain-write": ("server-chain", 1.0, 244.0, 183.5, 9861, 394440),
 }
 
 
-def measure(write_ratio: float):
+def measure(backend: str, write_ratio: float):
     """``(ops, events, Python calls, C calls)`` of one profiled scenario."""
-    spec = DeploymentSpec(backend="netchain", store_size=64, value_size=64, seed=11)
+    spec = DeploymentSpec(backend=backend, store_size=64, value_size=64, seed=11)
     workload = WorkloadSpec(write_ratio=write_ratio, duration=0.1, drain=0.1,
                             num_clients=4, concurrency=8)
     deployment = build_deployment(spec)
@@ -64,15 +68,15 @@ def measure(write_ratio: float):
 
 @pytest.mark.parametrize("kind", sorted(BUDGET))
 def test_calls_per_op_stay_under_budget_and_events_per_op_are_pinned(kind):
-    write_ratio, python_budget, c_budget, events = BUDGET[kind]
-    ops, processed, python_calls, c_calls = measure(write_ratio)
-    assert (ops, processed) == (OPS, events)
+    backend, write_ratio, python_budget, c_budget, expected_ops, events = BUDGET[kind]
+    ops, processed, python_calls, c_calls = measure(backend, write_ratio)
+    assert (ops, processed) == (expected_ops, events)
     assert python_calls / ops <= python_budget, f"{python_calls / ops:.1f} Python calls/op"
     assert c_calls / ops <= c_budget, f"{c_calls / ops:.1f} C calls/op"
 
 
 if __name__ == "__main__":
-    for kind, (write_ratio, *_budget) in sorted(BUDGET.items()):
-        ops, processed, python_calls, c_calls = measure(write_ratio)
+    for kind, (backend, write_ratio, *_budget) in BUDGET.items():
+        ops, processed, python_calls, c_calls = measure(backend, write_ratio)
         print(f"packet path, per {kind}: {python_calls / ops:.1f} Python calls, "
               f"{c_calls / ops:.1f} C calls, {processed / ops:.2f} events")

@@ -14,6 +14,7 @@ This is the acceptance surface of the declarative deployment API:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -28,9 +29,11 @@ from repro.deploy import (
     ScenarioChecks,
     WorkloadSpec,
     available_backends,
+    build_deployment,
     run_scenario,
 )
 from repro.experiments import fault_scenario, reconfig_scenario
+from repro.netsim.tcp import TcpEndpoint
 from repro.workloads.clients import LoadClient
 from repro.workloads.generators import KeyValueWorkload, WorkloadConfig
 
@@ -114,6 +117,10 @@ def test_netchain_scenario_is_byte_identical_to_legacy_construction():
     assert check_linearizable(history, initial=initial).ok
 
 
+def sha(value) -> str:
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name, scenario", [
     ("fault", lambda: fault_scenario(
         seed=0, duration=2.0, faults=[(0.4, "fail_switch", "S1")])),
@@ -128,10 +135,6 @@ def test_replay_digests_match_the_pre_consolidation_wrappers(name, scenario):
     expected = json.loads((Path(__file__).parent / "fixtures"
                            / "replay_digests.json").read_text())[name]
     result = run_scenario(*scenario())
-
-    def sha(value) -> str:
-        return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
-
     assert {
         "signature_sha256": sha(result.signature()),
         "trace_signature_sha256": sha(result.trace_signature()),
@@ -140,6 +143,47 @@ def test_replay_digests_match_the_pre_consolidation_wrappers(name, scenario):
         "failed_ops": result.failed_ops,
     } == expected
     assert result.ok(), result.failures
+
+
+def tcp_backend_digest(backend: str, loss_rate: float) -> dict:
+    """What one seeded scenario on a TCP-backed backend pins: every op's
+    outcome and timestamps, the event count, and the retransmissions summed
+    over every endpoint bound on the deployment's hosts."""
+    spec = dataclasses.replace(matrix_spec(backend), loss_rate=loss_rate,
+                               unlimited_capacity=True)
+    deployment = build_deployment(spec)
+    result = run_scenario(spec, matrix_workload(), deployment=deployment)
+    endpoints = [handler.__self__
+                 for host in deployment.topology.hosts.values()
+                 for handler in host._sockets.values()
+                 if isinstance(getattr(handler, "__self__", None), TcpEndpoint)]
+    assert endpoints
+    return {
+        "signature_sha256": sha(result.signature()),
+        "completed_ops": result.completed_ops,
+        "failed_ops": result.failed_ops,
+        "processed_events": deployment.sim.processed_events,
+        "retransmissions": sum(e.retransmissions for e in endpoints),
+        "ok": result.ok(),
+    }
+
+
+@pytest.mark.parametrize("loss_rate", [0.0, 0.01])
+@pytest.mark.parametrize("backend", ["server-chain", "primary-backup", "zookeeper"])
+def test_tcp_backend_replay_digests_match_the_commit_before_the_message_path(
+        backend, loss_rate):
+    """Cross-commit replay anchor for the transport the three server
+    baselines ride: the ``tcp`` entries of ``fixtures/replay_digests.json``
+    were captured on the commit before the server-side message path was
+    respelled (PR 19), loss-free and at 1% loss -- so RTO, backoff,
+    duplicate suppression and the reorder buffer are on the pinned path --
+    and are never refreshed by a change that claims exact replay."""
+    expected = json.loads((Path(__file__).parent / "fixtures"
+                           / "replay_digests.json").read_text())["tcp"]
+    assert tcp_backend_digest(backend, loss_rate) \
+        == expected[f"{backend}@loss={loss_rate}"]
+    if loss_rate:
+        assert expected[f"{backend}@loss={loss_rate}"]["retransmissions"] > 0
 
 
 def test_declarative_fault_schedule_in_a_scenario():

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
 from repro.baselines import PrimaryBackupCluster, ServerChainCluster
 from repro.netsim.host import HostConfig
+from repro.netsim.packet import UDPHeader
 from repro.netsim.routing import install_shortest_path_routes
+from repro.netsim.tcp import TcpEndpoint
 from repro.netsim.topology import build_testbed
 
 
@@ -113,3 +117,85 @@ def test_chain_uses_fewer_messages_than_primary_backup():
     chain = ServerChainCluster(hosts[:3])
     pb = PrimaryBackupCluster(hosts[:3])
     assert chain.messages_per_write() < pb.messages_per_write()
+
+
+# --------------------------------------------------------------------- #
+# Both baselines: what the shared message path rests on.
+# --------------------------------------------------------------------- #
+
+BASELINES = [ServerChainCluster, PrimaryBackupCluster]
+
+
+@pytest.mark.parametrize("cluster_class", BASELINES)
+def test_no_handler_mutates_a_received_message(cluster_class, monkeypatch):
+    """One message object is shared by the sender, every retransmission,
+    the receiver and (forwarded or fanned out) the next server, so every
+    handler must treat it as read-only: here each message travels as a
+    read-only view and any in-place store raises inside the run."""
+    send = TcpEndpoint.send
+    monkeypatch.setattr(
+        TcpEndpoint, "send", lambda endpoint, message, size_bytes=100:
+        send(endpoint, types.MappingProxyType(message), size_bytes))
+    topo, hosts = make_hosts()
+    cluster = cluster_class(hosts[:3])
+    client = cluster.client(hosts[3])
+    assert client.write("k", b"v1").version == 1
+    won = client.cas("k", b"v1", b"v2")
+    assert won.ok and won.version == 2
+    lost = client.cas("k", b"v1", b"v3")
+    assert not lost.ok and lost.cas_failed and lost.value == b"v2"
+    assert client.read("k").value == b"v2"
+    assert client.delete("k").ok
+    assert client.delete("k").not_found
+    assert client.read("k").value == b""
+    stores = [r.store for r in getattr(cluster, "replicas", None)
+              or [cluster.primary, *cluster.backups]]
+    assert stores == [{}, {}, {}]
+
+
+@pytest.mark.parametrize("cluster_class", BASELINES)
+def test_blocking_calls_stop_the_clock_at_the_reply(cluster_class):
+    """A blocking call costs exactly its latency in simulated time (as
+    ``KVFuture.result`` does), not the next 50 ms boundary."""
+    topo, hosts = make_hosts()
+    client = cluster_class(hosts[:3]).client(hosts[3])
+    sim = client.sim
+    for call in (lambda: client.write("k0", b"v"), lambda: client.read("k0"),
+                 lambda: client.cas("k0", b"v", b"w"), lambda: client.delete("k0")):
+        before = sim.now
+        result = call()
+        assert result.ok and 0.0 < result.latency < 1e-3
+        assert sim.now - before == result.latency
+
+
+@pytest.mark.parametrize("cluster_class", BASELINES)
+def test_blocking_call_times_out_at_its_deadline(cluster_class):
+    topo, hosts = make_hosts()
+    client = cluster_class(hosts[:3]).client(hosts[3])
+    topo.set_loss_rate(1.0)
+    before = client.sim.now
+    with pytest.raises(TimeoutError, match="no reply from the"):
+        client.write("k0", b"v", deadline=0.3)
+    assert client.sim.now - before == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("cluster_class", BASELINES)
+def test_tcp_ports_depend_on_the_deployment_alone(cluster_class):
+    """The ephemeral-port counter lives on the host: a second build of the
+    same spec in this process binds the same ports as the first (a
+    process-wide counter handed it the next block, and after a few
+    thousand builds a port no UDP header can spell)."""
+    def bound_ports():
+        topo, hosts = make_hosts()
+        cluster = cluster_class(hosts[:3])
+        for _ in range(3):
+            cluster.client(hosts[3])
+        return {host.name: sorted(host._sockets) for host in hosts}
+
+    first, second = bound_ports(), bound_ports()
+    assert first == second
+    assert min(first["H3"]) == 40000
+    for ports in first.values():
+        for port in ports:
+            header = UDPHeader(port, port)
+            assert UDPHeader.from_bytes(header.to_bytes()) == header

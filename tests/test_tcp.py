@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from repro.netsim.host import HostConfig
 from repro.netsim.link import LinkConfig
+from repro.netsim.packet import Packet
 from repro.netsim.routing import install_shortest_path_routes
-from repro.netsim.tcp import TcpConfig, TcpConnection
+from repro.netsim.tcp import Segment, TcpConfig, TcpConnection
 from repro.netsim.topology import build_line
 
 
@@ -118,3 +119,64 @@ def test_stats_counters():
     topo.run(until=1.0)
     assert conn.endpoint(a).messages_sent == 5
     assert conn.endpoint(b).messages_delivered == 5
+
+
+def test_in_order_exactly_once_under_reordering_and_loss():
+    """Jitter lets later segments overtake earlier ones and loss opens
+    gaps, so arrivals park in the reorder buffer; delivery is still the
+    send order, each message once, and nothing is left parked."""
+    topo = build_line(1, hosts_at={0: 2},
+                      host_config=HostConfig(stack_delay=1e-6, nic_pps=None),
+                      link_config=LinkConfig(loss_rate=0.05, reorder_jitter=20e-6))
+    install_shortest_path_routes(topo)
+    a, b = topo.hosts.values()
+    conn = TcpConnection(a, b, config=TcpConfig(initial_cwnd=16))
+    sender, receiver = conn.endpoint(a), conn.endpoint(b)
+    got, parked = [], []
+
+    def on_message(message):
+        got.append(message)
+        parked.append(len(receiver._reorder_buffer))
+
+    receiver.on_message = on_message
+    for i in range(200):
+        sender.send(i)
+    topo.run(until=60.0)
+    assert got == list(range(200))
+    assert receiver.messages_delivered == sender.messages_sent == 200
+    assert max(parked) > 0 and sender.retransmissions > 0
+    assert not receiver._reorder_buffer
+    assert not sender._outstanding and not sender._send_queue
+
+
+def test_retransmission_of_a_delivered_segment_is_acked_not_redelivered():
+    """The first ACK is lost, so the sender retransmits a segment the
+    receiver already delivered: the duplicate is acknowledged again (or the
+    sender would retransmit forever) and not handed to the application."""
+    topo, a, b, conn = make_pair()
+    sender, receiver = conn.endpoint(a), conn.endpoint(b)
+    got, lost_acks = [], []
+    receiver.on_message = got.append
+    on_packet = a._sockets[sender.local_port]
+
+    def drop_first_ack(packet):
+        if lost_acks:
+            on_packet(packet)
+        else:
+            lost_acks.append(packet.payload.kind)
+
+    a.bind(sender.local_port, drop_first_ack)
+    sender.send("once")
+    topo.run(until=1.0)
+    assert lost_acks == ["ack"]
+    assert sender.retransmissions == 1 and not sender._outstanding
+    assert got == ["once"] and receiver.messages_delivered == 1
+
+
+def test_packet_copy_gives_a_duplicate_its_own_segment():
+    """Every transmission shares the message's one segment; an injected
+    duplicate (``Packet.copy``) gets its own, around the same message."""
+    segment = Segment(7, "data", 3, {"op": "read"}, 150)
+    twin = Packet(payload=segment).copy().payload
+    assert twin is not segment and twin.message is segment.message
+    assert (twin.conn_id, twin.kind, twin.seq, twin.size_bytes) == (7, "data", 3, 150)
