@@ -134,12 +134,6 @@ class FileContext:
             yield current
             current = self.parent(current)
 
-    def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                return ancestor
-        return None
-
     def enclosing_def(self, node: ast.AST) -> Optional[ast.AST]:
         """Nearest enclosing named function (lambdas are skipped over)."""
         for ancestor in self.ancestors(node):

@@ -185,10 +185,6 @@ class ZooKeeperTransactionClient(_TransactionMixin):
         self.client = client
         self.lock_root = lock_root
 
-    def prepare(self) -> None:
-        """Create the lock directory (synchronous; call before starting load)."""
-        self.client.ensure_path(self.lock_root)
-
     def start(self) -> None:
         self.running = True
         self._begin_txn()

@@ -391,12 +391,6 @@ class ZooKeeperEnsemble:
                 else:
                     server.tree.set_data(path, items[path])
 
-    def total_reads(self) -> int:
-        return sum(s.reads_served for s in self.servers.values())
-
-    def total_commits(self) -> int:
-        return max((s.writes_committed for s in self.servers.values()), default=0)
-
 
 def build_zookeeper_ensemble(hosts: List[Host],
                              config: Optional[ZooKeeperConfig] = None) -> ZooKeeperEnsemble:

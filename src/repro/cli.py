@@ -3,7 +3,9 @@
 ::
 
     matrix                        run the seed x backend x fault-profile grid
-    history check|index|info      re-check, re-index or inspect a history/v1 run dir
+    history check|index|info|generate
+                                  re-check, re-index, inspect or synthesize a
+                                  history/v1 run dir
     trace run|report|info         record, report on or inspect a trace/v1 run dir
     lint check|explain|baseline   detlint, the determinism static analysis
 
@@ -26,6 +28,10 @@ from repro.artifacts import json_document, write_json
 
 LINT_PATHS = ["src", "benchmarks", "tests"]
 LINT_BASELINE = Path("analysis") / "baseline.json"
+
+#: The shape of ``history generate``'s synthetic run: what CI's
+#: ``verify-at-scale`` job has always checked, so fixed rather than flags.
+GENERATE_SHAPE = {"keys": 512, "clients": 32, "timeout_rate": 0.01}
 
 
 def _workers(value: str) -> int:
@@ -78,6 +84,7 @@ def _history_check(args: argparse.Namespace) -> int:
         VerdictCache,
         check_linearizable_streaming,
     )
+    from repro.netsim.telemetry import peak_rss_bytes
 
     with HistoryStore(args.run_dir) as store:
         cache = VerdictCache(args.cache) if args.cache else None
@@ -94,6 +101,12 @@ def _history_check(args: argparse.Namespace) -> int:
         exhausted = report.exhausted_keys()
         if exhausted:
             print(f"exhausted keys: {[r.key for r in exhausted]}")
+        if args.max_rss_mb is not None:
+            rss_mb = peak_rss_bytes() / (1 << 20)
+            print(f"peak RSS: {rss_mb:.0f} MiB")
+            if rss_mb > args.max_rss_mb:
+                raise ValueError(f"peak RSS {rss_mb:.0f} MiB exceeds the "
+                                 f"{args.max_rss_mb:.0f} MiB budget")
         return 0 if report.ok and not exhausted and not violations else 1
 
 
@@ -115,8 +128,24 @@ def _history_info(args: argparse.Namespace) -> int:
         print(f"ops: {store.total_ops} ({store.completed_ops} completed)")
         print(f"keys: {len(store.keys())}")
         print(f"data bytes: {store.data_bytes}")
-        if store.meta:
-            print(f"meta: {json.dumps(store.meta, sort_keys=True)}")
+        meta = dict(store.meta)
+        if "initial" in meta:
+            print(f"initial: {len(meta.pop('initial'))} keys")
+        if meta:
+            print(f"meta: {json.dumps(meta, sort_keys=True)}")
+    return 0
+
+
+def _history_generate(args: argparse.Namespace) -> int:
+    from repro.core.history_gen import initial_values, iter_history
+    from repro.core.history_store import HistoryWriter
+
+    with HistoryWriter(args.run_dir,
+                       meta={"seed": args.seed, "generator": "history_gen"},
+                       initial=initial_values(GENERATE_SHAPE["keys"])) as writer:
+        for op in iter_history(args.seed, ops=args.ops, **GENERATE_SHAPE):
+            writer.append(op)
+    print(f"generated {args.ops} ops (seed {args.seed}) in {writer.ops_path}")
     return 0
 
 
@@ -188,8 +217,7 @@ def _lint_explain(args: argparse.Namespace) -> int:
     wanted: List[str] = args.rules or [rule.id for rule in RULES]
     unknown = [rule_id for rule_id in wanted if rule_by_id(rule_id) is None]
     if unknown:
-        print(f"unknown rule id(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
     blocks: List[str] = []
     for rule in map(rule_by_id, wanted):
         lines = [f"{rule.id}: {rule.title}",
@@ -254,6 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (0 = in-process)")
     check.add_argument("--cache", default=None,
                        help="path of a persistent verdict cache (JSON)")
+    check.add_argument("--max-rss-mb", type=float, default=None,
+                       help="fail when this process's peak RSS exceeds the "
+                            "budget (a lifetime high-water mark: use a fresh "
+                            "process)")
     check.set_defaults(handler=_history_check)
     index = history.add_parser("index", help="rebuild the derived index")
     index.add_argument("run_dir")
@@ -263,6 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     info = history.add_parser("info", help="print run metadata and counts")
     info.add_argument("run_dir")
     info.set_defaults(handler=_history_info)
+    generate = history.add_parser(
+        "generate", help="spill a seeded synthetic history, linearizable by "
+                         "construction, to check at any scale")
+    generate.add_argument("run_dir")
+    generate.add_argument("--ops", type=int, required=True)
+    generate.add_argument("--seed", type=int, default=11)
+    generate.set_defaults(handler=_history_generate)
 
     trace = verbs.add_parser(
         "trace", help="record and report on trace/v1 telemetry "

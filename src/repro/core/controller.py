@@ -79,12 +79,6 @@ class ChainInfo:
     vgroup: int
     switches: List[str]
 
-    def head(self) -> str:
-        return self.switches[0]
-
-    def tail(self) -> str:
-        return self.switches[-1]
-
 
 @dataclass
 class RecoveryReport:

@@ -200,9 +200,6 @@ class History:
     def completed_ops(self) -> List[HistoryOp]:
         return [op for op in self.ops if op.completed]
 
-    def pending_ops(self) -> List[HistoryOp]:
-        return [op for op in self.ops if not op.completed]
-
     def __len__(self) -> int:
         return len(self.ops)
 

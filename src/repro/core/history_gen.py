@@ -61,10 +61,6 @@ class GeneratedHistory:
     #: checker must flag (no corruption => linearizable).
     corrupted_keys: List[bytes] = field(default_factory=list)
 
-    @property
-    def expect_ok(self) -> bool:
-        return not self.corrupted_keys
-
 
 def iter_history(seed: int, *, clients: int = 4, keys: int = 8,
                  ops: int = 1000, timeout_rate: float = 0.02,

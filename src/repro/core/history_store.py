@@ -29,8 +29,10 @@ surface for :class:`repro.core.history.History`: completed operations are
 appended to the run directory and released from memory immediately; only
 in-flight operations stay resident.
 
-A spilled run re-checks offline::
+A spilled run re-checks offline, and ``generate`` spills a seeded synthetic
+one (:mod:`repro.core.history_gen`) of any size to check::
 
+    PYTHONPATH=src python -m repro history generate <run_dir> --ops 1000000
     PYTHONPATH=src python -m repro history check <run_dir>
     PYTHONPATH=src python -m repro history index <run_dir>  # rebuild
     PYTHONPATH=src python -m repro history info <run_dir>
@@ -56,7 +58,7 @@ import sys
 from array import array
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.artifacts import (
     NdjsonWriter,
@@ -237,12 +239,20 @@ class HistoryWriter:
 
     The per-key offset index and per-key content hashes are derived while
     writing -- no second pass over the data -- and persisted on
-    :meth:`close` as ``index.bin`` + ``index.json``.
+    :meth:`close` as ``index.bin`` + ``index.json``.  ``initial`` (the
+    keys' starting values) is recorded as ``meta["initial"]``, which
+    :meth:`HistoryStore.initial_values` reads back, so the run dir can be
+    re-checked with nothing else in hand.
     """
 
-    def __init__(self, run_dir, meta: Optional[Dict[str, Any]] = None) -> None:
+    def __init__(self, run_dir, meta: Optional[Dict[str, Any]] = None,
+                 initial: Optional[Dict[bytes, Optional[bytes]]] = None) -> None:
         self.run_dir = Path(run_dir)
         self.meta = dict(meta or {})
+        if initial is not None:
+            self.meta["initial"] = {
+                encode_bytes(canonical_key(key)): encode_bytes(value)
+                for key, value in initial.items()}
         self.ops_path = self.run_dir / OPS_FILE
         self._stream = NdjsonWriter(self.ops_path, SCHEMA, meta=self.meta)
         self._index = _IndexBuilder()
@@ -357,10 +367,6 @@ class HistoryStore:
                                            limit=self.data_bytes):
             yield record_to_op(record)
 
-    def per_key(self) -> Dict[bytes, List[HistoryOp]]:
-        """Materialize every key's stream (small runs / tests only)."""
-        return {key: self.ops_for_key(key) for key in self.keys()}
-
     def initial_values(self) -> Optional[Dict[bytes, Optional[bytes]]]:
         """The initial key values recorded in the run metadata, if any."""
         encoded = self.meta.get("initial")
@@ -418,34 +424,6 @@ def rebuild_index(run_dir, allow_truncated: bool = False
 
 
 # --------------------------------------------------------------------- #
-# Bare NDJSON files (fixtures, exports): no run directory, no index.
-# --------------------------------------------------------------------- #
-
-def write_ndjson(path, ops: Iterable[HistoryOp],
-                 meta: Optional[Dict[str, Any]] = None) -> None:
-    """Write a standalone ``history/v1`` NDJSON file (no derived index)."""
-    with NdjsonWriter(path, SCHEMA, meta=meta) as stream:
-        for op in ops:
-            op.key = canonical_key(op.key)
-            stream.write(op_to_record(op))
-
-
-def iter_ndjson(path) -> Iterator[HistoryOp]:
-    """Stream the operations of a standalone NDJSON history file.
-
-    Raises :class:`~repro.artifacts.TruncatedArtifactError` (with the byte
-    offset of the first unreadable record) on a cut or corrupt file.
-    """
-    for _offset, _line, record in scan(path, SCHEMA):
-        yield record_to_op(record)
-
-
-def load_ndjson(path) -> List[HistoryOp]:
-    """Materialize a standalone NDJSON history file."""
-    return list(iter_ndjson(path))
-
-
-# --------------------------------------------------------------------- #
 # Recording with spill.
 # --------------------------------------------------------------------- #
 
@@ -467,12 +445,7 @@ class SpillingHistory:
                  initial: Optional[Dict[bytes, Optional[bytes]]] = None,
                  meta: Optional[Dict[str, Any]] = None) -> None:
         self.sim = sim
-        meta = dict(meta or {})
-        if initial is not None:
-            meta["initial"] = {
-                encode_bytes(canonical_key(key)): encode_bytes(value)
-                for key, value in initial.items()}
-        self.writer = HistoryWriter(run_dir, meta=meta)
+        self.writer = HistoryWriter(run_dir, meta=meta, initial=initial)
         self.run_dir = self.writer.run_dir
         self._pending: Dict[int, HistoryOp] = {}
         self._ids = 0
@@ -505,35 +478,13 @@ class SpillingHistory:
             self._store = HistoryStore(self.run_dir)
         return self._store
 
-    @property
-    def store(self) -> HistoryStore:
-        return self.finish()
-
     # -- History-shaped views (post-finish) ------------------------------- #
-
-    @property
-    def pending(self) -> int:
-        """Operations currently in flight (resident in memory)."""
-        return len(self._pending)
 
     def __len__(self) -> int:
         return self._ids
 
-    def per_key(self) -> Dict[bytes, List[HistoryOp]]:
-        return self.finish().per_key()
-
     def iter_ops(self) -> Iterator[HistoryOp]:
         return self.finish().iter_ops()
-
-    def version_violations(self) -> List[str]:
-        return version_violations_of(self.finish().iter_ops())
-
-    def check(self, initial: Optional[Dict[bytes, Optional[bytes]]] = None,
-              state_budget: int = 500_000, workers: int = 0,
-              cache: Optional["VerdictCache"] = None) -> LinearizabilityReport:
-        return check_linearizable_streaming(self, initial=initial,
-                                            state_budget=state_budget,
-                                            workers=workers, cache=cache)
 
 
 # --------------------------------------------------------------------- #

@@ -563,9 +563,12 @@ class HotKeyManager:
             if program is not None:
                 program.clear_read_gate(raw)
                 program.clear_clean_notify(raw)
+        # A reconfiguration since the widen may have made an extra replica a
+        # member of the key's base chain: that copy is now the chain's own.
+        base = controller.chain_for_key(raw).switches
         for name in route.extras:
             store = controller.stores.get(name)
-            if store is not None:
+            if store is not None and name not in base:
                 store.remove_key(raw)
         controller.bump_group_epoch(route.vgroup)
         self._chain_version_seen = controller._chain_version

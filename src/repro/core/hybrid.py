@@ -154,10 +154,6 @@ class HybridStore:
         """Whether the key is currently served from the network tier."""
         return _raw(key) in self._network_keys or self.policy.is_pinned(key)
 
-    def network_keys(self) -> Set[bytes]:
-        """Keys currently placed in switches."""
-        return set(self._network_keys)
-
     def _promote(self, key, value: bytes) -> None:
         raw = _raw(key)
         self.agent.insert_sync(key, value)

@@ -10,12 +10,3 @@ from repro.perfmodel.devices import table1_rows
 def table1() -> List[Tuple[str, str, str, str]]:
     """(device, packets per sec, bandwidth, processing delay) rows of Table 1."""
     return table1_rows()
-
-
-def format_table1() -> str:
-    """A printable rendering of Table 1."""
-    header = f"{'Device':<20} {'Packets per sec.':<18} {'Bandwidth':<12} {'Delay':<10}"
-    lines = [header, "-" * len(header)]
-    for name, pps, bandwidth, delay in table1():
-        lines.append(f"{name:<20} {pps:<18} {bandwidth:<12} {delay:<10}")
-    return "\n".join(lines)

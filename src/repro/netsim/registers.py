@@ -95,10 +95,6 @@ class RegisterFile:
         self.arrays[name] = array
         return array
 
-    def get(self, name: str) -> RegisterArray:
-        """Look up an array by name."""
-        return self.arrays[name]
-
     def free(self, name: str) -> None:
         """Release an array back to the SRAM pool."""
         self.arrays.pop(name, None)

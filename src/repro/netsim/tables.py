@@ -85,13 +85,6 @@ class MatchTable:
         self._size -= len(entries)
         return len(entries)
 
-    def entries(self) -> List[TableEntry]:
-        """All installed entries (highest priority first per match)."""
-        result: List[TableEntry] = []
-        for bucket in self._entries.values():
-            result.extend(bucket)
-        return result
-
     def clear(self) -> None:
         """Remove every entry."""
         self._entries.clear()

@@ -30,8 +30,8 @@ def peak_rss_bytes() -> int:
     """Peak RSS of this process in bytes.
 
     ``ru_maxrss`` is reported in KiB on Linux but in bytes on macOS; this
-    is the one shared, platform-aware conversion point (used by the perf
-    report, the scenario runner and the at-scale verifier).
+    is the one shared, platform-aware conversion point (used by the
+    scenario runner and ``repro history check --max-rss-mb``).
     """
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return rss if sys.platform == "darwin" else rss * 1024

@@ -16,8 +16,9 @@ import json
 import sys
 from pathlib import Path
 
+from repro.artifacts import NdjsonWriter
 from repro.core.history import HistoryOp
-from repro.core.history_store import encode_bytes, write_ndjson
+from repro.core.history_store import SCHEMA, encode_bytes, op_to_record
 
 HERE = Path(__file__).parent
 
@@ -203,10 +204,11 @@ def main() -> int:
     for fixture in FIXTURES:
         initial = {encode_bytes(key): encode_bytes(value)
                    for key, value in fixture["initial"].items()}
-        write_ndjson(HERE / fixture["file"], fixture["ops"],
-                     meta={"name": fixture["file"].rsplit(".", 1)[0],
-                           "description": fixture["description"],
-                           "initial": initial})
+        meta = {"name": fixture["file"].rsplit(".", 1)[0],
+                "description": fixture["description"], "initial": initial}
+        with NdjsonWriter(HERE / fixture["file"], SCHEMA, meta=meta) as stream:
+            for record in fixture["ops"]:
+                stream.write(op_to_record(record))
         manifest.append({
             "file": fixture["file"],
             "description": fixture["description"],

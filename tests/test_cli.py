@@ -7,6 +7,7 @@ stderr line, non-zero exit) and the removal of the old entry points.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -18,13 +19,12 @@ import pytest
 
 from repro.analysis.report import REPORT_SCHEMA
 from repro.cli import main
-from repro.core.history_gen import generate_history, initial_values
-from repro.core.history_store import encode_bytes, write_ndjson
 from repro.deploy import default_matrix
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-CORPUS = REPO_ROOT / "tests" / "fixtures" / "detlint" / "corpus"
-HISTORIES = REPO_ROOT / "tests" / "fixtures" / "histories"
+FIXTURES = REPO_ROOT / "tests" / "fixtures"
+CORPUS = FIXTURES / "detlint" / "corpus"
+HISTORIES = FIXTURES / "histories"
 
 
 def one_error_line(capsys) -> str:
@@ -43,6 +43,8 @@ def test_help_at_every_level(verb, capsys):
     assert out.startswith("usage: python -m repro")
     if not verb:
         assert "{matrix,history,trace,lint}" in out  # exactly these four
+    if verb == ["history"]:
+        assert "{check,index,info,generate}" in out
 
 
 @pytest.mark.parametrize("module", ["repro.deploy", "repro.analysis"])
@@ -55,24 +57,52 @@ def test_old_package_entry_points_are_gone(module):
 
 
 def test_history_index_info_check(tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    write_ndjson(run_dir / "ops.ndjson", generate_history(19, keys=3, ops=120).ops,
-                 meta={"initial": {encode_bytes(k): encode_bytes(v)
-                                   for k, v in initial_values(3).items()}})
+    """``generate`` -> ``info`` / ``index`` / ``check`` on one seeded run.
+
+    Cross-commit replay anchor: the ``history_gen`` entry of
+    ``fixtures/replay_digests.json`` was captured on the commit before the
+    verb existed, from the scale harness it replaced (EXPERIMENTS.md,
+    "Verifying histories at scale": 20,000 ops, seed 11, 512 keys, 32
+    clients, 1% timeouts): every record line -- all of ``ops.ndjson`` after
+    its header -- must still hash to it.
+    """
+    anchor = json.loads((FIXTURES / "replay_digests.json").read_text())["history_gen"]
+    generate = ["--ops", str(anchor["ops"]), "--seed", str(anchor["seed"])]
+    run_dir, replay = tmp_path / "run", tmp_path / "replay"
+    assert main(["history", "generate", str(run_dir), *generate]) == 0
+    assert main(["history", "generate", str(replay), *generate]) == 0
+    data = (run_dir / "ops.ndjson").read_bytes()
+    assert data == (replay / "ops.ndjson").read_bytes()
+    records = data.partition(b"\n")[2]
+    assert (len(records), hashlib.sha256(records).hexdigest()) == \
+        (anchor["record_bytes"], anchor["record_sha256"])
+
     # The NDJSON alone is a run dir once ``index`` has derived the rest.
+    for name in ("index.json", "index.bin"):
+        (run_dir / name).unlink()
     assert main(["history", "info", str(run_dir)]) == 1
     assert f"python -m repro history index {run_dir}" in one_error_line(capsys)
     assert main(["history", "index", str(run_dir)]) == 0
     assert main(["history", "info", str(run_dir)]) == 0
     out = capsys.readouterr().out
-    assert "ops: 120" in out and "keys: 3" in out
+    assert f"ops: {anchor['ops']}" in out and "keys: 512" in out
+    assert "initial: 512 keys" in out and "init-0" not in out
 
+    # ``check`` needs no side channel: the initial values ride in the header.
     cache = str(tmp_path / "cache.json")
     assert main(["history", "check", str(run_dir), "--cache", cache]) == 0
-    assert "linearizable" in capsys.readouterr().out
+    assert "linearizable: 512 keys" in capsys.readouterr().out
     # Second check hits the persisted cache for every key.
-    assert main(["history", "check", str(run_dir), "--cache", cache]) == 0
-    assert "verdict cache hits: 3/3" in capsys.readouterr().out
+    assert main(["history", "check", str(run_dir), "--cache", cache,
+                 "--max-rss-mb", "100000"]) == 0
+    assert "verdict cache hits: 512/512" in capsys.readouterr().out
+    assert main(["history", "check", str(run_dir), "--cache", cache,
+                 "--max-rss-mb", "1"]) == 1
+    assert "exceeds the 1 MiB budget" in one_error_line(capsys)
+
+    assert main(["history", "generate", str(run_dir / "ops.ndjson" / "under-a-file"),
+                 "--ops", "1"]) == 1
+    assert one_error_line(capsys).startswith("repro history: ")
 
     bad = tmp_path / "bad"
     bad.mkdir()
@@ -164,7 +194,8 @@ def test_lint_explain(capsys):
     assert main(["lint", "explain", "DET003"]) == 0
     out = capsys.readouterr().out
     assert "DET003" in out and "sorted" in out
-    assert main(["lint", "explain", "DET999"]) == 2
+    assert main(["lint", "explain", "DET999"]) == 1
+    assert "unknown rule id(s): DET999" in one_error_line(capsys)
 
 
 def test_lint_summary_markdown(capsys):

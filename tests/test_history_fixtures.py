@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.artifacts import read_header
+from repro.artifacts import read_header, scan
 from repro.core.history import HistoryOp, check_linearizable, version_violations_of
 from repro.core.history_gen import generate_history
 from repro.core.history_store import (
@@ -28,12 +28,17 @@ from repro.core.history_store import (
     HistoryWriter,
     check_linearizable_streaming,
     decode_bytes,
-    load_ndjson,
+    record_to_op,
 )
 
 CORPUS = Path(__file__).parent / "fixtures" / "histories"
 MANIFEST = json.loads((CORPUS / "manifest.json").read_text(encoding="utf-8"))
 FIXTURES = MANIFEST["fixtures"]
+
+
+def load_ndjson(path) -> List[HistoryOp]:
+    """The operations of one standalone (index-less) fixture file."""
+    return [record_to_op(record) for _offset, _line, record in scan(path, SCHEMA)]
 
 
 def fixture_initial(entry):

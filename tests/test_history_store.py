@@ -10,12 +10,11 @@ bounds peak memory).
 
 from __future__ import annotations
 
-import json
 import tracemalloc
 
 import pytest
 
-from repro.artifacts import TruncatedArtifactError
+from repro.artifacts import TruncatedArtifactError, scan
 from repro.core import history_store
 from repro.core.client import canonical_key
 from repro.core.history import History, HistoryOp, KeyReport, check_linearizable
@@ -28,13 +27,10 @@ from repro.core.history_store import (
     check_linearizable_streaming,
     decode_bytes,
     encode_bytes,
-    iter_ndjson,
-    load_ndjson,
     op_to_record,
     rebuild_index,
     record_to_op,
     verdict_digest,
-    write_ndjson,
 )
 from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec, run_scenario
 
@@ -173,7 +169,7 @@ def test_truncated_file_surfaces_clean_error_with_offset(tmp_path):
     path.write_bytes(intact + lines[-1][:10])  # cut the last record short
 
     with pytest.raises(TruncatedArtifactError) as exc_info:
-        list(iter_ndjson(path))
+        list(scan(path, history_store.SCHEMA))
     err = exc_info.value
     assert err.offset == len(intact)
     assert str(err.offset) in str(err) and "truncated" in str(err)
@@ -183,7 +179,7 @@ def test_truncated_file_surfaces_clean_error_with_offset(tmp_path):
     garbled = intact[:len(lines[0]) + len(lines[1])] + b'{"id": oops}\n'
     path.write_bytes(garbled)
     with pytest.raises(TruncatedArtifactError) as exc_info:
-        list(iter_ndjson(path))
+        list(scan(path, history_store.SCHEMA))
     assert exc_info.value.offset == len(lines[0]) + len(lines[1])
 
 
@@ -294,17 +290,6 @@ def test_streaming_flags_the_corrupted_keys(tmp_path):
     assert not report.ok
     flagged = sorted(k for k, r in report.keys.items() if not r.ok)
     assert flagged == sorted(gen.corrupted_keys)
-
-
-def test_write_ndjson_standalone_round_trip(tmp_path):
-    path = tmp_path / "history.ndjson"
-    ops = generate_history(23, keys=2, ops=20).ops
-    write_ndjson(path, ops, meta={"name": "stale-read"})
-    loaded = load_ndjson(path)
-    assert loaded == ops
-    header = json.loads(path.read_bytes().splitlines()[0])
-    assert header["schema"] == "history/v1"
-    assert header["meta"]["name"] == "stale-read"
 
 
 # --------------------------------------------------------------------- #

@@ -8,9 +8,12 @@ preserve (linearizability and replay determinism with the tier on).
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core import NetChainCluster
+from repro.core.history import History, RecordingClient, check_linearizable
 from repro.core.hotkeys import (
     ClientReadCache,
     HotKeyManager,
@@ -256,6 +259,56 @@ def test_switch_failure_narrows_affected_routes():
     failed = manager.hot_routes[raw].switches[-1]
     controller.fast_failover(failed)
     assert raw not in manager.hot_routes
+
+
+def test_someone_elses_reconfiguration_narrows_every_hot_route():
+    """A migration commits under a widened key: the next poll must tear every
+    hot route down (they were built on superseded base chains) without taking
+    the key off a switch the migration has since made a base-chain member."""
+    cluster = _tier_cluster()
+    controller = cluster.controller
+    manager = controller.hotkey_manager
+    history = History(cluster.sim)
+    clients = [RecordingClient(cluster.agent(host), history, name=host)
+               for host in ("H0", "H1")]
+    raw = normalize_key("k00000000")
+    issued = itertools.count(1)
+
+    def next_op():
+        n = next(issued)
+        if n % 8:
+            clients[n % 2].read("k00000000")
+        else:
+            clients[n % 2].write("k00000000", b"v%d" % n)
+
+    cancel = cluster.sim.every(1e-4, next_op)
+    cluster.run(until=cluster.sim.now + 0.03)
+    assert raw in manager.hot_routes
+
+    cluster.add_switch("S4")
+    coordinator = cluster.migrate(list(controller.members))
+    # Stop just after the first commit that is not the manager's own.
+    while controller._chain_version == manager._chain_version_seen:
+        cluster.run(until=cluster.sim.now + 1e-4)
+    assert manager.hot_routes and not coordinator.done
+    manager._poll()
+    assert manager.hot_routes == {}
+    assert manager._chain_version_seen == controller._chain_version
+
+    # The key stays hot, so it is widened again (over S4 too) and narrowed
+    # again as later steps commit -- one of which moves S4 into its base chain.
+    while not coordinator.done:
+        cluster.run(until=cluster.sim.now + 0.01)
+    cluster.run(until=cluster.sim.now + 0.01)
+    cancel()
+    cluster.run(until=cluster.sim.now + 0.05)
+    assert not coordinator.report.aborted
+    base = controller.chain_for_key(raw).switches
+    assert "S4" in base
+    assert all(controller.stores[name].lookup(raw) is not None for name in base)
+    assert all(op.ok for op in history.ops)
+    report = check_linearizable(history, initial={b"k00000000": bytes(64)})
+    assert report.ok, report.summary()
 
 
 def test_garbage_collect_forgets_widened_keys():
