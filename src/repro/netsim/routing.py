@@ -4,7 +4,8 @@ NetChain's chain routing rides on top of whatever underlay routing the
 datacenter already runs (Section 4.2): each switch simply forwards on the
 destination IP, and the NetChain program rewrites the destination IP to the
 next chain hop.  This module plays the role of that underlay routing
-protocol: it computes shortest paths over the physical topology and
+protocol: it computes hop-count shortest paths over the physical topology
+(:attr:`Topology.adjacency`, one breadth-first search per destination) and
 installs ``dest-IP -> egress port`` entries in every switch.
 
 It also provides :func:`reroute_around_failures`, the "fast rerouting upon
@@ -14,23 +15,41 @@ switch failure the underlay recomputes paths that avoid the failed device.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
-
-import networkx as nx
+from collections import deque
+from typing import Container, Dict, Iterable, List, Optional
 
 from repro.netsim.topology import Topology
 
+Graph = Dict[str, List[str]]  # node name -> neighbour names
 
-def _build_routing_graph(topology: Topology, exclude: Iterable[str]) -> nx.Graph:
-    excluded = set(exclude)
-    graph = nx.Graph()
-    for name in topology.graph.nodes:
-        if name not in excluded:
-            graph.add_node(name)
-    for a, b in topology.graph.edges:
-        if a not in excluded and b not in excluded:
-            graph.add_edge(a, b)
-    return graph
+
+class NoPathError(ValueError):
+    """No path joins the two nodes, or one of them is not in the graph."""
+
+
+def _without(graph: Graph, excluded: Container[str]) -> Graph:
+    return {name: [n for n in neighbours if n not in excluded]
+            for name, neighbours in graph.items() if name not in excluded}
+
+
+def hops_from(graph: Graph, node: str) -> Dict[str, int]:
+    """Hop count from ``node`` to every node it reaches, itself included."""
+    hops = {node: 0}
+    frontier = deque([node])
+    while frontier:
+        current = frontier.popleft()
+        for neighbour in graph[current]:
+            if neighbour not in hops:
+                hops[neighbour] = hops[current] + 1
+                frontier.append(neighbour)
+    return hops
+
+
+def _next_hop(graph: Graph, hops: Dict[str, int], node: str) -> str:
+    """The lexicographically smallest neighbour of ``node`` one hop closer to
+    the root of ``hops``: equal-cost ties break the same way on every run."""
+    closer = hops[node] - 1
+    return min(n for n in graph[node] if hops.get(n) == closer)
 
 
 def install_shortest_path_routes(topology: Topology,
@@ -39,64 +58,29 @@ def install_shortest_path_routes(topology: Topology,
 
     Args:
         topology: the network.
-        exclude: node names (typically failed switches) to route around.
-
-    Paths are computed hop-count shortest paths; when several equal-cost
-    next hops exist the lexicographically smallest neighbour is chosen so
-    the routing is deterministic (tests rely on this).
+        exclude: node names (typically failed switches) to route around;
+            their own tables are left as they are.
     """
-    exclude = list(exclude or [])
-    excluded_set = set(exclude)
-    graph = _build_routing_graph(topology, exclude)
-    full_graph = _build_routing_graph(topology, [])
-    # next_hop[src][dst_name] = neighbour name on a shortest path.
-    for switch_name, switch in topology.switches.items():
-        if switch_name in exclude:
-            continue
+    excluded = set(exclude or ())
+    full = topology.adjacency
+    live = _without(full, excluded)
+    routed = [switch for name, switch in topology.switches.items()
+              if name not in excluded]
+    for switch in routed:
         switch.forwarding_table.clear()
-        if switch_name not in graph:
-            continue
-        # BFS tree from each destination would be O(n^2); for the sizes used
-        # here (<= ~100 switches) per-source shortest paths are fine.
-        paths = nx.single_source_shortest_path(graph, switch_name)
-        for dst_name, path in paths.items():
-            if dst_name == switch_name or len(path) < 2:
-                continue
-            dst_node = topology.node(dst_name)
-            candidates = _equal_cost_next_hops(graph, switch_name, dst_name, len(path) - 1)
-            next_hop_name = sorted(candidates)[0]
-            next_hop = topology.node(next_hop_name)
-            port = switch.port_to(next_hop)
-            if port is not None:
-                switch.forwarding_table[dst_node.ip] = port
-        # Routes *toward* an excluded (failed) node are kept on the full
-        # graph: NetChain's failover relies on packets still flowing toward
-        # the failed switch until one of its neighbours intercepts them with
-        # a redirect rule (Algorithm 2).
-        for dst_name in sorted(excluded_set):
-            if dst_name not in full_graph or dst_name == switch_name:
-                continue
-            try:
-                path = nx.shortest_path(full_graph, switch_name, dst_name)
-            except nx.NetworkXNoPath:
-                continue
-            if len(path) < 2:
-                continue
-            dst_node = topology.node(dst_name)
-            next_hop = topology.node(path[1])
-            port = switch.port_to(next_hop)
-            if port is not None:
-                switch.forwarding_table[dst_node.ip] = port
-
-
-def _equal_cost_next_hops(graph: nx.Graph, src: str, dst: str, dist: int) -> List[str]:
-    """Neighbours of ``src`` that lie on some shortest path to ``dst``."""
-    lengths = nx.single_source_shortest_path_length(graph, dst)
-    result = []
-    for neighbor in graph.neighbors(src):
-        if lengths.get(neighbor, float("inf")) == dist - 1:
-            result.append(neighbor)
-    return result or [dst]
+    # Routes *toward* an excluded (failed) node are kept, on the full graph:
+    # NetChain's failover relies on packets still flowing toward the failed
+    # switch until one of its neighbours intercepts them with a redirect
+    # rule (Algorithm 2).
+    for graph, destinations in ((live, live),
+                                (full, sorted(excluded.intersection(full)))):
+        for dst_name in destinations:
+            hops = hops_from(graph, dst_name)
+            dst_ip = topology.node(dst_name).ip
+            for switch in routed:
+                if hops.get(switch.name, 0) > 0:
+                    next_hop = topology.node(_next_hop(graph, hops, switch.name))
+                    switch.forwarding_table[dst_ip] = switch.port_to(next_hop)
 
 
 def reroute_around_failures(topology: Topology, failed: Iterable[str]) -> None:
@@ -106,9 +90,16 @@ def reroute_around_failures(topology: Topology, failed: Iterable[str]) -> None:
 
 def path_between(topology: Topology, src: str, dst: str,
                  exclude: Optional[Iterable[str]] = None) -> List[str]:
-    """Shortest physical path between two nodes (node names, inclusive)."""
-    graph = _build_routing_graph(topology, exclude or [])
-    return nx.shortest_path(graph, src, dst)
+    """Shortest physical path between two nodes (node names, inclusive),
+    along the next hops :func:`install_shortest_path_routes` installs."""
+    graph = _without(topology.adjacency, set(exclude or ()))
+    hops = hops_from(graph, dst) if dst in graph else {}
+    if src not in hops:
+        raise NoPathError(f"no path between {src!r} and {dst!r}")
+    path = [src]
+    while path[-1] != dst:
+        path.append(_next_hop(graph, hops, path[-1]))
+    return path
 
 
 def hop_count(topology: Topology, src: str, dst: str) -> int:

@@ -1,16 +1,14 @@
 """Topology builders: the 4-switch testbed (Figure 8) and spine-leaf fabrics.
 
 A :class:`Topology` bundles a simulator, its switches, hosts and links, and
-keeps a :mod:`networkx` graph of the physical connectivity that the underlay
-routing (:mod:`repro.netsim.routing`) uses to compute shortest paths.
+keeps the adjacency of the physical connectivity that the underlay routing
+(:mod:`repro.netsim.routing`) uses to compute shortest paths.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Dict, Iterable, List, Optional
-
-import networkx as nx
 
 from repro.netsim.engine import Simulator
 from repro.netsim.host import Host, HostConfig, dpdk_host_config
@@ -20,7 +18,7 @@ from repro.netsim.switch import Switch, SwitchConfig
 
 
 class Topology:
-    """A simulated network: switches, hosts, links and their graph."""
+    """A simulated network: switches, hosts, links and their adjacency."""
 
     def __init__(self, sim: Optional[Simulator] = None, seed: int = 0) -> None:
         self.sim = sim or Simulator()
@@ -28,7 +26,8 @@ class Topology:
         self.switches: Dict[str, Switch] = {}
         self.hosts: Dict[str, Host] = {}
         self.links: List[Link] = []
-        self.graph = nx.Graph()
+        #: Node name -> names of the nodes it has a link to, in insertion order.
+        self.adjacency: Dict[str, List[str]] = {}
         self._next_switch_ip = 1
         self._next_host_ip = 1
 
@@ -47,7 +46,7 @@ class Topology:
         switch = Switch(self.sim, name, ip, config=config,
                         rng=random.Random(self.rng.randrange(1 << 30)))
         self.switches[name] = switch
-        self.graph.add_node(name, kind="switch")
+        self.adjacency[name] = []
         return switch
 
     def add_host(self, name: str, config: Optional[HostConfig] = None,
@@ -63,15 +62,17 @@ class Topology:
         host = Host(self.sim, name, ip, config=config,
                     rng=random.Random(self.rng.randrange(1 << 30)))
         self.hosts[name] = host
-        self.graph.add_node(name, kind="host")
+        self.adjacency[name] = []
         return host
 
     def add_link(self, a: Node, b: Node, config: Optional[LinkConfig] = None) -> Link:
-        """Wire two nodes together."""
+        """Wire two nodes together (a second link adds no second adjacency)."""
         link = connect(self.sim, a, b, config=config,
                        rng=random.Random(self.rng.randrange(1 << 30)))
         self.links.append(link)
-        self.graph.add_edge(a.name, b.name)
+        if b.name not in self.adjacency[a.name]:
+            self.adjacency[a.name].append(b.name)
+            self.adjacency[b.name].append(a.name)
         return link
 
     def attach_switch(self, name: str, neighbors: Iterable[str],

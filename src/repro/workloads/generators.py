@@ -11,11 +11,13 @@ uniform to match the paper).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import List, Optional
-
-import numpy as np
+from functools import lru_cache
+from itertools import accumulate
+from math import fsum
+from typing import List, Optional, Tuple
 
 
 def standard_key_names(count: int, prefix: str = "k") -> List[str]:
@@ -78,13 +80,20 @@ class WorkloadConfig:
         return standard_key_names(self.store_size, self.key_prefix)
 
 
-def zipf_probabilities(n: int, theta: float) -> np.ndarray:
+def zipf_probabilities(n: int, theta: float) -> List[float]:
     """Zipf popularity distribution over ``n`` items (theta=0 is uniform)."""
     if n <= 0:
         raise ValueError("need at least one item")
-    ranks = np.arange(1, n + 1, dtype=float)
-    weights = ranks ** (-theta) if theta > 0 else np.ones(n)
-    return weights / weights.sum()
+    weights = [rank ** -theta for rank in range(1, n + 1)]
+    # fsum: at 20,000 items a left-to-right sum is 75 ulp off the rounded total.
+    total = fsum(weights)
+    return [weight / total for weight in weights]
+
+
+@lru_cache(maxsize=8)
+def _zipf_cumulative(n: int, theta: float) -> Tuple[float, ...]:
+    """Running sums of :func:`zipf_probabilities`; a scenario's clients share one."""
+    return tuple(accumulate(zipf_probabilities(n, theta)))
 
 
 class KeyValueWorkload:
@@ -103,17 +112,16 @@ class KeyValueWorkload:
         self.rng = rng or random.Random(self.config.seed)
         self.tag = tag
         self.keys = self.config.key_names()
-        self._probabilities = zipf_probabilities(len(self.keys), self.config.zipf_theta)
         self._value = bytes(self.config.value_size)
         self._value_counter = 0
-        self._cumulative = np.cumsum(self._probabilities)
+        self._cumulative = _zipf_cumulative(len(self.keys), self.config.zipf_theta) \
+            if self.config.zipf_theta > 0 else ()
 
     def pick_key(self) -> str:
         """One key according to the configured popularity distribution."""
         if self.config.zipf_theta <= 0:
             return self.rng.choice(self.keys)
-        u = self.rng.random()
-        index = int(np.searchsorted(self._cumulative, u))
+        index = bisect_left(self._cumulative, self.rng.random())
         return self.keys[min(index, len(self.keys) - 1)]
 
     def make_value(self) -> bytes:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.netsim.host import Host
 from repro.netsim.packet import Packet
 from repro.netsim.routing import (
+    NoPathError,
     hop_count,
     install_shortest_path_routes,
     path_between,
@@ -23,14 +23,14 @@ def test_testbed_matches_figure_8():
     assert set(topo.switches) == {"S0", "S1", "S2", "S3"}
     assert set(topo.hosts) == {"H0", "H1", "H2", "H3"}
     # Ring S0-S1-S2-S3-S0.
-    assert topo.graph.has_edge("S0", "S1")
-    assert topo.graph.has_edge("S1", "S2")
-    assert topo.graph.has_edge("S2", "S3")
-    assert topo.graph.has_edge("S3", "S0")
-    assert not topo.graph.has_edge("S0", "S2")
+    assert "S1" in topo.adjacency["S0"]
+    assert "S2" in topo.adjacency["S1"]
+    assert "S3" in topo.adjacency["S2"]
+    assert "S0" in topo.adjacency["S3"]
+    assert "S2" not in topo.adjacency["S0"]
     # Hosts attach to S0.
     for host in topo.hosts:
-        assert topo.graph.has_edge(host, "S0")
+        assert topo.adjacency[host] == ["S0"]
 
 
 def test_spine_leaf_connectivity():
@@ -39,10 +39,11 @@ def test_spine_leaf_connectivity():
     assert len(topo.hosts) == 8
     for leaf in range(4):
         for spine in range(2):
-            assert topo.graph.has_edge(f"leaf{leaf}", f"spine{spine}")
+            assert f"spine{spine}" in topo.adjacency[f"leaf{leaf}"]
+            assert f"leaf{leaf}" in topo.adjacency[f"spine{spine}"]
     # No leaf-leaf or spine-spine links.
-    assert not topo.graph.has_edge("leaf0", "leaf1")
-    assert not topo.graph.has_edge("spine0", "spine1")
+    assert "leaf1" not in topo.adjacency["leaf0"]
+    assert "spine1" not in topo.adjacency["spine0"]
 
 
 def test_line_topology_with_hosts():
@@ -144,5 +145,24 @@ def test_reroute_around_failed_switch():
 def test_excluded_path_raises_when_disconnected():
     topo = build_line(3)
     install_shortest_path_routes(topo)
-    with pytest.raises(nx.NetworkXNoPath):
+    with pytest.raises(NoPathError):
         path_between(topo, "S0", "S2", exclude=["S1"])
+
+
+def test_path_to_or_from_an_unknown_node_raises():
+    topo = build_line(3)
+    for src, dst in (("S0", "nope"), ("nope", "S0"), ("nope", "nope")):
+        with pytest.raises(NoPathError):
+            path_between(topo, src, dst)
+
+
+def test_second_link_between_a_pair_adds_a_link_but_no_adjacency_entry():
+    topo = build_line(2)
+    s0, s1 = topo.switches["S0"], topo.switches["S1"]
+    topo.add_link(s1, s0)
+    assert len(topo.links) == 2
+    assert topo.adjacency == {"S0": ["S1"], "S1": ["S0"]}
+    install_shortest_path_routes(topo)
+    # The route keeps the first link's port, as ``port_to`` finds it.
+    assert s0.forwarding_table[s1.ip] is s0.ports[0]
+    assert hop_count(topo, "S0", "S1") == 1
