@@ -87,7 +87,7 @@ def test_ablation_in_network_vs_server_chain_latency(benchmark):
         agent = deployment.clients(1)[0]
         netchain_samples = []
         for i in range(20):
-            netchain_samples.append(agent.write_sync(f"k{i:08d}", b"v").latency)
+            netchain_samples.append(agent.write(f"k{i:08d}", b"v").result().latency)
             # Per-query latency on an idle client: let the scaled NIC finish
             # serializing this query before issuing the next.
             deployment.run(until=deployment.sim.now + 1e-3)

@@ -27,7 +27,7 @@ NUM_OPS = 256 if not full_mode() else 2048
 def _sequential_qps(agent, keys) -> float:
     start = agent.sim.now
     for key in keys:
-        result = agent.read_sync(key)
+        result = agent.read(key).result()
         assert result.ok
     elapsed = agent.sim.now - start
     return len(keys) / elapsed

@@ -2,8 +2,8 @@
 
 * :mod:`repro.baselines.zookeeper` / :mod:`repro.baselines.zk_client` --
   a ZooKeeper-like coordination service: a ZAB-style leader-based ensemble
-  over TCP, with znodes, sessions, ephemeral/sequential nodes, watches and
-  the standard lock recipe.  This is the comparison system of Section 8.
+  over TCP, with znodes, sessions, ephemeral/sequential nodes and watches.
+  This is the comparison system of Section 8.
 * :mod:`repro.baselines.chain_server` -- chain replication on servers
   (FAWN-KV style), the design NetChain moves into the network (Section 2.2).
 * :mod:`repro.baselines.primary_backup` -- the classical primary-backup
@@ -13,7 +13,7 @@
 from repro.baselines.chain_server import ServerChainCluster, ServerChainKVClient, ServerChainReplica
 from repro.baselines.data_tree import DataTree, Znode, ZnodeError
 from repro.baselines.primary_backup import PrimaryBackupCluster, PrimaryBackupKVClient
-from repro.baselines.zk_client import ZkLock, ZkResult, ZooKeeperClient, ZooKeeperKVClient
+from repro.baselines.zk_client import ZkResult, ZooKeeperClient, ZooKeeperKVClient
 from repro.baselines.zookeeper import (
     ZooKeeperConfig,
     ZooKeeperEnsemble,
@@ -31,7 +31,6 @@ __all__ = [
     "build_zookeeper_ensemble",
     "ZooKeeperClient",
     "ZooKeeperKVClient",
-    "ZkLock",
     "ZkResult",
     "ServerChainReplica",
     "ServerChainCluster",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.baselines.server_kv import BlockingCalls, ServerBaselineKVClient, ServerResult
+from repro.baselines.server_kv import ServerBaselineKVClient, ServerResult
 from repro.netsim.host import Host
 from repro.netsim.tcp import TcpConfig, TcpConnection, TcpEndpoint
 
@@ -97,10 +97,8 @@ class ServerChainReplica:
                        "not_found": not_found}, self.message_bytes)
 
 
-class ServerChainClient(BlockingCalls):
+class ServerChainClient:
     """A client of the server chain: writes go to the head, reads to the tail."""
-
-    peer = "the server chain"
 
     def __init__(self, host: Host, cluster: "ServerChainCluster") -> None:
         self.host = host

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.baselines.server_kv import BlockingCalls, ServerBaselineKVClient, ServerResult
+from repro.baselines.server_kv import ServerBaselineKVClient, ServerResult
 from repro.netsim.host import Host
 from repro.netsim.tcp import TcpConfig, TcpConnection, TcpEndpoint
 
@@ -167,10 +167,8 @@ class PrimaryBackupCluster:
                 backup.store[key] = (value, 1)
 
 
-class PrimaryBackupClient(BlockingCalls):
+class PrimaryBackupClient:
     """A client that talks to the primary for both reads and writes."""
-
-    peer = "the primary"
 
     def __init__(self, host: Host, cluster: PrimaryBackupCluster) -> None:
         self.host = host

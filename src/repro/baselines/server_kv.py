@@ -4,15 +4,14 @@ The server chain and primary-backup clients expose the same
 callback-based ``*_async`` surface and report the same
 :class:`ServerResult`, so one adapter maps both onto the unified futures
 protocol (subclasses only name their backend; the not_found heuristic
-and error mapping live here exactly once) and one mixin spells their
-blocking calls.
+and error mapping live here exactly once).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.client import KVClient, KVFuture, KVResult, KVTimeout, _raw_key
+from repro.core.client import KVClient, KVFuture, KVResult, _raw_key
 
 
 @dataclass(slots=True)
@@ -82,39 +81,6 @@ class ServerBaselineKVClient(KVClient):
 
     def insert(self, key, value=b"") -> KVFuture:
         return self._wrap("insert", key, self.client.write_async, _value_bytes(value))
-
-
-class BlockingCalls:
-    """The blocking spelling of each ``*_async`` call of a baseline client.
-
-    A call waits on a :class:`KVFuture`, so the clock stops at the reply
-    and the call costs exactly ``result.latency`` of simulated time; with
-    no reply it raises :class:`TimeoutError` at the deadline.
-    """
-
-    #: Who failed to answer, for the timeout message.
-    peer = "the servers"
-
-    def read(self, key: str, deadline: float = 5.0) -> ServerResult:
-        return self._sync(deadline, self.read_async, key)
-
-    def write(self, key: str, value: bytes, deadline: float = 5.0) -> ServerResult:
-        return self._sync(deadline, self.write_async, key, value)
-
-    def cas(self, key: str, expected: bytes, new_value: bytes,
-            deadline: float = 5.0) -> ServerResult:
-        return self._sync(deadline, self.cas_async, key, expected, new_value)
-
-    def delete(self, key: str, deadline: float = 5.0) -> ServerResult:
-        return self._sync(deadline, self.delete_async, key)
-
-    def _sync(self, deadline: float, submit, *args) -> ServerResult:
-        future = KVFuture(self.sim)
-        submit(*args, future.resolve)
-        try:
-            return future.result(deadline)
-        except KVTimeout:
-            raise TimeoutError(f"no reply from {self.peer}") from None
 
 
 def _key_str(key) -> str:

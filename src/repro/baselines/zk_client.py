@@ -1,15 +1,10 @@
-"""ZooKeeper client library and recipes (the role Apache Curator plays in
-the paper's evaluation, Section 8).
+"""ZooKeeper client library (the role Apache Curator plays in the paper's
+evaluation, Section 8).
 
 A client opens one TCP connection to an ensemble server, issues requests
 identified by an ``xid``, and receives responses and watch events.  Every
-request returns a :class:`repro.core.client.KVFuture`; the synchronous
-methods are thin wrappers that drive the simulator through the future.  The
-module also provides the standard exclusive-lock recipe used by the
-transaction benchmark: an ephemeral sequential znode under the lock's
-directory; the holder is the lowest sequence number (Section 8.5 notes that
-ZooKeeper locks are "implemented by ephemeral znodes and ... directly
-provided by Apache Curator").
+request (``submit`` and the ``*_async`` spellings of it) returns a
+:class:`repro.core.client.KVFuture` that resolves with a :class:`ZkResult`.
 
 :class:`ZooKeeperKVClient` adapts a session to the backend-agnostic
 :class:`repro.core.client.KVClient` protocol (keys become znodes under a
@@ -26,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.baselines.data_tree import ERR_NO_NODE, ERR_VERSION_MISMATCH
 from repro.baselines.zookeeper import ZooKeeperEnsemble, ZooKeeperServer
-from repro.core.client import KVClient, KVFuture, KVResult, KVTimeout, _raw_key
+from repro.core.client import KVClient, KVFuture, KVResult, _raw_key
 from repro.netsim.host import Host
 from repro.netsim.node import stable_name_seed
 from repro.netsim.tcp import TcpConnection
@@ -70,7 +65,7 @@ class ZooKeeperClient:
         self.on_watch: Optional[Callable[[Dict[str, Any]], None]] = None
 
     # ------------------------------------------------------------------ #
-    # Asynchronous API.
+    # Requests.
     # ------------------------------------------------------------------ #
 
     def submit(self, op: str, **fields: Any) -> KVFuture:
@@ -104,45 +99,6 @@ class ZooKeeperClient:
 
     def exists_async(self, path: str, watch: bool = False) -> KVFuture:
         return self.submit("exists", path=path, watch=watch)
-
-    # ------------------------------------------------------------------ #
-    # Synchronous API (thin wrappers that drive the simulator).
-    # ------------------------------------------------------------------ #
-
-    def _sync(self, future: KVFuture, deadline: float = 10.0) -> ZkResult:
-        try:
-            return future.result(deadline)
-        except KVTimeout:
-            raise TimeoutError("no response from the ZooKeeper ensemble") from None
-
-    def get(self, path: str, watch: bool = False, deadline: float = 10.0) -> ZkResult:
-        return self._sync(self.get_async(path, watch=watch), deadline)
-
-    def set(self, path: str, data, version: int = -1, deadline: float = 10.0) -> ZkResult:
-        return self._sync(self.set_async(path, data, version=version), deadline)
-
-    def create(self, path: str, data=b"", ephemeral: bool = False, sequential: bool = False,
-               deadline: float = 10.0) -> ZkResult:
-        return self._sync(self.create_async(path, data, ephemeral=ephemeral,
-                                            sequential=sequential), deadline)
-
-    def delete(self, path: str, version: int = -1, deadline: float = 10.0) -> ZkResult:
-        return self._sync(self.delete_async(path, version=version), deadline)
-
-    def children(self, path: str, watch: bool = False, deadline: float = 10.0) -> ZkResult:
-        return self._sync(self.children_async(path, watch=watch), deadline)
-
-    def exists(self, path: str, watch: bool = False, deadline: float = 10.0) -> ZkResult:
-        return self._sync(self.exists_async(path, watch=watch), deadline)
-
-    def ensure_path(self, path: str, deadline: float = 10.0) -> None:
-        """Create ``path`` and any missing ancestors (Curator's creatingParentsIfNeeded)."""
-        parts = [p for p in path.split("/") if p]
-        current = ""
-        for part in parts:
-            current = f"{current}/{part}"
-            if not self.exists(current, deadline=deadline).exists:
-                self.create(current, deadline=deadline)
 
     def close(self) -> None:
         """Close the session: the ensemble removes its ephemeral nodes."""
@@ -293,60 +249,6 @@ class ZooKeeperKVClient(KVClient):
                 lambda _r: create_next(index + 1))
 
         create_next(0)
-
-
-class ZkLock:
-    """The standard ZooKeeper exclusive-lock recipe."""
-
-    def __init__(self, client: ZooKeeperClient, lock_path: str) -> None:
-        self.client = client
-        self.lock_path = lock_path
-        self.my_node: Optional[str] = None
-
-    def _ensure_parent(self) -> None:
-        if not self.client.exists(self.lock_path).exists:
-            self.client.ensure_path(self.lock_path)
-
-    def acquire(self, max_attempts: int = 200) -> bool:
-        """Block (in simulated time) until the lock is held."""
-        self._ensure_parent()
-        result = self.client.create(f"{self.lock_path}/lock-", ephemeral=True,
-                                    sequential=True)
-        if not result.ok:
-            return False
-        self.my_node = result.path
-        my_name = self.my_node.rsplit("/", 1)[1]
-        for _ in range(max_attempts):
-            children = sorted(self.client.children(self.lock_path).children)
-            if not children or children[0] == my_name:
-                return True
-            # Wait politely for the predecessor to go away, then re-check.
-            index = children.index(my_name) if my_name in children else 0
-            predecessor = children[max(0, index - 1)]
-            self.client.exists(f"{self.lock_path}/{predecessor}", watch=True)
-            self.client.sim.run(until=self.client.sim.now + 1e-3)
-        return False
-
-    def try_acquire(self) -> bool:
-        """Single attempt: acquire only if no other contender is queued."""
-        self._ensure_parent()
-        result = self.client.create(f"{self.lock_path}/lock-", ephemeral=True,
-                                    sequential=True)
-        if not result.ok:
-            return False
-        self.my_node = result.path
-        my_name = self.my_node.rsplit("/", 1)[1]
-        children = sorted(self.client.children(self.lock_path).children)
-        if children and children[0] == my_name:
-            return True
-        self.release()
-        return False
-
-    def release(self) -> None:
-        """Delete this contender's node."""
-        if self.my_node is not None:
-            self.client.delete(self.my_node)
-            self.my_node = None
 
 
 def _to_bytes(value) -> bytes:

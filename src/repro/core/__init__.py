@@ -22,7 +22,7 @@ from:
   detection, self-tuning chain widening, epoch-invalidated client caching.
 """
 
-from repro.core.agent import AgentConfig, NetChainAgent, QueryResult, QueryTimeout
+from repro.core.agent import AgentConfig, NetChainAgent, QueryResult
 from repro.core.client import (
     KVBatch,
     KVClient,
@@ -40,7 +40,6 @@ from repro.core.coordination import (
     ConfigurationStore,
     DistributedLock,
     GroupMembership,
-    LockManager,
 )
 from repro.core.detector import DetectorConfig, FailureDetector
 from repro.core.history import (
@@ -100,12 +99,10 @@ __all__ = [
     "NetChainAgent",
     "AgentConfig",
     "QueryResult",
-    "QueryTimeout",
     "NetChainController",
     "ControllerConfig",
     "ChainInfo",
     "DistributedLock",
-    "LockManager",
     "Barrier",
     "ConfigurationStore",
     "GroupMembership",

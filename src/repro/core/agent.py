@@ -11,18 +11,17 @@ The agent implements the backend-agnostic :class:`repro.core.client.KVClient`
 protocol: every operation returns a :class:`repro.core.client.KVFuture`
 resolved when the reply (or a terminal retry failure) arrives, so the same
 coordination recipes, load generators and benchmarks drive NetChain and the
-ZooKeeper baseline interchangeably.  The ``*_sync`` wrappers are
-first-class: they are how synchronous recipes (e.g.
-:class:`repro.core.hybrid.HybridStore`) drive the simulator.
+ZooKeeper baseline interchangeably.  A query that exhausts its retries
+resolves its future with ``timed_out=True``; it never raises.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
-from repro.core.client import KVClient, KVFuture, KVResult, KVTimeout, _raw_key
+from repro.core.client import KVClient, KVFuture, KVResult, _raw_key
 from repro.core.protocol import (
     REPLY_OPS,
     NetChainHeader,
@@ -47,10 +46,6 @@ _WRITE_REPLIES = frozenset((OpCode.WRITE_REPLY, OpCode.CAS_REPLY, OpCode.DELETE_
 _OK = QueryStatus.OK
 _KEY_NOT_FOUND = QueryStatus.KEY_NOT_FOUND
 _CAS_FAILED = QueryStatus.CAS_FAILED
-
-
-class QueryTimeout(KVTimeout):
-    """Raised by the synchronous API when a query exhausts its retries."""
 
 
 @dataclass(slots=True)
@@ -96,17 +91,15 @@ class _Pending:
     what keeps retries useful across reconfigurations.
     """
 
-    __slots__ = ("op", "key", "callback", "created_at", "query_id", "value",
+    __slots__ = ("op", "key", "created_at", "query_id", "value",
                  "cas_expected", "future", "op_name", "retries", "timer", "trace_id")
 
     def __init__(self, op: OpCode, key: bytes,
-                 callback: Optional[Callable[[QueryResult], None]],
                  created_at: float, query_id: int, value: bytes,
                  cas_expected: Optional[bytes], future: KVFuture,
                  op_name: str) -> None:
         self.op = op
         self.key = key
-        self.callback = callback
         self.created_at = created_at
         self.query_id = query_id
         self.value = value
@@ -128,8 +121,8 @@ class NetChainAgent(KVClient):
                  name: Optional[str] = None) -> None:
         """Args:
             host: the simulated machine this agent runs on.
-            directory: an object with ``chain_ips_for_key(key) -> (ips, vgroup)``
-                and ``controller`` access for insert/delete -- normally the
+            directory: an object with ``route_for_key(key) -> (ips, vgroup,
+                epoch)`` and ``insert_key`` for inserts -- normally the
                 :class:`repro.core.controller.NetChainController` itself.
             config: client configuration.
             name: label used in statistics.
@@ -149,11 +142,7 @@ class NetChainAgent(KVClient):
         #: Hot-key-tier rotated-read routing, when the directory offers it.
         self._read_route = getattr(directory, "read_route_for_key", None)
         #: ``key -> (chain IPs, vgroup, epoch)``, called per transmission.
-        #: Directories that predate chain epochs (custom test doubles) only
-        #: expose ``chain_ips_for_key``; their queries carry epoch 0, which
-        #: every switch accepts until an epoch is explicitly installed.
-        self._route = (getattr(directory, "route_for_key", None)
-                       or (lambda key: (*directory.chain_ips_for_key(key), 0)))
+        self._route = directory.route_for_key
         #: Optional telemetry tracer (:class:`repro.core.trace.Tracer`);
         #: ``None`` keeps the query path untraced.
         self.telemetry = None
@@ -165,8 +154,6 @@ class NetChainAgent(KVClient):
         self.failed = 0
         self.timeouts = 0
         self.retransmissions = 0
-        self.results_log: List[QueryResult] = []
-        self.log_results = False
 
     # ------------------------------------------------------------------ #
     # Public API (futures; the KVClient protocol).
@@ -207,58 +194,21 @@ class NetChainAgent(KVClient):
         future = KVFuture(self.sim, op="insert", key=raw_key)
         started = self.sim.now
 
-        def finish(result: QueryResult) -> None:
-            kv = self._to_kv(result, "insert")
+        def finish(kv: KVResult) -> None:
             # The future reports the full elapsed time including the
             # control-plane install, which dominates; the raw QueryResult
             # keeps the data-plane write latency.
-            kv.latency = self.sim.now - started
-            future.resolve(kv)
+            future.resolve(replace(kv, op="insert", latency=self.sim.now - started))
 
         def after_insert() -> None:
             if value:
-                self._submit(OpCode.WRITE, key, value=normalize_value(value),
-                             callback=finish, op_name="write")
+                self.write(key, value).then(finish)
             else:
-                finish(QueryResult(ok=True, op=OpCode.INSERT, key=raw_key,
-                                   status=QueryStatus.OK))
+                finish(self._to_kv(QueryResult(ok=True, op=OpCode.INSERT, key=raw_key,
+                                               status=QueryStatus.OK), "insert"))
 
         self.directory.insert_key(key, on_done=after_insert)
         return future
-
-    # ------------------------------------------------------------------ #
-    # Synchronous wrappers (thin shims over the futures API).
-    # ------------------------------------------------------------------ #
-
-    def read_sync(self, key, deadline: float = 5.0) -> QueryResult:
-        """Blocking read: runs the simulation until the reply arrives."""
-        return self._await(self.read(key), deadline)
-
-    def write_sync(self, key, value, deadline: float = 5.0) -> QueryResult:
-        """Blocking write."""
-        return self._await(self.write(key, value), deadline)
-
-    def cas_sync(self, key, expected, new_value, deadline: float = 5.0) -> QueryResult:
-        """Blocking compare-and-swap."""
-        return self._await(self.cas(key, expected, new_value), deadline)
-
-    def delete_sync(self, key, deadline: float = 5.0) -> QueryResult:
-        """Blocking delete."""
-        return self._await(self.delete(key), deadline)
-
-    def insert_sync(self, key, value=b"", deadline: float = 5.0) -> QueryResult:
-        """Blocking insert."""
-        return self._await(self.insert(key, value), deadline)
-
-    def _await(self, future: KVFuture, deadline: float) -> QueryResult:
-        try:
-            result: KVResult = future.result(deadline)
-        except KVTimeout:
-            raise QueryTimeout(
-                f"{self.name}: no reply within {deadline}s of simulated time") from None
-        if result.timed_out:
-            raise QueryTimeout(f"{self.name}: query for {result.key!r} exhausted retries")
-        return result.raw
 
     # ------------------------------------------------------------------ #
     # Internals.
@@ -309,13 +259,12 @@ class NetChainAgent(KVClient):
 
     def _submit(self, op: OpCode, key, value: bytes = b"",
                 cas_expected: Optional[bytes] = None,
-                callback: Optional[Callable[[QueryResult], None]] = None,
                 op_name: str = "") -> KVFuture:
         raw_key = normalize_key(key)
         query_id = next_query_id()
         future = KVFuture(self.sim, op_name, raw_key)
         future.query_id = query_id
-        pending = _Pending(op, raw_key, callback, self.sim._now, query_id, value,
+        pending = _Pending(op, raw_key, self.sim._now, query_id, value,
                            cas_expected, future, op_name)
         self._pending[query_id] = pending
         tel = self.telemetry
@@ -388,8 +337,4 @@ class NetChainAgent(KVClient):
         self._finish(pending, result)
 
     def _finish(self, pending: _Pending, result: QueryResult) -> None:
-        if self.log_results:
-            self.results_log.append(result)
-        if pending.callback is not None:
-            pending.callback(result)
         pending.future.resolve(self._to_kv(result, pending.op_name))

@@ -10,9 +10,8 @@ transaction benchmark, experiments and examples) programs against:
   identical in shape for every backend.
 * :class:`KVFuture` -- a simulator-aware future.  ``.then()`` chains
   callbacks, ``.result(deadline)`` drives the discrete-event simulation
-  until the reply arrives (what the old ``*_sync`` wrappers did, once,
-  instead of five times per backend), and :func:`gather` / :func:`first`
-  combine futures.
+  until the reply arrives -- the one way to wait, on every backend -- and
+  :func:`gather` / :func:`first` combine futures.
 * :class:`KVClient` -- the protocol: ``read / write / cas / delete /
   insert``, each returning a :class:`KVFuture`.  Implemented by
   :class:`repro.core.agent.NetChainAgent` (switch data plane) and

@@ -239,24 +239,3 @@ class NetChainCluster:
             self.detector = FailureDetector(self.controller, config=config)
         self.detector.start()
         return self.detector
-
-    def fail_switch(self, name: str, at: float, new_switch: Optional[str] = None,
-                    recover: bool = True, detection_delay: float = 1.0,
-                    recovery_start_delay: float = 20.0) -> None:
-        """Schedule a fail-stop switch failure and the controller's reaction.
-
-        The defaults mirror the Figure 10 methodology: a one-second delay is
-        injected before failover to make the throughput drop visible, and
-        recovery starts 20 seconds later to separate the two phases.
-        """
-        controller = self.controller
-
-        def inject() -> None:
-            self.topology.switches[name].fail()
-            original = controller.config.failure_detection_delay
-            controller.config.failure_detection_delay = detection_delay
-            controller.handle_switch_failure(name, new_switch=new_switch, recover=recover,
-                                             recovery_start_delay=recovery_start_delay)
-            controller.config.failure_detection_delay = original
-
-        self.sim.schedule_at(at, inject)

@@ -124,7 +124,7 @@ class NetChainController:
         self.stores: Dict[str, SwitchKVStore] = {}
         self._install_programs()
         #: vgroup -> chain (switch names, head first).  Agents read through
-        #: :meth:`chain_ips_for_key`, which consults this table; the table is
+        #: :meth:`route_for_key`, which consults this table; the table is
         #: only touched by reconfigurations, never by queries.
         self.chain_table: Dict[int, ChainInfo] = {
             vgroup: ChainInfo(vgroup, self.ring.chain_for_vgroup(vgroup))
@@ -205,12 +205,6 @@ class NetChainController:
         """The chain currently assigned to ``key``'s virtual group."""
         vgroup = self.ring.vgroup_for_key(key)
         return self.chain_table[vgroup]
-
-    def chain_ips_for_key(self, key) -> Tuple[List[str], int]:
-        """(chain IPs head-to-tail, virtual group) for a key — what agents
-        embed into query headers (Section 4.2)."""
-        info = self.chain_for_key(key)
-        return [self.switch_ip(name) for name in info.switches], info.vgroup
 
     def route_for_key(self, key) -> Tuple[Sequence[str], int, int]:
         """(chain IPs, virtual group, chain epoch) — the full routing state

@@ -15,17 +15,15 @@ apples-to-apples comparison the evaluation needs:
 * **Barriers**, **configuration store** and **group membership** are thin
   recipes over read / write / CAS, mirroring what ZooKeeper recipes provide.
 
-Each primitive offers both an asynchronous (futures) interface usable from
-inside the discrete-event simulation, and a synchronous interface that
-drives the simulator (convenient in examples and tests).
+Each recipe issues its operations through the client's futures and waits
+with ``.result(deadline)``, which advances the simulator to the reply.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
-from repro.core.client import KVClient, KVResult, KVTimeout
+from repro.core.client import KVClient, KVTimeout
 
 #: Value representing "unlocked" / "absent" for CAS-based recipes.
 EMPTY = b""
@@ -33,16 +31,6 @@ EMPTY = b""
 
 class CoordinationError(RuntimeError):
     """Raised when a coordination operation cannot be completed."""
-
-
-@dataclass
-class LockResult:
-    """Outcome of a lock acquire/release attempt."""
-
-    acquired: bool
-    owner: Optional[bytes] = None
-    latency: float = 0.0
-    retries: int = 0
 
 
 class DistributedLock:
@@ -63,37 +51,6 @@ class DistributedLock:
         self.cas_conflicts = 0
         #: Total acquisition attempts.
         self.attempts = 0
-
-    # -- asynchronous interface ---------------------------------------- #
-
-    def try_acquire_async(self, callback: Callable[[LockResult], None]) -> None:
-        """Attempt to take the lock once; report the outcome via callback."""
-        self.attempts += 1
-
-        def on_reply(result: KVResult) -> None:
-            if result.ok:
-                self.held = True
-            elif result.cas_failed:
-                # Only genuine lost races count as conflicts; timeouts and
-                # missing keys are failures of a different kind.
-                self.cas_conflicts += 1
-            callback(LockResult(acquired=result.ok, owner=result.value or None,
-                                latency=result.latency, retries=result.retries))
-
-        self.client.cas(self.key, EMPTY, self.owner).then(on_reply)
-
-    def release_async(self, callback: Optional[Callable[[LockResult], None]] = None) -> None:
-        """Release the lock (only succeeds for the current owner)."""
-        def on_reply(result: KVResult) -> None:
-            if result.ok:
-                self.held = False
-            if callback is not None:
-                callback(LockResult(acquired=not result.ok, owner=self.owner,
-                                    latency=result.latency, retries=result.retries))
-
-        self.client.cas(self.key, self.owner, EMPTY).then(on_reply)
-
-    # -- synchronous interface ------------------------------------------ #
 
     def try_acquire(self, deadline: float = 5.0) -> bool:
         """One acquisition attempt, driving the simulator until it resolves.
@@ -127,31 +84,6 @@ class DistributedLock:
     def holder(self, deadline: float = 5.0) -> bytes:
         """Current lock holder (empty bytes when free)."""
         return self.client.read(self.key).result(deadline).value
-
-
-class LockManager:
-    """Creates and tracks locks for one client."""
-
-    def __init__(self, client: KVClient, client_id) -> None:
-        self.client = client
-        self.client_id = client_id if isinstance(client_id, bytes) else str(client_id).encode()
-        self._locks: Dict[bytes, DistributedLock] = {}
-
-    def lock(self, key) -> DistributedLock:
-        """Get (or create) the lock object for ``key``."""
-        raw = key if isinstance(key, bytes) else str(key).encode()
-        if raw not in self._locks:
-            self._locks[raw] = DistributedLock(self.client, key, self.client_id)
-        return self._locks[raw]
-
-    def held_locks(self) -> List[DistributedLock]:
-        """Locks this manager currently believes it holds."""
-        return [lock for lock in self._locks.values() if lock.held]
-
-    def release_all(self) -> None:
-        """Release every held lock (best effort)."""
-        for lock in self.held_locks():
-            lock.release()
 
 
 class Barrier:

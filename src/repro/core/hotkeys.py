@@ -669,9 +669,10 @@ class ClientReadCache:
         self._inflight[raw] = entry
         self.stats.network_reads += 1
 
-        return agent._submit(
-            OpCode.READ, raw, op_name="read",
-            callback=lambda result: self._resolve(agent, raw, entry, result))
+        # Registered before the caller sees the future, so coalesced waiters
+        # resolve ahead of the caller's own continuations.
+        return agent._submit(OpCode.READ, raw, op_name="read").then(
+            lambda kv: self._resolve(agent, raw, entry, kv.raw))
 
     def _resolve(self, agent, raw: bytes, entry: _CacheEntry, result) -> None:
         if self._inflight.get(raw) is entry:

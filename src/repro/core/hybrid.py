@@ -8,14 +8,17 @@ popular data."  This module implements that tiering:
 * :class:`HybridPolicy` decides, per key, whether it belongs in the network
   tier (small values, hot keys, explicitly pinned keys) or in the server
   tier (everything else, and any value above the switch pipeline limit).
-* :class:`HybridStore` exposes one key-value API and routes each operation
-  to the NetChain agent or to the backing server store accordingly,
-  promoting keys between tiers when their size or popularity changes.
+* :class:`HybridStore` is the placement state several clients share: the
+  policy, which keys are network-resident, the popularity sketch and the
+  per-tier counters.
+* :class:`HybridKVClient` is the :class:`~repro.core.client.KVClient` over
+  it: each operation rides the NetChain agent's future or the backing
+  server store, and keys move between tiers when their size or popularity
+  changes.
 
 The server tier is pluggable; any object with ``read(key) / write(key,
-value)`` methods works.  :class:`ZooKeeperBackend` adapts the ZooKeeper
-baseline client so the hybrid can be evaluated against the same systems the
-paper uses.
+value) / delete(key)`` methods works (:class:`DictBackend` is the one the
+``hybrid`` deployment uses).
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from repro.core.agent import NetChainAgent, QueryResult
+from repro.core.agent import NetChainAgent
 from repro.core.client import KVClient, KVFuture, KVResult
 from repro.core.hotkeys import HotKeySketch, SketchConfig
-from repro.core.protocol import MAX_PROTOTYPE_VALUE_BYTES, QueryStatus, normalize_value
+from repro.core.protocol import MAX_PROTOTYPE_VALUE_BYTES, normalize_value
 
 
 @dataclass
@@ -59,31 +62,6 @@ class HybridPolicy:
 
 def _raw(key) -> bytes:
     return key if isinstance(key, bytes) else str(key).encode("utf-8")
-
-
-class ZooKeeperBackend:
-    """Adapter exposing the ZooKeeper baseline as a hybrid server tier."""
-
-    def __init__(self, client, prefix: str = "/hybrid") -> None:
-        self.client = client
-        self.prefix = prefix
-        self.client.ensure_path(prefix)
-
-    def _path(self, key) -> str:
-        return f"{self.prefix}/{_raw(key).decode('utf-8', errors='replace')}"
-
-    def read(self, key) -> Optional[bytes]:
-        result = self.client.get(self._path(key))
-        return result.data if result.ok else None
-
-    def write(self, key, value: bytes) -> bool:
-        path = self._path(key)
-        if self.client.exists(path).exists:
-            return self.client.set(path, value).ok
-        return self.client.create(path, value).ok
-
-    def delete(self, key) -> bool:
-        return self.client.delete(self._path(key)).ok
 
 
 class DictBackend:
@@ -123,7 +101,8 @@ class HybridStats:
 
 
 class HybridStore:
-    """One key-value API over the network tier plus a server tier."""
+    """Which tier holds each key: the state every :class:`HybridKVClient`
+    of one deployment shares."""
 
     def __init__(self, agent: NetChainAgent, backend,
                  policy: Optional[HybridPolicy] = None,
@@ -146,121 +125,15 @@ class HybridStore:
         #: when the generation moved underneath it (HybridKVClient).
         self._server_write_gen: Dict[bytes, int] = {}
 
-    # ------------------------------------------------------------------ #
-    # Placement bookkeeping.
-    # ------------------------------------------------------------------ #
-
     def in_network(self, key) -> bool:
         """Whether the key is currently served from the network tier."""
         return _raw(key) in self._network_keys or self.policy.is_pinned(key)
 
-    def _promote(self, key, value: bytes) -> None:
-        raw = _raw(key)
-        self.agent.insert_sync(key, value)
-        # The key now lives in the network tier only: leaving the server
-        # copy behind would let a later fallback read serve a stale value
-        # once network writes move past it.
-        self.backend.delete(key)
-        self._network_keys.add(raw)
-        self.stats.promotions += 1
-
-    def _demote(self, key, value: bytes) -> None:
-        raw = _raw(key)
-        self.backend.write(key, value)
-        self.agent.delete_sync(key)
-        self.agent.directory.garbage_collect(key)
-        self._network_keys.discard(raw)
-        self.stats.demotions += 1
-
-    # ------------------------------------------------------------------ #
-    # Key-value API.
-    # ------------------------------------------------------------------ #
-
-    def write(self, key, value) -> bool:
-        """Write a value, placing (or re-placing) the key per the policy."""
-        value = normalize_value(value)
-        fits = self.policy.fits_in_network(value)
-        if self.policy.is_pinned(key) and not fits:
-            raise ValueError(f"pinned key {key!r} has a value larger than the "
-                             f"network tier supports ({len(value)} bytes)")
-        if self.in_network(key):
-            if fits:
-                result = self._network_write(key, value)
-                return result.ok
-            # The value outgrew the pipeline limit: demote to the servers.
-            self._demote(key, value)
-            self.stats.server_writes += 1
-            return True
-        if self.policy.is_pinned(key) and fits:
-            self._promote(key, value)
-            self.stats.network_writes += 1
-            return True
-        self.stats.server_writes += 1
-        return self.backend.write(key, value)
-
-    def _network_write(self, key, value: bytes) -> QueryResult:
-        result = self.agent.write_sync(key, value)
-        if result.status == QueryStatus.KEY_NOT_FOUND:
-            result = self.agent.insert_sync(key, value)
-        if result.ok:
-            self._network_keys.add(_raw(key))
-            self.stats.network_writes += 1
-        return result
-
-    def read(self, key) -> Optional[bytes]:
-        """Read a value from whichever tier currently holds it."""
-        raw = _raw(key)
-        if self.in_network(key):
-            result = self.agent.read_sync(key)
-            if result.ok:
-                self.stats.network_reads += 1
-                return result.value
-            # Not actually resident (e.g. pinned but never written).
-            self._network_keys.discard(raw)
-        value = self.backend.read(key)
-        self.stats.server_reads += 1
-        if value is None:
-            return None
-        # Popularity-based promotion of small values (the "hot data" case).
-        count = self.popularity.record(raw)
-        if (count >= self.policy.promote_after_reads
-                and self.policy.fits_in_network(value)):
-            self._promote(key, value)
-            self.popularity.forget(raw)
-        return value
-
-    def delete(self, key) -> bool:
-        """Delete a key from both tiers."""
-        raw = _raw(key)
-        deleted = False
-        if raw in self._network_keys:
-            self.agent.delete_sync(key)
-            self.agent.directory.garbage_collect(key)
-            self._network_keys.discard(raw)
-            deleted = True
-        if self.backend.delete(key):
-            deleted = True
-        self.popularity.forget(raw)
-        return deleted
-
-    def cas(self, key, expected, new_value) -> bool:
-        """Compare-and-swap; only supported for network-resident keys
-        (locks and configuration parameters are pinned there)."""
-        if not self.in_network(key):
-            raise ValueError(f"CAS requires a network-resident key: {key!r}")
-        result = self.agent.cas_sync(key, expected, new_value)
-        self.stats.network_writes += 1
-        return result.ok and result.status == QueryStatus.OK
-
 
 class HybridKVClient(KVClient):
-    """The asynchronous :class:`~repro.core.client.KVClient` face of a
-    :class:`HybridStore`.
+    """The :class:`~repro.core.client.KVClient` over a :class:`HybridStore`.
 
-    The synchronous :class:`HybridStore` API drives the simulator from
-    inside each call, which closed-loop load clients and scenarios must
-    not do (the event loop is already running).  This client applies the
-    same tiering policy purely with futures: network-tier operations ride
+    The tiering policy, purely with futures: network-tier operations ride
     the agent's futures, server-tier operations apply immediately and
     resolve after a modelled server round trip, and popularity promotions
     run in the background.  A promotion aborts itself when a server-tier

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.agent import AgentConfig, NetChainAgent, QueryTimeout
 from repro.core.protocol import (
     NetChainHeader,
     OpCode,
@@ -19,54 +18,54 @@ from repro.core.protocol import (
 
 def test_write_then_read_roundtrip(cluster, agent):
     cluster.controller.populate(["alpha"])
-    write = agent.write_sync("alpha", b"value-1")
+    write = agent.write("alpha", b"value-1").result().raw
     assert write.ok and write.status == QueryStatus.OK
     assert write.seq == 1
-    read = agent.read_sync("alpha")
+    read = agent.read("alpha").result().raw
     assert read.ok
     assert read.value == b"value-1"
     assert read.version() == write.version()
 
 
 def test_read_of_unknown_key_reports_not_found(cluster, agent):
-    result = agent.read_sync("never-inserted")
+    result = agent.read("never-inserted").result()
     assert not result.ok
-    assert result.status == QueryStatus.KEY_NOT_FOUND
+    assert result.raw.status == QueryStatus.KEY_NOT_FOUND
 
 
 def test_sequence_numbers_increase_across_writes(cluster, agent):
     cluster.controller.populate(["k"])
-    seqs = [agent.write_sync("k", f"v{i}").seq for i in range(5)]
+    seqs = [agent.write("k", f"v{i}").result().raw.seq for i in range(5)]
     assert seqs == [1, 2, 3, 4, 5]
 
 
 def test_insert_then_write_and_delete(cluster, agent):
-    insert = agent.insert_sync("fresh", b"first")
+    insert = agent.insert("fresh", b"first").result()
     assert insert.ok
-    assert agent.read_sync("fresh").value == b"first"
-    delete = agent.delete_sync("fresh")
+    assert agent.read("fresh").result().value == b"first"
+    delete = agent.delete("fresh").result()
     assert delete.ok
-    assert agent.read_sync("fresh").status == QueryStatus.KEY_NOT_FOUND
+    assert agent.read("fresh").result().raw.status == QueryStatus.KEY_NOT_FOUND
 
 
 def test_cas_semantics(cluster, agent):
     cluster.controller.populate(["lock"])
-    assert agent.cas_sync("lock", b"", b"me").status == QueryStatus.OK
-    result = agent.cas_sync("lock", b"", b"other")
-    assert result.status == QueryStatus.CAS_FAILED
+    assert agent.cas("lock", b"", b"me").result().raw.status == QueryStatus.OK
+    result = agent.cas("lock", b"", b"other").result()
+    assert result.raw.status == QueryStatus.CAS_FAILED
     assert result.value == b"me"
-    assert agent.cas_sync("lock", b"me", b"").status == QueryStatus.OK
+    assert agent.cas("lock", b"me", b"").result().raw.status == QueryStatus.OK
 
 
 def test_latency_close_to_paper_value(cluster, agent):
     """Section 8.2: DPDK clients observe ~9.7 us query latency."""
     cluster.controller.populate(["k"])
-    result = agent.read_sync("k")
+    result = agent.read("k").result()
     assert 5e-6 < result.latency < 30e-6
     # The paper reports per-query latency on an idle client; let the scaled
     # NIC finish serializing the previous query before issuing the next.
     cluster.run(until=cluster.sim.now + 1e-3)
-    write = agent.write_sync("k", b"v")
+    write = agent.write("k", b"v").result()
     assert 5e-6 < write.latency < 30e-6
 
 
@@ -74,29 +73,17 @@ def test_reads_and_writes_from_different_hosts_are_consistent(cluster):
     cluster.controller.populate(["shared"])
     writer = cluster.agent("H0")
     reader = cluster.agent("H1")
-    writer.write_sync("shared", b"from-h0")
-    assert reader.read_sync("shared").value == b"from-h0"
+    writer.write("shared", b"from-h0").result()
+    assert reader.read("shared").result().value == b"from-h0"
 
 
 def test_retries_mask_packet_loss(cluster, agent):
     cluster.controller.populate(["k"])
     cluster.topology.set_loss_rate(0.2)
     for i in range(10):
-        result = agent.write_sync("k", f"v{i}", deadline=10.0)
+        result = agent.write("k", f"v{i}").result(10.0)
         assert result.ok
     assert agent.retransmissions >= 1
-
-
-def test_query_timeout_after_exhausting_retries(cluster):
-    cluster.controller.populate(["k"])
-    # All switches drop everything: the query can never succeed.
-    cluster.topology.set_loss_rate(1.0)
-    impatient = NetChainAgent(cluster.topology.hosts["H2"], cluster.controller,
-                              config=AgentConfig(retry_timeout=100e-6, max_retries=2))
-    with pytest.raises(QueryTimeout):
-        impatient.read_sync("k", deadline=5.0)
-    assert impatient.timeouts == 1
-    assert impatient.failed == 1
 
 
 def test_async_callbacks_and_outstanding_tracking(cluster, agent):
@@ -113,28 +100,20 @@ def test_async_callbacks_and_outstanding_tracking(cluster, agent):
 
 def test_agent_statistics_separate_reads_and_writes(cluster, agent):
     cluster.controller.populate(["k"])
-    agent.write_sync("k", b"v")
-    agent.read_sync("k")
-    agent.read_sync("k")
+    agent.write("k", b"v").result()
+    agent.read("k").result()
+    agent.read("k").result()
     assert agent.read_latency.count() == 2
     assert agent.write_latency.count() == 1
     assert agent.latency.count() == 3
-
-
-def test_result_logging_opt_in(cluster, agent):
-    cluster.controller.populate(["k"])
-    agent.log_results = True
-    agent.read_sync("k")
-    assert len(agent.results_log) == 1
-    assert agent.results_log[0].op == OpCode.READ_REPLY
 
 
 def test_value_sizes_up_to_prototype_limit(cluster, agent):
     """The prototype supports values up to 128 bytes at line rate."""
     cluster.controller.populate(["big"])
     payload = bytes(range(128))
-    assert agent.write_sync("big", payload).ok
-    assert agent.read_sync("big").value == payload
+    assert agent.write("big", payload).result().ok
+    assert agent.read("big").result().value == payload
 
 
 # --------------------------------------------------------------------- #
@@ -198,12 +177,12 @@ def test_every_header_on_the_wire_carries_enum_members(cluster, agent):
     deliver = agent.host._sockets[agent.udp_port]
     agent.host.bind(agent.udp_port, lambda packet: (seen.append(packet.payload),
                                                     deliver(packet)))
-    agent.write_sync("k", b"v")
-    agent.cas_sync("k", b"nope", b"w")
-    agent.read_sync("k")
-    agent.delete_sync("k")
-    agent.read_sync("k")
-    agent.read_sync("absent")
+    agent.write("k", b"v").result()
+    agent.cas("k", b"nope", b"w").result()
+    agent.read("k").result()
+    agent.delete("k").result()
+    agent.read("k").result()
+    agent.read("absent").result()
     assert [(h.op, h.status) for h in seen] == [
         (OpCode.WRITE_REPLY, QueryStatus.OK), (OpCode.CAS_REPLY, QueryStatus.CAS_FAILED),
         (OpCode.READ_REPLY, QueryStatus.OK), (OpCode.DELETE_REPLY, QueryStatus.OK),

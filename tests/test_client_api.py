@@ -17,7 +17,10 @@ from repro.baselines import (
     build_zookeeper_ensemble,
 )
 from repro.core.client import KVFuture, KVSession, KVTimeout, first, gather
+import repro.baselines
+import repro.core
 from repro.core.coordination import Barrier, DistributedLock
+from repro.deploy import DeploymentSpec, available_backends, build_deployment
 from repro.netsim.engine import Simulator
 from repro.netsim.host import HostConfig
 from repro.netsim.routing import install_shortest_path_routes
@@ -118,6 +121,51 @@ def test_read_missing_key_reports_not_found(backend):
     result = client.read("never-created").result()
     assert not result.ok
     assert result.not_found
+
+
+# --------------------------------------------------------------------- #
+# One way to wait, on every registered backend.
+# --------------------------------------------------------------------- #
+
+@pytest.fixture(params=available_backends())
+def deployment(request):
+    return build_deployment(DeploymentSpec(backend=request.param, store_size=8, seed=2))
+
+
+def test_result_advances_the_clock_by_exactly_the_latency(deployment):
+    """The clock stops at the reply, not at the deadline."""
+    client = deployment.clients(1)[0]
+    before = deployment.sim.now
+    result = client.write(deployment.keys[0], b"v").result()
+    assert result.ok and result.latency > 0.0
+    assert deployment.sim.now - before == result.latency
+
+
+def test_dead_network_surfaces_as_a_timeout(deployment):
+    """The NetChain agent retries, gives up and resolves ``timed_out``; a
+    TCP-backed client retransmits for ever, so the wait itself raises
+    ``KVTimeout`` when its deadline passes."""
+    client = deployment.clients(1)[0]
+    deployment.topology.set_loss_rate(1.0)
+    before = deployment.sim.now
+    future = client.write(deployment.keys[0], b"v")
+    if deployment.backend_name in ("netchain", "hybrid"):
+        result = future.result(0.3)
+        assert result.timed_out and not result.ok and result.error == "timeout"
+        assert result.retries == deployment.cluster.config.max_retries
+        assert deployment.sim.now - before == result.latency
+        agent = getattr(client, "agent", client)
+        assert (agent.timeouts, agent.failed) == (1, 1)
+    else:
+        with pytest.raises(KVTimeout):
+            future.result(0.3)
+        assert deployment.sim.now - before == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("package", [repro.core, repro.baselines], ids=["core", "baselines"])
+def test_public_names_resolve_and_none_is_a_blocking_twin(package):
+    for cls in [getattr(package, name) for name in package.__all__]:
+        assert not [attr for attr in dir(cls) if attr.endswith("_sync")], cls
 
 
 # --------------------------------------------------------------------- #

@@ -21,7 +21,7 @@ def test_populate_installs_keys_with_values():
     cluster = make_cluster()
     keys = cluster.populate(25, value_size=32)
     assert len(keys) == 25
-    result = cluster.agent("H0").read_sync(keys[0])
+    result = cluster.agent("H0").read(keys[0]).result()
     assert result.ok
     assert len(result.value) == 32
     assert cluster.controller.total_items() == 25
@@ -30,8 +30,8 @@ def test_populate_installs_keys_with_values():
 def test_total_completed_aggregates_agents():
     cluster = make_cluster()
     cluster.populate(4)
-    cluster.agent("H0").read_sync("k00000000")
-    cluster.agent("H1").read_sync("k00000001")
+    cluster.agent("H0").read("k00000000").result()
+    cluster.agent("H1").read("k00000001").result()
     assert cluster.total_completed() == 2
 
 
@@ -47,10 +47,13 @@ def test_scale_applies_to_device_capacities():
 
 
 def test_fail_switch_schedules_failure_and_recovery():
-    cluster = make_cluster()
+    cluster = make_cluster(failure_detection_delay=0.01)
     cluster.populate(10)
-    cluster.fail_switch("S1", at=0.01, new_switch="S3", detection_delay=0.01,
-                        recovery_start_delay=0.05)
+    (cluster.fault_schedule()
+     .at(0.01, "fail_switch", "S1")
+     .at(0.01, cluster.controller.handle_switch_failure, "S1", new_switch="S3",
+         recovery_start_delay=0.05)
+     .arm())
     cluster.run(until=20.0)
     assert cluster.topology.switches["S1"].failed
     assert "S1" in cluster.controller.failed_switches

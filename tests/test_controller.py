@@ -14,7 +14,7 @@ def test_chain_assignment_uses_distinct_member_switches(cluster):
         info = controller.chain_for_key(f"key{i}")
         assert len(info.switches) == 3
         assert len(set(info.switches)) == 3
-        ips, vgroup = controller.chain_ips_for_key(f"key{i}")
+        ips, vgroup, _epoch = controller.route_for_key(f"key{i}")
         assert len(ips) == 3
         assert vgroup == info.vgroup
 
@@ -103,7 +103,7 @@ def test_failure_recovery_replaces_switch_and_copies_state(cluster):
     controller.populate(keys)
     agent = cluster.agent("H0")
     for key in keys[:10]:
-        agent.write_sync(key, b"before-failure")
+        agent.write(key, b"before-failure").result()
     cluster.topology.switches["S1"].fail()
     controller.fast_failover("S1")
     report = controller.failure_recovery("S1", new_switch="S3")
@@ -117,7 +117,7 @@ def test_failure_recovery_replaces_switch_and_copies_state(cluster):
         assert len(set(info.switches)) == len(info.switches)
     # Data written before the failure is still readable.
     for key in keys[:10]:
-        assert agent.read_sync(key).value == b"before-failure"
+        assert agent.read(key).result().value == b"before-failure"
 
 
 def test_recovery_report_counts_items(cluster):
@@ -159,7 +159,7 @@ def test_remove_switch_keeps_serving_through_failover(cluster):
     controller.populate(keys)
     agent = cluster.agent("H0")
     for key in keys[:10]:
-        assert agent.write_sync(key, b"pre").ok
+        assert agent.write(key, b"pre").result().ok
     served_by_s1 = [key for key in keys
                     if "S1" in controller.chain_for_key(key).switches]
     assert served_by_s1, "expected S1 to serve some chains"
@@ -172,10 +172,10 @@ def test_remove_switch_keeps_serving_through_failover(cluster):
                    for r in controller.programs[name].rules)
     # Reads and writes still work, including on chains that contained S1.
     for key in keys[:10]:
-        assert agent.read_sync(key).value == b"pre"
+        assert agent.read(key).result().value == b"pre"
     for key in served_by_s1[:5]:
-        assert agent.write_sync(key, b"post").ok
-        assert agent.read_sync(key).value == b"post"
+        assert agent.write(key, b"post").result().ok
+        assert agent.read(key).result().value == b"post"
 
 
 def test_remove_switch_is_idempotent(cluster):
@@ -265,7 +265,7 @@ def test_recovery_without_replacement_candidate_shrinks_chains():
     controller.populate(keys)
     agent = cluster.agent("H0")
     for key in keys[:5]:
-        agent.write_sync(key, b"v")
+        agent.write(key, b"v").result()
     cluster.topology.switches["S1"].fail()
     controller.fast_failover("S1")
     affected = len(controller.affected_vgroups("S1"))
@@ -280,8 +280,8 @@ def test_recovery_without_replacement_candidate_shrinks_chains():
         assert len(info.switches) == len(set(info.switches)) == 2
     # The shrunk chains still serve reads and writes.
     for key in keys[:5]:
-        assert agent.read_sync(key, deadline=5.0).value == b"v"
-        assert agent.write_sync(key, b"after", deadline=5.0).ok
+        assert agent.read(key).result(5.0).value == b"v"
+        assert agent.write(key, b"after").result(5.0).ok
 
 
 def test_recovery_with_no_live_switches_raises():
@@ -338,7 +338,7 @@ def test_second_failure_mid_recovery_completes_without_failed_chains(cluster):
     # The survivors still serve.
     agent = cluster.agent("H0")
     for key in keys[:5]:
-        assert agent.write_sync(key, b"post", deadline=10.0).ok
+        assert agent.write(key, b"post").result(10.0).ok
 
 
 def test_replacement_failing_mid_recovery_is_rechosen(cluster):

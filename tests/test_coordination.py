@@ -10,7 +10,6 @@ from repro.core.coordination import (
     CoordinationError,
     DistributedLock,
     GroupMembership,
-    LockManager,
 )
 from tests.conftest import make_cluster
 
@@ -58,29 +57,6 @@ def test_lock_acquire_spins_until_available(coord_cluster):
     assert not lock2.acquire(max_attempts=3)
     lock1.release()
     assert lock2.acquire(max_attempts=3)
-
-
-def test_async_lock_interface(coord_cluster):
-    agent = coord_cluster.agent("H0")
-    lock = DistributedLock(agent, "lock:a", owner="async-client")
-    outcomes = []
-    lock.try_acquire_async(outcomes.append)
-    coord_cluster.run(until=coord_cluster.sim.now + 0.01)
-    assert outcomes and outcomes[0].acquired
-    lock.release_async(outcomes.append)
-    coord_cluster.run(until=coord_cluster.sim.now + 0.01)
-    assert len(outcomes) == 2
-    assert not lock.held
-
-
-def test_lock_manager_tracks_held_locks(coord_cluster):
-    manager = LockManager(coord_cluster.agent("H0"), client_id="mgr-1")
-    lock = manager.lock("lock:a")
-    assert manager.lock("lock:a") is lock
-    assert lock.try_acquire()
-    assert manager.held_locks() == [lock]
-    manager.release_all()
-    assert manager.held_locks() == []
 
 
 def test_barrier_requires_all_parties(coord_cluster):
@@ -146,18 +122,6 @@ def test_barrier_with_missing_participant_times_out(coord_cluster):
     assert barrier.arrive() == 1
     with pytest.raises(CoordinationError, match="did not complete"):
         barrier.wait(poll_interval=1e-3, max_polls=10)
-
-
-def test_non_owner_release_is_rejected_async(coord_cluster):
-    """The async interface also refuses a non-owner release."""
-    owner = DistributedLock(coord_cluster.agent("H0"), "lock:b", owner="c1")
-    thief = DistributedLock(coord_cluster.agent("H1"), "lock:b", owner="c2")
-    assert owner.try_acquire()
-    outcomes = []
-    thief.release_async(outcomes.append)
-    coord_cluster.run(until=coord_cluster.sim.now + 0.01)
-    assert outcomes and outcomes[0].acquired  # release did not take effect
-    assert owner.holder() == b"c1"
 
 
 def test_configuration_store_set_get_cas(coord_cluster):

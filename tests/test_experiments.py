@@ -179,4 +179,4 @@ def test_deployment_builders():
         replication=3))
     assert len(zookeeper.paths) == 10
     client = zookeeper.new_client(0)
-    assert client.get(zookeeper.paths[0]).ok
+    assert client.get_async(zookeeper.paths[0]).result().ok

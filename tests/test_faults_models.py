@@ -221,7 +221,7 @@ def test_detector_drives_failover_without_direct_controller_calls():
     assert 0.05 <= detector.detections[0][0] <= 0.05 + 20e-3 + 1e-9
     # The cluster still serves after the detector-driven failover.
     agent = cluster.agent("H0")
-    assert agent.write_sync(keys[0], b"post", deadline=5.0).ok
+    assert agent.write(keys[0], b"post").result(5.0).ok
 
 
 def test_detector_reintroduces_healed_partition():

@@ -181,7 +181,7 @@ def test_hot_key_widens_and_rotates_reads():
               - before[name] > 10]
     assert len(served) >= 2
     # Reads through the wide route still return the stored value.
-    assert agent.read_sync("k00000000").value == bytes(64)
+    assert agent.read("k00000000").result().value == bytes(64)
 
 
 def test_cold_keys_are_never_widened():
@@ -224,7 +224,7 @@ def test_hot_route_narrows_on_cooldown():
     vgroup = controller.ring.vgroup_for_key(raw)
     assert controller.epochs.get(vgroup, 0) > epoch_before
     # The key still reads correctly through its base chain.
-    assert cluster.agent("H0").read_sync("k00000000").ok
+    assert cluster.agent("H0").read("k00000000").result().ok
 
 
 def test_writes_remain_visible_through_a_wide_route():
@@ -233,10 +233,10 @@ def test_writes_remain_visible_through_a_wide_route():
     agent = cluster.agent("H0")
     _drive_reads(cluster, agent, "k00000000", interval=1e-4, duration=0.03)
     assert normalize_key("k00000000") in manager.hot_routes
-    assert agent.write_sync("k00000000", b"fresh").ok
+    assert agent.write("k00000000", b"fresh").result().ok
     # Every rotated read -- whichever replica serves it -- must return the
     # committed value (the clean/dirty gate forwards until CLEAN lands).
-    values = {agent.read_sync("k00000000").value for _ in range(12)}
+    values = {agent.read("k00000000").result().value for _ in range(12)}
     assert values == {b"fresh"}
 
 
@@ -319,7 +319,7 @@ def test_garbage_collect_forgets_widened_keys():
     _drive_reads(cluster, agent, "k00000000", interval=1e-4, duration=0.03)
     raw = normalize_key("k00000000")
     assert raw in manager.hot_routes
-    assert agent.delete_sync("k00000000").ok
+    assert agent.delete("k00000000").result().ok
     controller.garbage_collect("k00000000")
     assert raw not in manager.hot_routes
 

@@ -4,118 +4,117 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.hybrid import (
-    DictBackend,
-    HybridKVClient,
-    HybridPolicy,
-    HybridStore,
-    ZooKeeperBackend,
-)
+from repro.core.hybrid import DictBackend, HybridKVClient, HybridPolicy, HybridStore
 from repro.core.protocol import MAX_PROTOTYPE_VALUE_BYTES
 from tests.conftest import make_cluster
 
 
-@pytest.fixture
-def hybrid():
+def make_hybrid(policy=None):
     cluster = make_cluster()
     backend = DictBackend()
-    policy = HybridPolicy(max_network_value_bytes=64, promote_after_reads=3)
     store = HybridStore(cluster.agent("H0"), backend, policy=policy)
-    return cluster, backend, store
+    return cluster, backend, store, HybridKVClient(store)
+
+
+@pytest.fixture
+def hybrid():
+    return make_hybrid(HybridPolicy(max_network_value_bytes=64, promote_after_reads=3))
 
 
 def test_pinned_keys_live_in_the_network(hybrid):
-    cluster, backend, store = hybrid
+    cluster, backend, store, client = hybrid
     store.policy.pin("cfg:leader")
-    assert store.write("cfg:leader", b"H0")
+    assert client.write("cfg:leader", b"H0").result().ok
     assert store.in_network("cfg:leader")
-    assert store.read("cfg:leader") == b"H0"
+    assert client.read("cfg:leader").result().value == b"H0"
     assert store.stats.network_writes == 1
     assert store.stats.network_reads == 1
     assert backend.read("cfg:leader") is None
 
 
 def test_unpinned_small_keys_start_on_servers(hybrid):
-    cluster, backend, store = hybrid
-    assert store.write("cold-key", b"value")
+    cluster, backend, store, client = hybrid
+    assert client.write("cold-key", b"value").result().ok
     assert not store.in_network("cold-key")
     assert backend.read("cold-key") == b"value"
-    assert store.read("cold-key") == b"value"
+    assert client.read("cold-key").result().value == b"value"
     assert store.stats.server_reads == 1
 
 
 def test_large_values_always_go_to_servers(hybrid):
-    cluster, backend, store = hybrid
+    cluster, backend, store, client = hybrid
     big = bytes(500)
-    assert store.write("big-object", big)
+    assert client.write("big-object", big).result().ok
     assert not store.in_network("big-object")
-    assert store.read("big-object") == big
+    assert client.read("big-object").result().value == big
 
 
 def test_pinned_key_with_oversized_value_rejected(hybrid):
-    cluster, backend, store = hybrid
+    cluster, backend, store, client = hybrid
     store.policy.pin("cfg:huge")
-    with pytest.raises(ValueError):
-        store.write("cfg:huge", bytes(128))
+    result = client.write("cfg:huge", bytes(128)).result()
+    assert not result.ok and "exceeds" in result.error
 
 
 def test_hot_keys_promoted_after_repeated_reads(hybrid):
-    cluster, backend, store = hybrid
-    store.write("hot", b"small")
+    cluster, backend, store, client = hybrid
+    client.write("hot", b"small").result()
     for _ in range(store.policy.promote_after_reads):
-        assert store.read("hot") == b"small"
+        assert client.read("hot").result().value == b"small"
+    # The popularity promotion runs in the background; let it finish.
+    cluster.run(until=cluster.sim.now + 0.1)
     assert store.in_network("hot")
     assert store.stats.promotions == 1
     # Subsequent reads are served by the network tier.
     before = store.stats.network_reads
-    assert store.read("hot") == b"small"
+    assert client.read("hot").result().value == b"small"
     assert store.stats.network_reads == before + 1
 
 
 def test_value_growth_demotes_key_to_servers(hybrid):
-    cluster, backend, store = hybrid
+    cluster, backend, store, client = hybrid
     store.policy.pin("growing")
-    store.write("growing", b"tiny")
+    client.write("growing", b"tiny").result()
     assert store.in_network("growing")
     store.policy.pinned.clear()
     big = bytes(200)
-    assert store.write("growing", big)
+    assert client.write("growing", big).result().ok
     assert not store.in_network("growing")
     assert store.stats.demotions == 1
-    assert store.read("growing") == big
+    assert client.read("growing").result().value == big
 
 
 def test_delete_removes_from_both_tiers(hybrid):
-    cluster, backend, store = hybrid
+    cluster, backend, store, client = hybrid
     store.policy.pin("net-key")
-    store.write("net-key", b"x")
-    store.write("srv-key", b"y")
-    assert store.delete("net-key")
-    assert store.delete("srv-key")
-    assert not store.delete("srv-key")
-    assert store.read("net-key") is None
-    assert store.read("srv-key") is None
+    client.write("net-key", b"x").result()
+    client.write("srv-key", b"y").result()
+    assert client.delete("net-key").result().ok
+    assert client.delete("srv-key").result().ok
+    assert not client.delete("srv-key").result().ok
+    assert client.read("net-key").result().not_found
+    assert client.read("srv-key").result().not_found
     assert cluster.controller.total_items() == 0
 
 
 def test_cas_only_on_network_resident_keys(hybrid):
-    cluster, backend, store = hybrid
+    cluster, backend, store, client = hybrid
     store.policy.pin("lock:1")
-    store.write("lock:1", b"")
-    assert store.cas("lock:1", b"", b"owner")
-    assert not store.cas("lock:1", b"", b"other")
-    store.write("server-only", b"v")
-    with pytest.raises(ValueError):
-        store.cas("server-only", b"v", b"w")
+    client.write("lock:1", b"").result()
+    assert client.cas("lock:1", b"", b"owner").result().ok
+    assert not client.cas("lock:1", b"", b"other").result().ok
+    client.write("server-only", b"v").result()
+    result = client.cas("server-only", b"v", b"w").result()
+    assert not result.ok and "network-resident" in result.error
 
 
 def test_network_fraction_statistic(hybrid):
-    cluster, backend, store = hybrid
+    cluster, backend, store, client = hybrid
     store.policy.pin("hot")
-    store.write("hot", b"1")
-    store.write("cold", b"2")
-    store.read("hot")
-    store.read("cold")
+    client.write("hot", b"1").result()
+    client.write("cold", b"2").result()
+    client.read("hot").result()
+    client.read("cold").result()
     assert 0.0 < store.stats.network_fraction() < 1.0
 
 
@@ -123,75 +122,71 @@ def test_promoted_key_growing_past_pipeline_limit_demotes_cleanly():
     """A key promoted by popularity (not pinned) whose value later grows
     past MAX_PROTOTYPE_VALUE_BYTES must demote cleanly: network slot
     reclaimed, server tier authoritative, reads still correct."""
-    cluster = make_cluster()
-    backend = DictBackend()
-    store = HybridStore(cluster.agent("H0"), backend,
-                        policy=HybridPolicy(promote_after_reads=2))
-    store.write("hot", b"small")
+    cluster, backend, store, client = make_hybrid(HybridPolicy(promote_after_reads=2))
+    client.write("hot", b"small").result()
     for _ in range(2):
-        assert store.read("hot") == b"small"
+        assert client.read("hot").result().value == b"small"
+    cluster.run(until=cluster.sim.now + 0.1)   # promotion completes
     assert store.in_network("hot")
     assert store.stats.promotions == 1
     items_before = cluster.controller.total_items()
     assert items_before == 1
 
     big = bytes(MAX_PROTOTYPE_VALUE_BYTES + 1)
-    assert store.write("hot", big)
+    assert client.write("hot", big).result().ok
     assert not store.in_network("hot")
     assert store.stats.demotions == 1
     # The network slot was invalidated and garbage-collected...
     assert cluster.controller.total_items() == 0
     # ...the server tier is authoritative, and reads keep working.
     assert backend.read("hot") == big
-    assert store.read("hot") == big
+    assert client.read("hot").result().value == big
     # Growing further (still on the servers) stays clean.
     bigger = bytes(MAX_PROTOTYPE_VALUE_BYTES * 4)
-    assert store.write("hot", bigger)
-    assert store.read("hot") == bigger
+    assert client.write("hot", bigger).result().ok
+    assert client.read("hot").result().value == bigger
     assert store.stats.demotions == 1
 
 
 def test_pinned_keys_survive_policy_changes():
     """Mutating policy knobs (or rebuilding the policy) must not evict
     pinned keys from the network tier."""
-    cluster = make_cluster()
-    store = HybridStore(cluster.agent("H0"), DictBackend())
+    cluster, backend, store, client = make_hybrid()
     store.policy.pin("cfg:leader")
-    assert store.write("cfg:leader", b"H0")
+    assert client.write("cfg:leader", b"H0").result().ok
     assert store.in_network("cfg:leader")
 
     # Tighten every knob that does not affect the already-stored value.
     store.policy.promote_after_reads = 10_000
     store.policy.max_network_value_bytes = 16
     assert store.in_network("cfg:leader")
-    assert store.read("cfg:leader") == b"H0"
-    assert store.write("cfg:leader", b"H1")
-    assert store.read("cfg:leader") == b"H1"
+    assert client.read("cfg:leader").result().value == b"H0"
+    assert client.write("cfg:leader", b"H1").result().ok
+    assert client.read("cfg:leader").result().value == b"H1"
 
     # Replacing the policy object wholesale keeps the pin set intact.
     store.policy = HybridPolicy(promote_after_reads=3,
                                 pinned=set(store.policy.pinned))
     assert store.policy.is_pinned("cfg:leader")
     assert store.in_network("cfg:leader")
-    assert store.read("cfg:leader") == b"H1"
+    assert client.read("cfg:leader").result().value == b"H1"
     assert store.stats.demotions == 0
 
 
 def test_pinned_key_served_from_network_after_placement_cache_loss():
     """Pinned keys are network-resident by policy, not by the placement
     cache: wiping the cache must not strand them."""
-    cluster = make_cluster()
-    store = HybridStore(cluster.agent("H0"), DictBackend())
+    cluster, backend, store, client = make_hybrid()
     store.policy.pin("lock:1")
-    store.write("lock:1", b"owner")
+    client.write("lock:1", b"owner").result()
     store._network_keys.clear()
     assert store.in_network("lock:1")
-    assert store.read("lock:1") == b"owner"
+    assert client.read("lock:1").result().value == b"owner"
     assert store.stats.network_reads == 1
 
 
 # --------------------------------------------------------------------- #
-# The asynchronous client (HybridKVClient).
+# Background promotion and its races.
 # --------------------------------------------------------------------- #
 
 def test_async_client_matches_store_tiering():
@@ -251,13 +246,6 @@ def test_promotion_removes_the_server_copy():
     # correctly report the key absent instead of a stale b"v1".
     store._network_keys.discard(b"k")
     assert client.read("k").result().not_found
-    # The sync store path removes the copy too.
-    sync_store = HybridStore(cluster.agent("H1"), DictBackend(),
-                             policy=HybridPolicy(promote_after_reads=1))
-    sync_store.write("s", b"v1")
-    sync_store.read("s")
-    assert sync_store.in_network("s")
-    assert sync_store.backend.read("s") is None
 
 
 def test_async_client_demotes_oversized_writes():
@@ -302,24 +290,3 @@ def test_async_client_delete_clears_both_tiers():
     assert not missing.ok and missing.not_found
     assert client.read("srv-key").result().not_found
     assert cluster.controller.total_items() == 0
-
-
-def test_zookeeper_backend_adapter():
-    from repro.baselines import ZooKeeperClient, ZooKeeperConfig, build_zookeeper_ensemble
-    from repro.netsim.host import HostConfig
-    from repro.netsim.routing import install_shortest_path_routes
-    from repro.netsim.topology import build_testbed
-
-    topo = build_testbed(host_config=HostConfig(stack_delay=40e-6, nic_pps=None))
-    install_shortest_path_routes(topo)
-    hosts = [topo.hosts[f"H{i}"] for i in range(4)]
-    ensemble = build_zookeeper_ensemble(hosts[:3],
-                                        ZooKeeperConfig(server_msgs_per_sec=None))
-    backend = ZooKeeperBackend(ZooKeeperClient(hosts[3], ensemble))
-    assert backend.read("missing") is None
-    assert backend.write("k1", b"v1")
-    assert backend.read("k1") == b"v1"
-    assert backend.write("k1", b"v2")
-    assert backend.read("k1") == b"v2"
-    assert backend.delete("k1")
-    assert backend.read("k1") is None

@@ -74,7 +74,7 @@ def test_reordering_links_do_not_break_consistency():
     checker = ClientObservationChecker()
     reader = cluster.agent("H0")
     for key in keys:
-        checker.observe_result(reader.read_sync(key))
+        checker.observe_result(reader.read(key).result().raw)
     assert checker.ok()
 
 
@@ -84,7 +84,7 @@ def test_loss_and_retries_preserve_invariants(cluster):
     cluster.topology.set_loss_rate(0.15)
     agent = cluster.agent("H0")
     for i in range(40):
-        agent.write_sync(keys[i % len(keys)], f"v{i}", deadline=10.0)
+        agent.write(keys[i % len(keys)], f"v{i}").result(10.0)
     assert_invariants(cluster, keys)
 
 
@@ -94,16 +94,16 @@ def test_client_observations_monotonic_across_failover(cluster):
     agent = cluster.agent("H0")
     checker = ClientObservationChecker()
     for i, key in enumerate(keys):
-        checker.observe_result(agent.write_sync(key, f"before-{i}"))
-        checker.observe_result(agent.read_sync(key))
+        checker.observe_result(agent.write(key, f"before-{i}").result().raw)
+        checker.observe_result(agent.read(key).result().raw)
     # Fail the middle switch of the canonical chain and fail over.
     cluster.topology.switches["S1"].fail()
     cluster.controller.fast_failover("S1")
     cluster.run(until=cluster.sim.now + 0.1)
     for i, key in enumerate(keys):
-        checker.observe_result(agent.write_sync(key, f"after-{i}", deadline=10.0))
-        result = agent.read_sync(key, deadline=10.0)
-        checker.observe_result(result)
+        checker.observe_result(agent.write(key, f"after-{i}").result(10.0).raw)
+        result = agent.read(key).result(10.0)
+        checker.observe_result(result.raw)
         assert result.value == f"after-{i}".encode()
     assert checker.ok()
     assert_invariants(cluster, keys)
@@ -114,7 +114,7 @@ def test_full_failure_recovery_preserves_data_and_order(cluster):
     cluster.controller.populate(keys)
     agent = cluster.agent("H0")
     for key in keys:
-        agent.write_sync(key, f"gen1-{key}")
+        agent.write(key, f"gen1-{key}").result()
     cluster.topology.switches["S1"].fail()
     cluster.controller.fast_failover("S1")
     cluster.controller.failure_recovery("S1", new_switch="S3")
@@ -122,13 +122,13 @@ def test_full_failure_recovery_preserves_data_and_order(cluster):
     # Every key is durable, writable, and its chain invariant holds.
     checker = ClientObservationChecker()
     for key in keys:
-        result = agent.read_sync(key, deadline=10.0)
+        result = agent.read(key).result(10.0)
         assert result.value == f"gen1-{key}".encode()
-        checker.observe_result(result)
-        agent.write_sync(key, f"gen2-{key}", deadline=10.0)
-        result = agent.read_sync(key, deadline=10.0)
+        checker.observe_result(result.raw)
+        agent.write(key, f"gen2-{key}").result(10.0)
+        result = agent.read(key).result(10.0)
         assert result.value == f"gen2-{key}".encode()
-        checker.observe_result(result)
+        checker.observe_result(result.raw)
     assert checker.ok()
     assert_invariants(cluster, keys)
 
@@ -144,8 +144,8 @@ def test_writes_survive_when_any_single_switch_fails():
         cluster.controller.fast_failover(victim)
         cluster.run(until=cluster.sim.now + 0.1)
         for key in keys:
-            assert agent.write_sync(key, b"post-failure", deadline=10.0).ok
-            assert agent.read_sync(key, deadline=10.0).value == b"post-failure"
+            assert agent.write(key, b"post-failure").result(10.0).ok
+            assert agent.read(key).result(10.0).value == b"post-failure"
         assert_invariants(cluster, keys)
 
 
@@ -153,5 +153,5 @@ def test_read_your_writes_from_same_client(cluster):
     cluster.controller.populate(["x"])
     agent = cluster.agent("H0")
     for i in range(10):
-        agent.write_sync("x", f"v{i}")
-        assert agent.read_sync("x").value == f"v{i}".encode()
+        agent.write("x", f"v{i}").result()
+        assert agent.read("x").result().value == f"v{i}".encode()

@@ -172,7 +172,7 @@ def test_scale_out_moves_keys_and_serves_them(cluster):
     keys = cluster.populate(80)
     agent = cluster.agent("H0")
     for key in keys[:30]:
-        assert agent.write_sync(key, b"before").ok
+        assert agent.write(key, b"before").result().ok
     cluster.add_switch("S4")
     coordinator = cluster.migrate(MEMBERS + ["S4"])
     report = run_until_done(cluster, coordinator)
@@ -184,10 +184,10 @@ def test_scale_out_moves_keys_and_serves_them(cluster):
         controller.config.vnodes_per_switch
     # Every key readable with the pre-migration value.
     for key in keys[:30]:
-        assert agent.read_sync(key).value == b"before"
+        assert agent.read(key).result().value == b"before"
     # Writes keep working, including on migrated groups.
     for key in keys:
-        assert agent.write_sync(key, b"after").ok
+        assert agent.write(key, b"after").result().ok
     # Freeze windows were measured and bounded.
     assert report.max_freeze_window() > 0
     assert report.max_freeze_window() < 0.1
@@ -225,7 +225,7 @@ def test_scale_in_drains_and_decommissions(cluster):
     keys = cluster.populate(80)
     agent = cluster.agent("H0")
     for key in keys[:20]:
-        assert agent.write_sync(key, b"v").ok
+        assert agent.write(key, b"v").result().ok
     coordinator = cluster.migrate(["S0", "S2", "S3"])
     report = run_until_done(cluster, coordinator)
     assert coordinator.plan.leaves == ["S1"]
@@ -237,9 +237,9 @@ def test_scale_in_drains_and_decommissions(cluster):
     assert controller.ring.virtual_nodes_of("S1") == []
     # Its groups were absorbed: every key still readable and writable.
     for key in keys[:20]:
-        assert agent.read_sync(key).value == b"v"
+        assert agent.read(key).result().value == b"v"
     for key in keys:
-        assert agent.write_sync(key, b"w").ok
+        assert agent.write(key, b"w").result().ok
     assert report.total_keys_moved() > 0
 
 
@@ -291,7 +291,7 @@ def test_aborted_leave_keeps_serving_switch_as_member(cluster):
     assert controller.ring.virtual_nodes_of("S1")
     # The cluster still works end to end.
     agent = cluster.agent("H0")
-    assert agent.write_sync(keys[0], b"v").ok
+    assert agent.write(keys[0], b"v").result().ok
 
 
 def test_migration_start_is_single_shot(cluster):

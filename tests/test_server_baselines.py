@@ -28,16 +28,16 @@ def make_hosts(n=4):
 def test_chain_write_read_roundtrip():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:3])
-    client = cluster.client(hosts[3])
-    assert client.write("k", b"v1").ok
-    assert client.read("k").value == b"v1"
+    client = cluster.kv_client(hosts[3])
+    assert client.write("k", b"v1").result().ok
+    assert client.read("k").result().value == b"v1"
 
 
 def test_chain_write_applies_on_every_replica():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:3])
-    client = cluster.client(hosts[3])
-    client.write("k", b"v1")
+    client = cluster.kv_client(hosts[3])
+    client.write("k", b"v1").result()
     for replica in cluster.replicas:
         assert replica.store["k"][0] == b"v1"
 
@@ -45,17 +45,17 @@ def test_chain_write_applies_on_every_replica():
 def test_chain_versions_increase():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:3])
-    client = cluster.client(hosts[3])
-    versions = [client.write("k", f"v{i}".encode()).version for i in range(3)]
+    client = cluster.kv_client(hosts[3])
+    versions = [client.write("k", f"v{i}".encode()).result().raw.version for i in range(3)]
     assert versions == [1, 2, 3]
 
 
 def test_chain_read_of_missing_key_returns_empty():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:3])
-    client = cluster.client(hosts[3])
-    result = client.read("absent")
-    assert result.ok and result.value == b""
+    client = cluster.kv_client(hosts[3])
+    result = client.read("absent").result()
+    assert result.raw.ok and result.value == b"" and result.not_found
 
 
 def test_chain_message_count_is_n_plus_one():
@@ -67,9 +67,9 @@ def test_chain_message_count_is_n_plus_one():
 def test_single_node_chain_works():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:1])
-    client = cluster.client(hosts[3])
-    assert client.write("k", b"x").ok
-    assert client.read("k").value == b"x"
+    client = cluster.kv_client(hosts[3])
+    assert client.write("k", b"x").result().ok
+    assert client.read("k").result().value == b"x"
 
 
 def test_chain_requires_servers():
@@ -84,16 +84,16 @@ def test_chain_requires_servers():
 def test_pb_write_read_roundtrip():
     topo, hosts = make_hosts()
     cluster = PrimaryBackupCluster(hosts[:3])
-    client = cluster.client(hosts[3])
-    assert client.write("k", b"v1").ok
-    assert client.read("k").value == b"v1"
+    client = cluster.kv_client(hosts[3])
+    assert client.write("k", b"v1").result().ok
+    assert client.read("k").result().value == b"v1"
 
 
 def test_pb_write_waits_for_all_backups():
     topo, hosts = make_hosts()
     cluster = PrimaryBackupCluster(hosts[:3])
-    client = cluster.client(hosts[3])
-    client.write("k", b"v1")
+    client = cluster.kv_client(hosts[3])
+    client.write("k", b"v1").result()
     for backup in cluster.backups:
         assert backup.store["k"][0] == b"v1"
         assert backup.updates_applied == 1
@@ -138,45 +138,19 @@ def test_no_handler_mutates_a_received_message(cluster_class, monkeypatch):
         send(endpoint, types.MappingProxyType(message), size_bytes))
     topo, hosts = make_hosts()
     cluster = cluster_class(hosts[:3])
-    client = cluster.client(hosts[3])
-    assert client.write("k", b"v1").version == 1
-    won = client.cas("k", b"v1", b"v2")
-    assert won.ok and won.version == 2
-    lost = client.cas("k", b"v1", b"v3")
+    client = cluster.kv_client(hosts[3])
+    assert client.write("k", b"v1").result().raw.version == 1
+    won = client.cas("k", b"v1", b"v2").result()
+    assert won.ok and won.raw.version == 2
+    lost = client.cas("k", b"v1", b"v3").result()
     assert not lost.ok and lost.cas_failed and lost.value == b"v2"
-    assert client.read("k").value == b"v2"
-    assert client.delete("k").ok
-    assert client.delete("k").not_found
-    assert client.read("k").value == b""
+    assert client.read("k").result().value == b"v2"
+    assert client.delete("k").result().ok
+    assert client.delete("k").result().not_found
+    assert client.read("k").result().value == b""
     stores = [r.store for r in getattr(cluster, "replicas", None)
               or [cluster.primary, *cluster.backups]]
     assert stores == [{}, {}, {}]
-
-
-@pytest.mark.parametrize("cluster_class", BASELINES)
-def test_blocking_calls_stop_the_clock_at_the_reply(cluster_class):
-    """A blocking call costs exactly its latency in simulated time (as
-    ``KVFuture.result`` does), not the next 50 ms boundary."""
-    topo, hosts = make_hosts()
-    client = cluster_class(hosts[:3]).client(hosts[3])
-    sim = client.sim
-    for call in (lambda: client.write("k0", b"v"), lambda: client.read("k0"),
-                 lambda: client.cas("k0", b"v", b"w"), lambda: client.delete("k0")):
-        before = sim.now
-        result = call()
-        assert result.ok and 0.0 < result.latency < 1e-3
-        assert sim.now - before == result.latency
-
-
-@pytest.mark.parametrize("cluster_class", BASELINES)
-def test_blocking_call_times_out_at_its_deadline(cluster_class):
-    topo, hosts = make_hosts()
-    client = cluster_class(hosts[:3]).client(hosts[3])
-    topo.set_loss_rate(1.0)
-    before = client.sim.now
-    with pytest.raises(TimeoutError, match="no reply from the"):
-        client.write("k0", b"v", deadline=0.3)
-    assert client.sim.now - before == pytest.approx(0.3)
 
 
 @pytest.mark.parametrize("cluster_class", BASELINES)

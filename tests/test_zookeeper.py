@@ -1,10 +1,10 @@
-"""Tests for the ZooKeeper baseline: data tree, ZAB ensemble, client, locks."""
+"""Tests for the ZooKeeper baseline: data tree, ZAB ensemble, client."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.baselines import ZkLock, ZooKeeperClient, ZooKeeperConfig, build_zookeeper_ensemble
+from repro.baselines import ZooKeeperClient, ZooKeeperConfig, build_zookeeper_ensemble
 from repro.baselines.data_tree import DataTree, ZnodeError
 from repro.netsim.host import HostConfig
 from repro.netsim.routing import install_shortest_path_routes
@@ -146,19 +146,19 @@ def test_ensemble_elects_first_server_as_leader():
 def test_create_get_set_delete_through_client():
     topo, ensemble, client_host = make_deployment()
     client = ZooKeeperClient(client_host, ensemble)
-    assert client.create("/app", b"cfg").ok
-    assert client.get("/app").data == b"cfg"
-    result = client.set("/app", b"cfg2")
+    assert client.create_async("/app", b"cfg").result().ok
+    assert client.get_async("/app").result().data == b"cfg"
+    result = client.set_async("/app", b"cfg2").result()
     assert result.ok and result.version == 1
-    assert client.exists("/app").exists
-    assert client.delete("/app").ok
-    assert not client.exists("/app").exists
+    assert client.exists_async("/app").result().exists
+    assert client.delete_async("/app").result().ok
+    assert not client.exists_async("/app").result().exists
 
 
 def test_writes_replicate_to_all_servers():
     topo, ensemble, client_host = make_deployment()
     client = ZooKeeperClient(client_host, ensemble)
-    client.create("/replicated", b"x")
+    client.create_async("/replicated", b"x").result()
     topo.run(until=topo.sim.now + 0.1)
     for server in ensemble.servers.values():
         assert server.tree.exists("/replicated")
@@ -167,10 +167,10 @@ def test_writes_replicate_to_all_servers():
 def test_reads_served_by_connected_follower():
     topo, ensemble, client_host = make_deployment()
     writer = ZooKeeperClient(client_host, ensemble, server_id=0)
-    writer.create("/data", b"42")
+    writer.create_async("/data", b"42").result()
     topo.run(until=topo.sim.now + 0.1)
     follower_client = ZooKeeperClient(client_host, ensemble, server_id=2)
-    result = follower_client.get("/data")
+    result = follower_client.get_async("/data").result()
     assert result.ok and result.data == b"42"
     assert ensemble.servers[2].reads_served >= 1
 
@@ -179,9 +179,9 @@ def test_write_latency_dominated_by_commit_path():
     """Section 8.2: reads ~170 us, writes ~2.35 ms."""
     topo, ensemble, client_host = make_deployment()
     client = ZooKeeperClient(client_host, ensemble, server_id=0)
-    client.create("/lat", b"0")
-    read = client.get("/lat")
-    write = client.set("/lat", b"1")
+    client.create_async("/lat", b"0").result()
+    read = client.get_async("/lat").result()
+    write = client.set_async("/lat", b"1").result()
     assert 100e-6 < read.latency < 400e-6
     assert 1.5e-3 < write.latency < 4e-3
     assert write.latency > 5 * read.latency
@@ -190,10 +190,10 @@ def test_write_latency_dominated_by_commit_path():
 def test_errors_propagate_to_client():
     _, ensemble, client_host = make_deployment()
     client = ZooKeeperClient(client_host, ensemble)
-    result = client.get("/does-not-exist")
+    result = client.get_async("/does-not-exist").result()
     assert not result.ok
     assert result.error
-    result = client.create("/a/b/c")  # parent missing
+    result = client.create_async("/a/b/c").result()  # parent missing
     assert not result.ok
 
 
@@ -201,10 +201,10 @@ def test_watch_event_delivered_to_client():
     topo, ensemble, client_host = make_deployment()
     watcher = ZooKeeperClient(client_host, ensemble, server_id=1)
     writer = ZooKeeperClient(client_host, ensemble, server_id=0)
-    writer.create("/watched", b"0")
+    writer.create_async("/watched", b"0").result()
     topo.run(until=topo.sim.now + 0.1)
-    watcher.get("/watched", watch=True)
-    writer.set("/watched", b"1")
+    watcher.get_async("/watched", watch=True).result()
+    writer.set_async("/watched", b"1").result()
     topo.run(until=topo.sim.now + 0.1)
     assert watcher.watch_events
     assert watcher.watch_events[0]["path"] == "/watched"
@@ -213,7 +213,7 @@ def test_watch_event_delivered_to_client():
 def test_session_close_removes_ephemerals():
     topo, ensemble, client_host = make_deployment()
     client = ZooKeeperClient(client_host, ensemble)
-    client.create("/session-node", ephemeral=True)
+    client.create_async("/session-node", ephemeral=True).result()
     topo.run(until=topo.sim.now + 0.1)
     client.close()
     topo.run(until=topo.sim.now + 0.5)
@@ -224,10 +224,10 @@ def test_session_close_removes_ephemerals():
 def test_leader_failure_elects_new_leader_and_continues():
     topo, ensemble, client_host = make_deployment()
     client = ZooKeeperClient(client_host, ensemble, server_id=1)
-    client.create("/before", b"1")
+    client.create_async("/before", b"1").result()
     ensemble.fail_server(0)
     assert ensemble.leader().server_id == 1
-    result = client.create("/after", b"2")
+    result = client.create_async("/after", b"2").result()
     assert result.ok
     assert ensemble.servers[1].tree.exists("/after")
     # The follower applies the commit asynchronously after the client reply.
@@ -241,25 +241,3 @@ def test_preload_bypasses_protocol():
     for server in ensemble.servers.values():
         assert server.tree.get("/kv/a").data == b"1"
         assert server.tree.get("/kv/b").data == b"2"
-
-
-def test_zk_lock_recipe_mutual_exclusion():
-    topo, ensemble, client_host = make_deployment()
-    client_a = ZooKeeperClient(client_host, ensemble, server_id=0)
-    client_b = ZooKeeperClient(client_host, ensemble, server_id=1)
-    lock_a = ZkLock(client_a, "/locks/resource")
-    lock_b = ZkLock(client_b, "/locks/resource")
-    assert lock_a.acquire()
-    assert not lock_b.try_acquire()
-    lock_a.release()
-    assert lock_b.acquire()
-    lock_b.release()
-
-
-def test_ensure_path_creates_ancestors():
-    _, ensemble, client_host = make_deployment()
-    client = ZooKeeperClient(client_host, ensemble)
-    client.ensure_path("/a/b/c")
-    assert client.exists("/a").exists
-    assert client.exists("/a/b").exists
-    assert client.exists("/a/b/c").exists
