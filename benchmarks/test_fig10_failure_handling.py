@@ -22,17 +22,21 @@ from repro.experiments import failure_experiment
 FEW_GROUPS = 1
 MANY_GROUPS = 25 if not full_mode() else 100
 SCALE = 50000.0
+# Each timeline runs four seconds past the end of its recovery (13.4 s with
+# one group per switch; 17.9 s with 25, 28.7 s with 100).
+FEW_DURATION = 17.45
+MANY_DURATION = 21.95 if not full_mode() else 32.75
 
 
 def run_both():
     few = failure_experiment(virtual_groups=FEW_GROUPS, write_ratio=0.5, store_size=600,
                              scale=SCALE, fail_at=4.0, detection_delay=1.0,
-                             recovery_start_delay=4.0, run_after_recovery=4.0,
-                             sync_items_per_sec=100.0, bin_width=1.0, max_duration=90.0)
+                             recovery_start_delay=4.0, duration=FEW_DURATION,
+                             sync_items_per_sec=100.0, bin_width=1.0)
     many = failure_experiment(virtual_groups=MANY_GROUPS, write_ratio=0.5, store_size=600,
                               scale=SCALE, fail_at=4.0, detection_delay=1.0,
-                              recovery_start_delay=4.0, run_after_recovery=4.0,
-                              sync_items_per_sec=100.0, bin_width=1.0, max_duration=150.0)
+                              recovery_start_delay=4.0, duration=MANY_DURATION,
+                              sync_items_per_sec=100.0, bin_width=1.0)
     return few, many
 
 

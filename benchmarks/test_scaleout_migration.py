@@ -20,8 +20,7 @@ SYNC_RATE = 20000.0 if not full_mode() else 50000.0
 
 
 def _row(label: str, timeline: ElasticityTimeline) -> str:
-    report = timeline.report
-    duration = report.duration() if report is not None else 0.0
+    duration = timeline.report.duration()
     keys_per_sec = timeline.keys_moved / duration if duration > 0 else 0.0
     return (f"{label:>12} | {timeline.groups_migrated:>6} | "
             f"{timeline.keys_moved:>10} | {duration * 1e3:>11.1f} | "
@@ -34,12 +33,12 @@ def run_elasticity():
     grow = elasticity_experiment(joins=["S4", "S5", "S6", "S7"],
                                  store_size=STORE_SIZE,
                                  sync_items_per_sec=SYNC_RATE,
-                                 migrate_at=1.0, run_after=0.5)
+                                 migrate_at=1.0, duration=1.7)
     shrink = elasticity_experiment(joins=["S4", "S5", "S6", "S7"],
                                    leaves=["S1", "S4"],
                                    store_size=STORE_SIZE,
                                    sync_items_per_sec=SYNC_RATE,
-                                   migrate_at=1.0, run_after=0.5)
+                                   migrate_at=1.0, duration=1.7)
     return grow, shrink
 
 

@@ -32,9 +32,9 @@ def main() -> None:
         fail_at=4.0,
         detection_delay=1.0,       # the paper injects 1 s so the dip is visible
         recovery_start_delay=4.0,
-        run_after_recovery=4.0,
         sync_items_per_sec=100.0,
         bin_width=1.0,
+        duration=17.45,            # four seconds past the end of the recovery
     )
 
     print(f"switch S1 fails at t={timeline.fail_time:.0f}s; failover completes at "

@@ -12,7 +12,6 @@ CLI::
 
     python -m repro lint check src/ benchmarks/ tests/
     python -m repro lint explain DET002
-    python -m repro lint baseline src/ -o analysis/baseline.json
 
 Rules (see ``python -m repro lint explain`` for the full docs):
 
@@ -28,21 +27,17 @@ DET007    telemetry calls outside the ``if tel is not None`` guard
 DET008    ``hash()`` / ``id()`` as sort keys or in emitted artifacts
 ========  ==============================================================
 
-Findings are suppressed inline with a justified pragma::
+Every finding fails the build; one is suppressed only inline, with a
+justified pragma::
 
     x = time.time()  # detlint: disable=DET001 -- wall clock is the payload here
-
-or accepted wholesale via a committed baseline (``analysis/baseline.json``)
-so pre-existing findings never block CI while new ones fail it.
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import CheckResult, Finding, analyze_file, check_paths
-from repro.analysis.report import REPORT_SCHEMA, build_report, format_markdown, format_text
+from repro.analysis.report import REPORT_SCHEMA, build_report, format_text
 from repro.analysis.rules import RULES, rule_ids
 
 __all__ = [
-    "Baseline",
     "CheckResult",
     "Finding",
     "REPORT_SCHEMA",
@@ -50,7 +45,6 @@ __all__ = [
     "analyze_file",
     "build_report",
     "check_paths",
-    "format_markdown",
     "format_text",
     "rule_ids",
 ]

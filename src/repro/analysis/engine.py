@@ -1,4 +1,4 @@
-"""Core driver for detlint: parse, run rules, apply pragmas, fingerprint.
+"""Core driver for detlint: parse, run rules, apply pragmas.
 
 The engine is deliberately boring: one :func:`ast.parse` per file, parent
 links threaded through the tree, a per-file import/alias map shared by all
@@ -10,7 +10,6 @@ for identical trees are byte-identical, which lets CI diff them.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
@@ -57,7 +56,6 @@ class Finding:
     line: int
     col: int
     message: str
-    fingerprint: str = ""
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}"
@@ -110,11 +108,10 @@ class CheckResult:
 class FileContext:
     """Everything a rule needs to inspect one parsed module."""
 
-    def __init__(self, relpath: str, source: str, tree: ast.Module) -> None:
+    def __init__(self, relpath: str, tree: ast.Module) -> None:
         self.relpath = relpath
         self.parts = tuple(Path(relpath).parts)
         self.filename = Path(relpath).name
-        self.source_lines = source.splitlines()
         self.tree = tree
         self._link_parents(tree)
         self.aliases = self._collect_aliases(tree)
@@ -140,11 +137,6 @@ class FileContext:
             if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 return ancestor
         return None
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.source_lines):
-            return self.source_lines[lineno - 1]
-        return ""
 
     def _collect_aliases(self, tree: ast.Module) -> Dict[str, str]:
         """Map local names to dotted module paths (imports + simple assigns)."""
@@ -240,41 +232,6 @@ def parse_pragmas(source: str) -> Tuple[List[Pragma], List[Tuple[int, str]]]:
     return pragmas, bad
 
 
-def _fingerprint(rule: str, relpath: str, line_text: str, occurrence: int) -> str:
-    payload = f"{rule}\x00{relpath}\x00{line_text.strip()}\x00{occurrence}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def assign_fingerprints(
-    relpath: str,
-    findings: List[Finding],
-    line_of: Dict[int, str],
-) -> List[Finding]:
-    """Attach content-based fingerprints that survive unrelated line drift.
-
-    The returned list is aligned with the input order; occurrence indexes
-    (disambiguating identical source lines) are assigned in source order.
-    """
-    seen: Dict[Tuple[str, str], int] = {}
-    out: List[Optional[Finding]] = [None] * len(findings)
-    order = sorted(range(len(findings)), key=lambda i: findings[i].sort_key())
-    for index in order:
-        finding = findings[index]
-        text = line_of.get(finding.line, "")
-        bucket = (finding.rule, text.strip())
-        occurrence = seen.get(bucket, 0)
-        seen[bucket] = occurrence + 1
-        out[index] = Finding(
-            rule=finding.rule,
-            path=relpath,
-            line=finding.line,
-            col=finding.col,
-            message=finding.message,
-            fingerprint=_fingerprint(finding.rule, relpath, text, occurrence),
-        )
-    return [finding for finding in out if finding is not None]
-
-
 def analyze_file(
     path: Path,
     relpath: str,
@@ -288,69 +245,35 @@ def analyze_file(
     try:
         source = path.read_text(encoding="utf-8")
     except OSError as exc:
-        result.findings.append(
-            Finding("DET000", relpath, 1, 0, f"unreadable file: {exc}", "")
-        )
-        result.findings = assign_fingerprints(relpath, result.findings, {})
+        result.findings.append(Finding("DET000", relpath, 1, 0, f"unreadable file: {exc}"))
         return result
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
         result.findings.append(
-            Finding("DET000", relpath, exc.lineno or 1, 0, f"syntax error: {exc.msg}", "")
-        )
-        result.findings = assign_fingerprints(
-            relpath, result.findings, dict(enumerate(source.splitlines(), start=1))
+            Finding("DET000", relpath, exc.lineno or 1, 0, f"syntax error: {exc.msg}")
         )
         return result
 
-    ctx = FileContext(relpath, source, tree)
-    raw: List[Finding] = []
+    ctx = FileContext(relpath, tree)
+    pragmas, bad_pragmas = parse_pragmas(source)
     for rule in active_rules:
         if not rule.applies(ctx):
             continue
         for line, col, message in rule.check(ctx):
-            raw.append(Finding(rule.id, relpath, line, col, message, ""))
-
-    pragmas, bad_pragmas = parse_pragmas(source)
-    for lineno, message in bad_pragmas:
-        raw.append(Finding("DET000", relpath, lineno, 0, message, ""))
-
-    # Partition first (so pragma bookkeeping happens on un-fingerprinted
-    # findings), but fingerprint the *combined* set: suppressing one of two
-    # identical findings must not renumber the other's occurrence index.
-    partition: List[Tuple[Finding, Optional[Pragma]]] = []
-    for finding in raw:
-        pragma = None
-        if finding.rule != "DET000":
+            finding = Finding(rule.id, relpath, line, col, message)
             pragma = _matching_pragma(pragmas, finding)
-            if pragma is not None:
+            if pragma is None:
+                result.findings.append(finding)
+            else:
                 pragma.used = True
-        partition.append((finding, pragma))
-
+                result.suppressed.append(Suppression(finding, pragma.justification))
+    for lineno, message in bad_pragmas:
+        result.findings.append(Finding("DET000", relpath, lineno, 0, message))
     for pragma in pragmas:
         if not pragma.used:
-            partition.append(
-                (
-                    Finding(
-                        "DET000",
-                        relpath,
-                        pragma.line,
-                        0,
-                        f"unused suppression for {', '.join(pragma.rules)} (nothing to silence)",
-                        "",
-                    ),
-                    None,
-                )
-            )
-
-    line_of = dict(enumerate(ctx.source_lines, start=1))
-    fingerprinted = assign_fingerprints(relpath, [f for f, _ in partition], line_of)
-    for final, (_, pragma) in zip(fingerprinted, partition, strict=True):
-        if pragma is None:
-            result.findings.append(final)
-        else:
-            result.suppressed.append(Suppression(final, pragma.justification))
+            message = f"unused suppression for {', '.join(pragma.rules)} (nothing to silence)"
+            result.findings.append(Finding("DET000", relpath, pragma.line, 0, message))
     result.findings.sort(key=Finding.sort_key)
     return result
 

@@ -12,7 +12,7 @@ module is the only code that knows how it is spelled:
 
 The NDJSON is the source of truth; whatever an index or report derives
 from it is disposable.  Whole documents (``index.json``, matrix and
-detlint reports, baselines) go through :func:`write_json`.  Stdlib only,
+detlint reports) go through :func:`write_json`.  Stdlib only,
 and nothing here imports from ``repro``.
 """
 

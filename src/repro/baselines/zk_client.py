@@ -94,9 +94,6 @@ class ZooKeeperClient:
     def delete_async(self, path: str, version: int = -1) -> KVFuture:
         return self.submit("delete", path=path, version=version)
 
-    def children_async(self, path: str, watch: bool = False) -> KVFuture:
-        return self.submit("children", path=path, watch=watch)
-
     def exists_async(self, path: str, watch: bool = False) -> KVFuture:
         return self.submit("exists", path=path, watch=watch)
 

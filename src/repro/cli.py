@@ -7,7 +7,7 @@
                                   re-check, re-index, inspect or synthesize a
                                   history/v1 run dir
     trace run|report|info         record, report on or inspect a trace/v1 run dir
-    lint check|explain|baseline   detlint, the determinism static analysis
+    lint check|explain            detlint, the determinism static analysis
 
 Every handler imports its subsystem when it runs, so ``lint`` needs
 nothing beyond the standard library.  One error policy: a ``ValueError``
@@ -24,10 +24,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.artifacts import json_document, write_json
+from repro.artifacts import write_json
 
 LINT_PATHS = ["src", "benchmarks", "tests"]
-LINT_BASELINE = Path("analysis") / "baseline.json"
 
 #: The shape of ``history generate``'s synthetic run: what CI's
 #: ``verify-at-scale`` job has always checked, so fixed rather than flags.
@@ -184,31 +183,15 @@ def _trace_info(args: argparse.Namespace) -> int:
 
 
 def _lint_check(args: argparse.Namespace) -> int:
-    from repro.analysis.baseline import Baseline
     from repro.analysis.engine import check_paths
-    from repro.analysis.report import build_report, format_markdown, format_text
+    from repro.analysis.report import build_report, format_text
 
-    root = Path(args.root)
-    result = check_paths(args.paths, root=root, include_fixtures=args.include_fixtures)
-    baseline_path: Optional[Path] = None
-    if not args.no_baseline:
-        if args.baseline is not None:
-            baseline_path = Path(args.baseline)
-        elif (root / LINT_BASELINE).exists():
-            baseline_path = root / LINT_BASELINE
-    baseline = Baseline.load(baseline_path) if baseline_path else Baseline()
-    new, baselined, stale = baseline.partition(result.findings)
-    report = build_report(result, new, baselined, stale,
-                          str(baseline_path) if baseline_path else None)
+    result = check_paths(args.paths, root=Path(args.root),
+                         include_fixtures=args.include_fixtures)
     if args.output:
-        write_json(args.output, report)
-    if args.summary:
-        sys.stdout.write(format_markdown(result, new, baselined, stale))
-    elif args.format == "json":
-        sys.stdout.write(json_document(report))
-    else:
-        sys.stdout.write(format_text(result, new, baselined, stale))
-    return 1 if new or (stale and args.fail_stale) else 0
+        write_json(args.output, build_report(result))
+    sys.stdout.write(format_text(result))
+    return 1 if result.findings else 0
 
 
 def _lint_explain(args: argparse.Namespace) -> int:
@@ -230,19 +213,6 @@ def _lint_explain(args: argparse.Namespace) -> int:
             lines += ["", "Good:"] + [f"    {ln}" for ln in rule.good_example.splitlines()]
         blocks.append("\n".join(lines))
     print("\n\n".join(blocks))
-    return 0
-
-
-def _lint_baseline(args: argparse.Namespace) -> int:
-    from repro.analysis.baseline import Baseline
-    from repro.analysis.engine import check_paths
-
-    root = Path(args.root)
-    result = check_paths(args.paths, root=root, include_fixtures=args.include_fixtures)
-    baseline = Baseline.from_findings(result.findings)
-    output = root / args.output  # an absolute --output wins the join
-    baseline.dump(output)
-    print(f"detlint: wrote {len(baseline.entries)} baseline entrie(s) to {output}")
     return 0
 
 
@@ -323,30 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     lint = verbs.add_parser(
         "lint", help="detlint: determinism & hot-path static "
                      "analysis").add_subparsers(dest="command", required=True)
-    check = lint.add_parser("check", help="run every rule and fail on new findings")
+    check = lint.add_parser("check", help="run every rule and fail on any finding")
     check.add_argument("paths", nargs="*", default=LINT_PATHS, help="files or directories")
     check.add_argument("--root", default=".", help="repository root (paths are relative to it)")
-    check.add_argument("--baseline", default=None,
-                       help=f"baseline JSON (default: {LINT_BASELINE} under --root, if present)")
-    check.add_argument("--no-baseline", action="store_true", help="ignore any baseline file")
-    check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument("-o", "--output", default=None, help="also write the JSON report here")
-    check.add_argument("--summary", action="store_true",
-                       help="print a markdown summary (for CI step summaries)")
     check.add_argument("--include-fixtures", action="store_true",
                        help="scan the intentionally-broken tests/fixtures/detlint corpus too")
-    check.add_argument("--fail-stale", action="store_true",
-                       help="also fail when baseline entries no longer match any finding")
     check.set_defaults(handler=_lint_check)
     explain = lint.add_parser("explain", help="print rule documentation")
     explain.add_argument("rules", nargs="*", help="rule ids (default: all)")
     explain.set_defaults(handler=_lint_explain)
-    baseline = lint.add_parser("baseline", help="write the current findings as the baseline")
-    baseline.add_argument("paths", nargs="*", default=LINT_PATHS)
-    baseline.add_argument("--root", default=".")
-    baseline.add_argument("-o", "--output", default=str(LINT_BASELINE))
-    baseline.add_argument("--include-fixtures", action="store_true")
-    baseline.set_defaults(handler=_lint_baseline)
     return parser
 
 

@@ -148,21 +148,13 @@ class NetChainCluster:
         """Queries completed across all agents."""
         return sum(agent.completed for agent in self.agents.values())
 
-    def faults(self, seed: Optional[int] = None) -> FaultInjector:
-        """The cluster's fault injector (created on first use).
-
-        The default seed is the cluster seed, so a whole scenario replays
-        from the single :class:`ClusterConfig.seed` knob.  Asking for a
-        different seed once the injector exists is an error -- its RNG
-        streams are already derived, so the request could not be honored.
-        """
+    def faults(self) -> FaultInjector:
+        """The cluster's fault injector (created on first use), seeded
+        with the cluster seed so a whole scenario replays from the single
+        :class:`ClusterConfig.seed` knob."""
         if self._fault_injector is None:
-            self._fault_injector = FaultInjector(
-                self.topology, seed=self.config.seed if seed is None else seed)
-        elif seed is not None and seed != self._fault_injector.seed:
-            raise ValueError(
-                f"fault injector already created with seed "
-                f"{self._fault_injector.seed}; cannot reseed to {seed}")
+            self._fault_injector = FaultInjector(self.topology,
+                                                 seed=self.config.seed)
         return self._fault_injector
 
     # ------------------------------------------------------------------ #
@@ -204,10 +196,9 @@ class NetChainCluster:
         from repro.core.reconfig import migrate
         return migrate(self.controller, target_members, config=config)
 
-    def fault_schedule(self, seed: Optional[int] = None,
-                       poll_interval: float = 1e-3) -> FaultSchedule:
+    def fault_schedule(self, poll_interval: float = 1e-3) -> FaultSchedule:
         """A new :class:`FaultSchedule` over the cluster's injector."""
-        return FaultSchedule(self.faults(seed), poll_interval=poll_interval)
+        return FaultSchedule(self.faults(), poll_interval=poll_interval)
 
     def enable_hotkey_tier(self, config=None):
         """Turn on the adaptive hot-key tier (:mod:`repro.core.hotkeys`).

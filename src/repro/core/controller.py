@@ -118,8 +118,7 @@ class NetChainController:
             raise ValueError("not enough member switches for the requested replication")
         self.ring = ConsistentHashRing(self.members,
                                        vnodes_per_switch=self.config.vnodes_per_switch,
-                                       replication=self.config.replication,
-                                       seed=self.config.seed)
+                                       replication=self.config.replication)
         self.programs: Dict[str, NetChainSwitchProgram] = {}
         self.stores: Dict[str, SwitchKVStore] = {}
         self._install_programs()

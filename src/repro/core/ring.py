@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -38,12 +37,11 @@ class ConsistentHashRing:
     """The key -> chain mapping shared by agents and the controller."""
 
     def __init__(self, switches: Sequence[str], vnodes_per_switch: int = 100,
-                 replication: int = 3, seed: int = 0) -> None:
+                 replication: int = 3) -> None:
         """Args:
             switches: the NetChain switch names.
             vnodes_per_switch: ``m/n`` in the paper's notation.
             replication: chain length ``f+1``.
-            seed: randomness for failure-recovery reassignment.
         """
         if replication < 1:
             raise ValueError("replication factor must be at least 1")
@@ -55,7 +53,6 @@ class ConsistentHashRing:
         self.switch_names: List[str] = list(switches)
         self.vnodes_per_switch = vnodes_per_switch
         self.replication = replication
-        self.rng = random.Random(seed)
         self.vnodes: Dict[int, VirtualNode] = {}
         self._next_vnode_id = 0
         self.generation = 0
@@ -173,32 +170,17 @@ class ConsistentHashRing:
         """All virtual nodes mapped to a switch."""
         return [v for v in self.vnodes.values() if v.switch == switch]
 
-    def vgroups_involving(self, switch: str, replication: Optional[int] = None) -> List[int]:
-        """Virtual groups whose chain contains ``switch``.
-
-        A switch appears in ``m(f+1)/n`` chains on average (Section 5.1);
-        this enumerates them exactly.
-        """
-        replication = replication or self.replication
-        result = []
-        for vgroup in self.vnodes:
-            if switch in self.chain_for_vgroup(vgroup, replication):
-                result.append(vgroup)
-        return sorted(result)
-
     # ------------------------------------------------------------------ #
     # Elastic membership (used by the reconfiguration planner).
     # ------------------------------------------------------------------ #
 
     def clone(self) -> "ConsistentHashRing":
-        """An independent copy (same vnode ids/positions and RNG seed state
-        re-derived from scratch is NOT required -- the clone is only used to
-        derive target layouts, never to make random choices)."""
+        """An independent copy (same vnode ids and positions), used to
+        derive target layouts."""
         copy = ConsistentHashRing.__new__(ConsistentHashRing)
         copy.switch_names = list(self.switch_names)
         copy.vnodes_per_switch = self.vnodes_per_switch
         copy.replication = self.replication
-        copy.rng = random.Random(0)
         copy.vnodes = {vid: VirtualNode(v.vnode_id, v.switch, v.position)
                        for vid, v in self.vnodes.items()}
         copy._next_vnode_id = self._next_vnode_id
@@ -278,26 +260,6 @@ class ConsistentHashRing:
         vnode = self.vnodes[vnode_id]
         self.vnodes[vnode_id] = VirtualNode(vnode_id, new_switch, vnode.position)
         self._rebuild_index()
-
-    def reassign_switch(self, failed_switch: str,
-                        live_switches: Optional[Sequence[str]] = None) -> Dict[int, str]:
-        """Randomly spread a failed switch's virtual nodes over live switches
-        (Section 5.2: "randomly assign them to k live switches").
-
-        Returns the mapping ``vnode_id -> new switch``.
-        """
-        if live_switches is None:
-            live_switches = [s for s in self.switch_names if s != failed_switch]
-        live_switches = list(live_switches)
-        if not live_switches:
-            raise ValueError("no live switches to reassign virtual nodes to")
-        mapping: Dict[int, str] = {}
-        for vnode in self.virtual_nodes_of(failed_switch):
-            target = self.rng.choice(live_switches)
-            mapping[vnode.vnode_id] = target
-            self.vnodes[vnode.vnode_id] = VirtualNode(vnode.vnode_id, target, vnode.position)
-        self._rebuild_index()
-        return mapping
 
     def load_distribution(self) -> Dict[str, int]:
         """Number of virtual nodes per switch (used to test load spreading)."""

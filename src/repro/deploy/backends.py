@@ -162,8 +162,7 @@ class NetChainBackend(Backend):
     """
 
     name = "netchain"
-    capabilities = Capabilities(supports_reconfig=True, supports_watch=False,
-                                supports_cas=True, supports_insert=True,
+    capabilities = Capabilities(supports_reconfig=True,
                                 supports_fault_injection=True,
                                 scaled_throughput=True,
                                 supports_hotkey_tier=True)
@@ -260,8 +259,7 @@ class ZooKeeperBackendImpl(Backend):
     """
 
     name = "zookeeper"
-    capabilities = Capabilities(supports_reconfig=False, supports_watch=True,
-                                supports_cas=True, supports_insert=True,
+    capabilities = Capabilities(supports_reconfig=False,
                                 supports_fault_injection=True,
                                 scaled_throughput=True)
 
@@ -371,8 +369,7 @@ class _ServerBaselineBackend(Backend):
     message-count comparisons.  ``options``: ``stack_delay``.
     """
 
-    capabilities = Capabilities(supports_reconfig=False, supports_watch=False,
-                                supports_cas=True, supports_insert=True,
+    capabilities = Capabilities(supports_reconfig=False,
                                 supports_fault_injection=True,
                                 scaled_throughput=False)
 
@@ -449,8 +446,7 @@ class HybridBackend(Backend):
     """
 
     name = "hybrid"
-    capabilities = Capabilities(supports_reconfig=False, supports_watch=False,
-                                supports_cas=True, supports_insert=True,
+    capabilities = Capabilities(supports_reconfig=False,
                                 supports_fault_injection=True,
                                 scaled_throughput=True,
                                 supports_hotkey_tier=True)

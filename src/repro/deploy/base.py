@@ -15,7 +15,7 @@ change, not a new builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 from repro.core.client import KVClient
@@ -34,12 +34,6 @@ class Capabilities:
 
     #: Live membership changes with key migration (:mod:`repro.core.reconfig`).
     supports_reconfig: bool = False
-    #: Server-pushed change notifications (ZooKeeper watches).
-    supports_watch: bool = False
-    #: Atomic compare-and-swap.
-    supports_cas: bool = True
-    #: Distinct create operation (control-plane insert on NetChain).
-    supports_insert: bool = True
     #: Seeded fault injection over the deployment's topology.
     supports_fault_injection: bool = True
     #: Throughput numbers are scaled back by ``deployment.scale``.
@@ -49,10 +43,7 @@ class Capabilities:
     supports_hotkey_tier: bool = False
 
     def as_dict(self) -> Dict[str, bool]:
-        return {name: getattr(self, name) for name in (
-            "supports_reconfig", "supports_watch", "supports_cas",
-            "supports_insert", "supports_fault_injection", "scaled_throughput",
-            "supports_hotkey_tier")}
+        return asdict(self)
 
 
 class Deployment:

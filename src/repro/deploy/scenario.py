@@ -39,7 +39,7 @@ from repro.core.trace import TelemetryPlane
 from repro.deploy.base import Capabilities, Deployment, build_deployment
 from repro.deploy.spec import DeploymentSpec, check_unknown_fields
 from repro.netsim.faults import FaultEvent, FaultSchedule
-from repro.netsim.stats import LatencyRecorder
+from repro.netsim.stats import IntervalCounter, LatencyRecorder
 from repro.netsim.telemetry import TelemetryConfig, peak_rss_bytes
 from repro.workloads.clients import LoadClient
 from repro.workloads.generators import KeyValueWorkload, WorkloadConfig
@@ -255,6 +255,9 @@ class ScenarioResult:
     #: so the merged report can :meth:`~LatencyRecorder.merge` exactly).
     read_latency: Optional[LatencyRecorder] = None
     write_latency: Optional[LatencyRecorder] = None
+    #: Each load client's successful-completion times, by reference: a
+    #: timeline figure reads its phase-window rates and binned series here.
+    successes: List[IntervalCounter] = field(default_factory=list)
     #: The deployment the scenario ran on (clients, cluster, topology).
     deployment: Optional[Deployment] = None
     #: Whether the adaptive hot-key tier was running during the scenario
@@ -315,12 +318,14 @@ def run_scenario(spec: DeploymentSpec,
                  schedule_builder: Optional[Callable] = None) -> ScenarioResult:
     """Run one workload against one deployment spec and check the outcome.
 
-    This is the single scenario entry point:
-    :func:`repro.experiments.failures.fault_scenario` and
-    :func:`repro.experiments.elasticity.reconfig_scenario` only construct
-    its three inputs, the figure drivers read their numbers off its
-    result, and :mod:`repro.deploy.matrix` workers reconstruct the inputs
-    from JSON alone.  Planned membership changes ride
+    This is the single scenario entry point, and the only place a
+    :class:`~repro.workloads.clients.LoadClient` is built: every
+    experiment driver -- the Figure 9 sweeps, the Figure 10 and scale-out
+    timelines, :func:`repro.experiments.failures.fault_scenario` and
+    :func:`repro.experiments.elasticity.reconfig_scenario` -- constructs
+    its three inputs and reads its numbers off the result, and
+    :mod:`repro.deploy.matrix` workers reconstruct the inputs from JSON
+    alone.  Planned membership changes ride
     ``spec.options["reconfig"]`` (``{"changes": [(at, joins, leaves),
     ...], "config": ReconfigConfig | field dict, "link_new_to": [...]}``)
     and a failure detector config rides ``spec.options["detector_config"]``
@@ -493,8 +498,9 @@ def run_scenario(spec: DeploymentSpec,
     result.failed_ops = sum(c.failed_queries for c in load_clients)
     result.qps = sum(c.completions.rate_between(window_start, window_end)
                      for c in load_clients)
-    result.success_qps = sum(c.successes.rate_between(window_start, window_end)
-                             for c in load_clients)
+    result.successes = [c.successes for c in load_clients]
+    result.success_qps = sum(counter.rate_between(window_start, window_end)
+                             for counter in result.successes)
     result.scaled_qps = result.success_qps * (
         deployment.scale if deployment.capabilities.scaled_throughput else 1.0)
     read_latency = LatencyRecorder()

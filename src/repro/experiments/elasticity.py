@@ -27,13 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.controller import ControllerConfig
-from repro.core.reconfig import MigrationCoordinator, MigrationReport, ReconfigConfig
-from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec, build_deployment
-from repro.experiments.failures import fault_scenario
-from repro.netsim.stats import ThroughputTimeSeries
-from repro.workloads.clients import LoadClient
-from repro.workloads.generators import KeyValueWorkload, WorkloadConfig
+from repro.core.reconfig import MigrationReport, ReconfigConfig
+from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec
+from repro.experiments.failures import fault_scenario, netchain_testbed_spec, phase_rate
+from repro.experiments.throughput import adaptive_retry_timeout, measure
 
 #: One planned membership change: (time, joins, leaves).
 MembershipChange = Tuple[float, Sequence[str], Sequence[str]]
@@ -114,79 +111,47 @@ def elasticity_experiment(joins: Sequence[str] = ("S4", "S5", "S6", "S7"),
                           write_ratio: float = 0.5,
                           scale: float = 4000.0,
                           migrate_at: float = 1.0,
-                          run_after: float = 1.0,
                           virtual_groups: int = 4,
                           sync_items_per_sec: float = 20000.0,
                           concurrency: int = 16,
                           bin_width: float = 0.1,
                           seed: int = 0,
-                          max_duration: float = 60.0,
+                          duration: float = 2.1,
                           reconfig_config: Optional[ReconfigConfig] = None,
                           ) -> ElasticityTimeline:
     """Grow (or shrink) the cluster under closed-loop load and measure the
-    cost: throughput before/during/after, keys moved, freeze windows."""
-    controller_config = ControllerConfig(replication=3,
-                                         vnodes_per_switch=virtual_groups,
-                                         store_slots=max(1024, store_size + 64),
-                                         sync_items_per_sec=sync_items_per_sec,
-                                         seed=seed)
-    from repro.experiments.throughput import adaptive_retry_timeout
-    deployment = build_deployment(DeploymentSpec(
-        backend="netchain", scale=scale, store_size=store_size,
-        vnodes_per_switch=virtual_groups,
-        retry_timeout=adaptive_retry_timeout(concurrency, scale), seed=seed,
-        options={"controller_config": controller_config}))
-    cluster = deployment.cluster
-    timeline = ElasticityTimeline(joins=list(joins), leaves=list(leaves),
-                                  scale=scale)
-    series = ThroughputTimeSeries(bin_width=bin_width)
-    workload = KeyValueWorkload(WorkloadConfig(store_size=store_size, value_size=64,
-                                               write_ratio=write_ratio, seed=seed))
-    client = LoadClient(cluster.agent("H0"), workload, concurrency=concurrency,
-                        time_series=series)
+    cost: throughput before/during/after, keys moved, freeze windows.
 
-    coordinators: List[MigrationCoordinator] = []
-
-    def start_migration() -> None:
-        for name in joins:
-            if name not in cluster.topology.switches:
-                cluster.add_switch(name)
-        target = [m for m in cluster.controller.ring.switch_names
-                  if m not in leaves]
-        target += [j for j in joins if j not in target and j not in leaves]
-        coordinators.append(cluster.migrate(target, config=reconfig_config))
-
-    cluster.sim.schedule_at(migrate_at, start_migration)
-    client.start()
-    now = 0.0
-    while now < max_duration:
-        now = min(now + 0.5, max_duration)
-        cluster.run(until=now)
-        if coordinators and coordinators[0].done:
-            break
-    report = coordinators[0].report if coordinators else None
-    # A migration that did not finish within max_duration must not rewind
-    # the clock (finished_at is still 0.0) or report post-migration stats.
-    completed = report is not None and report.done
-    end = report.finished_at if completed else now
-    cluster.run(until=max(end + run_after, cluster.sim.now))
-    client.stop()
-    cluster.run(until=max(end + run_after + 0.05, cluster.sim.now))
-
-    timeline.series = series.series()
-    if completed:
-        timeline.report = report
-        timeline.migration_started = report.started_at
-        timeline.migration_finished = report.finished_at
-        timeline.keys_moved = report.total_keys_moved()
-        timeline.items_copied = report.total_items_copied()
-        timeline.total_freeze_time = report.total_freeze_time()
-        timeline.max_freeze_window = report.max_freeze_window()
-        timeline.groups_migrated = len(report.committed_steps())
-        timeline.before_qps = client.successes.rate_between(
-            migrate_at * 0.5, migrate_at)
-        timeline.during_qps = client.successes.rate_between(
-            report.started_at, max(report.finished_at, report.started_at + 1e-9))
-        timeline.after_qps = client.successes.rate_between(
-            end + 0.2, end + run_after)
-    return timeline
+    The run lasts ``duration`` seconds and must outlast the migration by
+    more than the 0.2 s the after window skips, or :class:`ValueError`
+    names the time that is missing."""
+    spec = netchain_testbed_spec(seed, scale, store_size, virtual_groups,
+                                 sync_items_per_sec,
+                                 adaptive_retry_timeout(concurrency, scale))
+    spec.options["reconfig"] = {
+        "changes": [(migrate_at, list(joins), list(leaves))],
+        "config": reconfig_config}
+    result = measure(spec, num_clients=1, concurrency=concurrency,
+                     write_ratio=write_ratio, duration=duration)
+    (successes,) = result.successes
+    if not result.migrations or not result.migrations[0].done:
+        raise ValueError(
+            f"the migration had not finished at duration={duration} s "
+            f"(migrate_at={migrate_at} s)")
+    report = result.migrations[0]
+    return ElasticityTimeline(
+        joins=list(joins), leaves=list(leaves), scale=scale,
+        series=successes.series(bin_width), report=report,
+        migration_started=report.started_at,
+        migration_finished=report.finished_at,
+        keys_moved=report.total_keys_moved(),
+        items_copied=report.total_items_copied(),
+        total_freeze_time=report.total_freeze_time(),
+        max_freeze_window=report.max_freeze_window(),
+        groups_migrated=len(report.committed_steps()),
+        before_qps=phase_rate(successes, migrate_at * 0.5, migrate_at,
+                              "before"),
+        during_qps=phase_rate(successes, report.started_at,
+                              report.finished_at, "during"),
+        after_qps=phase_rate(successes, report.finished_at + 0.2, duration,
+                             "after"))

@@ -14,12 +14,12 @@ throughput over time:
   write fraction (half, at 50% writes); with 100 virtual groups only one
   group is unavailable at a time, so the drop is ~0.5%.
 
-Unlike the original analytic driver, the timeline here is produced end to
-end by the fault subsystem: the failure is armed on a
-:class:`repro.netsim.faults.FaultSchedule`, the controller reacts through
-its :class:`repro.core.detector.FailureDetector` (it is never called
-directly), and every phase boundary is *observed* from the controller's
-event log and recovery reports rather than computed from the input knobs.
+The timeline is one :func:`repro.deploy.run_scenario` run: the failure is
+a ``spec.faults`` event, the controller reacts through the
+:class:`repro.core.detector.FailureDetector` configured by
+``options["detector_config"]`` (it is never called directly), and every
+phase boundary is *observed* from the fault trace, the controller's event
+log and its recovery report rather than computed from the input knobs.
 
 :func:`fault_scenario` generalizes the same setup to arbitrary schedules:
 it builds the ``(spec, workload, checks)`` triple that
@@ -35,11 +35,40 @@ from typing import List, Optional, Tuple
 
 from repro.core.controller import ControllerConfig
 from repro.core.detector import DetectorConfig
-from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec, build_deployment
+from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec
+from repro.experiments.throughput import adaptive_retry_timeout, measure
 from repro.netsim.faults import FaultEvent
-from repro.netsim.stats import ThroughputTimeSeries
-from repro.workloads.clients import LoadClient
-from repro.workloads.generators import KeyValueWorkload, WorkloadConfig
+from repro.netsim.stats import IntervalCounter
+
+
+def netchain_testbed_spec(seed: int, scale: float, store_size: int,
+                          virtual_groups: int, sync_items_per_sec: float,
+                          retry_timeout: float,
+                          value_size: int = 64) -> DeploymentSpec:
+    """The NetChain testbed every failure and elasticity driver runs on:
+    chains of three with ``virtual_groups`` per switch and a controller
+    that copies ``sync_items_per_sec`` items during state synchronization.
+    Callers add ``faults`` and the ``detector_config`` / ``reconfig``
+    options."""
+    return DeploymentSpec(
+        backend="netchain", scale=scale, store_size=store_size,
+        value_size=value_size, vnodes_per_switch=virtual_groups,
+        retry_timeout=retry_timeout, seed=seed,
+        options={"controller_config": ControllerConfig(
+            replication=3, vnodes_per_switch=virtual_groups,
+            store_slots=max(1024, store_size + 64),
+            sync_items_per_sec=sync_items_per_sec, seed=seed)})
+
+
+def phase_rate(successes: IntervalCounter, start: float, end: float,
+               phase: str) -> float:
+    """Successful queries per second over one phase window; an empty
+    window is an error of the run's ``duration``, not a rate of zero."""
+    if end <= start:
+        raise ValueError(
+            f"the {phase} window [{start:.3f}, {end:.3f}) s is empty: "
+            f"the run must last beyond t={start:.3f} s")
+    return successes.rate_between(start, end)
 
 
 @dataclass
@@ -80,95 +109,66 @@ def failure_experiment(virtual_groups: int = 1,
                        fail_at: float = 5.0,
                        detection_delay: float = 1.0,
                        recovery_start_delay: float = 5.0,
-                       run_after_recovery: float = 5.0,
                        sync_items_per_sec: float = 140.0,
                        bin_width: float = 0.5,
                        concurrency: int = 16,
                        seed: int = 0,
-                       max_duration: float = 120.0) -> FailureTimeline:
+                       duration: float = 21.5) -> FailureTimeline:
     """Fail S1 in the chain [S0, S1, S2], recover onto S3, track throughput.
 
-    The failure is injected through a seeded :class:`FaultSchedule` and the
-    controller reacts through its failure detector, whose probe interval is
-    ``detection_delay`` -- the controller notices the failure at the first
-    probe after the injection, within one interval, exactly like the
-    deliberately slowed detection of the paper's methodology.  All phase
-    boundaries in the returned timeline are observed, not assumed.
+    The failure detector's probe interval is ``detection_delay`` -- the
+    controller notices the failure at the first probe after the
+    injection, within one interval, exactly like the deliberately slowed
+    detection of the paper's methodology.  All phase boundaries in the
+    returned timeline are observed, not assumed; the run lasts
+    ``duration`` seconds and must outlast the recovery by more than the
+    0.5 s the post-recovery window skips, or :class:`ValueError` names
+    the time that is missing.
     """
-    controller_config = ControllerConfig(replication=3,
-                                         vnodes_per_switch=virtual_groups,
-                                         store_slots=max(1024, store_size + 64),
-                                         sync_items_per_sec=sync_items_per_sec,
-                                         seed=seed)
-    from repro.experiments.throughput import adaptive_retry_timeout
-    deployment = build_deployment(DeploymentSpec(
-        backend="netchain", scale=scale, store_size=store_size,
-        vnodes_per_switch=virtual_groups,
-        retry_timeout=adaptive_retry_timeout(concurrency, scale), seed=seed,
-        options={"controller_config": controller_config}))
-    cluster = deployment.cluster
-    timeline = FailureTimeline(virtual_groups=virtual_groups, scale=scale)
-    series = ThroughputTimeSeries(bin_width=bin_width)
-    workload = KeyValueWorkload(WorkloadConfig(store_size=store_size, value_size=64,
-                                               write_ratio=write_ratio, seed=seed))
-    client = LoadClient(cluster.agent("H0"), workload, concurrency=concurrency,
-                        time_series=series)
+    spec = netchain_testbed_spec(seed, scale, store_size, virtual_groups,
+                                 sync_items_per_sec,
+                                 adaptive_retry_timeout(concurrency, scale))
+    spec.faults = [(fail_at, "fail_switch", "S1")]
+    spec.options["detector_config"] = DetectorConfig(
+        probe_interval=detection_delay, suspicion_threshold=1,
+        auto_recover=True, recovery_start_delay=recovery_start_delay,
+        new_switch="S3")
+    result = measure(spec, num_clients=1, concurrency=concurrency,
+                     write_ratio=write_ratio, duration=duration)
+    (successes,) = result.successes
 
-    injector = cluster.faults(seed)
-    cluster.fault_schedule().at(fail_at, "fail_switch", "S1").arm()
-    cluster.start_failure_detector(DetectorConfig(
-        probe_interval=detection_delay,
-        suspicion_threshold=1,
-        auto_recover=True,
-        recovery_start_delay=recovery_start_delay,
-        new_switch="S3"))
-
-    client.start()
-    # Run in slices until the controller reports the recovery finished.
-    now = 0.0
-    recovery_end: Optional[float] = None
-    while now < max_duration:
-        now = min(now + 1.0, max_duration)
-        cluster.run(until=now)
-        reports = cluster.controller.recovery_reports
-        if reports and reports[-1].finished_at > 0:
-            recovery_end = reports[-1].finished_at
-            break
-    if recovery_end is None:
-        recovery_end = now
-    cluster.run(until=recovery_end + run_after_recovery)
-    client.stop()
-    cluster.run(until=recovery_end + run_after_recovery + 0.05)
-
-    # Observed phase boundaries: injection from the fault trace, failover
-    # from the controller's event log, recovery from its report.
-    fail_events = [e for e in injector.trace if e.kind == "switch_fail"]
-    timeline.fail_time = fail_events[0].time if fail_events else fail_at
-    failovers = [t for t, message in cluster.controller.events
+    controller = result.deployment.cluster.controller
+    fail_times = [e.time for e in result.fault_trace if e.kind == "switch_fail"]
+    failovers = [t for t, message in controller.events
                  if message.startswith("fast failover")]
-    timeline.failover_complete_time = failovers[0] if failovers else timeline.fail_time
-    reports = cluster.controller.recovery_reports
-    if reports:
-        timeline.recovery_start_time = reports[-1].started_at
-        timeline.groups_recovered = reports[-1].groups_recovered
-    else:
-        # No recovery happened within max_duration: leave the window empty
-        # (rate_between over an empty window is 0) instead of letting the
-        # 0.0 default span the healthy baseline.
-        timeline.recovery_start_time = recovery_end
-    timeline.recovery_end_time = recovery_end
-    timeline.fault_trace = list(injector.trace)
-
-    timeline.series = series.series()
-    fail_time = timeline.fail_time
-    timeline.baseline_qps = client.successes.rate_between(fail_time * 0.5, fail_time)
-    failover_end = max(timeline.failover_complete_time, fail_time + 1e-9)
-    timeline.failover_window_qps = client.successes.rate_between(fail_time, failover_end)
-    timeline.recovery_window_qps = client.successes.rate_between(
-        timeline.recovery_start_time, recovery_end)
-    timeline.post_recovery_qps = client.successes.rate_between(
-        recovery_end + 0.5, recovery_end + run_after_recovery)
-    return timeline
+    reports = controller.recovery_reports
+    if not fail_times or not failovers:
+        raise ValueError(
+            f"no switch failure and fast failover within duration={duration} s "
+            f"(fail_at={fail_at} s, detection_delay={detection_delay} s)")
+    if not reports or reports[-1].finished_at <= 0:
+        raise ValueError(
+            f"failure recovery had not finished at duration={duration} s "
+            f"(failover completed at t={failovers[0]:.3f} s, recovery starts "
+            f"{recovery_start_delay} s later)")
+    report = reports[-1]
+    fail_time, failover_end = fail_times[0], failovers[0]
+    return FailureTimeline(
+        virtual_groups=virtual_groups, scale=scale,
+        series=successes.series(bin_width),
+        fail_time=fail_time, failover_complete_time=failover_end,
+        recovery_start_time=report.started_at,
+        recovery_end_time=report.finished_at,
+        groups_recovered=report.groups_recovered,
+        fault_trace=result.fault_trace,
+        baseline_qps=phase_rate(successes, fail_time * 0.5, fail_time,
+                                "baseline"),
+        failover_window_qps=phase_rate(successes, fail_time, failover_end,
+                                       "failover"),
+        recovery_window_qps=phase_rate(successes, report.started_at,
+                                       report.finished_at, "recovery"),
+        post_recovery_qps=phase_rate(successes, report.finished_at + 0.5,
+                                     duration, "post-recovery"))
 
 
 # --------------------------------------------------------------------- #
@@ -210,18 +210,12 @@ def fault_scenario(seed: int = 0,
     scenario (including the fault trace) replays byte-identically, and the
     triple is the same one a matrix cell serializes.
     """
-    controller_config = ControllerConfig(replication=3,
-                                         vnodes_per_switch=virtual_groups,
-                                         store_slots=max(1024, store_size + 64),
-                                         sync_items_per_sec=sync_items_per_sec,
-                                         seed=seed)
-    spec = DeploymentSpec(
-        backend="netchain", scale=1000.0, store_size=store_size,
-        value_size=value_size, vnodes_per_switch=virtual_groups,
-        retry_timeout=200e-6, seed=seed, faults=list(faults or []),
-        options={"controller_config": controller_config,
-                 "detector_config": detector_config or DetectorConfig(
-                     probe_interval=50e-3, suspicion_threshold=2)})
+    spec = netchain_testbed_spec(seed, 1000.0, store_size, virtual_groups,
+                                 sync_items_per_sec, retry_timeout=200e-6,
+                                 value_size=value_size)
+    spec.faults = list(faults or [])
+    spec.options["detector_config"] = detector_config or DetectorConfig(
+        probe_interval=50e-3, suspicion_threshold=2)
     workload = WorkloadSpec(num_clients=num_clients, concurrency=concurrency,
                             write_ratio=write_ratio, think_time=think_time,
                             duration=duration, drain=drain)

@@ -42,7 +42,6 @@ def netchain_latency_curve(concurrency_levels: Sequence[int] = (1, 4, 16),
                            num_servers: int = 4,
                            store_size: int = 1000,
                            value_size: int = 64,
-                           scale: float = 20000.0,
                            duration: float = 0.2,
                            warmup: float = 0.05,
                            seed: int = 0) -> List[LatencyPoint]:
@@ -52,8 +51,7 @@ def netchain_latency_curve(concurrency_levels: Sequence[int] = (1, 4, 16),
     capacity model, so this experiment runs with the capacity ceilings
     disabled (the paper's observation is precisely that switch processing is
     deterministic, so latency stays at the client-stack floor of ~9.7 us all
-    the way to saturation).  The ``scale`` argument is accepted for API
-    symmetry but only affects the reported throughput axis indirectly.
+    the way to saturation).
     """
     points: List[LatencyPoint] = []
     for write_ratio, op_name in ((0.0, "read"), (1.0, "write")):

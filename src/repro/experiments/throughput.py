@@ -19,7 +19,7 @@ The evaluated quantities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.deploy import (
     DeploymentSpec,
@@ -171,12 +171,3 @@ def zookeeper_loss_degradation(loss_rates,
     if baseline <= 0:
         return {loss: 0.0 for loss in rates}
     return {loss: qps / baseline for loss, qps in rates.items()}
-
-
-def netchain_server_sweep(max_servers: int = 4, **kwargs) -> List[ThroughputResult]:
-    """NetChain(1), NetChain(2), ... NetChain(max_servers) at fixed knobs.
-
-    The deployment is rebuilt per point so each measurement starts from a
-    clean simulator state.
-    """
-    return [netchain_throughput(num_servers=n, **kwargs) for n in range(1, max_servers + 1)]

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 
 @dataclass
@@ -182,65 +183,6 @@ class LatencyRecorder:
         return recorder
 
 
-class ThroughputTimeSeries:
-    """Counts completions into fixed-width time bins (Figure 10 style)."""
-
-    def __init__(self, bin_width: float = 1.0) -> None:
-        self.bin_width = bin_width
-        self.bins: Dict[int, int] = {}
-
-    def record(self, time: float, count: int = 1) -> None:
-        """Record ``count`` completions at simulation time ``time``."""
-        index = int(time / self.bin_width)
-        self.bins[index] = self.bins.get(index, 0) + count
-
-    def series(self) -> List[Tuple[float, float]]:
-        """(bin start time, rate per second) for every bin, gaps included."""
-        if not self.bins:
-            return []
-        first = min(self.bins)
-        last = max(self.bins)
-        result = []
-        for index in range(first, last + 1):
-            rate = self.bins.get(index, 0) / self.bin_width
-            result.append((index * self.bin_width, rate))
-        return result
-
-    def rate_at(self, time: float) -> float:
-        """Rate in the bin containing ``time``."""
-        index = int(time / self.bin_width)
-        return self.bins.get(index, 0) / self.bin_width
-
-    def total(self) -> int:
-        """Total completions recorded."""
-        return sum(self.bins.values())
-
-
-@dataclass
-class ThroughputMeasurement:
-    """Result of a fixed-duration throughput measurement."""
-
-    completed: int = 0
-    duration: float = 0.0
-    #: Multiplier applied when mapping scaled simulation rates back to the
-    #: paper's absolute rates (see DESIGN.md, "Scale model").
-    scale: float = 1.0
-
-    def qps(self) -> float:
-        """Queries per second in simulated (scaled-down) units."""
-        if self.duration <= 0:
-            return 0.0
-        return self.completed / self.duration
-
-    def scaled_qps(self) -> float:
-        """Queries per second scaled back to the paper's absolute units."""
-        return self.qps() * self.scale
-
-    def scaled_mqps(self) -> float:
-        """Scaled throughput in millions of queries per second."""
-        return self.scaled_qps() / 1e6
-
-
 class IntervalCounter:
     """Counts events and reports rates over arbitrary time windows."""
 
@@ -262,6 +204,16 @@ class IntervalCounter:
         if end <= start:
             return 0.0
         return self.count_between(start, end) / (end - start)
+
+    def series(self, bin_width: float) -> List[Tuple[float, float]]:
+        """(bin start time, events per second) for every ``bin_width`` bin
+        from the first event's to the last's, empty bins included (the
+        Figure 10 style time series)."""
+        counts = Counter(int(time / bin_width) for time in self._times)
+        if not counts:
+            return []
+        return [(index * bin_width, counts[index] / bin_width)
+                for index in range(min(counts), max(counts) + 1)]
 
     def total(self) -> int:
         return len(self._times)

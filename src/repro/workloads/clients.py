@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.core.client import KVClient, KVResult
 from repro.core.history import History, HistoryOp
-from repro.netsim.stats import IntervalCounter, LatencyRecorder, ThroughputTimeSeries
+from repro.netsim.stats import IntervalCounter, LatencyRecorder
 from repro.workloads.generators import KeyValueWorkload, OpType
 
 _client_names = itertools.count()
@@ -40,7 +40,6 @@ class LoadClient:
 
     def __init__(self, client: KVClient, workload: KeyValueWorkload,
                  concurrency: int = 16,
-                 time_series: Optional[ThroughputTimeSeries] = None,
                  history: Optional[History] = None,
                  think_time: float = 0.0,
                  name: Optional[str] = None) -> None:
@@ -51,7 +50,6 @@ class LoadClient:
         self.successes = IntervalCounter()
         self.read_latency = LatencyRecorder()
         self.write_latency = LatencyRecorder()
-        self.time_series = time_series
         self.history = history
         self.think_time = think_time
         self.name = name or f"load{next(_client_names)}"
@@ -99,8 +97,6 @@ class LoadClient:
         self.completions.record(now)
         if result.ok:
             self.successes.record(now)
-            if self.time_series is not None:
-                self.time_series.record(now)
             if result.is_read:
                 self.read_latency.record(result.latency)
             else:

@@ -169,9 +169,11 @@ def lint_check(*argv):
     return main(["lint", "check", *argv, "--root", str(REPO_ROOT), "--include-fixtures"])
 
 
-def test_lint_check_fails_on_corpus_and_reports_json(capsys):
-    assert lint_check(str(CORPUS), "--no-baseline", "--format", "json") == 1
-    report = json.loads(capsys.readouterr().out)
+def test_lint_check_fails_on_corpus_and_reports_json(tmp_path, capsys):
+    report_path = tmp_path / "detlint.json"
+    assert lint_check(str(CORPUS), "-o", str(report_path)) == 1
+    assert "DET001" in capsys.readouterr().out
+    report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["schema"] == REPORT_SCHEMA
     assert report["ok"] is False
     assert report["counts"]["DET001"] == 5
@@ -179,15 +181,8 @@ def test_lint_check_fails_on_corpus_and_reports_json(capsys):
 
 def test_lint_check_passes_on_good_file(capsys):
     good = CORPUS / "repro" / "netsim" / "det001_good.py"
-    assert lint_check(str(good), "--no-baseline") == 0
+    assert lint_check(str(good)) == 0
     assert "0 finding(s)" in capsys.readouterr().out
-
-
-def test_lint_baseline_then_check_is_clean(tmp_path, capsys):
-    baseline_path = str(tmp_path / "baseline.json")
-    assert main(["lint", "baseline", str(CORPUS), "--root", str(REPO_ROOT),
-                 "--include-fixtures", "-o", baseline_path]) == 0
-    assert lint_check(str(CORPUS), "--baseline", baseline_path) == 0
 
 
 def test_lint_explain(capsys):
@@ -196,11 +191,3 @@ def test_lint_explain(capsys):
     assert "DET003" in out and "sorted" in out
     assert main(["lint", "explain", "DET999"]) == 1
     assert "unknown rule id(s): DET999" in one_error_line(capsys)
-
-
-def test_lint_summary_markdown(capsys):
-    pragmas = CORPUS / "repro" / "pragmas.py"
-    assert lint_check(str(pragmas), "--no-baseline", "--summary") == 1
-    out = capsys.readouterr().out
-    assert out.startswith("## detlint")
-    assert "| DET004 |" in out

@@ -29,12 +29,8 @@ def test_all_five_backends_are_registered():
 def test_capability_matrix():
     assert get_backend("netchain").capabilities.supports_reconfig
     assert not get_backend("zookeeper").capabilities.supports_reconfig
-    assert get_backend("zookeeper").capabilities.supports_watch
-    assert not get_backend("netchain").capabilities.supports_watch
     for name in ("server-chain", "primary-backup"):
-        caps = get_backend(name).capabilities
-        assert not caps.scaled_throughput
-        assert caps.supports_cas
+        assert not get_backend(name).capabilities.scaled_throughput
     for name in ALL_BACKENDS:
         assert get_backend(name).capabilities.supports_fault_injection
 

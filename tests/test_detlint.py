@@ -5,13 +5,12 @@ Three layers:
 * the fixture corpus under ``tests/fixtures/detlint/corpus/`` exercises every
   rule in both directions (bad file -> findings, good file -> silence) plus
   pragma handling and path scoping;
-* the engine pieces (fingerprints, baseline, report) are tested on
-  synthetic trees (the ``python -m repro lint`` verbs in ``tests/test_cli.py``);
-* a self-check asserts the repository itself is clean against the committed
-  baseline, and regression tests pin the determinism fixes the pass found.
+* the report is tested on the corpus (the ``python -m repro lint`` verbs in
+  ``tests/test_cli.py``);
+* a self-check asserts the repository itself has no finding at all, and
+  regression tests pin the determinism fixes the pass found.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -19,9 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import BASELINE_SCHEMA, Baseline
 from repro.analysis.engine import check_paths
-from repro.analysis.report import REPORT_SCHEMA, build_report
+from repro.analysis.report import REPORT_SCHEMA, build_report, format_text
 from repro.analysis.rules import RULES, rule_ids
 from repro.artifacts import json_document
 from repro.core.history import History, RecordingClient
@@ -126,88 +124,19 @@ def test_pragma_in_string_literal_is_ignored(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# Fingerprints.
-# --------------------------------------------------------------------------- #
-
-_WRITER = "import json\n\n\ndef save(path, payload):\n    path.write_text(json.dumps(payload))\n"
-
-
-def test_fingerprint_survives_line_drift(tmp_path):
-    first = tmp_path / "repro" / "writer.py"
-    first.parent.mkdir(parents=True)
-    first.write_text(_WRITER, encoding="utf-8")
-    drifted = "# a comment\n# another\n\n" + _WRITER
-    before = check_paths([str(first)], root=tmp_path).findings
-    first.write_text(drifted, encoding="utf-8")
-    after = check_paths([str(first)], root=tmp_path).findings
-    assert [f.rule for f in before] == [f.rule for f in after] == ["DET004"]
-    assert before[0].line != after[0].line
-    assert before[0].fingerprint == after[0].fingerprint
-
-
-def test_identical_lines_get_distinct_fingerprints(tmp_path):
-    target = tmp_path / "repro" / "writer.py"
-    target.parent.mkdir(parents=True)
-    body = "    path.write_text(json.dumps(payload))\n"
-    target.write_text("import json\n\n\ndef save(path, payload):\n" + body + body, encoding="utf-8")
-    findings = check_paths([str(target)], root=tmp_path).findings
-    assert len(findings) == 2
-    assert findings[0].fingerprint != findings[1].fingerprint
-
-
-# --------------------------------------------------------------------------- #
-# Baseline.
-# --------------------------------------------------------------------------- #
-
-
-def test_baseline_roundtrip_and_staleness(tmp_path):
-    _, result = _counts(CORPUS / "repro" / "netsim" / "det002_bad.py")
-    baseline = Baseline.from_findings(result.findings)
-    new, baselined, stale = baseline.partition(result.findings)
-    assert new == [] and len(baselined) == len(result.findings) and stale == []
-
-    path = tmp_path / "baseline.json"
-    baseline.dump(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["schema"] == BASELINE_SCHEMA
-    reloaded = Baseline.load(path)
-    new, baselined, stale = reloaded.partition(result.findings)
-    assert new == [] and stale == []
-
-    # Dropping one entry turns that finding into a new one; a leftover entry
-    # that matches nothing is reported stale.
-    fingerprint = result.findings[0].fingerprint
-    del reloaded.entries[fingerprint]
-    reloaded.entries["deadbeefdeadbeef"] = {"fingerprint": "deadbeefdeadbeef"}
-    new, baselined, stale = reloaded.partition(result.findings)
-    assert [f.fingerprint for f in new] == [fingerprint]
-    assert [entry["fingerprint"] for entry in stale] == ["deadbeefdeadbeef"]
-
-
-def test_baseline_rejects_wrong_schema(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"schema": "bogus/v9", "entries": []}), encoding="utf-8")
-    with pytest.raises(ValueError):
-        Baseline.load(path)
-
-
-# --------------------------------------------------------------------------- #
 # Report.
 # --------------------------------------------------------------------------- #
 
 
 def test_report_schema_and_determinism():
     _, result = _counts(CORPUS / "repro" / "pragmas.py")
-    new, baselined, stale = Baseline().partition(result.findings)
-    report = build_report(result, new, baselined, stale, None)
+    report = build_report(result)
     assert report["schema"] == REPORT_SCHEMA
     assert report["ok"] is False
     assert report["counts"]["DET004"] == 1
     assert {f["rule"] for f in report["findings"]} == {"DET000", "DET004"}
     assert all(s["justification"] for s in report["suppressed"])
-    assert json_document(report) == json_document(
-        build_report(result, new, baselined, stale, None)
-    )
+    assert json_document(report) == json_document(build_report(result))
 
 
 # --------------------------------------------------------------------------- #
@@ -216,18 +145,16 @@ def test_report_schema_and_determinism():
 
 
 def test_repository_is_clean_against_committed_baseline():
+    # There is no baseline any more (the name is the tier-1 id): every
+    # finding fails, so the whole tree must come back empty.
     result = check_paths(["src", "benchmarks", "tests"], root=REPO_ROOT)
-    baseline_path = REPO_ROOT / "analysis" / "baseline.json"
-    baseline = Baseline.load(baseline_path) if baseline_path.exists() else Baseline()
-    new, _, stale = baseline.partition(result.findings)
-    assert new == [], "\n".join(f"{f.location()}: {f.rule}: {f.message}" for f in new)
-    assert stale == [], "stale baseline entries; re-run 'python -m repro lint baseline'"
+    assert result.findings == [], format_text(result)
 
 
 def test_analyzer_is_clean_on_itself():
     result = check_paths(["src/repro/analysis"], root=REPO_ROOT)
     assert result.findings == [] and result.suppressed == []
-    assert result.files_scanned >= 5
+    assert result.files_scanned >= 4
 
 
 def test_rule_metadata_complete():

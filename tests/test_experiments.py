@@ -7,10 +7,13 @@ experiment harness are caught by the unit-test suite.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.deploy import DeploymentSpec, build_deployment
 from repro.experiments import (
+    elasticity_experiment,
     failure_experiment,
     netchain_latency_curve,
     netchain_max_throughput_qps,
@@ -22,7 +25,7 @@ from repro.experiments import (
     zookeeper_throughput,
     zookeeper_transactions,
 )
-from repro.experiments.throughput import adaptive_retry_timeout, netchain_server_sweep
+from repro.experiments.throughput import adaptive_retry_timeout
 
 
 SCALE = 100000.0  # tiny simulated rates keep these tests fast
@@ -68,12 +71,6 @@ def test_netchain_loss_degrades_gracefully():
     assert lossy.qps > 0.4 * clean.qps
 
 
-def test_netchain_server_sweep_returns_one_point_per_count():
-    results = netchain_server_sweep(max_servers=2, store_size=30, scale=SCALE,
-                                    duration=0.1, warmup=0.02, concurrency=4)
-    assert [r.num_load_generators for r in results] == [1, 2]
-
-
 def test_zookeeper_throughput_drops_with_write_ratio():
     reads = zookeeper_throughput(num_clients=30, store_size=100, write_ratio=0.0,
                                  scale=1000.0, duration=1.5, warmup=0.5)
@@ -95,7 +92,7 @@ def test_netchain_beats_zookeeper_by_orders_of_magnitude():
 
 def test_latency_curves_have_expected_magnitudes():
     netchain_points = netchain_latency_curve(concurrency_levels=(1,), num_servers=1,
-                                             store_size=20, scale=SCALE,
+                                             store_size=20,
                                              duration=0.05, warmup=0.01)
     for point in netchain_points:
         assert point.latency_us < 50.0
@@ -110,10 +107,16 @@ def test_latency_curves_have_expected_magnitudes():
 def test_failure_experiment_timeline_phases():
     timeline = failure_experiment(virtual_groups=1, store_size=100, scale=SCALE,
                                   fail_at=1.0, detection_delay=0.5,
-                                  recovery_start_delay=1.0, run_after_recovery=1.0,
+                                  recovery_start_delay=1.0, duration=3.8,
                                   sync_items_per_sec=200.0, bin_width=0.5,
-                                  concurrency=8, max_duration=30.0)
-    assert timeline.groups_recovered > 0
+                                  concurrency=8)
+    # Observed from the control plane, so they do not depend on which keys
+    # the client drew: captured at c463d02, before the driver ran through
+    # run_scenario, and asserted exactly.
+    assert (timeline.fail_time, timeline.failover_complete_time,
+            timeline.recovery_start_time, timeline.recovery_end_time,
+            timeline.groups_recovered) == (1.0, 1.25, 2.25, 2.763999999999999, 3)
+    assert [event.kind for event in timeline.fault_trace] == ["switch_fail"]
     assert timeline.baseline_qps > 0
     # The failover window (before the controller reacts) loses most throughput.
     assert timeline.failover_window_qps < 0.5 * timeline.baseline_qps
@@ -121,19 +124,63 @@ def test_failure_experiment_timeline_phases():
     assert timeline.post_recovery_qps > 0.8 * timeline.baseline_qps
     # Recovery costs some throughput (write unavailability).
     assert timeline.recovery_window_qps < timeline.baseline_qps
-    assert timeline.series
+    assert [t for t, _ in timeline.series] == [0.5 * i for i in range(8)]
 
 
 def test_failure_experiment_virtual_groups_reduce_disruption():
+    # Each run lasts a second past the end of its recovery (2.629 s / 5.887 s).
     few = failure_experiment(virtual_groups=1, store_size=120, scale=SCALE,
                              fail_at=1.0, detection_delay=0.2, recovery_start_delay=0.5,
-                             run_after_recovery=0.5, sync_items_per_sec=100.0,
-                             concurrency=8, max_duration=40.0)
+                             sync_items_per_sec=100.0, concurrency=8, duration=3.7)
     many = failure_experiment(virtual_groups=16, store_size=120, scale=SCALE,
                               fail_at=1.0, detection_delay=0.2, recovery_start_delay=0.5,
-                              run_after_recovery=0.5, sync_items_per_sec=100.0,
-                              concurrency=8, max_duration=60.0)
+                              sync_items_per_sec=100.0, concurrency=8, duration=6.9)
+    assert (few.recovery_end_time, few.groups_recovered) == (2.628999999999999, 3)
+    assert (many.recovery_end_time, many.groups_recovered) == (5.886999999999991, 59)
     assert many.recovery_drop_fraction() < few.recovery_drop_fraction()
+    for timeline in (few, many):
+        assert timeline.post_recovery_qps > 0.8 * timeline.baseline_qps
+
+
+@pytest.mark.parametrize("duration,missing", [
+    (2.5, "recovery had not finished at duration=2.5 s"),
+    (3.0, "post-recovery window"),
+    (0.9, "no switch failure"),
+])
+def test_failure_experiment_names_the_time_a_short_run_is_missing(duration, missing):
+    with pytest.raises(ValueError, match=missing):
+        failure_experiment(virtual_groups=1, store_size=100, scale=SCALE,
+                           fail_at=1.0, detection_delay=0.5,
+                           recovery_start_delay=1.0, duration=duration,
+                           sync_items_per_sec=200.0, concurrency=8)
+
+
+def test_elasticity_experiment_grow_by_two():
+    grow = dict(joins=["S4", "S5"], store_size=60, scale=SCALE, migrate_at=0.5,
+                virtual_groups=2, sync_items_per_sec=20000.0, concurrency=8)
+    timeline = elasticity_experiment(duration=0.9, **grow)
+    report = timeline.report
+    # Migration cost is the control plane's, captured at c463d02 like the
+    # failure timeline's boundaries above.
+    assert (timeline.groups_migrated, timeline.keys_moved, timeline.items_copied,
+            report.started_at, report.finished_at, timeline.total_freeze_time,
+            timeline.max_freeze_window) == (
+        11, 27, 60, 0.5, 0.5359999999999999,
+        0.013499999999999845, 0.0012799999999999478)
+    assert not report.skipped_steps()
+    assert timeline.after_qps > 0.8 * timeline.before_qps > 0
+    assert timeline.series[0][0] == 0.0
+    with pytest.raises(ValueError, match="migration had not finished at duration=0.52 s"):
+        elasticity_experiment(duration=0.52, **grow)
+    with pytest.raises(ValueError, match="after window"):
+        elasticity_experiment(duration=0.7, **grow)
+
+
+def test_only_run_scenario_builds_a_load_client():
+    src = Path(__file__).resolve().parents[1] / "src"
+    builders = sorted(str(path.relative_to(src)) for path in src.rglob("*.py")
+                      if "LoadClient(" in path.read_text(encoding="utf-8"))
+    assert builders == ["repro/deploy/scenario.py"]
 
 
 def test_transaction_experiments_reproduce_figure_11_gap():

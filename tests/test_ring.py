@@ -34,8 +34,8 @@ def test_chain_has_f_plus_one_distinct_switches():
 
 
 def test_chain_lookup_is_deterministic():
-    ring_a = ConsistentHashRing(SWITCHES, vnodes_per_switch=10, seed=1)
-    ring_b = ConsistentHashRing(SWITCHES, vnodes_per_switch=10, seed=99)
+    ring_a = ConsistentHashRing(SWITCHES, vnodes_per_switch=10)
+    ring_b = ConsistentHashRing(SWITCHES, vnodes_per_switch=10)
     for i in range(50):
         key = f"key{i}"
         assert ring_a.chain_for_key(key) == ring_b.chain_for_key(key)
@@ -57,38 +57,12 @@ def test_keys_spread_over_switches():
     assert heads == set(SWITCHES)
 
 
-def test_vgroups_involving_counts():
-    ring = ConsistentHashRing(SWITCHES, vnodes_per_switch=10, replication=3)
-    groups = ring.vgroups_involving("S1")
-    # Every group's chain has 3 of the 4 switches, so S1 appears in roughly
-    # 3/4 of the 40 groups; it must appear in at least its own 10.
-    assert len(groups) >= 10
-    for vgroup in groups:
-        assert "S1" in ring.chain_for_vgroup(vgroup)
-
-
 def test_reassign_vnode_changes_ownership():
     ring = ConsistentHashRing(SWITCHES, vnodes_per_switch=5)
     target = ring.virtual_nodes_of("S1")[0]
     ring.reassign_vnode(target.vnode_id, "S3")
     assert ring.vnodes[target.vnode_id].switch == "S3"
     assert target.vnode_id not in [v.vnode_id for v in ring.virtual_nodes_of("S1")]
-
-
-def test_reassign_switch_spreads_over_live_switches():
-    ring = ConsistentHashRing(SWITCHES, vnodes_per_switch=30, seed=5)
-    mapping = ring.reassign_switch("S2")
-    assert len(mapping) == 30
-    assert all(target != "S2" for target in mapping.values())
-    # Spread over more than one live switch (Section 5.2).
-    assert len(set(mapping.values())) >= 2
-    assert ring.virtual_nodes_of("S2") == []
-
-
-def test_reassign_switch_requires_live_switches():
-    ring = ConsistentHashRing(["A", "B", "C"], vnodes_per_switch=2, replication=3)
-    with pytest.raises(ValueError):
-        ring.reassign_switch("A", live_switches=[])
 
 
 def test_replication_larger_than_switches_rejected_at_lookup():

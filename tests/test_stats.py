@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim.stats import (
-    IntervalCounter,
-    LatencyRecorder,
-    ThroughputMeasurement,
-    ThroughputTimeSeries,
-)
+from repro.netsim.stats import IntervalCounter, LatencyRecorder
 
 
 def test_latency_recorder_statistics():
@@ -37,29 +32,20 @@ def test_latency_percentile_bounds():
 
 
 def test_throughput_time_series_bins_and_gaps():
-    series = ThroughputTimeSeries(bin_width=1.0)
-    series.record(0.5)
-    series.record(0.7)
-    series.record(2.5)
-    data = dict(series.series())
-    assert data[0.0] == 2.0
-    assert data[1.0] == 0.0
-    assert data[2.0] == 1.0
-    assert series.total() == 3
-    assert series.rate_at(0.9) == 2.0
-    assert series.rate_at(5.0) == 0.0
+    # The expected list is what the deleted ThroughputTimeSeries(bin_width=0.5)
+    # produced for the same times (captured at c463d02): first event's bin to
+    # the last's, gaps included, a time on a bin edge counted in the later bin.
+    counter = IntervalCounter()
+    for t in [0.6, 0.7, 0.999, 1.0, 2.4999, 2.5, 2.6, 2.6, 4.2]:
+        counter.record(t)
+    assert counter.series(0.5) == [
+        (0.5, 6.0), (1.0, 2.0), (1.5, 0.0), (2.0, 2.0),
+        (2.5, 6.0), (3.0, 0.0), (3.5, 0.0), (4.0, 2.0)]
+    assert sum(rate * 0.5 for _, rate in counter.series(0.5)) == counter.total()
 
 
 def test_throughput_time_series_empty():
-    assert ThroughputTimeSeries().series() == []
-
-
-def test_throughput_measurement_scaling():
-    measurement = ThroughputMeasurement(completed=500, duration=0.5, scale=1000.0)
-    assert measurement.qps() == pytest.approx(1000.0)
-    assert measurement.scaled_qps() == pytest.approx(1e6)
-    assert measurement.scaled_mqps() == pytest.approx(1.0)
-    assert ThroughputMeasurement(completed=5, duration=0.0).qps() == 0.0
+    assert IntervalCounter().series(1.0) == []
 
 
 def test_interval_counter_window_queries():
