@@ -19,7 +19,6 @@ and nothing here imports from ``repro``.
 from __future__ import annotations
 
 import json
-from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -44,8 +43,8 @@ class TruncatedArtifactError(ValueError):
             f"{self.path}: truncated at byte offset {offset}: {reason}")
 
 
-#: Any JSON value in the canonical spelling (ASCII is ``json.dumps``'s default).
-_spell = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+#: Any JSON value in the canonical spelling (ASCII by default), from one encoder.
+_spell = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def record_line(record: Dict[str, Any]) -> bytes:
@@ -113,7 +112,8 @@ class NdjsonWriter:
     ``offset`` is the number of bytes written so far, i.e. the byte offset
     the next record will start at.  Lines a :class:`RecordShape` spelled
     (:meth:`write_line`) are held as text and encoded in one piece at the
-    next flush; :meth:`write` is the path for records whose shape varies.
+    next flush; :meth:`write` is the path for records whose shape varies,
+    :meth:`write_bytes` for a line the caller needs as bytes anyway.
     """
 
     def __init__(self, path, schema: str,
@@ -133,7 +133,10 @@ class NdjsonWriter:
 
     def write(self, record: Dict[str, Any]) -> bytes:
         """Append one record; returns the line written."""
-        line = record_line(record)
+        return self.write_bytes(record_line(record))
+
+    def write_bytes(self, line: bytes) -> bytes:
+        """Append one record given as its canonical line, already encoded."""
         if self._lines:
             self._flush()  # file order is call order
         self._file.write(line)

@@ -5,14 +5,17 @@ linearizability post-hoc, which caps verified runs at what one process can
 hold.  This module removes that cap without weakening the check:
 
 * **NDJSON as the source of truth** -- :class:`HistoryWriter` appends one
-  JSON record per completed operation to ``<run_dir>/ops.ndjson``
-  (versioned schema ``history/v1``), flushed incrementally, so a run of
-  any size spills with bounded memory.
+  record per completed operation to ``<run_dir>/ops.ndjson`` (schema
+  ``history/v1``, one :func:`op_line` template), flushed incrementally, so
+  a run of any size spills with bounded memory.
 * **Disposable per-key offset indexes** -- the writer derives
   ``index.bin`` (packed little-endian ``uint64`` byte offsets, mmapped by
   readers) plus ``index.json`` (per-key slice table and content hashes)
   during the run.  The index owns no data: delete it and
-  :func:`rebuild_index` regenerates it from the NDJSON alone.
+  :func:`rebuild_index` regenerates it from the NDJSON alone.  A reader
+  refuses an index whose sizes do not fit the files beside it, and a key's
+  lines (read at their offsets; mapping ``ops.ndjson`` would make its pages
+  RSS) unless they hash to the key's ``sha256``; it parses them as one array.
 * **Streaming verification** -- :func:`check_linearizable_streaming`
   drives the per-key window checker
   (:func:`repro.core.history.check_key_linearizable`) over per-key
@@ -53,10 +56,13 @@ import hashlib
 import json
 import mmap
 import multiprocessing
+import os
 import struct
 import sys
 from array import array
 from collections import deque
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -64,6 +70,7 @@ from repro.artifacts import (
     NdjsonWriter,
     TruncatedArtifactError,
     read_header,
+    record_line,
     scan,
     write_json,
 )
@@ -88,6 +95,11 @@ INDEX_JSON = "index.json"
 #: Bumped whenever checker semantics change; part of every verdict digest,
 #: so a semantic change invalidates memoized verdicts wholesale.
 CHECKER_VERSION = 2
+
+#: Bytes read at an offset to find a record's newline (a longer one is read again
+#: as a line), and what loading a line that is no ``history/v1`` record raises.
+_LINE_READ = 1024
+_BAD_RECORD = (ValueError, LookupError, TypeError, AttributeError)
 
 #: Marker distinguishing "key starts missing" from "key starts empty" in
 #: verdict digests (``b""`` is a legitimate initial value).
@@ -119,8 +131,16 @@ def decode_bytes(text: Optional[str]) -> Optional[bytes]:
     return text.encode("ascii")
 
 
+#: Bounded memos of what recurs: bytes fields (64 keys, repeated values) spelled and
+#: decoded, times spelled (a closed loop invokes an op when the last one returns).
+_spelled = lru_cache(1024)(lambda data: encode_basestring_ascii(encode_bytes(data)))
+_spelled_time = lru_cache(256)(float.__repr__)
+_decoded = lru_cache(1024)(decode_bytes)
+_decoded_key = lru_cache(1024)(lambda text: canonical_key(decode_bytes(text)))
+
+
 def op_to_record(op: HistoryOp) -> Dict[str, Any]:
-    """One :class:`HistoryOp` as a ``history/v1`` record dict.
+    """One :class:`HistoryOp` as a ``history/v1`` record dict (the reference spelling).
 
     Default-valued fields are omitted so lines stay small at million-op
     scale; :func:`record_to_op` restores the defaults.
@@ -155,30 +175,55 @@ def op_to_record(op: HistoryOp) -> Dict[str, Any]:
     return record
 
 
+def op_line(op: HistoryOp) -> str:
+    """The text of ``record_line(op_to_record(op))``, spelled directly: one
+    template in sorted-key order, an absent field an empty string.  Fields
+    of exactly the types a recording fills in take it; anything else (an
+    ``int`` time, a ``bool`` id, NaN) is left to the reference spelling.
+    """
+    op_id, inv, ret, ok, retries = op.op_id, op.invoked_at, op.returned_at, op.ok, op.retries
+    key, value, expected, out, ver = op.key, op.value, op.expected, op.output, op.version
+    if not (type(op_id) is int and type(inv) is float and inv - inv == 0.0
+            and type(op.client) is str and type(op.op) is str
+            and type(key) is bytes and (value is None or type(value) is bytes)
+            and (expected is None or type(expected) is bytes)
+            and (out is None or type(out) is bytes)
+            and (ret is None or type(ret) is float and ret - ret == 0.0)
+            and (ok is None or ok is True or ok is False)
+            and (not retries or type(retries) is int)
+            and (ver is None or type(ver) is tuple and len(ver) == 2
+                 and type(ver[0]) is int and type(ver[1]) is int)):
+        return record_line(op_to_record(op)).decode("ascii")
+    esc, spelled, stamp = encode_basestring_ascii, _spelled, _spelled_time
+    return '{%s"client":%s,%s"id":%d,"inv":%s,"key":%s,%s%s"op":%s%s%s%s%s%s%s}\n' % (
+        '"cf":true,' if op.cas_failed else "", esc(op.client),
+        "" if expected is None else '"expected":%s,' % spelled(expected),
+        op_id, stamp(inv) if inv else repr(inv), spelled(key),  # -0.0 == 0.0: not memoized
+        '"nf":true,' if op.not_found else "",
+        "" if ok is None else '"ok":true,' if ok else '"ok":false,', esc(op.op),
+        "" if out is None else ',"out":%s' % spelled(out),
+        ',"r":%d' % retries if retries else "",
+        "" if ret is None else ',"ret":%s' % (stamp(ret) if ret else repr(ret)),
+        ',"to":true' if op.timed_out else "",
+        "" if value is None else ',"value":%s' % spelled(value),
+        "" if ver is None else ',"ver":[%d,%d]' % ver)
+
+
 def record_to_op(record: Dict[str, Any]) -> HistoryOp:
     """Load one record dict back into a :class:`HistoryOp`.
 
     Keys are canonicalized on load, so a fixture written with the padded
     wire spelling lands in the same per-key stream as the live recording.
     """
-    version = record.get("ver")
+    get, decoded = record.get, _decoded
+    ret, version = get("ret"), get("ver")
     return HistoryOp(
-        op_id=int(record["id"]),
-        client=record["client"],
-        op=record["op"],
-        key=canonical_key(decode_bytes(record["key"])),
-        value=decode_bytes(record.get("value")),
-        expected=decode_bytes(record.get("expected")),
-        invoked_at=float(record["inv"]),
-        returned_at=(float(record["ret"]) if "ret" in record else None),
-        ok=record.get("ok"),
-        output=decode_bytes(record.get("out")),
-        not_found=bool(record.get("nf", False)),
-        cas_failed=bool(record.get("cf", False)),
-        timed_out=bool(record.get("to", False)),
-        retries=int(record.get("r", 0)),
-        version=(tuple(version) if version is not None else None),
-    )
+        int(record["id"]), record["client"], record["op"],
+        _decoded_key(record["key"]), decoded(get("value")),
+        decoded(get("expected")), float(record["inv"]),
+        None if ret is None else float(ret), get("ok"), decoded(get("out")),
+        bool(get("nf", False)), bool(get("cf", False)), bool(get("to", False)),
+        int(get("r", 0)), None if version is None else tuple(version))
 
 
 # --------------------------------------------------------------------- #
@@ -189,22 +234,20 @@ class _IndexBuilder:
     """The derived index of a record stream, accumulated record by record."""
 
     def __init__(self) -> None:
-        #: Per-key byte offsets; ``array('Q')`` keeps a million offsets at
-        #: 8 bytes each instead of a Python int object apiece.
-        self.offsets: Dict[bytes, array] = {}
-        self.hashes: Dict[bytes, Any] = {}
+        #: Per key, its byte offsets (``array('Q')``: 8 bytes each, not a Python
+        #: int object apiece) and the running sha256 of its lines.
+        self.streams: Dict[bytes, Tuple[array, Any]] = {}
         self.total_ops = 0
         self.completed_ops = 0
 
     def add(self, op: HistoryOp, offset: int, line: bytes) -> None:
-        offsets = self.offsets.get(op.key)
-        if offsets is None:
-            offsets = self.offsets[op.key] = array("Q")
-            self.hashes[op.key] = hashlib.sha256()
-        offsets.append(offset)
-        self.hashes[op.key].update(line)
+        stream = self.streams.get(op.key)
+        if stream is None:
+            stream = self.streams[op.key] = (array("Q"), hashlib.sha256())
+        stream[0].append(offset)
+        stream[1].update(line)
         self.total_ops += 1
-        if op.completed:
+        if op.returned_at is not None:
             self.completed_ops += 1
 
     def write(self, run_dir: Path, data_bytes: int, meta: Dict[str, Any]) -> None:
@@ -212,8 +255,8 @@ class _IndexBuilder:
         table: Dict[str, Any] = {}
         start = 0
         with open(run_dir / INDEX_BIN, "wb") as bin_file:
-            for key in sorted(self.offsets, key=encode_bytes):
-                arr = self.offsets[key]
+            for key in sorted(self.streams, key=encode_bytes):
+                arr, digest = self.streams[key]
                 if sys.byteorder != "little":
                     arr = array("Q", arr)
                     arr.byteswap()
@@ -221,7 +264,7 @@ class _IndexBuilder:
                 table[encode_bytes(key)] = {
                     "start": start,
                     "count": len(arr),
-                    "sha256": self.hashes[key].hexdigest(),
+                    "sha256": digest.hexdigest(),
                 }
                 start += len(arr)
         write_json(run_dir / INDEX_JSON, {
@@ -256,22 +299,29 @@ class HistoryWriter:
         self.ops_path = self.run_dir / OPS_FILE
         self._stream = NdjsonWriter(self.ops_path, SCHEMA, meta=self.meta)
         self._index = _IndexBuilder()
-        self.closed = False
+        self._batch: List[HistoryOp] = []
 
     def append(self, op: HistoryOp) -> None:
-        """Append one operation record and index it."""
-        if self.closed:
+        """Append one operation, final as handed in: records are spelled and
+        indexed 256 at a time, in append order, so the code doing it runs warm."""
+        if self._stream.closed:
             raise RuntimeError("HistoryWriter already closed")
         op.key = canonical_key(op.key)  # spilled records carry the canonical spelling
-        stream = self._stream
-        offset = stream.offset
-        self._index.add(op, offset, stream.write(op_to_record(op)))
+        self._batch.append(op)
+        if len(self._batch) >= 256:
+            self._spill()
+
+    def _spill(self) -> None:
+        stream, add = self._stream, self._index.add
+        for op in self._batch:
+            add(op, stream.offset, stream.write_bytes(op_line(op).encode("ascii")))
+        self._batch.clear()
 
     def close(self) -> None:
         """Flush the data file and persist the derived index."""
-        if self.closed:
+        if self._stream.closed:
             return
-        self.closed = True
+        self._spill()
         self._stream.close()
         self._index.write(self.run_dir, self._stream.offset, self.meta)
 
@@ -296,11 +346,10 @@ class HistoryStore:
     def __init__(self, run_dir) -> None:
         self.run_dir = Path(run_dir)
         self.ops_path = self.run_dir / OPS_FILE
-        index_path = self.run_dir / INDEX_JSON
+        index_path, bin_path = self.run_dir / INDEX_JSON, self.run_dir / INDEX_BIN
+        self._rebuild = f"rebuild it with `python -m repro history index {self.run_dir}`"
         if not index_path.exists():
-            raise FileNotFoundError(
-                f"{index_path} missing -- rebuild with rebuild_index() or "
-                f"`python -m repro history index {self.run_dir}`")
+            raise FileNotFoundError(f"{index_path} missing -- {self._rebuild}")
         index = json.loads(index_path.read_text(encoding="utf-8"))
         if index.get("schema") != INDEX_SCHEMA:
             raise ValueError(f"{index_path}: unsupported index schema "
@@ -311,12 +360,22 @@ class HistoryStore:
         self.data_bytes: int = index["data_bytes"]
         self._table: Dict[bytes, Dict[str, Any]] = {
             decode_bytes(name): entry for name, entry in index["keys"].items()}
+        # The index says what to read, so it must describe the files beside
+        # it: every indexed byte there, one offset per indexed op.
+        data_size = self.ops_path.stat().st_size
+        if self.data_bytes > data_size:
+            raise TruncatedArtifactError(self.ops_path, data_size, (
+                f"the index covers {self.data_bytes} bytes -- {self._rebuild}"))
+        indexed = 8 * sum(entry["count"] for entry in self._table.values())
+        bin_size = bin_path.stat().st_size if bin_path.exists() else "no"
+        if not bin_size == indexed == 8 * self.total_ops:
+            raise ValueError(
+                f"{bin_path} holds {bin_size} bytes, {index_path.name} indexes "
+                f"{self.total_ops} ops in {indexed} -- {self._rebuild}")
+        with open(bin_path, "rb") as bin_file:  # the mapping outlives the handle
+            self._mmap = (mmap.mmap(bin_file.fileno(), 0, access=mmap.ACCESS_READ)
+                          if bin_size else None)
         self._data = open(self.ops_path, "rb")
-        bin_path = self.run_dir / INDEX_BIN
-        self._bin_file = open(bin_path, "rb")
-        size = bin_path.stat().st_size
-        self._mmap = (mmap.mmap(self._bin_file.fileno(), 0,
-                                access=mmap.ACCESS_READ) if size else None)
 
     # -- views ----------------------------------------------------------- #
 
@@ -324,38 +383,52 @@ class HistoryStore:
         """Canonical keys, in deterministic (encoded-name) order."""
         return sorted(self._table, key=encode_bytes)
 
-    def key_count(self, key) -> int:
-        entry = self._table.get(canonical_key(key))
-        return entry["count"] if entry else 0
-
     def key_digest(self, key) -> Optional[str]:
         """Content hash (sha256 hex) of one key's record stream."""
         entry = self._table.get(canonical_key(key))
         return entry["sha256"] if entry else None
 
-    def offsets_for_key(self, key) -> List[int]:
-        """Byte offsets of one key's records, via the mmapped index."""
-        entry = self._table.get(canonical_key(key))
-        if entry is None or self._mmap is None:
-            return []
-        start, count = entry["start"], entry["count"]
-        return list(struct.unpack_from(f"<{count}Q", self._mmap, start * 8))
-
     def ops_for_key(self, key) -> List[HistoryOp]:
-        """One key's operations, in record (completion) order."""
-        return [self._read_op(offset) for offset in self.offsets_for_key(key)]
+        """One key's operations, in record (completion) order: its lines,
+        read at their indexed offsets, must hash to the index's ``sha256`` for
+        the key (which a cached verdict is keyed on) and parse as one array.
+        """
+        entry = self._table.get(canonical_key(key))
+        if entry is None:
+            return []
+        offsets = struct.unpack_from(f"<{entry['count']}Q", self._mmap, entry["start"] * 8)
+        pread, fd, lines = os.pread, self._data.fileno(), []
+        for offset in offsets:
+            chunk = pread(fd, _LINE_READ, offset)
+            end = chunk.find(b"\n") + 1
+            lines.append(chunk[:end] if end else self._line_at(offset))
+        if hashlib.sha256(b"".join(lines)).hexdigest() == entry["sha256"]:
+            try:
+                return [record_to_op(record) for record in
+                        json.loads(b"[" + b",".join(lines) + b"]")]
+            except _BAD_RECORD:
+                pass
+        raise self._bad_stream(encode_bytes(canonical_key(key)), offsets)
 
-    def _read_op(self, offset: int) -> HistoryOp:
+    def _line_at(self, offset: int) -> bytes:
         self._data.seek(offset)
-        line = self._data.readline()
-        if not line.endswith(b"\n"):
-            raise TruncatedArtifactError(
-                self.ops_path, offset, "record cut short (stale index?)")
-        try:
-            return record_to_op(json.loads(line))
-        except (ValueError, KeyError) as exc:
-            raise TruncatedArtifactError(
-                self.ops_path, offset, f"unparseable record ({exc})") from None
+        return self._data.readline()
+
+    def _bad_stream(self, name: str, offsets) -> ValueError:
+        """Why a key's lines did not load: the first unreadable record by its
+        byte offset, else an index that hashed other bytes."""
+        for offset in offsets:
+            line = self._line_at(offset)
+            if not line.endswith(b"\n"):
+                return TruncatedArtifactError(
+                    self.ops_path, offset, "record cut short (stale index?)")
+            try:
+                record_to_op(json.loads(line))
+            except _BAD_RECORD as exc:
+                return TruncatedArtifactError(
+                    self.ops_path, offset, f"unparseable record ({exc})")
+        return ValueError(f"{self.ops_path}: stale index: the records of key {name!r} "
+                          f"are not the ones it hashed -- {self._rebuild}")
 
     def iter_ops(self) -> Iterator[HistoryOp]:
         """Stream every indexed operation in file (completion) order.
@@ -384,8 +457,6 @@ class HistoryStore:
     def close(self) -> None:
         if self._mmap is not None:
             self._mmap.close()
-            self._mmap = None
-        self._bin_file.close()
         self._data.close()
 
     def __enter__(self) -> "HistoryStore":
@@ -395,8 +466,7 @@ class HistoryStore:
         self.close()
 
 
-def rebuild_index(run_dir, allow_truncated: bool = False
-                  ) -> Tuple[int, Optional[int]]:
+def rebuild_index(run_dir, allow_truncated: bool = False) -> Tuple[int, Optional[int]]:
     """Regenerate the index from ``ops.ndjson`` alone.
 
     Returns ``(total_ops, truncated_at)``.  A truncated or corrupt tail
@@ -446,7 +516,6 @@ class SpillingHistory:
                  meta: Optional[Dict[str, Any]] = None) -> None:
         self.sim = sim
         self.writer = HistoryWriter(run_dir, meta=meta, initial=initial)
-        self.run_dir = self.writer.run_dir
         self._pending: Dict[int, HistoryOp] = {}
         self._ids = 0
         self._store: Optional[HistoryStore] = None
@@ -454,11 +523,10 @@ class SpillingHistory:
     # -- recording (History-compatible) ---------------------------------- #
 
     def invoke(self, client: str, op: str, key, value=None, expected=None) -> HistoryOp:
-        record = HistoryOp(op_id=self._ids, client=client, op=op,
-                           key=canonical_key(key),
-                           value=None if value is None else bytes(value),
-                           expected=None if expected is None else bytes(expected),
-                           invoked_at=self.sim.now)
+        record = HistoryOp(self._ids, client, op, canonical_key(key),
+                           None if value is None else bytes(value),
+                           None if expected is None else bytes(expected),
+                           self.sim.now)
         self._ids += 1
         self._pending[record.op_id] = record
         return record
@@ -475,7 +543,7 @@ class SpillingHistory:
                 self.writer.append(self._pending[op_id])
             self._pending.clear()
             self.writer.close()
-            self._store = HistoryStore(self.run_dir)
+            self._store = HistoryStore(self.writer.run_dir)
         return self._store
 
     # -- History-shaped views (post-finish) ------------------------------- #
@@ -491,20 +559,6 @@ class SpillingHistory:
 # Verdict memoization.
 # --------------------------------------------------------------------- #
 
-def _report_to_dict(report: KeyReport) -> Dict[str, Any]:
-    return {"key": encode_bytes(report.key), "ok": report.ok,
-            "ops": report.ops, "ambiguous_ops": report.ambiguous_ops,
-            "states_explored": report.states_explored,
-            "exhausted": report.exhausted, "message": report.message}
-
-
-def _report_from_dict(data: Dict[str, Any]) -> KeyReport:
-    return KeyReport(key=decode_bytes(data["key"]), ok=data["ok"],
-                     ops=data["ops"], ambiguous_ops=data["ambiguous_ops"],
-                     states_explored=data["states_explored"],
-                     exhausted=data["exhausted"], message=data["message"])
-
-
 class VerdictCache:
     """Memoized per-key verdicts, keyed by key-stream content digest.
 
@@ -519,7 +573,6 @@ class VerdictCache:
         self.path = Path(path) if path is not None else None
         self._entries: Dict[str, Dict[str, Any]] = {}
         self.hits = 0
-        self.misses = 0
         if self.path is not None and self.path.exists():
             self._entries = json.loads(self.path.read_text(encoding="utf-8"))
 
@@ -529,23 +582,17 @@ class VerdictCache:
     def get(self, digest: str) -> Optional[KeyReport]:
         entry = self._entries.get(digest)
         if entry is None:
-            self.misses += 1
             return None
         self.hits += 1
-        return _report_from_dict(entry)
+        return KeyReport(**dict(entry, key=decode_bytes(entry["key"])))
 
     def put(self, digest: str, report: KeyReport) -> None:
-        self._entries[digest] = _report_to_dict(report)
+        self._entries[digest] = dict(vars(report), key=encode_bytes(report.key))
 
     def save(self) -> None:
         if self.path is None:
             raise ValueError("VerdictCache was created without a path")
         write_json(self.path, self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 #: Process-wide default cache: scenario matrices share it so a repeated
@@ -579,14 +626,6 @@ def _check_key_task(args) -> Tuple[bytes, KeyReport]:
     return key, check_key_linearizable(ops, initial, state_budget)
 
 
-def _as_store(source) -> HistoryStore:
-    if isinstance(source, HistoryStore):
-        return source
-    if isinstance(source, SpillingHistory):
-        return source.finish()
-    return HistoryStore(source)
-
-
 def check_linearizable_streaming(
         source: Union[HistoryStore, SpillingHistory, str, Path],
         initial: Optional[Dict[bytes, Optional[bytes]]] = None,
@@ -617,7 +656,9 @@ def check_linearizable_streaming(
             in-process when the platform cannot fork.
         cache: verdict memoization (``None`` disables it).
     """
-    store = _as_store(source)
+    if isinstance(source, SpillingHistory):
+        source = source.finish()
+    store = source if isinstance(source, HistoryStore) else HistoryStore(source)
     if initial is None:
         initial = store.initial_values()
     initial = {canonical_key(key): value
@@ -625,9 +666,9 @@ def check_linearizable_streaming(
     report = LinearizabilityReport(ok=True, total_ops=store.total_ops)
     results: Dict[bytes, KeyReport] = {}
     to_check: List[bytes] = []
-    for key in store.keys():
-        digest = verdict_digest(store.key_digest(key),
-                                initial.get(key, MISSING), state_budget)
+    digests = {key: verdict_digest(store.key_digest(key), initial.get(key, MISSING),
+                                   state_budget) for key in store.keys()}
+    for key, digest in digests.items():
         cached = cache.get(digest) if cache is not None else None
         if cached is not None:
             results[key] = cached
@@ -638,9 +679,7 @@ def check_linearizable_streaming(
     def record(key: bytes, key_report: KeyReport) -> None:
         results[key] = key_report
         if cache is not None:
-            digest = verdict_digest(store.key_digest(key),
-                                    initial.get(key, MISSING), state_budget)
-            cache.put(digest, key_report)
+            cache.put(digests[key], key_report)
 
     if workers and "fork" not in multiprocessing.get_all_start_methods():
         workers = 0  # spawn would re-import the world per key; stay serial
@@ -651,14 +690,12 @@ def check_linearizable_streaming(
             in_flight: deque = deque()
             for key in to_check:
                 while len(in_flight) >= window:
-                    done_key, key_report = in_flight.popleft().get()
-                    record(done_key, key_report)
+                    record(*in_flight.popleft().get())
                 task = (key, store.ops_for_key(key),
                         initial.get(key, MISSING), state_budget)
                 in_flight.append(pool.apply_async(_check_key_task, (task,)))
             while in_flight:
-                done_key, key_report = in_flight.popleft().get()
-                record(done_key, key_report)
+                record(*in_flight.popleft().get())
     else:
         for key in to_check:
             record(key, check_key_linearizable(

@@ -111,6 +111,46 @@ def test_history_index_info_check(tmp_path, capsys):
     assert main(["history", "check", str(bad)]) == 1
 
 
+def _empty(path: Path) -> None:
+    os.truncate(path, 0)
+
+
+def _halve(path: Path) -> None:
+    os.truncate(path, path.stat().st_size // 2)
+
+
+def _swap_a_client(path: Path) -> None:
+    data = path.read_bytes()
+    assert b'"client":"c1"' in data
+    path.write_bytes(data.replace(b'"client":"c1"', b'"client":"c2"', 1))
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("index.bin", _empty),             # was: "linearizable", having read no record
+    ("index.bin", _halve),             # was: a struct.error traceback
+    ("index.bin", Path.unlink),        # was: a bare [Errno 2], ops.ndjson left open
+    ("ops.ndjson", _halve),
+    ("ops.ndjson", _swap_a_client),    # well-formed records, not the indexed ones
+], ids=["empty-index", "short-index", "no-index", "short-data", "other-data"])
+def test_an_index_that_does_not_describe_its_run_dir_is_one_line(
+        name, damage, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["history", "generate", str(run_dir), "--ops", "3000"]) == 0
+    assert main(["history", "check", str(run_dir)]) == 0
+    assert "linearizable: " in capsys.readouterr().out
+    damage(run_dir / name)
+    assert main(["history", "check", str(run_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "linearizable" not in captured.out
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith("repro history: ")
+    assert f"python -m repro history index {run_dir}" in captured.err
+    # ... and the hint is the cure, where the records themselves are whole.
+    if damage is not _halve or name == "index.bin":
+        assert main(["history", "index", str(run_dir)]) == 0
+        assert main(["history", "check", str(run_dir)]) == 0
+
+
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory):
     run_dir = tmp_path_factory.mktemp("trace") / "run"

@@ -1,6 +1,7 @@
 """Out-of-core history store: spill format, index, streaming checker.
 
-Covers the storage layer (NDJSON round trips, per-key offset index,
+Covers the storage layer (NDJSON round trips, the templated record line
+against its reference spelling, per-key offset index and bulk load,
 rebuild, crash safety), the streaming verification pipeline (agreement
 with the in-memory checker, worker pool, verdict memoization), the
 record-time key canonicalization contract, and the scenario integration
@@ -10,11 +11,18 @@ bounds peak memory).
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
+import shutil
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.artifacts import TruncatedArtifactError, scan
+from repro.artifacts import TruncatedArtifactError, record_line, scan
 from repro.core import history_store
 from repro.core.client import canonical_key
 from repro.core.history import History, HistoryOp, KeyReport, check_linearizable
@@ -27,12 +35,16 @@ from repro.core.history_store import (
     check_linearizable_streaming,
     decode_bytes,
     encode_bytes,
+    op_line,
     op_to_record,
     rebuild_index,
     record_to_op,
     verdict_digest,
 )
 from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec, run_scenario
+from repro.experiments import fault_scenario
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def write_run(run_dir, ops, meta=None):
@@ -88,6 +100,69 @@ def test_op_record_round_trips_every_field():
     assert back == pending and not back.completed and back.ambiguous
 
 
+def check_op_line(op):
+    line = op_line(op)
+    assert line.encode("ascii") == record_line(op_to_record(op))
+    assert json.loads(line, parse_constant=str) is not None
+
+
+#: The optional fields of a record, each with a value that makes it present.
+OPTIONAL = {"value": b"v1", "expected": b"hex:", "returned_at": 0.1 + 0.2, "ok": False,
+            "output": b"\x00\xff", "not_found": True, "cas_failed": True,
+            "timed_out": True, "retries": 2, "version": (3, 2**40)}
+
+#: Field values of exactly the types a recording fills in, and beside them
+#: the ones only the reference can spell (an int time, a bool id, a list pair).
+_BYTES = st.one_of(st.binary(max_size=12), st.sampled_from(
+    [b"", b"hex:", b"hex:00ff", b"hex:plain", b'q"\\', b"\\", b"k\x00\x00", b"caf\xc3\xa9",
+     b"\x7f", b"c3#64...."]))
+_TIME = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 0.1 + 0.2, 5e-324, 1e16, 1e22]))
+_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(["c0", 'c"\\', "%s", "caf\u00e9"]))
+_EXACT = {"op_id": st.integers(), "client": _TEXT, "op": _TEXT, "key": _BYTES,
+          "value": st.none() | _BYTES, "expected": st.none() | _BYTES, "invoked_at": _TIME,
+          "returned_at": st.none() | _TIME, "ok": st.none() | st.booleans(),
+          "output": st.none() | _BYTES, "not_found": st.booleans(),
+          "cas_failed": st.booleans(), "timed_out": st.booleans(),
+          "retries": st.integers(0, 3), "version": st.none() | st.tuples(
+              st.integers(), st.integers())}
+_ODD_NUMBER = st.one_of(st.booleans(), st.integers(-3, 3), st.sampled_from(
+    [0.0, 1.0, 2**63, float("nan"), float("inf"), float("-inf")]))
+_ODD_FLAG = st.sampled_from([0, 1, "", "x", None])
+_ODD = {"op_id": _ODD_NUMBER, "key": st.just(bytearray(b"ba")), "invoked_at": _ODD_NUMBER,
+        "returned_at": _ODD_NUMBER, "ok": _ODD_FLAG, "not_found": _ODD_FLAG,
+        "cas_failed": _ODD_FLAG, "timed_out": _ODD_FLAG, "retries": _ODD_NUMBER,
+        "version": st.one_of(st.tuples(st.booleans(), st.integers()),
+                             st.lists(st.integers(), max_size=3),
+                             st.tuples(st.integers(), st.integers(), st.integers()))}
+_OPS = st.one_of(
+    st.builds(HistoryOp, **_EXACT),
+    st.builds(HistoryOp, **{name: _EXACT[name] | _ODD[name] if name in _ODD else _EXACT[name]
+                            for name in _EXACT}))
+
+
+def test_op_line_spells_every_presence_mask(tmp_path):
+    ops = []
+    for mask in itertools.product((False, True), repeat=len(OPTIONAL)):
+        present = {name: field for (name, field), on in zip(OPTIONAL.items(), mask) if on}
+        ops.append(HistoryOp(op_id=len(ops), client="c0", op="cas", key=b"k%d" % (len(ops) % 3),
+                             invoked_at=len(ops) * 1e-3, **present))
+        check_op_line(ops[-1])
+    for zero in (0.0, -0.0, 0.0):  # equal and hash-equal, spelled apart: never one memo entry
+        check_op_line(HistoryOp(op_id=0, client="c0", op="read", key=b"k",
+                                invoked_at=zero, returned_at=-zero))
+    store = write_run(tmp_path / "run", ops)
+    lines = store.ops_path.read_bytes().split(b"\n", 1)[1]
+    assert lines == b"".join(record_line(op_to_record(op)) for op in ops)
+    assert sorted((op for key in store.keys() for op in store.ops_for_key(key)),
+                  key=lambda op: op.op_id) == ops
+
+
+@settings(max_examples=500, deadline=None)
+@given(op=_OPS)
+def test_op_line_is_the_reference_spelling(op):
+    check_op_line(op)
+
+
 # --------------------------------------------------------------------- #
 # Writer + store.
 # --------------------------------------------------------------------- #
@@ -97,7 +172,7 @@ def test_writer_builds_per_key_streams_and_index(tmp_path):
     store = write_run(tmp_path / "run", gen.ops, meta={"seed": 3})
     assert len(store) == 200
     assert store.meta["seed"] == 3
-    assert sum(store.key_count(key) for key in store.keys()) == 200
+    assert sum(len(store.ops_for_key(key)) for key in store.keys()) == 200
     for key in store.keys():
         ops = store.ops_for_key(key)
         assert ops and all(op.key == key for op in ops)
@@ -128,7 +203,7 @@ def test_padded_and_unpadded_key_spellings_share_one_stream(tmp_path):
                      invoked_at=3.0, returned_at=4.0, ok=True, output=b"x")]
     store = write_run(tmp_path / "run", ops)
     assert store.keys() == [unpadded]
-    assert store.key_count(unpadded) == 2
+    assert len(store.ops_for_key(unpadded)) == 2
     # The padded spelling queries the same stream.
     assert [op.op_id for op in store.ops_for_key(padded)] == [0, 1]
 
@@ -211,6 +286,58 @@ def test_stale_index_is_detected_not_garbled(tmp_path):
     store.ops_path.write_bytes(data[: len(data) - 20])
     with pytest.raises(TruncatedArtifactError):
         HistoryStore(tmp_path / "run").ops_for_key(b"k0")
+
+
+def test_a_bad_record_mid_stream_is_named_by_its_own_offset(tmp_path):
+    run_dir = tmp_path / "run"
+    store = write_run(run_dir, generate_history(7, keys=1, ops=10).ops)
+    path, data = store.ops_path, store.ops_path.read_bytes()
+    offsets = [offset for offset, _line, _record in scan(path, history_store.SCHEMA)]
+    middle = offsets[5]
+
+    path.write_bytes(data[:middle] + b"#" + data[middle + 1:])  # not JSON any more
+    with pytest.raises(TruncatedArtifactError) as exc_info:
+        HistoryStore(run_dir).ops_for_key(b"k0")
+    assert exc_info.value.offset == middle and "unparseable" in str(exc_info.value)
+
+    end = offsets[6] - 1  # the record's newline: two records run together
+    path.write_bytes(data[:end] + b" " + data[end + 1:])
+    with pytest.raises(TruncatedArtifactError) as exc_info:
+        HistoryStore(run_dir).ops_for_key(b"k0")
+    assert exc_info.value.offset == middle
+
+    # Still ten well-formed records, just not the ten that were indexed.
+    assert data.count(b'"client":"c0"') > 0
+    path.write_bytes(data.replace(b'"client":"c0"', b'"client":"c9"'))
+    with pytest.raises(ValueError, match="stale index") as exc_info:
+        HistoryStore(run_dir).ops_for_key(b"k0")
+    assert not isinstance(exc_info.value, TruncatedArtifactError)
+    assert f"python -m repro history index {run_dir}" in str(exc_info.value)
+    rebuild_index(run_dir)
+    assert {op.client for op in HistoryStore(run_dir).ops_for_key(b"k0")} >= {"c9"}
+
+
+def test_records_longer_than_one_read_load_the_same(tmp_path):
+    ops = [HistoryOp(op_id=i, client="c0", op="write", key=b"k", value=bytes([i]) * 700 * i,
+                     invoked_at=float(i), returned_at=i + 0.5, ok=True) for i in range(4)]
+    store = write_run(tmp_path / "run", ops)
+    assert max(map(len, store.ops_path.read_bytes().splitlines())) > 4 * history_store._LINE_READ
+    assert store.ops_for_key(b"k") == ops
+
+
+@pytest.mark.parametrize("fixture", sorted(
+    path.name for path in (FIXTURES / "histories").glob("*.ndjson")))
+def test_bulk_load_equals_record_by_record_on_every_fixture(fixture, tmp_path):
+    shutil.copy(FIXTURES / "histories" / fixture, tmp_path / "ops.ndjson")
+    total, truncated_at = rebuild_index(tmp_path)
+    assert truncated_at is None
+    by_key = {}
+    for _offset, line, _record in scan(tmp_path / "ops.ndjson", history_store.SCHEMA):
+        op = record_to_op(json.loads(line))
+        by_key.setdefault(op.key, []).append(op)
+    with HistoryStore(tmp_path) as store:
+        assert {key: store.ops_for_key(key) for key in store.keys()} == by_key
+        assert sum(map(len, by_key.values())) == total == len(store)
 
 
 # --------------------------------------------------------------------- #
@@ -318,6 +445,27 @@ def test_scenario_spill_replays_identically_to_memory(tmp_path):
     assert spill_a.run_dir == tmp_path / "a"
     assert spill_a.peak_rss_bytes > 0
     assert spill_a.linearizability is not None and spill_a.linearizability.ok
+
+
+def test_spilled_run_dir_is_byte_identical_to_the_commit_before_the_template(tmp_path):
+    """Cross-commit replay anchor: the ``spill`` entry of
+    ``fixtures/replay_digests.json`` hashes the three files of this seeded
+    failover run as the commit before ``op_line`` wrote them (its records
+    spell ``ver``, ``r``, ``to`` and ``hex:`` values, which the
+    ``history_gen`` anchor never does); and what is loaded back from them is
+    the signature the in-memory ``fault`` anchor pins."""
+    anchors = json.loads((FIXTURES / "replay_digests.json").read_text())
+    result = run_scenario(*fault_scenario(
+        seed=0, duration=2.0, faults=[(0.4, "fail_switch", "S1")],
+        history_mode="spill", run_dir=tmp_path))
+    assert result.ok(), result.failures
+    found = {name.replace(".", "_") + "_sha256":
+             hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+             for name in ("ops.ndjson", "index.bin", "index.json")}
+    found.update(completed_ops=result.completed_ops, failed_ops=result.failed_ops)
+    assert found == anchors["spill"]
+    assert hashlib.sha256(repr(result.signature()).encode("utf-8")).hexdigest() == \
+        anchors["fault"]["signature_sha256"]
 
 
 def test_scenario_spill_shares_verdicts_across_the_matrix(tmp_path):

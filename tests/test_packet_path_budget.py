@@ -11,16 +11,24 @@ the path (a wrapper, a property, a keyword-built record) trips it on any
 machine; a budget is raised deliberately, with the call that needs it named
 in the commit.
 
+The spilled history has two rows of its own under the same harness: calls
+per op appended to a ``history/v1`` run dir and per op loaded back from it
+(5,120 generated ops over 64 keys), the two halves of the record that
+``verified_failover`` pays for on every op.
+
 ``PYTHONPATH=src python tests/test_packet_path_budget.py`` prints the
-measured line (CI appends it to the job summary).
+measured lines (CI appends them to the job summary).
 """
 
 from __future__ import annotations
 
 import sys
+import tempfile
 
 import pytest
 
+from repro.core.history_gen import generate_history
+from repro.core.history_store import HistoryStore, HistoryWriter
 from repro.deploy import (
     DeploymentSpec,
     ScenarioChecks,
@@ -43,13 +51,16 @@ BUDGET = {
 }
 
 
-def measure(backend: str, write_ratio: float):
-    """``(ops, events, Python calls, C calls)`` of one profiled scenario."""
-    spec = DeploymentSpec(backend=backend, store_size=64, value_size=64, seed=11)
-    workload = WorkloadSpec(write_ratio=write_ratio, duration=0.1, drain=0.1,
-                            num_clients=4, concurrency=8)
-    deployment = build_deployment(spec)
-    deployment.clients(workload.num_clients)
+#: half -> (Python calls/op, C calls/op) of the spilled history.  Measured
+#: when committed (before the line was templated and a key's lines parsed as
+#: one array): 6.2 / 14.9 per appended op (13.0 / 19.1) and 2.7 / 14.4 per
+#: loaded op (12.1 / 30.1).  Measured count plus ~3%.
+HISTORY_BUDGET = {"append": (6.35, 15.3), "load": (2.8, 14.9)}
+HISTORY_OPS = 5120  # 20 of the writer's batches: every line is spelled inside an append
+
+
+def profiled(call):
+    """``(call(), Python calls, C calls)`` with ``call`` run under ``sys.setprofile``."""
     counts = {"call": 0, "c_call": 0}
 
     def count(frame, event, arg):
@@ -58,12 +69,37 @@ def measure(backend: str, write_ratio: float):
 
     sys.setprofile(count)
     try:
-        result = run_scenario(spec, workload, ScenarioChecks(linearizability=False),
-                              deployment=deployment)
+        value = call()
     finally:
         sys.setprofile(None)
-    return (result.completed_ops, deployment.sim.processed_events,
-            counts["call"], counts["c_call"])
+    return value, counts["call"], counts["c_call"]
+
+
+def measure(backend: str, write_ratio: float):
+    """``(ops, events, Python calls, C calls)`` of one profiled scenario."""
+    spec = DeploymentSpec(backend=backend, store_size=64, value_size=64, seed=11)
+    workload = WorkloadSpec(write_ratio=write_ratio, duration=0.1, drain=0.1,
+                            num_clients=4, concurrency=8)
+    deployment = build_deployment(spec)
+    deployment.clients(workload.num_clients)
+    result, python_calls, c_calls = profiled(lambda: run_scenario(
+        spec, workload, ScenarioChecks(linearizability=False), deployment=deployment))
+    return (result.completed_ops, deployment.sim.processed_events, python_calls, c_calls)
+
+
+def measure_history():
+    """``{half: (Python calls, C calls)}`` per op of one spilled history."""
+    ops = generate_history(11, keys=64, ops=HISTORY_OPS).ops
+    with tempfile.TemporaryDirectory() as run_dir:
+        writer = HistoryWriter(run_dir)
+        _, *append = profiled(lambda: [writer.append(op) for op in ops])
+        writer.close()
+        with HistoryStore(run_dir) as store:
+            keys = store.keys()
+            loaded, *load = profiled(lambda: [store.ops_for_key(key) for key in keys])
+    assert sum(map(len, loaded)) == len(ops) == HISTORY_OPS
+    return {"append": [calls / HISTORY_OPS for calls in append],
+            "load": [calls / HISTORY_OPS for calls in load]}
 
 
 @pytest.mark.parametrize("kind", sorted(BUDGET))
@@ -75,8 +111,18 @@ def test_calls_per_op_stay_under_budget_and_events_per_op_are_pinned(kind):
     assert c_calls / ops <= c_budget, f"{c_calls / ops:.1f} C calls/op"
 
 
+def test_history_calls_per_appended_and_per_loaded_op_stay_under_budget():
+    for half, (python_calls, c_calls) in measure_history().items():
+        python_budget, c_budget = HISTORY_BUDGET[half]
+        assert python_calls <= python_budget, f"{half}: {python_calls:.1f} Python calls/op"
+        assert c_calls <= c_budget, f"{half}: {c_calls:.1f} C calls/op"
+
+
 if __name__ == "__main__":
     for kind, (backend, write_ratio, *_budget) in BUDGET.items():
         ops, processed, python_calls, c_calls = measure(backend, write_ratio)
         print(f"packet path, per {kind}: {python_calls / ops:.1f} Python calls, "
               f"{c_calls / ops:.1f} C calls, {processed / ops:.2f} events")
+    for half, (python_calls, c_calls) in measure_history().items():
+        print(f"spilled history, per op ({half}): {python_calls:.1f} Python calls, "
+              f"{c_calls:.1f} C calls")
