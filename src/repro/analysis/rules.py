@@ -428,7 +428,7 @@ class UnsortedJsonRule(Rule):
     title = "json.dumps without sort_keys=True"
     summary = "Artifact writers must emit canonically ordered JSON keys."
     rationale = (
-        "Every committed artifact schema (history/v1, trace/v1, perf reports, "
+        "Every committed artifact schema (history/v1, trace/v2, perf reports, "
         "benchmark results) promises byte-identical output per seed, which "
         "CI checks with diff/sha256.  Insertion-ordered keys silently break "
         "that the first time a dict is built in a different order; "

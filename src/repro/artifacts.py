@@ -1,6 +1,6 @@
 """The run-directory artifact format: NDJSON streams and JSON documents.
 
-Every stream a run spills (``history/v1`` operations, ``trace/v1`` spans,
+Every stream a run spills (``history/v1`` operations, ``trace/v2`` traces,
 metric series, control events) is one file of the same shape, and this
 module is the only code that knows how it is spelled:
 

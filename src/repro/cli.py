@@ -6,7 +6,7 @@
     history check|index|info|generate
                                   re-check, re-index, inspect or synthesize a
                                   history/v1 run dir
-    trace run|report|info         record, report on or inspect a trace/v1 run dir
+    trace run|report|info         record, report on or inspect a trace/v2 run dir
     lint check|explain            detlint, the determinism static analysis
 
 Every handler imports its subsystem when it runs, so ``lint`` needs
@@ -274,13 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     generate.set_defaults(handler=_history_generate)
 
     trace = verbs.add_parser(
-        "trace", help="record and report on trace/v1 telemetry "
+        "trace", help="record and report on trace/v2 telemetry "
                       "run dirs").add_subparsers(dest="command", required=True)
     run = trace.add_parser("run", help="run one traced seeded scenario")
     run.add_argument("--seed", type=int, default=11)
     run.add_argument("--failover", action="store_true",
                      help="fail switch S1 mid-run and react")
-    run.add_argument("--out", required=True, help="trace/v1 run directory")
+    run.add_argument("--out", required=True, help="trace/v2 run directory")
     run.set_defaults(handler=_trace_run)
     report = trace.add_parser(
         "report", help="critical-path breakdown + per-stage percentiles")

@@ -1,4 +1,4 @@
-"""Causal per-query tracing and the telemetry plane (``trace/v1``).
+"""Causal per-query tracing and the telemetry plane (``trace/v2``).
 
 This is the *policy* half of the telemetry stack (the mechanism half --
 registry, histograms, sampler, event log -- lives in
@@ -8,8 +8,9 @@ registry, histograms, sampler, event log -- lives in
   Hosts, links, switches, switch programs and agents each hold a
   ``telemetry`` attribute that is ``None`` by default; when a scenario
   enables telemetry it points at one shared tracer, and every hop of a
-  traced query emits one span record keyed on sim-time.
-* ``trace/v1`` run directories -- spans, metric time series and
+  traced query adds its stage values to the query's open trace.
+* ``trace/v2`` run directories -- one ``trc`` record per traced query,
+  hop-by-hop spans for the tail only, metric time series and
   control-plane events spill as :mod:`repro.artifacts` NDJSON streams,
   the format ``history/v1`` uses, so a seeded run's telemetry is
   byte-identical across replays.
@@ -22,17 +23,29 @@ registry, histograms, sampler, event log -- lives in
   percentiles from a spilled run; ``python -m repro trace report
   <run_dir>`` is the CLI front end.
 
-The span records of ``spans.ndjson`` are declared once, as
-:data:`SPAN_SHAPES` below.  Nothing machine- or process-dependent appears
-in any record: trace ids are allocated per run (not the process-global
-query ids), times are sim-times, and the header carries only the
-deployment meta.
+``spans.ndjson`` holds two kinds of record, both declared once below:
+
+* one ``trc`` record (:data:`TRACE_SHAPE`) per traced query, written when
+  it ends -- on its reply, its timeout, or at the end of the run if it is
+  still open -- with the query's stage sums;
+* the query's hop-by-hop spans (:data:`SPAN_SHAPES`), kept for *tail*
+  traces only: every retried, timed-out, non-ok or unfinished trace
+  (written just ahead of its ``trc`` record), and the
+  :data:`SLOWEST_KEPT` slowest of the other completed traces (written at
+  the end of the run).  A span of a tail trace that *follows* its ``trc``
+  record is a retransmitted copy that was still in flight when the trace
+  ended; it is not in the record's sums, and the reader adds it.
+
+Nothing machine- or process-dependent appears in any record: trace ids
+are allocated per run (not the process-global query ids), times are
+sim-times, and the header carries only the deployment meta.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
+from heapq import heappush, heapreplace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -49,7 +62,7 @@ from repro.netsim.telemetry import (
     failure_timeline,
 )
 
-TRACE_SCHEMA = "trace/v1"
+TRACE_SCHEMA = "trace/v2"
 METRICS_SCHEMA = "trace-metrics/v1"
 EVENTS_SCHEMA = "trace-events/v1"
 
@@ -64,6 +77,20 @@ _FILES = ((SPANS_FILE, TRACE_SCHEMA), (METRICS_FILE, METRICS_SCHEMA),
 STAGES = ("host_stack", "nic_queue", "link", "switch_queue",
           "switch_pipeline")
 
+#: How many of the slowest completed, unretried ``ok`` traces keep their spans.
+SLOWEST_KEPT = 32
+
+#: The ``trc`` field each stage's sum is written under: the stage's initials.
+STAGE_FIELDS = ("hs", "nq", "lk", "sq", "sp")
+
+#: One traced query: start time, trace id, agent, op, key, status (``null``
+#: while unfinished), end-to-end latency (``null`` unless a reply came),
+#: retries, the five stage sums (:data:`STAGE_FIELDS`), link hops and chain
+#: hops.
+TRACE_SHAPE = RecordShape(ev="trc", t=float, id=int, n=str, op=str, key=str,
+                          st=str, l=float, r=int,
+                          **dict.fromkeys(STAGE_FIELDS, float),
+                          hops=int, chain_hops=int)
 
 # The span kinds.  Every span carries ``ev``, ``t`` (sim-time), ``id`` (per-run
 # trace id, dense from 1) and ``n`` (the agent, host, link or switch emitting
@@ -83,7 +110,7 @@ _SWP = RecordShape(ev="swp", **_SPAN, op=str, vg=int, sc=int)  # chain hop: vgro
 _REP = RecordShape(ev="rep", **_SPAN, st=str, l=float)  # reply: status, end-to-end latency
 _REP_R = RecordShape(**_REP.fields, r=int)  # ... r retries
 _TMO = RecordShape(ev="tmo", **_SPAN, r=int)  # retry exhaustion: r retries
-#: The nine span kinds of ``spans.ndjson`` and their optional-field variants.
+#: The nine span kinds kept for tail traces and their optional-field variants.
 SPAN_SHAPES = (_SUB, _QTX, _HTX, _HTX_Q, _HRX, _HRX_Q, _LNK, _SWQ, _SWQ_W,
                _SWP, _REP, _REP_R, _TMO)
 
@@ -97,6 +124,26 @@ def _key_label(raw: bytes) -> str:
     return encode_bytes(raw.rstrip(b"\x00")) or ""
 
 
+class _Trace:
+    """An open trace: its stage sums so far, and its spans as ``(shape,
+    *values)`` tuples that are spelled only if the trace is kept."""
+
+    __slots__ = ("start", "agent", "op", "key", "host_stack", "nic_queue",
+                 "link", "switch_queue", "switch_pipeline", "hops",
+                 "chain_hops", "spans")
+
+    def __init__(self, start: float, agent: str, op: str, key: str,
+                 submit: tuple) -> None:
+        self.start = start
+        self.agent = agent
+        self.op = op
+        self.key = key
+        self.host_stack = self.nic_queue = self.link = 0.0
+        self.switch_queue = self.switch_pipeline = 0.0
+        self.hops = self.chain_hops = 0
+        self.spans = [submit]
+
+
 class Tracer:
     """The one object every instrumented hot path talks to.
 
@@ -104,13 +151,17 @@ class Tracer:
     and guard with a single ``if tel is not None`` -- the whole cost of
     the disabled mode.  When attached, the tracer stamps a fresh trace id
     into each sampled query's packet (carried in the slotted ``Packet``
-    header and across ``copy()``), emits one span per hop, accumulates
-    per-link bit counts for the utilization time series, the per-vgroup
-    op mix, and the query-latency histograms.
+    header and across ``copy()``), adds every hop to the query's open
+    trace, writes one ``trc`` record when the query ends (spans only for
+    the tail), accumulates per-link bit counts for the utilization time
+    series, the per-vgroup op mix, and the query-latency histograms.  A
+    hop of a trace id that is not open writes nothing, unless the trace
+    ended as a tail trace (see the module docstring).
     """
 
     __slots__ = ("sim", "writer", "registry", "trace_packets",
-                 "sample_every", "submits", "opmix", "_next_id", "_latency")
+                 "sample_every", "submits", "opmix", "_next_id", "_latency",
+                 "_open", "_tail_ids", "_slowest")
 
     def __init__(self, sim, writer: Optional[TraceWriter] = None,
                  registry: Optional[MetricsRegistry] = None,
@@ -127,6 +178,12 @@ class Tracer:
         self._next_id = 1
         #: ``op_name -> histograms`` a reply's latency is recorded into.
         self._latency: Dict[str, list] = {}
+        #: ``trace id -> _Trace`` of every query still awaiting its end.
+        self._open: Dict[int, _Trace] = {}
+        #: Ids of ended tail traces: their later hops are written at once.
+        self._tail_ids: set = set()
+        #: Min-heap of ``(latency, -id, spans)``: the slowest clean traces.
+        self._slowest: List[tuple] = []
 
     @property
     def traces(self) -> int:
@@ -135,7 +192,7 @@ class Tracer:
 
     @property
     def span_count(self) -> int:
-        """Spans written so far (the span file holds nothing else)."""
+        """Records written to the span file so far (``trc`` records + spans)."""
         return self.writer.records if self.writer is not None else 0
 
     # ------------------------------------------------------------------ #
@@ -151,14 +208,19 @@ class Tracer:
             return 0
         tid = self._next_id
         self._next_id = tid + 1
-        self.writer.write_line(_SUB.line(
-            self.sim._now, tid, agent.name,
-            pending.op_name or _OP_NAMES[pending.op], _key_label(pending.key)))
+        now = self.sim._now
+        op = pending.op_name or _OP_NAMES[pending.op]
+        key = _key_label(pending.key)
+        self._open[tid] = _Trace(now, agent.name, op, key,
+                                 (_SUB, now, tid, agent.name, op, key))
         return tid
 
     def query_tx(self, agent, pending, dst_ip: str) -> None:
-        self.writer.write_line(_QTX.line(
-            self.sim._now, pending.trace_id, agent.name, pending.retries, dst_ip))
+        tid = pending.trace_id
+        trace = self._open.get(tid)
+        if trace is not None:
+            trace.spans.append((_QTX, self.sim._now, tid, agent.name,
+                                pending.retries, dst_ip))
 
     def query_reply(self, agent, pending, header, latency: float) -> None:
         registry = self.registry
@@ -174,23 +236,31 @@ class Tracer:
             for histogram in histograms:
                 histogram.record(latency)
         tid = pending.trace_id
-        if tid:
+        trace = self._open.pop(tid, None)
+        if trace is not None:
             status = _STATUS_NAMES[header.status]
-            self.writer.write_line(
-                _REP_R.line(self.sim._now, tid, agent.name, status, latency,
-                            pending.retries) if pending.retries else
-                _REP.line(self.sim._now, tid, agent.name, status, latency))
+            retries = pending.retries
+            trace.spans.append(
+                (_REP_R, self.sim._now, tid, agent.name, status, latency, retries)
+                if retries else
+                (_REP, self.sim._now, tid, agent.name, status, latency))
+            self._end(tid, trace, status, latency, retries)
 
     def query_timeout(self, agent, pending) -> None:
         registry = self.registry
         if registry is not None:
             registry.inc("query_timeouts")
-        if pending.trace_id:
-            self.writer.write_line(_TMO.line(
-                self.sim._now, pending.trace_id, agent.name, pending.retries))
+        tid = pending.trace_id
+        trace = self._open.pop(tid, None)
+        if trace is not None:
+            trace.spans.append((_TMO, self.sim._now, tid, agent.name,
+                                pending.retries))
+            self._end(tid, trace, "timeout", None, pending.retries)
 
     # ------------------------------------------------------------------ #
-    # Netsim hooks (hosts, links, switches).
+    # Netsim hooks (hosts, links, switches).  Each adds the stage values
+    # its span carries, in hook order, so a trace's sums are the sums of
+    # its spans.
     # ------------------------------------------------------------------ #
 
     def host_tx(self, host, packet, delay: float) -> None:
@@ -198,36 +268,60 @@ class Tracer:
         if tid:
             stack = host.config.stack_delay
             queue = delay - stack
-            self.writer.write_line(
-                _HTX_Q.line(self.sim._now, tid, host.name, stack, queue)
-                if queue > 0 else
-                _HTX.line(self.sim._now, tid, host.name, stack))
+            span = (_HTX_Q, self.sim._now, tid, host.name, stack, queue) \
+                if queue > 0 else (_HTX, self.sim._now, tid, host.name, stack)
+            trace = self._open.get(tid)
+            if trace is not None:
+                trace.host_stack += stack
+                if queue > 0:
+                    trace.nic_queue += queue
+                trace.spans.append(span)
+            elif tid in self._tail_ids:
+                self._write(span)
 
     def host_rx(self, host, packet, delay: float) -> None:
         tid = packet.trace_id
         if tid:
             stack = host.config.stack_delay
             queue = delay - stack
-            self.writer.write_line(
-                _HRX_Q.line(self.sim._now, tid, host.name, stack, queue)
-                if queue > 0 else
-                _HRX.line(self.sim._now, tid, host.name, stack))
+            span = (_HRX_Q, self.sim._now, tid, host.name, stack, queue) \
+                if queue > 0 else (_HRX, self.sim._now, tid, host.name, stack)
+            trace = self._open.get(tid)
+            if trace is not None:
+                trace.host_stack += stack
+                if queue > 0:
+                    trace.nic_queue += queue
+                trace.spans.append(span)
+            elif tid in self._tail_ids:
+                self._write(span)
 
     def link_tx(self, link, packet, latency: float, size: int) -> None:
         link.tel_bits += size * 8.0
         tid = packet.trace_id
         if tid:
-            self.writer.write_line(
-                _LNK.line(self.sim._now, tid, link.name, latency))
+            span = (_LNK, self.sim._now, tid, link.name, latency)
+            trace = self._open.get(tid)
+            if trace is not None:
+                trace.link += latency
+                trace.hops += 1
+                trace.spans.append(span)
+            elif tid in self._tail_ids:
+                self._write(span)
 
     def switch_enq(self, switch, packet, wait: float) -> None:
         tid = packet.trace_id
         if tid:
             pipeline = switch.config.pipeline_delay
-            self.writer.write_line(
-                _SWQ_W.line(self.sim._now, tid, switch.name, pipeline, wait)
-                if wait > 0 else
-                _SWQ.line(self.sim._now, tid, switch.name, pipeline))
+            span = (_SWQ_W, self.sim._now, tid, switch.name, pipeline, wait) \
+                if wait > 0 else (_SWQ, self.sim._now, tid, switch.name, pipeline)
+            trace = self._open.get(tid)
+            if trace is not None:
+                if wait > 0:
+                    trace.switch_queue += wait
+                trace.switch_pipeline += pipeline
+                trace.spans.append(span)
+            elif tid in self._tail_ids:
+                self._write(span)
 
     # ------------------------------------------------------------------ #
     # Switch-program hooks.
@@ -236,14 +330,61 @@ class Tracer:
     def switch_stage(self, switch, packet, header) -> None:
         tid = packet.trace_id
         if tid:
-            self.writer.write_line(_SWP.line(
-                self.sim._now, tid, switch.name, _OP_NAMES[header.op],
-                header.vgroup, len(header.chain)))
+            span = (_SWP, self.sim._now, tid, switch.name, _OP_NAMES[header.op],
+                    header.vgroup, len(header.chain))
+            trace = self._open.get(tid)
+            if trace is not None:
+                trace.chain_hops += 1
+                trace.spans.append(span)
+            elif tid in self._tail_ids:
+                self._write(span)
 
     def op_complete(self, header) -> None:
         """Called by the switch program as a reply is minted (op mix)."""
         key = (header.vgroup, _OP_NAMES[header.op])
         self.opmix[key] = self.opmix.get(key, 0) + 1
+
+    # ------------------------------------------------------------------ #
+    # Writing.
+    # ------------------------------------------------------------------ #
+
+    def _write(self, span: tuple) -> None:
+        self.writer.write_line(span[0].line(*span[1:]))
+
+    def _end(self, tid: int, trace: _Trace, status: Optional[str],
+             latency: Optional[float], retries: int) -> None:
+        """Write an ended trace's ``trc`` record, behind its spans if it is
+        a tail trace; otherwise offer its spans to the slowest-kept heap."""
+        line = TRACE_SHAPE.line(
+            trace.start, tid, trace.agent, trace.op, trace.key, status, latency,
+            retries, trace.host_stack, trace.nic_queue, trace.link,
+            trace.switch_queue, trace.switch_pipeline, trace.hops,
+            trace.chain_hops)
+        if retries or status != "ok":
+            for span in trace.spans:
+                self._write(span)
+            self.writer.write_line(line)
+            self._tail_ids.add(tid)
+            return
+        self.writer.write_line(line)
+        entry = (latency, -tid, trace.spans)
+        heap = self._slowest
+        if len(heap) < SLOWEST_KEPT:
+            heappush(heap, entry)
+        elif entry > heap[0]:
+            heapreplace(heap, entry)
+
+    def close(self) -> None:
+        """End the run: every still-open trace is written as an unfinished
+        tail trace, then the slowest completed traces' spans, slowest first."""
+        for tid, trace in self._open.items():
+            self._end(tid, trace, None, None, 0)
+        self._open.clear()
+        for _latency, _tid, spans in sorted(self._slowest, reverse=True):
+            for span in spans:
+                self._write(span)
+        self._slowest.clear()
+        self.writer.close()
 
 
 class TelemetryPlane:
@@ -329,7 +470,7 @@ class TelemetryPlane:
                 for record in self.event_log.as_records():
                     writer.write(record)
         if self.tracer.writer is not None:
-            self.tracer.writer.close()
+            self.tracer.close()
         return self.summary()
 
     def summary(self) -> dict:
@@ -367,6 +508,7 @@ def read_ndjson(path, schema: str) -> Tuple[dict, List[dict]]:
 
 
 def iter_spans(run_dir) -> Iterator[dict]:
+    """Every record of a run's span file: ``trc`` records and kept spans."""
     path = Path(run_dir) / SPANS_FILE
     if not path.exists():  # metrics-only run (TelemetryConfig(trace=False))
         return
@@ -375,14 +517,14 @@ def iter_spans(run_dir) -> Iterator[dict]:
 
 
 def run_info(run_dir) -> dict:
-    """Headers and record counts of every file in a trace/v1 run dir
+    """Headers and record counts of every file in a trace/v2 run dir
     (:class:`FileNotFoundError` when it holds none of them)."""
     run_dir = Path(run_dir)
     info: Dict[str, Any] = {"run_dir": str(run_dir)}
     present = [entry for entry in _FILES if (run_dir / entry[0]).exists()]
     if not present:
         raise FileNotFoundError(
-            f"{run_dir}: not a trace/v1 run dir (none of "
+            f"{run_dir}: not a trace/v2 run dir (none of "
             f"{', '.join(name for name, _ in _FILES)} found)")
     for name, schema in present:
         path = run_dir / name
@@ -395,62 +537,61 @@ def run_info(run_dir) -> dict:
     return info
 
 
-def trace_breakdowns(spans) -> Dict[int, dict]:
-    """Group spans by trace id and decompose each trace's latency.
+def _add_late_span(trace: dict, span: dict) -> None:
+    """Add a span that followed its tail trace's ``trc`` record to the
+    trace's sums, as :class:`Tracer`'s hook added the ones before it."""
+    ev, stages = span["ev"], trace["stages"]
+    if ev in ("htx", "hrx"):
+        stages["host_stack"] += span["d"]
+        stages["nic_queue"] += span.get("q", 0.0)
+    elif ev == "lnk":
+        stages["link"] += span["l"]
+        trace["hops"] += 1
+    elif ev == "swq":
+        stages["switch_queue"] += span.get("w", 0.0)
+        stages["switch_pipeline"] += span["p"]
+    elif ev == "swp":
+        trace["chain_hops"] += 1
+
+
+def trace_breakdowns(records) -> Dict[int, dict]:
+    """Rebuild every trace's latency decomposition from the span file.
 
     Returns ``{trace_id: {"op", "key", "start", "latency", "status",
     "retries", "completed", "hops", "chain_hops", "stages": {stage:
-    seconds}, "spans": [...]}}``.  A retried query aggregates the spans
-    of *all* its transmissions, so stage sums describe work performed,
-    and ``other`` (latency minus the stage sums) absorbs retry waits.
+    seconds}, "spans": [...]}}`` -- ``spans`` is empty unless the trace
+    was kept.  A retried query aggregates the spans of *all* its
+    transmissions, so stage sums describe work performed, and ``other``
+    (latency minus the stage sums) absorbs retry waits.
     """
     traces: Dict[int, dict] = {}
-
-    def entry(tid: int) -> dict:
+    ahead: Dict[int, List[dict]] = {}  # a tail trace's spans, before its record
+    for record in records:
+        tid = record["id"]
+        if record["ev"] == "trc":
+            latency = record["l"]
+            traces[tid] = {
+                "id": tid, "op": record["op"], "key": record["key"],
+                "start": record["t"], "latency": latency,
+                "status": record["st"], "retries": record["r"],
+                "completed": latency is not None, "hops": record["hops"],
+                "chain_hops": record["chain_hops"],
+                "stages": {stage: record[field]
+                           for stage, field in zip(STAGES, STAGE_FIELDS,
+                                                   strict=True)},
+                "spans": ahead.pop(tid, []),
+            }
+            continue
         trace = traces.get(tid)
         if trace is None:
-            trace = traces[tid] = {
-                "id": tid, "op": "?", "key": "", "start": None,
-                "latency": None, "status": None, "retries": 0,
-                "completed": False, "hops": 0, "chain_hops": 0,
-                "stages": {name: 0.0 for name in STAGES}, "spans": [],
-            }
-        return trace
-
-    for span in spans:
-        tid = span.get("id")
-        if not tid:
+            ahead.setdefault(tid, []).append(record)
             continue
-        trace = entry(tid)
-        trace["spans"].append(span)
-        ev = span["ev"]
-        stages = trace["stages"]
-        if ev == "sub":
-            trace["op"] = span.get("op", "?")
-            trace["key"] = span.get("key", "")
-            trace["start"] = span["t"]
-        elif ev in ("htx", "hrx"):
-            stages["host_stack"] += span.get("d", 0.0)
-            stages["nic_queue"] += span.get("q", 0.0)
-        elif ev == "lnk":
-            stages["link"] += span.get("l", 0.0)
-            trace["hops"] += 1
-        elif ev == "swq":
-            stages["switch_queue"] += span.get("w", 0.0)
-            stages["switch_pipeline"] += span.get("p", 0.0)
-        elif ev == "swp":
-            trace["chain_hops"] += 1
-        elif ev == "rep":
-            trace["latency"] = span.get("l")
-            trace["status"] = span.get("st")
-            trace["retries"] = span.get("r", 0)
-            trace["completed"] = True
-        elif ev == "tmo":
-            trace["retries"] = span.get("r", 0)
-            trace["status"] = "timeout"
+        trace["spans"].append(record)
+        if trace["retries"] or trace["status"] != "ok":
+            _add_late_span(trace, record)
 
     for trace in traces.values():
-        if trace["completed"] and trace["latency"] is not None:
+        if trace["completed"]:
             trace["other"] = max(
                 0.0, trace["latency"] - sum(trace["stages"].values()))
     return traces

@@ -266,7 +266,7 @@ class ScenarioResult:
     #: Deterministic telemetry summary (``telemetry/v1`` dict) when the
     #: spec enabled the telemetry plane; ``None`` otherwise.
     metrics: Optional[dict] = None
-    #: ``trace/v1`` run directory holding spilled spans / metric series /
+    #: ``trace/v2`` run directory holding spilled traces / metric series /
     #: control events (telemetry-enabled runs only).
     telemetry_dir: Optional[Path] = None
 

@@ -98,7 +98,7 @@ class DeploymentSpec:
             :class:`repro.netsim.telemetry.TelemetryConfig` sets the
             knobs (``run_dir``, ``sample_interval``, ``trace``,
             ``metrics``, ``events``, ``trace_sample``).  The scenario
-            runner spills a ``trace/v1`` run directory and stores the
+            runner spills a ``trace/v2`` run directory and stores the
             summary on ``ScenarioResult.metrics``.
         options: backend-specific knobs (documented per backend).
     """

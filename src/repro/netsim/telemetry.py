@@ -4,7 +4,7 @@ This module holds the *mechanism* half of the telemetry plane: a metrics
 registry (counters, gauges, fixed log-bucket histograms), a sim-time
 periodic sampler that turns queue depths, link utilization and SRAM
 occupancy into time series, and a structured control-plane event log.
-The *policy* half -- per-query span tracing, the ``trace/v1`` run-dir
+The *policy* half -- per-query tracing, the ``trace/v2`` run-dir
 format and the scenario wiring -- lives in :mod:`repro.core.trace`,
 which composes these pieces into a :class:`~repro.core.trace.TelemetryPlane`.
 
@@ -288,7 +288,7 @@ class TelemetryConfig:
     trace: bool = True              #: per-query span tracing
     metrics: bool = True            #: periodic sampler + registry
     events: bool = True             #: control-plane event log
-    run_dir: Optional[str] = None   #: trace/v1 output directory
+    run_dir: Optional[str] = None   #: trace/v2 output directory
     trace_sample: int = 1           #: trace every Nth submitted query
 
     @classmethod

@@ -1,10 +1,10 @@
 """The artifact layer: what only :mod:`repro.artifacts` can own.
 
 The stream spelling (header line, canonical record lines, byte offsets),
-record shapes against that spelling (on every span shape ``trace/v1``
+record shapes against that spelling (on every record shape ``trace/v2``
 declares), header validation with one distinct message per way a header
 can be bad, and the ``limit=`` scan of an intact prefix.  The formats
-built on top (``history/v1`` indexes, ``trace/v1`` run dirs) are tested
+built on top (``history/v1`` indexes, ``trace/v2`` run dirs) are tested
 with their subsystems.
 """
 
@@ -25,7 +25,7 @@ from repro.artifacts import (
     record_line,
     scan,
 )
-from repro.core.trace import SPAN_SHAPES
+from repro.core.trace import SPAN_SHAPES, TRACE_SHAPE
 
 SCHEMA = "test/v1"
 RECORDS = [{"b": 1, "a": "x"}, {"t": 0.25, "id": 2}, {"nested": {"z": 0, "y": [1, 2]}}]
@@ -126,9 +126,10 @@ def test_shape_lines_and_records_interleave_in_call_order(tmp_path):
 # Record shapes: the template against the reference spelling.
 # --------------------------------------------------------------------- #
 
-#: The span shapes plus one whose keys and constants need escaping, in the
-#: template (``%``) and in JSON (quote, backslash, non-ASCII, nesting).
-SHAPES = SPAN_SHAPES + (
+#: The trace record and span shapes plus one whose keys and constants need
+#: escaping, in the template (``%``) and in JSON (quote, backslash,
+#: non-ASCII, nesting).
+SHAPES = SPAN_SHAPES + (TRACE_SHAPE,) + (
     RecordShape(**{"100%": float, 'k"\\': str, "\u00e9": "caf\u00e9 %s %%",
                    "z": {"b": [1, None], "a": 0.5}}),
     RecordShape(only="constants"),

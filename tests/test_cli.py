@@ -186,7 +186,7 @@ def test_trace_on_a_missing_or_empty_dir_is_an_error(command, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""  # an error, not an empty report
         assert captured.err.count("\n") == 1
-        assert "not a trace/v1 run dir" in captured.err
+        assert "not a trace/v2 run dir" in captured.err
 
 
 def test_matrix_spec_file_round_trip(tmp_path, capsys):

@@ -2,12 +2,14 @@
 
 Covers the building blocks (log-bucket histograms, the bounded
 ``LatencyRecorder``, ``TelemetryConfig`` coercion), the determinism
-contracts (two traced seeded runs spill byte-identical ``trace/v1``
+contracts (two traced seeded runs spill byte-identical ``trace/v2``
 artifacts; enabling telemetry leaves the replay signature untouched),
-the control-plane event log and its derived failure timeline under an
-injected switch failure, and the readers' handling of cut and
-wrong-schema files (the ``python -m repro trace`` verbs themselves are
-covered in ``tests/test_cli.py``).
+the ``trace/v2`` retention rule (one ``trc`` record per query, full spans
+for the tail) and its cross-format anchor, the contract hostbench holds
+the tracer to, the control-plane event log and its derived failure
+timeline under an injected switch failure, and the readers' handling of
+cut, wrong-schema and ``trace/v1`` files (the ``python -m repro trace``
+verbs themselves are covered in ``tests/test_cli.py``).
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ import hashlib
 import json
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.artifacts import NdjsonWriter, TruncatedArtifactError
 from repro.cli import main as repro_cli
 from repro.core import trace as trace_mod
+from repro.core.protocol import OpCode, QueryStatus
 from repro.core.trace import (
+    SLOWEST_KEPT,
     STAGES,
     iter_spans,
     read_ndjson,
@@ -31,6 +36,7 @@ from repro.core.trace import (
     trace_breakdowns,
 )
 from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec, run_scenario
+from repro.netsim.engine import Simulator
 from repro.netsim.stats import LatencyRecorder
 from repro.netsim.telemetry import (
     LogBucketHistogram,
@@ -44,9 +50,13 @@ SEED = 11
 
 TRACE_FILES = ("spans.ndjson", "metrics.ndjson", "events.ndjson")
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 #: ``repro trace run`` arguments -> sha256 of each file they must write.
-TRACE_DIGESTS = json.loads(
-    (Path(__file__).parent / "fixtures" / "trace_digests.json").read_text())
+TRACE_DIGESTS = json.loads((FIXTURES / "trace_digests.json").read_text())
+
+#: ``repro trace run`` arguments -> the ``trace report`` of its run dir.
+TRACE_REPORTS = {"--seed 11": "seed-11.md", "--seed 7 --failover": "seed-7-failover.md"}
 
 
 def _spec(seed=SEED, telemetry=None, **overrides) -> DeploymentSpec:
@@ -263,14 +273,184 @@ def test_traced_runs_are_byte_identical(tmp_path):
     assert signatures[0] == signatures[1]
 
 
+@pytest.fixture(scope="module")
+def trace_run(tmp_path_factory):
+    """``argv -> run dir`` of ``repro trace run <argv>``, each run once."""
+    runs = {}
+
+    def run(argv: str) -> Path:
+        if argv not in runs:
+            run_dir = tmp_path_factory.mktemp("trace") / "trace-run"
+            assert repro_cli(["trace", "run", *argv.split(), "--out", str(run_dir)]) == 0
+            runs[argv] = run_dir
+        return runs[argv]
+    return run
+
+
 @pytest.mark.parametrize("argv", sorted(TRACE_DIGESTS))
-def test_trace_digests_match_the_dict_per_span_writer(tmp_path, capsys, argv):
+def test_trace_digests_match_the_dict_per_span_writer(trace_run, argv):
     """Cross-commit anchor: ``fixtures/trace_digests.json`` holds the sha256
-    of every file ``repro trace run <argv>`` wrote on the last commit that
-    built a dict and ran ``json.dumps`` per span; no byte may have moved."""
-    assert repro_cli(["trace", "run", *argv.split(), "--out", str(tmp_path)]) == 0
+    of every file ``repro trace run <argv>`` writes.  ``metrics.ndjson`` and
+    ``events.ndjson`` are the bytes of the last commit that built a dict and
+    ran ``json.dumps`` per record; ``spans.ndjson`` the first ``trace/v2``
+    bytes.  No byte may move."""
+    assert _dir_digests(trace_run(argv)) == TRACE_DIGESTS[argv]
+
+
+def _without_span_inventory(report: str) -> list:
+    return [line for line in report.splitlines()
+            if not line.startswith("- spans.ndjson: ")]
+
+
+@pytest.mark.parametrize("argv", sorted(TRACE_REPORTS))
+def test_trace_report_matches_the_v1_report(trace_run, capsys, argv):
+    """Cross-format anchor: ``fixtures/trace_reports`` holds ``trace report``
+    of each run as the last ``trace/v1`` commit printed it, spans and all;
+    from ``trc`` records plus the kept spans only the spans file's own
+    inventory line may differ."""
+    run_dir = trace_run(argv)
     capsys.readouterr()
-    assert _dir_digests(tmp_path) == TRACE_DIGESTS[argv]
+    assert repro_cli(["trace", "report", str(run_dir)]) == 0
+    expected = (FIXTURES / "trace_reports" / TRACE_REPORTS[argv]).read_text()
+    assert _without_span_inventory(capsys.readouterr().out) == \
+        _without_span_inventory(expected)
+
+
+def _span_sums(spans) -> tuple:
+    """A trace's stage sums, link hops and chain hops, added up from its
+    spans in file order: what ``trace/v1``'s reader computed."""
+    stages = dict.fromkeys(STAGES, 0.0)
+    hops = chain_hops = 0
+    for span in spans:
+        ev = span["ev"]
+        if ev in ("htx", "hrx"):
+            stages["host_stack"] += span["d"]
+            stages["nic_queue"] += span.get("q", 0.0)
+        elif ev == "lnk":
+            stages["link"] += span["l"]
+            hops += 1
+        elif ev == "swq":
+            stages["switch_queue"] += span.get("w", 0.0)
+            stages["switch_pipeline"] += span["p"]
+        elif ev == "swp":
+            chain_hops += 1
+    return stages, hops, chain_hops
+
+
+def _kept_traces_are_whole(traces) -> None:
+    for trace in traces.values():
+        if trace["spans"]:
+            assert trace["spans"][0]["ev"] == "sub"
+            assert {span["id"] for span in trace["spans"]} == {trace["id"]}
+            assert _span_sums(trace["spans"]) == \
+                (trace["stages"], trace["hops"], trace["chain_hops"])
+
+
+def test_tail_traces_and_the_slowest_keep_their_spans(trace_run):
+    traces = trace_breakdowns(iter_spans(trace_run("--seed 7 --failover")))
+    tail = {tid for tid, trace in traces.items()
+            if trace["retries"] or trace["status"] != "ok"}
+    clean = sorted((trace for tid, trace in traces.items() if tid not in tail),
+                   key=lambda trace: (trace["latency"], -trace["id"]), reverse=True)
+    slowest = {trace["id"] for trace in clean[:SLOWEST_KEPT]}
+    assert {tid for tid, trace in traces.items() if trace["spans"]} == tail | slowest
+    timed_out = [trace for trace in traces.values() if trace["status"] == "timeout"]
+    retried = [trace for trace in traces.values() if trace["retries"]]
+    assert len(timed_out) == 36 and len(retried) > len(timed_out)
+    for trace in timed_out + retried:
+        assert trace["spans"][-1]["ev"] in ("rep", "tmo")
+        assert sum(span["ev"] == "qtx" for span in trace["spans"]) == trace["retries"] + 1
+    _kept_traces_are_whole(traces)
+
+
+def test_copies_in_flight_after_a_tail_trace_ends_are_added(tmp_path):
+    """A retry timeout shorter than the round trip: the reply to an earlier
+    copy ends the trace while later copies still travel, and the spans they
+    write after the ``trc`` record count toward its sums as they always did."""
+    run_dir = tmp_path / "run"
+    result = _run(_spec(telemetry={"run_dir": str(run_dir)}, retry_timeout=150e-6),
+                  checks=ScenarioChecks(linearizability=False))
+    records = list(iter_spans(run_dir))
+    ended = set()
+    late = 0
+    for record in records:
+        if record["ev"] == "trc":
+            ended.add(record["id"])
+        elif record["id"] in ended:
+            late += 1
+    assert late > 0
+    # No trace is still open once the plane finished: every id has its record.
+    assert sorted(ended) == list(range(1, result.metrics["traces"] + 1))
+    traces = trace_breakdowns(records)
+    assert all(trace["spans"] for trace in traces.values()
+               if trace["retries"] or trace["status"] != "ok")
+    _kept_traces_are_whole(traces)
+
+
+def _hook_objects(trace_id: int):
+    host = SimpleNamespace(name="H0", config=SimpleNamespace(stack_delay=4.3e-06))
+    switch = SimpleNamespace(name="S0", config=SimpleNamespace(pipeline_delay=5e-07))
+    return SimpleNamespace(
+        agent=SimpleNamespace(name="agent-H0"), host=host, switch=switch,
+        link=SimpleNamespace(name="H0-S0", tel_bits=0.0),
+        packet=SimpleNamespace(trace_id=trace_id),
+        pending=SimpleNamespace(op=OpCode.READ, op_name="read", key=b"k1",
+                                retries=0, trace_id=trace_id),
+        header=SimpleNamespace(op=OpCode.READ_REPLY, status=QueryStatus.OK,
+                               vgroup=3, chain=[]))
+
+
+def _every_hop(tracer, objects) -> None:
+    tracer.query_tx(objects.agent, objects.pending, "10.0.0.2")
+    tracer.host_tx(objects.host, objects.packet, 5e-06)
+    tracer.link_tx(objects.link, objects.packet, 2.3e-07, 100)
+    tracer.switch_enq(objects.switch, objects.packet, 1e-07)
+    tracer.switch_stage(objects.switch, objects.packet, objects.header)
+    tracer.host_rx(objects.host, objects.packet, 4.3e-06)
+    tracer.op_complete(objects.header)
+
+
+def test_the_tracer_keeps_what_hostbench_drives(tmp_path):
+    """``benchmarks/hostbench`` wraps these ten hooks by name in
+    ``Tracer.__dict__`` (``spans.ENTRY_POINTS``), imports these three names,
+    and drives hooks with a packet whose trace id was never submitted
+    (``isolated._tracer``): they write nothing and raise nothing."""
+    from repro.core.trace import TRACE_SCHEMA, Tracer, TraceWriter
+
+    hooks = ["query_submit", "query_tx", "query_reply", "query_timeout", "host_tx",
+             "host_rx", "link_tx", "switch_enq", "switch_stage", "op_complete"]
+    assert all(callable(Tracer.__dict__[name]) for name in hooks)
+    assert TRACE_SCHEMA == "trace/v2" and TraceWriter is NdjsonWriter
+
+    writer = TraceWriter(tmp_path / "spans.ndjson", TRACE_SCHEMA)
+    tracer = Tracer(Simulator(), writer=writer)
+    objects = _hook_objects(trace_id=1)
+    _every_hop(tracer, objects)
+    tracer.query_reply(objects.agent, objects.pending, objects.header, 2e-05)
+    tracer.query_timeout(objects.agent, objects.pending)
+    tracer.close()
+    assert writer.records == 0 and tracer.traces == 0
+    assert objects.link.tel_bits == 800.0  # the link is still metered
+    assert list(iter_spans(tmp_path)) == []
+
+
+def test_close_writes_open_traces_as_unfinished_tail_traces(tmp_path):
+    writer = NdjsonWriter(tmp_path / "spans.ndjson", trace_mod.TRACE_SCHEMA)
+    tracer = trace_mod.Tracer(Simulator(), writer=writer)
+    done, still_open = _hook_objects(0), _hook_objects(0)
+    for objects in (done, still_open):
+        objects.pending.trace_id = objects.packet.trace_id = tracer.query_submit(
+            objects.agent, objects.pending)
+        _every_hop(tracer, objects)
+    tracer.query_reply(done.agent, done.pending, done.header, 2e-05)
+    tracer.close()
+    traces = trace_breakdowns(iter_spans(tmp_path))
+    assert [(t["status"], t["latency"], t["completed"]) for t in traces.values()] == \
+        [("ok", 2e-05, True), (None, None, False)]
+    assert [span["ev"] for span in traces[2]["spans"]] == \
+        ["sub", "qtx", "htx", "lnk", "swq", "swp", "hrx"]
+    assert [span["ev"] for span in traces[1]["spans"]][-1] == "rep"
+    _kept_traces_are_whole(traces)
 
 
 def test_telemetry_does_not_perturb_replay(tmp_path):
@@ -284,32 +464,41 @@ def test_telemetry_does_not_perturb_replay(tmp_path):
 def test_trace_run_dir_layout_and_schemas(tmp_path):
     run_dir = tmp_path / "run"
     _run(_spec(telemetry={"run_dir": str(run_dir)}))
-    for name, schema in (("spans.ndjson", "trace/v1"),
+    for name, schema in (("spans.ndjson", "trace/v2"),
                          ("metrics.ndjson", "trace-metrics/v1"),
                          ("events.ndjson", "trace-events/v1")):
         meta, records = read_ndjson(run_dir / name, schema)  # schema-checked
         assert meta["seed"] == SEED
         for record in records:
             assert "t" in record
-    # Span records are ASCII NDJSON with sorted keys (canonical bytes).
+    # Records are ASCII NDJSON with sorted keys (canonical bytes), each one
+    # of the declared shapes; the first trace to end keeps no spans, so its
+    # record comes first.
+    shapes = {(shape.fields["ev"], tuple(sorted(shape.fields)))
+              for shape in (trace_mod.TRACE_SHAPE,) + trace_mod.SPAN_SHAPES}
     with open(run_dir / "spans.ndjson", "rb") as handle:
         next(handle)  # header
-        line = next(handle)
+        lines = list(handle)
+    for line in lines:
         record = json.loads(line)
         canonical = json.dumps(record, sort_keys=True,
                                separators=(",", ":")).encode("ascii") + b"\n"
         assert line == canonical
+        assert (record["ev"], tuple(sorted(record))) in shapes
+    assert json.loads(lines[0])["ev"] == "trc"
     info = run_info(run_dir)
-    assert info["spans.ndjson"]["records"] > 0
+    assert info["spans.ndjson"]["records"] == len(lines)
 
 
 def test_run_info_counts_without_holding_the_records(tmp_path):
     """``trace info`` on a long run: records are counted as they are scanned,
     so the peak is a few records, not the file."""
-    spans = 100_000
-    with NdjsonWriter(tmp_path / "spans.ndjson", "trace/v1", meta={"seed": 1}) as writer:
-        for index in range(spans):
-            writer.write_line(trace_mod._LNK.line(index * 1e-6, index + 1, "S0-S1", 2.3e-07))
+    records = 25_000  # as many traces as hostbench's telemetry_on, ~6 MB
+    with NdjsonWriter(tmp_path / "spans.ndjson", "trace/v2", meta={"seed": 1}) as writer:
+        for index in range(records):
+            writer.write_line(trace_mod.TRACE_SHAPE.line(
+                index * 1e-6, index + 1, "agent-H0", "read", "k00000041", "ok",
+                1.983e-04, 0, 8.6e-06, 1.84e-04, 1.34e-06, 0.0, 2.5e-06, 6, 1))
     tracemalloc.start()
     try:
         info = run_info(tmp_path)
@@ -317,17 +506,18 @@ def test_run_info_counts_without_holding_the_records(tmp_path):
     finally:
         tracemalloc.stop()
     entry = info["spans.ndjson"]
-    assert (entry["records"], entry["meta"]) == (spans, {"seed": 1})
+    assert (entry["records"], entry["meta"]) == (records, {"seed": 1})
     assert entry["bytes"] == writer.offset > 50 * peak
 
 
 def test_readme_span_table_is_the_shape_declarations():
-    """One source: the README's span-kind table restates ``SPAN_SHAPES``."""
+    """One source: the README's record table restates ``TRACE_SHAPE`` and
+    ``SPAN_SHAPES``."""
     def cell(shape, names):
         return ", ".join(f"`{name}` {shape.fields[name].__name__}" for name in names)
 
     declared = {}
-    for shape in trace_mod.SPAN_SHAPES:
+    for shape in (trace_mod.TRACE_SHAPE,) + trace_mod.SPAN_SHAPES:
         assert shape.names[:3] == ["t", "id", "n"]
         ev, own = shape.fields["ev"], shape.names[3:]
         if ev in declared:  # the variant: the kind's fields, then the optional one
@@ -339,7 +529,7 @@ def test_readme_span_table_is_the_shape_declarations():
     table = readme[readme.index("| `ev` | fields |"):].split("\n\n")[0].splitlines()[2:]
     rows = [[text.strip() for text in row.strip("|").split("|")] for row in table]
     assert {row[0].strip("`"): row[1:3] for row in rows} == declared
-    assert len(declared) == 9
+    assert len(declared) == 10
 
 
 def test_trace_breakdowns_account_latency(tmp_path):
@@ -353,6 +543,11 @@ def test_trace_breakdowns_account_latency(tmp_path):
         total = sum(entry["stages"].values()) + entry["other"]
         assert total == pytest.approx(entry["latency"], rel=1e-6, abs=1e-12)
         assert entry["op"] in ("read", "write", "insert", "delete", "cas")
+    tail = [t for t in traces.values() if t["retries"] or t["status"] != "ok"]
+    kept = [t for t in traces.values() if t["spans"]]
+    assert len(traces) > 10 * SLOWEST_KEPT
+    assert len(kept) == len(tail) + SLOWEST_KEPT
+    _kept_traces_are_whole(traces)
     table = stage_percentiles(traces)
     assert set(table) == set(STAGES) | {"other", "total"}
     assert table["total"]["p50"] > 0
@@ -439,8 +634,19 @@ def test_wrong_schema_trace_file_is_rejected(tmp_path):
     # An events file where the spans are expected.
     (run_dir / "spans.ndjson").write_bytes(
         (run_dir / "events.ndjson").read_bytes())
-    with pytest.raises(ValueError, match="expected 'trace/v1'"):
-        read_ndjson(run_dir / "spans.ndjson", "trace/v1")
+    with pytest.raises(ValueError, match="expected 'trace/v2'"):
+        read_ndjson(run_dir / "spans.ndjson", "trace/v2")
+
+
+def test_a_v1_span_file_is_one_line_and_exit_1(tmp_path, capsys):
+    """No ``trace/v1`` reader is kept: its header is refused by name."""
+    with NdjsonWriter(tmp_path / "spans.ndjson", "trace/v1", meta={"seed": 11}) as writer:
+        writer.write_line(trace_mod._LNK.line(1e-6, 1, "H0-S0", 2.3e-07))
+    for command in ("report", "info"):
+        assert repro_cli(["trace", command, str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "unsupported schema 'trace/v1' (expected 'trace/v2')" in captured.err
 
 
 def test_format_report_handles_empty_events(tmp_path):
