@@ -369,8 +369,10 @@ class NetChainController:
             program.set_vgroup_epoch(vgroup, epoch)
         # Epoch bumps accompany every chain-layout change (including the
         # reconfiguration coordinator's direct chain_table swaps), so they
-        # also invalidate the route cache.
+        # also invalidate the route cache and superseded hot routes.
         self._chain_version += 1
+        if self.hotkey_manager is not None:
+            self.hotkey_manager.on_chain_commit(vgroup)
         return epoch
 
     def commit_chain(self, vgroup: int, chain: Sequence[str],
@@ -383,6 +385,8 @@ class NetChainController:
         """
         self.chain_table[vgroup] = ChainInfo(vgroup, list(chain))
         self._chain_version += 1
+        if self.hotkey_manager is not None:
+            self.hotkey_manager.on_chain_commit(vgroup)
         vnode = self.ring.vnodes.get(vgroup)
         if moved_from is not None and vnode is not None and vnode.switch == moved_from:
             self.ring.reassign_vnode(vgroup, chain[0])

@@ -357,10 +357,11 @@ class HotKeyManager:
         self._widening: Set[bytes] = set()
         self._cold_polls: Dict[bytes, int] = {}
         self._cancel = None
-        #: Last controller chain version this manager acted on; any change
-        #: it did not make itself (recovery, migration) narrows everything,
-        #: because hot routes were derived from the superseded base chains.
-        self._chain_version_seen = controller._chain_version
+        #: Set by a chain commit this manager did not make (recovery,
+        #: migration): the next poll narrows every route then.
+        self._foreign_commit = False
+        #: True while this manager's own epoch bump runs.
+        self._own_commit = False
         if controller.hotkey_manager is not None:
             raise ValueError("controller already has a hot-key manager")
         controller.hotkey_manager = self
@@ -426,9 +427,7 @@ class HotKeyManager:
             for key in hot:
                 totals[key] = totals.get(key, 0) + sketch.estimate(key)
             sketch.reset()
-        if controller._chain_version != self._chain_version_seen:
-            # Something else reconfigured (failure recovery, migration):
-            # the hot routes were built on superseded base chains.
+        if self._foreign_commit:
             self.narrow_all()
             return
         cold_bar = self.config.hot_threshold * self.config.cold_fraction
@@ -507,7 +506,7 @@ class HotKeyManager:
         if controller.failed_switches.intersection(wide):
             abort()
             return
-        if controller._chain_version != self._chain_version_seen:
+        if self._foreign_commit:
             abort()  # the base chain moved under the freeze
             return
         item = controller.stores[base[-1]].read(raw)
@@ -531,10 +530,11 @@ class HotKeyManager:
             else:
                 program.set_read_gate(raw, version)
         self.hot_routes[raw] = HotRoute(raw, vgroup, wide, ips, extras)
+        self._own_commit = True
         controller.bump_group_epoch(vgroup)
+        self._own_commit = False
         unfreeze()
         self._widening.discard(raw)
-        self._chain_version_seen = controller._chain_version
         self._cold_polls[raw] = 0
         self.stats.widened += 1
         controller._log(f"hotkeys: widened {raw.rstrip(chr(0).encode())!r} "
@@ -570,8 +570,9 @@ class HotKeyManager:
             store = controller.stores.get(name)
             if store is not None and name not in base:
                 store.remove_key(raw)
+        self._own_commit = True
         controller.bump_group_epoch(route.vgroup)
-        self._chain_version_seen = controller._chain_version
+        self._own_commit = False
         self.stats.narrowed += 1
         controller._log(f"hotkeys: narrowed {raw.rstrip(chr(0).encode())!r}")
         controller._emit("hotkey_narrow",
@@ -583,9 +584,20 @@ class HotKeyManager:
         """Tear every hot route down (failure/reconfiguration quiesce)."""
         for raw in list(self.hot_routes):
             self.narrow(raw)
-        self._chain_version_seen = self.controller._chain_version
+        self._foreign_commit = False
 
     # -- controller event hooks -------------------------------------------- #
+
+    def on_chain_commit(self, vgroup: int) -> None:
+        """Chain-commit hook: ``vgroup``'s routes were built on its superseded
+        chain and narrow now, not at the next poll, by when the commit's gc
+        may have removed the copies they read."""
+        if self._own_commit:
+            return
+        self._foreign_commit = True
+        for raw, route in list(self.hot_routes.items()):
+            if route.vgroup == vgroup:
+                self.narrow(raw)
 
     def on_switch_failed(self, name: str) -> None:
         """Fast-failover hook: routes through a failed switch must die now

@@ -127,6 +127,8 @@ class Simulator:
         self._queue: list = []
         self._seq = 0
         self._now = 0.0
+        #: Every entry at ``_now`` with a seq up to this one has run.
+        self._cursor = -1
         self._running = False
         self._processed = 0
         self._tombstones = 0
@@ -178,6 +180,24 @@ class Simulator:
         delay = time - self._now
         return self.schedule(delay if delay > 0.0 else 0.0, callback, *args)
 
+    def call_at(self, time: float, callback: Callable[..., None], *args) -> None:
+        """:meth:`call_after` at an absolute ``time`` (not before now)."""
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, [time, seq, callback, args])
+
+    def has_run(self, time: float, seq: int) -> bool:
+        """Whether an event queued as ``(time, seq)`` would have run by now."""
+        return time < self._now or (time == self._now and seq <= self._cursor)
+
+    def refile(self, callback: Callable[..., None], rewrite: Callable[[list], None]) -> None:
+        """Let ``rewrite`` give each queued entry of ``callback`` a new time,
+        callback and args in place (never a new seq); restore heap order."""
+        for entry in self._queue:
+            if entry[2] == callback:
+                rewrite(entry)
+        heapify(self._queue)
+
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None,
             stop_when: Optional[Callable[[], bool]] = None) -> None:
         """Run the event loop.
@@ -209,16 +229,18 @@ class Simulator:
             # no per-event predicate or budget checks.
             while queue and self._running:
                 entry = heappop(queue)
-                event_time, _seq, callback, args = entry
+                event_time, seq, callback, args = entry
                 if callback is None:
                     self._tombstones -= 1
                     continue
                 if event_time > limit:
                     heappush(queue, entry)
                     self._now = until
+                    self._cursor = self._seq - 1
                     self._running = False
                     return
                 self._now = event_time
+                self._cursor = seq
                 entry[2] = None
                 callback(*args)
                 self._processed += 1
@@ -226,16 +248,18 @@ class Simulator:
             executed = 0
             while queue and self._running:
                 entry = heappop(queue)
-                event_time, _seq, callback, args = entry
+                event_time, seq, callback, args = entry
                 if callback is None:
                     self._tombstones -= 1
                     continue
                 if event_time > limit:
                     heappush(queue, entry)
                     self._now = until
+                    self._cursor = self._seq - 1
                     self._running = False
                     return
                 self._now = event_time
+                self._cursor = seq
                 entry[2] = None
                 callback(*args)
                 self._processed += 1

@@ -185,14 +185,14 @@ class FaultInjector:
                                corrupt_rate=corrupt_rate,
                                reorder_jitter=reorder_jitter,
                                extra_delay=extra_delay)
-        link.faults = model
+        link.set_faults(model)
         self._record("link_faults", link.name, model.describe())
         return model
 
     def clear_link_faults(self, a: str, b: str) -> None:
         """Remove the fault model from a link."""
         link = self.link(a, b)
-        link.faults = None
+        link.set_faults(None)
         self._record("link_faults_cleared", link.name)
 
     # ------------------------------------------------------------------ #
@@ -224,12 +224,12 @@ class FaultInjector:
 
     def fail_host(self, name: str) -> None:
         """Fail-stop a host."""
-        self.topology.hosts[name].failed = True
+        self.topology.hosts[name].fail()
         self._record("host_fail", name)
 
     def recover_host(self, name: str) -> None:
         """Recover a failed host."""
-        self.topology.hosts[name].failed = False
+        self.topology.hosts[name].recover_device()
         self._record("host_recover", name)
 
     # ------------------------------------------------------------------ #

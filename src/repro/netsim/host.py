@@ -144,8 +144,16 @@ class Host(Node):
             delay += backlog
         packet.ip.src_ip = packet.ip.src_ip or self.ip
         tel = self.telemetry
+        link = port.link
         if tel is not None:
             tel.host_tx(self, packet, delay)
+        elif (link.up and link.faults is None and link.telemetry is None
+                and link.config.loss_rate <= 0 and link.config.reorder_jitter <= 0):
+            # Nothing can observe the TX hop: transmit now, as of its time.
+            self.packets_sent += 1
+            port.tx_packets += 1
+            link.transmit(packet, port, self.sim._now + delay)
+            return
         self.sim.call_after(delay, self.transmit, packet, port)
 
     def send_udp(self, dst_ip: str, dst_port: int, payload, payload_bytes: int,
@@ -181,7 +189,8 @@ class Host(Node):
             tel.host_rx(self, packet, delay)
         self.sim.call_after(delay, self._dispatch, packet)
 
-    def _dispatch(self, packet: Packet) -> None:
+    def _dispatch(self, packet: Packet, arrival: Optional[float] = None) -> None:
+        # ``arrival`` rides on a fused RX (Link.transmit), for ``fail``.
         if self.failed:
             return
         handler: Optional[PacketHandler] = None
@@ -199,8 +208,16 @@ class Host(Node):
     # ------------------------------------------------------------------ #
 
     def fail(self) -> None:
-        """Fail-stop the host."""
+        """Fail-stop the host; a fused RX still short of arrival gets its
+        arrival event back (only a live host's RX fuses)."""
         self.failed = True
+
+        def arrival_event(entry: list) -> None:
+            args = entry[3]
+            if len(args) == 2 and not self.sim.has_run(args[1], entry[1]):
+                entry[0], entry[2], entry[3] = args[1], self.receive, (args[0], self.uplink_port())
+
+        self.sim.refile(self._dispatch, arrival_event)
 
     def recover_device(self) -> None:
         """Bring the host back up."""

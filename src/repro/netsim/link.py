@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.netsim.host import Host
 from repro.netsim.node import Port
 from repro.netsim.packet import IP_WIRE_OVERHEAD, UDP_WIRE_OVERHEAD, Packet
 from repro.netsim.stats import LinkStats
@@ -89,10 +90,30 @@ class Link:
     def set_down(self) -> None:
         """Take the link down; subsequent packets are dropped and counted."""
         self.up = False
+        self._refile_tx()
 
     def set_up(self) -> None:
         """Bring the link back up."""
         self.up = True
+
+    def set_faults(self, model) -> None:
+        """Install (or, with ``None``, clear) the link's fault model."""
+        self.faults = model
+        self._refile_tx()
+
+    def _refile_tx(self) -> None:
+        """Give each fused host TX (:meth:`transmit`) still short of its TX
+        time its TX event back, to meet the link's new state there.  Only an
+        up link without a fault model fuses, so ``set_up`` finds none."""
+
+        def tx_event(entry: list) -> None:
+            args = entry[3]
+            if len(args) == 3 and not self.sim.has_run(args[2], entry[1]):
+                packet, dst_port, tx_at = args
+                entry[0], entry[2] = tx_at, self.transmit
+                entry[3] = (packet, self.other_end(dst_port))
+
+        self.sim.refile(self._deliver, tx_event)
 
     def other_end(self, port: Port) -> Port:
         """The port at the opposite end from ``port``."""
@@ -107,8 +128,13 @@ class Link:
         ends = {self.port_a.node, self.port_b.node}
         return ends == {node_a, node_b}
 
-    def transmit(self, packet: Packet, from_port: Port) -> None:
-        """Carry ``packet`` from ``from_port`` to the opposite port."""
+    def transmit(self, packet: Packet, from_port: Port, tx_at: Optional[float] = None) -> None:
+        """Carry ``packet`` from ``from_port`` to the opposite port.
+
+        A host hop nothing can observe costs no event: :meth:`Host.send`
+        transmits at once, as of its TX time ``tx_at``, and a live, untraced
+        :class:`Host` with no RX queue gets its dispatch pushed directly.
+        """
         if from_port is self.port_a:
             dst_port = self.port_b
         elif from_port is self.port_b:
@@ -149,9 +175,23 @@ class Link:
                         packet.payload_bytes + (UDP_WIRE_OVERHEAD
                                                 if packet.udp is not None
                                                 else IP_WIRE_OVERHEAD))
+        elif tx_at is not None:
+            self.sim.call_at(tx_at + latency, self._deliver, packet, dst_port, tx_at)
+            return
+        else:
+            host = dst_port.node
+            if (type(host) is Host and host.telemetry is None and not host.failed
+                    and host.config.nic_pps is None and host.config.rx_pps is None):
+                self.stats.delivered += 1
+                host.packets_received += 1
+                dst_port.rx_packets += 1
+                arrival = self.sim._now + latency
+                self.sim.call_at(arrival + host.config.stack_delay, host._dispatch, packet, arrival)
+                return
         self.sim.call_after(latency, self._deliver, packet, dst_port)
 
-    def _deliver(self, packet: Packet, dst_port: Port) -> None:
+    def _deliver(self, packet: Packet, dst_port: Port, tx_at: Optional[float] = None) -> None:
+        # ``tx_at`` rides on a fused TX, for ``_refile_tx``.
         self.stats.delivered += 1
         # Inlined Node.deliver (one call per hop on the hot path).
         node = dst_port.node

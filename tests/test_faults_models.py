@@ -68,6 +68,88 @@ def test_link_fault_model_counts_loss_and_corruption_separately():
     assert link.faults is None
 
 
+# --------------------------------------------------------------------- #
+# Races: a fault that lands while a packet is between two of its hops.
+# --------------------------------------------------------------------- #
+
+def race_topology():
+    """H0_0 -> S0 -> H0_1, queue-free hosts with a 10 us stack: sent at 0,
+    TX at 10 us, S0 forwards at 10.7 us, arrival at 10.9 us, dispatch at
+    20.9 us."""
+    topo = build_line(1, hosts_at={0: 2},
+                      host_config=HostConfig(stack_delay=10e-6, nic_pps=None),
+                      link_config=LinkConfig(bandwidth_bps=None))
+    install_shortest_path_routes(topo)
+    return topo
+
+
+#: The receiver's arrival instant, summed in the simulator's own order.
+ARRIVAL = 10e-6 + 200e-9 + 0.5e-6 + 200e-9
+
+
+def _down(inj):
+    inj.link_down("H0_0", "S0")
+
+
+def _up(inj):
+    inj.link_up("H0_0", "S0")
+
+
+def _lossy(inj):
+    inj.set_link_faults("H0_0", "S0", loss_rate=1.0)
+
+
+def _clean(inj):
+    inj.clear_link_faults("H0_0", "S0")
+
+
+def _fail(inj):
+    inj.fail_host("H0_1")
+
+
+def _recover(inj):
+    inj.recover_host("H0_1")
+
+
+@pytest.mark.parametrize("actions, delivered, sender_link", [
+    ([(5e-6, _down)], 0, {"dropped_down": 1, "delivered": 0}),
+    ([(5e-6, _down), (7e-6, _up)], 1, {"dropped_down": 0, "delivered": 1}),
+    ([(10.1e-6, _down)], 1, {"dropped_down": 0, "delivered": 1}),
+    ([(10e-6, _down)], 0, {"dropped_down": 1, "delivered": 0}),
+    ([(5e-6, _lossy)], 0, {"dropped_loss": 1, "delivered": 0}),
+    ([(5e-6, _lossy), (7e-6, _clean)], 1, {"dropped_loss": 0, "delivered": 1}),
+    ([(10.8e-6, _fail)], 0, {}),
+    ([(ARRIVAL, _fail)], 0, {}),
+    ([(15e-6, _fail)], 0, {}),
+    ([(10.8e-6, _fail), (10.85e-6, _recover)], 1, {}),
+    ([(15e-6, _fail), (18e-6, _recover)], 1, {}),
+    ([(5e-6, _fail), (10.8e-6, _recover)], 1, {}),
+    ([(5e-6, _fail), (ARRIVAL, _recover)], 1, {}),
+    ([(5e-6, _fail), (15e-6, _recover)], 0, {}),
+], ids=["down-before-tx", "down-up-before-tx", "down-after-tx", "down-at-tx",
+        "loss-before-tx", "loss-cleared-before-tx", "fail-before-arrival",
+        "fail-at-arrival", "fail-after-arrival", "fail-recover-before-arrival",
+        "fail-recover-after-arrival", "recover-before-arrival",
+        "recover-at-arrival", "recover-after-arrival"])
+def test_fault_between_two_hops_of_a_packet_gives_the_hop_by_hop_verdict(
+        actions, delivered, sender_link):
+    """Each fault is scheduled before the packet is sent, so at an equal
+    instant it runs first.  A link fault decides at the sender's TX time,
+    a host fault at the receiver's arrival and again at its dispatch --
+    whether or not the simulator spends an event on those hops."""
+    topo = race_topology()
+    injector = FaultInjector(topo, seed=5)
+    for at, action in actions:
+        topo.sim.schedule(at, action, injector)
+    received = []
+    topo.hosts["H0_1"].bind(7000, received.append)
+    topo.hosts["H0_0"].send_udp(topo.hosts["H0_1"].ip, 7000, "x", 10)
+    topo.run(until=1e-3)
+    assert len(received) == delivered
+    counters = injector.drop_report()["H0_0-S0"]
+    assert {name: counters[name] for name in sender_link} == sender_link
+
+
 def test_link_fault_model_is_seed_deterministic():
     verdicts = []
     for _ in range(2):

@@ -112,6 +112,39 @@ def test_failed_host_neither_sends_nor_receives():
     assert len(sink.received) == 1
 
 
+@pytest.mark.parametrize("down_first, delivered", [(True, 0), (False, 1)])
+def test_link_downed_at_the_tx_instant_follows_the_event_order(down_first, delivered):
+    """A link downed at exactly a packet's TX time drops it only if the
+    down was scheduled first: equal instants run in scheduling order."""
+    sim, host, sink = make_host(HostConfig(stack_delay=10e-6, nic_pps=None))
+    link = host.ports[0].link
+    if down_first:
+        sim.schedule(10e-6, link.set_down)
+    host.send_udp(sink.ip, 1, None, 0)
+    if not down_first:
+        sim.schedule(10e-6, link.set_down)
+    sim.run()
+    assert len(sink.received) == delivered
+    assert link.stats.dropped_down == 1 - delivered
+
+
+@pytest.mark.parametrize("pending", [None, 1e-3, 5e-3])
+def test_link_downed_right_after_a_zero_delay_send_drops_it(pending):
+    """Outside ``run`` a zero-delay send has not left yet: a link downed
+    next, at the same instant, still drops it -- before any run, after a
+    run that drained the queue, and after one stopped by ``until``."""
+    sim, host, sink = make_host(HostConfig(stack_delay=0.0, nic_pps=None))
+    link = host.ports[0].link
+    if pending is not None:
+        sim.schedule(pending, lambda: None)
+        sim.run(until=2e-3)
+    host.send_udp(sink.ip, 1, None, 0)
+    link.set_down()
+    sim.run()
+    assert sink.received == []
+    assert link.stats.dropped_down == 1
+
+
 def test_dpdk_and_kernel_profiles_differ():
     dpdk = dpdk_host_config()
     kernel = kernel_host_config()

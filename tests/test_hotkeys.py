@@ -9,6 +9,8 @@ preserve (linearizability and replay determinism with the tier on).
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -262,9 +264,11 @@ def test_switch_failure_narrows_affected_routes():
 
 
 def test_someone_elses_reconfiguration_narrows_every_hot_route():
-    """A migration commits under a widened key: the next poll must tear every
-    hot route down (they were built on superseded base chains) without taking
-    the key off a switch the migration has since made a base-chain member."""
+    """A migration commits under a widened key.  The commit of the key's own
+    group narrows its route at once, before any poll: the route was built on
+    the superseded base chain.  The next poll tears down every other route,
+    and no narrow takes the key off a switch the migration has since made a
+    base-chain member."""
     cluster = _tier_cluster()
     controller = cluster.controller
     manager = controller.hotkey_manager
@@ -287,13 +291,19 @@ def test_someone_elses_reconfiguration_narrows_every_hot_route():
 
     cluster.add_switch("S4")
     coordinator = cluster.migrate(list(controller.members))
-    # Stop just after the first commit that is not the manager's own.
-    while controller._chain_version == manager._chain_version_seen:
+    vgroup = manager.hot_routes[raw].vgroup
+    # A commit of other groups leaves the route: its base chain still holds.
+    while not manager._foreign_commit:
         cluster.run(until=cluster.sim.now + 1e-4)
-    assert manager.hot_routes and not coordinator.done
+    assert raw in manager.hot_routes
+    # Stop just after the migration commits the key's own group.
+    while not any(step.vgroup == vgroup and step.status == "committed"
+                  for step in coordinator.report.steps):
+        cluster.run(until=cluster.sim.now + 1e-4)
+    assert manager.hot_routes == {} and not coordinator.done
+    assert manager._foreign_commit
     manager._poll()
-    assert manager.hot_routes == {}
-    assert manager._chain_version_seen == controller._chain_version
+    assert not manager._foreign_commit
 
     # The key stays hot, so it is widened again (over S4 too) and narrowed
     # again as later steps commit -- one of which moves S4 into its base chain.
@@ -309,6 +319,29 @@ def test_someone_elses_reconfiguration_narrows_every_hot_route():
     assert all(op.ok for op in history.ops)
     report = check_linearizable(history, initial={b"k00000000": bytes(64)})
     assert report.ok, report.summary()
+
+
+def test_hot_routes_never_outlive_a_migration_commit_regression_cell():
+    """``fixtures/cells/hot_route_across_migration.json``: the tier polls
+    every 10 s, widens six keys at the 10 s poll, and a migration adding
+    S4 starts 5 ms later, so the next poll comes long after the migration's
+    ``gc_delay`` collected the superseded copies.  Before the commit hook
+    the hot routes kept sending ops to them: 25 NOT_FOUND replies, two
+    Invariant 1 violations, five keys not linearizable."""
+    cell = json.loads((Path(__file__).parent / "fixtures" / "cells"
+                       / "hot_route_across_migration.json").read_text())
+    result = run_scenario(DeploymentSpec.from_dict(cell["spec"]),
+                          WorkloadSpec.from_dict(cell["workload_spec"]),
+                          ScenarioChecks.from_dict(cell["checks"]))
+    assert result.ok(), result.failures
+    assert result.linearizability.ok and result.failed_ops == 0
+    controller = result.deployment.cluster.controller
+    widened = [message for _, message in controller.events
+               if message.startswith("hotkeys: widened")]
+    assert len(widened) == 6
+    assert [step.status for report in result.migrations
+            for step in report.steps] == ["committed"] * 8
+    assert sum(program.stats.misses for program in controller.programs.values()) == 0
 
 
 def test_garbage_collect_forgets_widened_keys():

@@ -176,14 +176,23 @@ def test_tcp_backend_replay_digests_match_the_commit_before_the_message_path(
     baselines ride: the ``tcp`` entries of ``fixtures/replay_digests.json``
     were captured on the commit before the server-side message path was
     respelled (PR 19), loss-free and at 1% loss -- so RTO, backoff,
-    duplicate suppression and the reorder buffer are on the pinned path --
-    and are never refreshed by a change that claims exact replay."""
-    expected = json.loads((Path(__file__).parent / "fixtures"
-                           / "replay_digests.json").read_text())["tcp"]
-    assert tcp_backend_digest(backend, loss_rate) \
-        == expected[f"{backend}@loss={loss_rate}"]
+    duplicate suppression and the reorder buffer are on the pinned path.
+
+    ``signature_sha256``, ``completed_ops``, ``failed_ops``,
+    ``retransmissions`` and ``ok`` are what the run did: a performance
+    change never refreshes them.  ``processed_events`` is how many events
+    the engine spent doing it: a change that removes events re-pins it
+    once (the fused host hops did), and is checked on its own so the
+    semantic half stays fixed."""
+    expected = dict(json.loads((Path(__file__).parent / "fixtures"
+                                / "replay_digests.json").read_text())
+                    ["tcp"][f"{backend}@loss={loss_rate}"])
+    measured = tcp_backend_digest(backend, loss_rate)
+    expected_events = expected.pop("processed_events")
+    assert {name: measured[name] for name in expected} == expected
+    assert measured["processed_events"] == expected_events
     if loss_rate:
-        assert expected[f"{backend}@loss={loss_rate}"]["retransmissions"] > 0
+        assert expected["retransmissions"] > 0
 
 
 def test_declarative_fault_schedule_in_a_scenario():
