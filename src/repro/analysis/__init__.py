@@ -1,12 +1,14 @@
-"""detlint: a determinism & hot-path static-analysis pass for the simulator.
+"""detlint: the determinism rules that replay cannot check, for the simulator.
 
 Every guarantee this reproduction makes -- byte-identical seeded replay,
 spill files that hash identically across machines, trace directories that
-``diff -r`` clean across runs -- rests on coding discipline: thread the
-seeded ``rng``, never read wall clock in sim-time code, keep NDJSON keys
-sorted, keep hot-path classes slotted.  ``repro.analysis`` turns those
-invariants into machine-checked rules over the stdlib ``ast`` module, with
-no third-party dependencies.
+``diff -r`` clean across runs -- is checked first by replay: the
+``@pytest.mark.anchor`` tests pin bytes, digests and counts captured on
+earlier commits, and ``tests/test_hashseed_replay.py`` reruns them under two
+``PYTHONHASHSEED``s.  ``repro.analysis`` keeps, as rules over the stdlib
+``ast`` module, only what no anchor sees: code no anchor runs (wall clock,
+global RNG, unsorted JSON) and process identity no hash seed moves
+(``id()`` under ASLR, ``hash()`` in a pick the anchors never reach).
 
 CLI::
 
@@ -19,16 +21,12 @@ Rules (see ``python -m repro lint explain`` for the full docs):
 DET000    detlint meta findings (parse errors, bad / unused pragmas)
 DET001    wall-clock or ambient-entropy reads in sim-time code
 DET002    global or unseeded RNG use
-DET003    iteration over unordered containers / unsorted directory scans
 DET004    ``json.dumps`` without ``sort_keys=True`` in artifact writers
-DET005    slotted classes assigned attributes missing from ``__slots__``
-DET006    per-event closures passed to ``call_after``-family scheduling
-DET007    telemetry calls outside the ``if tel is not None`` guard
 DET008    ``hash()`` / ``id()`` as sort keys or in emitted artifacts
 ========  ==============================================================
 
-Every finding fails the build; one is suppressed only inline, with a
-justified pragma::
+Every finding fails the build; one is suppressed only inline, on its own
+line, with a justified pragma::
 
     x = time.time()  # detlint: disable=DET001 -- wall clock is the payload here
 """

@@ -25,8 +25,10 @@ EXCLUDED_SEGMENTS = ("__pycache__",)
 #: explicitly by the analyzer's own tests via ``include_fixtures=True``.
 FIXTURE_MARKER = ("fixtures", "detlint")
 
+#: The one pragma shape, ``detlint: disable=DET00X[,DET00Y] -- why`` in a
+#: comment, silences those rules on its own line only.
 PRAGMA_RE = re.compile(
-    r"#\s*detlint:\s*(?P<kind>disable-next|disable-file|disable)\s*="
+    r"#\s*detlint:\s*disable\s*="
     r"\s*(?P<rules>[A-Za-z0-9_, ]+?)\s*(?:--\s*(?P<why>.*\S))?\s*$"
 )
 
@@ -35,10 +37,7 @@ PRAGMA_RE = re.compile(
 #: from mistaking arbitrary attribute chains for module paths.
 TRACKED_MODULE_HEADS = (
     "datetime",
-    "functools",
-    "glob",
     "json",
-    "numpy",
     "os",
     "random",
     "secrets",
@@ -74,7 +73,6 @@ class Suppression:
 
 @dataclass
 class Pragma:
-    kind: str
     rules: Tuple[str, ...]
     justification: str
     line: int
@@ -111,7 +109,6 @@ class FileContext:
     def __init__(self, relpath: str, tree: ast.Module) -> None:
         self.relpath = relpath
         self.parts = tuple(Path(relpath).parts)
-        self.filename = Path(relpath).name
         self.tree = tree
         self._link_parents(tree)
         self.aliases = self._collect_aliases(tree)
@@ -176,7 +173,7 @@ class FileContext:
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Dotted path of a Name/Attribute chain through the alias map.
 
-        ``import numpy as np`` + ``np.random.shuffle`` -> ``numpy.random.shuffle``.
+        ``import random as r`` + ``r.shuffle`` -> ``random.shuffle``.
         Returns ``None`` for anything that is not a resolvable chain.
         """
         return self._resolve_with(self.aliases, node)
@@ -228,19 +225,14 @@ def parse_pragmas(source: str) -> Tuple[List[Pragma], List[Tuple[int, str]]]:
         if not justification:
             bad.append((lineno, "detlint pragma without justification ('-- <why>' is required)"))
             continue
-        pragmas.append(Pragma(match.group("kind"), rules, justification, lineno))
+        pragmas.append(Pragma(rules, justification, lineno))
     return pragmas, bad
 
 
-def analyze_file(
-    path: Path,
-    relpath: str,
-    rules: Optional[Sequence] = None,
-) -> FileResult:
+def analyze_file(path: Path, relpath: str) -> FileResult:
     """Run every applicable rule over one file and fold in pragmas."""
     from repro.analysis.rules import RULES
 
-    active_rules = RULES if rules is None else rules
     result = FileResult(path=relpath)
     try:
         source = path.read_text(encoding="utf-8")
@@ -257,7 +249,7 @@ def analyze_file(
 
     ctx = FileContext(relpath, tree)
     pragmas, bad_pragmas = parse_pragmas(source)
-    for rule in active_rules:
+    for rule in RULES:
         if not rule.applies(ctx):
             continue
         for line, col, message in rule.check(ctx):
@@ -280,13 +272,7 @@ def analyze_file(
 
 def _matching_pragma(pragmas: Sequence[Pragma], finding: Finding) -> Optional[Pragma]:
     for pragma in pragmas:
-        if finding.rule not in pragma.rules:
-            continue
-        if pragma.kind == "disable" and pragma.line == finding.line:
-            return pragma
-        if pragma.kind == "disable-next" and pragma.line == finding.line - 1:
-            return pragma
-        if pragma.kind == "disable-file":
+        if pragma.line == finding.line and finding.rule in pragma.rules:
             return pragma
     return None
 
@@ -320,7 +306,6 @@ def check_paths(
     paths: Sequence,
     root: Optional[Path] = None,
     include_fixtures: bool = False,
-    rules: Optional[Sequence] = None,
 ) -> CheckResult:
     """Analyze every python file under ``paths``; the public entry point."""
     root = Path.cwd() if root is None else Path(root)
@@ -331,7 +316,7 @@ def check_paths(
             relpath = path.resolve().relative_to(root.resolve()).as_posix()
         except ValueError:
             relpath = path.as_posix()
-        file_result = analyze_file(path, relpath, rules=rules)
+        file_result = analyze_file(path, relpath)
         result.files_scanned += 1
         result.findings.extend(file_result.findings)
         result.suppressed.extend(file_result.suppressed)

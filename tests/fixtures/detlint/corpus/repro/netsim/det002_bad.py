@@ -2,15 +2,11 @@
 
 import random
 
-import numpy as np
-
 
 def unseeded_everywhere():
     rng = random.Random()
     system = random.SystemRandom()
-    gen = np.random.default_rng()
-    np.random.shuffle([1, 2])
-    return rng, system, gen
+    return rng, system
 
 
 def machine_specific(name):

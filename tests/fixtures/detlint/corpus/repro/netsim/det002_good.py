@@ -2,13 +2,9 @@
 
 import random
 
-import numpy as np
-
 
 def seeded(seed):
-    rng = random.Random(seed)
-    gen = np.random.default_rng(seed)
-    return rng.random() + float(gen.random())
+    return random.Random(seed).random()
 
 
 def threaded(rng):

@@ -11,11 +11,8 @@ text = json.dumps(payload)  # detlint: disable=DET004 -- key order is the payloa
 # DET004 finding it targeted is NOT silenced.
 loose = json.dumps(payload)  # detlint: disable=DET004
 
-# detlint: disable-next=DET004 -- exercised by the next line
-pinned = json.dumps(payload)
-
-# Unused suppression: nothing on this line violates DET003.
-count = len(payload)  # detlint: disable=DET003 -- nothing here, flagged as unused
+# Unused suppression: nothing on this line violates DET001.
+count = len(payload)  # detlint: disable=DET001 -- nothing here, flagged as unused
 
 # Malformed: not a recognized pragma shape.
 # detlint: enable=DET004

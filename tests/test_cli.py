@@ -56,6 +56,7 @@ def test_old_package_entry_points_are_gone(module):
     assert "__main__" in proc.stderr
 
 
+@pytest.mark.anchor
 def test_history_index_info_check(tmp_path, capsys):
     """``generate`` -> ``info`` / ``index`` / ``check`` on one seeded run.
 
@@ -226,8 +227,8 @@ def test_lint_check_passes_on_good_file(capsys):
 
 
 def test_lint_explain(capsys):
-    assert main(["lint", "explain", "DET003"]) == 0
+    assert main(["lint", "explain", "DET001"]) == 0
     out = capsys.readouterr().out
-    assert "DET003" in out and "sorted" in out
+    assert "DET001" in out and "Simulator.now" in out
     assert main(["lint", "explain", "DET999"]) == 1
     assert "unknown rule id(s): DET999" in one_error_line(capsys)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.netsim.engine import Simulator
 
 
@@ -322,6 +324,7 @@ def test_refiled_entry_keeps_its_seq_and_has_run_follows_the_order():
     assert sim.has_run(2.5, 3) and not sim.has_run(2.5, 4) and not sim.has_run(3.0, 3)
 
 
+@pytest.mark.anchor
 def test_seeded_scenario_processed_events_pinned():
     """Whole-scenario determinism: the engine must execute the exact same
     event stream for a seeded macro-scenario.

@@ -447,6 +447,7 @@ def test_scenario_spill_replays_identically_to_memory(tmp_path):
     assert spill_a.linearizability is not None and spill_a.linearizability.ok
 
 
+@pytest.mark.anchor
 def test_spilled_run_dir_is_byte_identical_to_the_commit_before_the_template(tmp_path):
     """Cross-commit replay anchor: the ``spill`` entry of
     ``fixtures/replay_digests.json`` hashes the three files of this seeded

@@ -179,6 +179,7 @@ def test_fault_cells_carry_fault_signature():
 # --------------------------------------------------------------------- #
 
 
+@pytest.mark.anchor
 def test_serial_and_parallel_runs_merge_identically():
     matrix = _small_matrix()
     serial = run_matrix(matrix, workers=1)

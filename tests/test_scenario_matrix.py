@@ -121,6 +121,7 @@ def sha(value) -> str:
     return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
 
 
+@pytest.mark.anchor
 @pytest.mark.parametrize("name, scenario", [
     ("fault", lambda: fault_scenario(
         seed=0, duration=2.0, faults=[(0.4, "fail_switch", "S1")])),
@@ -168,6 +169,7 @@ def tcp_backend_digest(backend: str, loss_rate: float) -> dict:
     }
 
 
+@pytest.mark.anchor
 @pytest.mark.parametrize("loss_rate", [0.0, 0.01])
 @pytest.mark.parametrize("backend", ["server-chain", "primary-backup", "zookeeper"])
 def test_tcp_backend_replay_digests_match_the_commit_before_the_message_path(

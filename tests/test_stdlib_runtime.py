@@ -140,6 +140,7 @@ def captured() -> Dict[str, str]:
     return blobs
 
 
+@pytest.mark.anchor
 @pytest.mark.parametrize("case", list(CASES))
 def test_routes_and_keys_replay_the_parent_capture(case, captured):
     difference = first_difference(unpack(captured[case]), CASES[case]())

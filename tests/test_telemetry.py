@@ -287,6 +287,7 @@ def trace_run(tmp_path_factory):
     return run
 
 
+@pytest.mark.anchor
 @pytest.mark.parametrize("argv", sorted(TRACE_DIGESTS))
 def test_trace_digests_match_the_dict_per_span_writer(trace_run, argv):
     """Cross-commit anchor: ``fixtures/trace_digests.json`` holds the sha256
@@ -302,6 +303,7 @@ def _without_span_inventory(report: str) -> list:
             if not line.startswith("- spans.ndjson: ")]
 
 
+@pytest.mark.anchor
 @pytest.mark.parametrize("argv", sorted(TRACE_REPORTS))
 def test_trace_report_matches_the_v1_report(trace_run, capsys, argv):
     """Cross-format anchor: ``fixtures/trace_reports`` holds ``trace report``
