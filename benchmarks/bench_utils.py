@@ -10,20 +10,25 @@ summarizes them against the paper's reported values.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Iterable, List
 
+from repro.deploy import DeploymentSpec
+from repro.experiments import adaptive_retry_timeout
+
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-
-def full_mode() -> bool:
-    """Whether to run the slower, full-size parameter sweeps.
-
-    Enabled by setting ``NETCHAIN_BENCH_FULL=1``; the default keeps the whole
-    benchmark suite in the minutes range.
-    """
-    return os.environ.get("NETCHAIN_BENCH_FULL", "0") not in ("", "0")
+#: Figs. 9(a)-(e) sweep one field of these, one base spec per system.
+#: NetChain's retry timer sits above its 16 outstanding queries per client.
+NETCHAIN = DeploymentSpec(backend="netchain", scale=50000.0, store_size=1000,
+                          retry_timeout=adaptive_retry_timeout(16, 50000.0))
+ZOOKEEPER = DeploymentSpec(backend="zookeeper", scale=1000.0, store_size=1000)
+#: The closed-loop load of the throughput figures: four DPDK client
+#: servers against NetChain, 60 client processes against ZooKeeper.
+NETCHAIN_LOAD = dict(num_clients=4, concurrency=16, write_ratio=0.01,
+                     warmup=0.05, duration=0.25)
+ZOOKEEPER_LOAD = dict(num_clients=60, concurrency=1, write_ratio=0.01,
+                      warmup=0.5, duration=1.5)
 
 
 def record_result(name: str, title: str, lines: Iterable[str]) -> List[str]:

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the paper's design choices.
 
 These do not correspond to a numbered figure; they quantify the paper's
 design arguments on the same simulated substrate:

@@ -3,8 +3,8 @@
 The unified client's :class:`~repro.core.client.KVSession` issues a batch
 of operations back-to-back with a configurable in-flight window, so the
 client pays one round-trip of latency per *window* instead of one per
-operation.  This benchmark drives the same read workload through the
-sequential ``read_sync`` path and through batches at increasing windows
+operation.  This benchmark drives the same read workload one
+``read(key).result()`` at a time and through batches at increasing windows
 and reports completed queries per simulated second; the window-16 pipeline
 must beat sequential driving by at least 2x (in practice it is close to
 window x at these scales, since switch processing is deterministic and the
@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import pytest
 
-from bench_utils import full_mode, record_result
+from bench_utils import record_result
 from repro.deploy import DeploymentSpec, build_deployment
 
-WINDOWS = (1, 4, 16, 64) if not full_mode() else (1, 2, 4, 8, 16, 32, 64, 128)
-NUM_OPS = 256 if not full_mode() else 2048
+WINDOWS = (1, 4, 16, 64)
+NUM_OPS = 256
 
 
 def _sequential_qps(agent, keys) -> float:

@@ -16,16 +16,16 @@ the phases and their relative effects.
 
 from __future__ import annotations
 
-from bench_utils import full_mode, record_result
+from bench_utils import record_result
 from repro.experiments import failure_experiment
 
 FEW_GROUPS = 1
-MANY_GROUPS = 25 if not full_mode() else 100
+MANY_GROUPS = 25
 SCALE = 50000.0
 # Each timeline runs four seconds past the end of its recovery (13.4 s with
-# one group per switch; 17.9 s with 25, 28.7 s with 100).
+# one group per switch; 17.9 s with 25).
 FEW_DURATION = 17.45
-MANY_DURATION = 21.95 if not full_mode() else 32.75
+MANY_DURATION = 21.95
 
 
 def run_both():

@@ -10,29 +10,27 @@ or below the single-client line.
 
 from __future__ import annotations
 
-from bench_utils import full_mode, record_result
-from repro.experiments import netchain_transactions, zookeeper_transactions
+from bench_utils import record_result
+from repro.experiments import measure_transactions
 
-CONTENTION = [0.001, 0.01, 0.1, 1.0] if not full_mode() else [0.001, 0.003, 0.01, 0.03,
-                                                              0.1, 0.3, 1.0]
+CONTENTION = [0.001, 0.01, 0.1, 1.0]
 NETCHAIN_CLIENTS = (1, 10, 50)
 ZOOKEEPER_CLIENTS = (1, 5)
 
 
 def run_sweep():
+    # A NetChain transaction takes a few hundred microseconds, a ZooKeeper
+    # one tens of milliseconds: each system gets its own window.
     rows = []
     for contention_index in CONTENTION:
+        point = dict(contention_index=contention_index, cold_items=500)
         entry = {"contention": contention_index}
         for clients in NETCHAIN_CLIENTS:
-            result = netchain_transactions(contention_index=contention_index,
-                                           num_clients=clients, cold_items=500,
-                                           duration=0.012, warmup=0.003)
-            entry[f"netchain_{clients}"] = result.txns_per_sec
+            entry[f"netchain_{clients}"] = measure_transactions(
+                "netchain", clients, duration=0.012, warmup=0.003, **point).txns_per_sec
         for clients in ZOOKEEPER_CLIENTS:
-            result = zookeeper_transactions(contention_index=contention_index,
-                                            num_clients=clients, cold_items=500,
-                                            duration=1.2, warmup=0.3)
-            entry[f"zookeeper_{clients}"] = result.txns_per_sec
+            entry[f"zookeeper_{clients}"] = measure_transactions(
+                "zookeeper", clients, duration=1.2, warmup=0.3, **point).txns_per_sec
         rows.append(entry)
     return rows
 

@@ -8,13 +8,14 @@ system's throughput depends on the value size in this range.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from bench_utils import full_mode, record_result
-from repro.experiments import netchain_max_throughput_qps, netchain_throughput, zookeeper_throughput
+from bench_utils import NETCHAIN, NETCHAIN_LOAD, ZOOKEEPER, ZOOKEEPER_LOAD, record_result
+from repro.experiments import measure, netchain_max_throughput_qps
 
-VALUE_SIZES = [16, 64, 128] if not full_mode() else [16, 32, 64, 96, 128]
-NETCHAIN_SCALE = 50000.0
+VALUE_SIZES = [16, 64, 128]
 SERVER_COUNTS = (1, 2, 4)
 
 
@@ -23,14 +24,11 @@ def run_sweep():
     for value_size in VALUE_SIZES:
         entry = {"value_size": value_size}
         for servers in SERVER_COUNTS:
-            result = netchain_throughput(num_servers=servers, value_size=value_size,
-                                         store_size=1000, write_ratio=0.01,
-                                         scale=NETCHAIN_SCALE, duration=0.25, warmup=0.05)
-            entry[f"netchain_{servers}"] = result.mqps
-        zookeeper = zookeeper_throughput(num_clients=60, value_size=value_size,
-                                         store_size=1000, write_ratio=0.01,
-                                         scale=1000.0, duration=1.5, warmup=0.5)
-        entry["zookeeper"] = zookeeper.kqps
+            result = measure(replace(NETCHAIN, value_size=value_size),
+                             **{**NETCHAIN_LOAD, "num_clients": servers})
+            entry[f"netchain_{servers}"] = result.scaled_qps / 1e6
+        zookeeper = measure(replace(ZOOKEEPER, value_size=value_size), **ZOOKEEPER_LOAD)
+        entry["zookeeper"] = zookeeper.scaled_qps / 1e3
         rows.append(entry)
     return rows
 

@@ -7,26 +7,24 @@ items (NetChain(4) flat at 82 MQPS up to 100K items; ZooKeeper flat around
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from bench_utils import full_mode, record_result
-from repro.experiments import netchain_throughput, zookeeper_throughput
+from bench_utils import NETCHAIN, NETCHAIN_LOAD, ZOOKEEPER, ZOOKEEPER_LOAD, record_result
+from repro.experiments import measure
 
-STORE_SIZES = [1000, 5000, 20000] if not full_mode() else [1000, 20000, 40000, 100000]
-NETCHAIN_SCALE = 50000.0
+STORE_SIZES = [1000, 5000, 20000]
 
 
 def run_sweep():
     rows = []
     for store_size in STORE_SIZES:
-        netchain = netchain_throughput(num_servers=4, store_size=store_size,
-                                       value_size=64, write_ratio=0.01,
-                                       scale=NETCHAIN_SCALE, duration=0.25, warmup=0.05)
-        zookeeper = zookeeper_throughput(num_clients=60, store_size=min(store_size, 5000),
-                                         value_size=64, write_ratio=0.01,
-                                         scale=1000.0, duration=1.5, warmup=0.5)
-        rows.append({"store_size": store_size, "netchain_4": netchain.mqps,
-                     "zookeeper": zookeeper.kqps})
+        netchain = measure(replace(NETCHAIN, store_size=store_size), **NETCHAIN_LOAD)
+        zookeeper = measure(replace(ZOOKEEPER, store_size=min(store_size, 5000)),
+                            **ZOOKEEPER_LOAD)
+        rows.append({"store_size": store_size, "netchain_4": netchain.scaled_qps / 1e6,
+                     "zookeeper": zookeeper.scaled_qps / 1e3})
     return rows
 
 

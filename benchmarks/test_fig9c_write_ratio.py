@@ -11,24 +11,19 @@ from __future__ import annotations
 
 import pytest
 
-from bench_utils import full_mode, record_result
-from repro.experiments import netchain_throughput, zookeeper_throughput
+from bench_utils import NETCHAIN, NETCHAIN_LOAD, ZOOKEEPER, ZOOKEEPER_LOAD, record_result
+from repro.experiments import measure
 
-WRITE_RATIOS = [0.0, 0.01, 0.5, 1.0] if not full_mode() else [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0]
-NETCHAIN_SCALE = 50000.0
+WRITE_RATIOS = [0.0, 0.01, 0.5, 1.0]
 
 
 def run_sweep():
     rows = []
     for write_ratio in WRITE_RATIOS:
-        netchain = netchain_throughput(num_servers=4, store_size=1000, value_size=64,
-                                       write_ratio=write_ratio, scale=NETCHAIN_SCALE,
-                                       duration=0.25, warmup=0.05)
-        zookeeper = zookeeper_throughput(num_clients=60, store_size=1000, value_size=64,
-                                         write_ratio=write_ratio, scale=1000.0,
-                                         duration=1.5, warmup=0.5)
-        rows.append({"write_ratio": write_ratio, "netchain_4": netchain.mqps,
-                     "zookeeper": zookeeper.kqps})
+        netchain = measure(NETCHAIN, **{**NETCHAIN_LOAD, "write_ratio": write_ratio})
+        zookeeper = measure(ZOOKEEPER, **{**ZOOKEEPER_LOAD, "write_ratio": write_ratio})
+        rows.append({"write_ratio": write_ratio, "netchain_4": netchain.scaled_qps / 1e6,
+                     "zookeeper": zookeeper.scaled_qps / 1e3})
     return rows
 
 

@@ -9,12 +9,16 @@ timeouts.
 
 from __future__ import annotations
 
-from bench_utils import full_mode, record_result
-from repro.experiments import netchain_throughput, zookeeper_throughput
-from repro.experiments.throughput import zookeeper_loss_degradation
+from dataclasses import replace
 
-LOSS_RATES = [0.0, 0.0001, 0.01, 0.1] if not full_mode() else [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1]
-NETCHAIN_SCALE = 50000.0
+from bench_utils import NETCHAIN, NETCHAIN_LOAD, ZOOKEEPER, ZOOKEEPER_LOAD, record_result
+from repro.experiments import adaptive_retry_timeout, measure, zookeeper_loss_degradation
+
+LOSS_RATES = [0.0, 0.0001, 0.01, 0.1]
+#: 64 outstanding queries per client keep the chain busy while lost
+#: queries wait out their retry timer.
+NETCHAIN_LOSSY = replace(NETCHAIN, retry_timeout=adaptive_retry_timeout(64, NETCHAIN.scale))
+NETCHAIN_LOSSY_LOAD = {**NETCHAIN_LOAD, "concurrency": 64, "warmup": 0.1, "duration": 0.4}
 
 
 def run_sweep():
@@ -23,19 +27,15 @@ def run_sweep():
     # caused by TCP retransmission stalls -- see
     # repro.experiments.throughput.zookeeper_loss_degradation for why the
     # two regimes are measured separately under the scale model.
-    zk_baseline = zookeeper_throughput(num_clients=60, store_size=1000, value_size=64,
-                                       write_ratio=0.01, scale=1000.0,
-                                       duration=1.5, warmup=0.5)
+    zk_baseline = measure(ZOOKEEPER, **ZOOKEEPER_LOAD)
     zk_factors = zookeeper_loss_degradation(LOSS_RATES, num_clients=10,
                                             duration=0.6, warmup=0.2)
     rows = []
     for loss_rate in LOSS_RATES:
-        netchain = netchain_throughput(num_servers=4, store_size=1000, value_size=64,
-                                       write_ratio=0.01, loss_rate=loss_rate,
-                                       scale=NETCHAIN_SCALE, duration=0.4, warmup=0.1,
-                                       concurrency=64)
-        rows.append({"loss_rate": loss_rate, "netchain_4": netchain.mqps,
-                     "zookeeper": zk_baseline.kqps * zk_factors[loss_rate]})
+        netchain = measure(replace(NETCHAIN_LOSSY, loss_rate=loss_rate),
+                           **NETCHAIN_LOSSY_LOAD)
+        rows.append({"loss_rate": loss_rate, "netchain_4": netchain.scaled_qps / 1e6,
+                     "zookeeper": zk_baseline.scaled_qps / 1e3 * zk_factors[loss_rate]})
     return rows
 
 

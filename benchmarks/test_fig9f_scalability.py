@@ -8,15 +8,15 @@ write traverses all f+1 chain switches while a read only visits the tail.
 
 from __future__ import annotations
 
-from bench_utils import full_mode, record_result
-from repro.experiments import scalability_experiment
+from bench_utils import record_result
+from repro.perfmodel import scalability_sweep
 
 SIZES = [(2, 4), (8, 16), (16, 32), (24, 48), (32, 64)]
-SAMPLES = 1500 if not full_mode() else 6000
+SAMPLES = 1500
 
 
 def test_fig9f_scalability(benchmark):
-    points = benchmark.pedantic(scalability_experiment,
+    points = benchmark.pedantic(scalability_sweep,
                                 kwargs={"sizes": SIZES, "samples": SAMPLES},
                                 rounds=1, iterations=1)
     lines = [f"{'switches':>9} | {'read BQPS':>10} {'write BQPS':>11} | "

@@ -22,13 +22,11 @@ replay-identical signatures -- the correctness half of the ablation.
 
 from __future__ import annotations
 
-from bench_utils import full_mode, record_result
+from bench_utils import record_result
 from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec, run_scenario
 
-#: Zipf skew points: the quick set brackets uniform vs paper-skewed; the
-#: full sweep (NETCHAIN_BENCH_FULL=1) fills in the curve.
-THETAS_QUICK = (0.0, 0.99)
-THETAS_FULL = (0.0, 0.5, 0.9, 0.99, 1.2)
+#: Zipf skew points: uniform vs paper-skewed.
+THETAS = (0.0, 0.99)
 
 
 def _spec(hotkey_tier: bool) -> DeploymentSpec:
@@ -62,11 +60,10 @@ def _read_qps(result) -> float:
 
 
 def test_hotkey_tier_smoke_skew_ablation(benchmark):
-    thetas = THETAS_FULL if full_mode() else THETAS_QUICK
 
     def run():
         points = []
-        for theta in thetas:
+        for theta in THETAS:
             off = _run(theta, hotkey_tier=False)
             on = _run(theta, hotkey_tier=True)
             points.append({

@@ -12,11 +12,11 @@ The ``smoke`` marker in the name keeps this in the fast CI benchmark job.
 
 from __future__ import annotations
 
-from bench_utils import full_mode, record_result
+from bench_utils import record_result
 from repro.experiments.elasticity import ElasticityTimeline, elasticity_experiment
 
-STORE_SIZE = 200 if not full_mode() else 2000
-SYNC_RATE = 20000.0 if not full_mode() else 50000.0
+STORE_SIZE = 200
+SYNC_RATE = 20000.0
 
 
 def _row(label: str, timeline: ElasticityTimeline) -> str:

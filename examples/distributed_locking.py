@@ -17,7 +17,7 @@ Run:  python examples/distributed_locking.py
 
 from __future__ import annotations
 
-from repro.experiments import netchain_transactions, zookeeper_transactions
+from repro.experiments import measure_transactions
 
 
 def main() -> None:
@@ -25,12 +25,10 @@ def main() -> None:
     print(f"{'contention':>11} {'clients':>8} | {'NetChain txn/s':>15} {'abort rate':>11} "
           f"| {'ZooKeeper txn/s':>16} {'abort rate':>11}")
     for contention_index in (0.01, 0.1, 1.0):
-        netchain = netchain_transactions(contention_index=contention_index,
-                                         num_clients=20, cold_items=200,
-                                         duration=0.01, warmup=0.002)
-        zookeeper = zookeeper_transactions(contention_index=contention_index,
-                                           num_clients=5, cold_items=200,
-                                           duration=1.0, warmup=0.2)
+        point = dict(contention_index=contention_index, cold_items=200)
+        netchain = measure_transactions("netchain", 20, duration=0.01, warmup=0.002,
+                                        **point)
+        zookeeper = measure_transactions("zookeeper", 5, duration=1.0, warmup=0.2, **point)
         print(f"{contention_index:>11} {netchain.num_clients:>8} | "
               f"{netchain.txns_per_sec:>15.0f} {netchain.abort_rate():>11.3f} | "
               f"{zookeeper.txns_per_sec:>16.1f} {zookeeper.abort_rate():>11.3f}")

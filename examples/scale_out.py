@@ -21,8 +21,8 @@ Run:  PYTHONPATH=src python examples/scale_out.py
 
 from __future__ import annotations
 
-from repro.experiments import scalability_experiment
-from repro.experiments.elasticity import elasticity_experiment
+from repro.experiments import elasticity_experiment
+from repro.perfmodel import scalability_sweep
 
 
 def live_scale_out_demo() -> None:
@@ -57,7 +57,7 @@ def scalability_demo() -> None:
     print("\n== Spine-leaf scalability (Figure 9(f)) ==")
     print(f"{'switches':>9} {'read BQPS':>10} {'write BQPS':>11} "
           f"{'passes/read':>12} {'passes/write':>13}")
-    for point in scalability_experiment(samples=1500):
+    for point in scalability_sweep(samples=1500):
         print(f"{point.num_switches:>9} {point.read_bqps:>10.1f} {point.write_bqps:>11.1f} "
               f"{point.avg_read_passes:>12.2f} {point.avg_write_passes:>13.2f}")
     print("\nThroughput grows linearly with the number of switches because the average")

@@ -20,8 +20,8 @@ Sub-packages:
 * :mod:`repro.deploy`      -- declarative deployment specs, the pluggable
   backend registry (netchain / zookeeper / server-chain / primary-backup /
   hybrid) and the scenario runner.
-* :mod:`repro.experiments` -- drivers that regenerate every figure and table
-  of the paper's evaluation.
+* :mod:`repro.experiments` -- one driver per measurement of the paper's
+  evaluation, whatever the backend (Fig. 9(f) and Table 1: perfmodel).
 * :mod:`repro.artifacts`   -- the run-directory format (NDJSON streams, JSON
   documents); :mod:`repro.cli` is ``python -m repro matrix|history|trace|lint``.
 

@@ -1,22 +1,22 @@
 """Applications built on the coordination services.
 
 * :mod:`repro.apps.transactions` -- the distributed-transaction benchmark of
-  Section 8.5: two-phase locking over a lock service (NetChain or the
-  ZooKeeper baseline), driven by a contention-index workload.
+  Section 8.5: two-phase locking over a lock service (NetChain CAS locks or
+  ZooKeeper ephemeral znodes), driven by a contention-index workload.
 """
 
 from repro.apps.transactions import (
-    NetChainTransactionClient,
     TransactionClient,
     TransactionStats,
     TransactionWorkloadConfig,
-    ZooKeeperTransactionClient,
+    cas_locks,
+    znode_locks,
 )
 
 __all__ = [
     "TransactionWorkloadConfig",
     "TransactionClient",
-    "NetChainTransactionClient",
-    "ZooKeeperTransactionClient",
     "TransactionStats",
+    "cas_locks",
+    "znode_locks",
 ]

@@ -8,29 +8,45 @@ them all to commit.  Clients run classic two-phase locking: if any lock
 cannot be acquired the transaction releases what it holds, aborts, and
 retries.
 
-:class:`TransactionClient` is backend-generic: it drives CAS locks through
-the :class:`repro.core.client.KVClient` protocol (acquire = CAS(empty ->
-client id); release = CAS(client id -> empty), so a lock can only be
-released by its owner) and therefore runs unmodified against NetChain and
-against the ZooKeeper adapter.  :class:`ZooKeeperTransactionClient` is the
-backend-specialized variant from the paper's methodology -- ephemeral
-znodes (acquire = create, release = delete), one round trip per lock
-operation instead of the CAS recipe's two -- kept for the Figure 11
-reproduction.
+:class:`TransactionClient` is one asynchronous state machine over an
+``(acquire, release)`` lock pair, so many logical clients run concurrently
+inside the discrete-event simulation.  Two pairs exist:
 
-All clients are fully asynchronous state machines so that many logical
-clients can run concurrently inside the discrete-event simulation.
+* :func:`cas_locks` -- CAS locks over any :class:`repro.core.client.KVClient`
+  (acquire = CAS(empty -> owner); release = CAS(owner -> empty), so only
+  the owner can release a lock);
+* :func:`znode_locks` -- ZooKeeper ephemeral znodes (acquire = create,
+  release = delete), the paper's one-round-trip recipe for Figure 11.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List
+from typing import Callable, List, Tuple
 
-from repro.baselines.zk_client import ZkResult, ZooKeeperClient
-from repro.core.client import KVClient, KVResult
+from repro.baselines.zk_client import ZooKeeperClient
+from repro.core.client import KVClient, KVFuture
 from repro.netsim.stats import IntervalCounter
+
+#: ``(acquire, release)``: each takes a lock key and returns a future whose
+#: result is ``ok`` when the operation succeeded.
+LockPair = Tuple[Callable[[str], KVFuture], Callable[[str], KVFuture]]
+#: The parent znode of every ephemeral lock; it must exist before a lock.
+LOCK_ROOT = "/txnlocks"
+
+
+def cas_locks(client: KVClient, owner: str) -> LockPair:
+    """CAS locks on ``client``'s keys, held by ``owner``."""
+    owner_bytes = owner.encode()
+    return (lambda key: client.cas(key, b"", owner_bytes),
+            lambda key: client.cas(key, owner_bytes, b""))
+
+
+def znode_locks(session: ZooKeeperClient, owner: str) -> LockPair:
+    """Ephemeral-znode locks under :data:`LOCK_ROOT`, created by ``owner``."""
+    return (lambda key: session.create_async(f"{LOCK_ROOT}/{key}", owner, ephemeral=True),
+            lambda key: session.delete_async(f"{LOCK_ROOT}/{key}"))
 
 
 @dataclass
@@ -69,41 +85,20 @@ class TransactionStats:
     aborts: int = 0
     lock_attempts: int = 0
 
-    def committed_between(self, start: float, end: float) -> int:
-        return self.committed.count_between(start, end)
 
+class TransactionClient:
+    """A 2PL transaction client over one ``(acquire, release)`` lock pair."""
 
-class _TransactionMixin:
-    """Shared lock-set selection logic."""
-
-    def __init__(self, config: TransactionWorkloadConfig, client_id: str, seed: int) -> None:
+    def __init__(self, sim, locks: LockPair, config: TransactionWorkloadConfig,
+                 seed: int = 0) -> None:
+        self.sim = sim
+        self.acquire, self.release = locks
         self.config = config
-        self.client_id = client_id
         self.rng = random.Random(seed)
         self.stats = TransactionStats()
         self.running = False
         self._hot = config.hot_keys()
         self._cold = config.cold_keys()
-
-    def _pick_lock_set(self) -> List[str]:
-        """One hot lock plus ``locks_per_txn - 1`` distinct cold locks."""
-        hot = self._hot[self.rng.randrange(len(self._hot))]
-        cold = self.rng.sample(self._cold, self.config.locks_per_txn - 1)
-        return [hot] + cold
-
-
-class TransactionClient(_TransactionMixin):
-    """A 2PL transaction client using CAS locks over any :class:`KVClient`."""
-
-    def __init__(self, client: KVClient, config: TransactionWorkloadConfig,
-                 client_id: str, seed: int = 0) -> None:
-        super().__init__(config, client_id, seed)
-        self.client = client
-        self._owner = client_id.encode()
-
-    @property
-    def sim(self):
-        return self.client.sim
 
     def start(self) -> None:
         """Begin running transactions back to back."""
@@ -113,13 +108,15 @@ class TransactionClient(_TransactionMixin):
     def stop(self) -> None:
         self.running = False
 
-    # -- transaction state machine -------------------------------------- #
+    def _pick_lock_set(self) -> List[str]:
+        """One hot lock plus ``locks_per_txn - 1`` distinct cold locks."""
+        hot = self._hot[self.rng.randrange(len(self._hot))]
+        cold = self.rng.sample(self._cold, self.config.locks_per_txn - 1)
+        return [hot] + cold
 
     def _begin_txn(self) -> None:
-        if not self.running:
-            return
-        locks = self._pick_lock_set()
-        self._acquire_next(locks, 0, [])
+        if self.running:
+            self._acquire_next(self._pick_lock_set(), 0, [])
 
     def _acquire_next(self, locks: List[str], index: int, held: List[str]) -> None:
         if not self.running:
@@ -132,7 +129,7 @@ class TransactionClient(_TransactionMixin):
         key = locks[index]
         self.stats.lock_attempts += 1
 
-        def on_reply(result: KVResult) -> None:
+        def on_reply(result) -> None:
             if result.ok:
                 held.append(key)
                 self._acquire_next(locks, index + 1, held)
@@ -141,7 +138,7 @@ class TransactionClient(_TransactionMixin):
                 self.stats.aborts += 1
                 self._release_all(held, self._begin_txn)
 
-        self.client.cas(key, b"", self._owner).then(on_reply)
+        self.acquire(key).then(on_reply)
 
     def _release_all(self, held: List[str], then) -> None:
         remaining = list(held)
@@ -151,8 +148,7 @@ class TransactionClient(_TransactionMixin):
             if not remaining:
                 then()
                 return
-            key = remaining.pop()
-            self.client.cas(key, self._owner, b"").then(lambda _r: release_next())
+            self.release(remaining.pop()).then(lambda _r: release_next())
 
         release_next()
 
@@ -161,89 +157,9 @@ class TransactionClient(_TransactionMixin):
         self._begin_txn()
 
 
-class NetChainTransactionClient(TransactionClient):
-    """Compatibility name: the generic CAS client driving a NetChain agent."""
-
-    def __init__(self, agent, config: TransactionWorkloadConfig,
-                 client_id: str, seed: int = 0) -> None:
-        super().__init__(agent, config, client_id, seed)
-        self.agent = agent
-
-
-class ZooKeeperTransactionClient(_TransactionMixin):
-    """A 2PL transaction client using ZooKeeper ephemeral-znode locks.
-
-    This is the paper's methodology for Figure 11 (one round trip per lock
-    operation); the backend-generic :class:`TransactionClient` over a
-    :class:`~repro.baselines.zk_client.ZooKeeperKVClient` exercises the
-    same workload through the unified CAS code path instead.
-    """
-
-    def __init__(self, client: ZooKeeperClient, config: TransactionWorkloadConfig,
-                 client_id: str, lock_root: str = "/txnlocks", seed: int = 0) -> None:
-        super().__init__(config, client_id, seed)
-        self.client = client
-        self.lock_root = lock_root
-
-    def start(self) -> None:
-        self.running = True
-        self._begin_txn()
-
-    def stop(self) -> None:
-        self.running = False
-
-    def _lock_path(self, key: str) -> str:
-        return f"{self.lock_root}/{key}"
-
-    def _begin_txn(self) -> None:
-        if not self.running:
-            return
-        locks = self._pick_lock_set()
-        self._acquire_next(locks, 0, [])
-
-    def _acquire_next(self, locks: List[str], index: int, held: List[str]) -> None:
-        if not self.running:
-            self._release_all(held, lambda: None)
-            return
-        if index >= len(locks):
-            self._release_all(held, self._committed)
-            return
-        key = locks[index]
-        self.stats.lock_attempts += 1
-
-        def on_reply(result: ZkResult) -> None:
-            if result.ok:
-                held.append(key)
-                self._acquire_next(locks, index + 1, held)
-            else:
-                self.stats.aborts += 1
-                self._release_all(held, self._begin_txn)
-
-        self.client.create_async(self._lock_path(key), self.client_id,
-                                 ephemeral=True).then(on_reply)
-
-    def _release_all(self, held: List[str], then) -> None:
-        remaining = list(held)
-        held.clear()
-
-        def release_next() -> None:
-            if not remaining:
-                then()
-                return
-            key = remaining.pop()
-            self.client.delete_async(self._lock_path(key)).then(
-                lambda _r: release_next())
-
-        release_next()
-
-    def _committed(self) -> None:
-        self.stats.committed.record(self.client.sim.now)
-        self._begin_txn()
-
-
 def total_committed(clients, start: float, end: float) -> int:
     """Transactions committed across clients within a time window."""
-    return sum(c.stats.committed_between(start, end) for c in clients)
+    return sum(c.stats.committed.count_between(start, end) for c in clients)
 
 
 def transactions_per_second(clients, start: float, end: float) -> float:

@@ -30,7 +30,8 @@ class ClusterConfig:
     of deep inside chain building or the simulation.
     """
 
-    #: Scale factor applied to all device capacities (see DESIGN.md).
+    #: Scale factor applied to all device capacities (see
+    #: :mod:`repro.perfmodel.devices`).
     scale: float = 1000.0
     #: Number of client/server machines attached to the testbed.
     num_hosts: int = 4

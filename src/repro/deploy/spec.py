@@ -67,7 +67,8 @@ class DeploymentSpec:
     Attributes:
         backend: registered backend name (``netchain``, ``zookeeper``,
             ``server-chain``, ``primary-backup``, ``hybrid``).
-        scale: the scale model's capacity divisor (see DESIGN.md).
+        scale: the scale model's capacity divisor (see
+            :mod:`repro.perfmodel.devices`).
         num_hosts: client/server machines attached to the testbed.
         replication: chain length / ensemble size / replica count --
             whatever "number of replicas" means for the backend.

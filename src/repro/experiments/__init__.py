@@ -1,57 +1,38 @@
-"""Experiment drivers: one module per figure/table of the evaluation.
+"""Experiment drivers for the evaluation (Section 8).
 
-Every public function here regenerates the data series behind one paper
-figure or table (Section 8), using the simulated testbed and the scale
-model described in DESIGN.md.  The benchmark suite under ``benchmarks/``
-calls these drivers and prints the same rows/series the paper reports;
+One driver per measurement, whatever the backend: :func:`measure` (and
+:func:`latency_curve` over it) for Figs. 9(a)-(e),
+:func:`measure_transactions` for Fig. 11, and the two timelines,
+:func:`failure_experiment` (Fig. 10) and :func:`elasticity_experiment`
+(live scale-out).  They run on the simulated testbed under the scale
+model of :mod:`repro.perfmodel.devices`.  Fig. 9(f) and Table 1 are
+analytic: :func:`repro.perfmodel.scalability_sweep` and
+:func:`repro.perfmodel.table1_rows`.  The benchmark suite under
+``benchmarks/`` calls these and prints the rows the paper reports;
 EXPERIMENTS.md records the paper-vs-measured comparison.
 """
 
-from repro.deploy import (
-    DeploymentSpec,
-    ScenarioChecks,
-    ScenarioResult,
-    WorkloadSpec,
-    available_backends,
-    build_deployment,
-    run_scenario,
-)
 from repro.experiments.elasticity import (
     ElasticityTimeline,
     elasticity_experiment,
     reconfig_scenario,
 )
 from repro.experiments.failures import FailureTimeline, failure_experiment, fault_scenario
-from repro.experiments.latency import LatencyPoint, netchain_latency_curve, zookeeper_latency_curve
-from repro.experiments.scalability import scalability_experiment
-from repro.experiments.tables import table1
 from repro.experiments.throughput import (
-    ThroughputResult,
+    adaptive_retry_timeout,
+    latency_curve,
+    measure,
     netchain_max_throughput_qps,
-    netchain_throughput,
-    zookeeper_throughput,
+    zookeeper_loss_degradation,
 )
-from repro.experiments.transactions import (
-    TransactionResult,
-    netchain_transactions,
-    zookeeper_transactions,
-)
+from repro.experiments.transactions import TransactionResult, measure_transactions
 
 __all__ = [
-    "DeploymentSpec",
-    "ScenarioChecks",
-    "ScenarioResult",
-    "WorkloadSpec",
-    "available_backends",
-    "build_deployment",
-    "run_scenario",
-    "ThroughputResult",
-    "netchain_throughput",
-    "zookeeper_throughput",
+    "measure",
+    "latency_curve",
+    "adaptive_retry_timeout",
     "netchain_max_throughput_qps",
-    "LatencyPoint",
-    "netchain_latency_curve",
-    "zookeeper_latency_curve",
+    "zookeeper_loss_degradation",
     "FailureTimeline",
     "failure_experiment",
     "fault_scenario",
@@ -59,8 +40,5 @@ __all__ = [
     "elasticity_experiment",
     "reconfig_scenario",
     "TransactionResult",
-    "netchain_transactions",
-    "zookeeper_transactions",
-    "scalability_experiment",
-    "table1",
+    "measure_transactions",
 ]

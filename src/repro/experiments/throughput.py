@@ -1,9 +1,12 @@
-"""Throughput experiments: Figures 9(a), 9(b), 9(c) and 9(d).
+"""Throughput and latency experiments: Figures 9(a)-(e).
 
-Each driver describes the testbed deployment and its closed-loop load as
-a :func:`repro.deploy.run_scenario` call, measured past a warmup, and
-reports the saturation throughput scaled back to the paper's absolute
-units (MQPS for NetChain, KQPS for ZooKeeper).
+:func:`measure` is the one driver: it runs a
+:func:`repro.deploy.run_scenario` of unrecorded closed-loop load on a
+:class:`repro.deploy.DeploymentSpec` and returns the
+:class:`repro.deploy.ScenarioResult` of the window past the warmup.  Its
+``scaled_qps`` is the throughput in the paper's absolute units.  A figure
+sweeps one field of a base spec per system; NetChain and ZooKeeper run
+through the same call.
 
 The evaluated quantities:
 
@@ -13,13 +16,16 @@ The evaluated quantities:
   servers regardless of value size, store size or write ratio.
 * ``NetChain(max)`` -- the theoretical chain capacity (2 BQPS in the
   testbed mode where each switch processes every query packet twice).
-* ``ZooKeeper`` -- the 3-server ensemble driven by 100 client processes.
+* ``ZooKeeper`` -- the 3-server ensemble driven by closed-loop clients.
+* Figure 9(e) -- read and write latency at increasing offered load
+  (:func:`latency_curve`).  NetChain stays at the ~9.7 us client-stack
+  floor up to saturation because switch processing is deterministic;
+  ZooKeeper reads take ~170 us and writes ~2.35 ms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Sequence, Tuple
 
 from repro.deploy import (
     DeploymentSpec,
@@ -29,28 +35,6 @@ from repro.deploy import (
     run_scenario,
 )
 from repro.perfmodel.devices import TOFINO
-
-
-@dataclass
-class ThroughputResult:
-    """A measured throughput point."""
-
-    system: str
-    qps: float
-    #: The parameter values this point was measured at.
-    value_size: int
-    store_size: int
-    write_ratio: float
-    loss_rate: float
-    num_load_generators: int
-
-    @property
-    def mqps(self) -> float:
-        return self.qps / 1e6
-
-    @property
-    def kqps(self) -> float:
-        return self.qps / 1e3
 
 
 def netchain_max_throughput_qps(chain_length: int = 3,
@@ -89,53 +73,26 @@ def measure(spec: DeploymentSpec, **workload) -> ScenarioResult:
         ScenarioChecks(linearizability=False, require_progress=False))
 
 
-def netchain_throughput(num_servers: int = 4,
-                        value_size: int = 64,
-                        store_size: int = 2000,
-                        write_ratio: float = 0.01,
-                        loss_rate: float = 0.0,
-                        scale: float = 20000.0,
-                        duration: float = 0.3,
-                        warmup: float = 0.1,
-                        concurrency: int = 16,
-                        retry_timeout: Optional[float] = None,
-                        seed: int = 0) -> ThroughputResult:
-    """Measure NetChain(num_servers) under the given workload knobs."""
-    if retry_timeout is None:
-        retry_timeout = adaptive_retry_timeout(concurrency, scale)
-    result = measure(
-        DeploymentSpec(backend="netchain", scale=scale, store_size=store_size,
-                       value_size=value_size, loss_rate=loss_rate,
-                       retry_timeout=retry_timeout, seed=seed),
-        num_clients=num_servers, concurrency=concurrency,
-        write_ratio=write_ratio, warmup=warmup, duration=duration)
-    return ThroughputResult(system=f"NetChain({num_servers})",
-                            qps=result.scaled_qps,
-                            value_size=value_size, store_size=store_size,
-                            write_ratio=write_ratio, loss_rate=loss_rate,
-                            num_load_generators=num_servers)
+def latency_curve(spec: DeploymentSpec, loads: Sequence[Tuple[int, int]],
+                  **workload) -> Dict[str, List[Tuple[float, float]]]:
+    """``(success_qps, mean latency in seconds)`` of read-only and
+    write-only runs of ``spec`` at each ``(num_clients, concurrency)``
+    load, keyed ``"read"`` / ``"write"``.
 
-
-def zookeeper_throughput(num_clients: int = 100,
-                         value_size: int = 64,
-                         store_size: int = 2000,
-                         write_ratio: float = 0.01,
-                         loss_rate: float = 0.0,
-                         scale: float = 1000.0,
-                         duration: float = 3.0,
-                         warmup: float = 1.0,
-                         seed: int = 0) -> ThroughputResult:
-    """Measure the ZooKeeper ensemble under the given workload knobs."""
-    result = measure(
-        DeploymentSpec(backend="zookeeper", scale=scale, store_size=store_size,
-                       value_size=value_size, loss_rate=loss_rate, seed=seed),
-        num_clients=num_clients, concurrency=1,
-        write_ratio=write_ratio, warmup=warmup, duration=duration)
-    return ThroughputResult(system="ZooKeeper",
-                            qps=result.scaled_qps,
-                            value_size=value_size, store_size=store_size,
-                            write_ratio=write_ratio, loss_rate=loss_rate,
-                            num_load_generators=num_clients)
+    Latency is a per-query quantity and must not be distorted by the
+    scaled capacity model, so callers pass a spec with
+    ``unlimited_capacity=True``: the latencies are the protocol floor.
+    ZooKeeper's creep towards saturation is covered by the throughput
+    figures instead.
+    """
+    curve: Dict[str, List[Tuple[float, float]]] = {"read": [], "write": []}
+    for op, write_ratio in (("read", 0.0), ("write", 1.0)):
+        for num_clients, concurrency in loads:
+            result = measure(spec, num_clients=num_clients, concurrency=concurrency,
+                             write_ratio=write_ratio, **workload)
+            curve[op].append((result.success_qps, result.mean_write_latency if write_ratio
+                              else result.mean_read_latency))
+    return curve
 
 
 def zookeeper_loss_degradation(loss_rates,

@@ -1,25 +1,28 @@
 """Application experiment: Figure 11, distributed transactions.
 
-Clients run two-phase locking over a lock service (NetChain CAS locks or
-ZooKeeper ephemeral-znode locks) on the contention-index workload of
-Section 8.5 and we report committed transactions per second.
+Clients run two-phase locking over a lock service on the contention-index
+workload of Section 8.5 and we report committed transactions per second.
+The two backends differ only in each client's lock pair: CAS locks on a
+NetChain agent, or ephemeral znodes on a ZooKeeper session.
 
-The measured durations differ between the two systems because NetChain
-transactions complete in a few hundred microseconds while ZooKeeper
-transactions take tens of milliseconds; both windows are long enough for
-hundreds-to-thousands of transactions per point.
+The transaction rate is bound by per-operation latency (a transaction is
+twenty sequential lock operations), not by capacity, so both deployments
+run with the capacity ceilings disabled and the rate needs no rescaling.
+NetChain transactions complete in a few hundred microseconds and ZooKeeper
+ones take tens of milliseconds, so callers pick windows accordingly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.apps.transactions import (
-    NetChainTransactionClient,
+    LOCK_ROOT,
+    TransactionClient,
     TransactionWorkloadConfig,
-    ZooKeeperTransactionClient,
+    cas_locks,
     transactions_per_second,
+    znode_locks,
 )
 from repro.deploy import DeploymentSpec, build_deployment
 
@@ -28,8 +31,6 @@ from repro.deploy import DeploymentSpec, build_deployment
 class TransactionResult:
     """One point of Figure 11."""
 
-    system: str
-    contention_index: float
     num_clients: int
     txns_per_sec: float
     aborts: int
@@ -42,73 +43,40 @@ class TransactionResult:
         return self.aborts / self.lock_attempts
 
 
-def netchain_transactions(contention_index: float = 0.001,
-                          num_clients: int = 100,
-                          cold_items: int = 1000,
-                          duration: float = 0.02,
-                          warmup: float = 0.005,
-                          seed: int = 0) -> TransactionResult:
-    """Transaction throughput with NetChain as the lock server.
-
-    The transaction rate is bound by per-operation latency (a transaction is
-    twenty sequential lock operations), not by the switches' capacity, so
-    the deployment runs with the capacity ceilings disabled and realistic
-    latencies; the reported rate needs no rescaling.
-    """
+def measure_transactions(backend: str, num_clients: int, duration: float,
+                         warmup: float, contention_index: float = 0.001,
+                         cold_items: int = 1000, seed: int = 0) -> TransactionResult:
+    """Transaction throughput with ``backend`` (``netchain`` or
+    ``zookeeper``) as the lock server."""
     config = TransactionWorkloadConfig(contention_index=contention_index,
                                        cold_items=cold_items, seed=seed)
-    lock_keys = config.hot_keys() + config.cold_keys()
-    deployment = build_deployment(DeploymentSpec(
-        backend="netchain", store_size=0, store_slots=len(lock_keys) + 1024,
-        extra_keys=lock_keys, seed=seed, unlimited_capacity=True))
-    cluster = deployment.cluster
-    clients: List[NetChainTransactionClient] = []
-    for i, agent in enumerate(deployment.clients(num_clients)):
-        clients.append(NetChainTransactionClient(agent, config, client_id=f"txn{i}",
-                                                 seed=seed + i))
-    for client in clients:
-        client.start()
-    start = cluster.sim.now
-    cluster.run(until=start + warmup + duration)
-    for client in clients:
-        client.stop()
-    rate = transactions_per_second(clients, start + warmup, start + warmup + duration)
-    return TransactionResult(system="NetChain", contention_index=contention_index,
-                             num_clients=num_clients, txns_per_sec=rate,
-                             aborts=sum(c.stats.aborts for c in clients),
-                             lock_attempts=sum(c.stats.lock_attempts for c in clients))
-
-
-def zookeeper_transactions(contention_index: float = 0.001,
-                           num_clients: int = 10,
-                           cold_items: int = 1000,
-                           duration: float = 2.0,
-                           warmup: float = 0.5,
-                           seed: int = 0) -> TransactionResult:
-    """Transaction throughput with ZooKeeper as the lock server.
-
-    As with NetChain, the rate is latency-bound (each lock acquire/release
-    is a ZAB write costing milliseconds), so the ensemble runs without the
-    capacity ceiling and the reported rate needs no rescaling.
-    """
-    config = TransactionWorkloadConfig(contention_index=contention_index,
-                                       cold_items=cold_items, seed=seed)
-    deployment = build_deployment(DeploymentSpec(
-        backend="zookeeper", store_size=1, seed=seed, unlimited_capacity=True))
-    deployment.ensemble.preload({"/txnlocks": b""})
-    clients: List[ZooKeeperTransactionClient] = []
-    for i in range(num_clients):
-        session = deployment.new_client(i)
-        clients.append(ZooKeeperTransactionClient(session, config, client_id=f"txn{i}",
-                                                  seed=seed + i))
+    if backend == "netchain":
+        lock_keys = config.hot_keys() + config.cold_keys()
+        deployment = build_deployment(DeploymentSpec(
+            backend="netchain", store_size=0, store_slots=len(lock_keys) + 1024,
+            extra_keys=lock_keys, seed=seed, unlimited_capacity=True))
+        agents = deployment.clients(num_clients)
+        locks = [cas_locks(agent, f"txn{i}") for i, agent in enumerate(agents)]
+    elif backend == "zookeeper":
+        deployment = build_deployment(DeploymentSpec(
+            backend="zookeeper", store_size=1, seed=seed, unlimited_capacity=True))
+        deployment.ensemble.preload({LOCK_ROOT: b""})
+        locks = [znode_locks(deployment.new_client(i), f"txn{i}")
+                 for i in range(num_clients)]
+    else:
+        raise ValueError(f"no lock recipe for backend {backend!r}: "
+                         f"use 'netchain' or 'zookeeper'")
+    clients = [TransactionClient(deployment.sim, pair, config, seed=seed + i)
+               for i, pair in enumerate(locks)]
     for client in clients:
         client.start()
     start = deployment.sim.now
-    deployment.sim.run(until=start + warmup + duration)
+    deployment.run(until=start + warmup + duration)
     for client in clients:
         client.stop()
-    rate = transactions_per_second(clients, start + warmup, start + warmup + duration)
-    return TransactionResult(system="ZooKeeper", contention_index=contention_index,
-                             num_clients=num_clients, txns_per_sec=rate,
-                             aborts=sum(c.stats.aborts for c in clients),
-                             lock_attempts=sum(c.stats.lock_attempts for c in clients))
+    return TransactionResult(
+        num_clients=num_clients,
+        txns_per_sec=transactions_per_second(clients, start + warmup,
+                                             start + warmup + duration),
+        aborts=sum(c.stats.aborts for c in clients),
+        lock_attempts=sum(c.stats.lock_attempts for c in clients))

@@ -186,7 +186,7 @@ class Switch(Node):
         # backlog ahead of it but its own service slot is not added to its
         # latency: the scaled-down service rate models the throughput
         # ceiling, not per-packet processing delay (which is
-        # ``pipeline_delay``).  See DESIGN.md, "Scale model".
+        # ``pipeline_delay``).  See :mod:`repro.perfmodel.devices`.
         now = self.sim._now
         busy_until = self._busy_until
         backlog = busy_until - now

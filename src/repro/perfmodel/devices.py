@@ -12,8 +12,7 @@ when reported.  Latency constants are left untouched because the latency
 experiments run at light load where queueing is negligible -- this mirrors
 the paper's own methodology (latency is reported below saturation).
 Saturation points, ratios between systems and crossover locations are
-invariant under this scaling, which is what the reproduction aims to match
-(see DESIGN.md, "Scale model").
+invariant under this scaling, which is what the reproduction aims to match.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps.transactions import TransactionClient, TransactionWorkloadConfig
+from repro.apps.transactions import TransactionClient, TransactionWorkloadConfig, cas_locks
 from repro.baselines import (
     ZooKeeperClient,
     ZooKeeperConfig,
@@ -456,7 +456,7 @@ def test_transaction_client_commits_on_any_backend(backend):
     config = TransactionWorkloadConfig(contention_index=0.5, cold_items=20, seed=3,
                                        locks_per_txn=3)
     backend.prepare_keys(config.hot_keys() + config.cold_keys())
-    client = TransactionClient(backend.make_client(), config, client_id="txn-0")
+    client = TransactionClient(backend.sim, cas_locks(backend.make_client(), "txn-0"), config)
     client.start()
     duration = 0.05 if backend.name == "netchain" else 2.0
     backend.sim.run(until=backend.sim.now + duration)

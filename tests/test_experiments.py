@@ -7,28 +7,29 @@ experiment harness are caught by the unit-test suite.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.deploy import DeploymentSpec, build_deployment
 from repro.experiments import (
+    adaptive_retry_timeout,
     elasticity_experiment,
     failure_experiment,
-    netchain_latency_curve,
+    latency_curve,
+    measure,
+    measure_transactions,
     netchain_max_throughput_qps,
-    netchain_throughput,
-    netchain_transactions,
-    scalability_experiment,
-    table1,
-    zookeeper_latency_curve,
-    zookeeper_throughput,
-    zookeeper_transactions,
 )
-from repro.experiments.throughput import adaptive_retry_timeout
+from repro.perfmodel import scalability_sweep, table1_rows
 
 
 SCALE = 100000.0  # tiny simulated rates keep these tests fast
+NETCHAIN = DeploymentSpec(backend="netchain", scale=SCALE, store_size=50,
+                          retry_timeout=adaptive_retry_timeout(8, SCALE))
+NETCHAIN_LOAD = dict(concurrency=8, write_ratio=0.01, warmup=0.05, duration=0.2)
+ZOOKEEPER = DeploymentSpec(backend="zookeeper", scale=1000.0)
 
 
 def test_netchain_max_throughput_is_2_bqps():
@@ -41,67 +42,59 @@ def test_adaptive_retry_timeout_scales_with_concurrency():
 
 
 def test_netchain_throughput_tracks_number_of_servers():
-    one = netchain_throughput(num_servers=1, store_size=50, scale=SCALE,
-                              duration=0.2, warmup=0.05, concurrency=8)
-    four = netchain_throughput(num_servers=4, store_size=50, scale=SCALE,
-                               duration=0.2, warmup=0.05, concurrency=8)
+    one = measure(NETCHAIN, num_clients=1, **NETCHAIN_LOAD)
+    four = measure(NETCHAIN, num_clients=4, **NETCHAIN_LOAD)
     # Each DPDK client server contributes ~20.5 MQPS (Section 8.1).
-    assert one.mqps == pytest.approx(20.5, rel=0.2)
-    assert four.mqps == pytest.approx(82.0, rel=0.2)
-    assert four.qps > 3 * one.qps
+    assert one.scaled_qps / 1e6 == pytest.approx(20.5, rel=0.2)
+    assert four.scaled_qps / 1e6 == pytest.approx(82.0, rel=0.2)
+    assert four.scaled_qps > 3 * one.scaled_qps
 
 
 def test_netchain_throughput_insensitive_to_value_size():
-    small = netchain_throughput(num_servers=2, value_size=16, store_size=50, scale=SCALE,
-                                duration=0.15, warmup=0.05, concurrency=8)
-    large = netchain_throughput(num_servers=2, value_size=128, store_size=50, scale=SCALE,
-                                duration=0.15, warmup=0.05, concurrency=8)
-    assert large.qps == pytest.approx(small.qps, rel=0.15)
+    load = {**NETCHAIN_LOAD, "num_clients": 2, "duration": 0.15}
+    small = measure(replace(NETCHAIN, value_size=16), **load)
+    large = measure(replace(NETCHAIN, value_size=128), **load)
+    assert large.scaled_qps == pytest.approx(small.scaled_qps, rel=0.15)
 
 
 def test_netchain_loss_degrades_gracefully():
-    clean = netchain_throughput(num_servers=2, store_size=50, scale=SCALE,
-                                duration=0.2, warmup=0.05, concurrency=32)
-    lossy = netchain_throughput(num_servers=2, store_size=50, scale=SCALE,
-                                duration=0.2, warmup=0.05, concurrency=32,
-                                loss_rate=0.1)
-    assert lossy.qps < clean.qps
+    spec = replace(NETCHAIN, retry_timeout=adaptive_retry_timeout(32, SCALE))
+    load = {**NETCHAIN_LOAD, "num_clients": 2, "concurrency": 32}
+    clean = measure(spec, **load)
+    lossy = measure(replace(spec, loss_rate=0.1), **load)
+    assert lossy.scaled_qps < clean.scaled_qps
     # Graceful: well above half of the loss-free throughput is retained
     # (Figure 9(d): 48 of 82 MQPS at 10% loss).
-    assert lossy.qps > 0.4 * clean.qps
+    assert lossy.scaled_qps > 0.4 * clean.scaled_qps
 
 
 def test_zookeeper_throughput_drops_with_write_ratio():
-    reads = zookeeper_throughput(num_clients=30, store_size=100, write_ratio=0.0,
-                                 scale=1000.0, duration=1.5, warmup=0.5)
-    writes = zookeeper_throughput(num_clients=30, store_size=100, write_ratio=1.0,
-                                  scale=1000.0, duration=1.5, warmup=0.5)
+    load = dict(num_clients=30, concurrency=1, warmup=0.5, duration=1.5)
+    reads = measure(replace(ZOOKEEPER, store_size=100), write_ratio=0.0, **load)
+    writes = measure(replace(ZOOKEEPER, store_size=100), write_ratio=1.0, **load)
     # Section 8.1: 230 KQPS read-only versus 27 KQPS write-only.
-    assert reads.kqps == pytest.approx(230.0, rel=0.5)
-    assert writes.kqps < 60.0
-    assert writes.qps < reads.qps / 3
+    assert reads.scaled_qps / 1e3 == pytest.approx(230.0, rel=0.5)
+    assert writes.scaled_qps / 1e3 < 60.0
+    assert writes.scaled_qps < reads.scaled_qps / 3
 
 
 def test_netchain_beats_zookeeper_by_orders_of_magnitude():
-    netchain = netchain_throughput(num_servers=4, store_size=50, scale=SCALE,
-                                   duration=0.15, warmup=0.05, concurrency=8)
-    zookeeper = zookeeper_throughput(num_clients=20, store_size=50, write_ratio=0.01,
-                                     scale=1000.0, duration=1.0, warmup=0.3)
-    assert netchain.qps > 50 * zookeeper.qps
+    netchain = measure(NETCHAIN, **{**NETCHAIN_LOAD, "num_clients": 4, "duration": 0.15})
+    zookeeper = measure(replace(ZOOKEEPER, store_size=50), num_clients=20, concurrency=1,
+                        write_ratio=0.01, warmup=0.3, duration=1.0)
+    assert netchain.scaled_qps > 50 * zookeeper.scaled_qps
 
 
 def test_latency_curves_have_expected_magnitudes():
-    netchain_points = netchain_latency_curve(concurrency_levels=(1,), num_servers=1,
-                                             store_size=20,
-                                             duration=0.05, warmup=0.01)
-    for point in netchain_points:
-        assert point.latency_us < 50.0
-    zk_points = zookeeper_latency_curve(client_counts=(1,), store_size=20,
-                                        duration=0.6, warmup=0.2)
-    reads = [p for p in zk_points if p.op == "read"]
-    writes = [p for p in zk_points if p.op == "write"]
-    assert reads[0].latency_us > 100.0
-    assert writes[0].latency_us > 1000.0
+    netchain = latency_curve(DeploymentSpec(backend="netchain", store_size=20,
+                                            unlimited_capacity=True),
+                             [(1, 1)], duration=0.05, warmup=0.01)
+    for _, latency in netchain["read"] + netchain["write"]:
+        assert latency * 1e6 < 50.0
+    zookeeper = latency_curve(replace(ZOOKEEPER, store_size=20, unlimited_capacity=True),
+                              [(1, 1)], duration=0.6, warmup=0.2)
+    assert zookeeper["read"][0][1] * 1e6 > 100.0
+    assert zookeeper["write"][0][1] * 1e6 > 1000.0
 
 
 def test_failure_experiment_timeline_phases():
@@ -184,10 +177,10 @@ def test_only_run_scenario_builds_a_load_client():
 
 
 def test_transaction_experiments_reproduce_figure_11_gap():
-    netchain = netchain_transactions(contention_index=0.01, num_clients=5,
-                                     cold_items=100, duration=0.01, warmup=0.002)
-    zookeeper = zookeeper_transactions(contention_index=0.01, num_clients=2,
-                                       cold_items=100, duration=0.6, warmup=0.1)
+    netchain = measure_transactions("netchain", 5, contention_index=0.01,
+                                    cold_items=100, duration=0.01, warmup=0.002)
+    zookeeper = measure_transactions("zookeeper", 2, contention_index=0.01,
+                                     cold_items=100, duration=0.6, warmup=0.1)
     assert netchain.txns_per_sec > 0
     assert zookeeper.txns_per_sec > 0
     # Orders of magnitude gap (Figure 11), compared per client.
@@ -196,23 +189,51 @@ def test_transaction_experiments_reproduce_figure_11_gap():
 
 
 def test_netchain_contention_lowers_transaction_throughput():
-    low = netchain_transactions(contention_index=0.01, num_clients=8, cold_items=100,
+    low = measure_transactions("netchain", 8, contention_index=0.01, cold_items=100,
+                               duration=0.01, warmup=0.002)
+    high = measure_transactions("netchain", 8, contention_index=1.0, cold_items=100,
                                 duration=0.01, warmup=0.002)
-    high = netchain_transactions(contention_index=1.0, num_clients=8, cold_items=100,
-                                 duration=0.01, warmup=0.002)
     assert high.txns_per_sec < low.txns_per_sec
     assert high.aborts > low.aborts
 
 
+def test_transaction_driver_names_an_unknown_backend():
+    with pytest.raises(ValueError, match="no lock recipe for backend 'hybrid'"):
+        measure_transactions("hybrid", 1, duration=0.01, warmup=0.0)
+
+
+@pytest.mark.anchor
+@pytest.mark.parametrize("backend,clients,window,contention,expected", [
+    ("netchain", 10, (0.004, 0.001), 0.01, (12000.0, 419, 2224)),
+    ("netchain", 10, (0.004, 0.001), 1.0, (4250.0, 3602, 3820)),
+    ("zookeeper", 3, (0.4, 0.1), 0.01, (42.5, 19, 340)),
+    ("zookeeper", 3, (0.4, 0.1), 1.0, (22.5, 421, 535)),
+])
+def test_figure_11_points_are_pinned(backend, clients, window, contention, expected):
+    # Captured at 56745a4, before the two transaction clients and their two
+    # drivers were merged: one state machine must replay both recipes.
+    duration, warmup = window
+    result = measure_transactions(backend, clients, contention_index=contention,
+                                  cold_items=100, duration=duration, warmup=warmup)
+    assert (result.txns_per_sec, result.aborts, result.lock_attempts) == expected
+
+
+def test_only_the_transaction_client_runs_two_phase_locking():
+    src = Path(__file__).resolve().parents[1] / "src"
+    machines = sorted(str(path.relative_to(src)) for path in src.rglob("*.py")
+                      if "def _acquire_next(" in path.read_text(encoding="utf-8"))
+    assert machines == ["repro/apps/transactions.py"]
+
+
 def test_scalability_experiment_linear_growth():
-    points = scalability_experiment(sizes=[(2, 4), (8, 16)], samples=500)
+    points = scalability_sweep(sizes=[(2, 4), (8, 16)], samples=500)
     assert points[1].read_bqps > points[0].read_bqps
     assert points[1].write_bqps > points[0].write_bqps
     assert points[0].read_bqps > points[0].write_bqps
 
 
 def test_table1_rows():
-    rows = table1()
+    rows = table1_rows()
     assert len(rows) == 2
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from repro.apps.transactions import (
-    NetChainTransactionClient,
+    LOCK_ROOT,
+    TransactionClient,
     TransactionWorkloadConfig,
-    ZooKeeperTransactionClient,
+    cas_locks,
     total_committed,
     transactions_per_second,
+    znode_locks,
 )
 from repro.baselines import ZooKeeperClient, ZooKeeperConfig, build_zookeeper_ensemble
 from repro.netsim.host import HostConfig
@@ -28,7 +30,7 @@ def test_workload_config_hot_set_size():
 def test_lock_set_contains_one_hot_and_nine_cold():
     config = TransactionWorkloadConfig(contention_index=0.01, cold_items=100)
     cluster = make_cluster()
-    client = NetChainTransactionClient(cluster.agent("H0"), config, client_id="c0")
+    client = TransactionClient(cluster.sim, cas_locks(cluster.agent("H0"), "c0"), config)
     locks = client._pick_lock_set()
     assert len(locks) == config.locks_per_txn
     assert sum(1 for k in locks if k.startswith(config.hot_prefix)) == 1
@@ -41,8 +43,8 @@ def make_netchain_txn_setup(contention_index=0.5, cold_items=40, num_clients=4):
     cluster = make_cluster()
     cluster.controller.populate(config.hot_keys() + config.cold_keys())
     agents = cluster.agent_list()
-    clients = [NetChainTransactionClient(agents[i % len(agents)], config,
-                                         client_id=f"c{i}", seed=i)
+    clients = [TransactionClient(cluster.sim, cas_locks(agents[i % len(agents)], f"c{i}"),
+                                 config, seed=i)
                for i in range(num_clients)]
     return cluster, clients
 
@@ -100,10 +102,10 @@ def test_zookeeper_transaction_client_commits():
     hosts = [topo.hosts[f"H{i}"] for i in range(4)]
     ensemble = build_zookeeper_ensemble(hosts[:3],
                                         ZooKeeperConfig(server_msgs_per_sec=None))
-    ensemble.preload({"/txnlocks": b""})
+    ensemble.preload({LOCK_ROOT: b""})
     config = TransactionWorkloadConfig(contention_index=0.5, cold_items=30, seed=2)
-    client = ZooKeeperTransactionClient(ZooKeeperClient(hosts[3], ensemble), config,
-                                        client_id="zk-txn-0")
+    client = TransactionClient(topo.sim, znode_locks(ZooKeeperClient(hosts[3], ensemble),
+                                                     "zk-txn-0"), config)
     client.start()
     topo.run(until=topo.sim.now + 1.0)
     client.stop()
@@ -112,4 +114,4 @@ def test_zookeeper_transaction_client_commits():
     assert client.stats.committed.total() > 0
     # Locks are ephemeral znodes under the lock root and are all released.
     leader_tree = ensemble.leader().tree
-    assert leader_tree.get_children("/txnlocks") == []
+    assert leader_tree.get_children(LOCK_ROOT) == []
