@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bench_utils import record_result
 from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec, run_scenario
+from repro.deploy.matrix import signature_digest
 
 #: Zipf skew points: uniform vs paper-skewed.
 THETAS = (0.0, 0.99)
@@ -106,7 +107,7 @@ def test_hotkey_tier_smoke_linearizable_and_deterministic(benchmark):
                           linearizability=True)
             assert first.linearizability is not None
             assert first.linearizability.ok
-            assert first.signature() == second.signature()
+            assert signature_digest(first) == signature_digest(second)
             outcomes["tier on" if hotkey_tier else "tier off"] = \
                 first.completed_ops
         return outcomes

@@ -26,6 +26,11 @@ hold.  This module removes that cap without weakening the check:
   (key-stream content hash, initial value, state budget, checker
   version), so re-running a scenario matrix re-checks only key streams
   that actually changed.
+* **Streaming replay digest** -- :meth:`SpillingHistory.iter_ops_by_id`
+  re-reads a recorded run in op-id order, 256 records at a time, through
+  one 8-byte offset per op id that the writer noted as it wrote; the
+  replay digest (:func:`repro.deploy.matrix.signature_digest`) hashes
+  that stream, so it too holds a chunk, never the run.
 
 Recording at scale uses :class:`SpillingHistory`, a drop-in recording
 surface for :class:`repro.core.history.History`: completed operations are
@@ -55,7 +60,6 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
-import multiprocessing
 import os
 import struct
 import sys
@@ -300,6 +304,9 @@ class HistoryWriter:
         self._stream = NdjsonWriter(self.ops_path, SCHEMA, meta=self.meta)
         self._index = _IndexBuilder()
         self._batch: List[HistoryOp] = []
+        #: Set by :class:`SpillingHistory`, whose op ids are dense from 0: each
+        #: record's byte offset, stored at its op id as it is written.
+        self.offsets_by_id: Optional[array] = None
 
     def append(self, op: HistoryOp) -> None:
         """Append one operation, final as handed in: records are spelled and
@@ -312,8 +319,10 @@ class HistoryWriter:
             self._spill()
 
     def _spill(self) -> None:
-        stream, add = self._stream, self._index.add
+        stream, add, by_id = self._stream, self._index.add, self.offsets_by_id
         for op in self._batch:
+            if by_id is not None:
+                by_id[op.op_id] = stream.offset
             add(op, stream.offset, stream.write_bytes(op_line(op).encode("ascii")))
         self._batch.clear()
 
@@ -397,11 +406,7 @@ class HistoryStore:
         if entry is None:
             return []
         offsets = struct.unpack_from(f"<{entry['count']}Q", self._mmap, entry["start"] * 8)
-        pread, fd, lines = os.pread, self._data.fileno(), []
-        for offset in offsets:
-            chunk = pread(fd, _LINE_READ, offset)
-            end = chunk.find(b"\n") + 1
-            lines.append(chunk[:end] if end else self._line_at(offset))
+        lines = self._lines_at(offsets)
         if hashlib.sha256(b"".join(lines)).hexdigest() == entry["sha256"]:
             try:
                 return [record_to_op(record) for record in
@@ -409,6 +414,20 @@ class HistoryStore:
             except _BAD_RECORD:
                 pass
         raise self._bad_stream(encode_bytes(canonical_key(key)), offsets)
+
+    def ops_at(self, offsets) -> List[HistoryOp]:
+        """The operations recorded at these byte offsets, in the order given."""
+        return [record_to_op(record) for record in
+                json.loads(b"[" + b",".join(self._lines_at(offsets)) + b"]")]
+
+    def _lines_at(self, offsets) -> List[bytes]:
+        """The lines starting at these byte offsets, each read with ``pread``."""
+        pread, fd, lines = os.pread, self._data.fileno(), []
+        for offset in offsets:
+            chunk = pread(fd, _LINE_READ, offset)
+            end = chunk.find(b"\n") + 1
+            lines.append(chunk[:end] if end else self._line_at(offset))
+        return lines
 
     def _line_at(self, offset: int) -> bytes:
         self._data.seek(offset)
@@ -516,18 +535,19 @@ class SpillingHistory:
                  meta: Optional[Dict[str, Any]] = None) -> None:
         self.sim = sim
         self.writer = HistoryWriter(run_dir, meta=meta, initial=initial)
+        #: One slot per op id, filled with the record's offset when it is written.
+        self._offsets = self.writer.offsets_by_id = array("Q")
         self._pending: Dict[int, HistoryOp] = {}
-        self._ids = 0
         self._store: Optional[HistoryStore] = None
 
     # -- recording (History-compatible) ---------------------------------- #
 
     def invoke(self, client: str, op: str, key, value=None, expected=None) -> HistoryOp:
-        record = HistoryOp(self._ids, client, op, canonical_key(key),
+        record = HistoryOp(len(self._offsets), client, op, canonical_key(key),
                            None if value is None else bytes(value),
                            None if expected is None else bytes(expected),
                            self.sim.now)
-        self._ids += 1
+        self._offsets.append(0)
         self._pending[record.op_id] = record
         return record
 
@@ -549,10 +569,17 @@ class SpillingHistory:
     # -- History-shaped views (post-finish) ------------------------------- #
 
     def __len__(self) -> int:
-        return self._ids
+        return len(self._offsets)
 
     def iter_ops(self) -> Iterator[HistoryOp]:
         return self.finish().iter_ops()
+
+    def iter_ops_by_id(self) -> Iterator[HistoryOp]:
+        """Every operation in op-id (invocation) order, re-read 256 records at
+        a time through the per-id offsets, so only those are ever resident."""
+        store, offsets = self.finish(), self._offsets
+        for start in range(0, len(offsets), 256):
+            yield from store.ops_at(offsets[start:start + 256])
 
 
 # --------------------------------------------------------------------- #
@@ -681,10 +708,12 @@ def check_linearizable_streaming(
         if cache is not None:
             cache.put(digests[key], key_report)
 
-    if workers and "fork" not in multiprocessing.get_all_start_methods():
-        workers = 0  # spawn would re-import the world per key; stay serial
+    ctx = None
     if workers and to_check:
-        ctx = multiprocessing.get_context("fork")
+        import multiprocessing  # only a pool needs it
+        if "fork" in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("fork")  # spawn would re-import the world per key
+    if ctx is not None:
         window = 2 * workers
         with ctx.Pool(workers) as pool:
             in_flight: deque = deque()

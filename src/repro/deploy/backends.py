@@ -20,15 +20,10 @@ protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.baselines.chain_server import ServerChainCluster
-from repro.baselines.primary_backup import PrimaryBackupCluster
-from repro.baselines.zk_client import ZooKeeperClient, ZooKeeperKVClient
-from repro.baselines.zookeeper import ZooKeeperConfig, ZooKeeperEnsemble, build_zookeeper_ensemble
 from repro.core.client import KVClient
 from repro.core.cluster import ClusterConfig, NetChainCluster
-from repro.core.hybrid import DictBackend, HybridKVClient, HybridPolicy, HybridStore
 from repro.core.protocol import MAX_PROTOTYPE_VALUE_BYTES
 from repro.deploy.base import Backend, Capabilities, Deployment, register_backend
 from repro.deploy.spec import DeploymentSpec
@@ -37,6 +32,15 @@ from repro.netsim.host import HostConfig
 from repro.netsim.link import LinkConfig
 from repro.netsim.topology import Topology, build_testbed
 from repro.perfmodel.devices import KERNEL_STACK_DELAY, ZOOKEEPER_COMMIT_DELAY, scaled_testbed
+
+# The server baselines and the hybrid tier are imported by the builders
+# that use them, so a NetChain run loads none of them.
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.baselines.chain_server import ServerChainCluster
+    from repro.baselines.primary_backup import PrimaryBackupCluster
+    from repro.baselines.zk_client import ZooKeeperClient, ZooKeeperKVClient
+    from repro.baselines.zookeeper import ZooKeeperEnsemble
+    from repro.core.hybrid import HybridStore
 
 #: Message-processing capacity used for the ZooKeeper servers, calibrated to
 #: the measured ensemble throughput (see repro.baselines.zookeeper).
@@ -233,12 +237,14 @@ class ZooKeeperDeployment(Deployment):
         host = self.topology.hosts[host_name]
         live = self.ensemble.live_servers()
         server = live[index % len(live)]
+        from repro.baselines.zk_client import ZooKeeperClient
         return ZooKeeperClient(host, self.ensemble, server_id=server.server_id)
 
     def new_kv_client(self, index: int = 0,
                       prefix: Optional[str] = None) -> ZooKeeperKVClient:
         """A new session adapted to the unified :class:`KVClient` protocol,
         keyed under the same path prefix the deployment preloaded."""
+        from repro.baselines.zk_client import ZooKeeperKVClient
         return ZooKeeperKVClient(self.new_client(index),
                                  prefix=prefix or self.path_prefix)
 
@@ -270,6 +276,7 @@ class ZooKeeperBackendImpl(Backend):
                 f"{spec.replication} leaves none of the {spec.num_hosts} hosts")
 
     def build(self, spec: DeploymentSpec) -> ZooKeeperDeployment:
+        from repro.baselines.zookeeper import ZooKeeperConfig, build_zookeeper_ensemble
         num_servers = spec.replication
         topology = _server_topology(spec)
         scale = spec.scale
@@ -385,6 +392,7 @@ class ServerChainBackend(_ServerBaselineBackend):
     name = "server-chain"
 
     def build(self, spec: DeploymentSpec) -> ServerChainDeployment:
+        from repro.baselines.chain_server import ServerChainCluster
         topology = _server_topology(spec)
         hosts = [topology.hosts[f"H{i}"] for i in range(spec.num_hosts)]
         cluster = ServerChainCluster(hosts[:spec.replication])
@@ -399,6 +407,7 @@ class PrimaryBackupBackend(_ServerBaselineBackend):
     name = "primary-backup"
 
     def build(self, spec: DeploymentSpec) -> PrimaryBackupDeployment:
+        from repro.baselines.primary_backup import PrimaryBackupCluster
         topology = _server_topology(spec)
         hosts = [topology.hosts[f"H{i}"] for i in range(spec.num_hosts)]
         cluster = PrimaryBackupCluster(hosts[:spec.replication])
@@ -429,6 +438,7 @@ class HybridDeployment(_NetChainFamilyDeployment):
         agents = self.cluster.agent_list()
         if count is None:
             count = len(agents)
+        from repro.core.hybrid import HybridKVClient
         return [HybridKVClient(self.store, agent=agents[i % len(agents)],
                                server_delay=self.server_delay)
                 for i in range(count)]
@@ -459,6 +469,7 @@ class HybridBackend(Backend):
         # by NetChainCluster itself.
 
     def build(self, spec: DeploymentSpec) -> HybridDeployment:
+        from repro.core.hybrid import DictBackend, HybridPolicy, HybridStore
         options = spec.options
         config, topology, scale = _scaled_cluster_parts(spec)
         cluster = NetChainCluster(config, topology=topology)

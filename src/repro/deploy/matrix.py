@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.deploy.base import available_backends
@@ -336,14 +336,22 @@ def summarize_cell(cell: Dict[str, Any], result: ScenarioResult,
 
 
 def signature_digest(result: ScenarioResult) -> str:
-    """sha256 over the per-operation replay signature.
+    """sha256 over ``repr`` of the list of the per-operation replay tuples.
 
-    The signature tuples carry every float timestamp verbatim through
-    ``repr``, so two cells hash identically exactly when their operation
-    histories are byte-identical.
+    The tuples carry every float timestamp verbatim through ``repr``, so
+    two cells hash identically exactly when their operation histories are
+    byte-identical.  They are hashed as they stream from
+    :meth:`~repro.deploy.scenario.ScenarioResult.iter_signature`, 256 at a
+    time: each chunk's ``repr`` without its brackets, joined by ``", "``
+    inside one pair, is the whole list's ``repr`` byte for byte, and no
+    more than one chunk of it is ever resident.
     """
-    payload = repr(result.signature()).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    digest, tuples, separator = hashlib.sha256(b"["), result.iter_signature(), b""
+    while chunk := list(islice(tuples, 256)):
+        digest.update(separator + repr(chunk)[1:-1].encode("utf-8"))
+        separator = b", "
+    digest.update(b"]")
+    return digest.hexdigest()
 
 
 # --------------------------------------------------------------------- #
@@ -384,6 +392,7 @@ def run_matrix(matrix: MatrixSpec,
             if on_result is not None:
                 on_result(summary, len(summaries), len(payloads))
     else:
+        import multiprocessing  # only a pool needs it
         context = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")

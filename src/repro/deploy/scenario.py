@@ -26,7 +26,7 @@ import random
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.history import History, LinearizabilityReport, check_linearizable
 from repro.core.history_store import (
@@ -35,7 +35,6 @@ from repro.core.history_store import (
     check_linearizable_streaming,
     default_verdict_cache,
 )
-from repro.core.trace import TelemetryPlane
 from repro.deploy.base import Capabilities, Deployment, build_deployment
 from repro.deploy.spec import DeploymentSpec, check_unknown_fields
 from repro.netsim.faults import FaultEvent, FaultSchedule
@@ -43,6 +42,9 @@ from repro.netsim.stats import IntervalCounter, LatencyRecorder
 from repro.netsim.telemetry import TelemetryConfig, peak_rss_bytes
 from repro.workloads.clients import LoadClient
 from repro.workloads.generators import KeyValueWorkload, WorkloadConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.trace import TelemetryPlane
 
 
 @dataclass
@@ -292,23 +294,23 @@ class ScenarioResult:
         return self.linearizability.ok \
             and not self.linearizability.exhausted_keys()
 
-    def signature(self) -> List[Tuple]:
-        """A hashable per-operation trace for replay-identity assertions.
+    def iter_signature(self) -> Iterator[Tuple]:
+        """The per-operation replay trace, one hashable tuple per op.
 
         Two runs of the same spec+workload+seed must produce *identical*
-        signatures -- operation order, values, outcomes and timestamps --
-        whether the history was buffered in memory or spilled to NDJSON
-        (operations are ordered by invocation id, which both recording
-        modes assign identically).
+        tuples -- operation order, values, outcomes and timestamps --
+        whether the history was buffered in memory or spilled to NDJSON:
+        both yield in op-id (invocation) order, which both recording modes
+        assign identically.  A spilled history is re-read a chunk at a
+        time, never loaded whole; :func:`repro.deploy.matrix.signature_digest`
+        hashes the stream.
         """
-        if self.history is None:
-            return []
-        if hasattr(self.history, "ops"):
-            ops = self.history.ops
-        else:  # spilled: NDJSON order is completion order; re-sort
-            ops = sorted(self.history.iter_ops(), key=lambda op: op.op_id)
-        return [(op.client, op.op, op.key, op.value, op.output, op.ok,
-                 op.invoked_at, op.returned_at) for op in ops]
+        history = self.history
+        if history is None:
+            return iter(())
+        ops = history.ops if isinstance(history, History) else history.iter_ops_by_id()
+        return ((op.client, op.op, op.key, op.value, op.output, op.ok,
+                 op.invoked_at, op.returned_at) for op in ops)
 
 
 def run_scenario(spec: DeploymentSpec,
@@ -373,6 +375,7 @@ def run_scenario(spec: DeploymentSpec,
     plane: Optional[TelemetryPlane] = None
     telemetry_config = TelemetryConfig.coerce(spec.telemetry)
     if telemetry_config is not None:
+        from repro.core.trace import TelemetryPlane
         telemetry_dir = Path(telemetry_config.run_dir) \
             if telemetry_config.run_dir is not None \
             else Path(tempfile.mkdtemp(prefix="telemetry-run-"))

@@ -334,16 +334,15 @@ def test_seeded_scenario_processed_events_pinned():
     it.  The event count is mechanical: a change that removes events (the
     fused host TX hop took it from 116,946 to 106,692, one per op) re-pins
     it once, with the digest unmoved."""
-    import hashlib
-
     from repro.deploy import DeploymentSpec, WorkloadSpec, run_scenario
+    from repro.deploy.matrix import signature_digest
 
     spec = DeploymentSpec(backend="netchain", store_size=20, value_size=32, seed=5)
     workload = WorkloadSpec(num_clients=2, concurrency=2, write_ratio=0.5,
                             duration=0.25, drain=0.25)
     result = run_scenario(spec, workload)
     assert result.ok(), result.failures
-    assert hashlib.sha256(repr(result.signature()).encode("utf-8")).hexdigest() \
+    assert signature_digest(result) \
         == "fff73ea05fd55beec2c02dcec251240177d63592ba8a6f0d0adae6d99dcfd531"
     assert result.deployment.sim.processed_events == 106692
     assert result.completed_ops == 10254

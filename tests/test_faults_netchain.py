@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.deploy import run_scenario
+from repro.deploy.matrix import signature_digest
 from repro.experiments.failures import fault_scenario
 from tests.conftest import fault_seeds
 
@@ -156,4 +157,4 @@ def test_acceptance_scenario_replays_identically(seed):
     assert first.failed_ops == second.failed_ops
     assert first.drop_report == second.drop_report
     # The recorded histories are identical operation for operation.
-    assert first.signature() == second.signature()
+    assert signature_digest(first) == signature_digest(second)

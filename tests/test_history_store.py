@@ -42,6 +42,7 @@ from repro.core.history_store import (
     verdict_digest,
 )
 from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec, run_scenario
+from repro.deploy.matrix import signature_digest
 from repro.experiments import fault_scenario
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -437,7 +438,7 @@ def test_scenario_spill_replays_identically_to_memory(tmp_path):
         verdict_cache=VerdictCache()))
     assert memory.ok(), memory.failures
     assert spill_a.ok(), spill_a.failures
-    assert memory.signature() == spill_a.signature() == spill_b.signature()
+    assert signature_digest(memory) == signature_digest(spill_a) == signature_digest(spill_b)
     # Two spilled runs of the same seed are byte-identical on disk (minus
     # the self-describing run path, which lives outside the data file).
     assert (tmp_path / "a" / "ops.ndjson").read_bytes() == \
@@ -465,7 +466,7 @@ def test_spilled_run_dir_is_byte_identical_to_the_commit_before_the_template(tmp
              for name in ("ops.ndjson", "index.bin", "index.json")}
     found.update(completed_ops=result.completed_ops, failed_ops=result.failed_ops)
     assert found == anchors["spill"]
-    assert hashlib.sha256(repr(result.signature()).encode("utf-8")).hexdigest() == \
+    assert signature_digest(result) == \
         anchors["fault"]["signature_sha256"]
 
 

@@ -27,6 +27,7 @@ from repro.core.hybrid import HybridStore
 from repro.core.protocol import normalize_key
 from repro.deploy import DeploymentSpec
 from repro.deploy.base import available_backends, get_backend
+from repro.deploy.matrix import signature_digest
 from repro.deploy.scenario import ScenarioChecks, WorkloadSpec, run_scenario
 from repro.netsim.registers import RegisterAllocationError, RegisterFile
 from tests.conftest import make_cluster
@@ -471,8 +472,8 @@ def test_skewed_scenario_with_tier_replays_identically():
     first = run_scenario(_tier_spec(), _SKEWED)
     second = run_scenario(_tier_spec(), _SKEWED)
     assert first.ok() and second.ok()
-    signature = first.signature()
-    assert signature and signature == second.signature()
+    assert next(first.iter_signature(), None) is not None
+    assert signature_digest(first) == signature_digest(second)
 
 
 def test_tier_improves_skewed_throughput():

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.detector import DetectorConfig
 from repro.deploy import run_scenario
+from repro.deploy.matrix import signature_digest
 from repro.experiments.elasticity import reconfig_scenario
 from tests.conftest import fault_seeds
 
@@ -171,4 +172,4 @@ def test_scenario_replays_identically(seed):
     assert first.completed_ops == second.completed_ops
     assert first.failed_ops == second.failed_ops
     assert first.drop_report == second.drop_report
-    assert first.signature() == second.signature()
+    assert signature_digest(first) == signature_digest(second)

@@ -36,6 +36,7 @@ from repro.core.trace import (
     trace_breakdowns,
 )
 from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec, run_scenario
+from repro.deploy.matrix import signature_digest
 from repro.netsim.engine import Simulator
 from repro.netsim.stats import LatencyRecorder
 from repro.netsim.telemetry import (
@@ -268,7 +269,7 @@ def test_traced_runs_are_byte_identical(tmp_path):
         assert result.metrics["schema"] == "telemetry/v1"
         assert result.metrics["spans"] > 0
         digests.append(_dir_digests(run_dir))
-        signatures.append(result.signature())
+        signatures.append(signature_digest(result))
     assert digests[0] == digests[1]
     assert signatures[0] == signatures[1]
 
@@ -458,7 +459,7 @@ def test_close_writes_open_traces_as_unfinished_tail_traces(tmp_path):
 def test_telemetry_does_not_perturb_replay(tmp_path):
     off = _run(_spec(telemetry=None))
     on = _run(_spec(telemetry={"run_dir": str(tmp_path / "run")}))
-    assert off.signature() == on.signature()
+    assert signature_digest(off) == signature_digest(on)
     assert off.completed_ops == on.completed_ops
     assert off.metrics is None and off.telemetry_dir is None
 
@@ -561,7 +562,7 @@ def test_trace_sampling_reduces_spans(tmp_path):
     r_full = _run(_spec(telemetry={"run_dir": str(full)}))
     r_sampled = _run(_spec(telemetry={"run_dir": str(sampled),
                                       "trace_sample": 8}))
-    assert r_full.signature() == r_sampled.signature()
+    assert signature_digest(r_full) == signature_digest(r_sampled)
     assert 0 < r_sampled.metrics["traces"] < r_full.metrics["traces"]
     assert r_sampled.metrics["spans"] < r_full.metrics["spans"]
 
