@@ -13,7 +13,7 @@ design arguments on the same simulated substrate:
   (an ablated switch program) lets reordered writes leave replicas
   inconsistent, which the shipped protocol never does.
 
-Every deployment is built through the declarative backend registry
+Every deployment is built from a declarative spec
 (:mod:`repro.deploy`), so the three systems under comparison differ only
 in the spec's ``backend`` field.
 """

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""One seeded scenario, every registered backend.
+"""One seeded scenario, every backend.
 
 The paper's evaluation is a matrix: one workload swept over NetChain,
 ZooKeeper and server-based chain variants.  With the declarative
 deployment API (:mod:`repro.deploy`) that matrix is a loop: a single
 :class:`DeploymentSpec` plus :func:`run_scenario` drives the *same*
 seeded mixed read/write workload -- the same keys, the same operation
-stream, the same linearizability checks -- against all five registered
+stream, the same linearizability checks -- against all five
 backends, varying nothing but the spec's ``backend`` field.
 
 Run:  PYTHONPATH=src python examples/backend_matrix.py
@@ -14,7 +14,7 @@ Run:  PYTHONPATH=src python examples/backend_matrix.py
 
 from __future__ import annotations
 
-from repro.deploy import DeploymentSpec, WorkloadSpec, available_backends, get_backend, run_scenario
+from repro.deploy import DeploymentSpec, WorkloadSpec, available_backends, run_scenario
 
 
 def main() -> None:
@@ -22,12 +22,12 @@ def main() -> None:
     workload = WorkloadSpec(num_clients=2, concurrency=2, write_ratio=0.5,
                             duration=0.3)
 
-    print("== One seeded scenario on every registered backend ==")
+    print("== One seeded scenario on every backend ==")
     print(f"{'backend':<15} {'ok':<5} {'ops':>7} {'qps(sim)':>10} "
           f"{'read us':>9} {'write us':>9}  capabilities")
     for name in available_backends():
-        caps = get_backend(name).capabilities
         result = run_scenario(spec.with_backend(name), workload)
+        caps = result.deployment.capabilities
         flags = ",".join(flag.replace("supports_", "")
                          for flag, on in caps.as_dict().items()
                          if on and flag.startswith("supports_"))

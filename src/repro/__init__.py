@@ -17,8 +17,8 @@ Sub-packages:
 * :mod:`repro.workloads`   -- workload generators and load-driving clients.
 * :mod:`repro.apps`        -- applications (the 2PL transaction benchmark).
 * :mod:`repro.perfmodel`   -- device constants (Table 1) and analytic models.
-* :mod:`repro.deploy`      -- declarative deployment specs, the pluggable
-  backend registry (netchain / zookeeper / server-chain / primary-backup /
+* :mod:`repro.deploy`      -- declarative deployment specs, one deployment
+  class per backend (netchain / zookeeper / server-chain / primary-backup /
   hybrid) and the scenario runner.
 * :mod:`repro.experiments` -- one driver per measurement of the paper's
   evaluation, whatever the backend (Fig. 9(f) and Table 1: perfmodel).
@@ -27,9 +27,9 @@ Sub-packages:
 
 Quickstart (the unified futures-based client API, :mod:`repro.core.client`)::
 
-    from repro.core import NetChainCluster, ClusterConfig
+    from repro.deploy import DeploymentSpec, build_deployment
 
-    cluster = NetChainCluster(ClusterConfig(store_slots=1024))
+    cluster = build_deployment(DeploymentSpec(store_slots=1024)).cluster
     session = cluster.session("H0")
     session.insert("hello").result()
     session.write("hello", b"world").result()

@@ -155,7 +155,6 @@ def _trace_run(args: argparse.Namespace) -> int:
     spec = DeploymentSpec(
         backend="netchain", store_size=64, value_size=64, seed=args.seed,
         faults=[(duration / 2.0, "fail_switch", "S1")] if args.failover else [],
-        options={"fault_reaction": True} if args.failover else {},
         telemetry={"run_dir": args.out})
     workload = WorkloadSpec(num_clients=2, concurrency=4, write_ratio=0.3,
                             duration=duration, drain=0.1)

@@ -33,7 +33,7 @@ from repro.core.client import (
     first,
     gather,
 )
-from repro.core.cluster import ClusterConfig, NetChainCluster
+from repro.core.cluster import NetChainCluster
 from repro.core.controller import ChainInfo, ControllerConfig, NetChainController
 from repro.core.coordination import (
     Barrier,
@@ -119,7 +119,6 @@ __all__ = [
     "RecordingClient",
     "check_linearizable",
     "NetChainCluster",
-    "ClusterConfig",
     "MigrationCoordinator",
     "MigrationPlan",
     "MigrationReport",

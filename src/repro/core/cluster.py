@@ -1,93 +1,41 @@
-"""One-call assembly of a NetChain deployment on the simulated testbed.
+"""One-call assembly of a NetChain deployment on a simulated testbed.
 
-Most examples, tests and experiments need the same setup: build the
-Figure 8 testbed, install the NetChain program on the switches, start the
-controller, and attach one client agent per host.  :class:`NetChainCluster`
-bundles that, with the scale model applied to all device capacities.
+Most examples, tests and experiments need the same setup: install the
+NetChain program on the switches of the Figure 8 testbed, start the
+controller, and attach one client agent per host.
+:class:`NetChainCluster` bundles that over a topology its caller built
+(usually :func:`repro.perfmodel.devices.scaled_testbed`); the
+``netchain`` and ``hybrid`` deployments of :mod:`repro.deploy` build it
+from a :class:`~repro.deploy.spec.DeploymentSpec`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.agent import AgentConfig, NetChainAgent
 from repro.core.controller import ControllerConfig, NetChainController
 from repro.core.detector import DetectorConfig, FailureDetector
 from repro.netsim.engine import Simulator
-from repro.netsim.faults import FaultInjector, FaultSchedule
 from repro.netsim.link import LinkConfig
 from repro.netsim.topology import Topology
-from repro.perfmodel.devices import scaled_testbed
-
-
-@dataclass
-class ClusterConfig:
-    """Deployment parameters for a simulated NetChain cluster.
-
-    Invalid parameter combinations raise :class:`ValueError` at
-    construction time, so a bad config fails where it was written instead
-    of deep inside chain building or the simulation.
-    """
-
-    #: Scale factor applied to all device capacities (see
-    #: :mod:`repro.perfmodel.devices`).
-    scale: float = 1000.0
-    #: Number of client/server machines attached to the testbed.
-    num_hosts: int = 4
-    #: Chain length (f+1).
-    replication: int = 3
-    #: Virtual nodes (groups) per switch.
-    vnodes_per_switch: int = 10
-    #: Key slots per switch.
-    store_slots: int = 65536
-    #: Client retry timeout.
-    retry_timeout: float = 500e-6
-    #: Client retry budget.
-    max_retries: int = 20
-    #: Random seed.
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.num_hosts < 1:
-            raise ValueError(f"num_hosts must be at least 1, got {self.num_hosts}")
-        if self.replication < 1:
-            raise ValueError(
-                f"replication (chain length) must be at least 1, got {self.replication}")
-        if self.vnodes_per_switch < 1:
-            raise ValueError(
-                f"vnodes_per_switch must be at least 1, got {self.vnodes_per_switch}")
-        if self.store_slots < 1:
-            raise ValueError(f"store_slots must be at least 1, got {self.store_slots}")
-        if self.retry_timeout <= 0:
-            raise ValueError(
-                f"retry_timeout must be positive, got {self.retry_timeout}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
 class NetChainCluster:
-    """A ready-to-use NetChain deployment on the 4-switch testbed."""
+    """A ready-to-use NetChain deployment on a testbed topology.
 
-    def __init__(self, config: Optional[ClusterConfig] = None,
-                 topology: Optional[Topology] = None,
-                 member_switches: Optional[List[str]] = None,
-                 controller_config: Optional[ControllerConfig] = None) -> None:
-        self.config = config or ClusterConfig()
-        cfg = self.config
-        if topology is None:
-            topology = scaled_testbed(scale=cfg.scale, num_hosts=cfg.num_hosts,
-                                      seed=cfg.seed)
+    ``scale`` is the capacity divisor the topology was built with (a
+    hot-plugged switch gets the same); ``retry_timeout`` is every agent's
+    client retry timeout.  A chain longer than the member switches (all
+    of the topology's unless ``member_switches`` names some) raises
+    :class:`ValueError` before anything is installed.
+    """
+
+    def __init__(self, topology: Topology, controller_config: ControllerConfig,
+                 retry_timeout: float = 500e-6, scale: float = 1000.0,
+                 member_switches: Optional[List[str]] = None) -> None:
         self.topology = topology
-        if controller_config is None:
-            controller_config = ControllerConfig(
-                replication=cfg.replication,
-                vnodes_per_switch=cfg.vnodes_per_switch,
-                store_slots=cfg.store_slots,
-                seed=cfg.seed,
-            )
+        self.scale = scale
         members = member_switches if member_switches is not None \
             else sorted(topology.switches)
         if controller_config.replication > len(members):
@@ -99,12 +47,10 @@ class NetChainCluster:
                                              config=controller_config)
         # One shared config for every agent: it is read-only to the agents
         # (each allocates its own UDP port because ``udp_port`` stays None).
-        agent_config = AgentConfig(retry_timeout=cfg.retry_timeout,
-                                   max_retries=cfg.max_retries)
+        agent_config = AgentConfig(retry_timeout=retry_timeout)
         self.agents: Dict[str, NetChainAgent] = {}
         for name, host in topology.hosts.items():
             self.agents[name] = NetChainAgent(host, self.controller, config=agent_config)
-        self._fault_injector: Optional[FaultInjector] = None
         self.detector: Optional[FailureDetector] = None
 
     # ------------------------------------------------------------------ #
@@ -149,15 +95,6 @@ class NetChainCluster:
         """Queries completed across all agents."""
         return sum(agent.completed for agent in self.agents.values())
 
-    def faults(self) -> FaultInjector:
-        """The cluster's fault injector (created on first use), seeded
-        with the cluster seed so a whole scenario replays from the single
-        :class:`ClusterConfig.seed` knob."""
-        if self._fault_injector is None:
-            self._fault_injector = FaultInjector(self.topology,
-                                                 seed=self.config.seed)
-        return self._fault_injector
-
     # ------------------------------------------------------------------ #
     # Elastic reconfiguration (hot-plug + live migration).
     # ------------------------------------------------------------------ #
@@ -179,7 +116,7 @@ class NetChainCluster:
         if link_to is None:
             link_to = [members[-1], members[0]] if len(members) > 1 else members[:1]
         if switch_config is None:
-            switch_config = scaled_switch_config(self.config.scale)
+            switch_config = scaled_switch_config(self.scale)
         switch = self.topology.attach_switch(name, link_to,
                                              switch_config=switch_config,
                                              link_config=LinkConfig())
@@ -196,10 +133,6 @@ class NetChainCluster:
         """
         from repro.core.reconfig import migrate
         return migrate(self.controller, target_members, config=config)
-
-    def fault_schedule(self, poll_interval: float = 1e-3) -> FaultSchedule:
-        """A new :class:`FaultSchedule` over the cluster's injector."""
-        return FaultSchedule(self.faults(), poll_interval=poll_interval)
 
     def enable_hotkey_tier(self, config=None):
         """Turn on the adaptive hot-key tier (:mod:`repro.core.hotkeys`).

@@ -1,4 +1,4 @@
-"""Declarative deployments and scenarios over one pluggable backend registry.
+"""Declarative deployments and scenarios over five backends.
 
 The paper's evaluation sweeps one workload over NetChain, ZooKeeper and
 server-based chain variants.  This package makes that matrix a first-class
@@ -6,12 +6,14 @@ object:
 
 * :class:`DeploymentSpec` -- a declarative description of a deployment
   (topology scale, membership, preloaded store, fault schedule, seed).
-* :class:`Backend` / :func:`register_backend` -- the pluggable registry;
-  ``netchain``, ``zookeeper``, ``server-chain``, ``primary-backup`` and
-  ``hybrid`` are registered on import.
+* :class:`Deployment` -- one subclass per backend (``netchain``,
+  ``zookeeper``, ``server-chain``, ``primary-backup``, ``hybrid``), each
+  with a ``build(spec)`` classmethod; ``BACKENDS`` maps the names to
+  the classes.
 * :func:`build_deployment` -- spec in, :class:`Deployment` out: a
   simulator, unified-protocol clients, a fault injector, capability
-  flags and a teardown.
+  flags and a teardown.  ``spec.options`` keys the backend does not
+  read are rejected.
 * :func:`run_scenario` -- compose any backend with any workload,
   declarative fault schedule and history/linearizability checks.
 * :class:`MatrixSpec` / :func:`run_matrix` -- the whole seed x backend x
@@ -23,21 +25,16 @@ builder.
 """
 
 from repro.deploy.backends import (
+    BACKENDS,
     HybridDeployment,
     NetChainDeployment,
     PrimaryBackupDeployment,
     ServerChainDeployment,
     ZooKeeperDeployment,
-)
-from repro.deploy.base import (
-    Backend,
-    Capabilities,
-    Deployment,
     available_backends,
     build_deployment,
-    get_backend,
-    register_backend,
 )
+from repro.deploy.base import Capabilities, Deployment
 from repro.deploy.matrix import (
     MatrixSpec,
     canonical_report,
@@ -51,13 +48,11 @@ from repro.deploy.spec import DeploymentSpec
 
 __all__ = [
     "DeploymentSpec",
-    "Backend",
+    "BACKENDS",
     "Capabilities",
     "Deployment",
     "available_backends",
     "build_deployment",
-    "get_backend",
-    "register_backend",
     "NetChainDeployment",
     "ZooKeeperDeployment",
     "ServerChainDeployment",

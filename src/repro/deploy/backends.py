@@ -1,7 +1,7 @@
-"""The five registered deployment backends.
+"""The five deployment backends and the name -> class mapping.
 
 Each backend builds the paper's evaluation testbed (Figure 8) for one
-system under test and hands back a :class:`~repro.deploy.base.Deployment`
+system under test as a :class:`~repro.deploy.base.Deployment` subclass
 whose clients all speak the unified :class:`repro.core.client.KVClient`
 protocol:
 
@@ -15,20 +15,22 @@ protocol:
   Figure 1(a).
 * ``hybrid``         -- NetChain as an accelerator tier in front of a
   server-based store (Section 6).
+
+A new backend is one more ``Deployment`` subclass with a ``build(spec)``
+classmethod, added to :data:`BACKENDS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type, Union
 
 from repro.core.client import KVClient
-from repro.core.cluster import ClusterConfig, NetChainCluster
-from repro.core.protocol import MAX_PROTOTYPE_VALUE_BYTES
-from repro.deploy.base import Backend, Capabilities, Deployment, register_backend
+from repro.core.cluster import NetChainCluster
+from repro.core.controller import ControllerConfig
+from repro.deploy.base import Capabilities, Deployment
 from repro.deploy.spec import DeploymentSpec
-from repro.netsim.faults import FaultInjector
-from repro.netsim.host import HostConfig
+from repro.netsim.host import Host, HostConfig
 from repro.netsim.link import LinkConfig
 from repro.netsim.topology import Topology, build_testbed
 from repro.perfmodel.devices import KERNEL_STACK_DELAY, ZOOKEEPER_COMMIT_DELAY, scaled_testbed
@@ -46,11 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: the measured ensemble throughput (see repro.baselines.zookeeper).
 ZOOKEEPER_SERVER_MSGS_PER_SEC = 160e3
 
-
-def _default_slots(spec: DeploymentSpec) -> int:
-    if spec.store_slots is not None:
-        return spec.store_slots
-    return max(1024, spec.store_size + len(spec.extra_keys) + 1024)
+#: Share of the preloaded keys the ``hybrid`` backend pins into the network
+#: tier (hot data); the rest start on the server tier.
+HYBRID_NETWORK_FRACTION = 0.5
 
 
 # --------------------------------------------------------------------- #
@@ -59,12 +59,14 @@ def _default_slots(spec: DeploymentSpec) -> int:
 
 class _NetChainFamilyDeployment(Deployment):
     """Shared surface of deployments carrying a :class:`NetChainCluster`
-    (``netchain`` itself and the ``hybrid`` accelerator): the cluster's
-    fault injector, its failure detector as the fault-reaction machinery,
-    the optional hot-key tier, and its teardown."""
+    (``netchain`` itself and the ``hybrid`` accelerator): its failure
+    detector as the fault-reaction machinery, the optional hot-key tier,
+    and its teardown.  ``options``: ``hotkey_tier`` (the tier's knobs)."""
+
+    option_keys = Deployment.option_keys + ("hotkey_tier",)
 
     #: The running :class:`repro.core.hotkeys.HotKeyManager` when the spec
-    #: enabled the adaptive hot-key tier (set by the backend's build).
+    #: enabled the adaptive hot-key tier (set by ``build``).
     hotkey_manager = None
 
     @property
@@ -79,13 +81,6 @@ class _NetChainFamilyDeployment(Deployment):
     def hotkey_tier_active(self) -> bool:
         """Whether the adaptive hot-key tier is running on this deployment."""
         return self.hotkey_manager is not None
-
-    @property
-    def fault_injector(self) -> FaultInjector:
-        return self.cluster.faults()
-
-    def fault_schedule(self, poll_interval: float = 1e-3):
-        return self.cluster.fault_schedule(poll_interval=poll_interval)
 
     def start_fault_reaction(self, options: Dict) -> None:
         config = options.get("detector_config")
@@ -110,35 +105,77 @@ class _NetChainFamilyDeployment(Deployment):
         if self.cluster.detector is not None:
             self.cluster.detector.stop()
 
+    @staticmethod
+    def _build_cluster(spec: DeploymentSpec,
+                       controller_config: Optional[ControllerConfig] = None
+                       ) -> NetChainCluster:
+        """The spec's cluster: the scaled testbed (capacity ceilings off
+        when ``unlimited_capacity``, which also reports at scale 1), a
+        controller config from the spec's fields unless one is given
+        (``store_slots`` sized from the store when unset), and the spec's
+        retry timeout.  The replication-versus-members check is the
+        cluster's own."""
+        if controller_config is None:
+            slots = spec.store_slots
+            if slots is None:
+                slots = max(1024, spec.store_size + len(spec.extra_keys) + 1024)
+            controller_config = ControllerConfig(
+                replication=spec.replication,
+                vnodes_per_switch=spec.vnodes_per_switch,
+                store_slots=slots, seed=spec.seed)
+        scale = 1.0 if spec.unlimited_capacity else spec.scale
+        topology = scaled_testbed(scale=scale, num_hosts=spec.num_hosts,
+                                  seed=spec.seed,
+                                  unlimited_capacity=spec.unlimited_capacity)
+        return NetChainCluster(topology, controller_config,
+                               retry_timeout=spec.retry_timeout, scale=scale)
 
-def _scaled_cluster_parts(spec: DeploymentSpec):
-    """The shared NetChain-family build scaffolding: the spec-derived
-    :class:`ClusterConfig`, an (optional) unlimited-capacity topology,
-    and the effective reporting scale."""
-    config = ClusterConfig(scale=spec.scale, num_hosts=spec.num_hosts,
-                           replication=spec.replication,
-                           vnodes_per_switch=spec.vnodes_per_switch,
-                           store_slots=_default_slots(spec),
-                           retry_timeout=spec.retry_timeout, seed=spec.seed)
-    topology = None
-    scale = spec.scale
-    if spec.unlimited_capacity:
-        topology = scaled_testbed(num_hosts=spec.num_hosts, seed=spec.seed,
-                                  unlimited_capacity=True)
-        scale = 1.0
-        config.scale = 1.0
-    return config, topology, scale
+    def _finish_build(self, spec: DeploymentSpec) -> None:
+        """The last build steps of the family, after the store is loaded:
+        the spec's loss rate and, when asked for, the hot-key tier."""
+        if spec.loss_rate:
+            self.topology.set_loss_rate(spec.loss_rate)
+        if spec.hotkey_tier:
+            self.hotkey_manager = self.cluster.enable_hotkey_tier(
+                spec.options.get("hotkey_tier"))
 
 
 @dataclass
 class NetChainDeployment(_NetChainFamilyDeployment):
-    """A NetChain cluster plus the knobs the experiment fixed."""
+    """A NetChain cluster plus the knobs the experiment fixed.
+
+    ``options``: ``controller_config`` (a full
+    :class:`repro.core.controller.ControllerConfig`, overriding the
+    spec-derived one), ``hotkey_tier``.
+    """
 
     cluster: NetChainCluster
     scale: float
     keys: List[str] = field(default_factory=list)
 
     backend_name = "netchain"
+    capabilities = Capabilities(supports_reconfig=True,
+                                supports_fault_injection=True,
+                                scaled_throughput=True,
+                                supports_hotkey_tier=True)
+    option_keys = _NetChainFamilyDeployment.option_keys + ("controller_config",)
+
+    @classmethod
+    def build(cls, spec: DeploymentSpec) -> "NetChainDeployment":
+        controller_config = spec.options.get("controller_config")
+        if isinstance(controller_config, dict):
+            # JSON-deserialized specs (matrix cells) carry the controller
+            # config as a plain field dict.
+            controller_config = ControllerConfig(**controller_config)
+        cluster = cls._build_cluster(spec, controller_config)
+        keys = cluster.populate(spec.store_size, value_size=spec.value_size,
+                                key_prefix=spec.key_prefix)
+        if spec.extra_keys:
+            cluster.controller.populate(list(spec.extra_keys))
+            keys = keys + list(spec.extra_keys)
+        deployment = cls(cluster=cluster, scale=cluster.scale, keys=keys)
+        deployment._finish_build(spec)
+        return deployment
 
     def clients(self, count: Optional[int] = None) -> List[KVClient]:
         agents = self.cluster.agent_list()
@@ -157,61 +194,67 @@ class NetChainDeployment(_NetChainFamilyDeployment):
         return initial
 
 
-class NetChainBackend(Backend):
-    """Builds :class:`NetChainDeployment` from a spec.
+# --------------------------------------------------------------------- #
+# Server-hosted backends: ZooKeeper, chain replication, primary-backup.
+# --------------------------------------------------------------------- #
 
-    ``options``: ``controller_config`` (a full
-    :class:`repro.core.controller.ControllerConfig`, overriding the
-    spec-derived one), ``member_switches``.
-    """
+class _ServerHostedDeployment(Deployment):
+    """Shared surface of the backends whose ``spec.replication`` servers
+    occupy the first hosts of a kernel-TCP testbed (NIC ceilings off --
+    server CPUs and protocol round trips are the bottleneck, not packet
+    IO): one cached client per requested client, spread round-robin over
+    the remaining (client) hosts.  ``options``: ``stack_delay`` (the
+    hosts' one-way stack delay)."""
 
-    name = "netchain"
-    capabilities = Capabilities(supports_reconfig=True,
-                                supports_fault_injection=True,
-                                scaled_throughput=True,
-                                supports_hotkey_tier=True)
+    option_keys = Deployment.option_keys + ("stack_delay",)
 
-    def check(self, spec: DeploymentSpec) -> None:
-        members = spec.options.get("member_switches")
-        member_count = len(members) if members is not None else 4
-        if spec.replication > member_count:
+    def __post_init__(self) -> None:
+        self._kv_clients: List[KVClient] = []
+
+    @classmethod
+    def _testbed(cls, spec: DeploymentSpec) -> Tuple[Topology, List[Host], List[str]]:
+        """Check that a host is left for clients, then build the testbed:
+        the topology, the server hosts and the client host names."""
+        if spec.replication >= spec.num_hosts:
             raise ValueError(
-                f"replication {spec.replication} exceeds the {member_count} "
-                f"member switches of the testbed")
-
-    def build(self, spec: DeploymentSpec) -> NetChainDeployment:
-        config, topology, scale = _scaled_cluster_parts(spec)
-        controller_config = spec.options.get("controller_config")
-        if isinstance(controller_config, dict):
-            # JSON-deserialized specs (matrix cells) carry the controller
-            # config as a plain field dict.
-            from repro.core.controller import ControllerConfig
-            controller_config = ControllerConfig(**controller_config)
-        cluster = NetChainCluster(
-            config, topology=topology,
-            member_switches=spec.options.get("member_switches"),
-            controller_config=controller_config)
-        keys = cluster.populate(spec.store_size, value_size=spec.value_size,
-                                key_prefix=spec.key_prefix)
-        if spec.extra_keys:
-            cluster.controller.populate(list(spec.extra_keys))
-            keys = keys + list(spec.extra_keys)
+                f"the {cls.backend_name} backend needs at least one client "
+                f"host: replication {spec.replication} leaves none of the "
+                f"{spec.num_hosts} hosts")
+        host_config = HostConfig(
+            stack_delay=spec.options.get("stack_delay", KERNEL_STACK_DELAY),
+            nic_pps=None)
+        topology = build_testbed(host_config=host_config, link_config=LinkConfig(),
+                                 num_hosts=spec.num_hosts, seed=spec.seed)
+        from repro.netsim.routing import install_shortest_path_routes
+        install_shortest_path_routes(topology)
         if spec.loss_rate:
-            cluster.topology.set_loss_rate(spec.loss_rate)
-        deployment = NetChainDeployment(cluster=cluster, scale=scale, keys=keys)
-        if spec.hotkey_tier:
-            deployment.hotkey_manager = cluster.enable_hotkey_tier(
-                spec.options.get("hotkey_tier"))
-        return deployment
+            topology.set_loss_rate(spec.loss_rate)
+        servers = [topology.hosts[f"H{i}"] for i in range(spec.replication)]
+        return topology, servers, [f"H{i}" for i in range(spec.replication,
+                                                          spec.num_hosts)]
 
+    @property
+    def sim(self):
+        return self.topology.sim
 
-# --------------------------------------------------------------------- #
-# ZooKeeper.
-# --------------------------------------------------------------------- #
+    def new_kv_client(self, index: int = 0) -> KVClient:
+        """A new client speaking the unified :class:`KVClient` protocol,
+        on client host ``index`` (round-robin)."""
+        raise NotImplementedError
+
+    def clients(self, count: Optional[int] = None) -> List[KVClient]:
+        if count is None:
+            count = len(self.client_host_names)
+        while len(self._kv_clients) < count:
+            self._kv_clients.append(self.new_kv_client(len(self._kv_clients)))
+        return list(self._kv_clients[:count])
+
 
 @dataclass
-class ZooKeeperDeployment(Deployment):
-    """A ZooKeeper ensemble on the testbed plus its client host(s)."""
+class ZooKeeperDeployment(_ServerHostedDeployment):
+    """A ZooKeeper ensemble (``spec.replication`` servers) on the testbed
+    plus its client host(s).  Keys live under the znode prefix
+    ``path_prefix``."""
 
     topology: Topology
     ensemble: ZooKeeperEnsemble
@@ -219,16 +262,29 @@ class ZooKeeperDeployment(Deployment):
     scale: float
     paths: List[str] = field(default_factory=list)
     keys: List[str] = field(default_factory=list)
-    path_prefix: str = "/kv/"
 
     backend_name = "zookeeper"
+    capabilities = Capabilities(supports_reconfig=False,
+                                supports_fault_injection=True,
+                                scaled_throughput=True)
+    path_prefix = "/kv/"
 
-    def __post_init__(self) -> None:
-        self._kv_clients: List[ZooKeeperKVClient] = []
-
-    @property
-    def sim(self):
-        return self.topology.sim
+    @classmethod
+    def build(cls, spec: DeploymentSpec) -> "ZooKeeperDeployment":
+        topology, servers, client_hosts = cls._testbed(spec)
+        from repro.baselines.zookeeper import ZooKeeperConfig, build_zookeeper_ensemble
+        server_rate = (None if spec.unlimited_capacity
+                       else ZOOKEEPER_SERVER_MSGS_PER_SEC / spec.scale)
+        config = ZooKeeperConfig(server_msgs_per_sec=server_rate,
+                                 log_sync_delay=ZOOKEEPER_COMMIT_DELAY)
+        ensemble = build_zookeeper_ensemble(servers, config)
+        keys = spec.key_names()
+        paths = [f"{cls.path_prefix}{key}" for key in keys]
+        ensemble.preload({path: bytes(spec.value_size) for path in paths})
+        return cls(topology=topology, ensemble=ensemble,
+                   client_host_names=client_hosts,
+                   scale=1.0 if spec.unlimited_capacity else spec.scale,
+                   paths=paths, keys=keys)
 
     def new_client(self, index: int = 0) -> ZooKeeperClient:
         """A new client session on one of the client hosts, spread over the
@@ -240,182 +296,63 @@ class ZooKeeperDeployment(Deployment):
         from repro.baselines.zk_client import ZooKeeperClient
         return ZooKeeperClient(host, self.ensemble, server_id=server.server_id)
 
-    def new_kv_client(self, index: int = 0,
-                      prefix: Optional[str] = None) -> ZooKeeperKVClient:
-        """A new session adapted to the unified :class:`KVClient` protocol,
-        keyed under the same path prefix the deployment preloaded."""
+    def new_kv_client(self, index: int = 0) -> ZooKeeperKVClient:
         from repro.baselines.zk_client import ZooKeeperKVClient
-        return ZooKeeperKVClient(self.new_client(index),
-                                 prefix=prefix or self.path_prefix)
-
-    def clients(self, count: Optional[int] = None) -> List[KVClient]:
-        if count is None:
-            count = len(self.client_host_names)
-        while len(self._kv_clients) < count:
-            self._kv_clients.append(self.new_kv_client(len(self._kv_clients)))
-        return list(self._kv_clients[:count])
-
-
-class ZooKeeperBackendImpl(Backend):
-    """Builds :class:`ZooKeeperDeployment` from a spec.
-
-    ``spec.replication`` is the ensemble size; the remaining
-    ``num_hosts - replication`` hosts run the client processes.
-    ``options``: ``path_prefix``.
-    """
-
-    name = "zookeeper"
-    capabilities = Capabilities(supports_reconfig=False,
-                                supports_fault_injection=True,
-                                scaled_throughput=True)
-
-    def check(self, spec: DeploymentSpec) -> None:
-        if spec.replication >= spec.num_hosts:
-            raise ValueError(
-                f"the ensemble needs at least one client host: replication "
-                f"{spec.replication} leaves none of the {spec.num_hosts} hosts")
-
-    def build(self, spec: DeploymentSpec) -> ZooKeeperDeployment:
-        from repro.baselines.zookeeper import ZooKeeperConfig, build_zookeeper_ensemble
-        num_servers = spec.replication
-        topology = _server_topology(spec)
-        scale = spec.scale
-        server_rate = (None if spec.unlimited_capacity
-                       else ZOOKEEPER_SERVER_MSGS_PER_SEC / scale)
-        if spec.unlimited_capacity:
-            scale = 1.0
-        config = ZooKeeperConfig(server_msgs_per_sec=server_rate,
-                                 log_sync_delay=ZOOKEEPER_COMMIT_DELAY)
-        server_hosts = [topology.hosts[f"H{i}"] for i in range(num_servers)]
-        ensemble = build_zookeeper_ensemble(server_hosts, config)
-        prefix = spec.options.get("path_prefix", "/kv/")
-        keys = spec.key_names()
-        paths = [f"{prefix}{key}" for key in keys]
-        ensemble.preload({path: bytes(spec.value_size) for path in paths})
-        client_hosts = [f"H{i}" for i in range(num_servers, len(topology.hosts))]
-        return ZooKeeperDeployment(topology=topology, ensemble=ensemble,
-                                   client_host_names=client_hosts, scale=scale,
-                                   paths=paths, keys=keys, path_prefix=prefix)
-
-
-# --------------------------------------------------------------------- #
-# Server-hosted baselines (chain replication and primary-backup).
-# --------------------------------------------------------------------- #
-
-class _ServerBaselineDeployment(Deployment):
-    """Shared surface of the server-hosted baselines: kernel-TCP hosts,
-    one cached ``kv_client`` per requested client, spread round-robin
-    over the client hosts."""
-
-    def __post_init__(self) -> None:
-        self._kv_clients: List[KVClient] = []
-
-    @property
-    def sim(self):
-        return self.topology.sim
-
-    def clients(self, count: Optional[int] = None) -> List[KVClient]:
-        if count is None:
-            count = len(self.client_host_names)
-        while len(self._kv_clients) < count:
-            name = self.client_host_names[len(self._kv_clients)
-                                          % len(self.client_host_names)]
-            self._kv_clients.append(
-                self.cluster.kv_client(self.topology.hosts[name]))
-        return list(self._kv_clients[:count])
+        return ZooKeeperKVClient(self.new_client(index), prefix=self.path_prefix)
 
 
 @dataclass
-class ServerChainDeployment(_ServerBaselineDeployment):
-    """Chain replication on kernel-TCP servers, clients on the rest."""
-
-    topology: Topology
-    cluster: ServerChainCluster
-    client_host_names: List[str]
-    scale: float = 1.0
-    keys: List[str] = field(default_factory=list)
-
-    backend_name = "server-chain"
-
-
-@dataclass
-class PrimaryBackupDeployment(_ServerBaselineDeployment):
-    """Primary-backup replication on kernel-TCP servers."""
-
-    topology: Topology
-    cluster: PrimaryBackupCluster
-    client_host_names: List[str]
-    scale: float = 1.0
-    keys: List[str] = field(default_factory=list)
-
-    backend_name = "primary-backup"
-
-
-def _server_topology(spec: DeploymentSpec) -> Topology:
-    """The shared substrate of the server-hosted baselines: the testbed
-    with kernel-TCP hosts (NIC ceilings off -- server CPUs and protocol
-    round trips are the bottleneck, not packet IO)."""
-    host_config = HostConfig(
-        stack_delay=spec.options.get("stack_delay", KERNEL_STACK_DELAY),
-        nic_pps=None)
-    topology = build_testbed(host_config=host_config, link_config=LinkConfig(),
-                             num_hosts=spec.num_hosts, seed=spec.seed)
-    from repro.netsim.routing import install_shortest_path_routes
-    install_shortest_path_routes(topology)
-    if spec.loss_rate:
-        topology.set_loss_rate(spec.loss_rate)
-    return topology
-
-
-class _ServerBaselineBackend(Backend):
-    """Shared spec checking for the two server-hosted baselines.
-
-    ``spec.replication`` servers occupy the first hosts; the remaining
-    hosts run clients.  Throughput is unscaled (``scale`` is ignored
+class _ServerBaselineDeployment(_ServerHostedDeployment):
+    """The server-hosted replication baselines, which differ only in the
+    replica cluster class.  Throughput is unscaled (``scale`` is ignored
     beyond validation): these baselines exist for latency and
-    message-count comparisons.  ``options``: ``stack_delay``.
-    """
+    message-count comparisons.  Each subclass names its replica cluster
+    class in ``_cluster_class``, imported only when built."""
+
+    topology: Topology
+    cluster: Union[ServerChainCluster, PrimaryBackupCluster]
+    client_host_names: List[str]
+    scale: float = 1.0
+    keys: List[str] = field(default_factory=list)
 
     capabilities = Capabilities(supports_reconfig=False,
                                 supports_fault_injection=True,
                                 scaled_throughput=False)
 
-    def check(self, spec: DeploymentSpec) -> None:
-        if spec.replication >= spec.num_hosts:
-            raise ValueError(
-                f"the {self.name} baseline needs at least one client host: "
-                f"replication {spec.replication} leaves none of the "
-                f"{spec.num_hosts} hosts")
+    @classmethod
+    def build(cls, spec: DeploymentSpec) -> "_ServerBaselineDeployment":
+        topology, servers, client_hosts = cls._testbed(spec)
+        cluster = cls._cluster_class()(servers)
+        keys = spec.key_names()
+        cluster.preload({key: bytes(spec.value_size) for key in keys})
+        return cls(topology=topology, cluster=cluster,
+                   client_host_names=client_hosts, keys=keys)
+
+    def new_kv_client(self, index: int = 0) -> KVClient:
+        name = self.client_host_names[index % len(self.client_host_names)]
+        return self.cluster.kv_client(self.topology.hosts[name])
 
 
-class ServerChainBackend(_ServerBaselineBackend):
-    name = "server-chain"
+class ServerChainDeployment(_ServerBaselineDeployment):
+    """Chain replication on kernel-TCP servers, clients on the rest."""
 
-    def build(self, spec: DeploymentSpec) -> ServerChainDeployment:
+    backend_name = "server-chain"
+
+    @staticmethod
+    def _cluster_class() -> type:
         from repro.baselines.chain_server import ServerChainCluster
-        topology = _server_topology(spec)
-        hosts = [topology.hosts[f"H{i}"] for i in range(spec.num_hosts)]
-        cluster = ServerChainCluster(hosts[:spec.replication])
-        keys = spec.key_names()
-        cluster.preload({key: bytes(spec.value_size) for key in keys})
-        client_hosts = [f"H{i}" for i in range(spec.replication, spec.num_hosts)]
-        return ServerChainDeployment(topology=topology, cluster=cluster,
-                                     client_host_names=client_hosts, keys=keys)
+        return ServerChainCluster
 
 
-class PrimaryBackupBackend(_ServerBaselineBackend):
-    name = "primary-backup"
+class PrimaryBackupDeployment(_ServerBaselineDeployment):
+    """Primary-backup replication on kernel-TCP servers."""
 
-    def build(self, spec: DeploymentSpec) -> PrimaryBackupDeployment:
+    backend_name = "primary-backup"
+
+    @staticmethod
+    def _cluster_class() -> type:
         from repro.baselines.primary_backup import PrimaryBackupCluster
-        topology = _server_topology(spec)
-        hosts = [topology.hosts[f"H{i}"] for i in range(spec.num_hosts)]
-        cluster = PrimaryBackupCluster(hosts[:spec.replication])
-        keys = spec.key_names()
-        cluster.preload({key: bytes(spec.value_size) for key in keys})
-        client_hosts = [f"H{i}" for i in range(spec.replication, spec.num_hosts)]
-        return PrimaryBackupDeployment(topology=topology, cluster=cluster,
-                                       client_host_names=client_hosts, keys=keys)
+        return PrimaryBackupCluster
 
 
 # --------------------------------------------------------------------- #
@@ -424,65 +361,36 @@ class PrimaryBackupBackend(_ServerBaselineBackend):
 
 @dataclass
 class HybridDeployment(_NetChainFamilyDeployment):
-    """A NetChain cluster fronting a server-tier store."""
+    """A NetChain cluster fronting a server-tier store.
+
+    The first :data:`HYBRID_NETWORK_FRACTION` of the preloaded keys are
+    pinned into the network tier (hot data); the rest start on the server
+    tier and are promoted by the default read-popularity policy.
+    ``options``: ``hotkey_tier``.
+    """
 
     cluster: NetChainCluster
     store: HybridStore
     scale: float
     keys: List[str] = field(default_factory=list)
-    server_delay: float = 80e-6
 
     backend_name = "hybrid"
-
-    def clients(self, count: Optional[int] = None) -> List[KVClient]:
-        agents = self.cluster.agent_list()
-        if count is None:
-            count = len(agents)
-        from repro.core.hybrid import HybridKVClient
-        return [HybridKVClient(self.store, agent=agents[i % len(agents)],
-                               server_delay=self.server_delay)
-                for i in range(count)]
-
-
-class HybridBackend(Backend):
-    """Builds :class:`HybridDeployment` from a spec.
-
-    The first ``network_fraction`` of the preloaded keys are pinned into
-    the network tier (hot data), the rest start on the server tier and
-    are promoted by the read-popularity policy.  ``options``:
-    ``network_fraction`` (default 0.5), ``promote_after_reads``,
-    ``max_network_value_bytes``, ``server_delay``, ``pinned`` (extra
-    keys to pin).
-    """
-
-    name = "hybrid"
     capabilities = Capabilities(supports_reconfig=False,
                                 supports_fault_injection=True,
                                 scaled_throughput=True,
                                 supports_hotkey_tier=True)
 
-    def check(self, spec: DeploymentSpec) -> None:
-        fraction = spec.options.get("network_fraction", 0.5)
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"network_fraction must be in [0, 1], got {fraction}")
-        # Replication-vs-members is checked eagerly (and authoritatively)
-        # by NetChainCluster itself.
-
-    def build(self, spec: DeploymentSpec) -> HybridDeployment:
+    @classmethod
+    def build(cls, spec: DeploymentSpec) -> "HybridDeployment":
         from repro.core.hybrid import DictBackend, HybridPolicy, HybridStore
-        options = spec.options
-        config, topology, scale = _scaled_cluster_parts(spec)
-        cluster = NetChainCluster(config, topology=topology)
-        policy = HybridPolicy(
-            max_network_value_bytes=options.get("max_network_value_bytes",
-                                                MAX_PROTOTYPE_VALUE_BYTES),
-            promote_after_reads=options.get("promote_after_reads", 16))
+        cluster = cls._build_cluster(spec)
+        policy = HybridPolicy()
         store = HybridStore(cluster.agent("H0"), DictBackend(), policy=policy)
         keys = spec.key_names()
         value = bytes(spec.value_size)
         network_keys: List[str] = []
         if policy.fits_in_network(value):
-            split = int(round(len(keys) * options.get("network_fraction", 0.5)))
+            split = int(round(len(keys) * HYBRID_NETWORK_FRACTION))
             network_keys = keys[:split]
         for key in network_keys:
             policy.pin(key)
@@ -491,29 +399,60 @@ class HybridBackend(Backend):
             store._network_keys.update(k.encode("utf-8") for k in network_keys)
         for key in keys[len(network_keys):]:
             store.backend.write(key, value)
-        for key in options.get("pinned", ()):
-            policy.pin(key)
-        if spec.loss_rate:
-            cluster.topology.set_loss_rate(spec.loss_rate)
-        deployment = HybridDeployment(cluster=cluster, store=store, scale=scale,
-                                      keys=keys,
-                                      server_delay=options.get("server_delay",
-                                                               80e-6))
-        if spec.hotkey_tier:
-            # The tier manages the network-resident keys; the server tier's
-            # promotion policy already rides the same sketch structure
-            # (``store.popularity``).
-            deployment.hotkey_manager = cluster.enable_hotkey_tier(
-                spec.options.get("hotkey_tier"))
+        deployment = cls(cluster=cluster, store=store, scale=cluster.scale,
+                         keys=keys)
+        # The tier manages the network-resident keys; the server tier's
+        # promotion policy already rides the same sketch structure
+        # (``store.popularity``).
+        deployment._finish_build(spec)
         return deployment
 
+    def clients(self, count: Optional[int] = None) -> List[KVClient]:
+        agents = self.cluster.agent_list()
+        if count is None:
+            count = len(agents)
+        from repro.core.hybrid import HybridKVClient
+        return [HybridKVClient(self.store, agent=agents[i % len(agents)])
+                for i in range(count)]
+
 
 # --------------------------------------------------------------------- #
-# Registration.
+# The backend names.
 # --------------------------------------------------------------------- #
 
-register_backend(NetChainBackend())
-register_backend(ZooKeeperBackendImpl())
-register_backend(ServerChainBackend())
-register_backend(PrimaryBackupBackend())
-register_backend(HybridBackend())
+BACKENDS: Dict[str, Type[Deployment]] = {
+    "hybrid": HybridDeployment,
+    "netchain": NetChainDeployment,
+    "primary-backup": PrimaryBackupDeployment,
+    "server-chain": ServerChainDeployment,
+    "zookeeper": ZooKeeperDeployment,
+}
+
+
+def available_backends() -> List[str]:
+    """The backend names, sorted."""
+    return sorted(BACKENDS)
+
+
+def build_deployment(spec: DeploymentSpec) -> Deployment:
+    """Validate ``spec`` and build it with its backend's class.
+
+    Raises :class:`ValueError` for an unknown backend and for
+    ``spec.options`` keys the backend does not read, naming the known
+    ones: specs arrive as JSON (matrix cells), so a typo must not be
+    ignored without a word.
+    """
+    spec.validate()
+    try:
+        cls = BACKENDS[spec.backend]
+    except KeyError:
+        raise ValueError(f"unknown backend {spec.backend!r}; available: "
+                         f"{', '.join(available_backends())}") from None
+    unknown = sorted(set(spec.options) - set(cls.option_keys))
+    if unknown:
+        raise ValueError(
+            f"unknown {spec.backend} option(s): {', '.join(unknown)} "
+            f"(known: {', '.join(sorted(cls.option_keys))})")
+    deployment = cls.build(spec)
+    deployment.spec = spec
+    return deployment

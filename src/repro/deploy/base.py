@@ -1,22 +1,23 @@
-"""The deployment protocol and the pluggable backend registry.
+"""The deployment protocol.
 
 Every way of running a key-value service in this repository -- the
 in-network NetChain cluster, the ZooKeeper ensemble, the server-hosted
 chain and primary-backup baselines, and the hybrid network/server tiering
--- is packaged as a :class:`Backend` that turns one declarative
-:class:`~repro.deploy.spec.DeploymentSpec` into a :class:`Deployment`.
-Deployments all expose the same surface: the simulator, clients speaking
-the unified :class:`repro.core.client.KVClient` protocol, a fault
-injector, capability flags and a ``teardown``.  Everything downstream
-(scenario runner, experiments, benchmarks, examples) composes against
-this surface, so a new backend or workload combination is a config
-change, not a new builder.
+-- is one :class:`Deployment` subclass whose ``build`` classmethod turns
+a declarative :class:`~repro.deploy.spec.DeploymentSpec` into an
+instance (:mod:`repro.deploy.backends` maps backend names to the
+classes).  Deployments all expose the same surface: the simulator,
+clients speaking the unified :class:`repro.core.client.KVClient`
+protocol, a fault injector, capability flags and a ``teardown``.
+Everything downstream (scenario runner, experiments, benchmarks,
+examples) composes against this surface, so a new backend or workload
+combination is a config change, not a new builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.client import KVClient
 from repro.deploy.spec import DeploymentSpec
@@ -49,19 +50,31 @@ class Capabilities:
 class Deployment:
     """The common surface of a built deployment.
 
-    Concrete deployments (one class per backend) fill in the attributes
-    and override the client factory; the base class provides the shared
-    fault-injection plumbing and bookkeeping.
+    Concrete deployments (one class per backend) set the class
+    attributes, implement :meth:`build` and the client factory; the base
+    class provides the shared fault-injection plumbing and bookkeeping.
     """
 
-    #: Set by subclasses / the builder.
+    #: The backend's name in ``DeploymentSpec.backend``.
     backend_name: str = "kv"
     capabilities: Capabilities = Capabilities()
+    #: The ``spec.options`` keys the backend reads; ``build_deployment``
+    #: rejects any other.  Every backend accepts the scenario-level
+    #: ``detector_config`` and ``reconfig`` (read by the scenario runner).
+    option_keys: Tuple[str, ...] = ("detector_config", "reconfig")
+    #: The spec this deployment was built from (set by ``build_deployment``).
     spec: Optional[DeploymentSpec] = None
     #: Preloaded key names (subclasses assign their own list).
     keys: List[str] = ()  # type: ignore[assignment]
     #: Scale factor for mapping measured throughput to absolute units.
     scale: float = 1.0
+
+    @classmethod
+    def build(cls, spec: DeploymentSpec) -> "Deployment":
+        """Build a deployment from ``spec``, raising :class:`ValueError`
+        before anything is built if the backend cannot run it; every
+        stochastic choice derives from ``spec.seed``."""
+        raise NotImplementedError
 
     # -- simulation ------------------------------------------------------ #
 
@@ -83,10 +96,6 @@ class Deployment:
         sessions, spread round-robin over hosts/servers.
         """
         raise NotImplementedError
-
-    def client(self, index: int = 0) -> KVClient:
-        """One client (see :meth:`clients`)."""
-        return self.clients(index + 1)[index]
 
     # -- faults ---------------------------------------------------------- #
 
@@ -143,62 +152,3 @@ class Deployment:
         teardown exists so scenarios leave no probes or schedules running
         when several deployments share a test process.
         """
-
-
-class Backend:
-    """A registered way of building deployments from specs."""
-
-    #: Registry key; subclasses override.
-    name: str = "kv"
-    capabilities: Capabilities = Capabilities()
-
-    def check(self, spec: DeploymentSpec) -> None:
-        """Raise :class:`ValueError` for spec combinations this backend
-        cannot build.  Called before :meth:`build`; the default accepts
-        everything the generic :meth:`DeploymentSpec.validate` accepts."""
-
-    def build(self, spec: DeploymentSpec) -> Deployment:
-        """Build a deployment; every stochastic choice derives from
-        ``spec.seed``."""
-        raise NotImplementedError
-
-
-# --------------------------------------------------------------------- #
-# The registry.
-# --------------------------------------------------------------------- #
-
-_REGISTRY: Dict[str, Backend] = {}
-
-
-def register_backend(backend: Backend) -> Backend:
-    """Register (or replace) a backend under ``backend.name``."""
-    if not backend.name:
-        raise ValueError("a backend needs a non-empty name")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def get_backend(name: str) -> Backend:
-    """Look up a registered backend; raises with the available names."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(f"unknown backend {name!r}; registered: "
-                         f"{', '.join(sorted(_REGISTRY)) or '(none)'}") from None
-
-
-def available_backends() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def build_deployment(spec: DeploymentSpec) -> Deployment:
-    """Validate ``spec`` and build it with its backend."""
-    spec.validate()
-    backend = get_backend(spec.backend)
-    backend.check(spec)
-    deployment = backend.build(spec)
-    deployment.spec = spec
-    deployment.backend_name = backend.name
-    deployment.capabilities = backend.capabilities
-    return deployment

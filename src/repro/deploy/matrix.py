@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from repro.deploy.base import available_backends
+from repro.deploy.backends import available_backends
 from repro.deploy.scenario import (
     ScenarioChecks,
     ScenarioResult,
@@ -79,7 +79,7 @@ class MatrixSpec:
         base: the spec every cell starts from; each cell replaces
             ``backend``, ``seed``, ``faults`` and merges profile options.
         seeds: the seed axis.
-        backends: the backend axis (registered backend names).
+        backends: the backend axis (backend names).
         workloads: named :class:`WorkloadSpec` variants (the workload
             axis).
         fault_profiles: named fault profiles.  Each value is a dict with

@@ -2,7 +2,7 @@
 
 The paper's evaluation is a matrix -- one workload swept over NetChain,
 ZooKeeper and server-based variants.  :func:`run_scenario` is that matrix
-as a function: it builds any registered backend from a
+as a function: it builds any backend from a
 :class:`~repro.deploy.spec.DeploymentSpec`, drives closed-loop recorded
 load through the unified :class:`repro.core.client.KVClient` protocol,
 arms the spec's declarative fault schedule, and applies history and
@@ -35,7 +35,8 @@ from repro.core.history_store import (
     check_linearizable_streaming,
     default_verdict_cache,
 )
-from repro.deploy.base import Capabilities, Deployment, build_deployment
+from repro.deploy.backends import build_deployment
+from repro.deploy.base import Capabilities, Deployment
 from repro.deploy.spec import DeploymentSpec, check_unknown_fields
 from repro.netsim.faults import FaultEvent, FaultSchedule
 from repro.netsim.stats import IntervalCounter, LatencyRecorder

@@ -1,15 +1,16 @@
 """The declarative deployment specification.
 
 A :class:`DeploymentSpec` is a plain, serializable description of one
-deployment of *any* registered backend: topology scale, membership sizes,
+deployment of *any* backend: topology scale, membership sizes,
 preloaded store, loss rate, a declarative fault schedule, and a single
 seed from which every stochastic choice in the deployment derives.  The
 same spec (same seed) always builds the same deployment; sweeping the
 evaluation matrix is editing fields, not writing a new builder.
 
 Backend-specific knobs that do not generalize (a custom
-``ControllerConfig``, the hybrid tier policy, the ZooKeeper commit delay)
-ride in ``options``; each backend documents the keys it reads.
+``ControllerConfig``, the hot-key tier's knobs, the server hosts' stack
+delay) ride in ``options``; each backend class declares the keys it
+reads, and building a spec with any other key raises.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class DeploymentSpec:
     """Declarative description of one deployment on the simulated testbed.
 
     Attributes:
-        backend: registered backend name (``netchain``, ``zookeeper``,
+        backend: backend name (``netchain``, ``zookeeper``,
             ``server-chain``, ``primary-backup``, ``hybrid``).
         scale: the scale model's capacity divisor (see
             :mod:`repro.perfmodel.devices`).
@@ -101,7 +102,9 @@ class DeploymentSpec:
             ``metrics``, ``events``, ``trace_sample``).  The scenario
             runner spills a ``trace/v2`` run directory and stores the
             summary on ``ScenarioResult.metrics``.
-        options: backend-specific knobs (documented per backend).
+        options: backend-specific knobs, plus the scenario-level
+            ``detector_config`` and ``reconfig`` every backend accepts
+            (``Deployment.option_keys``).
     """
 
     backend: str = "netchain"
@@ -151,10 +154,11 @@ class DeploymentSpec:
             raise ValueError(f"store_size must be >= 0, got {self.store_size}")
         if self.value_size < 0:
             raise ValueError(f"value_size must be >= 0, got {self.value_size}")
-        if self.store_slots is not None and self.store_slots < self.store_size:
+        if self.store_slots is not None \
+                and self.store_slots < max(1, self.store_size):
             raise ValueError(
-                f"store_slots ({self.store_slots}) cannot hold store_size "
-                f"({self.store_size}) keys")
+                f"store_slots ({self.store_slots}) must be at least 1 and "
+                f"hold store_size ({self.store_size}) keys")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
         if self.retry_timeout <= 0:

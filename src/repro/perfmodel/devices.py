@@ -122,8 +122,9 @@ def scaled_testbed(scale: float = 1000.0, num_hosts: int = 4, seed: int = 0,
     """The Figure 8 testbed with the scale model applied to every device.
 
     This is the single place the scaled-device plumbing for the evaluation
-    testbed lives; :class:`repro.core.cluster.NetChainCluster` and the
-    deployment backends both build through it.  ``unlimited_capacity``
+    testbed lives: the ``netchain`` and ``hybrid`` deployments build the
+    topology they hand to :class:`repro.core.cluster.NetChainCluster`
+    through it.  ``unlimited_capacity``
     drops the packet-rate ceilings on switches and host NICs (latency-bound
     experiments, where capacity is not the binding resource) while keeping
     the realistic per-device processing delays.

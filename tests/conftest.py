@@ -6,8 +6,9 @@ import os
 
 import pytest
 
-from repro.core import ClusterConfig, NetChainCluster
+from repro.core import NetChainCluster
 from repro.core.controller import ControllerConfig
+from repro.perfmodel.devices import scaled_testbed
 
 
 def fault_seeds() -> list:
@@ -27,12 +28,11 @@ def make_cluster(vnodes_per_switch: int = 4, store_slots: int = 2048,
                  scale: float = 1000.0, seed: int = 0,
                  **controller_overrides) -> NetChainCluster:
     """A small, fast NetChain cluster on the 4-switch testbed."""
-    controller_config = ControllerConfig(vnodes_per_switch=vnodes_per_switch,
-                                         store_slots=store_slots, seed=seed,
-                                         **controller_overrides)
-    cluster_config = ClusterConfig(scale=scale, vnodes_per_switch=vnodes_per_switch,
-                                   store_slots=store_slots, seed=seed)
-    return NetChainCluster(cluster_config, controller_config=controller_config)
+    return NetChainCluster(scaled_testbed(scale=scale, seed=seed),
+                           ControllerConfig(vnodes_per_switch=vnodes_per_switch,
+                                            store_slots=store_slots, seed=seed,
+                                            **controller_overrides),
+                           scale=scale)
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from repro.baselines import (
     ZooKeeperKVClient,
     build_zookeeper_ensemble,
 )
+from repro.core.agent import AgentConfig
 from repro.core.client import KVFuture, KVSession, KVTimeout, first, gather
 import repro.baselines
 import repro.core
@@ -152,7 +153,7 @@ def test_dead_network_surfaces_as_a_timeout(deployment):
     if deployment.backend_name in ("netchain", "hybrid"):
         result = future.result(0.3)
         assert result.timed_out and not result.ok and result.error == "timeout"
-        assert result.retries == deployment.cluster.config.max_retries
+        assert result.retries == AgentConfig().max_retries
         assert deployment.sim.now - before == result.latency
         agent = getattr(client, "agent", client)
         assert (agent.timeouts, agent.failed) == (1, 1)

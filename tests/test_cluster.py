@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ClusterConfig, NetChainCluster
+from repro.core import NetChainCluster
 from repro.core.controller import ControllerConfig
+from repro.netsim.faults import FaultInjector, FaultSchedule
+from repro.perfmodel.devices import scaled_testbed
 from tests.conftest import make_cluster
 
 
@@ -36,10 +38,9 @@ def test_total_completed_aggregates_agents():
 
 
 def test_scale_applies_to_device_capacities():
-    cluster = NetChainCluster(ClusterConfig(scale=2000.0, store_slots=256,
-                                            vnodes_per_switch=2),
-                              controller_config=ControllerConfig(store_slots=256,
-                                                                 vnodes_per_switch=2))
+    cluster = NetChainCluster(scaled_testbed(scale=2000.0),
+                              ControllerConfig(store_slots=256, vnodes_per_switch=2),
+                              scale=2000.0)
     switch = cluster.topology.switches["S0"]
     host = cluster.topology.hosts["H0"]
     assert switch.config.capacity_pps == pytest.approx(4e9 / 2000.0)
@@ -49,7 +50,7 @@ def test_scale_applies_to_device_capacities():
 def test_fail_switch_schedules_failure_and_recovery():
     cluster = make_cluster(failure_detection_delay=0.01)
     cluster.populate(10)
-    (cluster.fault_schedule()
+    (FaultSchedule(FaultInjector(cluster.topology))
      .at(0.01, "fail_switch", "S1")
      .at(0.01, cluster.controller.handle_switch_failure, "S1", new_switch="S3",
          recovery_start_delay=0.05)
@@ -64,9 +65,7 @@ def test_fail_switch_schedules_failure_and_recovery():
 def test_custom_topology_can_be_injected():
     from repro.netsim.topology import build_testbed
     topology = build_testbed(num_hosts=2)
-    cluster = NetChainCluster(ClusterConfig(store_slots=128, vnodes_per_switch=2),
-                              topology=topology,
-                              controller_config=ControllerConfig(store_slots=128,
-                                                                 vnodes_per_switch=2))
+    cluster = NetChainCluster(topology,
+                              ControllerConfig(store_slots=128, vnodes_per_switch=2))
     assert len(cluster.agents) == 2
     assert cluster.topology is topology

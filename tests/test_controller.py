@@ -250,12 +250,12 @@ def test_recovery_of_head_bumps_session_again(cluster):
 def make_minimal_cluster():
     """A cluster whose membership equals the replication factor: losing any
     switch leaves no disjoint replacement candidate."""
-    from repro.core import ClusterConfig, NetChainCluster
-    config = ClusterConfig(scale=1000.0, vnodes_per_switch=4, store_slots=2048)
+    from repro.core import NetChainCluster
+    from repro.perfmodel.devices import scaled_testbed
     controller_config = ControllerConfig(vnodes_per_switch=4, store_slots=2048,
                                          sync_items_per_sec=2000.0)
-    return NetChainCluster(config, member_switches=["S0", "S1", "S2"],
-                           controller_config=controller_config)
+    return NetChainCluster(scaled_testbed(scale=1000.0), controller_config,
+                           member_switches=["S0", "S1", "S2"])
 
 
 def test_recovery_without_replacement_candidate_shrinks_chains():

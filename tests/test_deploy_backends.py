@@ -1,6 +1,6 @@
-"""The backend registry and the Deployment/KVClient protocol conformance.
+"""The backends and the Deployment/KVClient protocol conformance.
 
-Every registered backend must build from the same declarative spec and
+Every backend must build from the same declarative spec and
 hand back clients speaking the unified KVClient protocol; these tests
 pin that contract (plus the per-backend capability flags) so a new
 backend can be validated by adding its name to the matrix.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.client import KVFuture, KVResult
-from repro.deploy import DeploymentSpec, available_backends, build_deployment, get_backend
+from repro.deploy import BACKENDS, DeploymentSpec, available_backends, build_deployment
 
 ALL_BACKENDS = ["hybrid", "netchain", "primary-backup", "server-chain", "zookeeper"]
 
@@ -27,12 +27,12 @@ def test_all_five_backends_are_registered():
 
 
 def test_capability_matrix():
-    assert get_backend("netchain").capabilities.supports_reconfig
-    assert not get_backend("zookeeper").capabilities.supports_reconfig
+    assert BACKENDS["netchain"].capabilities.supports_reconfig
+    assert not BACKENDS["zookeeper"].capabilities.supports_reconfig
     for name in ("server-chain", "primary-backup"):
-        assert not get_backend(name).capabilities.scaled_throughput
+        assert not BACKENDS[name].capabilities.scaled_throughput
     for name in ALL_BACKENDS:
-        assert get_backend(name).capabilities.supports_fault_injection
+        assert BACKENDS[name].capabilities.supports_fault_injection
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
@@ -148,8 +148,7 @@ def test_netchain_clients_are_the_host_agents():
 
 
 def test_hybrid_split_places_keys_in_both_tiers():
-    deployment = build_deployment(small_spec(
-        "hybrid", options={"network_fraction": 0.5}))
+    deployment = build_deployment(small_spec("hybrid"))
     store = deployment.store
     in_network = [key for key in deployment.keys if store.in_network(key)]
     assert len(in_network) == 4

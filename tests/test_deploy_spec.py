@@ -1,11 +1,17 @@
-"""Eager validation of DeploymentSpec, ClusterConfig and backend checks."""
+"""Eager validation of DeploymentSpec, spec options and backend checks."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.core import ClusterConfig, NetChainCluster
-from repro.deploy import DeploymentSpec, build_deployment, get_backend
+import repro.deploy.backends
+from repro.core import ControllerConfig, NetChainCluster
+from repro.deploy import DeploymentSpec, build_deployment
+from repro.deploy.matrix import default_matrix
+from repro.perfmodel.devices import scaled_testbed
 
 
 # --------------------------------------------------------------------- #
@@ -25,6 +31,7 @@ def test_default_spec_is_valid():
     ("vnodes_per_switch", 0),
     ("store_size", -1),
     ("value_size", -1),
+    ("store_slots", 0),
     ("loss_rate", -0.1),
     ("loss_rate", 1.0),
     ("retry_timeout", 0.0),
@@ -68,37 +75,49 @@ def test_key_names_include_extra_keys():
 
 
 # --------------------------------------------------------------------- #
-# ClusterConfig eager validation (satellite: fail at construction, not
-# deep inside chain building).
+# spec.options: a backend takes only the keys it reads.
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("kwargs", [
-    {"scale": 0.0},
-    {"scale": -1.0},
-    {"num_hosts": 0},
-    {"replication": 0},
-    {"vnodes_per_switch": 0},
-    {"store_slots": 0},
-    {"retry_timeout": 0.0},
-    {"max_retries": -1},
+@pytest.mark.parametrize("backend,key", [
+    ("netchain", "fault_reaction"),        # a key nothing reads
+    ("primary-backup", "detector_cfg"),    # a typo
+    ("zookeeper", "controller_config"),    # a netchain-only key
+    ("hybrid", "controller_config"),
+    ("netchain", "stack_delay"),           # a server-hosted-only key
 ])
-def test_cluster_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        ClusterConfig(**kwargs)
+def test_unknown_option_keys_raise_naming_the_known_ones(backend, key):
+    with pytest.raises(ValueError, match=rf"unknown {backend} option\(s\): "
+                                         rf"{key} \(known: .*detector_config"):
+        build_deployment(DeploymentSpec(backend=backend, options={key: {}}))
 
+
+def test_shipped_specs_still_build():
+    # The pinned matrix cell and the default grid's profiles carry only
+    # keys their backends read.
+    cell = json.loads((Path(__file__).parent / "fixtures" / "cells"
+                       / "hot_route_across_migration.json").read_text())
+    build_deployment(DeploymentSpec.from_dict(cell["spec"])).teardown()
+    for cell in default_matrix(seeds=[0]).cells():
+        build_deployment(DeploymentSpec.from_dict(cell["spec"])).teardown()
+
+
+# --------------------------------------------------------------------- #
+# NetChainCluster's own check.
+# --------------------------------------------------------------------- #
 
 def test_replication_larger_than_member_count_raises_clearly():
     with pytest.raises(ValueError, match="member switches"):
-        NetChainCluster(ClusterConfig(replication=5, store_slots=256,
-                                      vnodes_per_switch=2))
+        NetChainCluster(scaled_testbed(),
+                        ControllerConfig(replication=5, store_slots=256,
+                                         vnodes_per_switch=2))
 
 
 def test_replication_larger_than_explicit_members_raises():
     from repro.netsim.topology import build_testbed
     with pytest.raises(ValueError, match="member switches"):
-        NetChainCluster(ClusterConfig(replication=3, store_slots=256,
-                                      vnodes_per_switch=2),
-                        topology=build_testbed(num_hosts=2),
+        NetChainCluster(build_testbed(num_hosts=2),
+                        ControllerConfig(replication=3, store_slots=256,
+                                         vnodes_per_switch=2),
                         member_switches=["S0", "S1"])
 
 
@@ -118,16 +137,12 @@ def test_server_backends_require_a_client_host(backend):
                                         num_hosts=4))
 
 
-def test_hybrid_backend_rejects_bad_network_fraction():
-    with pytest.raises(ValueError, match="network_fraction"):
-        build_deployment(DeploymentSpec(backend="hybrid",
-                                        options={"network_fraction": 1.5}))
-
-
-def test_backend_check_runs_before_build():
-    # get_backend exposes the registered singleton; its check must raise
-    # without building anything.
-    backend = get_backend("zookeeper")
-    with pytest.raises(ValueError):
-        backend.check(DeploymentSpec(backend="zookeeper", replication=9,
-                                     num_hosts=4))
+def test_backend_check_runs_before_build(monkeypatch):
+    # A failing check raises before any topology is built.
+    def no_topology(**kwargs):
+        raise AssertionError("built a topology for a spec that fails its check")
+    monkeypatch.setattr(repro.deploy.backends, "build_testbed", no_topology)
+    for backend in ("zookeeper", "server-chain", "primary-backup"):
+        with pytest.raises(ValueError, match="client host"):
+            build_deployment(DeploymentSpec(backend=backend, replication=9,
+                                            num_hosts=4))

@@ -292,8 +292,7 @@ def test_same_seed_schedules_replay_identical_traces():
 def test_detector_drives_failover_without_direct_controller_calls():
     cluster = make_cluster()
     keys = cluster.populate(20)
-    injector = cluster.faults()
-    cluster.fault_schedule().at(0.05, "fail_switch", "S1").arm()
+    FaultSchedule(FaultInjector(cluster.topology)).at(0.05, "fail_switch", "S1").arm()
     detector = cluster.start_failure_detector(DetectorConfig(
         probe_interval=20e-3, suspicion_threshold=1, auto_recover=False))
     cluster.run(until=0.2)
@@ -309,7 +308,7 @@ def test_detector_drives_failover_without_direct_controller_calls():
 def test_detector_reintroduces_healed_partition():
     cluster = make_cluster()
     cluster.populate(20)
-    cluster.fault_schedule().at(0.05, "partition", {"S3"}).at(
+    FaultSchedule(FaultInjector(cluster.topology)).at(0.05, "partition", {"S3"}).at(
         0.5, "heal_partition").arm()
     detector = cluster.start_failure_detector(DetectorConfig(
         probe_interval=20e-3, suspicion_threshold=2,

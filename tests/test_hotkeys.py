@@ -25,8 +25,7 @@ from repro.core.hotkeys import (
 )
 from repro.core.hybrid import HybridStore
 from repro.core.protocol import normalize_key
-from repro.deploy import DeploymentSpec
-from repro.deploy.base import available_backends, get_backend
+from repro.deploy import DeploymentSpec, available_backends
 from repro.deploy.matrix import signature_digest
 from repro.deploy.scenario import ScenarioChecks, WorkloadSpec, run_scenario
 from repro.netsim.registers import RegisterAllocationError, RegisterFile
@@ -177,7 +176,7 @@ def test_hot_key_widens_and_rotates_reads():
     assert manager.stats.widened >= 1
     assert raw in manager.hot_routes
     route = manager.hot_routes[raw]
-    assert len(route.switches) > cluster.config.replication
+    assert len(route.switches) > cluster.controller.config.replication
     # Rotation: after widening, the key's reads land on several switches.
     served = [name for name in cluster.controller.members
               if cluster.controller.programs[name].stats.reads
@@ -493,7 +492,7 @@ def test_tier_flag_runs_across_the_backend_matrix():
                               hotkey_tier=True)
         result = run_scenario(spec, workload)
         assert result.ok(), (name, result.failures)
-        supports = get_backend(name).capabilities.supports_hotkey_tier
+        supports = result.deployment.capabilities.supports_hotkey_tier
         assert result.hotkey_tier_active == supports
 
 

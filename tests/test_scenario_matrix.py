@@ -3,13 +3,13 @@
 This is the acceptance surface of the declarative deployment API:
 
 * the identical spec + workload + seed runs unmodified on every
-  registered backend via :func:`run_scenario`, passing per-key
+  backend via :func:`run_scenario`, passing per-key
   linearizability checks;
 * the same seed replays byte-identically (operation-level signatures,
   including timestamps, match across runs);
 * the NetChain scenario is byte-identical to driving the pre-refactor
-  construction path (direct ``ClusterConfig``/``NetChainCluster``
-  assembly) by hand with the same seed.
+  construction path (direct ``NetChainCluster`` assembly) by hand with
+  the same seed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import ClusterConfig, NetChainCluster
+from repro.core import ControllerConfig, NetChainCluster
 from repro.core.history import History, check_linearizable
 from repro.deploy import (
     DeploymentSpec,
@@ -35,6 +35,7 @@ from repro.deploy import (
 from repro.deploy.matrix import signature_digest
 from repro.experiments import fault_scenario, reconfig_scenario
 from repro.netsim.tcp import TcpEndpoint
+from repro.perfmodel.devices import scaled_testbed
 from repro.workloads.clients import LoadClient
 from repro.workloads.generators import KeyValueWorkload, WorkloadConfig
 
@@ -77,19 +78,20 @@ def test_different_seeds_differ():
 
 
 def test_netchain_scenario_is_byte_identical_to_legacy_construction():
-    """Drive the pre-refactor construction path (direct ClusterConfig +
-    NetChainCluster + populate, hand-rolled load clients) with the same
+    """Drive the pre-refactor construction path (direct NetChainCluster +
+    populate, hand-rolled load clients) with the same
     seed and compare the full operation trace -- values, outcomes and
     simulated timestamps must match exactly."""
     workload = matrix_workload()
-    via_registry = run_scenario(matrix_spec("netchain"), workload)
+    via_spec = run_scenario(matrix_spec("netchain"), workload)
 
     # The pre-refactor path: what the keyword builder (scale=1000.0,
     # store_size=20, value_size=32, seed=5) used to assemble by hand.
-    config = ClusterConfig(scale=1000.0, num_hosts=4, vnodes_per_switch=4,
-                           store_slots=max(1024, STORE_SIZE + 1024),
-                           retry_timeout=500e-6, seed=SEED)
-    cluster = NetChainCluster(config)
+    cluster = NetChainCluster(
+        scaled_testbed(scale=1000.0, num_hosts=4, seed=SEED),
+        ControllerConfig(replication=3, vnodes_per_switch=4,
+                         store_slots=max(1024, STORE_SIZE + 1024), seed=SEED),
+        retry_timeout=500e-6, scale=1000.0)
     keys = cluster.populate(STORE_SIZE, value_size=VALUE_SIZE)
     history = History(cluster.sim)
     agents = cluster.agent_list()
@@ -113,7 +115,7 @@ def test_netchain_scenario_is_byte_identical_to_legacy_construction():
 
     legacy_signature = [(op.client, op.op, op.key, op.value, op.output, op.ok,
                          op.invoked_at, op.returned_at) for op in history.ops]
-    assert signature_digest(via_registry) == sha(legacy_signature)
+    assert signature_digest(via_spec) == sha(legacy_signature)
     initial = {key.encode("utf-8"): bytes(VALUE_SIZE) for key in keys}
     assert check_linearizable(history, initial=initial).ok
 
@@ -221,11 +223,9 @@ def test_scenario_checks_can_be_tuned():
 
 
 def test_scenario_rejects_faults_on_unsupporting_backend(monkeypatch):
-    from repro.deploy import get_backend
-    backend = get_backend("server-chain")
-    monkeypatch.setattr(backend, "capabilities",
-                        backend.capabilities.__class__(
-                            supports_fault_injection=False))
+    from repro.deploy import Capabilities, ServerChainDeployment
+    monkeypatch.setattr(ServerChainDeployment, "capabilities",
+                        Capabilities(supports_fault_injection=False))
     spec = matrix_spec("server-chain")
     spec.faults = [(0.1, "fail_switch", "S1")]
     with pytest.raises(ValueError, match="fault injection"):

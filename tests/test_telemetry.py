@@ -586,8 +586,7 @@ def test_metrics_only_mode(tmp_path):
 def test_event_log_records_failover(tmp_path):
     run_dir = tmp_path / "run"
     spec = _spec(telemetry={"run_dir": str(run_dir)},
-                 faults=[(0.02, "fail_switch", "S1")],
-                 options={"fault_reaction": True})
+                 faults=[(0.02, "fail_switch", "S1")])
     result = run_scenario(spec, _workload(duration=0.05),
                           ScenarioChecks(linearizability=True))
     assert result.ok()
