@@ -34,7 +34,7 @@ from repro.core.client import (
     gather,
 )
 from repro.core.cluster import NetChainCluster
-from repro.core.controller import ChainInfo, ControllerConfig, NetChainController
+from repro.core.controller import ChainInfo, ControllerConfig, HotRoute, NetChainController
 from repro.core.coordination import (
     Barrier,
     ConfigurationStore,
@@ -54,7 +54,6 @@ from repro.core.hotkeys import (
     HotKeyManager,
     HotKeySketch,
     HotKeyTierConfig,
-    HotRoute,
     SketchConfig,
 )
 from repro.core.hybrid import HybridKVClient, HybridPolicy, HybridStore

@@ -16,6 +16,14 @@ state protocol.  Concretely it
   switching protocol, one virtual group at a time so that only a small
   fraction of keys lose write availability at any moment (Section 5.2).
 
+It is also the only writer of control-plane state: the chain table, the
+per-group epochs and head sessions, the ring, the key registry, the write
+freezes and the hot-key tier's hot routes.  The migration coordinator
+(:mod:`repro.core.reconfig`) and the hot-key manager
+(:mod:`repro.core.hotkeys`) keep their policy and change that state only
+through the controller's methods, and every control event lands in one
+:class:`~repro.netsim.telemetry.ControlEventLog`, :attr:`event_log`.
+
 All controller actions take simulated time (rule installation latency,
 state-synchronization throughput), which is what produces the throughput
 time series of Figure 10.
@@ -27,12 +35,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.kvstore import KVStoreConfig, SwitchKVStore
+from repro.core.kvstore import KVStoreConfig, StoreFullError, SwitchKVStore
 from repro.core.protocol import normalize_key, normalize_value
-from repro.core.ring import ConsistentHashRing
+from repro.core.ring import ConsistentHashRing, VirtualNode
 from repro.core.switch_program import NetChainSwitchProgram, RedirectRule
 from repro.netsim.routing import install_shortest_path_routes, reroute_around_failures
 from repro.netsim.switch import Switch
+from repro.netsim.telemetry import ControlEventLog
 from repro.netsim.topology import Topology
 
 
@@ -78,6 +87,41 @@ class ChainInfo:
 
     vgroup: int
     switches: List[str]
+
+
+class HotRoute:
+    """The per-key wide chain the hot-key tier installed for one hot key.
+
+    ``switches``/``ips`` hold the wide chain head-to-tail: the base chain
+    followed by the extra replicas.  Writes traverse the whole wide chain
+    (the commit point moves to the wide tail); reads rotate round-robin
+    across every member, each carrying the forward suffix toward the wide
+    tail so a dirty replica can forward instead of serving.
+    """
+
+    __slots__ = ("key", "vgroup", "switches", "ips", "extras", "_targets", "_rr")
+
+    def __init__(self, key: bytes, vgroup: int, switches: List[str],
+                 ips: Tuple[str, ...], extras: List[str]) -> None:
+        self.key = key
+        self.vgroup = vgroup
+        self.switches = list(switches)
+        self.ips = ips
+        self.extras = list(extras)
+        self._targets = tuple((ips[i], ips[i + 1:]) for i in range(len(ips)))
+        self._rr = 0
+
+    def next_read(self, epochs: Dict[int, int]):
+        """(dst ip, forward suffix, vgroup, epoch) for the next rotated read."""
+        index = self._rr
+        self._rr = (index + 1) % len(self._targets)
+        dst_ip, suffix = self._targets[index]
+        return dst_ip, suffix, self.vgroup, epochs.get(self.vgroup, 0)
+
+
+def _key_label(raw: bytes) -> str:
+    """A padded key as the event log spells it."""
+    return raw.rstrip(b"\x00").decode("ascii", "replace")
 
 
 @dataclass
@@ -150,18 +194,20 @@ class NetChainController:
         #: guards against double-started recoveries and against membership
         #: flapping while chains are being spliced.
         self.recovering: Set[str] = set()
-        self.events: List[Tuple[float, str]] = []
         self.recovery_reports: List[RecoveryReport] = []
-        #: Hot-key tier policy loop (:class:`repro.core.hotkeys.HotKeyManager`)
-        #: when the tier is enabled; ``None`` keeps routing on the plain
-        #: chain-table path.
-        self.hotkey_manager = None
-        #: Optional structured event log
-        #: (:class:`repro.netsim.telemetry.ControlEventLog`), attached by
-        #: the telemetry plane; ``None`` keeps ``_emit`` a no-op.  The
-        #: detector, migration coordinator and hot-key manager also emit
-        #: through :meth:`_emit`.
-        self.event_log = None
+        #: raw key -> :class:`HotRoute` for every key the hot-key tier has
+        #: widened.  Empty keeps routing on the plain chain-table path.
+        self.hot_routes: Dict[bytes, HotRoute] = {}
+        #: Hot routes torn down, by the tier's policy or by a chain change
+        #: under them (commit, failover, delete).
+        self.narrowed_hot_routes = 0
+        #: Chain commits the hot-key tier did not make (recovery,
+        #: migration).  The tier narrows every route when it sees this
+        #: move and aborts a widen that was pending across it.
+        self.chain_commits = 0
+        #: Every control event, always on: the telemetry plane spills it
+        #: to ``events.ndjson`` and the Figure 10 driver reads it.
+        self.event_log = ControlEventLog(self.sim)
         install_shortest_path_routes(topology)
 
     # ------------------------------------------------------------------ #
@@ -182,15 +228,6 @@ class NetChainController:
                 program = NetChainSwitchProgram(switch, kvstore=None, create_store=False)
             self.programs[name] = program
             switch.install_program(program)
-
-    def _log(self, message: str) -> None:
-        self.events.append((self.sim.now, message))
-
-    def _emit(self, kind: str, **fields) -> None:
-        """Emit a structured control-plane event when telemetry is attached."""
-        log = self.event_log
-        if log is not None:
-            log.emit(kind, **fields)
 
     # ------------------------------------------------------------------ #
     # Directory API used by agents.
@@ -215,9 +252,9 @@ class NetChainController:
         invalidated wholesale whenever the ring or any chain assignment
         changes; the epoch is always read live.
         """
-        manager = self.hotkey_manager
-        if manager is not None and manager.hot_routes:
-            hot = manager.hot_routes.get(normalize_key(key))
+        hot_routes = self.hot_routes
+        if hot_routes:
+            hot = hot_routes.get(normalize_key(key))
             if hot is not None:
                 # Writes (and non-rotated reads) of a widened key traverse
                 # the whole wide chain; the commit point is the wide tail.
@@ -252,10 +289,13 @@ class NetChainController:
         ``(dst_ip, chain_suffix, vgroup, epoch)`` where the suffix holds
         the wide-chain hops after ``dst_ip``, toward the wide tail.
         """
-        manager = self.hotkey_manager
-        if manager is None or not manager.hot_routes:
+        hot_routes = self.hot_routes
+        if not hot_routes:
             return None
-        return manager.read_route(key)
+        route = hot_routes.get(normalize_key(key))
+        if route is None:
+            return None
+        return route.next_read(self.epochs)
 
     # ------------------------------------------------------------------ #
     # Key management (control-plane insert / delete, Section 4.1).
@@ -299,10 +339,10 @@ class NetChainController:
 
     def garbage_collect(self, key) -> None:
         """Reclaim the slots of a deleted key on all its chain switches."""
-        if self.hotkey_manager is not None:
-            self.hotkey_manager.forget_key(key)
-        info = self.chain_for_key(key)
         raw_key = normalize_key(key)
+        # A deleted key cannot stay widened.
+        self.narrow_hot_route(raw_key)
+        info = self.chain_for_key(key)
         for name in info.switches:
             self.stores[name].remove_key(raw_key)
         self.keys_by_vgroup.get(info.vgroup, set()).discard(raw_key)
@@ -363,17 +403,29 @@ class NetChainController:
         stragglers addressed under the superseded chain cannot apply or
         answer anywhere.
         """
+        epoch = self._bump_epoch(vgroup)
+        self._chain_changed(vgroup)
+        return epoch
+
+    def _bump_epoch(self, vgroup: int) -> int:
         self.epochs[vgroup] = self.epochs.get(vgroup, 0) + 1
         epoch = self.epochs[vgroup]
         for program in self.programs.values():
             program.set_vgroup_epoch(vgroup, epoch)
-        # Epoch bumps accompany every chain-layout change (including the
-        # reconfiguration coordinator's direct chain_table swaps), so they
-        # also invalidate the route cache and superseded hot routes.
+        # Epoch bumps accompany every chain-layout change, so they also
+        # invalidate the route cache.
         self._chain_version += 1
-        if self.hotkey_manager is not None:
-            self.hotkey_manager.on_chain_commit(vgroup)
         return epoch
+
+    def _chain_changed(self, vgroup: int) -> None:
+        """A commit the hot-key tier did not make: ``vgroup``'s hot routes
+        were built on its superseded chain and narrow now, not at the
+        tier's next poll, by when the commit's gc may have removed the
+        copies they read."""
+        self.chain_commits += 1
+        for raw, route in list(self.hot_routes.items()):
+            if route.vgroup == vgroup:
+                self.narrow_hot_route(raw)
 
     def commit_chain(self, vgroup: int, chain: Sequence[str],
                      moved_from: Optional[str] = None) -> None:
@@ -385,11 +437,140 @@ class NetChainController:
         """
         self.chain_table[vgroup] = ChainInfo(vgroup, list(chain))
         self._chain_version += 1
-        if self.hotkey_manager is not None:
-            self.hotkey_manager.on_chain_commit(vgroup)
+        self._chain_changed(vgroup)
         vnode = self.ring.vnodes.get(vgroup)
         if moved_from is not None and vnode is not None and vnode.switch == moved_from:
             self.ring.reassign_vnode(vgroup, chain[0])
+
+    def set_write_freeze(self, vgroups: Sequence[int], frozen: bool,
+                         switches: Optional[Sequence[str]] = None) -> None:
+        """Freeze (or lift the freeze on) writes of ``vgroups`` on
+        ``switches``, every program by default."""
+        for name in self.programs if switches is None else switches:
+            program = self.programs[name]
+            for vgroup in vgroups:
+                if frozen:
+                    program.freeze_vgroup_writes(vgroup)
+                else:
+                    program.unfreeze_vgroup_writes(vgroup)
+
+    # ------------------------------------------------------------------ #
+    # Planned migration commits (driven by repro.core.reconfig).
+    # ------------------------------------------------------------------ #
+
+    def commit_migration(self, vgroup: int, chain: Sequence[str],
+                         moved_keys: Sequence[Tuple[int, bytes]],
+                         sources: Sequence[int],
+                         new_vnode: Optional[VirtualNode] = None,
+                         session_floor: int = 0) -> None:
+        """The atomic flip of one migration step, in one simulator event.
+
+        Inserts the step's new virtual node into the ring, re-registers
+        ``moved_keys`` (``(source group, key)`` pairs) under ``vgroup``,
+        swaps the group's chain, bumps its head session when the head
+        changed or keys arrived (above ``session_floor``, the highest
+        source session), and bumps the epochs of the group and of every
+        source group, so stragglers under the old layout drop.
+        """
+        old = self.chain_table.get(vgroup)
+        old_head = old.switches[0] if old is not None else None
+        if new_vnode is not None:
+            self.ring.insert_vnode(new_vnode)
+        for source_vg, key in moved_keys:
+            self.keys_by_vgroup.get(source_vg, set()).discard(key)
+            self.keys_by_vgroup.setdefault(vgroup, set()).add(key)
+        self.chain_table[vgroup] = ChainInfo(vgroup, list(chain))
+        if old_head != chain[0] or moved_keys:
+            self.bump_group_session(vgroup, chain[0], floor=session_floor)
+        self.bump_group_epoch(vgroup)
+        for source_vg in sources:
+            self.bump_group_epoch(source_vg)
+
+    def retire_vgroup(self, vgroup: int) -> None:
+        """Drop a drained virtual group: its vnode leaves the ring, its
+        directory entry and registry go, and its epoch is bumped so
+        stragglers tagged with it drop everywhere."""
+        self.ring.remove_vnode(vgroup)
+        self.chain_table.pop(vgroup, None)
+        self.keys_by_vgroup.pop(vgroup, None)
+        self.bump_group_epoch(vgroup)
+
+    def rehome_keys(self, source_vg: int, target_vg: int,
+                    keys: Sequence[bytes]) -> None:
+        """Re-register ``keys`` (already copied) from ``source_vg`` to
+        ``target_vg`` and bump both groups' epochs."""
+        for key in keys:
+            self.keys_by_vgroup[source_vg].discard(key)
+            self.keys_by_vgroup.setdefault(target_vg, set()).add(key)
+        self.bump_group_epoch(target_vg)
+        self.bump_group_epoch(source_vg)
+
+    # ------------------------------------------------------------------ #
+    # Hot routes (driven by repro.core.hotkeys).
+    # ------------------------------------------------------------------ #
+
+    def install_hot_route(self, raw: bytes, vgroup: int, base: List[str],
+                          extras: List[str], version: Tuple[int, int]) -> None:
+        """Widen ``raw``'s chain to ``base + extras``.
+
+        Copies the key from the base tail to each extra replica, installs
+        the clean-version read gate (at ``version``) on every wide member
+        but the wide tail, which notifies its siblings instead, and bumps
+        the group's epoch.  A :class:`StoreFullError` on an extra replica
+        propagates after the key is removed from the extras it reached.
+        """
+        reached = []
+        try:
+            for name in extras:
+                self.copy_group_state(base[-1], [name], [raw])
+                reached.append(name)
+        except StoreFullError:
+            for name in reached:
+                self.stores[name].remove_key(raw)
+            raise
+        wide = base + extras
+        ips = tuple(self.switch_ip(name) for name in wide)
+        tail = wide[-1]
+        for index, name in enumerate(wide):
+            program = self.programs[name]
+            if name == tail:
+                siblings = tuple(ip for i, ip in enumerate(ips) if i != index)
+                program.set_clean_notify(raw, siblings)
+            else:
+                program.set_read_gate(raw, version)
+        self.hot_routes[raw] = HotRoute(raw, vgroup, wide, ips, extras)
+        self._bump_epoch(vgroup)
+        self.event_log.emit("hotkey_widen", key=_key_label(raw),
+                            vgroup=vgroup, width=len(wide))
+
+    def narrow_hot_route(self, raw: bytes) -> bool:
+        """Tear ``raw``'s hot route down, reverting it to its base chain.
+
+        Synchronous: the epoch bump makes every in-flight query addressed
+        under the wide route drop before its store lookup, so the extra
+        replicas' slots are reclaimed at once.  ``False`` when the key
+        has no hot route.
+        """
+        route = self.hot_routes.pop(raw, None)
+        if route is None:
+            return False
+        for name in route.switches:
+            program = self.programs.get(name)
+            if program is not None:
+                program.clear_read_gate(raw)
+                program.clear_clean_notify(raw)
+        # A reconfiguration since the widen may have made an extra replica a
+        # member of the key's base chain: that copy is now the chain's own.
+        base = self.chain_for_key(raw).switches
+        for name in route.extras:
+            store = self.stores.get(name)
+            if store is not None and name not in base:
+                store.remove_key(raw)
+        self._bump_epoch(route.vgroup)
+        self.narrowed_hot_routes += 1
+        self.event_log.emit("hotkey_narrow", key=_key_label(raw),
+                            vgroup=route.vgroup)
+        return True
 
     # ------------------------------------------------------------------ #
     # Elastic membership (hot-plug support for planned reconfiguration).
@@ -421,8 +602,7 @@ class NetChainController:
             if epoch:
                 program.set_vgroup_epoch(vgroup, epoch)
         self.members.append(name)
-        self._log(f"provisioned {name} as a member switch")
-        self._emit("provisioned", switch=name)
+        self.event_log.emit("provisioned", switch=name)
 
     def decommission_switch(self, name: str) -> None:
         """Retire a member switch after migration drained it: it stops being
@@ -430,8 +610,7 @@ class NetChainController:
         transit switch."""
         if name in self.members:
             self.members.remove(name)
-        self._log(f"decommissioned {name}")
-        self._emit("decommissioned", switch=name)
+        self.event_log.emit("decommissioned", switch=name)
 
     # ------------------------------------------------------------------ #
     # Fast failover (Algorithm 2).
@@ -462,14 +641,13 @@ class NetChainController:
         if failed in self.failed_switches:
             return
         self.failed_switches.add(failed)
-        if self.hotkey_manager is not None:
-            # Hot routes through the failed switch must die with it:
-            # rotated reads would otherwise keep retrying into it until
-            # the manager's next poll.
-            self.hotkey_manager.on_switch_failed(failed)
+        # Hot routes through the failed switch must die with it: rotated
+        # reads would otherwise keep retrying into it.
+        for raw, route in list(self.hot_routes.items()):
+            if failed in route.switches:
+                self.narrow_hot_route(raw)
         failed_ip = self.switch_ip(failed)
-        self._log(f"fast failover: {failed} ({failed_ip})")
-        self._emit("fast_failover", switch=failed)
+        self.event_log.emit("fast_failover", switch=failed)
         # The underlay's fast rerouting steers traffic around the failed
         # device; NetChain relies on it for reachability (Section 4.2).
         reroute_around_failures(self.topology, self.failed_switches)
@@ -513,7 +691,6 @@ class NetChainController:
         if failed in self.recovering:
             # A second recovery request for a switch already being recovered
             # (e.g. a re-firing failure detector): report it as a no-op.
-            self._log(f"failure recovery of {failed} already in progress")
             report = RecoveryReport(failed_switch=failed, started_at=self.sim.now,
                                     finished_at=self.sim.now)
             return report
@@ -521,8 +698,7 @@ class NetChainController:
         self.recovery_reports.append(report)
         self.recovering.add(failed)
         groups = self.affected_vgroups(failed)
-        self._log(f"failure recovery of {failed}: {len(groups)} virtual groups")
-        self._emit("recovery_start", switch=failed, groups=len(groups))
+        self.event_log.emit("recovery_start", switch=failed, groups=len(groups))
         if not self._live_switches(failed):
             self.recovering.discard(failed)
             raise RuntimeError("no live switches available for recovery")
@@ -531,12 +707,11 @@ class NetChainController:
             if index >= len(groups):
                 report.finished_at = self.sim.now
                 self.recovering.discard(failed)
-                self._log(f"failure recovery of {failed} complete")
-                self._emit("recovery_complete", switch=failed,
-                           recovered=report.groups_recovered,
-                           shrunk=report.groups_shrunk,
-                           skipped=report.groups_skipped,
-                           items=report.items_copied)
+                self.event_log.emit("recovery_complete", switch=failed,
+                                    recovered=report.groups_recovered,
+                                    shrunk=report.groups_shrunk,
+                                    skipped=report.groups_skipped,
+                                    items=report.items_copied)
                 return
             # Re-derive liveness per group: further switches may have failed
             # while earlier groups were being synchronized.
@@ -545,8 +720,7 @@ class NetChainController:
                 report.aborted = True
                 report.finished_at = self.sim.now
                 self.recovering.discard(failed)
-                self._log(f"failure recovery of {failed} aborted: no live switches")
-                self._emit("recovery_aborted", switch=failed)
+                self.event_log.emit("recovery_aborted", switch=failed)
                 return
             vgroup = groups[index]
             self._recover_group(failed, vgroup, new_switch, live, report,
@@ -589,7 +763,6 @@ class NetChainController:
             # from.  Leave the group to a later recovery (e.g. after a
             # reintroduction) instead of wedging the whole run.
             report.groups_skipped += 1
-            self._log(f"vgroup {vgroup}: no live replica, skipped")
             on_done()
             return
         new_name = self._choose_replacement(chain, preferred, live)
@@ -634,7 +807,6 @@ class NetChainController:
             current_live = [s for s in chain if s != failed
                             and s not in self.failed_switches]
             if not current_live:
-                self._log(f"vgroup {vgroup}: reference switches lost mid-recovery")
                 cleanup_and_skip()
                 return
             if not is_tail:
@@ -646,14 +818,11 @@ class NetChainController:
                 fresh_live = self._live_switches(failed)
                 new_name = self._choose_replacement(chain, None, fresh_live)
                 if new_name is None:
-                    self._log(f"vgroup {vgroup}: replacement lost mid-recovery, "
-                              f"shrinking chain")
                     for program, rule in stop_rules:
                         program.remove_rule(rule)
                     self._shrink_group(failed, vgroup, chain, current_live,
                                        report, on_done)
                     return
-                self._log(f"vgroup {vgroup}: replacement re-chosen -> {new_name}")
             # Copy the group's items from the reference switch to the new one.
             report.items_copied += self.copy_group_state(ref_name, [new_name], keys)
             step2_phase2()
@@ -683,22 +852,17 @@ class NetChainController:
                 if len(live_now) < len(new_chain):
                     if not live_now:
                         report.groups_skipped += 1
-                        self._log(f"vgroup {vgroup}: all members lost at "
-                                  f"activation, skipped")
                         on_done()
                         return
                     self.commit_chain(vgroup, live_now, moved_from=failed)
                     report.groups_shrunk += 1
-                    self._log(f"vgroup {vgroup}: replacement {new_name} lost "
-                              f"at activation, chain -> {live_now}")
                     on_done()
                     return
                 self.commit_chain(vgroup, new_chain, moved_from=failed)
                 report.groups_recovered += 1
                 report.replacements[vgroup] = new_name
-                self._log(f"recovered vgroup {vgroup}: {failed} -> {new_name}")
-                self._emit("group_recovered", vgroup=vgroup,
-                           replacement=new_name)
+                self.event_log.emit("group_recovered", vgroup=vgroup,
+                                    replacement=new_name)
                 on_done()
 
             self.sim.schedule(2 * rule_delay, finish)
@@ -726,9 +890,7 @@ class NetChainController:
                 self.bump_group_session(vgroup, live_chain[0])
             self.commit_chain(vgroup, live_chain, moved_from=failed)
             report.groups_shrunk += 1
-            self._log(f"shrunk vgroup {vgroup}: {failed} removed, "
-                      f"chain -> {live_chain}")
-            self._emit("group_shrunk", vgroup=vgroup)
+            self.event_log.emit("group_shrunk", vgroup=vgroup)
             on_done()
 
         self.sim.schedule(self.config.rule_install_latency, finish)

@@ -122,8 +122,8 @@ class FailureDetector:
             if self.misses[name] >= cfg.suspicion_threshold:
                 self._handled.add(name)
                 self.detections.append((self.sim.now, name))
-                controller._emit("failure_detected", switch=name,
-                                 misses=self.misses[name])
+                controller.event_log.emit("failure_detected", switch=name,
+                                          misses=self.misses[name])
                 controller.handle_switch_failure(
                     name, new_switch=cfg.new_switch, recover=cfg.auto_recover,
                     recovery_start_delay=cfg.recovery_start_delay)
@@ -145,4 +145,4 @@ class FailureDetector:
             self.heals[name] = 0
             self.misses[name] = 0
             self.reintroductions.append((self.sim.now, name))
-            controller._emit("reintroduced", switch=name)
+            controller.event_log.emit("reintroduced", switch=name)

@@ -14,10 +14,12 @@ cooperating layers:
 * **Reaction** (:class:`HotKeyManager`): a controller policy loop that
   polls the per-switch sketches, widens the chain of a confirmed-hot key
   (replicating it to extra tail switches and rotating read traffic across
-  every replica) and narrows it again on cooldown.  Each change commits
-  through the existing epoch-bump machinery (:meth:`NetChainController.
-  bump_group_epoch`), so straggler queries addressed under a superseded
-  hot route self-invalidate in the data plane.
+  every replica) and narrows it again on cooldown.  The hot routes are
+  controller state (:attr:`NetChainController.hot_routes`): the manager
+  decides, and :meth:`NetChainController.install_hot_route` /
+  :meth:`NetChainController.narrow_hot_route` commit each change with an
+  epoch bump, so straggler queries addressed under a superseded hot route
+  self-invalidate in the data plane.
 * **Client tier** (:class:`ClientReadCache`): an epoch-validated read
   cache on the client agent that coalesces concurrent reads of the same
   key into one network query.
@@ -61,10 +63,11 @@ collapses most duplicate hot-key reads.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.client import KVFuture
+from repro.core.kvstore import StoreFullError
 from repro.core.protocol import KEY_BYTES, OpCode, normalize_key
 
 
@@ -243,32 +246,31 @@ class HotKeySketch:
 # Reaction: the controller's hot-key policy loop.
 # --------------------------------------------------------------------- #
 
+#: A widened key whose per-poll reads fall below ``hot_threshold *
+#: COLD_FRACTION`` starts cooling down.
+COLD_FRACTION = 0.25
+#: Maximum keys widened at once (replica state is per-key SRAM).
+MAX_HOT_KEYS = 8
+
+
 @dataclass
 class HotKeyTierConfig:
-    """Policy knobs of the hot-key tier."""
+    """Policy knobs of the hot-key tier.  A widen adds every live member
+    switch outside the base chain as an extra replica, and each member
+    switch carries a default :class:`SketchConfig` sketch."""
 
     #: How often the controller polls (and decays) the switch sketches.
     poll_interval: float = 5e-3
     #: Aggregate reads per poll interval that confirm a key as hot.
     hot_threshold: int = 64
-    #: A widened key whose per-poll reads fall below
-    #: ``hot_threshold * cold_fraction`` starts cooling down.
-    cold_fraction: float = 0.25
     #: Consecutive cold polls before a widened key narrows again.
     cooldown_polls: int = 2
-    #: Maximum keys widened at once (replica state is per-key SRAM).
-    max_hot_keys: int = 8
-    #: Extra replicas beyond the base chain; ``None`` widens to every
-    #: member switch.
-    extra_replicas: Optional[int] = None
     #: Freeze-and-copy window of one widen commit (control-plane RPCs plus
     #: the single-item state copy; writes of the key's vgroup drop during
     #: it and client retries land after the commit).
     widen_latency: float = 2e-3
     #: Attach an epoch-validated coalescing read cache to every client.
     client_cache: bool = True
-    #: Sketch dimensions installed on each member switch.
-    sketch: SketchConfig = field(default_factory=SketchConfig)
 
     @classmethod
     def from_options(cls, options) -> "HotKeyTierConfig":
@@ -278,57 +280,25 @@ class HotKeyTierConfig:
             return cls()
         if isinstance(options, cls):
             return options
-        known = {f.name for f in fields(cls)}
-        unknown = set(options) - known
+        known = sorted(f.name for f in fields(cls))
+        unknown = sorted(set(options) - set(known))
         if unknown:
-            raise ValueError(f"unknown hotkey_tier options: {sorted(unknown)}")
-        kwargs = dict(options)
-        sketch = kwargs.get("sketch")
-        if isinstance(sketch, dict):
-            kwargs["sketch"] = SketchConfig(**sketch)
-        return cls(**kwargs)
+            raise ValueError(
+                f"unknown hotkey_tier option(s): {', '.join(unknown)} "
+                f"(known: {', '.join(known)})")
+        return cls(**options)
 
 
 @dataclass
 class HotKeyTierStats:
-    """Counters describing the manager's decisions."""
+    """Counters describing the manager's decisions (routes torn down are
+    counted by the controller, ``narrowed_hot_routes``)."""
 
     polls: int = 0
     widened: int = 0
-    narrowed: int = 0
     widen_aborted: int = 0
     #: Widen candidates skipped (capacity, unknown key, frozen vgroup).
     skipped: int = 0
-
-
-class HotRoute:
-    """The per-key wide chain serving one hot key.
-
-    ``switches``/``ips`` hold the wide chain head-to-tail: the base chain
-    followed by the extra replicas.  Writes traverse the whole wide chain
-    (the commit point moves to the wide tail); reads rotate round-robin
-    across every member, each carrying the forward suffix toward the wide
-    tail so a dirty replica can forward instead of serving.
-    """
-
-    __slots__ = ("key", "vgroup", "switches", "ips", "extras", "_targets", "_rr")
-
-    def __init__(self, key: bytes, vgroup: int, switches: List[str],
-                 ips: Tuple[str, ...], extras: List[str]) -> None:
-        self.key = key
-        self.vgroup = vgroup
-        self.switches = list(switches)
-        self.ips = ips
-        self.extras = list(extras)
-        self._targets = tuple((ips[i], ips[i + 1:]) for i in range(len(ips)))
-        self._rr = 0
-
-    def next_read(self, epochs: Dict[int, int]):
-        """(dst ip, forward suffix, vgroup, epoch) for the next rotated read."""
-        index = self._rr
-        self._rr = (index + 1) % len(self._targets)
-        dst_ip, suffix = self._targets[index]
-        return dst_ip, suffix, self.vgroup, epochs.get(self.vgroup, 0)
 
 
 class HotKeyManager:
@@ -336,12 +306,14 @@ class HotKeyManager:
 
     Attaching the manager installs a :class:`HotKeySketch` on every member
     switch program (register-array backed); :meth:`start` begins the
-    periodic poll.  Hot routes live beside the per-vgroup chain table --
-    widening never rewrites :attr:`NetChainController.chain_table`, so the
-    failure-recovery and migration machinery keep operating on base chains
-    -- and every widen/narrow commits through
-    :meth:`NetChainController.bump_group_epoch`, which both invalidates
-    the route cache and makes in-flight stragglers drop in the data plane.
+    periodic poll.  The manager only decides: the hot routes are the
+    controller's (:attr:`NetChainController.hot_routes`), kept beside the
+    per-vgroup chain table -- widening never rewrites the chain table, so
+    the failure-recovery and migration machinery keep operating on base
+    chains.  A chain commit the tier did not make narrows that group's
+    routes in the same call; the manager sees the controller's
+    ``chain_commits`` move and narrows every other route at its next
+    poll, and a widen pending across such a commit aborts.
     """
 
     def __init__(self, controller, config: Optional[HotKeyTierConfig] = None) -> None:
@@ -349,26 +321,18 @@ class HotKeyManager:
         self.sim = controller.sim
         self.config = config or HotKeyTierConfig()
         self.stats = HotKeyTierStats()
-        #: raw key -> HotRoute for every currently-widened key.  Consulted
-        #: by the controller's routing hot path; kept small by
-        #: ``max_hot_keys``.
-        self.hot_routes: Dict[bytes, HotRoute] = {}
         self.caches: List[ClientReadCache] = []
         self._widening: Set[bytes] = set()
         self._cold_polls: Dict[bytes, int] = {}
         self._cancel = None
-        #: Set by a chain commit this manager did not make (recovery,
-        #: migration): the next poll narrows every route then.
-        self._foreign_commit = False
-        #: True while this manager's own epoch bump runs.
-        self._own_commit = False
-        if controller.hotkey_manager is not None:
-            raise ValueError("controller already has a hot-key manager")
-        controller.hotkey_manager = self
+        #: ``controller.chain_commits`` as of the last narrow-all.
+        self._commits_seen = controller.chain_commits
+        if any(controller.programs[name].hotkeys is not None
+               for name in controller.members):
+            raise ValueError("the member switches already carry hot-key sketches")
         for name in controller.members:
             program = controller.programs[name]
-            program.hotkeys = HotKeySketch(self.config.sketch,
-                                           registers=program.switch.registers)
+            program.hotkeys = HotKeySketch(registers=program.switch.registers)
 
     # -- lifecycle -------------------------------------------------------- #
 
@@ -383,26 +347,12 @@ class HotKeyManager:
         if self._cancel is not None:
             self._cancel()
             self._cancel = None
-        for raw in list(self.hot_routes):
-            self.narrow(raw)
+        self.narrow_all()
         for name in self.controller.members:
             program = self.controller.programs.get(name)
             if program is not None and program.hotkeys is not None:
                 program.hotkeys.free()
                 program.hotkeys = None
-        if self.controller.hotkey_manager is self:
-            self.controller.hotkey_manager = None
-
-    # -- routing hooks (called from the controller/agent hot path) -------- #
-
-    def read_route(self, key):
-        """Rotated read route for a hot key, or ``None`` for cold keys."""
-        if not self.hot_routes:
-            return None
-        route = self.hot_routes.get(normalize_key(key))
-        if route is None:
-            return None
-        return route.next_read(self.controller.epochs)
 
     # -- the policy loop --------------------------------------------------- #
 
@@ -410,7 +360,7 @@ class HotKeyManager:
         controller = self.controller
         self.stats.polls += 1
         totals: Dict[bytes, int] = {}
-        hot = self.hot_routes
+        hot = controller.hot_routes
         for name in controller.members:
             program = controller.programs.get(name)
             sketch = getattr(program, "hotkeys", None)
@@ -427,15 +377,15 @@ class HotKeyManager:
             for key in hot:
                 totals[key] = totals.get(key, 0) + sketch.estimate(key)
             sketch.reset()
-        if self._foreign_commit:
+        if controller.chain_commits != self._commits_seen:
             self.narrow_all()
             return
-        cold_bar = self.config.hot_threshold * self.config.cold_fraction
-        for raw in list(self.hot_routes):
+        cold_bar = self.config.hot_threshold * COLD_FRACTION
+        for raw in list(hot):
             if totals.get(raw, 0) < cold_bar:
                 polls = self._cold_polls.get(raw, 0) + 1
                 if polls >= self.config.cooldown_polls:
-                    self.narrow(raw)
+                    controller.narrow_hot_route(raw)
                 else:
                     self._cold_polls[raw] = polls
             else:
@@ -447,10 +397,9 @@ class HotKeyManager:
              if count >= self.config.hot_threshold),
             key=lambda e: (-e[0], e[1]))
         for _count, raw in candidates:
-            if (len(self.hot_routes) + len(self._widening)
-                    >= self.config.max_hot_keys):
+            if len(hot) + len(self._widening) >= MAX_HOT_KEYS:
                 break
-            if raw in self.hot_routes or raw in self._widening:
+            if raw in hot or raw in self._widening:
                 continue
             self.widen(raw)
 
@@ -476,15 +425,12 @@ class HotKeyManager:
                 return False  # a migration owns this group right now
         extras = [name for name in controller.members
                   if name not in base and name not in controller.failed_switches]
-        if self.config.extra_replicas is not None:
-            extras = extras[:self.config.extra_replicas]
         wide = base + extras
         if len(wide) < 2:
             self.stats.skipped += 1
             return False
         self._widening.add(raw)
-        for name in wide:
-            controller.programs[name].freeze_vgroup_writes(vgroup)
+        controller.set_write_freeze([vgroup], True, switches=wide)
         self.sim.schedule(self.config.widen_latency, self._commit_widen,
                           raw, vgroup, base, extras)
         return True
@@ -494,123 +440,37 @@ class HotKeyManager:
         controller = self.controller
         wide = base + extras
 
-        def unfreeze() -> None:
-            for name in wide:
-                controller.programs[name].unfreeze_vgroup_writes(vgroup)
-
         def abort() -> None:
-            unfreeze()
+            controller.set_write_freeze([vgroup], False, switches=wide)
             self._widening.discard(raw)
             self.stats.widen_aborted += 1
 
         if controller.failed_switches.intersection(wide):
             abort()
             return
-        if self._foreign_commit:
+        if controller.chain_commits != self._commits_seen:
             abort()  # the base chain moved under the freeze
             return
         item = controller.stores[base[-1]].read(raw)
         if item is None or not item.valid:
             abort()  # deleted (or garbage-collected) while confirming
             return
-        if extras:
-            try:
-                controller.copy_group_state(base[-1], extras, [raw])
-            except Exception:
-                abort()  # e.g. a full store on an extra replica
-                return
-        version = (item.session, item.seq)
-        ips = tuple(controller.switch_ip(name) for name in wide)
-        tail = wide[-1]
-        for index, name in enumerate(wide):
-            program = controller.programs[name]
-            if name == tail:
-                siblings = tuple(ip for i, ip in enumerate(ips) if i != index)
-                program.set_clean_notify(raw, siblings)
-            else:
-                program.set_read_gate(raw, version)
-        self.hot_routes[raw] = HotRoute(raw, vgroup, wide, ips, extras)
-        self._own_commit = True
-        controller.bump_group_epoch(vgroup)
-        self._own_commit = False
-        unfreeze()
+        try:
+            controller.install_hot_route(raw, vgroup, base, extras,
+                                         (item.session, item.seq))
+        except StoreFullError:
+            abort()  # a full store on an extra replica
+            return
+        controller.set_write_freeze([vgroup], False, switches=wide)
         self._widening.discard(raw)
         self._cold_polls[raw] = 0
         self.stats.widened += 1
-        controller._log(f"hotkeys: widened {raw.rstrip(chr(0).encode())!r} "
-                        f"to {wide}")
-        controller._emit("hotkey_widen",
-                         key=raw.rstrip(b"\x00").decode("ascii", "replace"),
-                         vgroup=vgroup, width=len(wide))
-
-    # -- narrowing --------------------------------------------------------- #
-
-    def narrow(self, key) -> bool:
-        """Tear one hot route down, reverting the key to its base chain.
-
-        Synchronous: the epoch bump makes every in-flight query addressed
-        under the wide route drop before its store lookup, so the extra
-        replicas' slots can be reclaimed immediately.
-        """
-        controller = self.controller
-        raw = normalize_key(key)
-        route = self.hot_routes.pop(raw, None)
-        if route is None:
-            return False
-        self._cold_polls.pop(raw, None)
-        for name in route.switches:
-            program = controller.programs.get(name)
-            if program is not None:
-                program.clear_read_gate(raw)
-                program.clear_clean_notify(raw)
-        # A reconfiguration since the widen may have made an extra replica a
-        # member of the key's base chain: that copy is now the chain's own.
-        base = controller.chain_for_key(raw).switches
-        for name in route.extras:
-            store = controller.stores.get(name)
-            if store is not None and name not in base:
-                store.remove_key(raw)
-        self._own_commit = True
-        controller.bump_group_epoch(route.vgroup)
-        self._own_commit = False
-        self.stats.narrowed += 1
-        controller._log(f"hotkeys: narrowed {raw.rstrip(chr(0).encode())!r}")
-        controller._emit("hotkey_narrow",
-                         key=raw.rstrip(b"\x00").decode("ascii", "replace"),
-                         vgroup=route.vgroup)
-        return True
 
     def narrow_all(self) -> None:
         """Tear every hot route down (failure/reconfiguration quiesce)."""
-        for raw in list(self.hot_routes):
-            self.narrow(raw)
-        self._foreign_commit = False
-
-    # -- controller event hooks -------------------------------------------- #
-
-    def on_chain_commit(self, vgroup: int) -> None:
-        """Chain-commit hook: ``vgroup``'s routes were built on its superseded
-        chain and narrow now, not at the next poll, by when the commit's gc
-        may have removed the copies they read."""
-        if self._own_commit:
-            return
-        self._foreign_commit = True
-        for raw, route in list(self.hot_routes.items()):
-            if route.vgroup == vgroup:
-                self.narrow(raw)
-
-    def on_switch_failed(self, name: str) -> None:
-        """Fast-failover hook: routes through a failed switch must die now
-        (rotated reads would otherwise retry into it until the next poll)."""
-        for raw, route in list(self.hot_routes.items()):
-            if name in route.switches:
-                self.narrow(raw)
-
-    def forget_key(self, key) -> None:
-        """Garbage-collection hook: a deleted key cannot stay widened."""
-        raw = normalize_key(key)
-        if raw in self.hot_routes:
-            self.narrow(raw)
+        for raw in list(self.controller.hot_routes):
+            self.controller.narrow_hot_route(raw)
+        self._commits_seen = self.controller.chain_commits
 
 
 # --------------------------------------------------------------------- #

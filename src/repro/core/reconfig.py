@@ -43,6 +43,12 @@ the target chain against the controller's current failed-switch set, a step
 whose joining switch died is skipped (plan repair), and the coordinator
 pauses while failure recovery (Algorithm 3) is splicing chains so the two
 reconfiguration machines never fight over a group.
+
+The coordinator decides; the controller writes.  Every change to the ring,
+the chain table, the key registry, sessions, epochs and write freezes goes
+through a :class:`~repro.core.controller.NetChainController` method
+(:meth:`~repro.core.controller.NetChainController.commit_migration`,
+``retire_vgroup``, ``rehome_keys``, ``set_write_freeze``).
 """
 
 from __future__ import annotations
@@ -50,31 +56,32 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.controller import ChainInfo, NetChainController
+from repro.core.controller import NetChainController
 from repro.core.ring import ConsistentHashRing, VirtualNode
+
+#: Fraction of each group's state copied before the write freeze (Step 1
+#: of the recovery protocol; planned moves can pre-copy almost everything
+#: because the source is healthy).
+PRESYNC_FRACTION = 0.9
+#: Drain window between the freeze and the delta copy, letting writes
+#: already inside the chain reach the tail before it is snapshotted.
+SETTLE_DELAY = 1e-3
+#: Fixed per-group overhead added to each group's delta-sync window.
+PER_GROUP_OVERHEAD = 2e-3
+#: Delay between a group's commit and garbage-collecting its moved keys
+#: from the old owners.
+GC_DELAY = 10e-3
+#: Poll interval while waiting out an active failure recovery.
+PAUSE_POLL = 10e-3
 
 
 @dataclass
 class ReconfigConfig:
     """Knobs of the live-migration protocol."""
 
-    #: Fraction of each group's state copied before the write freeze
-    #: (Step 1 of the recovery protocol; planned moves can pre-copy almost
-    #: everything because the source is healthy).
-    presync_fraction: float = 0.9
-    #: Drain window between the freeze and the delta copy, letting writes
-    #: already inside the chain reach the tail before it is snapshotted.
-    settle_delay: float = 1e-3
-    #: Fixed per-group overhead added to each group's delta-sync window.
-    per_group_overhead: float = 2e-3
     #: Items per second copied during state synchronization; ``None`` uses
     #: the controller's ``sync_items_per_sec``.
     sync_items_per_sec: Optional[float] = None
-    #: Delay between a group's commit and garbage-collecting its moved keys
-    #: from the old owners.
-    gc_delay: float = 10e-3
-    #: Poll interval while waiting out an active failure recovery.
-    pause_poll: float = 10e-3
 
 
 @dataclass
@@ -320,10 +327,9 @@ class MigrationCoordinator:
         for name in self.plan.joins:
             if name not in controller.members:
                 controller.provision_switch(name)
-        controller._log(f"migration started: {self.plan.summary()}")
-        controller._emit("migration_start", steps=len(self.plan.steps),
-                         joins=len(self.plan.joins),
-                         leaves=len(self.plan.leaves))
+        controller.event_log.emit("migration_start", steps=len(self.plan.steps),
+                                  joins=len(self.plan.joins),
+                                  leaves=len(self.plan.leaves))
         self._run_step(0)
         return self.report
 
@@ -337,34 +343,26 @@ class MigrationCoordinator:
         return self.controller.config.sync_items_per_sec
 
     def _sync_duration(self, num_items: int) -> float:
-        return num_items / self._sync_rate() + self.config.per_group_overhead
+        return num_items / self._sync_rate() + PER_GROUP_OVERHEAD
 
     def _when_recovery_idle(self, action: Callable[[], None]) -> None:
         """Defer ``action`` while failure recovery is splicing chains."""
         if self.controller.recovering:
-            self.sim.schedule(self.config.pause_poll,
+            self.sim.schedule(PAUSE_POLL,
                               lambda: self._when_recovery_idle(action))
         else:
             action()
 
     def _retire_drained_vnodes(self) -> None:
-        """Remove retiring virtual nodes whose keys have all re-homed.
-
-        Their segment's new-key mapping flips to the ring successor, their
-        directory entry disappears, and their epoch is bumped so stragglers
-        tagged with the retired group drop everywhere.
-        """
+        """Retire every retiring virtual node whose keys have all re-homed:
+        its segment's new-key mapping flips to the ring successor."""
         controller = self.controller
         for vnode_id in list(controller.ring.vnodes):
             if vnode_id in self.plan.target_ring.vnodes:
                 continue
             if controller.keys_by_vgroup.get(vnode_id):
                 continue
-            controller.ring.remove_vnode(vnode_id)
-            controller.chain_table.pop(vnode_id, None)
-            controller.keys_by_vgroup.pop(vnode_id, None)
-            controller.bump_group_epoch(vnode_id)
-            controller._log(f"migration: retired vgroup {vnode_id}")
+            controller.retire_vgroup(vnode_id)
 
     def _finish(self) -> None:
         controller = self.controller
@@ -382,17 +380,14 @@ class MigrationCoordinator:
             still_serving = any(name in info.switches
                                 for info in controller.chain_table.values())
             if still_serving or controller.ring.virtual_nodes_of(name):
-                controller._log(f"migration: {name} still serves chains, "
-                                f"not decommissioned")
                 continue
             controller.decommission_switch(name)
         self.report.finished_at = self.sim.now
         self.report.done = True
-        controller._log(f"migration finished: {self.report.summary()}")
-        controller._emit("migration_finish",
-                         committed=len(self.report.committed_steps()),
-                         keys_moved=self.report.total_keys_moved(),
-                         aborted=self.report.aborted)
+        controller.event_log.emit("migration_finish",
+                                  committed=len(self.report.committed_steps()),
+                                  keys_moved=self.report.total_keys_moved(),
+                                  aborted=self.report.aborted)
 
     def _rehome_stragglers(self) -> None:
         """Directly move keys still registered to a retiring group.
@@ -435,15 +430,7 @@ class MigrationCoordinator:
                     continue
                 controller.copy_group_state(live_source[-1], target_chain,
                                             target_keys)
-                for key in target_keys:
-                    controller.keys_by_vgroup[vnode_id].discard(key)
-                    controller.keys_by_vgroup.setdefault(target_vg,
-                                                         set()).add(key)
-                controller.bump_group_epoch(target_vg)
-                controller.bump_group_epoch(vnode_id)
-                controller._log(
-                    f"migration: re-homed {len(target_keys)} straggler keys "
-                    f"from retiring vgroup {vnode_id} to {target_vg}")
+                controller.rehome_keys(vnode_id, target_vg, target_keys)
 
     def _probe_ring(self, step: MigrationStep) -> ConsistentHashRing:
         """The live ring as it will look immediately after this step's
@@ -498,14 +485,6 @@ class MigrationCoordinator:
             groups.add(vnode.vnode_id)
         return sorted(groups)
 
-    def _set_freeze(self, groups: Sequence[int], frozen: bool) -> None:
-        for program in self.controller.programs.values():
-            for vgroup in groups:
-                if frozen:
-                    program.freeze_vgroup_writes(vgroup)
-                else:
-                    program.unfreeze_vgroup_writes(vgroup)
-
     def _run_step(self, index: int) -> None:
         if index >= len(self.plan.steps):
             self._finish()
@@ -531,7 +510,7 @@ class MigrationCoordinator:
               report: Optional[StepReport] = None,
               frozen: Optional[List[int]] = None) -> None:
         if frozen:
-            self._set_freeze(frozen, False)
+            self.controller.set_write_freeze(frozen, False)
         if report is None:
             report = StepReport(vgroup=step.vgroup, kind=step.kind,
                                 target_chain=list(step.target_chain))
@@ -540,15 +519,13 @@ class MigrationCoordinator:
         report.detail = reason
         if report.freeze_started and not report.freeze_ended:
             report.freeze_ended = self.sim.now
-        self.controller._log(f"migration vgroup {step.vgroup} skipped: {reason}")
-        self.controller._emit("migration_skip", vgroup=step.vgroup,
-                              reason=reason)
+        self.controller.event_log.emit("migration_skip", vgroup=step.vgroup,
+                                       reason=reason)
         self._notify(report)
         self._run_step(index + 1)
 
     def _begin_step(self, step: MigrationStep, index: int) -> None:
         controller = self.controller
-        cfg = self.config
         report = StepReport(vgroup=step.vgroup, kind=step.kind,
                             target_chain=list(step.target_chain))
         self.report.steps.append(report)
@@ -571,14 +548,14 @@ class MigrationCoordinator:
         own_keys = controller.keys_by_vgroup.get(step.vgroup, set())
         num_items = len(own_keys) + sum(len(keys) for keys in moving.values())
         sync_time = self._sync_duration(num_items)
-        presync_time = sync_time * cfg.presync_fraction
+        presync_time = sync_time * PRESYNC_FRACTION
         delta_time = sync_time - presync_time
 
         def freeze_point() -> None:
             frozen = self._frozen_groups(step, sorted(moving))
-            self._set_freeze(frozen, True)
+            controller.set_write_freeze(frozen, True)
             report.freeze_started = self.sim.now
-            self.sim.schedule(cfg.settle_delay + delta_time,
+            self.sim.schedule(SETTLE_DELAY + delta_time,
                               lambda: self._when_recovery_idle(
                                   lambda: self._commit_step(step, index, report,
                                                             frozen)))
@@ -642,9 +619,7 @@ class MigrationCoordinator:
                 continue
             live_source = [s for s in source_info.switches if s not in failed]
             if not live_source:
-                controller._log(f"migration vgroup {step.vgroup}: source "
-                                f"{source_vg} has no live replica; its keys stay")
-                continue
+                continue  # no live replica: the source's keys stay
             ref = live_source[-1]
             report.items_copied += controller.copy_group_state(
                 ref, target_chain, sorted(keys))
@@ -656,37 +631,21 @@ class MigrationCoordinator:
                 if name not in target_chain:
                     gc_targets.setdefault(name, set()).update(keys)
 
-        # ---- the atomic flip ---- #
-        old_head = current_info.switches[0] if current_info is not None else None
-        if step.new_vnode is not None:
-            controller.ring.insert_vnode(step.new_vnode)
-        for source_vg, key in moved_keys:
-            controller.keys_by_vgroup.get(source_vg, set()).discard(key)
-            controller.keys_by_vgroup.setdefault(step.vgroup, set()).add(key)
-        controller.chain_table[step.vgroup] = ChainInfo(step.vgroup,
-                                                        list(target_chain))
-        if old_head != target_chain[0] or moved_keys:
-            controller.bump_group_session(step.vgroup, target_chain[0],
-                                          floor=session_floor)
-        controller.bump_group_epoch(step.vgroup)
-        for source_vg in sorted(moving):
-            controller.bump_group_epoch(source_vg)
+        controller.commit_migration(step.vgroup, target_chain, moved_keys,
+                                    sorted(moving), new_vnode=step.new_vnode,
+                                    session_floor=session_floor)
         self._retire_drained_vnodes()
-        self._set_freeze(frozen, False)
+        controller.set_write_freeze(frozen, False)
         report.freeze_ended = self.sim.now
         report.committed_at = self.sim.now
         report.keys_moved = len(moved_keys)
         report.status = "committed"
-        controller._log(
-            f"migration vgroup {step.vgroup} committed: chain -> {target_chain}, "
-            f"{report.keys_moved} keys moved, "
-            f"freeze {report.freeze_window * 1e3:.2f}ms")
-        controller._emit("migration_step", vgroup=step.vgroup,
-                         keys_moved=report.keys_moved,
-                         freeze=report.freeze_window)
+        controller.event_log.emit("migration_step", vgroup=step.vgroup,
+                                  keys_moved=report.keys_moved,
+                                  freeze=report.freeze_window)
 
         if gc_targets:
-            self.sim.schedule(self.config.gc_delay,
+            self.sim.schedule(GC_DELAY,
                               lambda: self._garbage_collect(gc_targets))
         self._notify(report)
         self._run_step(index + 1)

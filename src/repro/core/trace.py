@@ -440,7 +440,8 @@ class TelemetryPlane:
         for program in controller.programs.values():
             program.telemetry = tracer
         if self.event_log is not None:
-            controller.event_log = self.event_log
+            # The controller's log is the one log: spill it, not a copy.
+            self.event_log = controller.event_log
 
     def start(self) -> None:
         if self.config.metrics and self._topology is not None:

@@ -341,13 +341,13 @@ def signature_digest(result: ScenarioResult) -> str:
     The tuples carry every float timestamp verbatim through ``repr``, so
     two cells hash identically exactly when their operation histories are
     byte-identical.  They are hashed as they stream from
-    :meth:`~repro.deploy.scenario.ScenarioResult.iter_signature`, 256 at a
+    :meth:`~repro.deploy.scenario.ScenarioResult.iter_signature`, 64 at a
     time: each chunk's ``repr`` without its brackets, joined by ``", "``
     inside one pair, is the whole list's ``repr`` byte for byte, and no
     more than one chunk of it is ever resident.
     """
     digest, tuples, separator = hashlib.sha256(b"["), result.iter_signature(), b""
-    while chunk := list(islice(tuples, 256)):
+    while chunk := list(islice(tuples, 64)):
         digest.update(separator + repr(chunk)[1:-1].encode("utf-8"))
         separator = b", "
     digest.update(b"]")

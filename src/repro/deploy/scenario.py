@@ -455,6 +455,8 @@ def run_scenario(spec: DeploymentSpec,
         from repro.core.reconfig import ReconfigConfig
         reconfig_config = reconfig.get("config")
         if isinstance(reconfig_config, dict):
+            check_unknown_fields(ReconfigConfig, reconfig_config,
+                                 "reconfig config")
             reconfig_config = ReconfigConfig(**reconfig_config)
         link_new_to = reconfig.get("link_new_to")
 

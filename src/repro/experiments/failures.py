@@ -139,8 +139,8 @@ def failure_experiment(virtual_groups: int = 1,
 
     controller = result.deployment.cluster.controller
     fail_times = [e.time for e in result.fault_trace if e.kind == "switch_fail"]
-    failovers = [t for t, message in controller.events
-                 if message.startswith("fast failover")]
+    failovers = [t for t, kind, _fields in controller.event_log.events
+                 if kind == "fast_failover"]
     reports = controller.recovery_reports
     if not fail_times or not failovers:
         raise ValueError(

@@ -208,11 +208,12 @@ class MetricsRegistry:
 class ControlEventLog:
     """Structured control-plane events keyed on sim-time.
 
-    The controller, failure detector, migration coordinator and hot-key
-    manager emit ``(sim_time, kind, fields)`` tuples through
-    ``Controller._emit``; the Figure-10 style failure/recovery timeline
-    is *derived* from these records (see :func:`failure_timeline`) rather
-    than hand-instrumented.
+    Every NetChain controller owns one from construction
+    (``controller.event_log``); the controller, failure detector and
+    migration coordinator append ``(sim_time, kind, fields)`` tuples to
+    it.  The telemetry plane spills it to ``events.ndjson``, and the
+    Figure-10 failure/recovery timeline is *derived* from these records
+    (see :func:`failure_timeline`) rather than hand-instrumented.
     """
 
     __slots__ = ("sim", "events")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
+from typing import Tuple
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.core.hotkeys import (
     SketchConfig,
 )
 from repro.core.hybrid import HybridStore
+from repro.core.kvstore import StoreFullError
 from repro.core.protocol import normalize_key
 from repro.deploy import DeploymentSpec, available_backends
 from repro.deploy.matrix import signature_digest
@@ -134,12 +136,17 @@ def test_tier_config_from_options():
     assert HotKeyTierConfig.from_options(None) == HotKeyTierConfig()
     config = HotKeyTierConfig(hot_threshold=5)
     assert HotKeyTierConfig.from_options(config) is config
-    built = HotKeyTierConfig.from_options(
-        {"hot_threshold": 7, "sketch": {"rows": 2, "width": 64}})
-    assert built.hot_threshold == 7
-    assert built.sketch == SketchConfig(rows=2, width=64)
-    with pytest.raises(ValueError):
-        HotKeyTierConfig.from_options({"no_such_knob": 1})
+    built = HotKeyTierConfig.from_options({"hot_threshold": 7, "cooldown_polls": 3})
+    assert (built.hot_threshold, built.cooldown_polls) == (7, 3)
+    known = "known: client_cache, cooldown_polls, hot_threshold, poll_interval, widen_latency"
+    for options in ({"no_such_knob": 1}, {"cold_fraction": 0.5}, {"max_hot_keys": 4},
+                    {"extra_replicas": 1}, {"sketch": {"rows": 2, "width": 64}}):
+        with pytest.raises(ValueError, match=known):
+            HotKeyTierConfig.from_options(options)
+    spec = DeploymentSpec(backend="netchain", store_size=8, options={
+        "reconfig": {"changes": [[0.01, ["S4"], []]], "config": {"gc_delay": 0.02}}})
+    with pytest.raises(ValueError, match=r"gc_delay \(known: sync_items_per_sec\)"):
+        run_scenario(spec, WorkloadSpec(duration=0.02))
 
 
 # --------------------------------------------------------------------- #
@@ -150,13 +157,12 @@ _FAST_TIER = dict(poll_interval=2e-3, hot_threshold=5, widen_latency=1e-3,
                   cooldown_polls=2, client_cache=False)
 
 
-def _tier_cluster(**overrides) -> NetChainCluster:
+def _tier_cluster(**overrides) -> Tuple[NetChainCluster, HotKeyManager]:
     cluster = make_cluster()
     cluster.populate(16)
     options = dict(_FAST_TIER)
     options.update(overrides)
-    cluster.enable_hotkey_tier(options)
-    return cluster
+    return cluster, cluster.enable_hotkey_tier(options)
 
 
 def _drive_reads(cluster, agent, key: str, interval: float, duration: float) -> None:
@@ -166,16 +172,15 @@ def _drive_reads(cluster, agent, key: str, interval: float, duration: float) -> 
 
 
 def test_hot_key_widens_and_rotates_reads():
-    cluster = _tier_cluster()
-    manager = cluster.controller.hotkey_manager
+    cluster, manager = _tier_cluster()
     agent = cluster.agent("H0")
     before = {name: cluster.controller.programs[name].stats.reads
               for name in cluster.controller.members}
     _drive_reads(cluster, agent, "k00000000", interval=1e-4, duration=0.05)
     raw = normalize_key("k00000000")
     assert manager.stats.widened >= 1
-    assert raw in manager.hot_routes
-    route = manager.hot_routes[raw]
+    assert raw in cluster.controller.hot_routes
+    route = cluster.controller.hot_routes[raw]
     assert len(route.switches) > cluster.controller.config.replication
     # Rotation: after widening, the key's reads land on several switches.
     served = [name for name in cluster.controller.members
@@ -187,8 +192,7 @@ def test_hot_key_widens_and_rotates_reads():
 
 
 def test_cold_keys_are_never_widened():
-    cluster = _tier_cluster()
-    manager = cluster.controller.hotkey_manager
+    cluster, manager = _tier_cluster()
     agent = cluster.agent("H0")
     # Uniform trickle over all 16 keys: nobody crosses the threshold.
     keys = [f"k{i:08d}" for i in range(16)]
@@ -202,25 +206,24 @@ def test_cold_keys_are_never_widened():
     cluster.run(until=cluster.sim.now + 0.05)
     cancel()
     assert manager.stats.widened == 0
-    assert manager.hot_routes == {}
+    assert cluster.controller.hot_routes == {}
 
 
 def test_hot_route_narrows_on_cooldown():
-    cluster = _tier_cluster()
+    cluster, _manager = _tier_cluster()
     controller = cluster.controller
-    manager = controller.hotkey_manager
     _drive_reads(cluster, cluster.agent("H0"), "k00000000",
                  interval=1e-4, duration=0.03)
     raw = normalize_key("k00000000")
-    assert raw in manager.hot_routes
-    extras = list(manager.hot_routes[raw].extras)
+    assert raw in controller.hot_routes
+    extras = list(controller.hot_routes[raw].extras)
     assert extras
-    epoch_before = controller.epochs.get(manager.hot_routes[raw].vgroup, 0)
+    epoch_before = controller.epochs.get(controller.hot_routes[raw].vgroup, 0)
     # Stop the traffic; the cooldown polls must narrow the route and
     # reclaim the extra replicas' slots.
     cluster.run(until=cluster.sim.now + 0.05)
-    assert raw not in manager.hot_routes
-    assert manager.stats.narrowed >= 1
+    assert raw not in controller.hot_routes
+    assert controller.narrowed_hot_routes >= 1
     for name in extras:
         assert controller.stores[name].lookup(raw) is None
     vgroup = controller.ring.vgroup_for_key(raw)
@@ -230,11 +233,10 @@ def test_hot_route_narrows_on_cooldown():
 
 
 def test_writes_remain_visible_through_a_wide_route():
-    cluster = _tier_cluster()
-    manager = cluster.controller.hotkey_manager
+    cluster, _manager = _tier_cluster()
     agent = cluster.agent("H0")
     _drive_reads(cluster, agent, "k00000000", interval=1e-4, duration=0.03)
-    assert normalize_key("k00000000") in manager.hot_routes
+    assert normalize_key("k00000000") in cluster.controller.hot_routes
     assert agent.write("k00000000", b"fresh").result().ok
     # Every rotated read -- whichever replica serves it -- must return the
     # committed value (the clean/dirty gate forwards until CLEAN lands).
@@ -243,24 +245,59 @@ def test_writes_remain_visible_through_a_wide_route():
 
 
 def test_widen_refuses_unknown_keys():
-    cluster = _tier_cluster()
-    manager = cluster.controller.hotkey_manager
+    cluster, manager = _tier_cluster()
     assert manager.widen("never-inserted") is False
     assert manager.stats.skipped == 1
-    assert manager.hot_routes == {}
+    assert cluster.controller.hot_routes == {}
+
+
+def test_widen_aborted_by_a_full_extra_store_leaves_no_copy():
+    """The copy to the first extra replica succeeds, the second extra's
+    store is full: the widen aborts and takes the first copy back."""
+    cluster = make_cluster()
+    cluster.populate(16)
+    cluster.add_switch("S4")
+    manager = cluster.enable_hotkey_tier(_FAST_TIER)
+    controller = cluster.controller
+    raw = normalize_key("k00000000")
+    base = controller.chain_for_key(raw).switches
+    extras = [name for name in controller.members if name not in base]
+    assert len(extras) == 2
+    full = controller.stores[extras[1]]
+    for i in itertools.count():
+        try:
+            full.insert_key(b"fill%d" % i)
+        except StoreFullError:
+            break
+    assert manager.widen(raw)
+    cluster.run(until=cluster.sim.now + 2e-3)
+    assert manager.stats.widen_aborted == 1
+    assert raw not in controller.hot_routes
+    assert all(controller.stores[name].lookup(raw) is None for name in extras)
+    assert all(controller.ring.vgroup_for_key(raw) not in program.frozen_write_vgroups
+               for program in controller.programs.values())
+
+    # Any other failure of the copy is a bug, not an abort: it propagates.
+    def broken(items):
+        raise KeyError("broken import")
+
+    controller.stores[extras[0]].import_items = broken
+    assert manager.widen(raw)
+    with pytest.raises(KeyError, match="broken import"):
+        cluster.run(until=cluster.sim.now + 2e-3)
+    assert manager.stats.widen_aborted == 1
 
 
 def test_switch_failure_narrows_affected_routes():
-    cluster = _tier_cluster()
+    cluster, _manager = _tier_cluster()
     controller = cluster.controller
-    manager = controller.hotkey_manager
     _drive_reads(cluster, cluster.agent("H0"), "k00000000",
                  interval=1e-4, duration=0.03)
     raw = normalize_key("k00000000")
-    assert raw in manager.hot_routes
-    failed = manager.hot_routes[raw].switches[-1]
+    assert raw in controller.hot_routes
+    failed = controller.hot_routes[raw].switches[-1]
     controller.fast_failover(failed)
-    assert raw not in manager.hot_routes
+    assert raw not in controller.hot_routes
 
 
 def test_someone_elses_reconfiguration_narrows_every_hot_route():
@@ -269,9 +306,8 @@ def test_someone_elses_reconfiguration_narrows_every_hot_route():
     the superseded base chain.  The next poll tears down every other route,
     and no narrow takes the key off a switch the migration has since made a
     base-chain member."""
-    cluster = _tier_cluster()
+    cluster, manager = _tier_cluster()
     controller = cluster.controller
-    manager = controller.hotkey_manager
     history = History(cluster.sim)
     clients = [RecordingClient(cluster.agent(host), history, name=host)
                for host in ("H0", "H1")]
@@ -287,23 +323,32 @@ def test_someone_elses_reconfiguration_narrows_every_hot_route():
 
     cancel = cluster.sim.every(1e-4, next_op)
     cluster.run(until=cluster.sim.now + 0.03)
-    assert raw in manager.hot_routes
+    assert raw in controller.hot_routes
 
     cluster.add_switch("S4")
+    commits = controller.chain_commits
     coordinator = cluster.migrate(list(controller.members))
-    vgroup = manager.hot_routes[raw].vgroup
+    vgroup = controller.hot_routes[raw].vgroup
     # A commit of other groups leaves the route: its base chain still holds.
-    while not manager._foreign_commit:
+    while controller.chain_commits == commits:
         cluster.run(until=cluster.sim.now + 1e-4)
-    assert raw in manager.hot_routes
-    # Stop just after the migration commits the key's own group.
+    assert raw in controller.hot_routes
+    # The tier's next poll narrows every route.
+    narrowed = controller.narrowed_hot_routes
+    cluster.run(until=cluster.sim.now + _FAST_TIER["poll_interval"])
+    assert controller.narrowed_hot_routes == narrowed + 1
+    # Stop just after the migration commits the key's own group: its route
+    # (widened again since) narrows in the same call.
     while not any(step.vgroup == vgroup and step.status == "committed"
                   for step in coordinator.report.steps):
         cluster.run(until=cluster.sim.now + 1e-4)
-    assert manager.hot_routes == {} and not coordinator.done
-    assert manager._foreign_commit
-    manager._poll()
-    assert not manager._foreign_commit
+    assert controller.hot_routes == {} and not coordinator.done
+    # No poll has run since that commit, so a widen started now aborts.
+    aborted = manager.stats.widen_aborted
+    assert manager.widen(raw)
+    cluster.run(until=cluster.sim.now + _FAST_TIER["widen_latency"] + 1e-5)
+    assert manager.stats.widen_aborted == aborted + 1
+    assert raw not in controller.hot_routes
 
     # The key stays hot, so it is widened again (over S4 too) and narrowed
     # again as later steps commit -- one of which moves S4 into its base chain.
@@ -325,8 +370,8 @@ def test_hot_routes_never_outlive_a_migration_commit_regression_cell():
     """``fixtures/cells/hot_route_across_migration.json``: the tier polls
     every 10 s, widens six keys at the 10 s poll, and a migration adding
     S4 starts 5 ms later, so the next poll comes long after the migration's
-    ``gc_delay`` collected the superseded copies.  Before the commit hook
-    the hot routes kept sending ops to them: 25 NOT_FOUND replies, two
+    ``GC_DELAY`` collected the superseded copies.  Before a commit narrowed
+    its group's routes they kept sending ops to them: 25 NOT_FOUND replies, two
     Invariant 1 violations, five keys not linearizable."""
     cell = json.loads((Path(__file__).parent / "fixtures" / "cells"
                        / "hot_route_across_migration.json").read_text())
@@ -336,8 +381,8 @@ def test_hot_routes_never_outlive_a_migration_commit_regression_cell():
     assert result.ok(), result.failures
     assert result.linearizability.ok and result.failed_ops == 0
     controller = result.deployment.cluster.controller
-    widened = [message for _, message in controller.events
-               if message.startswith("hotkeys: widened")]
+    widened = [fields for _t, kind, fields in controller.event_log.events
+               if kind == "hotkey_widen"]
     assert len(widened) == 6
     assert [step.status for report in result.migrations
             for step in report.steps] == ["committed"] * 8
@@ -345,16 +390,15 @@ def test_hot_routes_never_outlive_a_migration_commit_regression_cell():
 
 
 def test_garbage_collect_forgets_widened_keys():
-    cluster = _tier_cluster()
+    cluster, _manager = _tier_cluster()
     controller = cluster.controller
-    manager = controller.hotkey_manager
     agent = cluster.agent("H0")
     _drive_reads(cluster, agent, "k00000000", interval=1e-4, duration=0.03)
     raw = normalize_key("k00000000")
-    assert raw in manager.hot_routes
+    assert raw in controller.hot_routes
     assert agent.delete("k00000000").result().ok
     controller.garbage_collect("k00000000")
-    assert raw not in manager.hot_routes
+    assert raw not in controller.hot_routes
 
 
 def test_manager_attach_detach_lifecycle():
@@ -362,16 +406,15 @@ def test_manager_attach_detach_lifecycle():
     cluster.populate(4)
     manager = cluster.enable_hotkey_tier({"client_cache": True})
     controller = cluster.controller
-    assert controller.hotkey_manager is manager
     assert all(controller.programs[name].hotkeys is not None
                for name in controller.members)
     assert cluster.agent("H0").read_cache is not None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="already carry hot-key sketches"):
         HotKeyManager(controller)
     allocated = {name: controller.programs[name].switch.registers.allocated_bytes()
                  for name in controller.members}
     manager.stop()
-    assert controller.hotkey_manager is None
+    assert controller.hot_routes == {}
     for name in controller.members:
         assert controller.programs[name].hotkeys is None
         # stop() released the sketch register arrays back to the SRAM pool.
@@ -501,4 +544,6 @@ def test_tier_teardown_leaves_no_manager():
                           checks=ScenarioChecks(linearizability=False))
     deployment = result.deployment
     assert deployment.hotkey_manager is None
-    assert deployment.cluster.controller.hotkey_manager is None
+    controller = deployment.cluster.controller
+    assert controller.hot_routes == {}
+    assert all(program.hotkeys is None for program in controller.programs.values())
