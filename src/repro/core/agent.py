@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.client import KVClient, KVFuture, KVResult, _raw_key
 from repro.core.protocol import (
@@ -27,22 +27,18 @@ from repro.core.protocol import (
     NetChainHeader,
     OpCode,
     QueryStatus,
-    build_query_packet,
     next_query_id,
     normalize_key,
     normalize_value,
 )
 from repro.netsim.host import Host
-from repro.netsim.packet import Packet
-from repro.netsim.stats import LatencyRecorder
+from repro.netsim.packet import NETCHAIN_UDP_PORT, IPv4Header, Packet, UDPHeader
 
 _agent_ports = itertools.count(9000)
 
 #: Hoisted enum members (member access is a metaclass lookup per use),
 #: compared by identity: a header's ``op`` / ``status`` is always a member.
 _READ = OpCode.READ
-_READ_REPLY = OpCode.READ_REPLY
-_WRITE_REPLIES = frozenset((OpCode.WRITE_REPLY, OpCode.CAS_REPLY, OpCode.DELETE_REPLY))
 _OK = QueryStatus.OK
 _KEY_NOT_FOUND = QueryStatus.KEY_NOT_FOUND
 _CAS_FAILED = QueryStatus.CAS_FAILED
@@ -80,32 +76,38 @@ class AgentConfig:
     udp_port: Optional[int] = None
 
 
-class _Pending:
-    """One outstanding query (built once per op, positionally).
+class _Pending(KVFuture):
+    """One outstanding query, and the future its caller holds: one object
+    per op, built positionally.
 
     The pending record stores the *operation*, not a frozen packet: every
     transmission (first send and each retry) re-resolves the chain through
     the directory, so a retry issued after a failover or a planned
     migration is addressed to the current chain with the current epoch.
     This mirrors a real client library refreshing its routing state and is
-    what keeps retries useful across reconfigurations.
+    what keeps retries useful across reconfigurations.  ``op`` is the
+    future's operation name; ``code`` is the wire :class:`OpCode`.
     """
 
-    __slots__ = ("op", "key", "created_at", "query_id", "value",
-                 "cas_expected", "future", "op_name", "retries", "timer", "trace_id")
+    __slots__ = ("code", "value", "cas_expected", "created_at", "retries", "timer",
+                 "trace_id")
 
-    def __init__(self, op: OpCode, key: bytes,
-                 created_at: float, query_id: int, value: bytes,
-                 cas_expected: Optional[bytes], future: KVFuture,
-                 op_name: str) -> None:
-        self.op = op
+    def __init__(self, sim, op_name: str, key: bytes, code: OpCode, query_id: int,
+                 value: bytes, cas_expected: Optional[bytes], created_at: float) -> None:
+        # Every KVFuture slot, set here rather than through its __init__ (one
+        # frame per query less); a slot added there must be added here.
+        self.sim = sim
+        self.op = op_name
         self.key = key
-        self.created_at = created_at
+        self._result = None
+        self._done = False
+        self._callbacks = None
         self.query_id = query_id
+        self.xid = None
+        self.code = code
         self.value = value
         self.cas_expected = cas_expected
-        self.future = future
-        self.op_name = op_name
+        self.created_at = created_at
         self.retries = 0
         self.timer = None
         #: Telemetry trace id (0 = untraced), stamped into every transmission.
@@ -146,10 +148,7 @@ class NetChainAgent(KVClient):
         #: Optional telemetry tracer (:class:`repro.core.trace.Tracer`);
         #: ``None`` keeps the query path untraced.
         self.telemetry = None
-        # Statistics.
-        self.latency = LatencyRecorder()
-        self.read_latency = LatencyRecorder()
-        self.write_latency = LatencyRecorder()
+        # Statistics (per-kind latencies are the load client's).
         self.completed = 0
         self.failed = 0
         self.timeouts = 0
@@ -219,6 +218,7 @@ class NetChainAgent(KVClient):
         return len(self._pending)
 
     def _to_kv(self, result: QueryResult, op_name: str) -> KVResult:
+        """The one :class:`QueryResult` -> :class:`KVResult` mapping."""
         status = result.status
         if result.ok:
             error = None
@@ -231,58 +231,57 @@ class NetChainAgent(KVClient):
                         result.timed_out, error, result.latency, result.retries,
                         self.backend, result)
 
-    def _build_query(self, pending: _Pending) -> Tuple[NetChainHeader, str]:
-        """The header of one transmission and the switch it is addressed to,
-        spelled as ``make_read|write|cas|delete`` spell them but in one
-        positional call that carries the pending query's id, key and value
-        as already normalised at submit."""
-        op, key = pending.op, pending.key
-        if op is _READ:
-            if self._read_route is not None:
-                # Hot-key tier: rotate reads of widened keys across the wide
-                # chain.  Re-resolved per transmission, so a retry issued
-                # after a widen/narrow follows the current layout.
-                hot = self._read_route(key)
-                if hot is not None:
-                    dst_ip, suffix, vgroup, epoch = hot
-                    return NetChainHeader(_READ, key, b"", 0, 0, list(suffix), vgroup,
-                                          epoch, pending.query_id), dst_ip
-            # Addressed to the tail, the rest of the chain in reverse order.
-            chain_ips, vgroup, epoch = self._route(key)
-            return NetChainHeader(_READ, key, b"", 0, 0, list(chain_ips[-2::-1]),
-                                  vgroup, epoch, pending.query_id), chain_ips[-1]
-        # Write, CAS, delete: addressed to the head, the rest in chain order.
-        chain_ips, vgroup, epoch = self._route(key)
-        return NetChainHeader(op, key, pending.value, 0, 0, list(chain_ips[1:]), vgroup,
-                              epoch, pending.query_id, _OK,
-                              pending.cas_expected), chain_ips[0]
-
     def _submit(self, op: OpCode, key, value: bytes = b"",
                 cas_expected: Optional[bytes] = None,
                 op_name: str = "") -> KVFuture:
         raw_key = normalize_key(key)
-        query_id = next_query_id()
-        future = KVFuture(self.sim, op_name, raw_key)
-        future.query_id = query_id
-        pending = _Pending(op, raw_key, self.sim._now, query_id, value,
-                           cas_expected, future, op_name)
-        self._pending[query_id] = pending
+        pending = _Pending(self.sim, op_name, raw_key, op, next_query_id(), value,
+                           cas_expected, self.sim._now)
+        self._pending[pending.query_id] = pending
         tel = self.telemetry
         if tel is not None:
             pending.trace_id = tel.query_submit(self, pending)
         self._transmit(pending)
-        return future
+        return pending
 
     def _transmit(self, pending: _Pending) -> None:
-        header, dst_ip = self._build_query(pending)
-        packet = build_query_packet(self.host.ip, self.udp_port, dst_ip, header,
-                                    pending.created_at)
+        """Send one transmission of ``pending``: its header spelled as
+        ``make_read|write|cas|delete`` spell it and its packet as
+        :func:`build_query_packet` does, each in one positional call that
+        carries the query's id, key and value as normalised at submit."""
+        op, key = pending.code, pending.key
+        if op is _READ:
+            hot = self._read_route(key) if self._read_route is not None else None
+            if hot is not None:
+                # Hot-key tier: rotate reads of widened keys across the wide
+                # chain.  Re-resolved per transmission, so a retry issued
+                # after a widen/narrow follows the current layout.
+                dst_ip, suffix, vgroup, epoch = hot
+                chain = list(suffix)
+            else:
+                # Addressed to the tail, the rest of the chain in reverse order.
+                chain_ips, vgroup, epoch = self._route(key)
+                dst_ip = chain_ips[-1]
+                chain = list(chain_ips[-2::-1])
+            header = NetChainHeader(_READ, key, b"", 0, 0, chain, vgroup, epoch,
+                                    pending.query_id)
+        else:
+            # Write, CAS, delete: addressed to the head, the rest in chain order.
+            chain_ips, vgroup, epoch = self._route(key)
+            dst_ip = chain_ips[0]
+            header = NetChainHeader(op, key, pending.value, 0, 0, list(chain_ips[1:]),
+                                    vgroup, epoch, pending.query_id, _OK,
+                                    pending.cas_expected)
+        host = self.host
+        packet = Packet(None, IPv4Header(host.ip, dst_ip),
+                        UDPHeader(self.udp_port, NETCHAIN_UDP_PORT),
+                        header, header.wire_size(), None, 0, pending.created_at)
         if pending.trace_id:
             packet.trace_id = pending.trace_id
             tel = self.telemetry
             if tel is not None:
                 tel.query_tx(self, pending, dst_ip)
-        self.host.send(packet)
+        host.send(packet)
         pending.timer = self.sim.schedule(
             self.config.retry_timeout, self._on_timeout, pending.query_id)
 
@@ -294,13 +293,13 @@ class NetChainAgent(KVClient):
             self._pending.pop(query_id, None)
             self.timeouts += 1
             self.failed += 1
-            result = QueryResult(ok=False, op=pending.op, key=pending.key,
+            result = QueryResult(ok=False, op=pending.code, key=pending.key,
                                  timed_out=True, retries=pending.retries,
                                  latency=self.sim.now - pending.created_at)
             tel = self.telemetry
             if tel is not None:
                 tel.query_timeout(self, pending)
-            self._finish(pending, result)
+            pending.resolve(self._to_kv(result, pending.op))
             return
         pending.retries += 1
         self.retransmissions += 1
@@ -321,20 +320,12 @@ class NetChainAgent(KVClient):
         latency = self.sim._now - pending.created_at
         status = header.status
         ok = status is _OK
-        result = QueryResult(ok, op, header.key, status, header.value, header.seq,
-                             header.session, latency, pending.retries)
         self.completed += 1
         if not ok:
             self.failed += 1
-        self.latency.record(latency)
-        if op is _READ_REPLY:
-            self.read_latency.record(latency)
-        elif op in _WRITE_REPLIES:
-            self.write_latency.record(latency)
         tel = self.telemetry
         if tel is not None:
             tel.query_reply(self, pending, header, latency)
-        self._finish(pending, result)
-
-    def _finish(self, pending: _Pending, result: QueryResult) -> None:
-        pending.future.resolve(self._to_kv(result, pending.op_name))
+        pending.resolve(self._to_kv(
+            QueryResult(ok, op, header.key, status, header.value, header.seq,
+                        header.session, latency, pending.retries), pending.op))

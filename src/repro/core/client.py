@@ -60,10 +60,6 @@ class KVResult:
     backend: str = ""
     raw: Any = None
 
-    @property
-    def is_read(self) -> bool:
-        return self.op == "read"
-
 
 class KVFuture:
     """A future resolved inside the discrete-event simulation.
@@ -74,9 +70,10 @@ class KVFuture:
     time.
     """
 
-    #: Slots (futures are allocated once per operation): the two optional
-    #: trailing fields are backend correlation ids (``query_id`` for the
-    #: NetChain agent, ``xid`` for the ZooKeeper client).  ``_callbacks`` is
+    #: Slots (futures are allocated once per operation; the NetChain agent's
+    #: pending query is a subclass, so it allocates none besides): the two
+    #: optional trailing fields are backend correlation ids (``query_id`` for
+    #: the NetChain agent, ``xid`` for the ZooKeeper client).  ``_callbacks`` is
     #: ``None``, the one continuation most futures get, or a list of several.
     __slots__ = ("sim", "op", "key", "_result", "_done", "_callbacks",
                  "query_id", "xid")

@@ -209,7 +209,7 @@ class Tracer:
         tid = self._next_id
         self._next_id = tid + 1
         now = self.sim._now
-        op = pending.op_name or _OP_NAMES[pending.op]
+        op = pending.op or _OP_NAMES[pending.code]
         key = _key_label(pending.key)
         self._open[tid] = _Trace(now, agent.name, op, key,
                                  (_SUB, now, tid, agent.name, op, key))
@@ -225,7 +225,7 @@ class Tracer:
     def query_reply(self, agent, pending, header, latency: float) -> None:
         registry = self.registry
         if registry is not None:
-            op_name = pending.op_name
+            op_name = pending.op
             histograms = self._latency.get(op_name)
             if histograms is None:
                 histograms = self._latency[op_name] = [

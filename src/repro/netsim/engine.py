@@ -65,7 +65,14 @@ class Event:
         return self._entry[1]
 
     def cancel(self) -> None:
-        """Mark this event so the simulator skips it when dequeued."""
+        """Mark this event so the simulator skips it when dequeued.
+
+        The tombstone is counted here, and the heap compacted once it is
+        mostly dead: without compaction a workload that schedules and
+        cancels timers faster than their deadlines pass (client retry
+        timers, TCP RTOs) grows the heap without bound and every push/pop
+        pays ``log`` of the garbage.  Compaction keeps it at most half dead.
+        """
         self.cancelled = True
         entry = self._entry
         if entry[2] is None:
@@ -74,7 +81,10 @@ class Event:
             return
         entry[2] = None
         entry[3] = ()
-        self._sim._note_tombstone()
+        sim = self._sim
+        sim._tombstones += 1
+        if len(sim._queue) >= _COMPACT_MIN_QUEUE and sim._tombstones * 2 > len(sim._queue):
+            sim._compact()
 
 
 class _Periodic:
@@ -303,19 +313,6 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # Tombstone bookkeeping.
     # ------------------------------------------------------------------ #
-
-    def _note_tombstone(self) -> None:
-        """Record one cancellation; compact when the heap is mostly dead.
-
-        Without compaction a workload that schedules and cancels timers
-        faster than their deadlines pass (client retry timers, TCP RTOs)
-        grows the heap without bound and every push/pop pays ``log`` of the
-        garbage.  Compaction keeps the heap at most half dead.
-        """
-        self._tombstones += 1
-        queue = self._queue
-        if len(queue) >= _COMPACT_MIN_QUEUE and self._tombstones * 2 > len(queue):
-            self._compact()
 
     def _compact(self) -> None:
         """Drop tombstoned entries and re-heapify the queue.

@@ -79,7 +79,7 @@ class Link:
 
     @property
     def delivered(self) -> int:
-        """Packets handed to the far end so far."""
+        """Packets handed to the far end so far (see :attr:`LinkStats.delivered`)."""
         return self.stats.delivered
 
     @property
@@ -107,9 +107,8 @@ class Link:
         up link without a fault model fuses, so ``set_up`` finds none."""
 
         def tx_event(entry: list) -> None:
-            args = entry[3]
-            if len(args) == 3 and not self.sim.has_run(args[2], entry[1]):
-                packet, dst_port, tx_at = args
+            packet, dst_port, tx_at = entry[3]
+            if not self.sim.has_run(tx_at, entry[1]):
                 entry[0], entry[2] = tx_at, self.transmit
                 entry[3] = (packet, self.other_end(dst_port))
 
@@ -131,9 +130,14 @@ class Link:
     def transmit(self, packet: Packet, from_port: Port, tx_at: Optional[float] = None) -> None:
         """Carry ``packet`` from ``from_port`` to the opposite port.
 
+        A delivery is counted (``delivered``, the far node's
+        ``packets_received``, the far port's ``rx_packets``) when its arrival
+        is scheduled, and the arrival event is the far node's ``receive``.
         A host hop nothing can observe costs no event: :meth:`Host.send`
-        transmits at once, as of its TX time ``tx_at``, and a live, untraced
-        :class:`Host` with no RX queue gets its dispatch pushed directly.
+        transmits at once, as of its TX time ``tx_at`` (counted on arrival,
+        by :meth:`_deliver`, since its TX may yet meet a downed link), and a
+        live, untraced :class:`Host` with no RX queue gets its dispatch
+        pushed directly.
         """
         if from_port is self.port_a:
             dst_port = self.port_b
@@ -178,22 +182,22 @@ class Link:
         elif tx_at is not None:
             self.sim.call_at(tx_at + latency, self._deliver, packet, dst_port, tx_at)
             return
-        else:
-            host = dst_port.node
-            if (type(host) is Host and host.telemetry is None and not host.failed
-                    and host.config.nic_pps is None and host.config.rx_pps is None):
-                self.stats.delivered += 1
-                host.packets_received += 1
-                dst_port.rx_packets += 1
-                arrival = self.sim._now + latency
-                self.sim.call_at(arrival + host.config.stack_delay, host._dispatch, packet, arrival)
-                return
-        self.sim.call_after(latency, self._deliver, packet, dst_port)
-
-    def _deliver(self, packet: Packet, dst_port: Port, tx_at: Optional[float] = None) -> None:
-        # ``tx_at`` rides on a fused TX, for ``_refile_tx``.
+        # Inlined Node.deliver, counted now (one call per hop on the hot path).
         self.stats.delivered += 1
-        # Inlined Node.deliver (one call per hop on the hot path).
+        node = dst_port.node
+        node.packets_received += 1
+        dst_port.rx_packets += 1
+        if (tel is None and type(node) is Host and node.telemetry is None
+                and not node.failed and node.config.nic_pps is None
+                and node.config.rx_pps is None):
+            arrival = self.sim._now + latency
+            self.sim.call_at(arrival + node.config.stack_delay, node._dispatch, packet, arrival)
+            return
+        self.sim.call_after(latency, node.receive, packet, dst_port)
+
+    def _deliver(self, packet: Packet, dst_port: Port, tx_at: float) -> None:
+        """Arrival of a fused host TX; ``tx_at`` rides on it for :meth:`_refile_tx`."""
+        self.stats.delivered += 1
         node = dst_port.node
         node.packets_received += 1
         dst_port.rx_packets += 1

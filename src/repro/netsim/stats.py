@@ -27,6 +27,11 @@ class LinkStats:
     fired, and experiments report them alongside throughput.
     """
 
+    #: Packets handed to the far end, counted when the arrival is scheduled:
+    #: a packet still in flight when a run stops is already delivered (and
+    #: received by the far node and port), even if that node fails before
+    #: it lands.  Only a host's fused TX is counted on arrival, because
+    #: until its TX time it can still meet a downed link.
     delivered: int = 0
     #: Dropped because the link was down (fault-injected or partitioned).
     dropped_down: int = 0
@@ -190,9 +195,8 @@ class IntervalCounter:
     def __init__(self) -> None:
         #: Completion times as 8-byte doubles: only appended, bisected and iterated.
         self._times = array("d")
-
-    def record(self, time: float) -> None:
-        self._times.append(time)
+        #: ``record(time)`` is the array's own ``append`` (no Python frame).
+        self.record = self._times.append
 
     def count_between(self, start: float, end: float) -> int:
         """Number of events with ``start <= t < end`` (times must be recorded

@@ -111,7 +111,6 @@ class Switch(Node):
         self.control_agent: Optional[Callable[[Packet, Port], None]] = None
         # Capacity accounting (single-server queue).
         self._busy_until = 0.0
-        self._queued = 0
         self.pipeline_passes = 0
         self.dropped_capacity = 0
         self.dropped_no_route = 0

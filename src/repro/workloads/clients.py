@@ -91,13 +91,13 @@ class LoadClient:
 
     def _on_done(self, result: KVResult, record: Optional[HistoryOp] = None) -> None:
         sim = self.client.sim
-        now = sim.now
+        now = sim._now
         if record is not None:
             self.history.complete(record, result)
         self.completions.record(now)
         if result.ok:
             self.successes.record(now)
-            if result.is_read:
+            if result.op == "read":
                 self.read_latency.record(result.latency)
             else:
                 self.write_latency.record(result.latency)

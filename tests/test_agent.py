@@ -14,6 +14,8 @@ from repro.core.protocol import (
     make_read,
     make_write,
 )
+from repro.workloads.clients import LoadClient
+from repro.workloads.generators import Operation, OpType
 
 
 def test_write_then_read_roundtrip(cluster, agent):
@@ -98,14 +100,26 @@ def test_async_callbacks_and_outstanding_tracking(cluster, agent):
     assert agent.completed == 2
 
 
-def test_agent_statistics_separate_reads_and_writes(cluster, agent):
+def test_load_client_latencies_separate_reads_and_writes(cluster, agent):
+    """The per-kind latency split lives in the load client (the agent keeps
+    none): one write and two reads land one and two samples."""
     cluster.controller.populate(["k"])
-    agent.write("k", b"v").result()
-    agent.read("k").result()
-    agent.read("k").result()
-    assert agent.read_latency.count() == 2
-    assert agent.write_latency.count() == 1
-    assert agent.latency.count() == 3
+    script = [Operation(OpType.WRITE, "k", b"v"), Operation(OpType.READ, "k"),
+              Operation(OpType.READ, "k")]
+
+    class Scripted:
+        def next_operation(self):
+            if len(script) == 1:
+                client.stop()  # the last op's completion issues nothing
+            return script.pop(0)
+
+    client = LoadClient(agent, Scripted(), concurrency=1)
+    client.start()
+    cluster.run(until=cluster.sim.now + 0.01)
+    assert not script and client.completions.total() == 3
+    assert client.read_latency.count() == 2
+    assert client.write_latency.count() == 1
+    assert not hasattr(agent, "latency")
 
 
 def test_value_sizes_up_to_prototype_limit(cluster, agent):

@@ -10,7 +10,8 @@ from repro.netsim.engine import Simulator
 from repro.netsim.faults import LinkFaultModel
 from repro.netsim.link import LinkConfig, connect
 from repro.netsim.node import Node
-from repro.netsim.packet import Packet
+from repro.netsim.packet import IPv4Header, Packet
+from repro.netsim.switch import Switch
 
 
 class RecordingNode(Node):
@@ -135,6 +136,63 @@ def test_delivered_and_dropped_read_the_per_cause_stats():
     for name in ("delivered", "dropped"):
         with pytest.raises(AttributeError):
             setattr(link, name, 0)
+
+
+def switch_bound_packet_in_flight():
+    """A packet from ``a`` on its way to switch ``s``; the run stopped
+    before it lands (1 us of propagation, no serialization)."""
+    sim = Simulator()
+    a = RecordingNode(sim, "a")
+    switch = Switch(sim, "s", "10.0.0.1")
+    link = connect(sim, a, switch, config=LinkConfig(delay=1e-6, bandwidth_bps=None))
+    a.transmit(Packet(ip=IPv4Header("10.0.1.1", "10.0.9.9")), a.ports[0])
+    sim.run(until=0.5e-6)
+    return sim, a, switch, link
+
+
+def test_a_delivery_is_counted_when_it_is_scheduled():
+    """Link, far node and far port count the packet still in flight."""
+    sim, a, switch, link = switch_bound_packet_in_flight()
+    assert sim.pending_live() == 1 and switch.pipeline_passes == 0
+    assert link.delivered == 1
+    assert switch.packets_received == 1
+    assert switch.ports[0].rx_packets == 1
+    sim.run()
+    assert (link.delivered, switch.packets_received, switch.ports[0].rx_packets) == (1, 1, 1)
+    assert switch.dropped_no_route == 1  # it did land, on a switch with no routes
+
+
+def test_a_switch_failing_before_arrival_counts_the_packet_received_and_dropped():
+    sim, a, switch, link = switch_bound_packet_in_flight()
+    switch.fail()
+    sim.run()
+    assert switch.packets_received == 1
+    assert switch.packets_dropped == 1
+    assert switch.pipeline_passes == 0
+
+
+def test_every_transmitted_packet_is_delivered_or_dropped_per_link(cluster, agent):
+    """ROADMAP item 1(e)'s link identity: per link, the packets its two
+    ports sent equal ``delivered + dropped`` -- mid-flight for a
+    switch-bound packet, and for every link once a run has drained."""
+    def tx(link):
+        return link.port_a.tx_packets + link.port_b.tx_packets
+
+    _sim, _a, _switch, link = switch_bound_packet_in_flight()
+    assert tx(link) == link.delivered + link.dropped == 1
+    cluster.controller.populate(["k"])
+    for index in range(20):
+        assert agent.write("k", f"v{index}").result().ok
+        assert agent.read("k").result().ok
+    s0_s1 = next(link for link in cluster.topology.links if link.name == "S0-S1")
+    s0_s1.config = LinkConfig(loss_rate=0.3)
+    for index in range(20):
+        agent.write("k", f"w{index}").result()
+    cluster.run(until=cluster.sim.now + 0.01)
+    assert s0_s1.dropped > 0
+    for link in cluster.topology.links:
+        assert tx(link) == link.delivered + link.dropped, link.name
+    assert sum(link.delivered for link in cluster.topology.links) > 0
 
 
 def test_transmit_without_link_drops():

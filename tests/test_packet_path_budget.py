@@ -38,19 +38,20 @@ from repro.deploy import (
 )
 
 #: kind -> (backend, write ratio, Python calls/op, C calls/op, ops, events).
-#: Measured when committed (before the host hops were fused): NetChain
-#: 79.0 / 53.3 per read (81.0 / 55.3) and 115.8 / 86.8 per write
-#: (117.8 / 88.8), 8.48 and 12.68 events (9.48 and 13.68); server chain
-#: 111.1 / 79.0 per read (131.1 / 95.0) and 197.1 / 146.1 per write
-#: (237.1 / 178.1), 12.00 and 24.00 events (20.00 and 40.00).  The budgets
+#: Measured when committed (after a pending query became its own future and
+#: a link arrival the far node's ``receive``): NetChain 64.8 / 49.3 per read
+#: (79.0 / 53.3 before, 81.0 / 55.3 before the host hops were fused) and
+#: 99.5 / 82.8 per write (115.8 / 86.8, 117.8 / 88.8), 8.48 and 12.68 events
+#: (9.48 and 13.68 unfused); server chain 105.1 / 79.0 per read (111.1 /
+#: 79.0, 131.1 / 95.0) and 189.1 / 146.1 per write (197.1 / 146.1, 237.1 /
+#: 178.1), 12.00 and 24.00 events (20.00 and 40.00 unfused).  The budgets
 #: are the measured count plus ~3%.
 BUDGET = {
-    "read": ("netchain", 0.0, 81.4, 54.9, 8232, 69820),
-    "write": ("netchain", 1.0, 119.3, 89.4, 8232, 104400),
-    "server-chain-read": ("server-chain", 0.0, 114.4, 81.4, 19776, 237312),
-    "server-chain-write": ("server-chain", 1.0, 203.0, 150.5, 9861, 236664),
+    "read": ("netchain", 0.0, 66.7, 50.8, 8232, 69820),
+    "write": ("netchain", 1.0, 102.5, 85.3, 8232, 104400),
+    "server-chain-read": ("server-chain", 0.0, 108.3, 81.4, 19776, 237312),
+    "server-chain-write": ("server-chain", 1.0, 194.8, 150.5, 9861, 236664),
 }
-
 
 #: half -> (Python calls/op, C calls/op) of the spilled history.  Measured
 #: when committed (before the line was templated and a key's lines parsed as
