@@ -5,7 +5,7 @@ from:
 
 * :mod:`repro.core.protocol` -- the UDP-based query format (Figure 2(b)).
 * :mod:`repro.core.kvstore` -- the on-chip key/value storage layout
-  (match table + register arrays, Figure 3).
+  (key index + register arrays, Figure 3).
 * :mod:`repro.core.switch_program` -- the data-plane program
   (Algorithm 1 plus chain routing and failure-handling rules).
 * :mod:`repro.core.ring` -- consistent hashing with virtual nodes.

@@ -23,6 +23,7 @@ from typing import Dict, Optional
 
 from repro.core.client import KVClient, KVFuture, KVResult, _raw_key
 from repro.core.protocol import (
+    MAX_PROTOTYPE_VALUE_BYTES,
     REPLY_OPS,
     NetChainHeader,
     OpCode,
@@ -42,6 +43,13 @@ _READ = OpCode.READ
 _OK = QueryStatus.OK
 _KEY_NOT_FOUND = QueryStatus.KEY_NOT_FOUND
 _CAS_FAILED = QueryStatus.CAS_FAILED
+
+
+def _value_too_long(value: bytes) -> ValueError:
+    """One pipeline pass carries the whole value (Section 6): the switch
+    store has no room for a longer one, so the agent refuses it at submit."""
+    return ValueError(f"value longer than {MAX_PROTOTYPE_VALUE_BYTES} bytes: "
+                      f"{len(value)} bytes")
 
 
 @dataclass(slots=True)
@@ -190,6 +198,9 @@ class NetChainAgent(KVClient):
         latency plus an initial write of the value.
         """
         raw_key = _raw_key(key)
+        raw_value = normalize_value(value)
+        if len(raw_value) > MAX_PROTOTYPE_VALUE_BYTES:
+            raise _value_too_long(raw_value)
         future = KVFuture(self.sim, op="insert", key=raw_key)
         started = self.sim.now
 
@@ -235,6 +246,8 @@ class NetChainAgent(KVClient):
                 cas_expected: Optional[bytes] = None,
                 op_name: str = "") -> KVFuture:
         raw_key = normalize_key(key)
+        if value and len(value) > MAX_PROTOTYPE_VALUE_BYTES:
+            raise _value_too_long(value)
         pending = _Pending(self.sim, op_name, raw_key, op, next_query_id(), value,
                            cas_expected, self.sim._now)
         self._pending[pending.query_id] = pending

@@ -75,8 +75,6 @@ class ControllerConfig:
     per_group_overhead: float = 50e-3
     #: Control-plane latency of an insert/delete operation.
     insert_latency: float = 2e-3
-    #: Whether values larger than one pipeline pass are accepted.
-    allow_recirculation: bool = False
     #: Seed for randomized choices (replacement switch selection).
     seed: int = 0
 
@@ -215,8 +213,7 @@ class NetChainController:
     # ------------------------------------------------------------------ #
 
     def _install_programs(self) -> None:
-        store_config = KVStoreConfig(slots=self.config.store_slots,
-                                     allow_recirculation=self.config.allow_recirculation)
+        store_config = KVStoreConfig(slots=self.config.store_slots)
         for name, switch in self.topology.switches.items():
             if name in self.members:
                 store = SwitchKVStore(switch, config=store_config)
@@ -587,8 +584,7 @@ class NetChainController:
         if name in self.members:
             raise ValueError(f"{name!r} is already a member switch")
         switch = self.topology.switches[name]
-        store_config = KVStoreConfig(slots=self.config.store_slots,
-                                     allow_recirculation=self.config.allow_recirculation)
+        store_config = KVStoreConfig(slots=self.config.store_slots)
         program = self.programs.get(name)
         if program is None or program.kvstore is None:
             store = SwitchKVStore(switch, config=store_config)

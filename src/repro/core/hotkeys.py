@@ -8,8 +8,8 @@ cooperating layers:
 * **Detection** (:class:`HotKeySketch`): a count-min sketch plus a small
   top-k heavy-hitter table, allocated over the switch's register arrays
   (:mod:`repro.netsim.registers`) and updated in the switch program's read
-  path.  The same class, backed by plain lists, is the shared popularity
-  detector the hybrid store's promotion policy rides
+  path.  The same class, on an unbudgeted register file of its own, is the
+  shared popularity detector the hybrid store's promotion policy rides
   (:mod:`repro.core.hybrid`).
 * **Reaction** (:class:`HotKeyManager`): a controller policy loop that
   polls the per-switch sketches, widens the chain of a confirmed-hot key
@@ -69,6 +69,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.client import KVFuture
 from repro.core.kvstore import StoreFullError
 from repro.core.protocol import KEY_BYTES, OpCode, normalize_key
+from repro.netsim.registers import RegisterFile
 
 
 # --------------------------------------------------------------------- #
@@ -92,51 +93,38 @@ class SketchConfig:
 
 
 class HotKeySketch:
-    """Count-min sketch + top-k table over register arrays (or plain lists).
+    """Count-min sketch + top-k table over register arrays.
 
     Pass ``registers`` (a :class:`repro.netsim.registers.RegisterFile`) to
     allocate the rows and the top-k table as named register arrays against
     the switch SRAM budget -- the deployment story of Section 6 applied to
-    the detector itself.  Without it the same structure runs on plain
-    lists, which is how the hybrid store shares the detector host-side.
+    the detector itself.  Without it the arrays come from an unbudgeted
+    file of the sketch's own, which is how the hybrid store shares the
+    detector host-side.
 
     Hashing is ``crc32`` with a per-row salt: deterministic across
     processes (Python's ``hash`` is randomized by ``PYTHONHASHSEED``), so
     same-seed runs replay byte-identically.
 
-    Like :class:`repro.core.kvstore.SwitchKVStore`, the class keeps an
-    O(1) dict mirror (``_tk_index``) of the top-k register state; the
-    arrays are authoritative, the mirror is derived.
+    The class keeps an O(1) dict index (``_tk_index``) of the top-k
+    table's key slots; the arrays are authoritative, the index is derived.
     """
 
     def __init__(self, config: Optional[SketchConfig] = None,
                  registers=None, name: str = "hotkey") -> None:
         self.config = config or SketchConfig()
         self.name = name
-        self._registers = registers
+        self._registers = registers if registers is not None else RegisterFile()
         cfg = self.config
         self._salts = tuple((0x9E3779B9 * (i + 1)) & 0xFFFFFFFF
                             for i in range(cfg.rows))
-        self._array_names: List[str] = []
-        if registers is not None:
-            rows = []
-            for i in range(cfg.rows):
-                array = registers.allocate(f"{name}_cms{i}", cfg.width,
-                                           cfg.counter_bytes, initial=0)
-                self._array_names.append(array.name)
-                rows.append(array._data)
-            keys_array = registers.allocate(f"{name}_topk_keys", cfg.topk,
-                                            KEY_BYTES, initial=None)
-            counts_array = registers.allocate(f"{name}_topk_counts", cfg.topk,
-                                              cfg.counter_bytes, initial=0)
-            self._array_names += [keys_array.name, counts_array.name]
-            self._rows = rows
-            self._tk_keys = keys_array._data
-            self._tk_counts = counts_array._data
-        else:
-            self._rows = [[0] * cfg.width for _ in range(cfg.rows)]
-            self._tk_keys = [None] * cfg.topk
-            self._tk_counts = [0] * cfg.topk
+        rows = [f"{name}_cms{i}" for i in range(cfg.rows)]
+        topk_keys, topk_counts = f"{name}_topk_keys", f"{name}_topk_counts"
+        allocate = self._registers.allocate
+        self._rows = [allocate(row, cfg.width, cfg.counter_bytes, initial=0) for row in rows]
+        self._tk_keys = allocate(topk_keys, cfg.topk, KEY_BYTES)
+        self._tk_counts = allocate(topk_counts, cfg.topk, cfg.counter_bytes, initial=0)
+        self._array_names: List[str] = rows + [topk_keys, topk_counts]
         self._tk_index: Dict[bytes, int] = {}
         #: Total record() calls since the last reset (per-poll read volume).
         self.updates = 0
@@ -236,10 +224,9 @@ class HotKeySketch:
 
     def free(self) -> None:
         """Release the register arrays back to the switch SRAM pool."""
-        if self._registers is not None:
-            for name in self._array_names:
-                self._registers.free(name)
-            self._array_names = []
+        for name in self._array_names:
+            self._registers.free(name)
+        self._array_names = []
 
 
 # --------------------------------------------------------------------- #

@@ -50,9 +50,13 @@ from repro.netsim.packet import (
 #: Fixed key width used by the prototype (Section 7: 16-byte keys).
 KEY_BYTES = 16
 
-#: Value size supported by the prototype at line rate (Section 8.1: up to
-#: 128 bytes with 8 stages x 16 bytes).
-MAX_PROTOTYPE_VALUE_BYTES = 128
+#: Value layout of one pipeline pass (Fig. 3, Section 6): k = 8 stages of
+#: n = 16 bytes.  A pass carries k*n bytes, the largest value the switch
+#: store takes; the agent refuses a larger one at submit and the hybrid
+#: store demotes it to the server tier.
+VALUE_STAGES = 8
+STAGE_VALUE_BYTES = 16
+MAX_PROTOTYPE_VALUE_BYTES = VALUE_STAGES * STAGE_VALUE_BYTES
 
 #: Allocate a globally unique query id (shared with header defaults, so
 #: client-chosen ids never collide with implicitly numbered headers).

@@ -108,7 +108,6 @@ class ProgramStats:
     misses: int = 0
     redirects: int = 0
     dropped_by_rule: int = 0
-    recirculations: int = 0
     #: Queries dropped because their header carried a superseded chain epoch
     #: (stragglers addressed under a pre-reconfiguration layout).
     dropped_stale_epoch: int = 0
@@ -338,9 +337,6 @@ class NetChainSwitchProgram(PipelineProgram):
                 self._make_reply(switch, packet, header, _KEY_NOT_FOUND)
                 return _FORWARD
             return _DROP
-        cfg = switch.config
-        if len(header.value) > cfg.value_stages * cfg.stage_value_bytes:
-            self._charge_recirculation(switch, header)  # more than one pass
         if op is _READ:
             return self._process_read(switch, packet, header, loc)
         return self._process_write(switch, packet, header, loc)
@@ -441,14 +437,6 @@ class NetChainSwitchProgram(PipelineProgram):
     # ------------------------------------------------------------------ #
     # Helpers.
     # ------------------------------------------------------------------ #
-
-    def _charge_recirculation(self, switch: Switch, header: NetChainHeader) -> None:
-        """Account for extra pipeline passes needed by oversized values."""
-        passes = self.kvstore.passes_required(len(header.value))
-        if passes > 1:
-            extra = passes - 1
-            self.stats.recirculations += extra
-            switch.charge_extra_passes(extra)
 
     def _make_reply(self, switch: Switch, packet: Packet, header: NetChainHeader,
                     status: QueryStatus) -> None:

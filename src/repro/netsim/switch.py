@@ -7,7 +7,10 @@ This is the stand-in for a Barefoot Tofino switch: a device with
   on destination IP"),
 * a programmable match-action pipeline on which data-plane programs such as
   the NetChain program (:mod:`repro.core.switch_program`) are installed,
-* per-stage register arrays with an SRAM budget (:mod:`repro.netsim.registers`),
+* per-stage register arrays with an SRAM budget (:mod:`repro.netsim.registers`)
+  -- accounted, not emulated: a program charges the bytes its hardware
+  layout would hold (the NetChain store charges Fig. 3's eight 16-byte value
+  stages per slot) and keeps its state in plain lists,
 * a packet-processing capacity (packets per second) and a sub-microsecond
   pipeline delay, the two constants of Table 1 that make switches orders of
   magnitude faster than servers.
@@ -18,6 +21,10 @@ queue limit are tail-dropped.  The paper's testbed mode processes every
 query packet twice per switch (once in each direction); this emerges
 naturally here because a query traverses the same switch on its way up and
 down the topology.
+
+Every value fits one pipeline pass (k*n = 128 bytes, Section 6): the
+NetChain client refuses a larger one at submit, so no packet ever needs a
+recirculation pass.
 """
 
 from __future__ import annotations
@@ -25,12 +32,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.netsim.node import Node, Port, stable_name_seed
 from repro.netsim.packet import Packet
 from repro.netsim.registers import RegisterFile
-from repro.netsim.tables import MatchTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.engine import Simulator
@@ -45,14 +51,11 @@ class PipelineAction(Enum):
     FORWARD = auto()
     #: Drop the packet.
     DROP = auto()
-    #: Program consumed the packet (e.g. delivered it to the local control agent).
-    CONSUME = auto()
 
 
 #: Module-level aliases: enum member access is an attribute lookup per use,
 #: and the pipeline compares actions for every packet.
 _DROP = PipelineAction.DROP
-_CONSUME = PipelineAction.CONSUME
 _FORWARD = PipelineAction.FORWARD
 
 
@@ -77,10 +80,6 @@ class SwitchConfig:
     capacity_pps: Optional[float] = None
     #: Pipeline (per-pass) processing delay in seconds.
     pipeline_delay: float = 0.5e-6
-    #: Number of pipeline stages usable for value storage (Section 7 uses 8).
-    value_stages: int = 8
-    #: Bytes of value each stage can read/write per pass (Section 6 uses 16).
-    stage_value_bytes: int = 16
     #: On-chip SRAM budget available to NetChain, in bytes (Section 7: 8 MB
     #: of slots; Section 6 argues ~10 MB per switch is realistic).
     sram_bytes: Optional[int] = 10 * 1024 * 1024
@@ -103,12 +102,8 @@ class Switch(Node):
         self.programs: List[PipelineProgram] = []
         #: Register arrays (switch SRAM).
         self.registers = RegisterFile(sram_bytes=self.config.sram_bytes)
-        #: Named match tables created by data-plane programs.
-        self.tables: Dict[str, MatchTable] = {}
         #: Per-switch loss injection (Figure 9(d) injects loss per switch).
         self.injected_loss_rate = 0.0
-        #: A callable the control plane registers to receive control packets.
-        self.control_agent: Optional[Callable[[Packet, Port], None]] = None
         # Capacity accounting (single-server queue).
         self._busy_until = 0.0
         self.pipeline_passes = 0
@@ -134,33 +129,9 @@ class Switch(Node):
     # Resource helpers used by data-plane programs.
     # ------------------------------------------------------------------ #
 
-    def create_table(self, name: str, max_entries: Optional[int] = None) -> MatchTable:
-        """Create (or return an existing) named match table."""
-        if name not in self.tables:
-            self.tables[name] = MatchTable(name, max_entries=max_entries)
-        return self.tables[name]
-
     def install_program(self, program: PipelineProgram) -> None:
         """Append a data-plane program to the pipeline."""
         self.programs.append(program)
-
-    def max_value_bytes_per_pass(self) -> int:
-        """Largest value a single pipeline pass can carry (Section 6: k*n)."""
-        return self.config.value_stages * self.config.stage_value_bytes
-
-    def charge_extra_passes(self, passes: int) -> None:
-        """Charge pipeline capacity for packet recirculation.
-
-        Values larger than one pass can carry are re-circulated through the
-        pipeline (Section 6), which costs effective throughput.  Each extra
-        pass consumes one service slot of the capacity model.
-        """
-        if passes <= 0:
-            return
-        self.pipeline_passes += passes
-        if self.config.capacity_pps is not None:
-            self._busy_until = max(self._busy_until, self.sim.now)
-            self._busy_until += passes / self.config.capacity_pps
 
     # ------------------------------------------------------------------ #
     # Packet path.
@@ -221,24 +192,16 @@ class Switch(Node):
             if action is _DROP:
                 self.dropped_by_program += 1
                 return
-            if action is _CONSUME:
-                return
             if action is _FORWARD:
                 break
         self.forward(packet)
 
     def forward(self, packet: Packet) -> None:
-        """L3 forward based on destination IP."""
+        """L3 forward based on destination IP.  The underlay installs no
+        route to a switch's own IP, so a packet addressed to the switch that
+        no program answered counts in ``dropped_no_route``."""
         ip = packet.ip
-        dst = ip.dst_ip
-        if dst == self.ip:
-            # Destined to the switch itself: hand it to the control agent.
-            if self.control_agent is not None:
-                self.control_agent(packet, None)
-            else:
-                self.dropped_no_route += 1
-            return
-        out_port = self.forwarding_table.get(dst)
+        out_port = self.forwarding_table.get(ip.dst_ip)
         if out_port is None:
             self.dropped_no_route += 1
             return

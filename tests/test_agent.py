@@ -14,6 +14,7 @@ from repro.core.protocol import (
     make_read,
     make_write,
 )
+from repro.deploy import DeploymentSpec, build_deployment
 from repro.workloads.clients import LoadClient
 from repro.workloads.generators import Operation, OpType
 
@@ -128,6 +129,26 @@ def test_value_sizes_up_to_prototype_limit(cluster, agent):
     payload = bytes(range(128))
     assert agent.write("big", payload).result().ok
     assert agent.read("big").result().value == payload
+
+
+def test_an_oversized_value_is_refused_at_submit():
+    """A value longer than one pipeline pass raises ``ValueError`` where the
+    write, CAS or insert is submitted, before anything is scheduled.  It
+    used to reach the head switch and raise out of ``Simulator.run``."""
+    deployment = build_deployment(DeploymentSpec(backend="netchain", store_size=8, seed=1))
+    client = deployment.clients(1)[0]
+    sim = deployment.sim
+    scheduled = sim._seq
+    key = "k00000000"  # one of the spec's populated keys
+    for submit in (lambda: client.write(key, bytes(200)),
+                   lambda: client.cas(key, b"", bytes(129)),
+                   lambda: client.insert("new", bytes(129))):
+        with pytest.raises(ValueError, match="longer than 128 bytes"):
+            submit()
+    assert (sim._seq, client.outstanding()) == (scheduled, 0)
+    assert client.write(key, bytes(128)).result(1.0).ok
+    assert client.read(key).result(1.0).value == bytes(128)
+    deployment.teardown()
 
 
 # --------------------------------------------------------------------- #

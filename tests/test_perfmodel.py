@@ -50,8 +50,8 @@ def test_scaled_configs_divide_capacity_not_latency():
 
 
 def test_scaled_config_overrides():
-    config = scaled_switch_config(scale=100.0, value_stages=4)
-    assert config.value_stages == 4
+    config = scaled_switch_config(scale=100.0, ingress_queue_packets=4)
+    assert config.ingress_queue_packets == 4
 
 
 def test_spine_leaf_model_reads_cheaper_than_writes():

@@ -1,16 +1,16 @@
-"""Unit tests for the programmable switch model, tables and registers."""
+"""Unit tests for the programmable switch model and its register file."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.protocol import MAX_PROTOTYPE_VALUE_BYTES, STAGE_VALUE_BYTES, VALUE_STAGES
 from repro.netsim.engine import Simulator
 from repro.netsim.link import connect
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
 from repro.netsim.registers import RegisterAllocationError, RegisterFile
 from repro.netsim.switch import PipelineAction, PipelineProgram, Switch, SwitchConfig
-from repro.netsim.tables import MatchTable, TableFullError
 
 
 class Sink(Node):
@@ -66,13 +66,14 @@ def test_ttl_decrement_and_expiry():
     assert sink.received == []
 
 
-def test_packet_to_switch_itself_goes_to_control_agent():
+def test_packet_to_switch_itself_counts_as_no_route():
+    # No program answers it and the underlay has no route to the switch's
+    # own IP.
     sim, switch, sink = make_switch()
-    captured = []
-    switch.control_agent = lambda packet, port: captured.append(packet)
     switch.deliver(packet_to(switch.ip), list(switch.ports.values())[0])
     sim.run()
-    assert len(captured) == 1
+    assert sink.received == []
+    assert switch.dropped_no_route == 1
 
 
 def test_pipeline_delay_applied():
@@ -161,12 +162,6 @@ def test_pipeline_pass_counting():
     assert switch.pipeline_passes == 1
 
 
-def test_charge_extra_passes_consumes_capacity():
-    config = SwitchConfig(capacity_pps=1000.0)
-    sim, switch, sink = make_switch(config)
-    switch.charge_extra_passes(10)
-    assert switch.pipeline_passes == 10
-    assert switch._busy_until == pytest.approx(10 / 1000.0)
 
 
 # --------------------------------------------------------------------- #
@@ -205,49 +200,9 @@ def test_program_can_rewrite_and_forward():
 
 
 def test_max_value_bytes_per_pass():
-    switch = Switch(Simulator(), "S", "10.0.0.1",
-                    config=SwitchConfig(value_stages=8, stage_value_bytes=16))
-    assert switch.max_value_bytes_per_pass() == 128
-
-
-# --------------------------------------------------------------------- #
-# Match tables.
-# --------------------------------------------------------------------- #
-
-def test_match_table_insert_lookup_remove():
-    table = MatchTable("t")
-    entry = table.insert("key", lambda: 1, loc=1)
-    assert table.lookup("key") is entry
-    assert table.lookup("missing") is None
-    assert table.remove(entry)
-    assert not table.remove(entry)
-    assert table.lookup("key") is None
-
-
-def test_match_table_priority_wins():
-    table = MatchTable("t")
-    table.insert("x", lambda: "low", priority=1, tag="low")
-    high = table.insert("x", lambda: "high", priority=10, tag="high")
-    assert table.lookup("x") is high
-
-
-def test_match_table_capacity():
-    table = MatchTable("t", max_entries=2)
-    table.insert("a", lambda: 1)
-    table.insert("b", lambda: 2)
-    with pytest.raises(TableFullError):
-        table.insert("c", lambda: 3)
-    assert len(table) == 2
-    table.clear()
-    assert len(table) == 0
-
-
-def test_match_table_remove_match():
-    table = MatchTable("t")
-    table.insert("a", lambda: 1)
-    table.insert("a", lambda: 2, priority=5)
-    assert table.remove_match("a") == 2
-    assert len(table) == 0
+    # Section 6: k = 8 stages of n = 16 bytes; one pass carries k*n.
+    assert (VALUE_STAGES, STAGE_VALUE_BYTES) == (8, 16)
+    assert MAX_PROTOTYPE_VALUE_BYTES == 128
 
 
 # --------------------------------------------------------------------- #
@@ -256,8 +211,7 @@ def test_match_table_remove_match():
 
 def test_register_allocation_and_budget():
     registers = RegisterFile(sram_bytes=1000)
-    array = registers.allocate("a", slots=10, bytes_per_slot=16)
-    assert array.size_bytes() == 160
+    registers.allocate("a", slots=10, bytes_per_slot=16)
     assert registers.allocated_bytes() == 160
     with pytest.raises(RegisterAllocationError):
         registers.allocate("b", slots=100, bytes_per_slot=16)
@@ -272,16 +226,11 @@ def test_register_duplicate_name_rejected():
         registers.allocate("a", 4, 4)
 
 
-def test_register_read_write_snapshot_load():
+def test_register_allocation_is_a_plain_list_of_its_slots():
     registers = RegisterFile()
-    array = registers.allocate("vals", slots=4, bytes_per_slot=8, initial=0)
-    array.write(2, 42)
-    assert array.read(2) == 42
-    snapshot = array.snapshot()
-    array.fill(0)
-    assert array.read(2) == 0
-    array.load(snapshot)
-    assert array.read(2) == 42
+    assert registers.allocate("vals", slots=4, bytes_per_slot=8, initial=0) == [0] * 4
+    # A reservation charges the same bytes and holds no slots.
+    registers.reserve("stripes", slots=4, bytes_per_slot=16)
+    assert registers.allocated_bytes() == 4 * 8 + 4 * 16
     with pytest.raises(ValueError):
-        array.load([1, 2])
-    assert len(array) == 4
+        registers.reserve("vals", 1, 1)

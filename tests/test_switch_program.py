@@ -336,14 +336,6 @@ def test_transit_switch_without_store_misses_politely():
     assert header.status == QueryStatus.KEY_NOT_FOUND
 
 
-def test_recirculation_charged_for_oversized_values():
-    switch, program = make_program()
-    switch.config.value_stages = 2  # one pass carries 32 bytes
-    program.kvstore.config.allow_recirculation = True
-    program.kvstore.insert_key("big")
-    header = make_write("big", bytes(64), [switch.ip])
-    send(program, switch, header, switch.ip)
-    assert program.stats.recirculations >= 1
 
 
 # --------------------------------------------------------------------- #
