@@ -92,6 +92,8 @@ def _history_check(args: argparse.Namespace) -> int:
         if cache is not None:
             cache.save()
         print(report.summary())
+        searched = len(report.keys) - report.witnessed - report.cache_hits
+        print(f"witness: {report.witnessed}/{len(report.keys)} keys, search: {searched}")
         if report.cache_hits:
             print(f"verdict cache hits: {report.cache_hits}/{len(report.keys)}")
         violations = store.version_violations()

@@ -55,13 +55,18 @@ of times.  Single-transmission writes (``retries == 0``) keep the strict
 exactly-once semantics, and version monotonicity -- the property the
 paper's TLA+ spec checks -- is enforced separately by
 :meth:`History.version_violations`.
+
+The search runs only on doubt.  The backends report the version each
+reply carries, and :class:`VersionWitness` first checks whether that
+reported order is itself a linearization; only the keys it cannot vouch
+for are searched.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.client import KVClient, KVFuture, KVResult, canonical_key
@@ -325,6 +330,8 @@ class LinearizabilityReport:
     #: fresh search (streaming checker only; see
     #: :func:`repro.core.history_store.check_linearizable_streaming`).
     cache_hits: int = 0
+    #: Keys the :class:`VersionWitness` decided, so no search ran for them.
+    witnessed: int = 0
 
     def violations(self) -> List[KeyReport]:
         return [report for report in self.keys.values() if not report.ok]
@@ -550,6 +557,279 @@ def check_key_linearizable(ops: List[HistoryOp],
     return report
 
 
+# --------------------------------------------------------------------- #
+# The version witness.
+# --------------------------------------------------------------------- #
+
+#: Older / newer than every reported version.
+_OLDEST: tuple = ()
+_NEWEST = (float("inf"),)
+
+
+class _KeyWitness:
+    """One key's witness state; the fields are explained where they are set."""
+
+    __slots__ = ("initial", "reason", "ops", "lost_reads", "lost", "floors", "writes", "claims",
+                 "echoes", "values", "settled", "before", "stamp", "low", "initial_max", "limit")
+
+    def __init__(self, initial: Optional[bytes]) -> None:
+        self.initial = initial
+        #: Why the key goes to the search; ``None`` while the witness holds.
+        self.reason: Optional[str] = None
+        #: Ops invoked, and of those the timed-out reads / other timed-out ops.
+        self.ops = self.lost_reads = self.lost = 0
+        #: Each outstanding op's floor: the newest version returned before it
+        #: was invoked.
+        self.floors: Dict[int, tuple] = {}
+        #: Outstanding writes' values, and versions credited to them so far.
+        self.writes: Dict[int, Optional[bytes]] = {}
+        self.claims: Dict[int, List[tuple]] = {}
+        #: Per value, the lowest floor of a retried or timed-out write of it.
+        self.echoes: Dict[Optional[bytes], tuple] = {}
+        #: version -> value, for every version at or above some live floor.
+        self.values: Dict[tuple, Optional[bytes]] = {}
+        #: The newest version returned, and the newest returned before ``stamp``
+        #: (the sim time ``settled`` last rose): an op invoked at ``stamp``
+        #: only follows ops that returned strictly earlier.
+        self.settled = self.before = _OLDEST
+        self.stamp = float("-inf")
+        #: Oldest version a write or echo produced; newest credited to ``initial``.
+        self.low, self.initial_max = _NEWEST, _OLDEST
+        #: ``values`` is pruned when it grows past this.
+        self.limit = 64
+
+    def defer(self, reason: str) -> None:
+        self.reason = reason
+        self.floors = self.writes = self.claims = self.echoes = self.values = {}
+
+    def credit(self, version: tuple, value: Optional[bytes]) -> None:
+        """Attribute a version no ok write produced (yet), or defer."""
+        if value == self.initial and version < self.low:
+            self.initial_max = max(self.initial_max, version)
+        elif version <= self.initial_max:
+            return self.defer(f"version {version} read {_shown(value)} below "
+                              f"{self.initial_max}, which was read as the initial value")
+        elif self.echoes.get(value, _NEWEST) < version:
+            self.low = min(self.low, version)
+        else:
+            floors = self.floors
+            for op_id, written in self.writes.items():
+                if written == value and floors[op_id] < version:
+                    self.claims.setdefault(op_id, []).append(version)
+                    self.low = min(self.low, version)
+                    break
+            else:
+                return self.defer(
+                    f"version {version} read {_shown(value)}, which no write produced")
+        self.values[version] = value
+        if len(self.values) > self.limit:
+            self.prune()
+
+    def fail(self, op: HistoryOp, floor: Optional[tuple]) -> None:
+        """An op that is not ok: a timed-out one may have taken effect (a
+        write any number of times, above its floor), a definite failure of a
+        read or write observed nothing -- unless it says the key is missing."""
+        if op.timed_out:
+            if floor is None:
+                self.lost_reads += 1
+            else:
+                self.lost += 1
+                self.echoes[op.value] = min(self.echoes.get(op.value, _NEWEST), floor)
+        elif op.not_found or op.cas_failed:
+            self.defer(f"a {op.op} answered {'not_found' if op.not_found else 'cas_failed'}")
+        elif op.op_id in self.claims:
+            self.defer(f"version {self.claims[op.op_id][0]} read {_shown(op.value)} "
+                       f"of a write that failed")
+
+    def prune(self) -> None:
+        """Forget the versions below every live floor: an op still to return
+        with one of them fails the real-time rule without looking it up."""
+        horizon = min(self.floors.values(), default=self.before)
+        horizon = min(horizon, self.before)
+        self.values = {v: x for v, x in self.values.items() if v >= horizon}
+        self.limit = 2 * len(self.values) + 64
+
+
+class VersionWitness:
+    """Per-key linearizability from the versions the backend reports.
+
+    NetChain's head stamps every write with a ``(session, seq)`` version and
+    every reply carries the version it read or wrote (the server-hosted
+    backends report ``(0, version)``).  Fed each op's invocation and
+    completion in time order, the witness checks, per key, that the
+    reported order is a linearization:
+
+    (i) one value per version among ok writes;
+    (ii) each ok read returns its version's value;
+    (iii) real time: no op returns a version older than one already
+         returned before it was invoked, and a write's is strictly newer.
+
+    A version no ok write produced is attributed to the initial value when
+    it is older than every write version of the key, or to a timed-out,
+    still outstanding or retried write of the same value -- the echo
+    latitude :func:`check_key_linearizable` grants -- whose floor (the
+    newest version returned before it was invoked) it exceeds.  An ok write
+    sent once must produce exactly the versions credited to it.  Anything
+    else *defers* the key to the search: a CAS, delete or insert, a
+    ``not_found`` result, an ok op without a version, or any rule failing.
+    Versions on ops that are not ok are ignored (a timed-out NetChain op
+    reports ``(0, 0)``).  The witness never rejects: a deferred key gets the
+    search's verdict.
+
+    Why a witnessed key is linearizable.  Order the ok ops by version;
+    within a version the write (or the echo or initial value credited with
+    it) first, then the reads by invocation time.  Each read follows the
+    last write before it, whose value it returned by (i) and (ii); a
+    version credited to the initial value precedes every write.  If x
+    returned before y was invoked, y's version is at least x's by (iii),
+    strictly when y is a write, and reads of one version are ordered by
+    invocation -- so the order respects real time.  A retried write is
+    linearized at the oldest version credited to it, after everything that
+    returned before it was invoked (its floor) and before anything invoked
+    after it returned (whose versions are at least its own); its other
+    versions are echoes after it.  A timed-out or outstanding write applies
+    at each credited version and nowhere else, again above its floor.
+    Timed-out reads constrain nothing, and ops that failed definitely
+    observe nothing and fit anywhere in their window.
+
+    State per key is the outstanding ops, the retried and timed-out writes'
+    values, and the versions at or above the oldest outstanding op's floor.
+    """
+
+    def __init__(self, initial: Optional[Dict[bytes, Optional[bytes]]] = None) -> None:
+        self.initial = {canonical_key(key): value for key, value in (initial or {}).items()}
+        self._keys: Dict[bytes, _KeyWitness] = {}
+
+    def invoke(self, op: HistoryOp) -> None:
+        state = self._keys.get(op.key)
+        if state is None:
+            state = self._keys[op.key] = _KeyWitness(self.initial.get(op.key, MISSING))
+        elif state.reason is not None:
+            return
+        state.ops += 1
+        kind = op.op
+        if kind == "write":
+            state.writes[op.op_id] = op.value
+        elif kind != "read":
+            return state.defer(f"a {kind}, which the witness does not order")
+        state.floors[op.op_id] = state.before if op.invoked_at == state.stamp else state.settled
+
+    def complete(self, op: HistoryOp) -> None:
+        state = self._keys[op.key]
+        floor = state.floors.pop(op.op_id, None)
+        if floor is None:  # deferred (or completed twice)
+            return
+        version = op.version
+        if op.op == "read":
+            if not op.ok:
+                return state.fail(op, None)
+            if version is None or version < floor:
+                return state.defer("an ok read without a version" if version is None
+                                   else f"read went back {floor} -> {version}")
+            value = op.output
+            known = state.values.get(version, _NEWEST)
+            if known != value:
+                if known is not _NEWEST:
+                    return state.defer(
+                        f"version {version} read {_shown(value)}, not {_shown(known)}")
+                state.credit(version, value)
+                if state.reason is not None:
+                    return
+        else:
+            value = state.writes.pop(op.op_id)
+            if not op.ok:
+                return state.fail(op, floor)
+            if version is None or version <= floor:
+                return state.defer("an ok write without a version" if version is None
+                                   else f"write went back {floor} -> {version}")
+            if version <= state.initial_max:
+                return state.defer(f"write version {version} is not newer than "
+                                   f"{state.initial_max}, read as the initial value")
+            values = state.values
+            known = values.get(version, value)
+            if known != value:
+                return state.defer(f"version {version} has two values, "
+                                   f"{_shown(known)} and {_shown(value)}")
+            values[version] = value
+            if version < state.low:
+                state.low = version
+            if op.retries:
+                state.echoes[value] = min(state.echoes.get(value, _NEWEST), floor)
+            if op.op_id in state.claims:
+                for other in state.claims.pop(op.op_id):
+                    if other != version and not op.retries:
+                        return state.defer(f"version {other} read {_shown(value)} of a write "
+                                           f"sent once, as {version}")
+            if len(values) > state.limit:
+                state.prune()
+        if version > state.settled:
+            if op.returned_at != state.stamp:
+                state.before, state.stamp = state.settled, op.returned_at
+            state.settled = version
+
+    def feed(self, ops: Iterable[HistoryOp]) -> None:
+        """Feed finished ops (one key's, or a whole history's) in time
+        order: at equal times invocations first, so an op invoked as
+        another returns does not count as following it."""
+        events = []
+        for index, op in enumerate(ops):
+            events.append((op.invoked_at, 0, index, op))
+            if op.returned_at is not None:
+                events.append((op.returned_at, 1, index, op))
+        events.sort()
+        invoke, complete = self.invoke, self.complete
+        for _at, kind, _index, op in events:
+            if kind:
+                complete(op)
+            else:
+                invoke(op)
+
+    def decide(self, key: bytes) -> Tuple[Optional[KeyReport], str]:
+        """The key's verdict: a :class:`KeyReport` when witnessed, else
+        ``None`` and why it needs the search."""
+        state = self._keys.get(key)
+        if state is None:
+            return None, "no operations"
+        if state.reason is not None:
+            return None, state.reason
+        pending_reads = len(state.floors) - len(state.writes)
+        return KeyReport(key=key, ok=True,
+                         ops=state.ops - state.lost_reads - pending_reads,
+                         ambiguous_ops=state.lost + len(state.writes)), ""
+
+
+def _shown(value: Optional[bytes]) -> str:
+    """A value as a witness reason spells it: its first 16 bytes."""
+    return repr(value) if value is None or len(value) <= 16 else f"{value[:16]!r}..."
+
+
+def witness_key(ops: List[HistoryOp],
+                initial: Optional[bytes] = MISSING) -> Tuple[Optional[KeyReport], str]:
+    """One key's ops through a fresh :class:`VersionWitness`
+    (:meth:`VersionWitness.decide`'s answer).  An op no order can vouch
+    for -- a CAS, delete or insert, an ok op without a version -- defers
+    the key before its ops are sorted (the objection named may then be a
+    later one than the witness fed in time order would name)."""
+    if not ops:
+        return None, "no operations"
+    for op in ops:
+        if op.op != "read" and op.op != "write":
+            return None, f"a {op.op}, which the witness does not order"
+        if op.ok and op.version is None:
+            return None, f"an ok {op.op} without a version"
+    witness = VersionWitness({ops[0].key: initial})
+    witness.feed(ops)
+    return witness.decide(ops[0].key)
+
+
+def searched(report: KeyReport, reason: str) -> KeyReport:
+    """A search verdict on a key the witness deferred: a violation names the
+    witness's objection (where the reported order and real time part) first."""
+    if report.ok or not reason:
+        return report
+    return replace(report, message=f"{reason}; {report.message}")
+
+
 def group_ops_by_key(ops: Iterable[HistoryOp]) -> Dict[bytes, List[HistoryOp]]:
     """Group an operation iterator per key, preserving encounter order.
 
@@ -567,6 +847,9 @@ def check_linearizable(history,
                        initial: Optional[Dict[bytes, Optional[bytes]]] = None,
                        state_budget: int = 500_000) -> LinearizabilityReport:
     """Decide per-key linearizability of a recorded history.
+
+    Each key's ops go through the :class:`VersionWitness` first and through
+    :func:`check_key_linearizable` only when it defers.
 
     Args:
         history: the recorded invocations/responses -- a :class:`History`,
@@ -589,7 +872,12 @@ def check_linearizable(history,
         total = sum(len(ops) for ops in grouped.values())
     report = LinearizabilityReport(ok=True, total_ops=total)
     for key, ops in grouped.items():
-        report.keys[key] = check_key_linearizable(
-            ops, initial.get(key, MISSING), state_budget)
+        verdict, reason = witness_key(ops, initial.get(key, MISSING))
+        if verdict is not None:
+            report.witnessed += 1
+        else:
+            verdict = searched(check_key_linearizable(
+                ops, initial.get(key, MISSING), state_budget), reason)
+        report.keys[key] = verdict
     report.ok = not report.violations()
     return report

@@ -15,6 +15,11 @@ adversarial concurrent histories with a known ground truth:
 * ``timeout_rate`` makes operations ambiguous (lost replies); half of
   those take effect anyway, half never do -- the latitude the checker must
   grant either way.
+* Ground-truth versions: each effect on a key's register is version
+  ``(1, n)`` of it (the preloaded value is ``(0, 0)``), and every op that
+  read or produced one has it noted in ``GeneratedHistory.versions``.  The
+  emitted ops stay unversioned, so the spilled bytes do not depend on it;
+  a test stamps the versions onto copies to drive the version witness.
 
 Generation is event-driven with bounded memory: per-client clocks advance
 monotonically, pending linearization instants sit in a heap, and an
@@ -33,7 +38,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.history import MISSING, HistoryOp
 
@@ -60,22 +65,28 @@ class GeneratedHistory:
     #: Keys whose reads were corrupted -- exactly the keys a correct
     #: checker must flag (no corruption => linearizable).
     corrupted_keys: List[bytes] = field(default_factory=list)
+    #: op id -> the version the op read or produced (absent for a lost op
+    #: that never took effect).
+    versions: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
 
 def iter_history(seed: int, *, clients: int = 4, keys: int = 8,
                  ops: int = 1000, timeout_rate: float = 0.02,
                  corruption_rate: float = 0.0, cas_rate: float = 0.15,
                  delete_rate: float = 0.05,
-                 corrupted_keys: Optional[List[bytes]] = None
+                 corrupted_keys: Optional[List[bytes]] = None,
+                 versions: Optional[Dict[int, Tuple[int, int]]] = None
                  ) -> Iterator[HistoryOp]:
     """Stream a seeded synthetic history, in linearization order.
 
     Emitted operations have their responses filled in (completed), except
     ambiguous ones which carry ``timed_out``.  Pass ``corrupted_keys`` (a
-    list) to collect which keys had a read corrupted.
+    list) to collect which keys had a read corrupted, and ``versions`` (a
+    dict) to collect each op's ground-truth version.
     """
     rng = random.Random(seed)
     state: Dict[bytes, Optional[bytes]] = dict(initial_values(keys))
+    version_of: Dict[bytes, Tuple[int, int]] = dict.fromkeys(state, (0, 0))
     corrupted: set = set()
     # (next-free-time, client-id): pop the earliest-free client each step.
     clocks = [(0.0, c) for c in range(clients)]
@@ -86,6 +97,14 @@ def iter_history(seed: int, *, clients: int = 4, keys: int = 8,
     pending: List = []
     issued = 0
 
+    def put(key: bytes, value: Optional[bytes]) -> None:
+        """One effect on the register: a new value and the next version."""
+        if value is MISSING:
+            state.pop(key, None)
+        else:
+            state[key] = value
+        version_of[key] = (1, version_of[key][1] + 1)
+
     def apply(op: HistoryOp, takes_effect: bool) -> None:
         key = op.key
         value = state.get(key, MISSING)
@@ -95,11 +114,11 @@ def iter_history(seed: int, *, clients: int = 4, keys: int = 8,
             if not takes_effect:
                 return
             if op.op in ("write", "insert"):
-                state[key] = op.value
+                put(key, op.value)
             elif op.op == "cas" and value == op.expected:
-                state[key] = op.value
+                put(key, op.value)
             elif op.op == "delete":
-                state.pop(key, None)
+                put(key, MISSING)
             return
         if op.op == "read":
             if value is MISSING:
@@ -116,16 +135,16 @@ def iter_history(seed: int, *, clients: int = 4, keys: int = 8,
                 op.ok, op.not_found = False, True
             else:
                 op.ok = True
-                state[key] = op.value
+                put(key, op.value)
         elif op.op == "insert":
             op.ok = True
-            state[key] = op.value
+            put(key, op.value)
         elif op.op == "cas":
             if value is MISSING:
                 op.ok, op.not_found = False, True
             elif value == op.expected:
                 op.ok = True
-                state[key] = op.value
+                put(key, op.value)
             else:
                 op.ok, op.cas_failed = False, True
         elif op.op == "delete":
@@ -133,12 +152,14 @@ def iter_history(seed: int, *, clients: int = 4, keys: int = 8,
                 op.ok, op.not_found = False, True
             else:
                 op.ok = True
-                state.pop(key, None)
+                put(key, MISSING)
 
     def drain(until: float) -> Iterator[HistoryOp]:
         while pending and pending[0][0] <= until:
             _instant, _op_id, op, takes_effect = heapq.heappop(pending)
             apply(op, takes_effect)
+            if versions is not None and takes_effect:
+                versions[op.op_id] = version_of[op.key]
             yield op
 
     while issued < ops:
@@ -197,7 +218,8 @@ def iter_history(seed: int, *, clients: int = 4, keys: int = 8,
 def generate_history(seed: int, **params) -> GeneratedHistory:
     """Materialize one synthetic history with its ground-truth verdict."""
     corrupted: List[bytes] = []
+    versions: Dict[int, Tuple[int, int]] = {}
     keys = params.get("keys", 8)
-    ops = list(iter_history(seed, corrupted_keys=corrupted, **params))
+    ops = list(iter_history(seed, corrupted_keys=corrupted, versions=versions, **params))
     return GeneratedHistory(ops=ops, initial=initial_values(keys),
-                            corrupted_keys=corrupted)
+                            corrupted_keys=corrupted, versions=versions)

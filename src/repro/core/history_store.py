@@ -58,6 +58,7 @@ ASCII when printable, else ``"hex:<digits>"``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import mmap
 import os
@@ -84,9 +85,12 @@ from repro.core.history import (
     HistoryOp,
     KeyReport,
     LinearizabilityReport,
+    VersionWitness,
     check_key_linearizable,
     fill_response,
+    searched,
     version_violations_of,
+    witness_key,
 )
 
 SCHEMA = "history/v1"
@@ -528,6 +532,10 @@ class SpillingHistory:
     the run length.  Call :meth:`finish` after the run: still-pending
     (ambiguous) operations are spilled too, in invocation order, and the
     derived index is written.
+
+    Every invocation and completion also feeds :attr:`witness`, so the
+    versions are checked as the ops complete and
+    :func:`check_linearizable_streaming` re-reads only the keys it deferred.
     """
 
     def __init__(self, sim, run_dir,
@@ -539,6 +547,7 @@ class SpillingHistory:
         self._offsets = self.writer.offsets_by_id = array("Q")
         self._pending: Dict[int, HistoryOp] = {}
         self._store: Optional[HistoryStore] = None
+        self.witness = VersionWitness(initial)
 
     # -- recording (History-compatible) ---------------------------------- #
 
@@ -549,12 +558,14 @@ class SpillingHistory:
                            self.sim.now)
         self._offsets.append(0)
         self._pending[record.op_id] = record
+        self.witness.invoke(record)
         return record
 
     def complete(self, record: HistoryOp, result) -> None:
         fill_response(record, result, self.sim.now)
         self.writer.append(record)
         self._pending.pop(record.op_id, None)
+        self.witness.complete(record)
 
     def finish(self) -> HistoryStore:
         """Spill still-pending (ambiguous) ops, close, return the store."""
@@ -661,17 +672,22 @@ def check_linearizable_streaming(
         cache: Optional[VerdictCache] = None) -> LinearizabilityReport:
     """Per-key linearizability of a spilled run, with bounded memory.
 
-    Key streams are read one at a time through the offset index and handed
-    to the existing per-key checker -- in-process when ``workers`` is 0,
-    else through a ``multiprocessing`` pool with a bounded dispatch window
-    (at most ``2 * workers`` key streams in flight), so peak memory is the
-    largest key stream times the window, independent of run size.
+    The :class:`~repro.core.history.VersionWitness` decides first.  A
+    :class:`SpillingHistory` fed it as its ops completed, so a key it
+    witnessed is never read back; a run directory or :class:`HistoryStore`
+    is read one key's stream at a time and the stream fed to a fresh one.
+    Only the keys the witness defers reach the verdict cache and the search
+    -- in-process when ``workers`` is 0, else through a
+    ``multiprocessing`` pool with a bounded dispatch window (at most
+    ``2 * workers`` key streams in flight), so peak memory is the largest
+    key stream times the window, independent of run size.
 
-    The verdict for every key stream is memoized in ``cache`` (pass
+    The search verdict of every deferred key is memoized in ``cache`` (pass
     :func:`default_verdict_cache` to share across a scenario matrix);
-    ``report.cache_hits`` counts the keys that skipped the search.  The
-    returned report is bit-identical to
-    :func:`repro.core.history.check_linearizable` over the same history.
+    ``report.cache_hits`` counts the keys that skipped the search and
+    ``report.witnessed`` the keys that never needed it.  Every verdict
+    equals :func:`repro.core.history.check_linearizable`'s over the same
+    history.
 
     Args:
         source: a :class:`HistoryStore`, a (finished or unfinished)
@@ -679,37 +695,64 @@ def check_linearizable_streaming(
         initial: starting value per key; defaults to the run metadata's
             recorded initial values when present.
         state_budget: per-key search-state cap (as the in-memory checker).
-        workers: worker processes; 0 checks in-process.  Falls back to
-            in-process when the platform cannot fork.
-        cache: verdict memoization (``None`` disables it).
+        workers: worker processes for the deferred keys; 0 checks
+            in-process.  Falls back to in-process when the platform cannot
+            fork.
+        cache: verdict memoization for the deferred keys (``None``
+            disables it).
     """
+    witness = None
     if isinstance(source, SpillingHistory):
+        witness = source.witness
         source = source.finish()
     store = source if isinstance(source, HistoryStore) else HistoryStore(source)
     if initial is None:
         initial = store.initial_values()
     initial = {canonical_key(key): value
                for key, value in (initial or {}).items()}
+    if witness is not None and witness.initial != initial:
+        witness = None  # fed other initial values: decide each key afresh
     report = LinearizabilityReport(ok=True, total_ops=store.total_ops)
     results: Dict[bytes, KeyReport] = {}
-    to_check: List[bytes] = []
-    digests = {key: verdict_digest(store.key_digest(key), initial.get(key, MISSING),
-                                   state_budget) for key in store.keys()}
-    for key, digest in digests.items():
-        cached = cache.get(digest) if cache is not None else None
-        if cached is not None:
-            results[key] = cached
-            report.cache_hits += 1
-        else:
-            to_check.append(key)
+    reasons: Dict[bytes, str] = {}
+    digests: Dict[bytes, str] = {}
+
+    def deferred() -> Iterator[Tuple[bytes, List[HistoryOp], Optional[bytes], int]]:
+        """Decide what the witness and the cache can; yield a search task
+        for every other key, its stream read only then."""
+        for key in store.keys():
+            ops, verdict, reason = None, None, ""
+            if witness is not None:
+                verdict, reason = witness.decide(key)
+            if verdict is None and cache is not None:
+                digests[key] = verdict_digest(store.key_digest(key),
+                                              initial.get(key, MISSING), state_budget)
+                cached = cache.get(digests[key])
+                if cached is not None:
+                    results[key] = cached
+                    report.cache_hits += 1
+                    continue
+            if witness is None:
+                ops = store.ops_for_key(key)
+                verdict, reason = witness_key(ops, initial.get(key, MISSING))
+            if verdict is not None:
+                results[key] = verdict
+                report.witnessed += 1
+                continue
+            reasons[key] = reason
+            yield (key, store.ops_for_key(key) if ops is None else ops,
+                   initial.get(key, MISSING), state_budget)
 
     def record(key: bytes, key_report: KeyReport) -> None:
-        results[key] = key_report
+        results[key] = key_report = searched(key_report, reasons[key])
         if cache is not None:
             cache.put(digests[key], key_report)
 
+    tasks = deferred()
+    first = next(tasks, None)  # a pool is forked only for a key to search
+    tasks = itertools.chain([] if first is None else [first], tasks)
     ctx = None
-    if workers and to_check:
+    if workers and first is not None:
         import multiprocessing  # only a pool needs it
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")  # spawn would re-import the world per key
@@ -717,18 +760,15 @@ def check_linearizable_streaming(
         window = 2 * workers
         with ctx.Pool(workers) as pool:
             in_flight: deque = deque()
-            for key in to_check:
+            for task in tasks:
                 while len(in_flight) >= window:
                     record(*in_flight.popleft().get())
-                task = (key, store.ops_for_key(key),
-                        initial.get(key, MISSING), state_budget)
                 in_flight.append(pool.apply_async(_check_key_task, (task,)))
             while in_flight:
                 record(*in_flight.popleft().get())
     else:
-        for key in to_check:
-            record(key, check_key_linearizable(
-                store.ops_for_key(key), initial.get(key, MISSING), state_budget))
+        for task in tasks:
+            record(*_check_key_task(task))
 
     report.keys = {key: results[key] for key in store.keys()}
     report.ok = all(key_report.ok for key_report in report.keys.values())

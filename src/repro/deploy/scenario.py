@@ -120,12 +120,15 @@ class ScenarioChecks:
     #: Run directory for ``history_mode="spill"``; a temporary directory
     #: is created (and reported on the result) when unset.
     run_dir: Optional[Union[str, Path]] = None
-    #: Worker processes for the streaming checker (0 = in-process).
+    #: Worker processes searching the keys the version witness deferred
+    #: (0 = in-process).
     verify_workers: int = 0
-    #: Verdict memoization for the streaming checker: ``"default"`` shares
-    #: the process-wide cache (repeated seed x backend x fault scenarios
-    #: skip re-checking unchanged key streams), ``None`` disables caching,
-    #: or pass an explicit :class:`~repro.core.history_store.VerdictCache`.
+    #: Verdict memoization for the keys the version witness deferred:
+    #: ``"default"`` shares the process-wide cache (repeated seed x backend
+    #: x fault scenarios skip re-searching unchanged key streams), ``None``
+    #: disables caching, or pass an explicit
+    #: :class:`~repro.core.history_store.VerdictCache`.  A witnessed key
+    #: never looks it up.
     verdict_cache: Any = "default"
     #: Require at least one *successful* operation per load client (a
     #: wedged or all-failing client must not hide behind the others).
@@ -579,12 +582,13 @@ def run_scenario(spec: DeploymentSpec,
                 f"{result.lost_keys[:5]}")
     if checks.linearizability and history is not None:
         if checks.history_mode == "spill":
-            store = history.finish()
+            # Spilling the tail and the index is recording, not checking.
+            history.finish()
             cache = checks.verdict_cache
             if cache == "default":
                 cache = default_verdict_cache()
             report = check_linearizable_streaming(
-                store, initial=initial, workers=checks.verify_workers,
+                history, initial=initial, workers=checks.verify_workers,
                 cache=cache)
             result.run_dir = run_dir
             result.verdict_cache_hits = report.cache_hits

@@ -5,7 +5,9 @@ linearizability verdict, recorded in ``manifest.json`` next to it.  The
 corpus pins down the checker semantics the simulator relies on -- retry
 echoes, ambiguous (lost-reply) latitude, CAS atomicity, version
 monotonicity -- so a checker change that silently flips any verdict fails
-the regression test (``tests/test_history_fixtures.py``).
+the regression test (``tests/test_history_fixtures.py``).  Each entry also
+says whether the version witness vouches for it (``"witness": "ok"``) or
+defers it to the search (``"defer"``; every fixture without versions).
 
 Run from the repository root::
 
@@ -196,6 +198,65 @@ FIXTURES = [
             op(1, "c0", "read", K, 3, 4, ok=True, output=B, version=(1, 4)),
         ],
     },
+    {
+        "file": "ver_read_before_write_returns.ndjson",
+        "description": "the tail serves the new version before the head's ack "
+                       "reaches the writer: a read returns the version of a "
+                       "write still outstanding (the common chain case)",
+        "initial": {K: A},
+        "ok": True,
+        "witness": "ok",
+        "ops": [
+            op(0, "c1", "read", K, 0, 0.5, ok=True, output=A, version=(0, 0)),
+            op(1, "c0", "write", K, 1, 4, value=B, ok=True, version=(1, 1)),
+            op(2, "c1", "read", K, 2, 3, ok=True, output=B, version=(1, 1)),
+            op(3, "c1", "read", K, 5, 6, ok=True, output=B, version=(1, 1)),
+        ],
+    },
+    {
+        "file": "ver_echo_after_return.ndjson",
+        "description": "a retried write's straggler re-imposes its value at a "
+                       "fresh version after the write returned and another "
+                       "write landed: the echo the search grants, witnessed",
+        "initial": {K: A},
+        "ok": True,
+        "witness": "ok",
+        "ops": [
+            op(0, "c0", "write", K, 1, 2, value=B, ok=True, retries=1,
+               version=(1, 1)),
+            op(1, "c1", "write", K, 3, 4, value=C, ok=True, version=(1, 2)),
+            op(2, "c2", "read", K, 5, 6, ok=True, output=C, version=(1, 2)),
+            op(3, "c2", "read", K, 7, 8, ok=True, output=B, version=(1, 3)),
+        ],
+    },
+    {
+        "file": "ver_stale_read.ndjson",
+        "description": "a read returns the value it carries the version of, "
+                       "but that version is older than one already returned "
+                       "before the read was invoked",
+        "initial": {K: A},
+        "ok": False,
+        "version_violations": 1,
+        "witness": "defer",
+        "ops": [
+            op(0, "c0", "write", K, 1, 2, value=B, ok=True, version=(1, 1)),
+            op(1, "c1", "read", K, 3, 4, ok=True, output=B, version=(1, 1)),
+            op(2, "c1", "read", K, 5, 6, ok=True, output=A, version=(0, 0)),
+        ],
+    },
+    {
+        "file": "ver_echo_of_unretried_write.ndjson",
+        "description": "a read returns a write's value at a version that write "
+                       "did not report, and it was sent once: the values are "
+                       "linearizable, the versions do not show it",
+        "initial": {K: A},
+        "ok": True,
+        "witness": "defer",
+        "ops": [
+            op(0, "c0", "write", K, 1, 2, value=B, ok=True, version=(1, 1)),
+            op(1, "c1", "read", K, 3, 4, ok=True, output=B, version=(1, 2)),
+        ],
+    },
 ]
 
 
@@ -215,6 +276,7 @@ def main() -> int:
             "initial": initial,
             "ok": fixture["ok"],
             "version_violations": fixture.get("version_violations", 0),
+            "witness": fixture.get("witness", "defer"),
         })
     (HERE / "manifest.json").write_text(
         json.dumps({"schema": "history-corpus/v1", "fixtures": manifest},

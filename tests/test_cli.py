@@ -92,11 +92,14 @@ def test_history_index_info_check(tmp_path, capsys):
     # ``check`` needs no side channel: the initial values ride in the header.
     cache = str(tmp_path / "cache.json")
     assert main(["history", "check", str(run_dir), "--cache", cache]) == 0
-    assert "linearizable: 512 keys" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    # Generated ops carry no versions, so every key goes to the search.
+    assert "linearizable: 512 keys" in out and "witness: 0/512 keys, search: 512" in out
     # Second check hits the persisted cache for every key.
     assert main(["history", "check", str(run_dir), "--cache", cache,
                  "--max-rss-mb", "100000"]) == 0
-    assert "verdict cache hits: 512/512" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "verdict cache hits: 512/512" in out and "search: 0" in out
     assert main(["history", "check", str(run_dir), "--cache", cache,
                  "--max-rss-mb", "1"]) == 1
     assert "exceeds the 1 MiB budget" in one_error_line(capsys)

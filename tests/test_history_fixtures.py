@@ -7,7 +7,9 @@ the in-memory :func:`repro.core.history.check_linearizable` and the
 streaming :func:`repro.core.history_store.check_linearizable_streaming`
 over a spilled run directory -- and both must agree with the manifest.
 Any checker change that silently flips a verdict (echo semantics,
-ambiguous-op latitude, CAS atomicity, version monotonicity) fails here.
+ambiguous-op latitude, CAS atomicity, version monotonicity) fails here, and
+so does a version witness that stops vouching for (or starts vouching for)
+a fixture the manifest says it does not.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ def test_corpus_covers_both_verdicts():
     assert verdicts == {True, False}
     assert len(FIXTURES) >= 12
     assert any(entry["version_violations"] for entry in FIXTURES)
+    assert {entry["witness"] for entry in FIXTURES} == {"ok", "defer"}
 
 
 @pytest.mark.parametrize("entry", FIXTURES,
@@ -83,6 +86,11 @@ def test_fixture_verdicts_agree(entry, tmp_path):
         {k: r.ok for k, r in streaming.keys.items()}
 
     assert len(version_violations_of(ops)) == entry["version_violations"]
+
+    # The version witness vouches where the manifest says, never against the search.
+    witnessed = memory.witnessed == len(memory.keys) == streaming.witnessed
+    assert ("ok" if witnessed else "defer") == entry["witness"]
+    assert entry["ok"] or not witnessed
 
 
 @pytest.mark.parametrize("entry", FIXTURES,

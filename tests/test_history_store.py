@@ -470,14 +470,51 @@ def test_spilled_run_dir_is_byte_identical_to_the_commit_before_the_template(tmp
         anchors["fault"]["signature_sha256"]
 
 
-def test_scenario_spill_shares_verdicts_across_the_matrix(tmp_path):
-    cache = VerdictCache()
-    first = run_scenario(SPEC, WORKLOAD, ScenarioChecks(
+class CountingCache(VerdictCache):
+    """A verdict cache that counts its lookups, hits or not."""
+
+    lookups = 0
+
+    def get(self, digest):
+        self.lookups += 1
+        return super().get(digest)
+
+
+def test_scenario_spill_shares_verdicts_only_for_deferred_keys(tmp_path, monkeypatch):
+    """The verdict cache serves the keys the version witness defers.  A
+    spill run whose every key is witnessed never reads a key back, looks
+    the cache up or fills it; a run where one key carries no version (so
+    the witness defers it) memoizes exactly that key, and the same run
+    again is served that key from the cache."""
+    reads = []
+    ops_for_key = HistoryStore.ops_for_key
+    monkeypatch.setattr(HistoryStore, "ops_for_key",
+                        lambda store, key: reads.append(key) or ops_for_key(store, key))
+    cache = CountingCache()
+    witnessed = run_scenario(SPEC, WORKLOAD, ScenarioChecks(
         history_mode="spill", run_dir=tmp_path / "a", verdict_cache=cache))
-    second = run_scenario(SPEC, WORKLOAD, ScenarioChecks(
+    report = witnessed.linearizability
+    assert report.ok and report.witnessed == len(report.keys) == SPEC.store_size
+    assert (reads, cache.lookups, len(cache), witnessed.verdict_cache_hits) == ([], 0, 0, 0)
+
+    fill_response = history_store.fill_response
+
+    def unversioned(record, result, now):
+        fill_response(record, result, now)
+        if record.key == b"k00000003":
+            record.version = None
+
+    monkeypatch.setattr(history_store, "fill_response", unversioned)
+    first = run_scenario(SPEC, WORKLOAD, ScenarioChecks(
         history_mode="spill", run_dir=tmp_path / "b", verdict_cache=cache))
-    assert first.verdict_cache_hits == 0
-    assert second.verdict_cache_hits == len(second.linearizability.keys)
+    second = run_scenario(SPEC, WORKLOAD, ScenarioChecks(
+        history_mode="spill", run_dir=tmp_path / "c", verdict_cache=cache))
+    for result in (first, second):
+        assert result.ok(), result.failures
+        assert result.linearizability.witnessed == SPEC.store_size - 1
+    assert reads == [b"k00000003"]  # the second run's verdict came from the cache
+    assert (first.verdict_cache_hits, second.verdict_cache_hits) == (0, 1)
+    assert cache.lookups == 2 and len(cache) == 1
 
 
 def test_scenario_rejects_unknown_history_mode():
