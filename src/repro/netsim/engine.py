@@ -17,14 +17,17 @@ constant factors *are* the simulator's throughput):
   rather than objects, so ``heapq`` sifts compare at C speed (``time``
   first, then the unique ``seq`` -- the callback is never compared).
 * :meth:`Simulator.call_after` schedules fire-and-forget callbacks without
-  allocating an :class:`Event` handle; callers that never cancel (links,
-  hosts, switch pipelines) use it to avoid one allocation per event, and
-  positional ``args`` replace per-event closure allocation.
+  allocating an :class:`Event` handle; ``Link.transmit`` pushes its entry
+  itself, with no engine frame at all.
+* A hop nothing can observe costs no event (``Link.transmit``): the next
+  event keeps the ``(time, seq)`` the skipped one would have had and
+  carries its time, so a fault that lands first gives it back
+  (:meth:`Simulator.refile`, :meth:`Simulator.has_run`).
 * Cancellation is a tombstone: the entry's callback slot is set to ``None``
   in place, and the entry is discarded when it surfaces at the top of the
   heap.  A tombstone count triggers heap compaction when more than half the
-  queue is dead, so cancel-heavy workloads (retry timers, TCP RTOs) cannot
-  grow the heap without bound.
+  queue is dead, so cancel-heavy workloads (retry timers) cannot grow the
+  heap without bound.  A TCP endpoint queues only its earliest RTO.
 """
 
 from __future__ import annotations
@@ -189,12 +192,6 @@ class Simulator:
         """Schedule ``callback`` at an absolute simulation time."""
         delay = time - self._now
         return self.schedule(delay if delay > 0.0 else 0.0, callback, *args)
-
-    def call_at(self, time: float, callback: Callable[..., None], *args) -> None:
-        """:meth:`call_after` at an absolute ``time`` (not before now)."""
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._queue, [time, seq, callback, args])
 
     def has_run(self, time: float, seq: int) -> bool:
         """Whether an event queued as ``(time, seq)`` would have run by now."""

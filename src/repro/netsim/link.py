@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
 from repro.netsim.host import Host
 from repro.netsim.node import Port
 from repro.netsim.packet import IP_WIRE_OVERHEAD, UDP_WIRE_OVERHEAD, Packet
 from repro.netsim.stats import LinkStats
+from repro.netsim.switch import Switch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.engine import Simulator
@@ -47,7 +49,8 @@ class LinkConfig:
 
 
 class Link:
-    """A full-duplex point-to-point link between two ports."""
+    """A full-duplex point-to-point link between two ports; :meth:`transmit`
+    schedules a packet's next event."""
 
     def __init__(self, sim: "Simulator", port_a: Port, port_b: Port,
                  config: Optional[LinkConfig] = None,
@@ -103,16 +106,27 @@ class Link:
 
     def _refile_tx(self) -> None:
         """Give each fused host TX (:meth:`transmit`) still short of its TX
-        time its TX event back, to meet the link's new state there.  Only an
-        up link without a fault model fuses, so ``set_up`` finds none."""
+        time its TX event back, uncounted, to meet the link's new state there.
+        Only an up link without a fault model fuses, so ``set_up`` finds none."""
+        sim = self.sim
 
         def tx_event(entry: list) -> None:
-            packet, dst_port, tx_at = entry[3]
-            if not self.sim.has_run(tx_at, entry[1]):
-                entry[0], entry[2] = tx_at, self.transmit
-                entry[3] = (packet, self.other_end(dst_port))
+            args = entry[3]
+            packet, dst_port, tx_at = args[0], args[1], args[-1]
+            if (len(args) > 2 and tx_at is not None and dst_port.link is self
+                    and not sim.has_run(tx_at, entry[1])):
+                src_port = self.other_end(dst_port)
+                self.stats.delivered -= 1
+                dst_port.node.packets_received -= 1
+                dst_port.rx_packets -= 1
+                src_port.node.packets_sent -= 1
+                src_port.tx_packets -= 1
+                entry[0], entry[2], entry[3] = tx_at, src_port.node.transmit, (packet, src_port)
 
-        self.sim.refile(self._deliver, tx_event)
+        sim.refile(self._deliver, tx_event)
+        for node in (self.port_a.node, self.port_b.node):
+            if type(node) is Switch:
+                sim.refile(node._process, tx_event)
 
     def other_end(self, port: Port) -> Port:
         """The port at the opposite end from ``port``."""
@@ -132,12 +146,13 @@ class Link:
 
         A delivery is counted (``delivered``, the far node's
         ``packets_received``, the far port's ``rx_packets``) when its arrival
-        is scheduled, and the arrival event is the far node's ``receive``.
-        A host hop nothing can observe costs no event: :meth:`Host.send`
-        transmits at once, as of its TX time ``tx_at`` (counted on arrival,
-        by :meth:`_deliver`, since its TX may yet meet a downed link), and a
-        live, untraced :class:`Host` with no RX queue gets its dispatch
-        pushed directly.
+        is pushed onto the event heap, here.  A hop nothing can observe costs
+        no event: :meth:`Host.send` transmits at once, as of its TX time
+        ``tx_at``; a live, untraced :class:`Host` with no RX queue gets its
+        dispatch pushed, and a live, untraced, loss-free :class:`Switch` with
+        no queue its pipeline pass, under the seq the arrival would have
+        taken.  The entry carries the skipped hops' times (``arrival``,
+        ``tx_at``) for :meth:`_refile_tx` and :meth:`Switch.fail`.
         """
         if from_port is self.port_a:
             dst_port = self.port_b
@@ -179,29 +194,34 @@ class Link:
                         packet.payload_bytes + (UDP_WIRE_OVERHEAD
                                                 if packet.udp is not None
                                                 else IP_WIRE_OVERHEAD))
-        elif tx_at is not None:
-            self.sim.call_at(tx_at + latency, self._deliver, packet, dst_port, tx_at)
-            return
         # Inlined Node.deliver, counted now (one call per hop on the hot path).
         self.stats.delivered += 1
         node = dst_port.node
         node.packets_received += 1
         dst_port.rx_packets += 1
-        if (tel is None and type(node) is Host and node.telemetry is None
+        sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        arrival = (sim._now if tx_at is None else tx_at) + latency
+        if tel is None and type(node) is Switch:
+            config = node.config
+            if (config.capacity_pps is None and node._injected_loss_rate <= 0
+                    and node.telemetry is None and not node.failed):
+                heappush(sim._queue, [arrival + config.pipeline_delay, seq, node._process,
+                                      (packet, dst_port, arrival, tx_at)])
+                return
+        elif (tel is None and type(node) is Host and tx_at is None and node.telemetry is None
                 and not node.failed and node.config.nic_pps is None
                 and node.config.rx_pps is None):
-            arrival = self.sim._now + latency
-            self.sim.call_at(arrival + node.config.stack_delay, node._dispatch, packet, arrival)
+            heappush(sim._queue, [arrival + node.config.stack_delay, seq,
+                                  node._dispatch, (packet, arrival)])
             return
-        self.sim.call_after(latency, node.receive, packet, dst_port)
+        heappush(sim._queue, [arrival, seq, node.receive, (packet, dst_port)] if tx_at is None
+                 else [arrival, seq, self._deliver, (packet, dst_port, tx_at)])
 
     def _deliver(self, packet: Packet, dst_port: Port, tx_at: float) -> None:
         """Arrival of a fused host TX; ``tx_at`` rides on it for :meth:`_refile_tx`."""
-        self.stats.delivered += 1
-        node = dst_port.node
-        node.packets_received += 1
-        dst_port.rx_packets += 1
-        node.receive(packet, dst_port)
+        dst_port.node.receive(packet, dst_port)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Link({self.port_a.name} <-> {self.port_b.name})"

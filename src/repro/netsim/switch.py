@@ -88,7 +88,12 @@ class SwitchConfig:
 
 
 class Switch(Node):
-    """A programmable switch: L3 forwarding plus a match-action pipeline."""
+    """A programmable switch: L3 forwarding plus a match-action pipeline.
+
+    :meth:`receive` decides fail-stop, injected loss and the queue at
+    arrival; :meth:`_process` is the pass ``pipeline_delay`` later.  With
+    none of the three and no tracer, ``Link.transmit`` pushes the pass.
+    """
 
     def __init__(self, sim: "Simulator", name: str, ip: str,
                  config: Optional[SwitchConfig] = None,
@@ -102,8 +107,7 @@ class Switch(Node):
         self.programs: List[PipelineProgram] = []
         #: Register arrays (switch SRAM).
         self.registers = RegisterFile(sram_bytes=self.config.sram_bytes)
-        #: Per-switch loss injection (Figure 9(d) injects loss per switch).
-        self.injected_loss_rate = 0.0
+        self._injected_loss_rate = 0.0
         # Capacity accounting (single-server queue).
         self._busy_until = 0.0
         self.pipeline_passes = 0
@@ -141,7 +145,7 @@ class Switch(Node):
         if self.failed:
             self.packets_dropped += 1
             return
-        if self.injected_loss_rate > 0 and self.rng.random() < self.injected_loss_rate:
+        if self._injected_loss_rate > 0 and self.rng.random() < self._injected_loss_rate:
             self.dropped_injected += 1
             return
         cfg = self.config
@@ -174,7 +178,9 @@ class Switch(Node):
         self.sim.call_after(backlog + cfg.pipeline_delay, self._process,
                             packet, port)
 
-    def _process(self, packet: Packet, port: Port) -> None:
+    def _process(self, packet: Packet, port: Port, arrival: Optional[float] = None,
+                 tx_at: Optional[float] = None) -> None:
+        # ``arrival`` and ``tx_at`` ride on a fused pass, for the refiles.
         if self.failed:
             # Admitted before fail() and due after it: received, so dropped.
             self.packets_dropped += 1
@@ -223,9 +229,35 @@ class Switch(Node):
     # Failure injection (Section 5 / Section 8.4).
     # ------------------------------------------------------------------ #
 
+    @property
+    def injected_loss_rate(self) -> float:
+        """Per-switch loss injection (Figure 9(d)), drawn at arrival."""
+        return self._injected_loss_rate
+
+    @injected_loss_rate.setter
+    def injected_loss_rate(self, rate: float) -> None:
+        self._injected_loss_rate = rate
+        if rate > 0:
+            self._refile_arrivals()
+
     def fail(self) -> None:
         """Fail-stop: the switch stops processing and forwarding packets."""
         self.failed = True
+        self._refile_arrivals()
+
+    def _refile_arrivals(self) -> None:
+        """Give each fused pass still short of its arrival its arrival event
+        back, to meet the switch's new state there."""
+        sim = self.sim
+
+        def arrival_event(entry: list) -> None:
+            args = entry[3]
+            if len(args) == 4 and not sim.has_run(args[2], entry[1]):
+                packet, port, entry[0], tx_at = args
+                entry[2], entry[3] = ((self.receive, (packet, port)) if tx_at is None
+                                      else (port.link._deliver, (packet, port, tx_at)))
+
+        sim.refile(self._process, arrival_event)
 
     def fail_gray(self) -> None:
         """Gray failure: keep forwarding transit traffic but stop serving

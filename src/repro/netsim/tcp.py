@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.netsim.host import Host
 from repro.netsim.packet import Packet
@@ -80,7 +81,13 @@ class Segment:
 
 
 class TcpEndpoint:
-    """One side of a connection."""
+    """One side of a connection.
+
+    Each transmission reserves the ``(deadline, seq)`` key a timer of its
+    own would have had, but only a key earlier than every queued one is
+    queued: an ACK cancels nothing, and a due key times out only the segment
+    still owning it, then queues the earliest remaining key.
+    """
 
     def __init__(self, conn: "TcpConnection", host: Host, local_port: int,
                  remote_host: Host, remote_port: int) -> None:
@@ -95,10 +102,12 @@ class TcpEndpoint:
         self._conn_id = conn.conn_id
         self._config = config = conn.config
         self._remote_ip = remote_host.ip
-        # Sender state.  ``seq -> (segment, sent_at, retries, RTO timer)``.
+        # Sender state.  ``seq -> (segment, sent_at, retries, RTO key)``;
+        # ``_armed`` is the heap of keys queued on the engine, not yet due.
         self._next_seq = 0
         self._send_queue: Deque[Segment] = deque()
-        self._outstanding: Dict[int, Tuple[Segment, float, int, Any]] = {}
+        self._outstanding: Dict[int, Tuple[Segment, float, int, Tuple[float, int]]] = {}
+        self._armed: List[Tuple[float, int]] = []
         self._cwnd = float(config.initial_cwnd)
         self._rto = config.initial_rto
         self._srtt: Optional[float] = None
@@ -142,20 +151,35 @@ class TcpEndpoint:
         config = self._config
         self.host.send_udp(self._remote_ip, self.remote_port, segment,
                            segment.size_bytes + config.header_bytes, self.local_port)
+        # The key ``sim.schedule`` would have given this segment's timer.
         sim = self._sim
-        rto = min(config.max_rto, self._rto * (2 ** retries))
-        self._outstanding[segment.seq] = (
-            segment, sim._now, retries,
-            sim.schedule(rto, self._on_timeout, segment.seq))
+        seq = sim._seq
+        sim._seq = seq + 1
+        key = (sim._now + min(config.max_rto, self._rto * (2 ** retries)), seq)
+        self._outstanding[segment.seq] = (segment, sim._now, retries, key)
+        armed = self._armed
+        if not armed or key < armed[0]:
+            self._arm(key)
 
-    def _on_timeout(self, seq: int) -> None:
-        out = self._outstanding.get(seq)
-        if out is None or self.closed:
+    def _arm(self, key: Tuple[float, int]) -> None:
+        heappush(self._armed, key)
+        heappush(self._sim._queue, [key[0], key[1], self._on_timeout, ()])
+
+    def _on_timeout(self) -> None:
+        key = heappop(self._armed)  # the one coming due: the earliest queued
+        if self.closed:
             return
-        # Loss event: retransmit with backoff and halve the window.
-        self.retransmissions += 1
-        self._cwnd = max(1.0, self._cwnd / 2.0)
-        self._transmit(out[0], out[2] + 1)
+        for out in self._outstanding.values():
+            if out[3] == key:
+                # Loss event: retransmit with backoff and halve the window.
+                self.retransmissions += 1
+                self._cwnd = max(1.0, self._cwnd / 2.0)
+                self._transmit(out[0], out[2] + 1)
+                break
+        if self._outstanding:
+            earliest = min(out[3] for out in self._outstanding.values())
+            if not self._armed or earliest < self._armed[0]:
+                self._arm(earliest)
 
     # -------------------------------------------------------------- #
     # Receiving.
@@ -191,8 +215,7 @@ class TcpEndpoint:
         out = self._outstanding.pop(seq, None)
         if out is None:
             return
-        _segment, sent_at, retries, timer = out
-        timer.cancel()
+        _segment, sent_at, retries, _key = out
         config = self._config
         if retries == 0:
             # Karn's rule: only a segment sent once gives an RTT sample.
@@ -209,8 +232,6 @@ class TcpEndpoint:
     def close(self) -> None:
         """Tear down this side of the connection."""
         self.closed = True
-        for _segment, _sent_at, _retries, timer in self._outstanding.values():
-            timer.cancel()
         self._outstanding.clear()
         self._send_queue.clear()
         self.host.unbind(self.local_port)

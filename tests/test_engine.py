@@ -309,10 +309,10 @@ def test_refiled_entry_keeps_its_seq_and_has_run_follows_the_order():
     the running event and of a ``run(until=...)`` that stopped."""
     sim = Simulator()
     order = []
-    sim.call_at(2.0, order.append, "moved")
-    sim.call_at(1.0, order.append, "first")
-    sim.call_at(1.0, lambda: order.append((sim.has_run(1.0, 0), sim.has_run(1.0, 3))))
-    sim.call_at(3.0, order.append, "last")
+    sim.schedule_at(2.0, order.append, "moved")
+    sim.schedule_at(1.0, order.append, "first")
+    sim.schedule_at(1.0, lambda: order.append((sim.has_run(1.0, 0), sim.has_run(1.0, 3))))
+    sim.schedule_at(3.0, order.append, "last")
 
     def to_one(entry):
         if entry[3] == ("moved",):

@@ -12,6 +12,7 @@ from repro.netsim.faults import FaultInjector, FaultSchedule, LinkFaultModel, de
 from repro.netsim.host import HostConfig
 from repro.netsim.link import LinkConfig
 from repro.netsim.routing import install_shortest_path_routes
+from repro.netsim.switch import PipelineAction, PipelineProgram
 from repro.netsim.topology import build_line, build_testbed
 from tests.conftest import make_cluster
 
@@ -111,6 +112,14 @@ def _recover(inj):
     inj.recover_host("H0_1")
 
 
+def _fail_s0(inj):
+    inj.fail_switch("S0")
+
+
+def _recover_s0(inj):
+    inj.recover_switch("S0")
+
+
 @pytest.mark.parametrize("actions, delivered, sender_link", [
     ([(5e-6, _down)], 0, {"dropped_down": 1, "delivered": 0}),
     ([(5e-6, _down), (7e-6, _up)], 1, {"dropped_down": 0, "delivered": 1}),
@@ -126,17 +135,23 @@ def _recover(inj):
     ([(5e-6, _fail), (10.8e-6, _recover)], 1, {}),
     ([(5e-6, _fail), (ARRIVAL, _recover)], 1, {}),
     ([(5e-6, _fail), (15e-6, _recover)], 0, {}),
+    ([(5e-6, _fail_s0), (7e-6, _down)], 0, {"dropped_down": 1, "delivered": 0}),
+    ([(5e-6, _fail_s0), (6e-6, _recover_s0), (7e-6, _down)], 0,
+     {"dropped_down": 1, "delivered": 0}),
+    ([(5e-6, _fail_s0), (6e-6, _recover_s0)], 1, {"dropped_down": 0, "delivered": 1}),
 ], ids=["down-before-tx", "down-up-before-tx", "down-after-tx", "down-at-tx",
         "loss-before-tx", "loss-cleared-before-tx", "fail-before-arrival",
         "fail-at-arrival", "fail-after-arrival", "fail-recover-before-arrival",
         "fail-recover-after-arrival", "recover-before-arrival",
-        "recover-at-arrival", "recover-after-arrival"])
+        "recover-at-arrival", "recover-after-arrival", "switch-fail-then-down-before-tx",
+        "switch-fail-recover-then-down-before-tx", "switch-fail-recover-before-tx"])
 def test_fault_between_two_hops_of_a_packet_gives_the_hop_by_hop_verdict(
         actions, delivered, sender_link):
     """Each fault is scheduled before the packet is sent, so at an equal
     instant it runs first.  A link fault decides at the sender's TX time,
-    a host fault at the receiver's arrival and again at its dispatch --
-    whether or not the simulator spends an event on those hops."""
+    a switch fault at S0's arrival, a host fault at the receiver's arrival
+    and again at its dispatch -- whether or not the simulator spends an
+    event on those hops, and whatever fault gave a skipped hop back first."""
     topo = race_topology()
     injector = FaultInjector(topo, seed=5)
     for at, action in actions:
@@ -148,6 +163,136 @@ def test_fault_between_two_hops_of_a_packet_gives_the_hop_by_hop_verdict(
     assert len(received) == delivered
     counters = injector.drop_report()["H0_0-S0"]
     assert {name: counters[name] for name in sender_link} == sender_link
+
+
+#: H0_0 -> S0 -> S1 -> H1_0 on queue-free switches: S0's pass follows a
+#: host TX, S1's a switch-to-switch hop.  Each instant is summed in the
+#: simulator's own order (TX at 10 us, 200 ns links, 0.5 us passes).
+S0_ARRIVAL = 10e-6 + 200e-9
+S0_PASS = S0_ARRIVAL + 0.5e-6
+S1_ARRIVAL = S0_PASS + 200e-9
+ARRIVAL_AT = {"S0": S0_ARRIVAL, "S1": S1_ARRIVAL}
+
+
+class Recorder(PipelineProgram):
+    """Records the label of every packet its switch's pipeline runs on."""
+
+    def __init__(self):
+        self.seen = []
+
+    def process(self, switch, packet, in_port):
+        self.seen.append(packet.payload)
+        return PipelineAction.CONTINUE
+
+
+def switch_race(actions, labels=("x",), senders=("H0_0",)):
+    """Send one packet per ``(sender, label)`` to H1_0 at time 0, with
+    ``actions`` -- ``(at, action(topology))`` pairs -- scheduled first.
+    Returns the topology, the labels H1_0 received, and each switch's
+    recorder."""
+    topo = build_line(2, hosts_at={0: 2, 1: 1},
+                      host_config=HostConfig(stack_delay=10e-6, nic_pps=None),
+                      link_config=LinkConfig(bandwidth_bps=None))
+    install_shortest_path_routes(topo)
+    recorders = {}
+    for name, switch in topo.switches.items():
+        recorders[name] = Recorder()
+        switch.install_program(recorders[name])
+    for at, action in actions:
+        topo.sim.schedule(at, action, topo)
+    received = []
+    topo.hosts["H1_0"].bind(7000, lambda packet: received.append(packet.payload))
+    for sender, label in zip(senders, labels, strict=True):
+        topo.hosts[sender].send_udp(topo.hosts["H1_0"].ip, 7000, label, 10)
+    topo.run(until=1e-3)
+    return topo, received, recorders
+
+
+def _fail(name):
+    return lambda topo: topo.switches[name].fail()
+
+
+def _recover(name):
+    return lambda topo: topo.switches[name].recover_device()
+
+
+@pytest.mark.parametrize("target", ["S0", "S1"], ids=["host-tx-fused", "switch-to-switch"])
+@pytest.mark.parametrize("offsets, delivered, passes", [
+    ([(-0.1e-6, "fail")], 0, 0),
+    ([(0.0, "fail")], 0, 0),
+    ([(0.1e-6, "fail")], 0, 0),
+    ([(0.6e-6, "fail")], 1, 1),
+    ([(-0.2e-6, "fail"), (-0.1e-6, "recover")], 1, 1),
+    ([(-0.2e-6, "fail"), (0.0, "recover")], 1, 1),
+    ([(-0.2e-6, "fail"), (0.1e-6, "recover")], 0, 0),
+    ([(0.1e-6, "fail"), (0.2e-6, "recover")], 1, 1),
+], ids=["fail-before-arrival", "fail-at-arrival", "fail-before-pass", "fail-after-pass",
+        "fail-recover-before-arrival", "recover-at-arrival", "recover-after-arrival",
+        "fail-recover-before-pass"])
+def test_a_switch_fault_around_a_pass_gives_the_hop_by_hop_verdict(
+        target, offsets, delivered, passes):
+    """A switch decides at arrival whether it takes a packet, and again at
+    its pipeline pass whether it is still up -- whether or not the
+    simulator spends an event on the arrival."""
+    arrival = ARRIVAL_AT[target]
+    actions = [(arrival + offset, _fail(target) if kind == "fail" else _recover(target))
+               for offset, kind in offsets]
+    topo, received, recorders = switch_race(actions)
+    switch = topo.switches[target]
+    assert len(received) == delivered
+    assert switch.pipeline_passes == passes
+    assert len(recorders[target].seen) == passes
+    assert switch.packets_received == 1
+    assert switch.packets_dropped == 1 - passes
+
+
+@pytest.mark.parametrize("target", ["S0", "S1"], ids=["host-tx-fused", "switch-to-switch"])
+@pytest.mark.parametrize("how", ["set_loss_rate", "assignment"])
+@pytest.mark.parametrize("offsets, delivered", [
+    ([(-0.1e-6, 1.0)], 0),
+    ([(0.0, 1.0)], 0),
+    ([(0.1e-6, 1.0)], 1),
+    ([(-0.2e-6, 1.0), (-0.1e-6, 0.0)], 1),
+], ids=["raised-before-arrival", "raised-at-arrival", "raised-after-arrival",
+        "raised-and-cleared-before-arrival"])
+def test_injected_loss_is_drawn_at_arrival(target, how, offsets, delivered):
+    """Figure 9(d)'s per-switch loss applies to packets that arrive while
+    it is set, however it was set."""
+    def set_rate(rate):
+        if how == "set_loss_rate":
+            return lambda topo: topo.set_loss_rate(rate, [target])
+        return lambda topo: setattr(topo.switches[target], "injected_loss_rate", rate)
+
+    actions = [(ARRIVAL_AT[target] + offset, set_rate(rate)) for offset, rate in offsets]
+    topo, received, _recorders = switch_race(actions)
+    assert len(received) == delivered
+    assert topo.switches[target].dropped_injected == 1 - delivered
+    assert topo.switches[target].injected_loss_rate == offsets[-1][1]
+
+
+@pytest.mark.parametrize("target", ["S0", "S1"], ids=["host-tx-fused", "switch-to-switch"])
+@pytest.mark.parametrize("offset, programs_ran", [
+    (-0.1e-6, False), (0.1e-6, False), (0.6e-6, True),
+], ids=["gray-before-arrival", "gray-between-arrival-and-pass", "gray-after-pass"])
+def test_a_gray_failure_is_seen_at_the_pass(target, offset, programs_ran):
+    """A gray-failed switch still forwards transit traffic but runs no
+    program on it: what counts is its state at the pass, not at arrival."""
+    actions = [(ARRIVAL_AT[target] + offset,
+                lambda topo: topo.switches[target].fail_gray())]
+    topo, received, recorders = switch_race(actions)
+    assert received == ["x"]
+    assert recorders[target].seen == (["x"] if programs_ran else [])
+    assert topo.switches[target].pipeline_passes == 1
+
+
+def test_packets_landing_at_one_instant_keep_their_order_at_every_switch():
+    """Two hosts send at the same instant: both packets reach S0 together,
+    leave it together and reach S1 together, and every pipeline sees them
+    in send order."""
+    topo, received, recorders = switch_race([], labels=("first", "second"),
+                                            senders=("H0_0", "H0_1"))
+    assert received == ["first", "second"]
+    assert recorders["S0"].seen == recorders["S1"].seen == ["first", "second"]
 
 
 def test_link_fault_model_is_seed_deterministic():

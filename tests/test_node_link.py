@@ -6,12 +6,16 @@ import random
 
 import pytest
 
+from repro.deploy import DeploymentSpec, WorkloadSpec, build_deployment, run_scenario
 from repro.netsim.engine import Simulator
 from repro.netsim.faults import LinkFaultModel
+from repro.netsim.host import HostConfig
 from repro.netsim.link import LinkConfig, connect
 from repro.netsim.node import Node
 from repro.netsim.packet import IPv4Header, Packet
+from repro.netsim.routing import install_shortest_path_routes
 from repro.netsim.switch import Switch
+from repro.netsim.topology import build_line
 
 
 class RecordingNode(Node):
@@ -171,13 +175,15 @@ def test_a_switch_failing_before_arrival_counts_the_packet_received_and_dropped(
     assert switch.pipeline_passes == 0
 
 
+def tx(link):
+    """Packets the two ports of ``link`` sent onto it."""
+    return link.port_a.tx_packets + link.port_b.tx_packets
+
+
 def test_every_transmitted_packet_is_delivered_or_dropped_per_link(cluster, agent):
     """ROADMAP item 1(e)'s link identity: per link, the packets its two
     ports sent equal ``delivered + dropped`` -- mid-flight for a
     switch-bound packet, and for every link once a run has drained."""
-    def tx(link):
-        return link.port_a.tx_packets + link.port_b.tx_packets
-
     _sim, _a, _switch, link = switch_bound_packet_in_flight()
     assert tx(link) == link.delivered + link.dropped == 1
     cluster.controller.populate(["k"])
@@ -193,6 +199,44 @@ def test_every_transmitted_packet_is_delivered_or_dropped_per_link(cluster, agen
     for link in cluster.topology.links:
         assert tx(link) == link.delivered + link.dropped, link.name
     assert sum(link.delivered for link in cluster.topology.links) > 0
+
+
+@pytest.mark.parametrize("stop_at", [5e-6, 10.1e-6, 10.3e-6, 10.8e-6, None],
+                         ids=["before-tx", "before-arrival", "before-pass",
+                              "before-the-next-arrival", "drained"])
+def test_the_link_identity_holds_while_a_host_tx_is_on_its_way_to_a_switch(stop_at):
+    """H0_0 -> S0 -> H0_1 with a 10 us stack: the host's TX hop and S0's
+    pass may cost no event of their own, and the two links still count
+    every packet their ports sent as delivered or dropped at each instant."""
+    topo = build_line(1, hosts_at={0: 2},
+                      host_config=HostConfig(stack_delay=10e-6, nic_pps=None),
+                      link_config=LinkConfig(bandwidth_bps=None))
+    install_shortest_path_routes(topo)
+    topo.hosts["H0_1"].bind(7000, lambda packet: None)
+    topo.hosts["H0_0"].send_udp(topo.hosts["H0_1"].ip, 7000, "x", 10)
+    topo.sim.run(until=stop_at)
+    for link in topo.links:
+        assert tx(link) == link.delivered + link.dropped, link.name
+    assert topo.links[0].delivered == 1
+
+
+@pytest.mark.parametrize("backend, loss_rate", [("server-chain", 0.0), ("primary-backup", 0.01)])
+def test_the_link_identity_holds_after_a_drained_server_backed_run(backend, loss_rate):
+    """The server-hosted baselines ride TCP over queue-free switches: once
+    the run has drained (retransmissions included), every link has
+    delivered or dropped every packet its ports sent."""
+    spec = DeploymentSpec(backend=backend, store_size=16, value_size=16, seed=3,
+                          loss_rate=loss_rate)
+    deployment = build_deployment(spec)
+    result = run_scenario(spec, WorkloadSpec(duration=0.02, drain=0.02),
+                          deployment=deployment)
+    assert result.completed_ops > 0
+    deployment.sim.run(until=deployment.sim.now + 5.0)
+    links = deployment.topology.links
+    for link in links:
+        assert tx(link) == link.delivered + link.dropped, link.name
+    dropped = sum(switch.dropped_injected for switch in deployment.topology.switches.values())
+    assert (dropped > 0) == (loss_rate > 0)
 
 
 def test_transmit_without_link_drops():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.protocol import MAX_PROTOTYPE_VALUE_BYTES, STAGE_VALUE_BYTES, VALUE_STAGES
 from repro.netsim.engine import Simulator
-from repro.netsim.link import connect
+from repro.netsim.link import LinkConfig, connect
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
 from repro.netsim.registers import RegisterAllocationError, RegisterFile
@@ -160,6 +160,77 @@ def test_pipeline_pass_counting():
     switch.deliver(packet_to(sink.ip), port)
     sim.run()
     assert switch.pipeline_passes == 1
+
+
+# --------------------------------------------------------------------- #
+# A packet on the wire to a queue-free switch: faults before, at and after
+# its arrival (1 us of propagation, a 0.5 us pass).
+# --------------------------------------------------------------------- #
+
+ARRIVAL = 1e-6
+
+
+def wired_switch(actions, count=1):
+    """``source -> S0 -> sink``; ``actions`` (``(at, action(switch))``) are
+    scheduled before ``count`` packets leave ``source`` at time 0."""
+    sim, switch, sink = make_switch()
+    source = Sink(sim, "src", "10.1.0.9")
+    connect(sim, source, switch, config=LinkConfig(delay=ARRIVAL, bandwidth_bps=None))
+    for at, action in actions:
+        sim.schedule(at, action, switch)
+    packets = [packet_to(sink.ip) for _ in range(count)]
+    for packet in packets:
+        source.transmit(packet, source.ports[0])
+    sim.run()
+    return switch, sink, packets
+
+
+@pytest.mark.parametrize("at, delivered", [
+    (0.5e-6, 0), (ARRIVAL, 0), (ARRIVAL + 0.2e-6, 0), (ARRIVAL + 0.6e-6, 1),
+], ids=["before-arrival", "at-arrival", "before-pass", "after-pass"])
+def test_a_switch_failing_around_a_wired_packet_drops_it_until_its_pass(at, delivered):
+    switch, sink, _packets = wired_switch([(at, Switch.fail)])
+    assert len(sink.received) == delivered
+    assert switch.packets_received == 1
+    assert switch.packets_dropped == 1 - delivered
+    assert switch.pipeline_passes == delivered
+
+
+def test_a_switch_failing_and_recovering_before_arrival_passes_the_packet():
+    switch, sink, _packets = wired_switch([(0.3e-6, Switch.fail),
+                                           (0.6e-6, Switch.recover_device)])
+    assert len(sink.received) == switch.pipeline_passes == 1
+
+
+@pytest.mark.parametrize("at, delivered", [(0.5e-6, 0), (ARRIVAL, 0), (ARRIVAL + 0.2e-6, 1)],
+                         ids=["before-arrival", "at-arrival", "before-pass"])
+def test_injected_loss_assigned_while_a_packet_is_on_the_wire(at, delivered):
+    def lossy(switch):
+        switch.injected_loss_rate = 1.0
+
+    switch, sink, _packets = wired_switch([(at, lossy)])
+    assert len(sink.received) == delivered
+    assert switch.dropped_injected == 1 - delivered
+
+
+def test_a_gray_failure_between_arrival_and_pass_skips_the_programs():
+    seen = []
+
+    class Counting(PipelineProgram):
+        def process(self, switch, packet, in_port):
+            seen.append(packet)
+            return PipelineAction.CONTINUE
+
+    switch, sink, packets = wired_switch([(0.5e-6, lambda s: s.install_program(Counting())),
+                                          (ARRIVAL + 0.2e-6, Switch.fail_gray)])
+    assert sink.received == packets and switch.pipeline_passes == 1
+    assert seen == []
+
+
+def test_packets_on_one_wire_pass_in_the_order_they_landed():
+    switch, sink, packets = wired_switch([], count=3)
+    assert sink.received == packets
+    assert switch.pipeline_passes == 3
 
 
 

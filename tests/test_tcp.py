@@ -180,3 +180,147 @@ def test_packet_copy_gives_a_duplicate_its_own_segment():
     twin = Packet(payload=segment).copy().payload
     assert twin is not segment and twin.message is segment.message
     assert (twin.conn_id, twin.kind, twin.seq, twin.size_bytes) == (7, "data", 3, 150)
+
+
+# --------------------------------------------------------------------- #
+# Retransmission timers: when each (re)transmission happens.
+# --------------------------------------------------------------------- #
+
+def record_data_transmissions(endpoint):
+    """``seq -> [(time, RTO in force), ...]``, one entry per transmission of
+    each data segment ``endpoint`` sends; ``sent["order"]`` lists every
+    transmission as ``(time, seq)`` in the order they happened."""
+    sent = {"order": []}
+    host, sim = endpoint.host, endpoint.host.sim
+    send_udp = host.send_udp
+
+    def recording(dst_ip, dst_port, payload, payload_bytes, src_port=0):
+        if payload.kind == "data" and src_port == endpoint.local_port:
+            sent.setdefault(payload.seq, []).append((sim.now, endpoint._rto))
+            sent["order"].append((sim.now, payload.seq))
+        return send_udp(dst_ip, dst_port, payload, payload_bytes, src_port)
+
+    host.send_udp = recording
+    return sent
+
+
+def drop_data(receiver, host, attempts):
+    """Drop the data segments ``receiver`` gets while ``attempts[seq]`` (the
+    transmissions of ``seq`` still to lose) is positive."""
+    on_packet = host._sockets[receiver.local_port]
+
+    def lossy(packet):
+        segment = packet.payload
+        if segment.kind == "data" and attempts.get(segment.seq, 0) > 0:
+            attempts[segment.seq] -= 1
+            return
+        on_packet(packet)
+
+    host.bind(receiver.local_port, lossy)
+
+
+def backoff_deadline(config, sent_at, rto, retries):
+    return sent_at + min(config.max_rto, rto * (2 ** retries))
+
+
+def test_every_retransmission_is_due_at_its_backed_off_deadline():
+    """On a lossy switch each retransmission of a segment happens exactly
+    at ``sent_at + rto * 2**retries`` of its previous transmission, with the
+    RTO in force then -- and the segment is delivered in the end."""
+    config = TcpConfig(initial_rto=2e-3, min_rto=1e-3, max_rto=0.1)
+    topo, a, b, conn = make_pair(loss_rate=0.3, tcp_config=config)
+    sender = conn.endpoint(a)
+    sent = record_data_transmissions(sender)
+    got = []
+    conn.endpoint(b).on_message = got.append
+    for i in range(40):
+        sender.send(i)
+    topo.run(until=20.0)
+    assert got == list(range(40))
+    order = sent.pop("order")
+    assert order == sorted(order, key=lambda sent_at_seq: sent_at_seq[0])
+    retried = 0
+    for transmissions in sent.values():
+        for retries, ((sent_at, rto), (again, _)) in enumerate(
+                zip(transmissions, transmissions[1:], strict=False)):
+            assert again == backoff_deadline(config, sent_at, rto, retries)
+            retried += 1
+    assert retried == sender.retransmissions > 0
+    assert any(len(transmissions) > 2 for transmissions in sent.values())
+
+
+def test_a_segment_sent_under_a_shrunk_rto_times_out_before_an_older_one():
+    """Deadlines are not in send order: segment 0 leaves under the initial
+    50 ms RTO, segment 1's ACK shrinks it to 1 ms, and segment 2, sent
+    later and lost too, must time out first -- at its own deadline."""
+    config = TcpConfig(initial_rto=50e-3, min_rto=1e-3)
+    topo, a, b, conn = make_pair(tcp_config=config)
+    sender, receiver = conn.endpoint(a), conn.endpoint(b)
+    sent = record_data_transmissions(sender)
+    drop_data(receiver, b, {0: 1, 2: 1})
+    sender.send("old")
+    sender.send("sampled")
+    topo.sim.schedule(5e-3, sender.send, "young")
+    topo.run(until=1.0)
+    (old_at, old_rto), old_again = sent[0][0], sent[0][1][0]
+    (young_at, young_rto), young_again = sent[2][0], sent[2][1][0]
+    assert young_rto == config.min_rto < old_rto == config.initial_rto
+    assert young_again == backoff_deadline(config, young_at, young_rto, 0)
+    assert old_again == backoff_deadline(config, old_at, old_rto, 0)
+    assert young_again < old_again
+    assert sent["order"] == [(old_at, 0), (sent[1][0][0], 1), (young_at, 2),
+                             (young_again, 2), (old_again, 0)]
+    assert len(sent[1]) == 1 and sender.retransmissions == 2
+
+
+def test_segments_with_equal_deadlines_retransmit_in_send_order():
+    config = TcpConfig(initial_cwnd=8)
+    topo, a, b, conn = make_pair(tcp_config=config)
+    sender, receiver = conn.endpoint(a), conn.endpoint(b)
+    order = []
+    drop_data(receiver, b, {seq: 1 for seq in range(6)})
+    send_udp = a.send_udp
+
+    def recording(dst_ip, dst_port, payload, payload_bytes, src_port=0):
+        if payload.kind == "data":
+            order.append((a.sim.now, payload.seq))
+        return send_udp(dst_ip, dst_port, payload, payload_bytes, src_port)
+
+    a.send_udp = recording
+    for i in range(6):
+        sender.send(i)
+    topo.run(until=1.0)
+    first, again = order[:6], order[6:]
+    assert [seq for _, seq in first] == [seq for _, seq in again] == list(range(6))
+    assert len({at for at, _ in first}) == len({at for at, _ in again}) == 1
+
+
+def test_a_closed_endpoint_times_nothing_out():
+    """Timers queued before ``close`` still come due; they send nothing."""
+    topo, a, b, conn = make_pair(loss_rate=1.0)
+    sender = conn.endpoint(a)
+    for i in range(3):
+        sender.send(i)
+    topo.run(until=0.03)  # one round of retransmissions
+    before = (sender.retransmissions, a.packets_sent)
+    assert before[0] == 3
+    sender.close()
+    topo.run(until=5.0)
+    assert (sender.retransmissions, a.packets_sent) == before
+    assert sender._cwnd >= 1.0
+
+
+def test_an_acked_segment_never_retransmits():
+    """Loss-free, the run is many RTOs long: every segment is sent once,
+    whatever timers come due after its ACK."""
+    topo, a, b, conn = make_pair()
+    sender = conn.endpoint(a)
+    sent = record_data_transmissions(sender)
+    conn.endpoint(b).on_message = lambda message: None
+    for i in range(100):
+        topo.sim.schedule(i * 7e-3, sender.send, i)
+    topo.run(until=2.0)
+    del sent["order"]
+    assert sorted(sent) == list(range(100))
+    assert all(len(transmissions) == 1 for transmissions in sent.values())
+    assert sender.retransmissions == 0 and not sender._outstanding
