@@ -48,10 +48,10 @@ def main() -> None:
 
     result = session.write("hello", b"netchain").result()
     print(f"write 'hello' <- b'netchain'        latency {result.latency * 1e6:.1f} us "
-          f"(version {result.raw.version()})")
+          f"(version {result.version})")
 
     result = session.read("hello").result()
-    print(f"read  'hello' -> {result.value!r}   version {result.raw.version()}")
+    print(f"read  'hello' -> {result.value!r}   version {result.version}")
 
     # Compare-and-swap: the primitive used to build locks (Section 8.5).
     ok = session.cas("hello", b"netchain", b"swapped").result()

@@ -12,9 +12,10 @@ message-count/latency ablation against NetChain and primary-backup.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.baselines.server_kv import ServerBaselineKVClient, ServerResult
+from repro.baselines.server_kv import ServerBaselineKVClient, key_str, reply_result
+from repro.core.client import KVFuture, canonical_key
 from repro.netsim.host import Host
 from repro.netsim.tcp import TcpConfig, TcpConnection, TcpEndpoint
 
@@ -98,7 +99,13 @@ class ServerChainReplica:
 
 
 class ServerChainClient:
-    """A client of the server chain: writes go to the head, reads to the tail."""
+    """A client of the server chain: writes go to the head, reads to the tail.
+
+    Each ``*_async`` call returns the op's :class:`KVFuture`, resolved by
+    :meth:`_on_reply` with :func:`reply_result`.
+    """
+
+    backend = "server-chain"
 
     def __init__(self, host: Host, cluster: "ServerChainCluster") -> None:
         self.host = host
@@ -107,45 +114,42 @@ class ServerChainClient:
         # The name keys the per-client reply endpoints on the replicas, so
         # several clients on one host must not collide.
         self.name = f"chain-client-{host.name}-{next(_client_ids)}"
-        #: ``request_id -> (callback, op, key, sent_at)``.
-        self._pending: Dict[int, Tuple[Optional[Callable], str, str, float]] = {}
+        #: ``request_id -> (future, sent_at)``.
+        self._pending: Dict[int, Tuple[KVFuture, float]] = {}
         # One connection to the head (writes) and one to the tail (replies
         # and reads), as in the original protocol.
         self._head_endpoint = self._connect(cluster.head())
         self._tail_endpoint = self._connect(cluster.tail())
 
-    def _connect(self, replica: ServerChainReplica) -> TcpEndpoint:
+    def _connect(self, replica) -> TcpEndpoint:
         conn = TcpConnection(self.host, replica.host, config=self.cluster.tcp_config)
         replica.accept_client(self.name, conn.endpoint(replica.host))
         endpoint = conn.endpoint(self.host)
         endpoint.on_message = self._on_reply
         return endpoint
 
-    def read_async(self, key: str, callback: Optional[Callable[[ServerResult], None]] = None) -> int:
-        return self._submit("read", key, b"", self._tail_endpoint, callback)
+    def read_async(self, key) -> KVFuture:
+        return self._submit("read", "read", key, b"", self._tail_endpoint)
 
-    def write_async(self, key: str, value: bytes,
-                    callback: Optional[Callable[[ServerResult], None]] = None) -> int:
-        return self._submit("write", key, value, self._head_endpoint, callback)
+    def write_async(self, key, value: bytes, op: str = "write") -> KVFuture:
+        """``op`` is what the future reports: an insert is a write on the wire."""
+        return self._submit(op, "write", key, value, self._head_endpoint)
 
-    def cas_async(self, key: str, expected: bytes, new_value: bytes,
-                  callback: Optional[Callable[[ServerResult], None]] = None) -> int:
-        return self._submit("cas", key, new_value, self._head_endpoint, callback,
-                            expected)
+    def cas_async(self, key, expected: bytes, new_value: bytes) -> KVFuture:
+        return self._submit("cas", "cas", key, new_value, self._head_endpoint, expected)
 
-    def delete_async(self, key: str,
-                     callback: Optional[Callable[[ServerResult], None]] = None) -> int:
-        return self._submit("delete", key, b"", self._head_endpoint, callback)
+    def delete_async(self, key) -> KVFuture:
+        return self._submit("delete", "delete", key, b"", self._head_endpoint)
 
-    def _submit(self, op: str, key: str, value: bytes, endpoint: TcpEndpoint,
-                callback: Optional[Callable[[ServerResult], None]],
-                expected: bytes = b"") -> int:
+    def _submit(self, op: str, wire_op: str, key, value: bytes, endpoint: TcpEndpoint,
+                expected: bytes = b"") -> KVFuture:
         request_id = next(_request_ids)
-        self._pending[request_id] = (callback, op, key, self.sim.now)
-        endpoint.send({"kind": "request", "request_id": request_id, "op": op,
-                       "key": key, "value": value, "client": self.name,
+        future = KVFuture(self.sim, op, canonical_key(key))
+        self._pending[request_id] = (future, self.sim.now)
+        endpoint.send({"kind": "request", "request_id": request_id, "op": wire_op,
+                       "key": key_str(key), "value": value, "client": self.name,
                        "expected": expected}, self.cluster.message_bytes)
-        return request_id
+        return future
 
     def _on_reply(self, message: Dict[str, Any]) -> None:
         if message.get("kind") != "reply":
@@ -153,11 +157,9 @@ class ServerChainClient:
         pending = self._pending.pop(message.get("request_id"), None)
         if pending is None:
             return
-        callback, op, key, sent_at = pending
-        if callback is not None:
-            callback(ServerResult(message["ok"], op, key, message["value"],
-                                  message["version"], self.sim.now - sent_at,
-                                  message["cas_failed"], message["not_found"]))
+        future, sent_at = pending
+        future.resolve(reply_result(future, message, self.sim.now - sent_at,
+                                    self.backend))
 
 
 class ServerChainCluster:
@@ -206,5 +208,3 @@ class ServerChainCluster:
 class ServerChainKVClient(ServerBaselineKVClient):
     """The unified :class:`~repro.core.client.KVClient` protocol over a
     chain client (see :class:`ServerBaselineKVClient`)."""
-
-    backend = "server-chain"

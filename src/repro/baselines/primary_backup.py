@@ -5,18 +5,23 @@ primary, which must track each write at each backup and confirm with all of
 them before replying.  A write therefore costs ``2n`` messages (versus
 ``n+1`` for chain replication) and requires per-query state at the primary
 -- the two reasons the paper rules it out for a switch implementation.
+
+The client is the server chain's
+(:class:`~repro.baselines.chain_server.ServerChainClient`), connected once
+to the primary for both reads and writes: the request and reply messages
+are the same.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.baselines.server_kv import ServerBaselineKVClient, ServerResult
+from repro.baselines.chain_server import ServerChainClient
+from repro.baselines.server_kv import ServerBaselineKVClient
 from repro.netsim.host import Host
 from repro.netsim.tcp import TcpConfig, TcpConnection, TcpEndpoint
 
-_request_ids = itertools.count(1)
 _client_ids = itertools.count(1)
 
 
@@ -167,8 +172,11 @@ class PrimaryBackupCluster:
                 backup.store[key] = (value, 1)
 
 
-class PrimaryBackupClient:
-    """A client that talks to the primary for both reads and writes."""
+class PrimaryBackupClient(ServerChainClient):
+    """A client that talks to the primary for both reads and writes: the
+    chain client's protocol over one connection."""
+
+    backend = "primary-backup"
 
     def __init__(self, host: Host, cluster: PrimaryBackupCluster) -> None:
         self.host = host
@@ -177,53 +185,10 @@ class PrimaryBackupClient:
         # The name keys the per-client reply endpoint at the primary, so
         # several clients on one host must not collide.
         self.name = f"pb-client-{host.name}-{next(_client_ids)}"
-        conn = TcpConnection(host, cluster.primary.host, config=cluster.tcp_config)
-        cluster.primary.accept_client(self.name, conn.endpoint(cluster.primary.host))
-        self._endpoint = conn.endpoint(host)
-        self._endpoint.on_message = self._on_reply
-        #: ``request_id -> (callback, op, key, sent_at)``.
-        self._pending: Dict[int, Tuple[Optional[Callable], str, str, float]] = {}
-
-    def read_async(self, key: str, callback: Optional[Callable[[ServerResult], None]] = None) -> int:
-        return self._submit("read", key, b"", callback)
-
-    def write_async(self, key: str, value: bytes,
-                    callback: Optional[Callable[[ServerResult], None]] = None) -> int:
-        return self._submit("write", key, value, callback)
-
-    def cas_async(self, key: str, expected: bytes, new_value: bytes,
-                  callback: Optional[Callable[[ServerResult], None]] = None) -> int:
-        return self._submit("cas", key, new_value, callback, expected)
-
-    def delete_async(self, key: str,
-                     callback: Optional[Callable[[ServerResult], None]] = None) -> int:
-        return self._submit("delete", key, b"", callback)
-
-    def _submit(self, op: str, key: str, value: bytes,
-                callback: Optional[Callable[[ServerResult], None]],
-                expected: bytes = b"") -> int:
-        request_id = next(_request_ids)
-        self._pending[request_id] = (callback, op, key, self.sim.now)
-        self._endpoint.send({"op": op, "request_id": request_id, "key": key,
-                             "value": value, "client": self.name,
-                             "expected": expected}, self.cluster.message_bytes)
-        return request_id
-
-    def _on_reply(self, message: Dict[str, Any]) -> None:
-        if message.get("kind") != "reply":
-            return
-        pending = self._pending.pop(message.get("request_id"), None)
-        if pending is None:
-            return
-        callback, op, key, sent_at = pending
-        if callback is not None:
-            callback(ServerResult(message["ok"], op, key, message["value"],
-                                  message["version"], self.sim.now - sent_at,
-                                  message["cas_failed"], message["not_found"]))
+        self._pending = {}
+        self._head_endpoint = self._tail_endpoint = self._connect(cluster.primary)
 
 
 class PrimaryBackupKVClient(ServerBaselineKVClient):
     """The unified :class:`~repro.core.client.KVClient` protocol over a
     primary-backup client (see :class:`ServerBaselineKVClient`)."""
-
-    backend = "primary-backup"

@@ -1,89 +1,68 @@
 """What the server-hosted baseline clients share.
 
-The server chain and primary-backup clients expose the same
-callback-based ``*_async`` surface and report the same
-:class:`ServerResult`, so one adapter maps both onto the unified futures
-protocol (subclasses only name their backend; the not_found heuristic
-and error mapping live here exactly once).
+The server chain and primary-backup clients speak one request/reply
+protocol and resolve each operation's :class:`~repro.core.client.KVFuture`
+with :func:`reply_result` (the not_found heuristic and error mapping live
+here exactly once); :class:`ServerBaselineKVClient` puts the unified
+protocol over either client, whose ``*_async`` methods return those
+futures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.client import KVClient, KVFuture, KVResult, _raw_key
+from repro.core.client import KVClient, KVFuture, KVResult
 
 
-@dataclass(slots=True)
-class ServerResult:
-    """Outcome of one operation against a server-hosted baseline."""
+def reply_result(future: KVFuture, message, latency: float, backend: str) -> KVResult:
+    """The :class:`KVResult` of the op behind ``future`` from its reply.
 
-    ok: bool
-    op: str
-    key: str
-    value: bytes = b""
-    version: int = 0
-    latency: float = 0.0
-    #: A compare-and-swap lost (expected value did not match at the
-    #: chain head / primary).
-    cas_failed: bool = False
-    #: A delete targeted a key the servers never stored.
-    not_found: bool = False
+    A read of a key the servers never stored is ``not_found`` (the wire
+    protocol reports an empty value at version 0); an ok op carries the
+    servers' version as ``(0, version)``.
+    """
+    op = future.op
+    value = message["value"]
+    version = message["version"]
+    cas_failed = message["cas_failed"]
+    not_found = message["not_found"] or (op == "read" and version == 0 and not value)
+    ok = message["ok"] and not not_found
+    return KVResult(ok, op, future.key, value, not_found, cas_failed, False,
+                    None if ok else ("cas_failed" if cas_failed
+                                     else "key_not_found" if not_found
+                                     else "failed"),
+                    latency, 0, backend, (0, version) if ok else None)
 
 
 class ServerBaselineKVClient(KVClient):
-    """The unified protocol over a ``*_async``-style baseline client.
+    """The unified protocol over a server chain or primary-backup client.
 
     ``insert`` maps to a write (both baselines create keys on first
-    write); reads of keys the servers never stored surface as
-    ``not_found`` (the wire protocol reports an empty value at
-    version 0).
+    write).  The backend name is the wrapped client's.
     """
-
-    backend = "server"
 
     def __init__(self, client) -> None:
         self.client = client
         self.sim = client.sim
-
-    def _wrap(self, op: str, key, submit, *args) -> KVFuture:
-        """``submit(key, *args, callback)`` behind a future."""
-        raw_key = _raw_key(key)
-        future = KVFuture(self.sim, op, raw_key)
-        backend = self.backend
-
-        def on_done(result) -> None:
-            not_found = result.not_found or (
-                op == "read" and result.version == 0 and not result.value)
-            ok = result.ok and not not_found
-            future.resolve(KVResult(
-                ok, op, raw_key, result.value, not_found, result.cas_failed, False,
-                None if ok else ("cas_failed" if result.cas_failed
-                                 else "key_not_found" if not_found
-                                 else "failed"),
-                result.latency, 0, backend, result))
-
-        submit(_key_str(key), *args, on_done)
-        return future
+        self.backend = client.backend
 
     def read(self, key) -> KVFuture:
-        return self._wrap("read", key, self.client.read_async)
+        return self.client.read_async(key)
 
     def write(self, key, value) -> KVFuture:
-        return self._wrap("write", key, self.client.write_async, _value_bytes(value))
+        return self.client.write_async(key, _value_bytes(value))
 
     def cas(self, key, expected, new_value) -> KVFuture:
-        return self._wrap("cas", key, self.client.cas_async,
-                          _value_bytes(expected), _value_bytes(new_value))
+        return self.client.cas_async(key, _value_bytes(expected), _value_bytes(new_value))
 
     def delete(self, key) -> KVFuture:
-        return self._wrap("delete", key, self.client.delete_async)
+        return self.client.delete_async(key)
 
     def insert(self, key, value=b"") -> KVFuture:
-        return self._wrap("insert", key, self.client.write_async, _value_bytes(value))
+        return self.client.write_async(key, _value_bytes(value), "insert")
 
 
-def _key_str(key) -> str:
+def key_str(key) -> str:
+    """The wire spelling of a key: the servers store string keys."""
     return key.decode("utf-8", "replace") if isinstance(key, bytes) else str(key)
 
 

@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.baselines.data_tree import ERR_NO_NODE, ERR_VERSION_MISMATCH
 from repro.baselines.zookeeper import ZooKeeperEnsemble, ZooKeeperServer
-from repro.core.client import KVClient, KVFuture, KVResult, _raw_key
+from repro.core.client import KVClient, KVFuture, KVResult, canonical_key
 from repro.netsim.host import Host
 from repro.netsim.node import stable_name_seed
 from repro.netsim.tcp import TcpConnection
@@ -154,32 +154,33 @@ class ZooKeeperKVClient(KVClient):
 
     def _to_kv(self, result: ZkResult, op: str, key, started: float) -> KVResult:
         error = result.error
-        return KVResult(ok=result.ok, op=op, key=_raw_key(key),
+        return KVResult(ok=result.ok, op=op, key=canonical_key(key),
                         value=result.data or b"",
                         not_found=bool(error and ERR_NO_NODE in error),
                         cas_failed=bool(error and ERR_VERSION_MISMATCH in error),
                         error=None if result.ok else (error or "failed"),
-                        latency=self.sim.now - started, backend=self.backend, raw=result)
+                        latency=self.sim.now - started, backend=self.backend,
+                        version=(0, result.version) if result.ok else None)
 
     # -- the five protocol operations ------------------------------------ #
 
     def read(self, key) -> KVFuture:
         started = self.sim.now
-        future = KVFuture(self.sim, op="read", key=_raw_key(key))
+        future = KVFuture(self.sim, op="read", key=canonical_key(key))
         self.client.get_async(self._path(key)).then(
             lambda r: future.resolve(self._to_kv(r, "read", key, started)))
         return future
 
     def write(self, key, value) -> KVFuture:
         started = self.sim.now
-        future = KVFuture(self.sim, op="write", key=_raw_key(key))
+        future = KVFuture(self.sim, op="write", key=canonical_key(key))
         self.client.set_async(self._path(key), value).then(
             lambda r: future.resolve(self._to_kv(r, "write", key, started)))
         return future
 
     def cas(self, key, expected, new_value) -> KVFuture:
         started = self.sim.now
-        future = KVFuture(self.sim, op="cas", key=_raw_key(key))
+        future = KVFuture(self.sim, op="cas", key=canonical_key(key))
         path = self._path(key)
         expected = _to_bytes(expected) if expected else b""
 
@@ -188,11 +189,11 @@ class ZooKeeperKVClient(KVClient):
                 future.resolve(self._to_kv(get_result, "cas", key, started))
                 return
             if (get_result.data or b"") != expected:
-                future.resolve(KVResult(ok=False, op="cas", key=_raw_key(key),
+                future.resolve(KVResult(ok=False, op="cas", key=canonical_key(key),
                                         value=get_result.data or b"", cas_failed=True,
                                         error="cas_failed",
                                         latency=self.sim.now - started,
-                                        backend=self.backend, raw=get_result))
+                                        backend=self.backend))
                 return
             self.client.set_async(path, new_value, version=get_result.version).then(
                 lambda r: future.resolve(self._to_kv(r, "cas", key, started)))
@@ -202,14 +203,14 @@ class ZooKeeperKVClient(KVClient):
 
     def delete(self, key) -> KVFuture:
         started = self.sim.now
-        future = KVFuture(self.sim, op="delete", key=_raw_key(key))
+        future = KVFuture(self.sim, op="delete", key=canonical_key(key))
         self.client.delete_async(self._path(key)).then(
             lambda r: future.resolve(self._to_kv(r, "delete", key, started)))
         return future
 
     def insert(self, key, value=b"") -> KVFuture:
         started = self.sim.now
-        future = KVFuture(self.sim, op="insert", key=_raw_key(key))
+        future = KVFuture(self.sim, op="insert", key=canonical_key(key))
         path = self._path(key)
         parent = path.rsplit("/", 1)[0]
 

@@ -22,7 +22,7 @@ from:
   detection, self-tuning chain widening, epoch-invalidated client caching.
 """
 
-from repro.core.agent import AgentConfig, NetChainAgent, QueryResult
+from repro.core.agent import AgentConfig, NetChainAgent
 from repro.core.client import (
     KVBatch,
     KVClient,
@@ -97,7 +97,6 @@ __all__ = [
     "NetChainSwitchProgram",
     "NetChainAgent",
     "AgentConfig",
-    "QueryResult",
     "NetChainController",
     "ControllerConfig",
     "ChainInfo",

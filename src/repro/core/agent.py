@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from repro.core.client import KVClient, KVFuture, KVResult, _raw_key
+from repro.core.client import KVClient, KVFuture, KVResult, canonical_key
 from repro.core.protocol import (
     MAX_PROTOTYPE_VALUE_BYTES,
     REPLY_OPS,
@@ -50,26 +50,6 @@ def _value_too_long(value: bytes) -> ValueError:
     store has no room for a longer one, so the agent refuses it at submit."""
     return ValueError(f"value longer than {MAX_PROTOTYPE_VALUE_BYTES} bytes: "
                       f"{len(value)} bytes")
-
-
-@dataclass(slots=True)
-class QueryResult:
-    """Outcome of one key-value query."""
-
-    ok: bool
-    op: OpCode
-    key: bytes
-    status: Optional[QueryStatus] = None
-    value: bytes = b""
-    seq: int = 0
-    session: int = 0
-    latency: float = 0.0
-    retries: int = 0
-    timed_out: bool = False
-
-    def version(self):
-        """(session, seq) version tuple of the observed item."""
-        return (self.session, self.seq)
 
 
 @dataclass
@@ -197,25 +177,24 @@ class NetChainAgent(KVClient):
         than a data-plane query.  The future resolves after the control-plane
         latency plus an initial write of the value.
         """
-        raw_key = _raw_key(key)
+        key_bytes = canonical_key(key)
         raw_value = normalize_value(value)
         if len(raw_value) > MAX_PROTOTYPE_VALUE_BYTES:
             raise _value_too_long(raw_value)
-        future = KVFuture(self.sim, op="insert", key=raw_key)
+        future = KVFuture(self.sim, op="insert", key=key_bytes)
         started = self.sim.now
 
         def finish(kv: KVResult) -> None:
             # The future reports the full elapsed time including the
-            # control-plane install, which dominates; the raw QueryResult
-            # keeps the data-plane write latency.
+            # control-plane install, which dominates.
             future.resolve(replace(kv, op="insert", latency=self.sim.now - started))
 
         def after_insert() -> None:
             if value:
                 self.write(key, value).then(finish)
             else:
-                finish(self._to_kv(QueryResult(ok=True, op=OpCode.INSERT, key=raw_key,
-                                               status=QueryStatus.OK), "insert"))
+                finish(KVResult(True, "insert", key_bytes, backend=self.backend,
+                                version=(0, 0)))
 
         self.directory.insert_key(key, on_done=after_insert)
         return future
@@ -227,20 +206,6 @@ class NetChainAgent(KVClient):
     def outstanding(self) -> int:
         """Number of queries awaiting a reply."""
         return len(self._pending)
-
-    def _to_kv(self, result: QueryResult, op_name: str) -> KVResult:
-        """The one :class:`QueryResult` -> :class:`KVResult` mapping."""
-        status = result.status
-        if result.ok:
-            error = None
-        elif result.timed_out:
-            error = "timeout"
-        else:
-            error = status.name.lower() if status is not None else "failed"
-        return KVResult(result.ok, op_name, result.key, result.value,
-                        status is _KEY_NOT_FOUND, status is _CAS_FAILED,
-                        result.timed_out, error, result.latency, result.retries,
-                        self.backend, result)
 
     def _submit(self, op: OpCode, key, value: bytes = b"",
                 cas_expected: Optional[bytes] = None,
@@ -306,13 +271,13 @@ class NetChainAgent(KVClient):
             self._pending.pop(query_id, None)
             self.timeouts += 1
             self.failed += 1
-            result = QueryResult(ok=False, op=pending.code, key=pending.key,
-                                 timed_out=True, retries=pending.retries,
-                                 latency=self.sim.now - pending.created_at)
             tel = self.telemetry
             if tel is not None:
                 tel.query_timeout(self, pending)
-            pending.resolve(self._to_kv(result, pending.op))
+            pending.resolve(KVResult(False, pending.op, pending.key.rstrip(b"\x00"), b"",
+                                     False, False, True, "timeout",
+                                     self.sim.now - pending.created_at, pending.retries,
+                                     self.backend, (0, 0)))
             return
         pending.retries += 1
         self.retransmissions += 1
@@ -339,6 +304,8 @@ class NetChainAgent(KVClient):
         tel = self.telemetry
         if tel is not None:
             tel.query_reply(self, pending, header, latency)
-        pending.resolve(self._to_kv(
-            QueryResult(ok, op, header.key, status, header.value, header.seq,
-                        header.session, latency, pending.retries), pending.op))
+        pending.resolve(KVResult(ok, pending.op, header.key.rstrip(b"\x00"), header.value,
+                                 status is _KEY_NOT_FOUND, status is _CAS_FAILED, False,
+                                 None if ok else status.name.lower(), latency,
+                                 pending.retries, self.backend,
+                                 (header.session, header.seq)))

@@ -6,17 +6,19 @@ calls.  This module defines the backend-agnostic client surface every
 consumer in the repository (coordination recipes, load generators, the
 transaction benchmark, experiments and examples) programs against:
 
-* :class:`KVResult` -- the normalized outcome of one key-value operation,
-  identical in shape for every backend.
+* :class:`KVResult` -- the one outcome of one key-value operation,
+  identical in shape for every backend: no backend has a result type of
+  its own behind it.
 * :class:`KVFuture` -- a simulator-aware future.  ``.then()`` chains
   callbacks, ``.result(deadline)`` drives the discrete-event simulation
   until the reply arrives -- the one way to wait, on every backend -- and
   :func:`gather` / :func:`first` combine futures.
 * :class:`KVClient` -- the protocol: ``read / write / cas / delete /
   insert``, each returning a :class:`KVFuture`.  Implemented by
-  :class:`repro.core.agent.NetChainAgent` (switch data plane) and
-  :class:`repro.baselines.zk_client.ZooKeeperKVClient` (ZAB ensemble), so
-  recipes and benchmarks run unmodified on both.
+  :class:`repro.core.agent.NetChainAgent` (switch data plane),
+  :class:`repro.baselines.zk_client.ZooKeeperKVClient` (ZAB ensemble), the
+  server chain and primary-backup clients and the hybrid store's client, so
+  recipes and benchmarks run unmodified on all five.
 * :class:`KVSession` / :class:`KVBatch` -- pipelined batch submission:
   ``session.batch().read(k1).write(k2, v).cas(k3, e, n).submit()`` issues
   the operations back-to-back with a configurable in-flight window instead
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 
 class KVTimeout(Exception):
@@ -37,11 +39,14 @@ class KVTimeout(Exception):
 
 @dataclass(slots=True)
 class KVResult:
-    """Backend-neutral outcome of one key-value operation.
+    """The outcome of one key-value operation, on every backend.
 
-    ``raw`` carries the backend's native result object (``QueryResult`` for
-    NetChain, ``ZkResult`` for ZooKeeper) for callers that need
-    backend-specific detail such as version numbers.
+    ``key`` is the :func:`canonical_key` spelling of the operation's key.
+    ``version`` is the item version the reply carries, the one the
+    linearizability witness orders writes by: NetChain's ``(session, seq)``
+    on every reply (``(0, 0)`` on a timeout), ``(0, n)`` on an ok operation
+    of a server baseline or ZooKeeper, and ``None`` where the backend
+    reports none (hybrid's server tier).
     """
 
     ok: bool
@@ -58,7 +63,7 @@ class KVResult:
     latency: float = 0.0
     retries: int = 0
     backend: str = ""
-    raw: Any = None
+    version: Optional[Tuple[int, int]] = None
 
 
 class KVFuture:
@@ -280,7 +285,7 @@ class KVBatch:
         client = self._session.client
         window = max(1, self._session.window)
         ops = list(self._ops)
-        futures = [KVFuture(client.sim, op=name, key=_raw_key(key))
+        futures = [KVFuture(client.sim, op=name, key=canonical_key(key))
                    for name, key, _value, _expected in ops]
         state = {"next": 0, "inflight": 0}
 
@@ -364,12 +369,6 @@ class KVSession:
     def insert(self, key, value=b"") -> KVFuture:
         self.submitted += 1
         return self.client.insert(key, value)
-
-
-def _raw_key(key) -> bytes:
-    if isinstance(key, bytes):
-        return key
-    return str(key).encode("utf-8")
 
 
 def canonical_key(key) -> bytes:

@@ -97,7 +97,7 @@ class HistoryOp:
     timed_out: bool = False
     #: Client-side retransmissions of this op (NetChain's UDP retries).
     retries: int = 0
-    #: (session, seq) when the backend exposes versions (NetChain).
+    #: The version the reply carried (:attr:`KVResult.version`).
     version: Optional[Tuple[int, int]] = None
 
     @property
@@ -143,14 +143,10 @@ def fill_response(record: HistoryOp, result: KVResult, now: float) -> None:
     record.not_found = bool(result.not_found)
     record.cas_failed = bool(result.cas_failed)
     record.timed_out = bool(result.timed_out)
-    record.retries = int(getattr(result, "retries", 0) or 0)
+    record.retries = result.retries
     if record.op == "read" and result.ok:
         record.output = bytes(result.value)
-    raw = result.raw
-    if raw is not None and hasattr(raw, "session") and hasattr(raw, "seq"):
-        record.version = (raw.session, raw.seq)
-    elif raw is not None and hasattr(raw, "version") and result.ok:
-        record.version = (0, raw.version)
+    record.version = result.version
 
 
 class History:

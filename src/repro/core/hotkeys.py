@@ -63,10 +63,10 @@ collapses most duplicate hot-key reads.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.client import KVFuture
+from repro.core.client import KVFuture, KVResult
 from repro.core.kvstore import StoreFullError
 from repro.core.protocol import KEY_BYTES, OpCode, normalize_key
 from repro.netsim.registers import RegisterFile
@@ -531,9 +531,9 @@ class ClientReadCache:
         # Registered before the caller sees the future, so coalesced waiters
         # resolve ahead of the caller's own continuations.
         return agent._submit(OpCode.READ, raw, op_name="read").then(
-            lambda kv: self._resolve(agent, raw, entry, kv.raw))
+            lambda kv: self._resolve(agent, raw, entry, kv))
 
-    def _resolve(self, agent, raw: bytes, entry: _CacheEntry, result) -> None:
+    def _resolve(self, agent, raw: bytes, entry: _CacheEntry, result: KVResult) -> None:
         if self._inflight.get(raw) is entry:
             del self._inflight[raw]
         waiters = entry.waiters
@@ -551,12 +551,7 @@ class ClientReadCache:
             self.stats.shared_failures += len(waiters)
         now = agent.sim.now
         for future, invoked_at in waiters:
-            shared = type(result)(
-                ok=result.ok, op=result.op, key=result.key,
-                status=result.status, value=result.value, seq=result.seq,
-                session=result.session, latency=now - invoked_at,
-                retries=result.retries, timed_out=result.timed_out)
-            future.resolve(agent._to_kv(shared, "read"))
+            future.resolve(replace(result, latency=now - invoked_at))
 
 
 # --------------------------------------------------------------------- #

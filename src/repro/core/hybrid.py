@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from repro.core.agent import NetChainAgent
-from repro.core.client import KVClient, KVFuture, KVResult
+from repro.core.client import KVClient, KVFuture, KVResult, canonical_key
 from repro.core.hotkeys import HotKeySketch, SketchConfig
 from repro.core.protocol import MAX_PROTOTYPE_VALUE_BYTES, normalize_value
 
@@ -51,17 +51,13 @@ class HybridPolicy:
 
     def pin(self, key) -> None:
         """Force a key into the network tier."""
-        self.pinned.add(_raw(key))
+        self.pinned.add(canonical_key(key))
 
     def is_pinned(self, key) -> bool:
-        return _raw(key) in self.pinned
+        return canonical_key(key) in self.pinned
 
     def fits_in_network(self, value: bytes) -> bool:
         return len(value) <= self.max_network_value_bytes
-
-
-def _raw(key) -> bytes:
-    return key if isinstance(key, bytes) else str(key).encode("utf-8")
 
 
 class DictBackend:
@@ -71,14 +67,14 @@ class DictBackend:
         self.data: Dict[bytes, bytes] = {}
 
     def read(self, key) -> Optional[bytes]:
-        return self.data.get(_raw(key))
+        return self.data.get(canonical_key(key))
 
     def write(self, key, value: bytes) -> bool:
-        self.data[_raw(key)] = value
+        self.data[canonical_key(key)] = value
         return True
 
     def delete(self, key) -> bool:
-        return self.data.pop(_raw(key), None) is not None
+        return self.data.pop(canonical_key(key), None) is not None
 
 
 @dataclass
@@ -127,7 +123,7 @@ class HybridStore:
 
     def in_network(self, key) -> bool:
         """Whether the key is currently served from the network tier."""
-        return _raw(key) in self._network_keys or self.policy.is_pinned(key)
+        return canonical_key(key) in self._network_keys or self.policy.is_pinned(key)
 
 
 class HybridKVClient(KVClient):
@@ -202,7 +198,7 @@ class HybridKVClient(KVClient):
     # -- the five protocol operations ------------------------------------ #
 
     def read(self, key) -> KVFuture:
-        raw = _raw(key)
+        raw = canonical_key(key)
         store = self.store
         future = KVFuture(self.sim, op="read", key=raw)
 
@@ -235,7 +231,7 @@ class HybridKVClient(KVClient):
         return future
 
     def write(self, key, value) -> KVFuture:
-        raw = _raw(key)
+        raw = canonical_key(key)
         value = normalize_value(value)
         store = self.store
         future = KVFuture(self.sim, op="write", key=raw)
@@ -299,7 +295,7 @@ class HybridKVClient(KVClient):
         return future
 
     def cas(self, key, expected, new_value) -> KVFuture:
-        raw = _raw(key)
+        raw = canonical_key(key)
         store = self.store
         future = KVFuture(self.sim, op="cas", key=raw)
         if not store.in_network(key):
@@ -316,7 +312,7 @@ class HybridKVClient(KVClient):
         return future
 
     def delete(self, key) -> KVFuture:
-        raw = _raw(key)
+        raw = canonical_key(key)
         store = self.store
         future = KVFuture(self.sim, op="delete", key=raw)
         self._bump_gen(raw)
@@ -330,7 +326,7 @@ class HybridKVClient(KVClient):
                 future.resolve(KVResult(ok=deleted, op="delete", key=raw,
                                         not_found=not deleted,
                                         latency=result.latency,
-                                        backend=self.backend, raw=result.raw))
+                                        backend=self.backend, version=result.version))
             self.agent.delete(key).then(on_delete)
         else:
             self._server_result(future, "delete", raw, ok=server_deleted,

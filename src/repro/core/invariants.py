@@ -167,10 +167,10 @@ class ClientObservationChecker:
         return True
 
     def observe_result(self, result) -> bool:
-        """Convenience for :class:`repro.core.agent.QueryResult` objects."""
+        """Observe the version a :class:`~repro.core.client.KVResult` carries."""
         if not result.ok:
             return True
-        return self.observe(result.key, result.session, result.seq)
+        return self.observe(result.key, *result.version)
 
     def ok(self) -> bool:
         """Whether no violation has been recorded."""

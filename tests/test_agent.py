@@ -21,24 +21,24 @@ from repro.workloads.generators import Operation, OpType
 
 def test_write_then_read_roundtrip(cluster, agent):
     cluster.controller.populate(["alpha"])
-    write = agent.write("alpha", b"value-1").result().raw
-    assert write.ok and write.status == QueryStatus.OK
-    assert write.seq == 1
-    read = agent.read("alpha").result().raw
+    write = agent.write("alpha", b"value-1").result()
+    assert write.ok and write.error is None
+    assert write.version[1] == 1
+    read = agent.read("alpha").result()
     assert read.ok
     assert read.value == b"value-1"
-    assert read.version() == write.version()
+    assert read.version == write.version
 
 
 def test_read_of_unknown_key_reports_not_found(cluster, agent):
     result = agent.read("never-inserted").result()
     assert not result.ok
-    assert result.raw.status == QueryStatus.KEY_NOT_FOUND
+    assert result.not_found and result.error == "key_not_found"
 
 
 def test_sequence_numbers_increase_across_writes(cluster, agent):
     cluster.controller.populate(["k"])
-    seqs = [agent.write("k", f"v{i}").result().raw.seq for i in range(5)]
+    seqs = [agent.write("k", f"v{i}").result().version[1] for i in range(5)]
     assert seqs == [1, 2, 3, 4, 5]
 
 
@@ -48,16 +48,16 @@ def test_insert_then_write_and_delete(cluster, agent):
     assert agent.read("fresh").result().value == b"first"
     delete = agent.delete("fresh").result()
     assert delete.ok
-    assert agent.read("fresh").result().raw.status == QueryStatus.KEY_NOT_FOUND
+    assert agent.read("fresh").result().not_found
 
 
 def test_cas_semantics(cluster, agent):
     cluster.controller.populate(["lock"])
-    assert agent.cas("lock", b"", b"me").result().raw.status == QueryStatus.OK
+    assert agent.cas("lock", b"", b"me").result().ok
     result = agent.cas("lock", b"", b"other").result()
-    assert result.raw.status == QueryStatus.CAS_FAILED
+    assert result.cas_failed and result.error == "cas_failed"
     assert result.value == b"me"
-    assert agent.cas("lock", b"me", b"").result().raw.status == QueryStatus.OK
+    assert agent.cas("lock", b"me", b"").result().ok
 
 
 def test_latency_close_to_paper_value(cluster, agent):

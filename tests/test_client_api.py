@@ -337,7 +337,7 @@ def test_batch_preserves_submission_order(backend):
         writes.write(key, key.encode())
     write_results = writes.results()
     assert all(r.ok and r.op == "write" for r in write_results)
-    assert [r.key.rstrip(b"\x00") for r in write_results] == [k.encode() for k in keys]
+    assert [r.key for r in write_results] == [k.encode() for k in keys]
     reads = session.batch()
     for key in reversed(keys):
         reads.read(key)

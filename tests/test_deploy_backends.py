@@ -67,6 +67,21 @@ def test_client_roundtrip_through_unified_protocol(backend):
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_every_backend_spells_a_result_key_one_way(backend):
+    """``KVResult.key`` is the caller's key in its ``canonical_key``
+    spelling, never the 16-byte NUL-padded wire field -- on both of
+    hybrid's tiers (its first key is network-resident, its last starts on
+    the servers)."""
+    deployment = build_deployment(small_spec(backend))
+    client = deployment.clients(1)[0]
+    for key in (deployment.keys[0], deployment.keys[-1]):
+        results = [client.read(key).result(), client.write(key, b"v").result(),
+                   client.read(key).result(), client.delete(key).result()]
+        assert all(result.ok for result in results), [r.error for r in results]
+        assert [result.key for result in results] == [key.encode()] * 4
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_initial_values_match_preload(backend):
     deployment = build_deployment(small_spec(backend))
     initial = deployment.initial_values()

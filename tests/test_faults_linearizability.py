@@ -186,14 +186,10 @@ def test_version_monotonicity_helper():
     clock = Clock()
     h = History(clock)
 
-    class Versioned:
-        def __init__(self, session, seq):
-            self.session, self.seq = session, seq
-
     rec1 = h.invoke("a", "read", "k")
-    h.complete(rec1, KVResult(ok=True, op="read", raw=Versioned(1, 5)))
+    h.complete(rec1, KVResult(ok=True, op="read", version=(1, 5)))
     rec2 = h.invoke("a", "read", "k")
-    h.complete(rec2, KVResult(ok=True, op="read", raw=Versioned(1, 4)))
+    h.complete(rec2, KVResult(ok=True, op="read", version=(1, 4)))
     violations = h.version_violations()
     assert len(violations) == 1 and "backwards" in violations[0]
 

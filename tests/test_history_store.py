@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.artifacts import TruncatedArtifactError, record_line, scan
 from repro.core import history_store
-from repro.core.client import canonical_key
+from repro.core.client import KVResult, canonical_key
 from repro.core.history import History, HistoryOp, KeyReport, check_linearizable
 from repro.core.history_gen import generate_history, initial_values, iter_history
 from repro.core.history_store import (
@@ -217,14 +217,7 @@ def test_initial_values_round_trip_through_meta(tmp_path):
     spilling = SpillingHistory(FakeSim(), tmp_path / "run", initial=initial)
     record = spilling.invoke("c0", "read", b"a")
 
-    class Result:
-        ok = True
-        not_found = cas_failed = timed_out = False
-        retries = 0
-        value = b"va"
-        raw = None
-
-    spilling.complete(record, Result())
+    spilling.complete(record, KVResult(ok=True, op="read", value=b"va"))
     store = spilling.finish()
     assert store.initial_values() == {b"a": b"va", b"b": None}
     # The recorded initial state feeds the check when none is passed.

@@ -74,7 +74,7 @@ def test_reordering_links_do_not_break_consistency():
     checker = ClientObservationChecker()
     reader = cluster.agent("H0")
     for key in keys:
-        checker.observe_result(reader.read(key).result().raw)
+        checker.observe_result(reader.read(key).result())
     assert checker.ok()
 
 
@@ -94,16 +94,16 @@ def test_client_observations_monotonic_across_failover(cluster):
     agent = cluster.agent("H0")
     checker = ClientObservationChecker()
     for i, key in enumerate(keys):
-        checker.observe_result(agent.write(key, f"before-{i}").result().raw)
-        checker.observe_result(agent.read(key).result().raw)
+        checker.observe_result(agent.write(key, f"before-{i}").result())
+        checker.observe_result(agent.read(key).result())
     # Fail the middle switch of the canonical chain and fail over.
     cluster.topology.switches["S1"].fail()
     cluster.controller.fast_failover("S1")
     cluster.run(until=cluster.sim.now + 0.1)
     for i, key in enumerate(keys):
-        checker.observe_result(agent.write(key, f"after-{i}").result(10.0).raw)
+        checker.observe_result(agent.write(key, f"after-{i}").result(10.0))
         result = agent.read(key).result(10.0)
-        checker.observe_result(result.raw)
+        checker.observe_result(result)
         assert result.value == f"after-{i}".encode()
     assert checker.ok()
     assert_invariants(cluster, keys)
@@ -124,11 +124,11 @@ def test_full_failure_recovery_preserves_data_and_order(cluster):
     for key in keys:
         result = agent.read(key).result(10.0)
         assert result.value == f"gen1-{key}".encode()
-        checker.observe_result(result.raw)
+        checker.observe_result(result)
         agent.write(key, f"gen2-{key}").result(10.0)
         result = agent.read(key).result(10.0)
         assert result.value == f"gen2-{key}".encode()
-        checker.observe_result(result.raw)
+        checker.observe_result(result)
     assert checker.ok()
     assert_invariants(cluster, keys)
 

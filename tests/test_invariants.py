@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.client import KVResult
 from repro.core.invariants import (
     ClientObservationChecker,
     InvariantViolation,
@@ -100,12 +101,6 @@ def test_client_observation_checker_detects_regression():
 
 
 def test_client_observation_checker_ignores_failed_results():
-    class FakeResult:
-        ok = False
-        key = b"k"
-        session = 0
-        seq = 0
-
     checker = ClientObservationChecker()
-    assert checker.observe_result(FakeResult())
+    assert checker.observe_result(KVResult(ok=False, op="read", key=b"k", version=(0, 0)))
     assert checker.observations == 0

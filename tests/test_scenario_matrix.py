@@ -200,6 +200,40 @@ def test_tcp_backend_replay_digests_match_the_commit_before_the_message_path(
         assert expected["retransmissions"] > 0
 
 
+#: Run length per backend: a few hundred to a few thousand recorded ops each
+#: (the switch-hosted backends complete an op in microseconds, the TCP ones
+#: in tens of them).
+VERSION_RUN_SECONDS = {"netchain": 0.02, "hybrid": 0.02, "server-chain": 0.25,
+                       "primary-backup": 0.25, "zookeeper": 0.25}
+
+
+def backend_versions_digest(backend: str, loss_rate: float) -> dict:
+    """Every recorded op's ``(op_id, ok, version)`` from one seeded run."""
+    spec = dataclasses.replace(matrix_spec(backend), loss_rate=loss_rate,
+                               unlimited_capacity=True)
+    workload = dataclasses.replace(matrix_workload(),
+                                   duration=VERSION_RUN_SECONDS[backend])
+    ops = run_scenario(spec, workload).history.ops
+    return {"ops": len(ops),
+            "sha256": sha([(op.op_id, op.ok, op.version) for op in ops])}
+
+
+@pytest.mark.anchor
+@pytest.mark.parametrize("loss_rate", [0.0, 0.01])
+@pytest.mark.parametrize("backend", sorted(VERSION_RUN_SECONDS))
+def test_every_backend_reports_the_versions_it_reported_before(backend, loss_rate):
+    """Cross-commit replay anchor for the version each reply carries into
+    the history -- the ``(session, seq)`` the linearizability witness
+    checks.  The ``versions`` entries of ``fixtures/replay_digests.json``
+    were captured on the commit before the version became a field of the
+    one result type, when it still reached the history through each
+    backend's native result object."""
+    expected = json.loads((Path(__file__).parent / "fixtures"
+                           / "replay_digests.json").read_text())[
+        "versions"][f"{backend}@loss={loss_rate}"]
+    assert backend_versions_digest(backend, loss_rate) == expected
+
+
 def test_declarative_fault_schedule_in_a_scenario():
     """A spec-level fault event is armed, the detector reacts, and the
     recorded history stays linearizable through failover."""

@@ -46,8 +46,8 @@ def test_chain_versions_increase():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:3])
     client = cluster.kv_client(hosts[3])
-    versions = [client.write("k", f"v{i}".encode()).result().raw.version for i in range(3)]
-    assert versions == [1, 2, 3]
+    versions = [client.write("k", f"v{i}".encode()).result().version for i in range(3)]
+    assert versions == [(0, 1), (0, 2), (0, 3)]
 
 
 def test_chain_read_of_missing_key_returns_empty():
@@ -55,7 +55,7 @@ def test_chain_read_of_missing_key_returns_empty():
     cluster = ServerChainCluster(hosts[:3])
     client = cluster.kv_client(hosts[3])
     result = client.read("absent").result()
-    assert result.raw.ok and result.value == b"" and result.not_found
+    assert result.value == b"" and result.not_found and result.error == "key_not_found"
 
 
 def test_chain_message_count_is_n_plus_one():
@@ -139,9 +139,9 @@ def test_no_handler_mutates_a_received_message(cluster_class, monkeypatch):
     topo, hosts = make_hosts()
     cluster = cluster_class(hosts[:3])
     client = cluster.kv_client(hosts[3])
-    assert client.write("k", b"v1").result().raw.version == 1
+    assert client.write("k", b"v1").result().version == (0, 1)
     won = client.cas("k", b"v1", b"v2").result()
-    assert won.ok and won.raw.version == 2
+    assert won.ok and won.version == (0, 2)
     lost = client.cas("k", b"v1", b"v3").result()
     assert not lost.ok and lost.cas_failed and lost.value == b"v2"
     assert client.read("k").result().value == b"v2"
