@@ -10,9 +10,9 @@
   protocol of Figure 1(a), used for the message-count comparison.
 """
 
-from repro.baselines.chain_server import ServerChainCluster, ServerChainKVClient, ServerChainReplica
+from repro.baselines.chain_server import ServerChainClient, ServerChainCluster, ServerChainReplica
 from repro.baselines.data_tree import DataTree, Znode, ZnodeError
-from repro.baselines.primary_backup import PrimaryBackupCluster, PrimaryBackupKVClient
+from repro.baselines.primary_backup import PrimaryBackupClient, PrimaryBackupCluster
 from repro.baselines.zk_client import ZkResult, ZooKeeperClient, ZooKeeperKVClient
 from repro.baselines.zookeeper import (
     ZooKeeperConfig,
@@ -34,7 +34,7 @@ __all__ = [
     "ZkResult",
     "ServerChainReplica",
     "ServerChainCluster",
-    "ServerChainKVClient",
+    "ServerChainClient",
     "PrimaryBackupCluster",
-    "PrimaryBackupKVClient",
+    "PrimaryBackupClient",
 ]

@@ -14,13 +14,38 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.baselines.server_kv import ServerBaselineKVClient, key_str, reply_result
-from repro.core.client import KVFuture, canonical_key
+from repro.core.client import KVClient, KVFuture, KVResult, canonical_key
+from repro.core.protocol import normalize_value
 from repro.netsim.host import Host
-from repro.netsim.tcp import TcpConfig, TcpConnection, TcpEndpoint
+from repro.netsim.tcp import TcpConnection, TcpEndpoint
 
 _request_ids = itertools.count(1)
 _client_ids = itertools.count(1)
+
+
+def key_str(key) -> str:
+    """The wire spelling of a key: the servers store string keys."""
+    return key.decode("utf-8", "replace") if isinstance(key, bytes) else str(key)
+
+
+def reply_result(future: KVFuture, message, latency: float, backend: str) -> KVResult:
+    """The :class:`KVResult` of the op behind ``future`` from its reply.
+
+    A read of a key the servers never stored is ``not_found`` (the wire
+    protocol reports an empty value at version 0); an ok op carries the
+    servers' version as ``(0, version)``.
+    """
+    op = future.op
+    value = message["value"]
+    version = message["version"]
+    cas_failed = message["cas_failed"]
+    not_found = message["not_found"] or (op == "read" and version == 0 and not value)
+    ok = message["ok"] and not not_found
+    return KVResult(ok, op, future.key, value, not_found, cas_failed, False,
+                    None if ok else ("cas_failed" if cas_failed
+                                     else "key_not_found" if not_found
+                                     else "failed"),
+                    latency, 0, backend, (0, version) if ok else None)
 
 
 class ServerChainReplica:
@@ -98,11 +123,14 @@ class ServerChainReplica:
                        "not_found": not_found}, self.message_bytes)
 
 
-class ServerChainClient:
+class ServerChainClient(KVClient):
     """A client of the server chain: writes go to the head, reads to the tail.
 
-    Each ``*_async`` call returns the op's :class:`KVFuture`, resolved by
-    :meth:`_on_reply` with :func:`reply_result`.
+    Each of the five :class:`~repro.core.client.KVClient` operations is a
+    ``*_async`` request whose :class:`KVFuture` :meth:`_on_reply` resolves
+    with :func:`reply_result`.  ``insert`` is a write (the servers create a
+    key on its first write); values are spelled by
+    :func:`~repro.core.protocol.normalize_value`.
     """
 
     backend = "server-chain"
@@ -122,11 +150,26 @@ class ServerChainClient:
         self._tail_endpoint = self._connect(cluster.tail())
 
     def _connect(self, replica) -> TcpEndpoint:
-        conn = TcpConnection(self.host, replica.host, config=self.cluster.tcp_config)
+        conn = TcpConnection(self.host, replica.host)
         replica.accept_client(self.name, conn.endpoint(replica.host))
         endpoint = conn.endpoint(self.host)
         endpoint.on_message = self._on_reply
         return endpoint
+
+    def read(self, key) -> KVFuture:
+        return self.read_async(key)
+
+    def write(self, key, value) -> KVFuture:
+        return self.write_async(key, normalize_value(value))
+
+    def cas(self, key, expected, new_value) -> KVFuture:
+        return self.cas_async(key, normalize_value(expected), normalize_value(new_value))
+
+    def delete(self, key) -> KVFuture:
+        return self.delete_async(key)
+
+    def insert(self, key, value=b"") -> KVFuture:
+        return self.write_async(key, normalize_value(value), "insert")
 
     def read_async(self, key) -> KVFuture:
         return self._submit("read", "read", key, b"", self._tail_endpoint)
@@ -165,16 +208,14 @@ class ServerChainClient:
 class ServerChainCluster:
     """A chain of replicas on servers, plus client factory."""
 
-    def __init__(self, hosts: List[Host], tcp_config: Optional[TcpConfig] = None,
-                 message_bytes: int = 150) -> None:
+    def __init__(self, hosts: List[Host], message_bytes: int = 150) -> None:
         if not hosts:
             raise ValueError("a chain needs at least one server")
-        self.tcp_config = tcp_config or TcpConfig()
         self.message_bytes = message_bytes
         self.replicas = [ServerChainReplica(i, host, message_bytes)
                          for i, host in enumerate(hosts)]
         for left, right in zip(self.replicas, self.replicas[1:], strict=False):
-            conn = TcpConnection(left.host, right.host, config=self.tcp_config)
+            conn = TcpConnection(left.host, right.host)
             left.connect_next(conn.endpoint(left.host))
             right_endpoint = conn.endpoint(right.host)
             right_endpoint.on_message = right.handle_message
@@ -189,10 +230,6 @@ class ServerChainCluster:
         """Create a client attached to this chain."""
         return ServerChainClient(host, self)
 
-    def kv_client(self, host: Host) -> "ServerChainKVClient":
-        """A client adapted to the unified :class:`KVClient` protocol."""
-        return ServerChainKVClient(self.client(host))
-
     def preload(self, items: Dict[str, bytes]) -> None:
         """Bulk-load keys on every replica without simulating the writes."""
         for key, value in items.items():
@@ -204,7 +241,3 @@ class ServerChainCluster:
         (Section 2.2: n+1 for chain replication)."""
         return len(self.replicas) + 1
 
-
-class ServerChainKVClient(ServerBaselineKVClient):
-    """The unified :class:`~repro.core.client.KVClient` protocol over a
-    chain client (see :class:`ServerBaselineKVClient`)."""

@@ -18,9 +18,8 @@ import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.baselines.chain_server import ServerChainClient
-from repro.baselines.server_kv import ServerBaselineKVClient
 from repro.netsim.host import Host
-from repro.netsim.tcp import TcpConfig, TcpConnection, TcpEndpoint
+from repro.netsim.tcp import TcpConnection, TcpEndpoint
 
 _client_ids = itertools.count(1)
 
@@ -135,16 +134,14 @@ class _Primary:
 class PrimaryBackupCluster:
     """A primary plus ``n-1`` backups, with a client factory."""
 
-    def __init__(self, hosts: List[Host], tcp_config: Optional[TcpConfig] = None,
-                 message_bytes: int = 150) -> None:
+    def __init__(self, hosts: List[Host], message_bytes: int = 150) -> None:
         if not hosts:
             raise ValueError("primary-backup needs at least one server")
-        self.tcp_config = tcp_config or TcpConfig()
         self.message_bytes = message_bytes
         self.primary = _Primary(hosts[0], message_bytes)
         self.backups = [_Backup(i, host, message_bytes) for i, host in enumerate(hosts[1:])]
         for backup in self.backups:
-            conn = TcpConnection(self.primary.host, backup.host, config=self.tcp_config)
+            conn = TcpConnection(self.primary.host, backup.host)
             primary_side = conn.endpoint(self.primary.host)
             backup_side = conn.endpoint(backup.host)
             backup.primary_endpoint = backup_side
@@ -159,10 +156,6 @@ class PrimaryBackupCluster:
 
     def client(self, host: Host) -> "PrimaryBackupClient":
         return PrimaryBackupClient(host, self)
-
-    def kv_client(self, host: Host) -> "PrimaryBackupKVClient":
-        """A client adapted to the unified :class:`KVClient` protocol."""
-        return PrimaryBackupKVClient(self.client(host))
 
     def preload(self, items: Dict[str, bytes]) -> None:
         """Bulk-load keys on the primary and every backup directly."""
@@ -188,7 +181,3 @@ class PrimaryBackupClient(ServerChainClient):
         self._pending = {}
         self._head_endpoint = self._tail_endpoint = self._connect(cluster.primary)
 
-
-class PrimaryBackupKVClient(ServerBaselineKVClient):
-    """The unified :class:`~repro.core.client.KVClient` protocol over a
-    primary-backup client (see :class:`ServerBaselineKVClient`)."""

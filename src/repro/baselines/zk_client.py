@@ -22,6 +22,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.baselines.data_tree import ERR_NO_NODE, ERR_VERSION_MISMATCH
 from repro.baselines.zookeeper import ZooKeeperEnsemble, ZooKeeperServer
 from repro.core.client import KVClient, KVFuture, KVResult, canonical_key
+from repro.core.protocol import normalize_value
 from repro.netsim.host import Host
 from repro.netsim.node import stable_name_seed
 from repro.netsim.tcp import TcpConnection
@@ -55,7 +56,7 @@ class ZooKeeperClient:
             server_id = live[stable_name_seed(host.name) % len(live)].server_id
         self.server: ZooKeeperServer = ensemble.servers[server_id]
         self.session_id = ensemble.allocate_session()
-        self._conn = TcpConnection(host, self.server.host, config=ensemble.config.tcp)
+        self._conn = TcpConnection(host, self.server.host)
         self._endpoint = self._conn.endpoint(host)
         self._endpoint.on_message = self._on_message
         self.server.accept_client(self.session_id, self._conn.endpoint(self.server.host))
@@ -84,11 +85,11 @@ class ZooKeeperClient:
         return self.submit("get", path=path, watch=watch)
 
     def set_async(self, path: str, data, version: int = -1) -> KVFuture:
-        return self.submit("set", path=path, data=_to_bytes(data), version=version)
+        return self.submit("set", path=path, data=normalize_value(data), version=version)
 
     def create_async(self, path: str, data=b"", ephemeral: bool = False,
                      sequential: bool = False) -> KVFuture:
-        return self.submit("create", path=path, data=_to_bytes(data),
+        return self.submit("create", path=path, data=normalize_value(data),
                            ephemeral=ephemeral, sequential=sequential)
 
     def delete_async(self, path: str, version: int = -1) -> KVFuture:
@@ -182,7 +183,7 @@ class ZooKeeperKVClient(KVClient):
         started = self.sim.now
         future = KVFuture(self.sim, op="cas", key=canonical_key(key))
         path = self._path(key)
-        expected = _to_bytes(expected) if expected else b""
+        expected = normalize_value(expected)
 
         def on_get(get_result: ZkResult) -> None:
             if not get_result.ok:
@@ -247,9 +248,3 @@ class ZooKeeperKVClient(KVClient):
                 lambda _r: create_next(index + 1))
 
         create_next(0)
-
-
-def _to_bytes(value) -> bytes:
-    if isinstance(value, bytes):
-        return value
-    return str(value).encode("utf-8")

@@ -24,12 +24,12 @@ The data model (znodes, ephemerals, sequentials, watches) lives in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.baselines.data_tree import DataTree, ZnodeError
 from repro.netsim.host import Host
-from repro.netsim.tcp import TcpConfig, TcpConnection, TcpEndpoint
+from repro.netsim.tcp import TcpConnection, TcpEndpoint
 
 _session_ids = itertools.count(1)
 
@@ -52,8 +52,6 @@ class ZooKeeperConfig:
     log_sync_delay: float = 1.9e-3
     #: Approximate size of a request/response message on the wire.
     message_bytes: int = 150
-    #: TCP parameters for all ensemble and client connections.
-    tcp: TcpConfig = field(default_factory=TcpConfig)
 
 
 class _ServerCpu:
@@ -399,7 +397,7 @@ def build_zookeeper_ensemble(hosts: List[Host],
     servers = [ZooKeeperServer(i, host, config) for i, host in enumerate(hosts)]
     for i, a in enumerate(servers):
         for b in servers[i + 1:]:
-            conn = TcpConnection(a.host, b.host, config=config.tcp)
+            conn = TcpConnection(a.host, b.host)
             a.connect_peer(b.server_id, conn.endpoint(a.host))
             b.connect_peer(a.server_id, conn.endpoint(b.host))
     return ZooKeeperEnsemble(servers, config)

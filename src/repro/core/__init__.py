@@ -70,7 +70,6 @@ from repro.core.reconfig import (
     MigrationCoordinator,
     MigrationPlan,
     MigrationReport,
-    ReconfigConfig,
     ReconfigPlanner,
     migrate,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "MigrationCoordinator",
     "MigrationPlan",
     "MigrationReport",
-    "ReconfigConfig",
     "ReconfigPlanner",
     "migrate",
     "HybridStore",

@@ -60,8 +60,6 @@ class AgentConfig:
     retry_timeout: float = 500e-6
     #: Retries before giving up.
     max_retries: int = 20
-    #: UDP source port; allocated automatically when left as ``None``.
-    udp_port: Optional[int] = None
 
 
 class _Pending(KVFuture):
@@ -122,7 +120,7 @@ class NetChainAgent(KVClient):
         self.directory = directory
         self.config = config or AgentConfig()
         self.name = name or f"agent-{host.name}"
-        self.udp_port = self.config.udp_port or next(_agent_ports)
+        self.udp_port = next(_agent_ports)
         self.host.bind(self.udp_port, self._on_packet)
         self._pending: Dict[int, _Pending] = {}
         #: Optional hot-key-tier client cache

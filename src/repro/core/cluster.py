@@ -46,7 +46,7 @@ class NetChainCluster:
         self.controller = NetChainController(topology, member_switches=member_switches,
                                              config=controller_config)
         # One shared config for every agent: it is read-only to the agents
-        # (each allocates its own UDP port because ``udp_port`` stays None).
+        # (each allocates its own UDP port).
         agent_config = AgentConfig(retry_timeout=retry_timeout)
         self.agents: Dict[str, NetChainAgent] = {}
         for name, host in topology.hosts.items():
@@ -124,7 +124,7 @@ class NetChainCluster:
         self.controller.provision_switch(name)
         return switch
 
-    def migrate(self, target_members: List[str], config=None):
+    def migrate(self, target_members: List[str]):
         """Plan and start a live migration to ``target_members``.
 
         Returns the running :class:`repro.core.reconfig.MigrationCoordinator`;
@@ -132,7 +132,7 @@ class NetChainCluster:
         ``coordinator.report``.
         """
         from repro.core.reconfig import migrate
-        return migrate(self.controller, target_members, config=config)
+        return migrate(self.controller, target_members)
 
     def enable_hotkey_tier(self, config=None):
         """Turn on the adaptive hot-key tier (:mod:`repro.core.hotkeys`).

@@ -619,15 +619,13 @@ class NetChainController:
 
     def handle_switch_failure(self, failed: str,
                               new_switch: Optional[str] = None,
-                              recover: bool = True,
                               recovery_start_delay: float = 0.0) -> None:
         """Full failure handling: detection delay, fast failover, then
-        (optionally) failure recovery after ``recovery_start_delay``."""
+        failure recovery after ``recovery_start_delay``."""
         def react() -> None:
             self.fast_failover(failed)
-            if recover:
-                self.sim.schedule(recovery_start_delay,
-                                  lambda: self.failure_recovery(failed, new_switch))
+            self.sim.schedule(recovery_start_delay,
+                              lambda: self.failure_recovery(failed, new_switch))
 
         self.sim.schedule(self.config.failure_detection_delay, react)
 

@@ -33,24 +33,20 @@ class DetectorConfig:
     chains even if its control channel is out of band).
     """
 
-    #: Seconds between probe rounds.
+    #: Seconds between probe rounds.  The first round runs half an
+    #: interval in, so probes interleave rather than collide with
+    #: scheduled fault times.
     probe_interval: float = 50e-3
-    #: Delay before the first probe round; defaults to half the interval so
-    #: probes interleave rather than collide with scheduled fault times.
-    start_offset: Optional[float] = None
-    #: Consecutive failed probes before the controller reacts.
+    #: Consecutive failed probes before the controller reacts: fast
+    #: failover (Algorithm 2), then failure recovery (Algorithm 3).
     suspicion_threshold: int = 1
-    #: Whether detection triggers failure recovery (Algorithm 3) after the
-    #: fast failover, mirroring ``handle_switch_failure(recover=...)``.
-    auto_recover: bool = True
     #: Delay between failover and the start of recovery.
     recovery_start_delay: float = 0.0
     #: Preferred replacement switch handed to recovery (None = controller
     #: chooses).
     new_switch: Optional[str] = None
-    #: Reintroduce failed switches that answer probes again.
-    auto_reintroduce: bool = True
-    #: Consecutive healthy probes before reintroduction (hysteresis).
+    #: Consecutive healthy probes before a failed switch that answers
+    #: probes again is reintroduced (hysteresis).
     reintroduce_threshold: int = 2
 
 
@@ -78,12 +74,9 @@ class FailureDetector:
     def start(self) -> "FailureDetector":
         """Begin probing (idempotent)."""
         if self._cancel is None:
-            cfg = self.config
-            offset = cfg.start_offset
-            if offset is None:
-                offset = cfg.probe_interval * 0.5
-            self._cancel = self.sim.every(cfg.probe_interval, self._probe_round,
-                                          start=offset)
+            interval = self.config.probe_interval
+            self._cancel = self.sim.every(interval, self._probe_round,
+                                          start=interval * 0.5)
         return self
 
     def stop(self) -> None:
@@ -125,13 +118,12 @@ class FailureDetector:
                 controller.event_log.emit("failure_detected", switch=name,
                                           misses=self.misses[name])
                 controller.handle_switch_failure(
-                    name, new_switch=cfg.new_switch, recover=cfg.auto_recover,
+                    name, new_switch=cfg.new_switch,
                     recovery_start_delay=cfg.recovery_start_delay)
 
     def _watch_for_reintroduction(self, name: str, healthy: bool) -> None:
-        cfg = self.config
         controller = self.controller
-        if not cfg.auto_reintroduce or not healthy:
+        if not healthy:
             self.heals[name] = 0
             return
         if name in controller.recovering:
@@ -139,7 +131,7 @@ class FailureDetector:
             self.heals[name] = 0
             return
         self.heals[name] = self.heals.get(name, 0) + 1
-        if self.heals[name] >= cfg.reintroduce_threshold:
+        if self.heals[name] >= self.config.reintroduce_threshold:
             controller.reintroduce_switch(name)
             self._handled.discard(name)
             self.heals[name] = 0

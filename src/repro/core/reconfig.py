@@ -76,15 +76,6 @@ PAUSE_POLL = 10e-3
 
 
 @dataclass
-class ReconfigConfig:
-    """Knobs of the live-migration protocol."""
-
-    #: Items per second copied during state synchronization; ``None`` uses
-    #: the controller's ``sync_items_per_sec``.
-    sync_items_per_sec: Optional[float] = None
-
-
-@dataclass
 class MigrationStep:
     """Planned handling of one virtual group."""
 
@@ -288,12 +279,10 @@ class MigrationReport:
 class MigrationCoordinator:
     """Executes a :class:`MigrationPlan` live, one virtual group at a time."""
 
-    def __init__(self, controller: NetChainController, plan: MigrationPlan,
-                 config: Optional[ReconfigConfig] = None) -> None:
+    def __init__(self, controller: NetChainController, plan: MigrationPlan) -> None:
         self.controller = controller
         self.sim = controller.sim
         self.plan = plan
-        self.config = config or ReconfigConfig()
         self.report = MigrationReport(joins=list(plan.joins), leaves=list(plan.leaves))
         #: Called with each :class:`StepReport` as it commits or skips
         #: (tests sample the chain invariants here).
@@ -337,13 +326,10 @@ class MigrationCoordinator:
     # Internals.
     # ------------------------------------------------------------------ #
 
-    def _sync_rate(self) -> float:
-        if self.config.sync_items_per_sec is not None:
-            return self.config.sync_items_per_sec
-        return self.controller.config.sync_items_per_sec
-
     def _sync_duration(self, num_items: int) -> float:
-        return num_items / self._sync_rate() + PER_GROUP_OVERHEAD
+        """State synchronization copies at the controller's
+        ``sync_items_per_sec``, the rate failure recovery copies at."""
+        return num_items / self.controller.config.sync_items_per_sec + PER_GROUP_OVERHEAD
 
     def _when_recovery_idle(self, action: Callable[[], None]) -> None:
         """Defer ``action`` while failure recovery is splicing chains."""
@@ -670,14 +656,14 @@ class MigrationCoordinator:
                 store.remove_key(key)
 
 
-def migrate(controller: NetChainController, target_members: Sequence[str],
-            config: Optional[ReconfigConfig] = None) -> MigrationCoordinator:
+def migrate(controller: NetChainController,
+            target_members: Sequence[str]) -> MigrationCoordinator:
     """Plan and start a live migration to ``target_members``.
 
     Returns the started coordinator; run the simulator until
     ``coordinator.done`` and read ``coordinator.report``.
     """
     plan = ReconfigPlanner(controller).plan(target_members)
-    coordinator = MigrationCoordinator(controller, plan, config=config)
+    coordinator = MigrationCoordinator(controller, plan)
     coordinator.start()
     return coordinator

@@ -124,12 +124,11 @@ class NetChainSwitchProgram(PipelineProgram):
     """Algorithm 1 and friends, installed as a pipeline program on a switch."""
 
     def __init__(self, switch: Switch, kvstore: Optional[SwitchKVStore] = None,
-                 reply_on_miss: bool = True, create_store: bool = True) -> None:
+                 create_store: bool = True) -> None:
         self.switch = switch
         if kvstore is None and create_store:
             kvstore = SwitchKVStore(switch)
         self.kvstore = kvstore
-        self.reply_on_miss = reply_on_miss
         #: Session number this switch uses when acting as the head of a
         #: virtual group's chain (bumped by the controller when it promotes
         #: a new head, Section 5.2).
@@ -333,10 +332,8 @@ class NetChainSwitchProgram(PipelineProgram):
         loc = store.lookup(header.key) if store is not None else None
         if loc is None:
             self.stats.misses += 1
-            if self.reply_on_miss:
-                self._make_reply(switch, packet, header, _KEY_NOT_FOUND)
-                return _FORWARD
-            return _DROP
+            self._make_reply(switch, packet, header, _KEY_NOT_FOUND)
+            return _FORWARD
         if op is _READ:
             return self._process_read(switch, packet, header, loc)
         return self._process_write(switch, packet, header, loc)

@@ -159,17 +159,15 @@ class Tracer:
     ended as a tail trace (see the module docstring).
     """
 
-    __slots__ = ("sim", "writer", "registry", "trace_packets",
-                 "sample_every", "submits", "opmix", "_next_id", "_latency",
-                 "_open", "_tail_ids", "_slowest")
+    __slots__ = ("sim", "writer", "registry", "sample_every", "submits", "opmix",
+                 "_next_id", "_latency", "_open", "_tail_ids", "_slowest")
 
-    def __init__(self, sim, writer: Optional[TraceWriter] = None,
+    def __init__(self, sim, writer: TraceWriter,
                  registry: Optional[MetricsRegistry] = None,
-                 trace_packets: bool = True, sample_every: int = 1) -> None:
+                 sample_every: int = 1) -> None:
         self.sim = sim
         self.writer = writer
         self.registry = registry
-        self.trace_packets = trace_packets and writer is not None
         self.sample_every = max(1, sample_every)
         self.submits = 0
         #: ``(vgroup, op_name) -> completed queries`` -- sampled into the
@@ -193,7 +191,7 @@ class Tracer:
     @property
     def span_count(self) -> int:
         """Records written to the span file so far (``trc`` records + spans)."""
-        return self.writer.records if self.writer is not None else 0
+        return self.writer.records
 
     # ------------------------------------------------------------------ #
     # Agent hooks.
@@ -202,8 +200,6 @@ class Tracer:
     def query_submit(self, agent, pending) -> int:
         """Allocate (or decline) a trace id for a freshly submitted query."""
         self.submits += 1
-        if not self.trace_packets:
-            return 0
         if self.sample_every > 1 and (self.submits - 1) % self.sample_every:
             return 0
         tid = self._next_id
@@ -406,14 +402,10 @@ class TelemetryPlane:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.meta = dict(meta or {})
         self.registry = MetricsRegistry()
-        writer = None
-        if config.trace:
-            writer = TraceWriter(self.run_dir / SPANS_FILE, TRACE_SCHEMA,
-                                 meta=self.meta)
+        writer = TraceWriter(self.run_dir / SPANS_FILE, TRACE_SCHEMA, meta=self.meta)
         self.tracer = Tracer(sim, writer=writer, registry=self.registry,
-                             trace_packets=config.trace,
                              sample_every=config.trace_sample)
-        self.event_log = ControlEventLog(sim) if config.events else None
+        self.event_log = ControlEventLog(sim)
         self.sampler: Optional[PeriodicSampler] = None
         self._topology = None
         self.finished = False
@@ -439,12 +431,11 @@ class TelemetryPlane:
         controller = cluster.controller
         for program in controller.programs.values():
             program.telemetry = tracer
-        if self.event_log is not None:
-            # The controller's log is the one log: spill it, not a copy.
-            self.event_log = controller.event_log
+        # The controller's log is the one log: spill it, not a copy.
+        self.event_log = controller.event_log
 
     def start(self) -> None:
-        if self.config.metrics and self._topology is not None:
+        if self._topology is not None:
             self.sampler = PeriodicSampler(
                 self.sim, self.registry, self._topology,
                 self.config.sample_interval, opmix_source=self.tracer)
@@ -460,24 +451,21 @@ class TelemetryPlane:
         if self.sampler is not None:
             self.sampler.stop()
 
-        if self.config.metrics:
-            with TraceWriter(self.run_dir / METRICS_FILE, METRICS_SCHEMA,
-                             meta=self.meta) as writer:
-                for record in self.registry.series:
-                    writer.write(record)
-        if self.event_log is not None:
-            with TraceWriter(self.run_dir / EVENTS_FILE, EVENTS_SCHEMA,
-                             meta=self.meta) as writer:
-                for record in self.event_log.as_records():
-                    writer.write(record)
-        if self.tracer.writer is not None:
-            self.tracer.close()
+        with TraceWriter(self.run_dir / METRICS_FILE, METRICS_SCHEMA,
+                         meta=self.meta) as writer:
+            for record in self.registry.series:
+                writer.write(record)
+        with TraceWriter(self.run_dir / EVENTS_FILE, EVENTS_SCHEMA,
+                         meta=self.meta) as writer:
+            for record in self.event_log.as_records():
+                writer.write(record)
+        self.tracer.close()
         return self.summary()
 
     def summary(self) -> dict:
         """Deterministic scenario-level metrics (``ScenarioResult.metrics``)."""
         tracer = self.tracer
-        out: Dict[str, Any] = {
+        return {
             "schema": "telemetry/v1",
             "spans": tracer.span_count,
             "traces": tracer.traces,
@@ -486,10 +474,8 @@ class TelemetryPlane:
             "opmix": {f"vg{vg}:{op}": count
                       for (vg, op), count in sorted(tracer.opmix.items())},
             "engine": self.sim.stats(),
+            "events": len(self.event_log.events),
         }
-        if self.event_log is not None:
-            out["events"] = len(self.event_log.events)
-        return out
 
 
 # --------------------------------------------------------------------- #
@@ -510,10 +496,7 @@ def read_ndjson(path, schema: str) -> Tuple[dict, List[dict]]:
 
 def iter_spans(run_dir) -> Iterator[dict]:
     """Every record of a run's span file: ``trc`` records and kept spans."""
-    path = Path(run_dir) / SPANS_FILE
-    if not path.exists():  # metrics-only run (TelemetryConfig(trace=False))
-        return
-    for _offset, _line, record in scan(path, TRACE_SCHEMA):
+    for _offset, _line, record in scan(Path(run_dir) / SPANS_FILE, TRACE_SCHEMA):
         yield record
 
 

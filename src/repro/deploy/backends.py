@@ -330,7 +330,7 @@ class _ServerBaselineDeployment(_ServerHostedDeployment):
 
     def new_kv_client(self, index: int = 0) -> KVClient:
         name = self.client_host_names[index % len(self.client_host_names)]
-        return self.cluster.kv_client(self.topology.hosts[name])
+        return self.cluster.client(self.topology.hosts[name])
 
 
 class ServerChainDeployment(_ServerBaselineDeployment):

@@ -333,7 +333,7 @@ def run_scenario(spec: DeploymentSpec,
     :mod:`repro.deploy.matrix` workers reconstruct the inputs from JSON
     alone.  Planned membership changes ride
     ``spec.options["reconfig"]`` (``{"changes": [(at, joins, leaves),
-    ...], "config": ReconfigConfig | field dict, "link_new_to": [...]}``)
+    ...], "link_new_to": [...]}``)
     and a failure detector config rides ``spec.options["detector_config"]``
     -- both serializable, so a fault/reconfig cell is still a plain spec.
 
@@ -455,12 +455,6 @@ def run_scenario(spec: DeploymentSpec,
     migrations: List[Any] = []
     if reconfig.get("changes"):
         from repro.core.invariants import sample_chain_invariants
-        from repro.core.reconfig import ReconfigConfig
-        reconfig_config = reconfig.get("config")
-        if isinstance(reconfig_config, dict):
-            check_unknown_fields(ReconfigConfig, reconfig_config,
-                                 "reconfig config")
-            reconfig_config = ReconfigConfig(**reconfig_config)
         link_new_to = reconfig.get("link_new_to")
 
         def start_change(joins: List[str], leaves: List[str]) -> None:
@@ -470,7 +464,7 @@ def run_scenario(spec: DeploymentSpec,
             target = [m for m in controller.ring.switch_names
                       if m not in leaves]
             target += [j for j in joins if j not in target and j not in leaves]
-            coordinator = cluster.migrate(target, config=reconfig_config)
+            coordinator = cluster.migrate(target)
             if checks.chain_invariants:
                 coordinator.observers.append(
                     lambda _step: violations.extend(sample_chain_invariants(

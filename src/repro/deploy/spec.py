@@ -24,10 +24,10 @@ def json_safe(value: Any, where: str) -> Any:
     """Recursively convert ``value`` to JSON-safe types.
 
     Dataclass config objects (``ControllerConfig``, ``DetectorConfig``,
-    ``ReconfigConfig``, ...) become plain field dicts and tuples become
-    lists, so a spec built in-process serializes without callers
-    flattening anything by hand.  Anything else non-JSON raises a
-    :class:`ValueError` naming the offending field path (``where``).
+    ...) become plain field dicts and tuples become lists, so a spec built
+    in-process serializes without callers flattening anything by hand.
+    Anything else non-JSON raises a :class:`ValueError` naming the
+    offending field path (``where``).
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -49,6 +49,10 @@ def json_safe(value: Any, where: str) -> Any:
         f"{where} is not JSON-serializable: {type(value).__name__} "
         f"({value!r}); task descriptors must be constructible from JSON "
         f"alone -- pass plain values or dataclass configs")
+
+
+#: The keys of ``options["reconfig"]``, read by the scenario runner.
+RECONFIG_KEYS = ("changes", "link_new_to")
 
 
 def check_unknown_fields(cls, data: Dict, what: str) -> None:
@@ -98,8 +102,7 @@ class DeploymentSpec:
             ``True`` enables tracing + metrics + the control event log
             with defaults; a dict or
             :class:`repro.netsim.telemetry.TelemetryConfig` sets the
-            knobs (``run_dir``, ``sample_interval``, ``trace``,
-            ``metrics``, ``events``, ``trace_sample``).  The scenario
+            knobs (``run_dir``, ``sample_interval``, ``trace_sample``).  The scenario
             runner spills a ``trace/v2`` run directory and stores the
             summary on ``ScenarioResult.metrics``.
         options: backend-specific knobs, plus the scenario-level
@@ -176,6 +179,15 @@ class DeploymentSpec:
         if self.telemetry is not None and self.telemetry is not False:
             from repro.netsim.telemetry import TelemetryConfig
             TelemetryConfig.coerce(self.telemetry).validate()
+        detector = self.options.get("detector_config")
+        if isinstance(detector, dict):
+            from repro.core.detector import DetectorConfig
+            check_unknown_fields(DetectorConfig, detector, "detector_config")
+        reconfig = self.options.get("reconfig") or {}
+        unknown = sorted(set(reconfig) - set(RECONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown reconfig key(s): {', '.join(unknown)} "
+                             f"(known: {', '.join(RECONFIG_KEYS)})")
         return self
 
     # ------------------------------------------------------------------ #
@@ -186,10 +198,10 @@ class DeploymentSpec:
         """A JSON-safe dict from which :meth:`from_dict` rebuilds the spec.
 
         Dataclass configs riding ``options`` (``controller_config``,
-        ``detector_config``, a ``reconfig`` config) are flattened to field
-        dicts -- the consuming backends coerce them back.  Values that
-        cannot cross a process boundary as JSON (live objects, open
-        handles) raise :class:`ValueError` naming the offending field.
+        ``detector_config``) are flattened to field dicts -- the consuming
+        backends coerce them back.  Values that cannot cross a process
+        boundary as JSON (live objects, open handles) raise
+        :class:`ValueError` naming the offending field.
         """
         self.validate()
         data: Dict[str, Any] = {}

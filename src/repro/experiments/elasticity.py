@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.reconfig import MigrationReport, ReconfigConfig
+from repro.core.reconfig import MigrationReport
 from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec
 from repro.experiments.failures import fault_scenario, netchain_testbed_spec, phase_rate
 from repro.experiments.throughput import adaptive_retry_timeout, measure
@@ -37,7 +37,6 @@ MembershipChange = Tuple[float, Sequence[str], Sequence[str]]
 
 
 def reconfig_scenario(changes: Sequence[MembershipChange],
-                      reconfig_config: Optional[ReconfigConfig] = None,
                       link_new_to: Optional[List[str]] = None,
                       **scenario,
                       ) -> Tuple[DeploymentSpec, WorkloadSpec, ScenarioChecks]:
@@ -63,7 +62,6 @@ def reconfig_scenario(changes: Sequence[MembershipChange],
     spec.options["reconfig"] = {
         "changes": [(at, list(joins), list(leaves))
                     for at, joins, leaves in changes],
-        "config": reconfig_config,
         "link_new_to": list(link_new_to) if link_new_to is not None else None,
     }
     checks.no_lost_keys = True
@@ -117,7 +115,6 @@ def elasticity_experiment(joins: Sequence[str] = ("S4", "S5", "S6", "S7"),
                           bin_width: float = 0.1,
                           seed: int = 0,
                           duration: float = 2.1,
-                          reconfig_config: Optional[ReconfigConfig] = None,
                           ) -> ElasticityTimeline:
     """Grow (or shrink) the cluster under closed-loop load and measure the
     cost: throughput before/during/after, keys moved, freeze windows.
@@ -129,8 +126,7 @@ def elasticity_experiment(joins: Sequence[str] = ("S4", "S5", "S6", "S7"),
                                  sync_items_per_sec,
                                  adaptive_retry_timeout(concurrency, scale))
     spec.options["reconfig"] = {
-        "changes": [(migrate_at, list(joins), list(leaves))],
-        "config": reconfig_config}
+        "changes": [(migrate_at, list(joins), list(leaves))]}
     result = measure(spec, num_clients=1, concurrency=concurrency,
                      write_ratio=write_ratio, duration=duration)
     (successes,) = result.successes

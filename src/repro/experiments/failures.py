@@ -131,8 +131,7 @@ def failure_experiment(virtual_groups: int = 1,
     spec.faults = [(fail_at, "fail_switch", "S1")]
     spec.options["detector_config"] = DetectorConfig(
         probe_interval=detection_delay, suspicion_threshold=1,
-        auto_recover=True, recovery_start_delay=recovery_start_delay,
-        new_switch="S3")
+        recovery_start_delay=recovery_start_delay, new_switch="S3")
     result = measure(spec, num_clients=1, concurrency=concurrency,
                      write_ratio=write_ratio, duration=duration)
     (successes,) = result.successes

@@ -40,10 +40,9 @@ class HostConfig:
 
     #: One-way software stack delay in seconds.
     stack_delay: float = 4.3e-6
-    #: Packets per second the host can emit (NIC + stack limit).  ``None`` = unlimited.
+    #: Packets per second the host can emit and absorb, each way (NIC +
+    #: stack limit).  ``None`` = unlimited.
     nic_pps: Optional[float] = 20.5e6
-    #: Packets per second the host can absorb.  ``None`` = same as ``nic_pps``.
-    rx_pps: Optional[float] = None
     #: Transmit queue limit in packets (tail drop beyond this).
     tx_queue_packets: int = 100000
 
@@ -174,15 +173,15 @@ class Host(Node):
             return
         cfg = self.config
         delay = cfg.stack_delay
-        rx_pps = cfg.rx_pps if cfg.rx_pps is not None else cfg.nic_pps
-        if rx_pps:
+        pps = cfg.nic_pps
+        if pps:
             now = self.sim._now
             busy_until = self._rx_busy_until
             backlog = busy_until - now
             if backlog < 0.0:
                 backlog = 0.0
                 busy_until = now
-            self._rx_busy_until = busy_until + 1.0 / rx_pps
+            self._rx_busy_until = busy_until + 1.0 / pps
             delay += backlog
         tel = self.telemetry
         if tel is not None:

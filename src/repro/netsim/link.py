@@ -211,8 +211,7 @@ class Link:
                                       (packet, dst_port, arrival, tx_at)])
                 return
         elif (tel is None and type(node) is Host and tx_at is None and node.telemetry is None
-                and not node.failed and node.config.nic_pps is None
-                and node.config.rx_pps is None):
+                and not node.failed and node.config.nic_pps is None):
             heappush(sim._queue, [arrival + node.config.stack_delay, seq,
                                   node._dispatch, (packet, arrival)])
             return

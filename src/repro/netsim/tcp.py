@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -30,31 +29,25 @@ from repro.netsim.packet import Packet
 _conn_ids = itertools.count(1)
 
 
-@dataclass
-class TcpConfig:
-    """Transport parameters.
-
-    The 20 ms minimum retransmission timeout models a datacenter-tuned TCP
-    stack (Linux ships 200 ms; operators lower it for RPC workloads).  It is
-    the constant that produces ZooKeeper's collapse under packet loss in
-    Figure 9(d): every lost segment stalls its connection for at least one
-    RTO, versus the microsecond-scale retry of NetChain's UDP clients.
-    """
-
-    #: Initial retransmission timeout in seconds.
-    initial_rto: float = 20e-3
-    #: Lower bound on the RTO (datacenter-tuned minimum).
-    min_rto: float = 20e-3
-    #: Upper bound on the RTO after backoff.
-    max_rto: float = 1.0
-    #: Initial congestion window, in messages.
-    initial_cwnd: int = 10
-    #: Maximum congestion window, in messages.
-    max_cwnd: int = 64
-    #: Bytes charged for an ACK segment.
-    ack_bytes: int = 60
-    #: Fixed per-segment header overhead in bytes.
-    header_bytes: int = 40
+#: Initial retransmission timeout in seconds.  The 20 ms minimum models a
+#: datacenter-tuned TCP stack (Linux ships 200 ms; operators lower it for
+#: RPC workloads).  It is the constant that produces ZooKeeper's collapse
+#: under packet loss in Figure 9(d): every lost segment stalls its
+#: connection for at least one RTO, versus the microsecond-scale retry of
+#: NetChain's UDP clients.
+INITIAL_RTO = 20e-3
+#: Lower bound on the RTO (datacenter-tuned minimum).
+MIN_RTO = 20e-3
+#: Upper bound on the RTO after backoff.
+MAX_RTO = 1.0
+#: Initial congestion window, in messages.
+INITIAL_CWND = 10
+#: Maximum congestion window, in messages.
+MAX_CWND = 64
+#: Bytes charged for an ACK segment.
+ACK_BYTES = 60
+#: Fixed per-segment header overhead in bytes.
+HEADER_BYTES = 40
 
 
 class Segment:
@@ -100,7 +93,6 @@ class TcpEndpoint:
         # Fixed for the life of the connection, read once.
         self._sim = host.sim
         self._conn_id = conn.conn_id
-        self._config = config = conn.config
         self._remote_ip = remote_host.ip
         # Sender state.  ``seq -> (segment, sent_at, retries, RTO key)``;
         # ``_armed`` is the heap of keys queued on the engine, not yet due.
@@ -108,8 +100,8 @@ class TcpEndpoint:
         self._send_queue: Deque[Segment] = deque()
         self._outstanding: Dict[int, Tuple[Segment, float, int, Tuple[float, int]]] = {}
         self._armed: List[Tuple[float, int]] = []
-        self._cwnd = float(config.initial_cwnd)
-        self._rto = config.initial_rto
+        self._cwnd = float(INITIAL_CWND)
+        self._rto = INITIAL_RTO
         self._srtt: Optional[float] = None
         # Receiver state.
         self._expected_seq = 0
@@ -148,14 +140,13 @@ class TcpEndpoint:
     def _transmit(self, segment: Segment, retries: int) -> None:
         if self.closed:
             return
-        config = self._config
         self.host.send_udp(self._remote_ip, self.remote_port, segment,
-                           segment.size_bytes + config.header_bytes, self.local_port)
+                           segment.size_bytes + HEADER_BYTES, self.local_port)
         # The key ``sim.schedule`` would have given this segment's timer.
         sim = self._sim
         seq = sim._seq
         sim._seq = seq + 1
-        key = (sim._now + min(config.max_rto, self._rto * (2 ** retries)), seq)
+        key = (sim._now + min(MAX_RTO, self._rto * (2 ** retries)), seq)
         self._outstanding[segment.seq] = (segment, sim._now, retries, key)
         armed = self._armed
         if not armed or key < armed[0]:
@@ -197,7 +188,7 @@ class TcpEndpoint:
         # carries the segment seq).
         self.host.send_udp(self._remote_ip, self.remote_port,
                            Segment(self._conn_id, "ack", seq),
-                           self._config.ack_bytes, self.local_port)
+                           ACK_BYTES, self.local_port)
         if seq != self._expected_seq:
             if seq > self._expected_seq:
                 self._reorder_buffer[seq] = segment
@@ -216,16 +207,15 @@ class TcpEndpoint:
         if out is None:
             return
         _segment, sent_at, retries, _key = out
-        config = self._config
         if retries == 0:
             # Karn's rule: only a segment sent once gives an RTT sample.
             sample = self._sim._now - sent_at
             srtt = self._srtt
             self._srtt = srtt = sample if srtt is None else 0.875 * srtt + 0.125 * sample
-            self._rto = min(config.max_rto, max(config.min_rto, 2.0 * srtt))
+            self._rto = min(MAX_RTO, max(MIN_RTO, 2.0 * srtt))
         # Additive increase: one message per window's worth of ACKs.
         cwnd = self._cwnd
-        self._cwnd = min(float(config.max_cwnd), cwnd + 1.0 / max(cwnd, 1.0))
+        self._cwnd = min(float(MAX_CWND), cwnd + 1.0 / max(cwnd, 1.0))
         if self._send_queue:
             self._pump()
 
@@ -240,10 +230,8 @@ class TcpEndpoint:
 class TcpConnection:
     """A bidirectional reliable connection between two hosts."""
 
-    def __init__(self, host_a: Host, host_b: Host,
-                 config: Optional[TcpConfig] = None) -> None:
+    def __init__(self, host_a: Host, host_b: Host) -> None:
         self.conn_id = next(_conn_ids)
-        self.config = config or TcpConfig()
         port_a = host_a.ephemeral_port()
         port_b = host_b.ephemeral_port()
         self._endpoints: Dict[str, TcpEndpoint] = {}

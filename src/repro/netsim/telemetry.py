@@ -286,9 +286,6 @@ class TelemetryConfig:
     """
 
     sample_interval: float = 5e-3   #: sim-seconds between metric samples
-    trace: bool = True              #: per-query span tracing
-    metrics: bool = True            #: periodic sampler + registry
-    events: bool = True             #: control-plane event log
     run_dir: Optional[str] = None   #: trace/v2 output directory
     trace_sample: int = 1           #: trace every Nth submitted query
 

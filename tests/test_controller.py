@@ -135,7 +135,7 @@ def test_handle_switch_failure_runs_both_phases(cluster):
     controller = cluster.controller
     controller.populate([f"key{i}" for i in range(10)])
     cluster.topology.switches["S1"].fail()
-    controller.handle_switch_failure("S1", new_switch="S3", recover=True,
+    controller.handle_switch_failure("S1", new_switch="S3",
                                      recovery_start_delay=0.5)
     cluster.run(until=cluster.sim.now + 60.0)
     assert controller.recovery_reports
@@ -200,7 +200,7 @@ def test_reintroduced_switch_becomes_recovery_candidate(cluster):
     assert "S3" not in controller.failed_switches
     # Now S1 fails; S3 is the only disjoint replacement candidate.
     cluster.topology.switches["S1"].fail()
-    controller.handle_switch_failure("S1", recover=True)
+    controller.handle_switch_failure("S1")
     cluster.run(until=cluster.sim.now + 60.0)
     report = controller.recovery_reports[-1]
     assert report.finished_at > 0
@@ -323,7 +323,7 @@ def test_second_failure_mid_recovery_completes_without_failed_chains(cluster):
     # While S1's groups are being synchronized, S2 fails as well.
     def second_failure() -> None:
         cluster.topology.switches["S2"].fail()
-        controller.handle_switch_failure("S2", recover=True)
+        controller.handle_switch_failure("S2")
 
     cluster.sim.schedule(0.2, second_failure)
     cluster.run(until=cluster.sim.now + 120.0)
@@ -353,7 +353,7 @@ def test_replacement_failing_mid_recovery_is_rechosen(cluster):
     # The preferred replacement dies while the copies are in flight.
     def kill_replacement() -> None:
         cluster.topology.switches["S3"].fail()
-        controller.handle_switch_failure("S3", recover=True)
+        controller.handle_switch_failure("S3")
 
     cluster.sim.schedule(0.2, kill_replacement)
     cluster.run(until=cluster.sim.now + 120.0)

@@ -89,6 +89,20 @@ def test_initial_values_match_preload(backend):
     assert all(value == bytes(16) for value in initial.values())
 
 
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_every_backend_spells_a_none_value_one_way(backend):
+    """``None`` is the empty value on every backend: written, it reads
+    back as ``b""``, and as a CAS expectation it matches ``b""``."""
+    deployment = build_deployment(small_spec(backend))
+    client = deployment.clients(1)[0]
+    key = deployment.keys[0]
+    assert client.write(key, None).result().ok
+    assert client.read(key).result().value == b""
+    swapped = client.cas(key, None, b"x").result()
+    assert swapped.ok, swapped.error
+    assert client.read(key).result().value == b"x"
+
+
 @pytest.mark.parametrize("backend", ["server-chain", "primary-backup"])
 def test_server_baseline_cas_and_delete(backend):
     deployment = build_deployment(small_spec(backend))
@@ -139,7 +153,7 @@ def test_multiple_clients_on_one_host_all_get_replies(backend):
     # client names made the second registration shadow the first).
     deployment = build_deployment(small_spec(backend))
     first, second = deployment.clients(2)
-    assert first.client.name != second.client.name
+    assert first.name != second.name
     futures = [first.write("a", b"1"), second.write("b", b"2")]
     assert all(future.result().ok for future in futures)
     assert first.read("b").result().value == b"2"

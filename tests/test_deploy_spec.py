@@ -91,6 +91,30 @@ def test_unknown_option_keys_raise_naming_the_known_ones(backend, key):
         build_deployment(DeploymentSpec(backend=backend, options={key: {}}))
 
 
+@pytest.mark.parametrize("where,key", [
+    ("detector_config", "auto_recover"),
+    ("detector_config", "auto_reintroduce"),
+    ("detector_config", "start_offset"),
+    ("telemetry", "trace"),
+    ("telemetry", "metrics"),
+    ("telemetry", "events"),
+    ("reconfig", "config"),
+])
+def test_deleted_spec_keys_raise_naming_the_key(where, key):
+    """A spec dict carrying a knob that no longer exists is refused, not
+    ignored: in-process and on the JSON path matrix cells take."""
+    if where == "telemetry":
+        fields = {"telemetry": {key: True}}
+    elif where == "reconfig":
+        fields = {"options": {"reconfig": {"changes": [[0.01, ["S4"], []]], key: None}}}
+    else:
+        fields = {"options": {where: {key: True}}}
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        build_deployment(DeploymentSpec(store_size=8, **fields))
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        DeploymentSpec.from_dict({**DeploymentSpec(store_size=8).to_dict(), **fields})
+
+
 def test_shipped_specs_still_build():
     # The pinned matrix cell and the default grid's profiles carry only
     # keys their backends read.

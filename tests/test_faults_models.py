@@ -439,7 +439,7 @@ def test_detector_drives_failover_without_direct_controller_calls():
     keys = cluster.populate(20)
     FaultSchedule(FaultInjector(cluster.topology)).at(0.05, "fail_switch", "S1").arm()
     detector = cluster.start_failure_detector(DetectorConfig(
-        probe_interval=20e-3, suspicion_threshold=1, auto_recover=False))
+        probe_interval=20e-3, suspicion_threshold=1))
     cluster.run(until=0.2)
     assert "S1" in cluster.controller.failed_switches
     assert detector.detections and detector.detections[0][1] == "S1"

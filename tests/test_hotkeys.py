@@ -144,8 +144,8 @@ def test_tier_config_from_options():
         with pytest.raises(ValueError, match=known):
             HotKeyTierConfig.from_options(options)
     spec = DeploymentSpec(backend="netchain", store_size=8, options={
-        "reconfig": {"changes": [[0.01, ["S4"], []]], "config": {"gc_delay": 0.02}}})
-    with pytest.raises(ValueError, match=r"gc_delay \(known: sync_items_per_sec\)"):
+        "reconfig": {"changes": [[0.01, ["S4"], []]], "gc_delay": 0.02}})
+    with pytest.raises(ValueError, match=r"gc_delay \(known: changes, link_new_to\)"):
         run_scenario(spec, WorkloadSpec(duration=0.02))
 
 

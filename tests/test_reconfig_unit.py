@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.reconfig import MigrationCoordinator, ReconfigConfig, ReconfigPlanner
+from repro.core.reconfig import MigrationCoordinator, ReconfigPlanner
 from repro.core.ring import ConsistentHashRing
+from tests.conftest import make_cluster
 
 MEMBERS = ["S0", "S1", "S2", "S3"]
 
@@ -243,14 +244,27 @@ def test_scale_in_drains_and_decommissions(cluster):
     assert report.total_keys_moved() > 0
 
 
-def test_abort_skips_remaining_steps(cluster):
+def test_migration_copies_at_the_controllers_sync_rate():
+    """A migration synchronizes state at the controller's
+    ``sync_items_per_sec``, the rate failure recovery copies at."""
+    durations = {}
+    for rate in (100.0, 10000.0):
+        cluster = make_cluster(sync_items_per_sec=rate)
+        cluster.populate(60)
+        cluster.add_switch("S4")
+        report = run_until_done(cluster, cluster.migrate(MEMBERS + ["S4"]))
+        assert report.total_items_copied() > 0
+        durations[rate] = report.duration()
+    assert durations[100.0] > 10 * durations[10000.0]
+
+
+def test_abort_skips_remaining_steps():
+    cluster = make_cluster(sync_items_per_sec=100.0)
     controller = cluster.controller
     cluster.populate(60)
     cluster.add_switch("S4")
     plan = ReconfigPlanner(controller).plan(MEMBERS + ["S4"])
-    coordinator = MigrationCoordinator(
-        controller, plan,
-        config=ReconfigConfig(sync_items_per_sec=100.0))
+    coordinator = MigrationCoordinator(controller, plan)
     coordinator.start()
 
     def abort_after_first_commit() -> None:
@@ -271,15 +285,15 @@ def test_abort_skips_remaining_steps(cluster):
         assert not program.frozen_write_vgroups
 
 
-def test_aborted_leave_keeps_serving_switch_as_member(cluster):
+def test_aborted_leave_keeps_serving_switch_as_member():
     """An aborted scale-in must not decommission a leaver that still
     serves chains: it has to stay a probed member so the failure detector
     keeps covering it."""
+    cluster = make_cluster(sync_items_per_sec=100.0)
     controller = cluster.controller
     keys = cluster.populate(60)
     plan = ReconfigPlanner(controller).plan(["S0", "S2", "S3"])
-    coordinator = MigrationCoordinator(
-        controller, plan, config=ReconfigConfig(sync_items_per_sec=100.0))
+    coordinator = MigrationCoordinator(controller, plan)
     coordinator.start()
     coordinator.abort()  # the in-flight group finishes, the rest skip
     report = run_until_done(cluster, coordinator)

@@ -28,7 +28,7 @@ def make_hosts(n=4):
 def test_chain_write_read_roundtrip():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:3])
-    client = cluster.kv_client(hosts[3])
+    client = cluster.client(hosts[3])
     assert client.write("k", b"v1").result().ok
     assert client.read("k").result().value == b"v1"
 
@@ -36,7 +36,7 @@ def test_chain_write_read_roundtrip():
 def test_chain_write_applies_on_every_replica():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:3])
-    client = cluster.kv_client(hosts[3])
+    client = cluster.client(hosts[3])
     client.write("k", b"v1").result()
     for replica in cluster.replicas:
         assert replica.store["k"][0] == b"v1"
@@ -45,7 +45,7 @@ def test_chain_write_applies_on_every_replica():
 def test_chain_versions_increase():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:3])
-    client = cluster.kv_client(hosts[3])
+    client = cluster.client(hosts[3])
     versions = [client.write("k", f"v{i}".encode()).result().version for i in range(3)]
     assert versions == [(0, 1), (0, 2), (0, 3)]
 
@@ -53,7 +53,7 @@ def test_chain_versions_increase():
 def test_chain_read_of_missing_key_returns_empty():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:3])
-    client = cluster.kv_client(hosts[3])
+    client = cluster.client(hosts[3])
     result = client.read("absent").result()
     assert result.value == b"" and result.not_found and result.error == "key_not_found"
 
@@ -67,7 +67,7 @@ def test_chain_message_count_is_n_plus_one():
 def test_single_node_chain_works():
     topo, hosts = make_hosts()
     cluster = ServerChainCluster(hosts[:1])
-    client = cluster.kv_client(hosts[3])
+    client = cluster.client(hosts[3])
     assert client.write("k", b"x").result().ok
     assert client.read("k").result().value == b"x"
 
@@ -84,7 +84,7 @@ def test_chain_requires_servers():
 def test_pb_write_read_roundtrip():
     topo, hosts = make_hosts()
     cluster = PrimaryBackupCluster(hosts[:3])
-    client = cluster.kv_client(hosts[3])
+    client = cluster.client(hosts[3])
     assert client.write("k", b"v1").result().ok
     assert client.read("k").result().value == b"v1"
 
@@ -92,7 +92,7 @@ def test_pb_write_read_roundtrip():
 def test_pb_write_waits_for_all_backups():
     topo, hosts = make_hosts()
     cluster = PrimaryBackupCluster(hosts[:3])
-    client = cluster.kv_client(hosts[3])
+    client = cluster.client(hosts[3])
     client.write("k", b"v1").result()
     for backup in cluster.backups:
         assert backup.store["k"][0] == b"v1"
@@ -138,7 +138,7 @@ def test_no_handler_mutates_a_received_message(cluster_class, monkeypatch):
         send(endpoint, types.MappingProxyType(message), size_bytes))
     topo, hosts = make_hosts()
     cluster = cluster_class(hosts[:3])
-    client = cluster.kv_client(hosts[3])
+    client = cluster.client(hosts[3])
     assert client.write("k", b"v1").result().version == (0, 1)
     won = client.cas("k", b"v1", b"v2").result()
     assert won.ok and won.version == (0, 2)

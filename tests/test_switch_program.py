@@ -113,14 +113,6 @@ def test_read_miss_replies_not_found():
     assert program.stats.misses == 1
 
 
-def test_read_miss_can_drop_instead():
-    switch, program = make_program()
-    program.reply_on_miss = False
-    header = make_read("missing", [switch.ip])
-    _, action = send(program, switch, header, switch.ip)
-    assert action is PipelineAction.DROP
-
-
 def test_head_assigns_monotonic_sequence_numbers():
     switch, program = make_program()
     program.kvstore.insert_key("k")

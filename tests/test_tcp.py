@@ -6,19 +6,19 @@ from repro.netsim.host import HostConfig
 from repro.netsim.link import LinkConfig
 from repro.netsim.packet import Packet
 from repro.netsim.routing import install_shortest_path_routes
-from repro.netsim.tcp import Segment, TcpConfig, TcpConnection
+from repro.netsim.tcp import INITIAL_CWND, INITIAL_RTO, MAX_RTO, MIN_RTO, Segment, TcpConnection
 from repro.netsim.topology import build_line
 
 
-def make_pair(loss_rate=0.0, tcp_config=None):
+def make_pair(loss_rate=0.0, stack_delay=1e-6):
     topo = build_line(1, hosts_at={0: 2},
-                      host_config=HostConfig(stack_delay=1e-6, nic_pps=None),
+                      host_config=HostConfig(stack_delay=stack_delay, nic_pps=None),
                       link_config=LinkConfig(loss_rate=0.0))
     install_shortest_path_routes(topo)
     if loss_rate:
         topo.switches["S0"].injected_loss_rate = loss_rate
     hosts = list(topo.hosts.values())
-    conn = TcpConnection(hosts[0], hosts[1], config=tcp_config or TcpConfig())
+    conn = TcpConnection(hosts[0], hosts[1])
     return topo, hosts[0], hosts[1], conn
 
 
@@ -83,12 +83,12 @@ def test_no_duplicate_deliveries_despite_retransmission():
 
 
 def test_congestion_window_halves_on_timeout():
-    config = TcpConfig(initial_cwnd=16)
-    topo, a, b, conn = make_pair(loss_rate=1.0, tcp_config=config)
+    topo, a, b, conn = make_pair(loss_rate=1.0)
     endpoint = conn.endpoint(a)
     endpoint.send("doomed")
-    topo.run(until=0.5)
-    assert endpoint._cwnd < 16
+    topo.run(until=1.5 * INITIAL_RTO)
+    assert endpoint.retransmissions == 1
+    assert endpoint._cwnd == INITIAL_CWND / 2
 
 
 def test_closed_endpoint_stops_sending():
@@ -130,7 +130,7 @@ def test_in_order_exactly_once_under_reordering_and_loss():
                       link_config=LinkConfig(loss_rate=0.05, reorder_jitter=20e-6))
     install_shortest_path_routes(topo)
     a, b = topo.hosts.values()
-    conn = TcpConnection(a, b, config=TcpConfig(initial_cwnd=16))
+    conn = TcpConnection(a, b)
     sender, receiver = conn.endpoint(a), conn.endpoint(b)
     got, parked = [], []
 
@@ -219,16 +219,15 @@ def drop_data(receiver, host, attempts):
     host.bind(receiver.local_port, lossy)
 
 
-def backoff_deadline(config, sent_at, rto, retries):
-    return sent_at + min(config.max_rto, rto * (2 ** retries))
+def backoff_deadline(sent_at, rto, retries):
+    return sent_at + min(MAX_RTO, rto * (2 ** retries))
 
 
 def test_every_retransmission_is_due_at_its_backed_off_deadline():
     """On a lossy switch each retransmission of a segment happens exactly
     at ``sent_at + rto * 2**retries`` of its previous transmission, with the
     RTO in force then -- and the segment is delivered in the end."""
-    config = TcpConfig(initial_rto=2e-3, min_rto=1e-3, max_rto=0.1)
-    topo, a, b, conn = make_pair(loss_rate=0.3, tcp_config=config)
+    topo, a, b, conn = make_pair(loss_rate=0.3)
     sender = conn.endpoint(a)
     sent = record_data_transmissions(sender)
     got = []
@@ -243,39 +242,59 @@ def test_every_retransmission_is_due_at_its_backed_off_deadline():
     for transmissions in sent.values():
         for retries, ((sent_at, rto), (again, _)) in enumerate(
                 zip(transmissions, transmissions[1:], strict=False)):
-            assert again == backoff_deadline(config, sent_at, rto, retries)
+            assert again == backoff_deadline(sent_at, rto, retries)
             retried += 1
     assert retried == sender.retransmissions > 0
     assert any(len(transmissions) > 2 for transmissions in sent.values())
 
 
-def test_a_segment_sent_under_a_shrunk_rto_times_out_before_an_older_one():
-    """Deadlines are not in send order: segment 0 leaves under the initial
-    50 ms RTO, segment 1's ACK shrinks it to 1 ms, and segment 2, sent
-    later and lost too, must time out first -- at its own deadline."""
-    config = TcpConfig(initial_rto=50e-3, min_rto=1e-3)
-    topo, a, b, conn = make_pair(tcp_config=config)
+def test_a_younger_segment_times_out_before_a_backed_off_older_one():
+    """Deadlines are not in send order: segment 0 is lost twice, so its
+    second retransmission waits a doubled RTO, and segment 1, sent after
+    segment 0's first retransmission and lost once, must time out first --
+    at its own deadline."""
+    topo, a, b, conn = make_pair()
     sender, receiver = conn.endpoint(a), conn.endpoint(b)
     sent = record_data_transmissions(sender)
-    drop_data(receiver, b, {0: 1, 2: 1})
+    drop_data(receiver, b, {0: 2, 1: 1})
     sender.send("old")
-    sender.send("sampled")
-    topo.sim.schedule(5e-3, sender.send, "young")
+    topo.sim.schedule(1.25 * INITIAL_RTO, sender.send, "young")
     topo.run(until=1.0)
-    (old_at, old_rto), old_again = sent[0][0], sent[0][1][0]
-    (young_at, young_rto), young_again = sent[2][0], sent[2][1][0]
-    assert young_rto == config.min_rto < old_rto == config.initial_rto
-    assert young_again == backoff_deadline(config, young_at, young_rto, 0)
-    assert old_again == backoff_deadline(config, old_at, old_rto, 0)
-    assert young_again < old_again
-    assert sent["order"] == [(old_at, 0), (sent[1][0][0], 1), (young_at, 2),
-                             (young_again, 2), (old_again, 0)]
-    assert len(sent[1]) == 1 and sender.retransmissions == 2
+    (old_at, _), (old_retry_at, _), (old_again, _) = sent[0]
+    (young_at, young_rto), (young_again, _) = sent[1]
+    assert old_retry_at == backoff_deadline(old_at, INITIAL_RTO, 0)
+    assert old_again == backoff_deadline(old_retry_at, INITIAL_RTO, 1)
+    assert young_again == backoff_deadline(young_at, young_rto, 0)
+    assert young_rto == INITIAL_RTO and old_retry_at < young_at < young_again < old_again
+    assert sent["order"] == [(old_at, 0), (old_retry_at, 0), (young_at, 1),
+                             (young_again, 1), (old_again, 0)]
+    assert sender.retransmissions == 3
+
+
+def test_rto_follows_twice_the_smoothed_rtt_but_never_under_min_rto():
+    """An ACKed segment sent once is an RTT sample; the RTO becomes twice
+    the smoothed RTT, floored at MIN_RTO."""
+    topo, a, b, conn = make_pair()
+    sender = conn.endpoint(a)
+    conn.endpoint(b).on_message = lambda message: None
+    sender.send("fast")
+    topo.run(until=1.0)
+    assert sender._srtt < MIN_RTO / 2 and sender._rto == MIN_RTO
+    # A 4 ms host stack makes a round trip of four stack crossings
+    # (~16 ms): inside the initial RTO, and over half of MIN_RTO.
+    topo, a, b, conn = make_pair(stack_delay=4e-3)
+    sender = conn.endpoint(a)
+    sent = record_data_transmissions(sender)
+    conn.endpoint(b).on_message = lambda message: None
+    sender.send("slow")
+    topo.run(until=1.0)
+    assert len(sent[0]) == 1 and sender.retransmissions == 0
+    assert MIN_RTO / 2 < sender._srtt < INITIAL_RTO
+    assert sender._rto == 2.0 * sender._srtt > MIN_RTO
 
 
 def test_segments_with_equal_deadlines_retransmit_in_send_order():
-    config = TcpConfig(initial_cwnd=8)
-    topo, a, b, conn = make_pair(tcp_config=config)
+    topo, a, b, conn = make_pair()
     sender, receiver = conn.endpoint(a), conn.endpoint(b)
     order = []
     drop_data(receiver, b, {seq: 1 for seq in range(6)})

@@ -200,8 +200,8 @@ def test_telemetry_config_coercion():
     assert TelemetryConfig.coerce(None) is None
     assert TelemetryConfig.coerce(False) is None
     assert isinstance(TelemetryConfig.coerce(True), TelemetryConfig)
-    cfg = TelemetryConfig.coerce({"sample_interval": 1e-3, "trace": False})
-    assert cfg.sample_interval == 1e-3 and cfg.trace is False
+    cfg = TelemetryConfig.coerce({"sample_interval": 1e-3, "trace_sample": 4})
+    assert cfg.sample_interval == 1e-3 and cfg.trace_sample == 4
     same = TelemetryConfig()
     assert TelemetryConfig.coerce(same) is same
     with pytest.raises(ValueError):
@@ -565,17 +565,6 @@ def test_trace_sampling_reduces_spans(tmp_path):
     assert signature_digest(r_full) == signature_digest(r_sampled)
     assert 0 < r_sampled.metrics["traces"] < r_full.metrics["traces"]
     assert r_sampled.metrics["spans"] < r_full.metrics["spans"]
-
-
-def test_metrics_only_mode(tmp_path):
-    run_dir = tmp_path / "run"
-    result = _run(_spec(telemetry={"run_dir": str(run_dir), "trace": False}))
-    assert not (run_dir / "spans.ndjson").exists()
-    _, records = read_ndjson(run_dir / "metrics.ndjson", "trace-metrics/v1")
-    assert records
-    assert result.metrics["spans"] == 0
-    # The sampler still tracked engine + queue state.
-    assert result.metrics["sampled_ticks"] == len(records)
 
 
 # --------------------------------------------------------------------- #
