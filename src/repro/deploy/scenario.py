@@ -595,6 +595,11 @@ def run_scenario(spec: DeploymentSpec,
             result.failures.append(
                 f"linearizability check exhausted on "
                 f"{[r.key for r in report.exhausted_keys()]}")
+    for link in deployment.topology.links:  # conservation, checked always
+        sent = link.port_a.tx_packets + link.port_b.tx_packets
+        if sent != link.delivered + link.dropped:
+            result.failures.append(f"link {link.name}: {sent} packets sent but "
+                                   f"{link.delivered} delivered + {link.dropped} dropped")
     for check in checks.custom:
         message = check(result)
         if message:

@@ -20,9 +20,9 @@ constant factors *are* the simulator's throughput):
   allocating an :class:`Event` handle; ``Link.transmit`` pushes its entry
   itself, with no engine frame at all.
 * A hop nothing can observe costs no event (``Link.transmit``): the next
-  event keeps the ``(time, seq)`` the skipped one would have had and
-  carries its time, so a fault that lands first gives it back
-  (:meth:`Simulator.refile`, :meth:`Simulator.has_run`).
+  event keeps the seq the skipped one would have had and carries its time,
+  so a fault that lands first gives it back (:meth:`Simulator.refile`,
+  :meth:`Simulator.has_run`).  A switch's pass queues its packet as of then.
 * Cancellation is a tombstone: the entry's callback slot is set to ``None``
   in place, and the entry is discarded when it surfaces at the top of the
   heap.  A tombstone count triggers heap compaction when more than half the
@@ -198,11 +198,10 @@ class Simulator:
         return time < self._now or (time == self._now and seq <= self._cursor)
 
     def refile(self, callback: Callable[..., None], rewrite: Callable[[list], None]) -> None:
-        """Let ``rewrite`` give each queued entry of ``callback`` a new time,
-        callback and args in place (never a new seq); restore heap order."""
-        for entry in self._queue:
-            if entry[2] == callback:
-                rewrite(entry)
+        """Let ``rewrite`` give each entry of ``callback``, in ``(time, seq)`` order, a
+        new time, callback and args in place (never a new seq); restore heap order."""
+        for entry in sorted(entry for entry in self._queue if entry[2] == callback):
+            rewrite(entry)
         heapify(self._queue)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None,

@@ -149,10 +149,10 @@ class Link:
         is pushed onto the event heap, here.  A hop nothing can observe costs
         no event: :meth:`Host.send` transmits at once, as of its TX time
         ``tx_at``; a live, untraced :class:`Host` with no RX queue gets its
-        dispatch pushed, and a live, untraced, loss-free :class:`Switch` with
-        no queue its pipeline pass, under the seq the arrival would have
-        taken.  The entry carries the skipped hops' times (``arrival``,
-        ``tx_at``) for :meth:`_refile_tx` and :meth:`Switch.fail`.
+        dispatch pushed, and a live, untraced, loss-free :class:`Switch` its
+        pass (which queues the packet as of its arrival), under the seq the
+        arrival would have taken.  The entry carries the skipped hops' times
+        (``arrival``, ``tx_at``) for :meth:`_refile_tx` and :meth:`Switch.fail`.
         """
         if from_port is self.port_a:
             dst_port = self.port_b
@@ -204,10 +204,8 @@ class Link:
         sim._seq = seq + 1
         arrival = (sim._now if tx_at is None else tx_at) + latency
         if tel is None and type(node) is Switch:
-            config = node.config
-            if (config.capacity_pps is None and node._injected_loss_rate <= 0
-                    and node.telemetry is None and not node.failed):
-                heappush(sim._queue, [arrival + config.pipeline_delay, seq, node._process,
+            if node._injected_loss_rate <= 0 and node.telemetry is None and not node.failed:
+                heappush(sim._queue, [arrival + node.config.pipeline_delay, seq, node._process,
                                       (packet, dst_port, arrival, tx_at)])
                 return
         elif (tel is None and type(node) is Host and tx_at is None and node.telemetry is None

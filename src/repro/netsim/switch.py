@@ -16,8 +16,9 @@ This is the stand-in for a Barefoot Tofino switch: a device with
   magnitude faster than servers.
 
 Capacity is modelled as a single-server queue: each pipeline pass occupies
-``1/capacity_pps`` seconds of the pipeline, and packets beyond the ingress
-queue limit are tail-dropped.  The paper's testbed mode processes every
+``1/capacity_pps`` seconds of the pipeline (a throughput ceiling: a packet
+waits out the backlog ahead of it, not its own slot), and packets beyond the
+ingress queue limit are tail-dropped.  The paper's testbed mode processes every
 query packet twice per switch (once in each direction); this emerges
 naturally here because a query traverses the same switch on its way up and
 down the topology.
@@ -32,8 +33,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum, auto
+from heapq import heappush
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.netsim.engine import Event
 from repro.netsim.node import Node, Port, stable_name_seed
 from repro.netsim.packet import Packet
 from repro.netsim.registers import RegisterFile
@@ -90,9 +93,9 @@ class SwitchConfig:
 class Switch(Node):
     """A programmable switch: L3 forwarding plus a match-action pipeline.
 
-    :meth:`receive` decides fail-stop, injected loss and the queue at
-    arrival; :meth:`_process` is the pass ``pipeline_delay`` later.  With
-    none of the three and no tracer, ``Link.transmit`` pushes the pass.
+    :meth:`receive` decides fail-stop and injected loss at arrival; :meth:`_process`
+    queues the packet as of its arrival (a traced switch queues at arrival) and runs
+    or defers the pass.  With no fault and no tracer, ``Link.transmit`` pushes the pass.
     """
 
     def __init__(self, sim: "Simulator", name: str, ip: str,
@@ -148,39 +151,41 @@ class Switch(Node):
         if self._injected_loss_rate > 0 and self.rng.random() < self._injected_loss_rate:
             self.dropped_injected += 1
             return
-        cfg = self.config
-        capacity = cfg.capacity_pps
-        if capacity is None:
-            tel = self.telemetry
-            if tel is not None:
-                tel.switch_enq(self, packet, 0.0)
-            self.sim.call_after(cfg.pipeline_delay, self._process, packet, port)
+        sim, cfg, tel = self.sim, self.config, self.telemetry
+        if tel is None:
+            sim.call_after(cfg.pipeline_delay, self._process, packet, port, sim._now, None)
             return
-        # Single-server queue with tail drop.  The packet waits for the
-        # backlog ahead of it but its own service slot is not added to its
-        # latency: the scaled-down service rate models the throughput
-        # ceiling, not per-packet processing delay (which is
-        # ``pipeline_delay``).  See :mod:`repro.perfmodel.devices`.
-        now = self.sim._now
+        backlog = 0.0 if cfg.capacity_pps is None else self._admit(sim._now)
+        if backlog is not None:
+            tel.switch_enq(self, packet, backlog)
+            sim.call_after(backlog + cfg.pipeline_delay, self._process, packet, port)
+
+    def _admit(self, arrival: float) -> Optional[float]:
+        """The wait of a packet queued at ``arrival``; ``None`` if tail-dropped."""
         busy_until = self._busy_until
-        backlog = busy_until - now
+        backlog = busy_until - arrival
         if backlog < 0.0:
             backlog = 0.0
-            busy_until = now
-        service_time = 1.0 / capacity
-        if backlog / service_time >= cfg.ingress_queue_packets:
+            busy_until = arrival
+        service_time = 1.0 / self.config.capacity_pps
+        if backlog / service_time >= self.config.ingress_queue_packets:
             self.dropped_capacity += 1
-            return
+            return None
         self._busy_until = busy_until + service_time
-        tel = self.telemetry
-        if tel is not None:
-            tel.switch_enq(self, packet, backlog)
-        self.sim.call_after(backlog + cfg.pipeline_delay, self._process,
-                            packet, port)
+        return backlog
 
     def _process(self, packet: Packet, port: Port, arrival: Optional[float] = None,
                  tx_at: Optional[float] = None) -> None:
-        # ``arrival`` and ``tx_at`` ride on a fused pass, for the refiles.
+        # A pass carrying its ``arrival`` is queued now, as of then (``tx_at`` is for refiles).
+        if arrival is not None and self.config.capacity_pps is not None:
+            backlog = self._admit(arrival)
+            if backlog is None:
+                return
+            if backlog > 0.0:
+                self.sim._seq += 1
+                heappush(self.sim._queue, [arrival + (backlog + self.config.pipeline_delay),
+                                           self.sim._seq - 1, self._process, (packet, port)])
+                return
         if self.failed:
             # Admitted before fail() and due after it: received, so dropped.
             self.packets_dropped += 1
@@ -266,7 +271,20 @@ class Switch(Node):
 
     def recover_device(self) -> None:
         """Bring the device back up (its NetChain state is *not* restored;
-        the controller's failure-recovery protocol handles state)."""
+        the controller's failure-recovery protocol handles state).  What
+        arrived before is queued first, against the backlog the reset forgets."""
         self.failed = False
         self.serving = True
+        sim = self.sim
+
+        def admitted(entry: list) -> None:
+            args = entry[3]
+            if len(args) == 4 and self.config.capacity_pps and sim.has_run(args[2], entry[1]):
+                backlog = self._admit(args[2])
+                if backlog is None:
+                    Event(sim, entry).cancel()
+                else:
+                    entry[0], entry[3] = args[2] + (backlog + self.config.pipeline_delay), args[:2]
+
+        sim.refile(self._process, admitted)
         self._busy_until = 0.0

@@ -332,8 +332,9 @@ def test_seeded_scenario_processed_events_pinned():
     Two kinds of fact are pinned.  The signature digest (every op's
     client, key, value, outcome and times) is semantic: no change may move
     it.  The event count is mechanical: a change that removes events (the
-    fused host TX hop took it from 116,946 to 106,692, one per op) re-pins
-    it once, with the digest unmoved."""
+    fused host TX hop took it from 116,946 to 106,692, one per op; a queued
+    switch admitting at the pass to 69,446) re-pins it once, with the digest
+    unmoved."""
     from repro.deploy import DeploymentSpec, WorkloadSpec, run_scenario
     from repro.deploy.matrix import signature_digest
 
@@ -344,5 +345,5 @@ def test_seeded_scenario_processed_events_pinned():
     assert result.ok(), result.failures
     assert signature_digest(result) \
         == "fff73ea05fd55beec2c02dcec251240177d63592ba8a6f0d0adae6d99dcfd531"
-    assert result.deployment.sim.processed_events == 106692
+    assert result.deployment.sim.processed_events == 69446
     assert result.completed_ops == 10254

@@ -12,7 +12,7 @@ from repro.netsim.faults import FaultInjector, FaultSchedule, LinkFaultModel, de
 from repro.netsim.host import HostConfig
 from repro.netsim.link import LinkConfig
 from repro.netsim.routing import install_shortest_path_routes
-from repro.netsim.switch import PipelineAction, PipelineProgram
+from repro.netsim.switch import PipelineAction, PipelineProgram, SwitchConfig
 from repro.netsim.topology import build_line, build_testbed
 from tests.conftest import make_cluster
 
@@ -185,14 +185,21 @@ class Recorder(PipelineProgram):
         return PipelineAction.CONTINUE
 
 
-def switch_race(actions, labels=("x",), senders=("H0_0",)):
+#: Both kinds of switch: no queue, and a queue with a 0.25 us service time
+#: (half a pass), which admits a packet at its pass, as of its arrival.
+QUEUES = pytest.mark.parametrize("switch_config", [None, SwitchConfig(capacity_pps=4e6)],
+                                 ids=["queue-free", "queued"])
+
+
+def switch_race(actions, labels=("x",), senders=("H0_0",), switch_config=None):
     """Send one packet per ``(sender, label)`` to H1_0 at time 0, with
     ``actions`` -- ``(at, action(topology))`` pairs -- scheduled first.
     Returns the topology, the labels H1_0 received, and each switch's
     recorder."""
     topo = build_line(2, hosts_at={0: 2, 1: 1},
                       host_config=HostConfig(stack_delay=10e-6, nic_pps=None),
-                      link_config=LinkConfig(bandwidth_bps=None))
+                      link_config=LinkConfig(bandwidth_bps=None),
+                      switch_config=switch_config)
     install_shortest_path_routes(topo)
     recorders = {}
     for name, switch in topo.switches.items():
@@ -216,6 +223,7 @@ def _recover(name):
     return lambda topo: topo.switches[name].recover_device()
 
 
+@QUEUES
 @pytest.mark.parametrize("target", ["S0", "S1"], ids=["host-tx-fused", "switch-to-switch"])
 @pytest.mark.parametrize("offsets, delivered, passes", [
     ([(-0.1e-6, "fail")], 0, 0),
@@ -230,14 +238,14 @@ def _recover(name):
         "fail-recover-before-arrival", "recover-at-arrival", "recover-after-arrival",
         "fail-recover-before-pass"])
 def test_a_switch_fault_around_a_pass_gives_the_hop_by_hop_verdict(
-        target, offsets, delivered, passes):
+        target, offsets, delivered, passes, switch_config):
     """A switch decides at arrival whether it takes a packet, and again at
     its pipeline pass whether it is still up -- whether or not the
     simulator spends an event on the arrival."""
     arrival = ARRIVAL_AT[target]
     actions = [(arrival + offset, _fail(target) if kind == "fail" else _recover(target))
                for offset, kind in offsets]
-    topo, received, recorders = switch_race(actions)
+    topo, received, recorders = switch_race(actions, switch_config=switch_config)
     switch = topo.switches[target]
     assert len(received) == delivered
     assert switch.pipeline_passes == passes
@@ -246,6 +254,7 @@ def test_a_switch_fault_around_a_pass_gives_the_hop_by_hop_verdict(
     assert switch.packets_dropped == 1 - passes
 
 
+@QUEUES
 @pytest.mark.parametrize("target", ["S0", "S1"], ids=["host-tx-fused", "switch-to-switch"])
 @pytest.mark.parametrize("how", ["set_loss_rate", "assignment"])
 @pytest.mark.parametrize("offsets, delivered", [
@@ -255,7 +264,7 @@ def test_a_switch_fault_around_a_pass_gives_the_hop_by_hop_verdict(
     ([(-0.2e-6, 1.0), (-0.1e-6, 0.0)], 1),
 ], ids=["raised-before-arrival", "raised-at-arrival", "raised-after-arrival",
         "raised-and-cleared-before-arrival"])
-def test_injected_loss_is_drawn_at_arrival(target, how, offsets, delivered):
+def test_injected_loss_is_drawn_at_arrival(target, how, offsets, delivered, switch_config):
     """Figure 9(d)'s per-switch loss applies to packets that arrive while
     it is set, however it was set."""
     def set_rate(rate):
@@ -264,33 +273,36 @@ def test_injected_loss_is_drawn_at_arrival(target, how, offsets, delivered):
         return lambda topo: setattr(topo.switches[target], "injected_loss_rate", rate)
 
     actions = [(ARRIVAL_AT[target] + offset, set_rate(rate)) for offset, rate in offsets]
-    topo, received, _recorders = switch_race(actions)
+    topo, received, _recorders = switch_race(actions, switch_config=switch_config)
     assert len(received) == delivered
     assert topo.switches[target].dropped_injected == 1 - delivered
     assert topo.switches[target].injected_loss_rate == offsets[-1][1]
 
 
+@QUEUES
 @pytest.mark.parametrize("target", ["S0", "S1"], ids=["host-tx-fused", "switch-to-switch"])
 @pytest.mark.parametrize("offset, programs_ran", [
     (-0.1e-6, False), (0.1e-6, False), (0.6e-6, True),
 ], ids=["gray-before-arrival", "gray-between-arrival-and-pass", "gray-after-pass"])
-def test_a_gray_failure_is_seen_at_the_pass(target, offset, programs_ran):
+def test_a_gray_failure_is_seen_at_the_pass(target, offset, programs_ran, switch_config):
     """A gray-failed switch still forwards transit traffic but runs no
     program on it: what counts is its state at the pass, not at arrival."""
     actions = [(ARRIVAL_AT[target] + offset,
                 lambda topo: topo.switches[target].fail_gray())]
-    topo, received, recorders = switch_race(actions)
+    topo, received, recorders = switch_race(actions, switch_config=switch_config)
     assert received == ["x"]
     assert recorders[target].seen == (["x"] if programs_ran else [])
     assert topo.switches[target].pipeline_passes == 1
 
 
-def test_packets_landing_at_one_instant_keep_their_order_at_every_switch():
-    """Two hosts send at the same instant: both packets reach S0 together,
-    leave it together and reach S1 together, and every pipeline sees them
-    in send order."""
+@QUEUES
+def test_packets_landing_at_one_instant_keep_their_order_at_every_switch(switch_config):
+    """Two hosts send at the same instant: both packets reach S0 together
+    (the second behind the first's service time on a queued switch), and
+    every pipeline sees them in send order."""
     topo, received, recorders = switch_race([], labels=("first", "second"),
-                                            senders=("H0_0", "H0_1"))
+                                            senders=("H0_0", "H0_1"),
+                                            switch_config=switch_config)
     assert received == ["first", "second"]
     assert recorders["S0"].seen == recorders["S1"].seen == ["first", "second"]
 

@@ -38,25 +38,27 @@ from repro.deploy import (
 )
 
 #: kind -> (backend, write ratio, Python calls/op, C calls/op, ops, events).
-#: Measured when committed (after every backend built its one ``KVResult``
-#: where the reply lands, with the version as a field and the key stripped
-#: of its wire padding): NetChain 58.5 / 49.3 per read (60.5 / 48.3 before,
-#: 64.8 / 48.3 before a link pushed its arrivals onto the heap itself, a
-#: queue-free switch's pass took the place of its arrival event and a TCP
-#: segment stopped arming a timer of its own, 64.8 / 49.3 before the switch
-#: store kept each value once, 79.0 / 53.3 before a pending query became its
+#: Measured when committed (after a queued switch took its packets in at the
+#: pass, as of the arrival, so a pass with no backlog ahead costs one event):
+#: NetChain 55.1 / 44.3 per read (58.5 / 49.3 before, 60.5 / 48.3 before every
+#: backend built its one ``KVResult`` where the reply lands, 64.8 / 48.3
+#: before a link pushed its arrivals onto the heap itself, a queue-free
+#: switch's pass took the place of its arrival event and a TCP segment stopped
+#: arming a timer of its own, 64.8 / 49.3 before the switch store kept each
+#: value once, 79.0 / 53.3 before a pending query became its
 #: own future and a link arrival the far node's ``receive``, 81.0 / 55.3
-#: before the host hops were fused) and 85.1 / 81.8 per write (87.1 / 80.8,
-#: 93.5 / 80.8, 99.5 / 82.8, 115.8 / 86.8, 117.8 / 88.8), 8.48 and 12.68
-#: events (9.48 and 13.68 unfused); server chain 77.0 / 65.0 per read
+#: before the host hops were fused) and 80.3 / 74.1 per write (85.1 / 81.8,
+#: 87.1 / 80.8, 93.5 / 80.8, 99.5 / 82.8, 115.8 / 86.8, 117.8 / 88.8), 5.99 and
+#: 8.86 events (8.48 and 12.68 before, 9.48 and 13.68 before a host's TX hop
+#: was fused); server chain 77.0 / 65.0 per read
 #: (79.0 / 65.0, 105.1 / 79.0, 111.1 / 79.0, 131.1 / 95.0) and 135.1 / 118.1
 #: per write (137.1 / 118.1, 189.1 / 146.1, 197.1 / 146.1, 237.1 / 178.1),
 #: 8.00 and 16.01 events (12.00 and 24.00 before, 20.00 and 40.00 with no
 #: hop fused; a write's extra 0.01 is RTO keys coming due after their ACK).
 #: The budgets are the measured count plus ~3%.
 BUDGET = {
-    "read": ("netchain", 0.0, 60.3, 50.8, 8232, 69820),
-    "write": ("netchain", 1.0, 87.7, 84.3, 8232, 104400),
+    "read": ("netchain", 0.0, 56.7, 45.6, 8232, 49316),
+    "write": ("netchain", 1.0, 82.7, 76.4, 8232, 72972),
     "server-chain-read": ("server-chain", 0.0, 79.3, 67.0, 19776, 158256),
     "server-chain-write": ("server-chain", 1.0, 139.2, 121.6, 9861, 157832),
 }

@@ -34,6 +34,7 @@ from repro.deploy import (
 )
 from repro.deploy.matrix import signature_digest
 from repro.experiments import fault_scenario, reconfig_scenario
+from repro.netsim.link import Link
 from repro.netsim.tcp import TcpEndpoint
 from repro.perfmodel.devices import scaled_testbed
 from repro.workloads.clients import LoadClient
@@ -254,6 +255,26 @@ def test_scenario_checks_can_be_tuned():
     assert result.ok()
     assert result.linearizability is None
     assert result.history is None
+
+
+def test_a_link_that_loses_count_of_a_delivery_fails_the_run(monkeypatch):
+    """Conservation is checked after every run, with no check to switch on:
+    per link, the packets its two ports sent equal ``delivered + dropped``.
+    A link that forgets one delivery is named."""
+    assert run_scenario(matrix_spec("netchain"), matrix_workload()).ok()
+    transmit = Link.transmit
+    uncounted = []
+
+    def forgets_one(self, packet, from_port, tx_at=None):
+        transmit(self, packet, from_port, tx_at)
+        if not uncounted and self.stats.delivered:
+            self.stats.delivered -= 1
+            uncounted.append(self.name)
+
+    monkeypatch.setattr(Link, "transmit", forgets_one)
+    result = run_scenario(matrix_spec("netchain"), matrix_workload())
+    (message,) = result.failures
+    assert message.startswith(f"link {uncounted[0]}: ") and "delivered" in message
 
 
 def test_scenario_rejects_faults_on_unsupporting_backend(monkeypatch):

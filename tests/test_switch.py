@@ -163,76 +163,162 @@ def test_pipeline_pass_counting():
 
 
 # --------------------------------------------------------------------- #
-# A packet on the wire to a queue-free switch: faults before, at and after
-# its arrival (1 us of propagation, a 0.5 us pass).
+# A packet on the wire to a switch, queue-free or queued: faults before, at
+# and after its arrival (1 us of propagation, a 0.5 us pass).
 # --------------------------------------------------------------------- #
 
 ARRIVAL = 1e-6
+#: The queued switch's service time: 0.25 us, half a pass.
+SERVICE = 0.25e-6
+QUEUED = SwitchConfig(capacity_pps=1 / SERVICE)
+#: The pass of a packet landing with another, summed in the simulator's
+#: own order: its backlog is the first one's service time, as the busy clock
+#: reads it.
+SECOND_PASS = ARRIVAL + (((ARRIVAL + SERVICE) - ARRIVAL) + 0.5e-6)
+SWITCHES = pytest.mark.parametrize("config", [None, QUEUED], ids=["queue-free", "queued"])
 
 
-def wired_switch(actions, count=1):
+class Timing(PipelineProgram):
+    """Records ``(packet, now)`` at every pipeline pass it runs in."""
+
+    def __init__(self):
+        self.passes = []
+
+    def process(self, switch, packet, in_port):
+        self.passes.append((packet, switch.sim.now))
+        return PipelineAction.CONTINUE
+
+
+def wired_switch(actions, count=1, config=None, late=()):
     """``source -> S0 -> sink``; ``actions`` (``(at, action(switch))``) are
-    scheduled before ``count`` packets leave ``source`` at time 0."""
-    sim, switch, sink = make_switch()
+    scheduled before ``count`` packets leave ``source`` at time 0, and one
+    more at each instant of ``late``."""
+    sim, switch, sink = make_switch(config)
     source = Sink(sim, "src", "10.1.0.9")
     connect(sim, source, switch, config=LinkConfig(delay=ARRIVAL, bandwidth_bps=None))
     for at, action in actions:
         sim.schedule(at, action, switch)
-    packets = [packet_to(sink.ip) for _ in range(count)]
-    for packet in packets:
+    packets = [packet_to(sink.ip) for _ in range(count + len(late))]
+    for packet in packets[:count]:
         source.transmit(packet, source.ports[0])
+    for at, packet in zip(late, packets[count:]):
+        sim.schedule(at, source.transmit, packet, source.ports[0])
     sim.run()
     return switch, sink, packets
 
 
+@SWITCHES
 @pytest.mark.parametrize("at, delivered", [
     (0.5e-6, 0), (ARRIVAL, 0), (ARRIVAL + 0.2e-6, 0), (ARRIVAL + 0.6e-6, 1),
 ], ids=["before-arrival", "at-arrival", "before-pass", "after-pass"])
-def test_a_switch_failing_around_a_wired_packet_drops_it_until_its_pass(at, delivered):
-    switch, sink, _packets = wired_switch([(at, Switch.fail)])
+def test_a_switch_failing_around_a_wired_packet_drops_it_until_its_pass(at, delivered, config):
+    switch, sink, _packets = wired_switch([(at, Switch.fail)], config=config)
     assert len(sink.received) == delivered
     assert switch.packets_received == 1
     assert switch.packets_dropped == 1 - delivered
     assert switch.pipeline_passes == delivered
 
 
-def test_a_switch_failing_and_recovering_before_arrival_passes_the_packet():
+@SWITCHES
+def test_a_switch_failing_and_recovering_before_arrival_passes_the_packet(config):
     switch, sink, _packets = wired_switch([(0.3e-6, Switch.fail),
-                                           (0.6e-6, Switch.recover_device)])
+                                           (0.6e-6, Switch.recover_device)], config=config)
     assert len(sink.received) == switch.pipeline_passes == 1
 
 
+@SWITCHES
+@pytest.mark.parametrize("fail_at, recover_at", [
+    (0.3e-6, ARRIVAL), (ARRIVAL + 0.1e-6, ARRIVAL + 0.2e-6),
+], ids=["recover-at-arrival", "fail-recover-before-pass"])
+def test_a_switch_recovering_by_a_wired_packets_pass_passes_it(fail_at, recover_at, config):
+    switch, sink, _packets = wired_switch([(fail_at, Switch.fail),
+                                           (recover_at, Switch.recover_device)], config=config)
+    assert len(sink.received) == switch.pipeline_passes == 1
+
+
+@SWITCHES
 @pytest.mark.parametrize("at, delivered", [(0.5e-6, 0), (ARRIVAL, 0), (ARRIVAL + 0.2e-6, 1)],
                          ids=["before-arrival", "at-arrival", "before-pass"])
-def test_injected_loss_assigned_while_a_packet_is_on_the_wire(at, delivered):
+def test_injected_loss_assigned_while_a_packet_is_on_the_wire(at, delivered, config):
     def lossy(switch):
         switch.injected_loss_rate = 1.0
 
-    switch, sink, _packets = wired_switch([(at, lossy)])
+    switch, sink, _packets = wired_switch([(at, lossy)], config=config)
     assert len(sink.received) == delivered
     assert switch.dropped_injected == 1 - delivered
 
 
-def test_a_gray_failure_between_arrival_and_pass_skips_the_programs():
-    seen = []
-
-    class Counting(PipelineProgram):
-        def process(self, switch, packet, in_port):
-            seen.append(packet)
-            return PipelineAction.CONTINUE
-
-    switch, sink, packets = wired_switch([(0.5e-6, lambda s: s.install_program(Counting())),
-                                          (ARRIVAL + 0.2e-6, Switch.fail_gray)])
+@SWITCHES
+def test_a_gray_failure_between_arrival_and_pass_skips_the_programs(config):
+    timing = Timing()
+    switch, sink, packets = wired_switch([(0.5e-6, lambda s: s.install_program(timing)),
+                                          (ARRIVAL + 0.2e-6, Switch.fail_gray)], config=config)
     assert sink.received == packets and switch.pipeline_passes == 1
-    assert seen == []
+    assert timing.passes == []
 
 
-def test_packets_on_one_wire_pass_in_the_order_they_landed():
-    switch, sink, packets = wired_switch([], count=3)
+@SWITCHES
+def test_packets_on_one_wire_pass_in_the_order_they_landed(config):
+    switch, sink, packets = wired_switch([], count=3, config=config)
     assert sink.received == packets
     assert switch.pipeline_passes == 3
 
 
+# A queue's backlog: packets landing within one service time of each other.
+
+@pytest.mark.parametrize("loss_rate", [0.0, 1e-12], ids=["fused", "via-receive"])
+def test_a_packet_landing_behind_another_passes_after_its_backlog(loss_rate):
+    """Whether the link pushes the pass or ``receive`` does (any injected
+    loss rate takes the arrival event), the queue works the same."""
+    def install(switch):
+        switch.install_program(timing)
+        switch.injected_loss_rate = loss_rate
+
+    timing = Timing()
+    switch, sink, packets = wired_switch([(0.5e-6, install)], count=2, config=QUEUED)
+    assert sink.received == packets
+    assert timing.passes == [(packets[0], ARRIVAL + 0.5e-6),
+                             (packets[1], SECOND_PASS)]
+    # Both were admitted as of their arrival, not of their pass.
+    assert switch._busy_until == (ARRIVAL + SERVICE) + SERVICE
+
+
+def test_a_switch_failing_between_two_queued_passes_drops_the_second():
+    switch, sink, packets = wired_switch([(ARRIVAL + 0.6e-6, Switch.fail)],
+                                         count=2, config=QUEUED)
+    assert sink.received == packets[:1]
+    assert switch.pipeline_passes == switch.packets_dropped == 1
+    assert switch.dropped_capacity == 0
+
+
+def test_the_ingress_limit_tail_drops_at_arrival():
+    """One packet may wait: the second lands half a service time after the
+    first and waits half of one, the third lands with it and would wait one
+    and a half."""
+    config = SwitchConfig(capacity_pps=1 / SERVICE, ingress_queue_packets=1)
+    switch, sink, packets = wired_switch([], count=1, config=config,
+                                         late=(SERVICE / 2, SERVICE / 2))
+    assert sink.received == packets[:2]
+    assert switch.dropped_capacity == 1
+    assert switch.pipeline_passes == 2
+    assert switch.packets_received == 3
+
+
+def test_recovering_a_gray_failed_switch_keeps_the_backlog_of_packets_already_in():
+    """Two packets land together on a gray-failed switch; it recovers before
+    their passes, and a third lands after that.  The two were queued at
+    arrival, so they keep their places; the third finds the queue the
+    recovery reset empty and passes ahead of the second."""
+    timing = Timing()
+    switch, sink, packets = wired_switch(
+        [(0.5e-6, lambda s: s.install_program(timing)), (0.5e-6, Switch.fail_gray),
+         (ARRIVAL + 0.1e-6, Switch.recover_device)],
+        count=2, config=QUEUED, late=(0.2e-6,))
+    first, second, third = packets
+    assert sink.received == [first, third, second]
+    assert timing.passes == [(first, ARRIVAL + 0.5e-6),
+                             (third, (0.2e-6 + ARRIVAL) + 0.5e-6),
+                             (second, SECOND_PASS)]
 
 
 # --------------------------------------------------------------------- #
