@@ -54,11 +54,29 @@ def record_line(record: Dict[str, Any]) -> bytes:
 
 #: Per declared field type: the test a value must pass for a shape's template
 #: to spell it (only a finite float minus itself is 0.0), and what is formatted.
+#: A float is looked up among the shape's earlier spellings first.
 _FIELD = {
     int: ("type({0}) is int", "{0}"),
-    float: ("type({0}) is float and {0} - {0} == 0.0", "{0}"),
+    float: ("type({0}) is float and {0} - {0} == 0.0", "(spelled({0}) or spell({0}))"),
     str: ("type({0}) is str", "esc({0})"),
 }
+
+#: Float spellings a shape remembers before it starts over.
+SPELLED_FLOATS = 4096
+
+
+def _float_speller(memo: Dict[float, str]):
+    """``repr`` of a finite float, remembered in ``memo`` (stage sums and
+    latencies repeat, and ``repr`` costs ~20 dict lookups).  Zero is never
+    remembered: ``0.0 == -0.0``, but they are spelled apart."""
+    def spell(value: float) -> str:
+        text = repr(value)
+        if value:
+            if len(memo) >= SPELLED_FLOATS:
+                memo.clear()
+            memo[value] = text
+        return text
+    return spell
 
 
 class RecordShape:
@@ -89,11 +107,13 @@ class RecordShape:
             else:
                 code = _spell(fields[key]).replace("%", "%%")
             template.append(_spell(key).replace("%", "%%") + ":" + code)
+        memo: Dict[float, str] = {}
         self.line = eval(  # one function per shape, as namedtuple builds its own
             f"lambda {args}: template % ({' '.join(values)}) "
             f"if {' and '.join(tests) or True} else reference({args})",
             {"template": "{" + ",".join(template) + "}\n",
-             "esc": encode_basestring_ascii, "reference": self._reference})
+             "esc": encode_basestring_ascii, "reference": self._reference,
+             "spelled": memo.get, "spell": _float_speller(memo)})
 
     def record(self, *values: Any) -> Dict[str, Any]:
         """The record that ``line(*values)`` spells."""

@@ -8,7 +8,9 @@ registry, histograms, sampler, event log -- lives in
   Hosts, links, switches, switch programs and agents each hold a
   ``telemetry`` attribute that is ``None`` by default; when a scenario
   enables telemetry it points at one shared tracer, and every hop of a
-  traced query adds its stage values to the query's open trace.
+  traced query adds its stage values to the query's open trace, as of
+  the hop's own time: a traced run takes the untraced run's hop path,
+  where a host's TX or a switch's arrival costs no event of its own.
 * ``trace/v2`` run directories -- one ``trc`` record per traced query,
   hop-by-hop spans for the tail only, metric time series and
   control-plane events spill as :mod:`repro.artifacts` NDJSON streams,
@@ -63,7 +65,7 @@ from repro.netsim.telemetry import (
 )
 
 TRACE_SCHEMA = "trace/v2"
-METRICS_SCHEMA = "trace-metrics/v1"
+METRICS_SCHEMA = "trace-metrics/v2"
 EVENTS_SCHEMA = "trace-events/v1"
 
 SPANS_FILE = "spans.ndjson"
@@ -256,7 +258,7 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # Netsim hooks (hosts, links, switches).  Each adds the stage values
     # its span carries, in hook order, so a trace's sums are the sums of
-    # its spans.
+    # its spans; ``at`` stamps a span with its hop's TX or arrival time.
     # ------------------------------------------------------------------ #
 
     def host_tx(self, host, packet, delay: float) -> None:
@@ -275,13 +277,13 @@ class Tracer:
             elif tid in self._tail_ids:
                 self._write(span)
 
-    def host_rx(self, host, packet, delay: float) -> None:
+    def host_rx(self, host, packet, delay: float, at: float) -> None:
         tid = packet.trace_id
         if tid:
             stack = host.config.stack_delay
             queue = delay - stack
-            span = (_HRX_Q, self.sim._now, tid, host.name, stack, queue) \
-                if queue > 0 else (_HRX, self.sim._now, tid, host.name, stack)
+            span = (_HRX_Q, at, tid, host.name, stack, queue) \
+                if queue > 0 else (_HRX, at, tid, host.name, stack)
             trace = self._open.get(tid)
             if trace is not None:
                 trace.host_stack += stack
@@ -291,11 +293,11 @@ class Tracer:
             elif tid in self._tail_ids:
                 self._write(span)
 
-    def link_tx(self, link, packet, latency: float, size: int) -> None:
+    def link_tx(self, link, packet, latency: float, size: int, at: Optional[float] = None) -> None:
         link.tel_bits += size * 8.0
         tid = packet.trace_id
         if tid:
-            span = (_LNK, self.sim._now, tid, link.name, latency)
+            span = (_LNK, self.sim._now if at is None else at, tid, link.name, latency)
             trace = self._open.get(tid)
             if trace is not None:
                 trace.link += latency
@@ -304,12 +306,29 @@ class Tracer:
             elif tid in self._tail_ids:
                 self._write(span)
 
-    def switch_enq(self, switch, packet, wait: float) -> None:
+    def link_untx(self, link, packet, at: float) -> None:
+        """Take back the :meth:`link_tx` of a hop due to leave at ``at`` whose
+        TX event ``Link._refile_tx`` gave back: its bits and, while the trace
+        is open, its span (the link stage is re-added in span order)."""
+        link.tel_bits -= packet.size_bytes() * 8.0
+        trace = self._open.get(packet.trace_id)
+        if trace is not None:
+            trace.spans = [span for span in trace.spans if not (
+                span[0] is _LNK and span[1] == at and span[3] == link.name)]
+            trace.link, trace.hops = 0.0, 0
+            for span in trace.spans:
+                if span[0] is _LNK:
+                    trace.link += span[4]
+                    trace.hops += 1
+
+    def switch_enq(self, switch, packet, wait: float, at: float) -> None:
+        if wait > switch.tel_wait:
+            switch.tel_wait = wait
         tid = packet.trace_id
         if tid:
             pipeline = switch.config.pipeline_delay
-            span = (_SWQ_W, self.sim._now, tid, switch.name, pipeline, wait) \
-                if wait > 0 else (_SWQ, self.sim._now, tid, switch.name, pipeline)
+            span = (_SWQ_W, at, tid, switch.name, pipeline, wait) \
+                if wait > 0 else (_SWQ, at, tid, switch.name, pipeline)
             trace = self._open.get(tid)
             if trace is not None:
                 if wait > 0:
@@ -473,7 +492,6 @@ class TelemetryPlane:
             **self.registry.summary(),
             "opmix": {f"vg{vg}:{op}": count
                       for (vg, op), count in sorted(tracer.opmix.items())},
-            "engine": self.sim.stats(),
             "events": len(self.event_log.events),
         }
 
@@ -712,7 +730,7 @@ def format_report(run_dir) -> str:
                     peak_q = max(peak_q, entry.get("q", 0.0))
                 for util in rec.get("links", {}).values():
                     peak_util = max(peak_util, util)
-            lines.append(f"- peak switch queue backlog: {peak_q * 1e6:.2f} us")
+            lines.append(f"- peak switch queue wait: {peak_q * 1e6:.2f} us")
             lines.append(f"- peak link utilization: {peak_util:.1%}")
             lines.append("")
 

@@ -292,20 +292,6 @@ class Simulator:
         """Number of queued events that are not tombstones."""
         return len(self._queue) - self._tombstones
 
-    def stats(self) -> dict:
-        """Engine health snapshot (sampled by the telemetry plane).
-
-        Everything here is a function of the seeded event sequence, so the
-        snapshot is deterministic and safe to spill into trace artifacts.
-        """
-        return {
-            "now": self._now,
-            "processed_events": self._processed,
-            "pending": len(self._queue),
-            "pending_live": len(self._queue) - self._tombstones,
-            "tombstones": self._tombstones,
-        }
-
     # ------------------------------------------------------------------ #
     # Tombstone bookkeeping.
     # ------------------------------------------------------------------ #

@@ -80,8 +80,8 @@ class Host(Node):
         #: The uplink, remembered by the first :meth:`send` that finds one
         #: (hosts are single-homed and a link, once plugged, stays).
         self._uplink: Optional[Port] = None
-        #: Optional telemetry tracer (:class:`repro.core.trace.Tracer`);
-        #: ``None`` keeps send/receive on the untraced fast path.
+        #: Optional telemetry tracer (:class:`repro.core.trace.Tracer`),
+        #: told of every packet's stack and NIC-queue time.
         self.telemetry = None
 
     # ------------------------------------------------------------------ #
@@ -143,10 +143,10 @@ class Host(Node):
             delay += backlog
         packet.ip.src_ip = packet.ip.src_ip or self.ip
         tel = self.telemetry
-        link = port.link
         if tel is not None:
             tel.host_tx(self, packet, delay)
-        elif (link.up and link.faults is None and link.telemetry is None
+        link = port.link
+        if (link.up and link.faults is None
                 and link.config.loss_rate <= 0 and link.config.reorder_jitter <= 0):
             # Nothing can observe the TX hop: transmit now, as of its time.
             self.packets_sent += 1
@@ -185,11 +185,13 @@ class Host(Node):
             delay += backlog
         tel = self.telemetry
         if tel is not None:
-            tel.host_rx(self, packet, delay)
+            tel.host_rx(self, packet, delay, self.sim._now)
         self.sim.call_after(delay, self._dispatch, packet)
 
     def _dispatch(self, packet: Packet, arrival: Optional[float] = None) -> None:
-        # ``arrival`` rides on a fused RX (Link.transmit), for ``fail``.
+        # ``arrival`` rides on a fused RX (Link.transmit), for ``fail`` and the tracer.
+        if self.telemetry is not None and arrival is not None:
+            self.telemetry.host_rx(self, packet, self.config.stack_delay, arrival)
         if self.failed:
             return
         handler: Optional[PacketHandler] = None

@@ -69,10 +69,10 @@ class Link:
         #: Optional fault model installed by :mod:`repro.netsim.faults`;
         #: anything with an ``on_transmit(packet) -> FaultVerdict`` method.
         self.faults = None
-        #: Optional telemetry tracer (:class:`repro.core.trace.Tracer`);
-        #: ``None`` keeps transmission on the untraced fast path.
+        #: Optional telemetry tracer (:class:`repro.core.trace.Tracer`),
+        #: told of every hop as it is scheduled.
         self.telemetry = None
-        #: Bits carried (accumulated by the tracer for utilization series).
+        #: Bits of the hops scheduled since the last metrics tick (tracer-kept).
         self.tel_bits = 0.0
         #: Stable ``a-b`` label used in fault traces and stats reports (a
         #: node is named once, at construction).
@@ -106,8 +106,9 @@ class Link:
 
     def _refile_tx(self) -> None:
         """Give each fused host TX (:meth:`transmit`) still short of its TX
-        time its TX event back, uncounted, to meet the link's new state there.
-        Only an up link without a fault model fuses, so ``set_up`` finds none."""
+        time its TX event back, uncounted and untraced, to meet the link's new
+        state there.  Only an up link without a fault model fuses, so
+        ``set_up`` finds none."""
         sim = self.sim
 
         def tx_event(entry: list) -> None:
@@ -121,6 +122,8 @@ class Link:
                 dst_port.rx_packets -= 1
                 src_port.node.packets_sent -= 1
                 src_port.tx_packets -= 1
+                if self.telemetry is not None:
+                    self.telemetry.link_untx(self, packet, tx_at)
                 entry[0], entry[2], entry[3] = tx_at, src_port.node.transmit, (packet, src_port)
 
         sim.refile(self._deliver, tx_event)
@@ -146,10 +149,11 @@ class Link:
 
         A delivery is counted (``delivered``, the far node's
         ``packets_received``, the far port's ``rx_packets``) when its arrival
-        is pushed onto the event heap, here.  A hop nothing can observe costs
-        no event: :meth:`Host.send` transmits at once, as of its TX time
-        ``tx_at``; a live, untraced :class:`Host` with no RX queue gets its
-        dispatch pushed, and a live, untraced, loss-free :class:`Switch` its
+        is pushed onto the event heap, here, and so is the tracer's
+        ``link_tx``, as of the hop's TX time.  A hop nothing can observe
+        costs no event, traced or not: :meth:`Host.send` transmits at once,
+        as of its TX time ``tx_at``; a live :class:`Host` with no RX queue
+        gets its dispatch pushed, and a live, loss-free :class:`Switch` its
         pass (which queues the packet as of its arrival), under the seq the
         arrival would have taken.  The entry carries the skipped hops' times
         (``arrival``, ``tx_at``) for :meth:`_refile_tx` and :meth:`Switch.fail`.
@@ -168,9 +172,9 @@ class Link:
             self.stats.dropped_loss += 1
             return
         latency = cfg.delay
+        size = packet.payload_bytes + (
+            UDP_WIRE_OVERHEAD if packet.udp is not None else IP_WIRE_OVERHEAD)
         if cfg.bandwidth_bps:
-            size = packet.payload_bytes + (
-                UDP_WIRE_OVERHEAD if packet.udp is not None else IP_WIRE_OVERHEAD)
             latency += size * 8.0 / cfg.bandwidth_bps
         if cfg.reorder_jitter > 0:
             latency += self.rng.uniform(0.0, cfg.reorder_jitter)
@@ -188,28 +192,26 @@ class Link:
                 self.stats.delayed += 1
             if verdict.reordered:
                 self.stats.reordered += 1
+        sim = self.sim
+        sent = sim._now if tx_at is None else tx_at
         tel = self.telemetry
         if tel is not None:
-            tel.link_tx(self, packet, latency,
-                        packet.payload_bytes + (UDP_WIRE_OVERHEAD
-                                                if packet.udp is not None
-                                                else IP_WIRE_OVERHEAD))
+            tel.link_tx(self, packet, latency, size, sent)
         # Inlined Node.deliver, counted now (one call per hop on the hot path).
         self.stats.delivered += 1
         node = dst_port.node
         node.packets_received += 1
         dst_port.rx_packets += 1
-        sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
-        arrival = (sim._now if tx_at is None else tx_at) + latency
-        if tel is None and type(node) is Switch:
-            if node._injected_loss_rate <= 0 and node.telemetry is None and not node.failed:
+        arrival = sent + latency
+        if type(node) is Switch:
+            if node._injected_loss_rate <= 0 and not node.failed:
                 heappush(sim._queue, [arrival + node.config.pipeline_delay, seq, node._process,
                                       (packet, dst_port, arrival, tx_at)])
                 return
-        elif (tel is None and type(node) is Host and tx_at is None and node.telemetry is None
-                and not node.failed and node.config.nic_pps is None):
+        elif (type(node) is Host and tx_at is None and not node.failed
+                and node.config.nic_pps is None):
             heappush(sim._queue, [arrival + node.config.stack_delay, seq,
                                   node._dispatch, (packet, arrival)])
             return

@@ -93,9 +93,9 @@ class SwitchConfig:
 class Switch(Node):
     """A programmable switch: L3 forwarding plus a match-action pipeline.
 
-    :meth:`receive` decides fail-stop and injected loss at arrival; :meth:`_process`
-    queues the packet as of its arrival (a traced switch queues at arrival) and runs
-    or defers the pass.  With no fault and no tracer, ``Link.transmit`` pushes the pass.
+    :meth:`receive` decides fail-stop and injected loss at arrival; :meth:`_process` queues
+    the packet as of its arrival, tells the tracer and runs or defers the pass, which
+    ``Link.transmit`` pushes itself (no arrival event) for a live switch without loss.
     """
 
     def __init__(self, sim: "Simulator", name: str, ip: str,
@@ -121,9 +121,11 @@ class Switch(Node):
         self.dropped_not_serving = 0
         #: When ``True`` the switch silently discards everything (fail-stop).
         self.failed = False
-        #: Optional telemetry tracer (:class:`repro.core.trace.Tracer`);
-        #: ``None`` keeps the ingress path untraced.
+        #: Optional telemetry tracer (:class:`repro.core.trace.Tracer`),
+        #: told of every packet as it is queued.
         self.telemetry = None
+        #: Largest queue wait admitted since the last metrics tick (tracer-kept).
+        self.tel_wait = 0.0
         #: Gray failure: when ``False`` the switch still performs L3 transit
         #: forwarding but no longer runs its pipeline programs, so packets
         #: addressed to the device itself (NetChain queries, control traffic)
@@ -151,14 +153,8 @@ class Switch(Node):
         if self._injected_loss_rate > 0 and self.rng.random() < self._injected_loss_rate:
             self.dropped_injected += 1
             return
-        sim, cfg, tel = self.sim, self.config, self.telemetry
-        if tel is None:
-            sim.call_after(cfg.pipeline_delay, self._process, packet, port, sim._now, None)
-            return
-        backlog = 0.0 if cfg.capacity_pps is None else self._admit(sim._now)
-        if backlog is not None:
-            tel.switch_enq(self, packet, backlog)
-            sim.call_after(backlog + cfg.pipeline_delay, self._process, packet, port)
+        self.sim.call_after(self.config.pipeline_delay, self._process, packet, port,
+                            self.sim._now, None)
 
     def _admit(self, arrival: float) -> Optional[float]:
         """The wait of a packet queued at ``arrival``; ``None`` if tail-dropped."""
@@ -177,10 +173,12 @@ class Switch(Node):
     def _process(self, packet: Packet, port: Port, arrival: Optional[float] = None,
                  tx_at: Optional[float] = None) -> None:
         # A pass carrying its ``arrival`` is queued now, as of then (``tx_at`` is for refiles).
-        if arrival is not None and self.config.capacity_pps is not None:
-            backlog = self._admit(arrival)
+        if arrival is not None:
+            backlog = 0.0 if self.config.capacity_pps is None else self._admit(arrival)
             if backlog is None:
                 return
+            if self.telemetry is not None:
+                self.telemetry.switch_enq(self, packet, backlog, arrival)
             if backlog > 0.0:
                 self.sim._seq += 1
                 heappush(self.sim._queue, [arrival + (backlog + self.config.pipeline_delay),
@@ -283,8 +281,10 @@ class Switch(Node):
                 backlog = self._admit(args[2])
                 if backlog is None:
                     Event(sim, entry).cancel()
-                else:
-                    entry[0], entry[3] = args[2] + (backlog + self.config.pipeline_delay), args[:2]
+                    return
+                if self.telemetry is not None:
+                    self.telemetry.switch_enq(self, args[0], backlog, args[2])
+                entry[0], entry[3] = args[2] + (backlog + self.config.pipeline_delay), args[:2]
 
         sim.refile(self._process, admitted)
         self._busy_until = 0.0

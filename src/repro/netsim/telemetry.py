@@ -319,15 +319,16 @@ class TelemetryConfig:
 class PeriodicSampler:
     """Samples topology state into the registry on a fixed sim-time cadence.
 
-    Each tick appends one record to ``registry.series``::
+    Each tick appends one ``trace-metrics/v2`` record to ``registry.series``::
 
         {"t": ..., "hosts": {name: tx_backlog_s}, "switches": {name:
-         {"q": queue_backlog_s, "sram": bytes}}, "links": {name: bits or
-         utilization}, "engine": {...}, "opmix": {"vg:op": count}}
+         {"q": max_queue_wait_s, "sram": bytes}}, "links": {name: bits or
+         utilization}, "opmix": {"vg:op": count}}
 
-    The sampler is strictly read-only over the simulation (it never
-    touches RNGs or mutates node state), so enabling it cannot perturb
-    the seeded event order.
+    A switch's ``q`` is the largest wait it admitted since the last tick and
+    a link's bits are those of the hops scheduled since then: facts of the
+    run, not of the engine.  The sampler touches no RNG or node state (it
+    resets the tracer's per-tick counts), so it cannot perturb the run.
     """
 
     def __init__(self, sim, registry: MetricsRegistry, topology,
@@ -338,11 +339,8 @@ class PeriodicSampler:
         self.interval = interval
         self.opmix_source = opmix_source
         self._cancel = None
-        self._last_link_bits: Dict[str, float] = {}
-        self._last_events = 0
 
     def start(self) -> None:
-        self._last_events = self.sim.processed_events
         self._cancel = self.sim.every(self.interval, self._tick,
                                       start=self.interval)
 
@@ -352,8 +350,7 @@ class PeriodicSampler:
             self._cancel = None
 
     def _tick(self) -> None:
-        sim = self.sim
-        now = sim._now
+        now = self.sim._now
         rec: Dict[str, Any] = {"t": now}
 
         hosts = {}
@@ -368,16 +365,17 @@ class PeriodicSampler:
         max_queue = 0.0
         max_sram = 0
         for name, switch in self.topology.switches.items():
-            backlog = max(0.0, switch._busy_until - now)
+            wait = switch.tel_wait
+            switch.tel_wait = 0.0
             sram = switch.registers.allocated_bytes()
-            if backlog > max_queue:
-                max_queue = backlog
+            if wait > max_queue:
+                max_queue = wait
             if sram > max_sram:
                 max_sram = sram
-            if backlog > 0 or sram:
+            if wait > 0 or sram:
                 entry: Dict[str, Any] = {}
-                if backlog > 0:
-                    entry["q"] = backlog
+                if wait > 0:
+                    entry["q"] = wait
                 if sram:
                     entry["sram"] = sram
                 switches[name] = entry
@@ -387,25 +385,16 @@ class PeriodicSampler:
         links = {}
         for link in self.topology.links:
             bits = link.tel_bits
-            name = link.name
-            delta = bits - self._last_link_bits.get(name, 0.0)
-            self._last_link_bits[name] = bits
-            if delta <= 0:
+            link.tel_bits = 0.0
+            if bits <= 0:
                 continue
             bandwidth = link.config.bandwidth_bps
             if bandwidth:
-                links[name] = delta / (bandwidth * self.interval)
+                links[link.name] = bits / (bandwidth * self.interval)
             else:
-                links[name] = delta
+                links[link.name] = bits
         if links:
             rec["links"] = links
-
-        stats = sim.stats()
-        rec["engine"] = {
-            "d": stats["processed_events"] - self._last_events,
-            "pending": stats["pending_live"],
-        }
-        self._last_events = stats["processed_events"]
 
         source = self.opmix_source
         if source is not None and source.opmix:

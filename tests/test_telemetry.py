@@ -3,7 +3,8 @@
 Covers the building blocks (log-bucket histograms, the bounded
 ``LatencyRecorder``, ``TelemetryConfig`` coercion), the determinism
 contracts (two traced seeded runs spill byte-identical ``trace/v2``
-artifacts; enabling telemetry leaves the replay signature untouched),
+artifacts; a traced run is the untraced run, event for event, plus its
+sampler ticks),
 the ``trace/v2`` retention rule (one ``trc`` record per query, full spans
 for the tail) and its cross-format anchor, the contract hostbench holds
 the tracer to, the control-plane event log and its derived failure
@@ -35,7 +36,13 @@ from repro.core.trace import (
     stage_percentiles,
     trace_breakdowns,
 )
-from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec, run_scenario
+from repro.deploy import (
+    DeploymentSpec,
+    ScenarioChecks,
+    WorkloadSpec,
+    build_deployment,
+    run_scenario,
+)
 from repro.deploy.matrix import signature_digest
 from repro.netsim.engine import Simulator
 from repro.netsim.stats import LatencyRecorder
@@ -292,10 +299,12 @@ def trace_run(tmp_path_factory):
 @pytest.mark.parametrize("argv", sorted(TRACE_DIGESTS))
 def test_trace_digests_match_the_dict_per_span_writer(trace_run, argv):
     """Cross-commit anchor: ``fixtures/trace_digests.json`` holds the sha256
-    of every file ``repro trace run <argv>`` writes.  ``metrics.ndjson`` and
-    ``events.ndjson`` are the bytes of the last commit that built a dict and
-    ran ``json.dumps`` per record; ``spans.ndjson`` the first ``trace/v2``
-    bytes.  No byte may move."""
+    of every file ``repro trace run <argv>`` writes.  ``events.ndjson`` is
+    the bytes of the last commit that built a dict and ran ``json.dumps``
+    per record; ``metrics.ndjson`` the first ``trace-metrics/v2`` bytes;
+    ``spans.ndjson`` the first ``trace/v2`` bytes for ``--seed 11``, and for
+    ``--seed 7 --failover`` the first bytes whose simultaneous arrivals at a
+    switch queue in the untraced run's order.  No byte may move."""
     assert _dir_digests(trace_run(argv)) == TRACE_DIGESTS[argv]
 
 
@@ -308,9 +317,11 @@ def _without_span_inventory(report: str) -> list:
 @pytest.mark.parametrize("argv", sorted(TRACE_REPORTS))
 def test_trace_report_matches_the_v1_report(trace_run, capsys, argv):
     """Cross-format anchor: ``fixtures/trace_reports`` holds ``trace report``
-    of each run as the last ``trace/v1`` commit printed it, spans and all;
-    from ``trc`` records plus the kept spans only the spans file's own
-    inventory line may differ."""
+    of each run as the last ``trace/v1`` commit printed it, spans and all,
+    but for the lines ``trace-metrics/v2`` moved (the metrics inventory and
+    peak switch queue wait) and the two swapped waits of the failover run's
+    slowest trace; from ``trc`` records plus the kept spans only the spans
+    file's own inventory line may differ."""
     run_dir = trace_run(argv)
     capsys.readouterr()
     assert repro_cli(["trace", "report", str(run_dir)]) == 0
@@ -392,11 +403,12 @@ def test_copies_in_flight_after_a_tail_trace_ends_are_added(tmp_path):
 
 def _hook_objects(trace_id: int):
     host = SimpleNamespace(name="H0", config=SimpleNamespace(stack_delay=4.3e-06))
-    switch = SimpleNamespace(name="S0", config=SimpleNamespace(pipeline_delay=5e-07))
+    switch = SimpleNamespace(name="S0", config=SimpleNamespace(pipeline_delay=5e-07),
+                             tel_wait=0.0)
     return SimpleNamespace(
         agent=SimpleNamespace(name="agent-H0"), host=host, switch=switch,
         link=SimpleNamespace(name="H0-S0", tel_bits=0.0),
-        packet=SimpleNamespace(trace_id=trace_id),
+        packet=SimpleNamespace(trace_id=trace_id, size_bytes=lambda: 100),
         pending=SimpleNamespace(op=OpCode.READ, op_name="read", key=b"k1",
                                 retries=0, trace_id=trace_id),
         header=SimpleNamespace(op=OpCode.READ_REPLY, status=QueryStatus.OK,
@@ -407,9 +419,9 @@ def _every_hop(tracer, objects) -> None:
     tracer.query_tx(objects.agent, objects.pending, "10.0.0.2")
     tracer.host_tx(objects.host, objects.packet, 5e-06)
     tracer.link_tx(objects.link, objects.packet, 2.3e-07, 100)
-    tracer.switch_enq(objects.switch, objects.packet, 1e-07)
+    tracer.switch_enq(objects.switch, objects.packet, 1e-07, 5.23e-06)
     tracer.switch_stage(objects.switch, objects.packet, objects.header)
-    tracer.host_rx(objects.host, objects.packet, 4.3e-06)
+    tracer.host_rx(objects.host, objects.packet, 4.3e-06, 5.23e-06)
     tracer.op_complete(objects.header)
 
 
@@ -434,6 +446,7 @@ def test_the_tracer_keeps_what_hostbench_drives(tmp_path):
     tracer.close()
     assert writer.records == 0 and tracer.traces == 0
     assert objects.link.tel_bits == 800.0  # the link is still metered
+    assert objects.switch.tel_wait == 1e-07  # and the switch's largest wait
     assert list(iter_spans(tmp_path)) == []
 
 
@@ -456,6 +469,73 @@ def test_close_writes_open_traces_as_unfinished_tail_traces(tmp_path):
     _kept_traces_are_whole(traces)
 
 
+def test_a_refiled_host_tx_takes_back_its_link_span(tmp_path):
+    """``Link._refile_tx`` gives a fused host TX its TX event back, and the
+    hop is traced again when it runs: ``link_untx`` takes back the first
+    ``link_tx``'s bits and span, leaving the sums the hooks would have left."""
+    writer = NdjsonWriter(tmp_path / "spans.ndjson", trace_mod.TRACE_SCHEMA)
+    tracer = trace_mod.Tracer(Simulator(), writer=writer)
+    objects = _hook_objects(0)
+    objects.pending.trace_id = objects.packet.trace_id = tracer.query_submit(
+        objects.agent, objects.pending)
+    tracer.link_tx(objects.link, objects.packet, 3e-07, 100, 1e-06)
+    tracer.link_tx(objects.link, objects.packet, 2.3e-07, 100, 2e-06)
+    tracer.link_untx(objects.link, objects.packet, 1e-06)
+    tracer.close()
+    (trace,) = trace_breakdowns(iter_spans(tmp_path)).values()
+    assert [(span["ev"], span["t"]) for span in trace["spans"]] == \
+        [("sub", 0.0), ("lnk", 2e-06)]
+    assert (trace["stages"]["link"], trace["hops"]) == (2.3e-07, 1)
+    assert objects.link.tel_bits == 800.0
+
+
+#: ``repro trace run``'s two runs, and one with faults set on a client's
+#: uplink mid-run, so fused host TXs get their TX event back
+#: (``Link._refile_tx``): case -> (seed, fault schedule).
+IDENTITY_RUNS = {
+    "--seed 11": (11, []),
+    "--seed 7 --failover": (7, [(0.05, "fail_switch", "S1")]),
+    "--seed 11 with H0-S0 faults": (
+        11, [(0.03, "set_link_faults", "H0", "S0", 0.05, 0.0, 0.0, 3e-06)]),
+}
+
+
+def _trace_run_scenario(seed, faults, run_dir=None):
+    """``(result, processed events)`` of ``repro trace run``'s scenario,
+    traced into ``run_dir``, or untraced without one."""
+    spec = DeploymentSpec(backend="netchain", store_size=64, value_size=64, seed=seed,
+                          faults=faults,
+                          telemetry=None if run_dir is None else {"run_dir": str(run_dir)})
+    workload = WorkloadSpec(num_clients=2, concurrency=4, write_ratio=0.3,
+                            duration=0.1, drain=0.1)
+    deployment = build_deployment(spec)
+    deployment.clients(workload.num_clients)
+    result = run_scenario(spec, workload, ScenarioChecks(linearizability=True),
+                          deployment=deployment)
+    return result, deployment.sim.processed_events
+
+
+@pytest.mark.anchor
+@pytest.mark.parametrize("case", sorted(IDENTITY_RUNS))
+def test_a_traced_run_is_the_untraced_run_plus_its_sampler_ticks(tmp_path, case):
+    """A trace describes the run that would have happened untraced: the
+    traced run processes exactly the untraced run's events plus one per
+    sampler tick, and its operations and latencies are the untraced ones."""
+    seed, faults = IDENTITY_RUNS[case]
+    untraced, untraced_events = _trace_run_scenario(seed, faults)
+    run_dir = tmp_path / "trace-run"
+    traced, traced_events = _trace_run_scenario(seed, faults, run_dir)
+    assert untraced.ok() and traced.ok()
+    assert traced_events == untraced_events + traced.metrics["sampled_ticks"]
+    assert signature_digest(traced) == signature_digest(untraced)
+    for recorder in ("read_latency", "write_latency"):
+        assert getattr(traced, recorder).state_dict() == \
+            getattr(untraced, recorder).state_dict()
+    if case in TRACE_DIGESTS:  # the very run ``repro trace run`` writes
+        assert _dir_digests(run_dir) == TRACE_DIGESTS[case]
+    _kept_traces_are_whole(trace_breakdowns(iter_spans(run_dir)))
+
+
 def test_telemetry_does_not_perturb_replay(tmp_path):
     off = _run(_spec(telemetry=None))
     on = _run(_spec(telemetry={"run_dir": str(tmp_path / "run")}))
@@ -468,7 +548,7 @@ def test_trace_run_dir_layout_and_schemas(tmp_path):
     run_dir = tmp_path / "run"
     _run(_spec(telemetry={"run_dir": str(run_dir)}))
     for name, schema in (("spans.ndjson", "trace/v2"),
-                         ("metrics.ndjson", "trace-metrics/v1"),
+                         ("metrics.ndjson", "trace-metrics/v2"),
                          ("events.ndjson", "trace-events/v1")):
         meta, records = read_ndjson(run_dir / name, schema)  # schema-checked
         assert meta["seed"] == SEED
