@@ -53,8 +53,9 @@ therefore lets a retried write (``retries > 0``) re-impose its value after
 its linearization point ("echo"), and an ambiguous write apply any number
 of times.  Single-transmission writes (``retries == 0``) keep the strict
 exactly-once semantics, and version monotonicity -- the property the
-paper's TLA+ spec checks -- is enforced separately by
-:meth:`History.version_violations`.
+paper's TLA+ spec checks -- is enforced separately, as a scenario
+records by :class:`ClientVersions` and afterwards by
+:func:`version_violations_of`.
 
 The search runs only on doubt.  The backends report the version each
 reply carries, and :class:`VersionWitness` first checks whether that
@@ -157,6 +158,8 @@ class History:
         self.ops: List[HistoryOp] = []
         self._ids = itertools.count()
         self._anonymous_clients = itertools.count(1)
+        #: The per-client version check, fed as ops invoke and complete.
+        self.versions = ClientVersions()
 
     def anonymous_client_name(self) -> str:
         """A deterministic name for a client that did not pick one.
@@ -183,11 +186,13 @@ class History:
                            expected=None if expected is None else bytes(expected),
                            invoked_at=self.sim.now)
         self.ops.append(record)
+        self.versions.invoke(record)
         return record
 
     def complete(self, record: HistoryOp, result: KVResult) -> None:
         """Attach the response to a previously recorded invocation."""
         fill_response(record, result, self.sim.now)
+        self.versions.complete(record)
 
     # -- views ----------------------------------------------------------- #
 
@@ -255,6 +260,42 @@ def version_violations_of(ops: Iterable[HistoryOp]) -> List[str]:
                     f"{settled} -> {op.version}")
             heapq.heappush(returning, (op.returned_at, op.version))
     return violations
+
+
+class ClientVersions:
+    """:func:`version_violations_of`, fed each op as it is invoked and as it
+    completes, O(1) per op: an op's floor is the newest version its client
+    got back on its key by its invocation, same-instant returns included.
+    Op ids grow in invocation order, as a history assigns them."""
+
+    def __init__(self) -> None:
+        #: ``(client, key) -> [newest version, {op id: floor}, time of the
+        #: latest invocation, the first op id invoked then]``.
+        self._keys: Dict[Tuple[str, bytes], list] = {}
+        self.violations: List[str] = []
+
+    def invoke(self, op: HistoryOp) -> None:
+        state = self._keys.get((op.client, op.key))
+        if state is None:
+            state = self._keys[(op.client, op.key)] = [(), {}, None, 0]
+        if op.invoked_at != state[2]:
+            state[2], state[3] = op.invoked_at, op.op_id
+        state[1][op.op_id] = state[0]
+
+    def complete(self, op: HistoryOp) -> None:
+        state = self._keys[(op.client, op.key)]
+        floors, version = state[1], op.version
+        floor = floors.pop(op.op_id)
+        if version is not None and op.ok:
+            if version < floor:
+                self.violations.append(f"{op.client} observed {op.key!r} going "
+                                       f"backwards: {floor} -> {version}")
+            if version > state[0]:
+                state[0] = version
+            if op.returned_at == state[2]:  # ops invoked this instant see it too
+                for op_id, other in floors.items():
+                    if op_id >= state[3] and other < version:
+                        floors[op_id] = version
 
 
 class RecordingClient(KVClient):

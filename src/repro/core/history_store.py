@@ -82,6 +82,7 @@ from repro.artifacts import (
 from repro.core.client import canonical_key
 from repro.core.history import (
     MISSING,
+    ClientVersions,
     HistoryOp,
     KeyReport,
     LinearizabilityReport,
@@ -548,6 +549,7 @@ class SpillingHistory:
         self._pending: Dict[int, HistoryOp] = {}
         self._store: Optional[HistoryStore] = None
         self.witness = VersionWitness(initial)
+        self.versions = ClientVersions()
 
     # -- recording (History-compatible) ---------------------------------- #
 
@@ -559,6 +561,7 @@ class SpillingHistory:
         self._offsets.append(0)
         self._pending[record.op_id] = record
         self.witness.invoke(record)
+        self.versions.invoke(record)
         return record
 
     def complete(self, record: HistoryOp, result) -> None:
@@ -566,6 +569,7 @@ class SpillingHistory:
         self.writer.append(record)
         self._pending.pop(record.op_id, None)
         self.witness.complete(record)
+        self.versions.complete(record)
 
     def finish(self) -> HistoryStore:
         """Spill still-pending (ambiguous) ops, close, return the store."""

@@ -231,8 +231,9 @@ class Tracer:
                 if op_name:
                     histograms.append(
                         registry.histogram(f"query_latency_s:{op_name}"))
+            bucket = histograms[0]._bucket(latency)  # every one is bucketed alike
             for histogram in histograms:
-                histogram.record(latency)
+                histogram.record(latency, bucket)
         tid = pending.trace_id
         trace = self._open.pop(tid, None)
         if trace is not None:

@@ -247,6 +247,9 @@ class ScenarioResult:
     #: Chain-invariant violations sampled at fault boundaries, migration
     #: steps and once at the end (``checks.chain_invariants`` only).
     invariant_violations: List[str] = field(default_factory=list)
+    #: A client seeing a key's version go back (:class:`ClientVersions`,
+    #: checked as the ops complete; ``checks.linearizability`` only).
+    version_violations: List[str] = field(default_factory=list)
     #: Per-link delivery/drop counters, keyed by link name (populated
     #: whenever the deployment's fault injector was engaged).
     drop_report: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -290,8 +293,9 @@ class ScenarioResult:
                 for report in self.migrations for step in report.steps]
 
     def consistent(self) -> bool:
-        """No invariant violation, no lost key, a linearizable history."""
-        if self.invariant_violations or self.lost_keys:
+        """No invariant violation, no lost key, no client seeing a version
+        go back, a linearizable history."""
+        if self.invariant_violations or self.lost_keys or self.version_violations:
             return False
         if self.linearizability is None:
             return True
@@ -589,6 +593,10 @@ def run_scenario(spec: DeploymentSpec,
         else:
             report = check_linearizable(history, initial=initial)
         result.linearizability = report
+        result.version_violations = history.versions.violations
+        if result.version_violations:
+            result.failures.append(f"{len(result.version_violations)} version "
+                                   f"regression(s): {result.version_violations[0]}")
         if not report.ok:
             result.failures.append(report.summary())
         elif report.exhausted_keys():

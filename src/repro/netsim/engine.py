@@ -22,7 +22,9 @@ constant factors *are* the simulator's throughput):
 * A hop nothing can observe costs no event (``Link.transmit``): the next
   event keeps the seq the skipped one would have had and carries its time,
   so a fault that lands first gives it back (:meth:`Simulator.refile`,
-  :meth:`Simulator.has_run`).  A switch's pass queues its packet as of then.
+  :meth:`Simulator.has_run`).  A switch's pass queues its packet as of then;
+  a transparent switch's pass (no rate limit, no program) runs inside its
+  arrival's hop, so a host-switch-host segment costs one event.
 * Cancellation is a tombstone: the entry's callback slot is set to ``None``
   in place, and the entry is discarded when it surfaces at the top of the
   heap.  A tombstone count triggers heap compaction when more than half the

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
-from repro.netsim.host import Host
+from repro.netsim.host import Host, refile_passes
 from repro.netsim.node import Port
 from repro.netsim.packet import IP_WIRE_OVERHEAD, UDP_WIRE_OVERHEAD, Packet
 from repro.netsim.stats import LinkStats
@@ -107,8 +107,9 @@ class Link:
     def _refile_tx(self) -> None:
         """Give each fused host TX (:meth:`transmit`) still short of its TX
         time its TX event back, uncounted and untraced, to meet the link's new
-        state there.  Only an up link without a fault model fuses, so
-        ``set_up`` finds none."""
+        state there, and each fused transparent pass on either side of the
+        link its earliest skipped event (:func:`refile_passes`).  Only an up
+        link without a fault model fuses, so ``set_up`` finds none."""
         sim = self.sim
 
         def tx_event(entry: list) -> None:
@@ -116,20 +117,28 @@ class Link:
             packet, dst_port, tx_at = args[0], args[1], args[-1]
             if (len(args) > 2 and tx_at is not None and dst_port.link is self
                     and not sim.has_run(tx_at, entry[1])):
+                self._untransmit(packet, dst_port, tx_at)
                 src_port = self.other_end(dst_port)
-                self.stats.delivered -= 1
-                dst_port.node.packets_received -= 1
-                dst_port.rx_packets -= 1
-                src_port.node.packets_sent -= 1
-                src_port.tx_packets -= 1
-                if self.telemetry is not None:
-                    self.telemetry.link_untx(self, packet, tx_at)
                 entry[0], entry[2], entry[3] = tx_at, src_port.node.transmit, (packet, src_port)
 
         sim.refile(self._deliver, tx_event)
-        for node in (self.port_a.node, self.port_b.node):
+        ends = (self.port_a.node, self.port_b.node)
+        for node in ends:
             if type(node) is Switch:
                 sim.refile(node._process, tx_event)
+        refile_passes(sim, lambda far, in_port: in_port.link is self or far in ends)
+
+    def _untransmit(self, packet: Packet, dst_port: Port, tx_at: float) -> None:
+        """Take back what :meth:`transmit` counted for a hop to ``dst_port``
+        due to leave at ``tx_at``, its tracer ``link_tx`` included."""
+        src_port = self.other_end(dst_port)
+        self.stats.delivered -= 1
+        dst_port.node.packets_received -= 1
+        dst_port.rx_packets -= 1
+        src_port.node.packets_sent -= 1
+        src_port.tx_packets -= 1
+        if self.telemetry is not None:
+            self.telemetry.link_untx(self, packet, tx_at)
 
     def other_end(self, port: Port) -> Port:
         """The port at the opposite end from ``port``."""
@@ -155,8 +164,11 @@ class Link:
         as of its TX time ``tx_at``; a live :class:`Host` with no RX queue
         gets its dispatch pushed, and a live, loss-free :class:`Switch` its
         pass (which queues the packet as of its arrival), under the seq the
-        arrival would have taken.  The entry carries the skipped hops' times
-        (``arrival``, ``tx_at``) for :meth:`_refile_tx` and :meth:`Switch.fail`.
+        arrival would have taken.  A transparent switch's pass runs here
+        too (:meth:`_pass_through`), and the far host's dispatch takes that
+        seq.  The entry carries the skipped hops' times (``arrival``,
+        ``tx_at``) for :meth:`_refile_tx`, :meth:`Switch.fail` and
+        :func:`refile_passes`.
         """
         if from_port is self.port_a:
             dst_port = self.port_b
@@ -206,6 +218,8 @@ class Link:
         sim._seq = seq + 1
         arrival = sent + latency
         if type(node) is Switch:
+            if not node.programs and self._pass_through(packet, dst_port, arrival, seq, tx_at, size):
+                return
             if node._injected_loss_rate <= 0 and not node.failed:
                 heappush(sim._queue, [arrival + node.config.pipeline_delay, seq, node._process,
                                       (packet, dst_port, arrival, tx_at)])
@@ -217,6 +231,48 @@ class Link:
             return
         heappush(sim._queue, [arrival, seq, node.receive, (packet, dst_port)] if tx_at is None
                  else [arrival, seq, self._deliver, (packet, dst_port, tx_at)])
+
+    def _pass_through(self, packet: Packet, in_port: Port, arrival: float, seq: int,
+                      tx_at: Optional[float], size: int) -> bool:
+        """Run the pass of a transparent switch -- live, loss-free, with no
+        rate limit or program, forwarding a packet no tracer follows onto a
+        clean link to a live host with no RX queue -- now, as of
+        ``arrival``, and push that host's dispatch under ``seq``; ``False``
+        if the pass needs its event."""
+        switch = in_port.node
+        ip = packet.ip
+        out_port = switch.forwarding_table.get(ip.dst_ip)
+        if (out_port is None or ip.ttl <= 1 or packet.trace_id or switch.failed
+                or switch._injected_loss_rate > 0 or switch.config.capacity_pps is not None):
+            return False
+        link = out_port.link
+        if link is None or not link.up or link.faults is not None:
+            return False
+        cfg = link.config
+        if cfg.loss_rate > 0 or cfg.reorder_jitter > 0:
+            return False
+        far_port = link.port_b if out_port is link.port_a else link.port_a
+        far = far_port.node
+        if type(far) is not Host or far.failed or far.config.nic_pps is not None:
+            return False
+        switch.pipeline_passes += 1
+        packet.pipeline_passes += 1
+        ip.ttl -= 1
+        switch.packets_sent += 1
+        out_port.tx_packets += 1
+        pass_at = arrival + switch.config.pipeline_delay
+        latency = cfg.delay
+        if cfg.bandwidth_bps:
+            latency += size * 8.0 / cfg.bandwidth_bps
+        if link.telemetry is not None:
+            link.telemetry.link_tx(link, packet, latency, size, pass_at)
+        link.stats.delivered += 1
+        far.packets_received += 1
+        far_port.rx_packets += 1
+        far_arrival = pass_at + latency
+        heappush(self.sim._queue, [far_arrival + far.config.stack_delay, seq, Host._dispatch,
+                                   (far, packet, far_arrival, in_port, arrival, tx_at)])
+        return True
 
     def _deliver(self, packet: Packet, dst_port: Port, tx_at: float) -> None:
         """Arrival of a fused host TX; ``tx_at`` rides on it for :meth:`_refile_tx`."""

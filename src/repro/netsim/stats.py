@@ -30,8 +30,8 @@ class LinkStats:
     #: Packets handed to the far end, counted when the arrival is scheduled:
     #: a packet still in flight when a run stops is already delivered (and
     #: received by the far node and port), even if that node fails before
-    #: it lands.  Only a host's fused TX is counted on arrival, because
-    #: until its TX time it can still meet a downed link.
+    #: it lands.  A fused hop (a host's TX, a transparent pass's out-link)
+    #: counts before its TX time; a fault landing first takes it back.
     delivered: int = 0
     #: Dropped because the link was down (fault-injected or partitioned).
     dropped_down: int = 0

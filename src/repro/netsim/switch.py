@@ -37,6 +37,7 @@ from heapq import heappush
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.netsim.engine import Event
+from repro.netsim.host import refile_passes
 from repro.netsim.node import Node, Port, stable_name_seed
 from repro.netsim.packet import Packet
 from repro.netsim.registers import RegisterFile
@@ -96,6 +97,8 @@ class Switch(Node):
     :meth:`receive` decides fail-stop and injected loss at arrival; :meth:`_process` queues
     the packet as of its arrival, tells the tracer and runs or defers the pass, which
     ``Link.transmit`` pushes itself (no arrival event) for a live switch without loss.
+    With no rate limit and no program the switch is transparent: ``Link.transmit``
+    runs a pass it can forward onto a clean link to a host itself (no pass event).
     """
 
     def __init__(self, sim: "Simulator", name: str, ip: str,
@@ -139,7 +142,10 @@ class Switch(Node):
     # ------------------------------------------------------------------ #
 
     def install_program(self, program: PipelineProgram) -> None:
-        """Append a data-plane program to the pipeline."""
+        """Append a data-plane program to the pipeline (which a transparent
+        pass skipped so far must now meet)."""
+        if not self.programs:
+            refile_passes(self.sim, lambda far, in_port: in_port.node is self)
         self.programs.append(program)
 
     # ------------------------------------------------------------------ #
@@ -250,7 +256,8 @@ class Switch(Node):
 
     def _refile_arrivals(self) -> None:
         """Give each fused pass still short of its arrival its arrival event
-        back, to meet the switch's new state there."""
+        back, to meet the switch's new state there, and each transparent pass
+        the switch skipped its earliest skipped event (``refile_passes``)."""
         sim = self.sim
 
         def arrival_event(entry: list) -> None:
@@ -261,6 +268,7 @@ class Switch(Node):
                                       else (port.link._deliver, (packet, port, tx_at)))
 
         sim.refile(self._process, arrival_event)
+        refile_passes(sim, lambda far, in_port: in_port.node is self)
 
     def fail_gray(self) -> None:
         """Gray failure: keep forwarding transit traffic but stop serving

@@ -70,8 +70,10 @@ class LogBucketHistogram:
         last = len(self.counts) - 1
         return idx if idx < last else last
 
-    def record(self, value: float) -> None:
-        self.counts[self._bucket(value)] += 1
+    def record(self, value: float, bucket: Optional[int] = None) -> None:
+        """Count ``value``, in ``bucket`` if its caller has it from a histogram
+        bucketed alike."""
+        self.counts[self._bucket(value) if bucket is None else bucket] += 1
         self.count += 1
         self.total += value
         if value < self.min:

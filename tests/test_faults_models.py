@@ -10,7 +10,7 @@ import pytest
 from repro.core.detector import DetectorConfig, FailureDetector
 from repro.netsim.faults import FaultInjector, FaultSchedule, LinkFaultModel, derive_rng
 from repro.netsim.host import HostConfig
-from repro.netsim.link import LinkConfig
+from repro.netsim.link import Link, LinkConfig
 from repro.netsim.routing import install_shortest_path_routes
 from repro.netsim.switch import PipelineAction, PipelineProgram, SwitchConfig
 from repro.netsim.topology import build_line, build_testbed
@@ -185,17 +185,27 @@ class Recorder(PipelineProgram):
         return PipelineAction.CONTINUE
 
 
-#: Both kinds of switch: no queue, and a queue with a 0.25 us service time
-#: (half a pass), which admits a packet at its pass, as of its arrival.
-QUEUES = pytest.mark.parametrize("switch_config", [None, SwitchConfig(capacity_pps=4e6)],
-                                 ids=["queue-free", "queued"])
+#: Kind -> (switch config, whether each switch runs a :class:`Recorder`).
+#: ``queue-free`` and ``queued`` (a 0.25 us service time, half a pass, which
+#: admits a packet at its pass, as of its arrival) record every pass; a
+#: ``transparent`` switch has no rate limit and no program, so
+#: ``Link.transmit`` runs its pass inside the arrival's hop, with no event.
+SWITCH_KINDS = {"queue-free": (None, True),
+                "queued": (SwitchConfig(capacity_pps=4e6), True),
+                "transparent": (None, False)}
+
+#: Both kinds of switch that spend an event on their pass.
+QUEUES = pytest.mark.parametrize("switch_kind", ["queue-free", "queued"])
 
 
-def switch_race(actions, labels=("x",), senders=("H0_0",), switch_config=None):
-    """Send one packet per ``(sender, label)`` to H1_0 at time 0, with
-    ``actions`` -- ``(at, action(topology))`` pairs -- scheduled first.
-    Returns the topology, the labels H1_0 received, and each switch's
-    recorder."""
+def switch_race(actions, labels=("x",), senders=("H0_0",), switch_kind="queue-free",
+                receiver="H1_0", detail=False):
+    """Send one packet per ``(sender, label)`` to ``receiver`` at time 0,
+    with ``actions`` -- ``(at, action(topology))`` pairs -- scheduled first.
+    Returns the topology, what the receiver got -- each packet's label, or
+    with ``detail`` its label, dispatch time, TTL and pipeline passes -- and
+    each switch's recorder."""
+    switch_config, recorded = SWITCH_KINDS[switch_kind]
     topo = build_line(2, hosts_at={0: 2, 1: 1},
                       host_config=HostConfig(stack_delay=10e-6, nic_pps=None),
                       link_config=LinkConfig(bandwidth_bps=None),
@@ -204,13 +214,16 @@ def switch_race(actions, labels=("x",), senders=("H0_0",), switch_config=None):
     recorders = {}
     for name, switch in topo.switches.items():
         recorders[name] = Recorder()
-        switch.install_program(recorders[name])
+        if recorded:
+            switch.install_program(recorders[name])
     for at, action in actions:
         topo.sim.schedule(at, action, topo)
     received = []
-    topo.hosts["H1_0"].bind(7000, lambda packet: received.append(packet.payload))
+    topo.hosts[receiver].bind(7000, lambda packet: received.append(
+        (packet.payload, topo.sim.now, packet.ip.ttl, packet.pipeline_passes) if detail
+        else packet.payload))
     for sender, label in zip(senders, labels, strict=True):
-        topo.hosts[sender].send_udp(topo.hosts["H1_0"].ip, 7000, label, 10)
+        topo.hosts[sender].send_udp(topo.hosts[receiver].ip, 7000, label, 10)
     topo.run(until=1e-3)
     return topo, received, recorders
 
@@ -238,14 +251,14 @@ def _recover(name):
         "fail-recover-before-arrival", "recover-at-arrival", "recover-after-arrival",
         "fail-recover-before-pass"])
 def test_a_switch_fault_around_a_pass_gives_the_hop_by_hop_verdict(
-        target, offsets, delivered, passes, switch_config):
+        target, offsets, delivered, passes, switch_kind):
     """A switch decides at arrival whether it takes a packet, and again at
     its pipeline pass whether it is still up -- whether or not the
     simulator spends an event on the arrival."""
     arrival = ARRIVAL_AT[target]
     actions = [(arrival + offset, _fail(target) if kind == "fail" else _recover(target))
                for offset, kind in offsets]
-    topo, received, recorders = switch_race(actions, switch_config=switch_config)
+    topo, received, recorders = switch_race(actions, switch_kind=switch_kind)
     switch = topo.switches[target]
     assert len(received) == delivered
     assert switch.pipeline_passes == passes
@@ -264,7 +277,8 @@ def test_a_switch_fault_around_a_pass_gives_the_hop_by_hop_verdict(
     ([(-0.2e-6, 1.0), (-0.1e-6, 0.0)], 1),
 ], ids=["raised-before-arrival", "raised-at-arrival", "raised-after-arrival",
         "raised-and-cleared-before-arrival"])
-def test_injected_loss_is_drawn_at_arrival(target, how, offsets, delivered, switch_config):
+def test_injected_loss_is_drawn_at_arrival(target, how, offsets, delivered,
+                                           switch_kind):
     """Figure 9(d)'s per-switch loss applies to packets that arrive while
     it is set, however it was set."""
     def set_rate(rate):
@@ -273,7 +287,7 @@ def test_injected_loss_is_drawn_at_arrival(target, how, offsets, delivered, swit
         return lambda topo: setattr(topo.switches[target], "injected_loss_rate", rate)
 
     actions = [(ARRIVAL_AT[target] + offset, set_rate(rate)) for offset, rate in offsets]
-    topo, received, _recorders = switch_race(actions, switch_config=switch_config)
+    topo, received, _recorders = switch_race(actions, switch_kind=switch_kind)
     assert len(received) == delivered
     assert topo.switches[target].dropped_injected == 1 - delivered
     assert topo.switches[target].injected_loss_rate == offsets[-1][1]
@@ -284,27 +298,133 @@ def test_injected_loss_is_drawn_at_arrival(target, how, offsets, delivered, swit
 @pytest.mark.parametrize("offset, programs_ran", [
     (-0.1e-6, False), (0.1e-6, False), (0.6e-6, True),
 ], ids=["gray-before-arrival", "gray-between-arrival-and-pass", "gray-after-pass"])
-def test_a_gray_failure_is_seen_at_the_pass(target, offset, programs_ran, switch_config):
+def test_a_gray_failure_is_seen_at_the_pass(target, offset, programs_ran, switch_kind):
     """A gray-failed switch still forwards transit traffic but runs no
     program on it: what counts is its state at the pass, not at arrival."""
     actions = [(ARRIVAL_AT[target] + offset,
                 lambda topo: topo.switches[target].fail_gray())]
-    topo, received, recorders = switch_race(actions, switch_config=switch_config)
+    topo, received, recorders = switch_race(actions, switch_kind=switch_kind)
     assert received == ["x"]
     assert recorders[target].seen == (["x"] if programs_ran else [])
     assert topo.switches[target].pipeline_passes == 1
 
 
 @QUEUES
-def test_packets_landing_at_one_instant_keep_their_order_at_every_switch(switch_config):
+def test_packets_landing_at_one_instant_keep_their_order_at_every_switch(switch_kind):
     """Two hosts send at the same instant: both packets reach S0 together
     (the second behind the first's service time on a queued switch), and
     every pipeline sees them in send order."""
     topo, received, recorders = switch_race([], labels=("first", "second"),
                                             senders=("H0_0", "H0_1"),
-                                            switch_config=switch_config)
+                                            switch_kind=switch_kind)
     assert received == ["first", "second"]
     assert recorders["S0"].seen == recorders["S1"].seen == ["first", "second"]
+
+
+def _delaying():
+    return LinkFaultModel(random.Random(0), extra_delay=1e-6)
+
+
+#: Each fault API a transparent pass can race, applied to the path of its
+#: receiver: ``(topology, fused switch, its in-link, its out-link, receiver)``.
+TRANSPARENT_FAULTS = {
+    "fail": lambda topo, switch, link_in, link_out, far: switch.fail(),
+    "injected-loss": lambda topo, switch, link_in, link_out, far: setattr(
+        switch, "injected_loss_rate", 1.0),
+    "gray": lambda topo, switch, link_in, link_out, far: switch.fail_gray(),
+    "in-link-down": lambda topo, switch, link_in, link_out, far: link_in.set_down(),
+    "in-link-faulted": lambda topo, switch, link_in, link_out, far: link_in.set_faults(
+        _delaying()),
+    "out-link-down": lambda topo, switch, link_in, link_out, far: link_out.set_down(),
+    "out-link-faulted": lambda topo, switch, link_in, link_out, far: link_out.set_faults(
+        _delaying()),
+    "far-host-fail": lambda topo, switch, link_in, link_out, far: far.fail(),
+    "route-reinstall": lambda topo, switch, link_in, link_out, far:
+        install_shortest_path_routes(topo),
+}
+
+
+def _instants(tx):
+    """Each interval of a fused pass whose in-link TX is at ``tx`` (and the
+    instants between them), summed in the simulator's own order."""
+    arrival = tx + 200e-9
+    passed = arrival + 0.5e-6
+    far_arrival = passed + 200e-9
+    dispatch = far_arrival + 10e-6
+    return {"before-tx": 5e-6, "at-tx": tx, "tx-to-arrival": (tx + arrival) / 2,
+            "at-arrival": arrival, "arrival-to-pass": (arrival + passed) / 2,
+            "at-pass": passed, "pass-to-far-arrival": (passed + far_arrival) / 2,
+            "at-far-arrival": far_arrival,
+            "far-arrival-to-dispatch": (far_arrival + dispatch) / 2}
+
+
+#: Receiver -> (fused switch, in-link, out-link, instants).  H0_1's packet
+#: is fused at S0 behind H0_0's fused TX; H1_0's at S1, whose in-link S0
+#: transmits on at its own pass (an event: its far node is a switch).
+TRANSPARENT_PATHS = {
+    "H0_1": ("S0", ("H0_0", "S0"), ("S0", "H0_1"), _instants(10e-6)),
+    "H1_0": ("S1", ("S0", "S1"), ("S1", "H1_0"), _instants(S0_PASS)),
+}
+TRANSPARENT_GRID = [(receiver, fault, point) for receiver, path in TRANSPARENT_PATHS.items()
+                    for fault in TRANSPARENT_FAULTS for point in path[3]]
+
+
+def counters(topo):
+    """Every numeric field of every node, port and link."""
+    values = {}
+    for node in topo.all_nodes():
+        values[node.name] = {name: value for name, value in vars(node).items()
+                             if isinstance(value, (int, float))}
+        for port in node.ports.values():
+            values[port.name] = (port.tx_packets, port.rx_packets)
+    for link in topo.links:
+        values[link.name] = vars(link.stats)
+    return values
+
+
+def transparent_race(switch_kind, receiver, fault, point):
+    """What one packet from H0_0 to ``receiver`` did under ``fault`` at
+    ``point``: each delivery (label, time, TTL, passes) and every counter."""
+    switch, link_in, link_out, instants = TRANSPARENT_PATHS[receiver]
+
+    def act(topo):
+        links = [topo.link_between(topo.node(a), topo.node(b)) for a, b in (link_in, link_out)]
+        TRANSPARENT_FAULTS[fault](topo, topo.switches[switch], *links, topo.hosts[receiver])
+
+    topo, received, _recorders = switch_race([(instants[point], act)], switch_kind=switch_kind,
+                                             receiver=receiver, detail=True)
+    return received, counters(topo)
+
+
+@pytest.mark.parametrize("receiver, fault, point", TRANSPARENT_GRID)
+def test_a_fault_around_a_transparent_pass_matches_a_pass_that_takes_its_event(
+        receiver, fault, point):
+    """A transparent switch's pass costs no event, so whatever fault lands
+    on one of its skipped hops first gives the earliest one back: delivery,
+    its time and every counter are those of a twin whose switches run a
+    pass-through program (the :class:`Recorder`), which keeps every pass
+    on the event path."""
+    assert (transparent_race("transparent", receiver, fault, point)
+            == transparent_race("queue-free", receiver, fault, point))
+
+
+@pytest.mark.parametrize("receiver, events", [("H0_1", 1), ("H1_0", 2)])
+def test_a_transparent_pass_costs_no_event(receiver, events):
+    """H0_1's packet costs its dispatch alone; H1_0's, S0's pass (its far
+    node is a switch) and its dispatch: one event fewer than the twin's."""
+    fused, *_ = switch_race([], switch_kind="transparent", receiver=receiver)
+    twin, *_ = switch_race([], switch_kind="queue-free", receiver=receiver)
+    assert (fused.sim.processed_events, twin.sim.processed_events) == (events, events + 1)
+
+
+def test_the_grid_kills_a_give_back_that_keeps_the_skipped_hops_counted(monkeypatch):
+    """Mutant: a refile gives a skipped event back but leaves the hops after
+    it counted.  The differential grid above catches it."""
+    twins = {case: transparent_race("queue-free", *case) for case in TRANSPARENT_GRID}
+    monkeypatch.setattr(Link, "_untransmit", lambda self, packet, dst_port, tx_at: None)
+    killed = [case for case in TRANSPARENT_GRID
+              if transparent_race("transparent", *case) != twins[case]]
+    assert len(killed) > len(TRANSPARENT_GRID) // 4, killed
 
 
 def test_link_fault_model_is_seed_deterministic():

@@ -16,18 +16,21 @@ from __future__ import annotations
 
 import json
 import random
+import types
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 import pytest
 
 from repro.artifacts import read_header, scan
-from repro.core.history import HistoryOp, check_linearizable, version_violations_of
+from repro.core.client import KVResult
+from repro.core.history import History, HistoryOp, check_linearizable, version_violations_of
 from repro.core.history_gen import generate_history
 from repro.core.history_store import (
     SCHEMA,
     HistoryStore,
     HistoryWriter,
+    SpillingHistory,
     check_linearizable_streaming,
     decode_bytes,
     record_to_op,
@@ -127,6 +130,48 @@ def test_violation_names_the_failing_window(name, interval, window, others):
     assert message in report.summary()
 
 
+def replay(history, ops, completions_first=True):
+    """Record ``ops`` into a scenario's ``history`` as a run does, each
+    invocation and completion at its time; at one instant the completions
+    go first, or last."""
+    clock = history.sim = types.SimpleNamespace(now=0.0)
+    events = sorted([(op.invoked_at, completions_first, index, op) for index, op in enumerate(ops)]
+                    + [(op.returned_at, not completions_first, index, op)
+                       for index, op in enumerate(ops) if op.completed])
+    records = {}
+    for clock.now, completion, index, op in events:
+        if completion == completions_first:
+            records[index] = history.invoke(op.client, op.op, op.key, op.value, op.expected)
+        else:
+            history.complete(records[index], KVResult(
+                op.ok, op.op, value=op.output or b"", not_found=op.not_found,
+                cas_failed=op.cas_failed, timed_out=op.timed_out, retries=op.retries,
+                version=op.version))
+    return history
+
+
+def regressing_histories():
+    """The corpus, its version regression with the read invoked as the
+    write returns (beside an older read still out, which may see less), and
+    generated histories given versions that regress here and there, with
+    the pipelined (overlapping) ops of one client."""
+    histories = [load_ndjson(CORPUS / entry["file"]) for entry in FIXTURES]
+    write, read = load_ndjson(CORPUS / "ver_version_regression.ndjson")
+    read.invoked_at = write.returned_at
+    older = HistoryOp(2, "c0", "read", b"k", invoked_at=1.5, returned_at=3.5, ok=True,
+                      output=b"B", version=(1, 4))
+    histories.append([write, older, read])
+    for seed in range(40):
+        rng = random.Random(seed)
+        ops = generate_history(seed, clients=3, keys=2, ops=120).ops
+        for op in ops:
+            op.client = f"c{rng.randrange(2)}"  # merged clients overlap
+            if op.ok:
+                op.version = (1, max(0, int(op.invoked_at * 10) + rng.choice([0, 0, 0, -7])))
+        histories.append(ops)
+    return histories
+
+
 def quadratic_version_violations(ops) -> List[str]:
     """:func:`version_violations_of` as it was before the heap sweep,
     verbatim: rescans every earlier op of the (client, key) per op."""
@@ -152,24 +197,41 @@ def test_version_sweep_reports_what_the_rescan_reported():
     """Same messages in the same order: on the corpus, and on generated
     histories given versions that regress here and there, with the
     pipelined (overlapping) ops of one client that must not be compared."""
-    histories = [load_ndjson(CORPUS / entry["file"]) for entry in FIXTURES]
-    for seed in range(40):
-        rng = random.Random(seed)
-        ops = generate_history(seed, clients=3, keys=2, ops=120).ops
-        for op in ops:
-            op.client = f"c{rng.randrange(2)}"  # merged clients overlap
-            if op.ok:
-                drift = rng.choice([0, 0, 0, -7])
-                op.version = (1, max(0, int(op.invoked_at * 10) + drift))
-        histories.append(ops)
     flagged = 0
-    for ops in histories:
+    for ops in regressing_histories():
         expected = quadratic_version_violations(ops)
         assert version_violations_of(ops) == expected
         assert version_violations_of(reversed(ops)) == \
             quadratic_version_violations(reversed(ops))
         flagged += bool(expected)
     assert flagged > 10
+
+
+@pytest.mark.parametrize("completions_first", [True, False],
+                         ids=["completions-first", "invocations-first"])
+def test_the_online_version_check_flags_what_the_sweep_flags(completions_first):
+    """:class:`ClientVersions`, fed as a scenario's history records the ops,
+    reports the violations :func:`version_violations_of` finds afterwards,
+    however the ops of one instant are ordered -- a return at an op's
+    invocation instant is before it."""
+    flagged = 0
+    for ops in regressing_histories():
+        expected = version_violations_of(ops)
+        online = replay(History(None), ops, completions_first).versions.violations
+        assert sorted(online) == sorted(expected)
+        flagged += bool(expected)
+    assert flagged > 10
+
+
+@pytest.mark.parametrize("spilled", [False, True], ids=["memory", "spill"])
+def test_a_version_regression_is_flagged_by_a_scenario_history(spilled, tmp_path):
+    """``ver_version_regression`` is linearizable and the witness only defers
+    it; recorded as a scenario records it, in memory or spilled, its client
+    is still seen reading a version older than the one it wrote."""
+    ops = load_ndjson(CORPUS / "ver_version_regression.ndjson")
+    history = SpillingHistory(None, tmp_path / "run") if spilled else History(None)
+    assert replay(history, ops).versions.violations == \
+        ["c0 observed b'k' going backwards: (1, 5) -> (1, 4)"]
 
 
 def test_retry_echo_is_load_bearing():

@@ -18,6 +18,11 @@ mechanism.
   there -- or, on a lossy link, never does -- and sees the version it was
   acked go back.
 
+* **M4, a read reports the version before the one it read.**  The value
+  is right, so the history stays linearizable and the version witness only
+  defers the keys; the per-client version check names the client that sees
+  the version of its own earlier write go back.
+
 ``python tests/test_mutant_catalogue.py`` runs every mutant's killing run
 with and without it and prints ``mutants killed end to end: K of N``.
 """
@@ -73,6 +78,26 @@ def penultimate_acks_early(monkeypatch) -> None:
         return action
 
     monkeypatch.setattr(NetChainSwitchProgram, "_process_write", acks_early)
+
+
+def reads_report_an_older_version(monkeypatch) -> None:
+    """M4: a read reply carries its version's predecessor (same session)."""
+    process_read = NetChainSwitchProgram._process_read
+
+    def one_behind(self, switch, packet, header, loc):
+        store = self.kvstore
+
+        def load_loc(loc):
+            value, seq, session, valid = SwitchKVStore.load_loc(store, loc)
+            return value, seq - 1 if seq > 1 else seq, session, valid
+
+        store.load_loc = load_loc
+        try:
+            return process_read(self, switch, packet, header, loc)
+        finally:
+            del store.load_loc
+
+    monkeypatch.setattr(NetChainSwitchProgram, "_process_read", one_behind)
 
 
 def lossy(schedule, _cluster):
@@ -143,9 +168,29 @@ def test_m3_penultimate_ack_is_caught_end_to_end(monkeypatch):
     assert "read went back" in report.summary()
 
 
+def read_write_run():
+    """The run that kills M4: a write-heavy closed loop on 8 keys."""
+    return run_scenario(*fault_scenario(seed=1, duration=0.05, store_size=8,
+                                        think_time=0.0, concurrency=4, write_ratio=0.5))
+
+
+def test_m4_older_read_version_is_caught_end_to_end(monkeypatch):
+    control = read_write_run()
+    assert control.ok() and control.consistent(), control.failures
+
+    reads_report_an_older_version(monkeypatch)
+    result = read_write_run()
+    assert not result.ok() and not result.consistent(), "M4 survived: no version went back"
+    assert result.linearizability.ok  # only the version check sees it
+    assert result.version_violations
+    assert result.failures == [f"{len(result.version_violations)} version regression(s): "
+                               f"{result.version_violations[0]}"]
+
+
 #: Each mutant with the run that must kill it.
 CATALOGUE = {"M1": (stale_writes_applied, reordered_run),
-             "M3": (penultimate_acks_early, lossy_failover_run)}
+             "M3": (penultimate_acks_early, lossy_failover_run),
+             "M4": (reads_report_an_older_version, read_write_run)}
 
 
 def killed_end_to_end(plant, run) -> bool:

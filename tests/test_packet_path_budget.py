@@ -51,11 +51,13 @@ from repro.deploy import (
 #: before the host hops were fused) and 80.3 / 74.1 per write (85.1 / 81.8,
 #: 87.1 / 80.8, 93.5 / 80.8, 99.5 / 82.8, 115.8 / 86.8, 117.8 / 88.8), 5.99 and
 #: 8.86 events (8.48 and 12.68 before, 9.48 and 13.68 before a host's TX hop
-#: was fused); server chain 77.0 / 65.0 per read
-#: (79.0 / 65.0, 105.1 / 79.0, 111.1 / 79.0, 131.1 / 95.0) and 135.1 / 118.1
-#: per write (137.1 / 118.1, 189.1 / 146.1, 197.1 / 146.1, 237.1 / 178.1),
-#: 8.00 and 16.01 events (12.00 and 24.00 before, 20.00 and 40.00 with no
-#: hop fused; a write's extra 0.01 is RTO keys coming due after their ACK).
+#: was fused); server chain 69.0 / 57.0 per read (77.0 / 65.0 before a
+#: transparent switch's pass ran inside its arrival's ``Link.transmit``,
+#: 79.0 / 65.0, 105.1 / 79.0, 111.1 / 79.0, 131.1 / 95.0) and 119.1 / 102.1
+#: per write (135.1 / 118.1, 137.1 / 118.1, 189.1 / 146.1, 197.1 / 146.1,
+#: 237.1 / 178.1), 4.00 and 8.01 events (8.00 and 16.01 before, 12.00 and
+#: 24.00 before that, 20.00 and 40.00 with no hop fused; a write's extra 0.01
+#: is RTO keys coming due after their ACK).
 #: The traced row is hostbench's ``telemetry_on`` mix (30% writes) with the
 #: telemetry plane on: 88.5 Python / 106.1 C calls and 6.72 events per op, the
 #: untraced mix's events plus one per sampler tick (96.3 / 105.2 and 10.78
@@ -67,8 +69,8 @@ BUDGET = {
     "read": ("netchain", 0.0, False, 56.7, 45.6, 8232, 49316),
     "write": ("netchain", 1.0, False, 82.7, 76.4, 8232, 72972),
     "traced-mix": ("netchain", 0.3, True, 91.2, 109.3, 8232, 55357),
-    "server-chain-read": ("server-chain", 0.0, False, 79.3, 67.0, 19776, 158256),
-    "server-chain-write": ("server-chain", 1.0, False, 139.2, 121.6, 9861, 157832),
+    "server-chain-read": ("server-chain", 0.0, False, 71.1, 58.7, 19776, 79152),
+    "server-chain-write": ("server-chain", 1.0, False, 122.7, 105.2, 9861, 78944),
 }
 
 #: half -> (Python calls/op, C calls/op) of the spilled history.  Measured

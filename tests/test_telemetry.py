@@ -489,21 +489,24 @@ def test_a_refiled_host_tx_takes_back_its_link_span(tmp_path):
     assert objects.link.tel_bits == 800.0
 
 
-#: ``repro trace run``'s two runs, and one with faults set on a client's
+#: ``repro trace run``'s two runs, one with faults set on a client's
 #: uplink mid-run, so fused host TXs get their TX event back
-#: (``Link._refile_tx``): case -> (seed, fault schedule).
+#: (``Link._refile_tx``), and the same scenario on the server-hosted chain,
+#: whose switch passes are transparent (``Link._pass_through``):
+#: case -> (backend, seed, fault schedule).
 IDENTITY_RUNS = {
-    "--seed 11": (11, []),
-    "--seed 7 --failover": (7, [(0.05, "fail_switch", "S1")]),
+    "--seed 11": ("netchain", 11, []),
+    "--seed 7 --failover": ("netchain", 7, [(0.05, "fail_switch", "S1")]),
     "--seed 11 with H0-S0 faults": (
-        11, [(0.03, "set_link_faults", "H0", "S0", 0.05, 0.0, 0.0, 3e-06)]),
+        "netchain", 11, [(0.03, "set_link_faults", "H0", "S0", 0.05, 0.0, 0.0, 3e-06)]),
+    "server-chain --seed 11": ("server-chain", 11, []),
 }
 
 
-def _trace_run_scenario(seed, faults, run_dir=None):
-    """``(result, processed events)`` of ``repro trace run``'s scenario,
-    traced into ``run_dir``, or untraced without one."""
-    spec = DeploymentSpec(backend="netchain", store_size=64, value_size=64, seed=seed,
+def _trace_run_scenario(backend, seed, faults, run_dir=None):
+    """``(result, processed events)`` of ``repro trace run``'s scenario on
+    ``backend``, traced into ``run_dir``, or untraced without one."""
+    spec = DeploymentSpec(backend=backend, store_size=64, value_size=64, seed=seed,
                           faults=faults,
                           telemetry=None if run_dir is None else {"run_dir": str(run_dir)})
     workload = WorkloadSpec(num_clients=2, concurrency=4, write_ratio=0.3,
@@ -521,10 +524,10 @@ def test_a_traced_run_is_the_untraced_run_plus_its_sampler_ticks(tmp_path, case)
     """A trace describes the run that would have happened untraced: the
     traced run processes exactly the untraced run's events plus one per
     sampler tick, and its operations and latencies are the untraced ones."""
-    seed, faults = IDENTITY_RUNS[case]
-    untraced, untraced_events = _trace_run_scenario(seed, faults)
+    backend, seed, faults = IDENTITY_RUNS[case]
+    untraced, untraced_events = _trace_run_scenario(backend, seed, faults)
     run_dir = tmp_path / "trace-run"
-    traced, traced_events = _trace_run_scenario(seed, faults, run_dir)
+    traced, traced_events = _trace_run_scenario(backend, seed, faults, run_dir)
     assert untraced.ok() and traced.ok()
     assert traced_events == untraced_events + traced.metrics["sampled_ticks"]
     assert signature_digest(traced) == signature_digest(untraced)
