@@ -178,20 +178,6 @@ class NetChainSwitchProgram(PipelineProgram):
         if rule in self.rules:
             self.rules.remove(rule)
 
-    def remove_rules_matching(self, dst_ip: Optional[str] = None,
-                              kind: Optional[str] = None) -> int:
-        """Bulk-remove the rules matching every provided criterion."""
-        def is_target(rule: RedirectRule) -> bool:
-            if dst_ip is not None and rule.match_dst_ip != dst_ip:
-                return False
-            if kind is not None and rule.kind != kind:
-                return False
-            return True
-
-        before = len(self.rules)
-        self.rules = [r for r in self.rules if not is_target(r)]
-        return before - len(self.rules)
-
     def set_head_session(self, vgroup: int, session: int) -> None:
         """Set the session number used when this switch heads ``vgroup``."""
         self.head_sessions[vgroup] = session

@@ -309,8 +309,8 @@ class Tracer:
 
     def link_untx(self, link, packet, at: float) -> None:
         """Take back the :meth:`link_tx` of a hop due to leave at ``at`` whose
-        TX event ``Link._refile_tx`` gave back: its bits and, while the trace
-        is open, its span (the link stage is re-added in span order)."""
+        event ``link.give_back`` gave back: its bits and, while the trace is
+        open, its span (the link stage is re-added in span order)."""
         link.tel_bits -= packet.size_bytes() * 8.0
         trace = self._open.get(packet.trace_id)
         if trace is not None:

@@ -21,10 +21,11 @@ constant factors *are* the simulator's throughput):
   itself, with no engine frame at all.
 * A hop nothing can observe costs no event (``Link.transmit``): the next
   event keeps the seq the skipped one would have had and carries its time,
-  so a fault that lands first gives it back (:meth:`Simulator.refile`,
-  :meth:`Simulator.has_run`).  A switch's pass queues its packet as of then;
-  a transparent switch's pass (no rate limit, no program) runs inside its
-  arrival's hop, so a host-switch-host segment costs one event.
+  so a fault that lands first gives it back (``link.give_back``, through
+  :meth:`Simulator.refile` and :meth:`Simulator.has_run`).  A switch's pass
+  queues its packet as of then; a transparent switch's pass (no rate limit,
+  no program) runs inside its arrival's hop, so a host-switch-host segment
+  costs one event.
 * Cancellation is a tombstone: the entry's callback slot is set to ``None``
   in place, and the entry is discarded when it surfaces at the top of the
   heap.  A tombstone count triggers heap compaction when more than half the
@@ -199,10 +200,10 @@ class Simulator:
         """Whether an event queued as ``(time, seq)`` would have run by now."""
         return time < self._now or (time == self._now and seq <= self._cursor)
 
-    def refile(self, callback: Callable[..., None], rewrite: Callable[[list], None]) -> None:
-        """Let ``rewrite`` give each entry of ``callback``, in ``(time, seq)`` order, a
-        new time, callback and args in place (never a new seq); restore heap order."""
-        for entry in sorted(entry for entry in self._queue if entry[2] == callback):
+    def refile(self, rewrite: Callable[[list], None]) -> None:
+        """Let ``rewrite`` give each live entry, in ``(time, seq)`` order, a new
+        time, callback and args in place (never a new seq); restore heap order."""
+        for entry in sorted(entry for entry in self._queue if entry[2] is not None):
             rewrite(entry)
         heapify(self._queue)
 

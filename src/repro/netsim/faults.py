@@ -116,27 +116,20 @@ class FaultInjector:
     fault models it installs, in installation order.
     """
 
-    def __init__(self, topology: Topology, seed: int = 0,
-                 reroute_on_switch_fault: bool = False) -> None:
+    def __init__(self, topology: Topology, seed: int = 0) -> None:
         """Args:
             topology: the simulated network to inject faults into.
             seed: seed for all fault-model randomness.
-            reroute_on_switch_fault: when True, the underlay recomputes
-                routes around failed switches immediately (for scenarios
-                without a NetChain controller, whose fast failover normally
-                owns rerouting).
         """
         self.topology = topology
         self.sim = topology.sim
         self.seed = seed
         self.rng = random.Random(seed)
-        self.reroute_on_switch_fault = reroute_on_switch_fault
         self.trace: List[FaultEvent] = []
         #: Observers called with each :class:`FaultEvent` as it happens
         #: (used to sample invariants at fault boundaries).
         self.observers: List[Callable[[FaultEvent], None]] = []
         self._partitioned_links: List[Link] = []
-        self._device_failed: Set[str] = set()
 
     # ------------------------------------------------------------------ #
     # Trace plumbing.
@@ -202,20 +195,12 @@ class FaultInjector:
     def fail_switch(self, name: str) -> None:
         """Fail-stop a switch (it stops processing and forwarding)."""
         self.topology.switches[name].fail()
-        self._device_failed.add(name)
         self._record("switch_fail", name)
-        if self.reroute_on_switch_fault:
-            from repro.netsim.routing import reroute_around_failures
-            reroute_around_failures(self.topology, self._device_failed)
 
     def recover_switch(self, name: str) -> None:
         """Bring a fail-stopped or gray-failed switch device back up."""
         self.topology.switches[name].recover_device()
-        self._device_failed.discard(name)
         self._record("switch_recover", name)
-        if self.reroute_on_switch_fault:
-            from repro.netsim.routing import reroute_around_failures
-            reroute_around_failures(self.topology, self._device_failed)
 
     def gray_fail_switch(self, name: str) -> None:
         """Gray-fail a switch: it keeps forwarding but stops serving."""

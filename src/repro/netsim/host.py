@@ -189,8 +189,8 @@ class Host(Node):
         self.sim.call_after(delay, self._dispatch, packet)
 
     def _dispatch(self, packet: Packet, arrival: Optional[float] = None, *passed) -> None:
-        # ``arrival`` rides on a fused RX (Link.transmit), for ``fail`` and the tracer;
-        # ``passed`` on a fused transparent pass, for ``refile_passes``.
+        # ``arrival`` rides on a fused RX (Link.transmit), ``passed`` on a fused
+        # transparent pass: the skipped hops' times, for ``link.give_back``.
         if self.telemetry is not None and arrival is not None:
             self.telemetry.host_rx(self, packet, self.config.stack_delay, arrival)
         if self.failed:
@@ -210,17 +210,10 @@ class Host(Node):
     # ------------------------------------------------------------------ #
 
     def fail(self) -> None:
-        """Fail-stop the host; a fused RX still short of arrival gets its
-        arrival event back (only a live host's RX fuses)."""
+        """Fail-stop the host; a fused hop that would meet it first comes back."""
+        from repro.netsim.link import give_back  # link imports this module
         self.failed = True
-
-        def arrival_event(entry: list) -> None:
-            args = entry[3]
-            if len(args) == 2 and not self.sim.has_run(args[1], entry[1]):
-                entry[0], entry[2], entry[3] = args[1], self.receive, (args[0], self.uplink_port())
-
-        self.sim.refile(self._dispatch, arrival_event)
-        refile_passes(self.sim, lambda far, in_port: far is self)
+        give_back(self.sim, self)
 
     def recover_device(self) -> None:
         """Bring the host back up."""
@@ -228,37 +221,3 @@ class Host(Node):
         self._tx_busy_until = 0.0
         self._rx_busy_until = 0.0
 
-
-def refile_passes(sim: "Simulator", touches: Callable[[Host, Port], bool]) -> None:
-    """Give each fused transparent pass (``Link.transmit``) whose far host and
-    switch in-port ``touches`` the earliest skipped event that has not run --
-    the first hop's TX, the switch's arrival, its pass or the far arrival --
-    and take back what the skipped hops after it counted."""
-
-    def give_back(entry: list) -> None:
-        far, packet, far_arrival, in_port, arrival, tx_at = entry[3]
-        seq = entry[1]
-        if not touches(far, in_port) or sim.has_run(far_arrival, seq):
-            return
-        switch, link = in_port.node, in_port.link
-        pass_at = arrival + switch.config.pipeline_delay
-        far_port = far.uplink_port()
-        if sim.has_run(pass_at, seq):
-            entry[0], entry[2], entry[3] = far_arrival, far.receive, (packet, far_port)
-            return
-        switch.pipeline_passes -= 1
-        packet.pipeline_passes -= 1
-        packet.ip.ttl += 1
-        far_port.link._untransmit(packet, far_port, pass_at)
-        if tx_at is not None and not sim.has_run(tx_at, seq):
-            link._untransmit(packet, in_port, tx_at)
-            src_port = link.other_end(in_port)
-            entry[0], entry[2], entry[3] = tx_at, src_port.node.transmit, (packet, src_port)
-        elif not sim.has_run(arrival, seq):
-            entry[0], entry[2], entry[3] = arrival, *(
-                (switch.receive, (packet, in_port)) if tx_at is None
-                else (link._deliver, (packet, in_port, tx_at)))
-        else:
-            entry[0], entry[2], entry[3] = pass_at, switch._process, (packet, in_port)
-
-    sim.refile(Host._dispatch, give_back)

@@ -14,9 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappush
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.netsim.host import Host, refile_passes
+from repro.netsim.host import Host
 from repro.netsim.node import Port
 from repro.netsim.packet import IP_WIRE_OVERHEAD, UDP_WIRE_OVERHEAD, Packet
 from repro.netsim.stats import LinkStats
@@ -93,40 +93,17 @@ class Link:
     def set_down(self) -> None:
         """Take the link down; subsequent packets are dropped and counted."""
         self.up = False
-        self._refile_tx()
+        give_back(self.sim, self)
 
     def set_up(self) -> None:
-        """Bring the link back up."""
+        """Bring the link back up (only an up link without a fault model
+        fuses a hop, so none can have skipped this change)."""
         self.up = True
 
     def set_faults(self, model) -> None:
         """Install (or, with ``None``, clear) the link's fault model."""
         self.faults = model
-        self._refile_tx()
-
-    def _refile_tx(self) -> None:
-        """Give each fused host TX (:meth:`transmit`) still short of its TX
-        time its TX event back, uncounted and untraced, to meet the link's new
-        state there, and each fused transparent pass on either side of the
-        link its earliest skipped event (:func:`refile_passes`).  Only an up
-        link without a fault model fuses, so ``set_up`` finds none."""
-        sim = self.sim
-
-        def tx_event(entry: list) -> None:
-            args = entry[3]
-            packet, dst_port, tx_at = args[0], args[1], args[-1]
-            if (len(args) > 2 and tx_at is not None and dst_port.link is self
-                    and not sim.has_run(tx_at, entry[1])):
-                self._untransmit(packet, dst_port, tx_at)
-                src_port = self.other_end(dst_port)
-                entry[0], entry[2], entry[3] = tx_at, src_port.node.transmit, (packet, src_port)
-
-        sim.refile(self._deliver, tx_event)
-        ends = (self.port_a.node, self.port_b.node)
-        for node in ends:
-            if type(node) is Switch:
-                sim.refile(node._process, tx_event)
-        refile_passes(sim, lambda far, in_port: in_port.link is self or far in ends)
+        give_back(self.sim, self)
 
     def _untransmit(self, packet: Packet, dst_port: Port, tx_at: float) -> None:
         """Take back what :meth:`transmit` counted for a hop to ``dst_port``
@@ -167,8 +144,8 @@ class Link:
         arrival would have taken.  A transparent switch's pass runs here
         too (:meth:`_pass_through`), and the far host's dispatch takes that
         seq.  The entry carries the skipped hops' times (``arrival``,
-        ``tx_at``) for :meth:`_refile_tx`, :meth:`Switch.fail` and
-        :func:`refile_passes`.
+        ``tx_at``), so a fault that lands first can give them back
+        (:func:`give_back`).
         """
         if from_port is self.port_a:
             dst_port = self.port_b
@@ -275,11 +252,78 @@ class Link:
         return True
 
     def _deliver(self, packet: Packet, dst_port: Port, tx_at: float) -> None:
-        """Arrival of a fused host TX; ``tx_at`` rides on it for :meth:`_refile_tx`."""
+        """Arrival of a fused host TX; ``tx_at`` rides on it for :func:`give_back`."""
         dst_port.node.receive(packet, dst_port)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Link({self.port_a.name} <-> {self.port_b.name})"
+
+
+def _tx(packet: Packet, dst_port: Port, tx_at: Optional[float]) -> list:
+    """The host TX onto ``dst_port``'s link fused into an entry, if ``tx_at`` is set."""
+    if tx_at is None:
+        return []
+    link = dst_port.link
+    src_port = link.other_end(dst_port)
+    return [(tx_at, (link,), src_port.node.transmit, (packet, src_port),
+             lambda: link._untransmit(packet, dst_port, tx_at))]
+
+
+def _skipped(callback: Callable[..., None], args: tuple) -> list:
+    """The events the heap entry ``callback(*args)`` skipped, in order, each
+    as ``(time, what it reads, event callback, args, take-back)``: a fused
+    pass (4-arg ``Switch._process``) skipped its arrival, behind its host's
+    TX if ``tx_at`` is set; a fused TX's arrival (``Link._deliver``) the TX; a
+    fused RX (bound ``Host._dispatch`` with 2 args) the arrival; a transparent
+    pass (unbound ``Host._dispatch``) the TX, the switch's arrival, its pass
+    and the far arrival.  What a hop reads decides its outcome; its take-back
+    undoes what ``Link.transmit`` counted for it."""
+    if callback is Host._dispatch:
+        far, packet, far_arrival, in_port, arrival, tx_at = args
+        switch = in_port.node
+        far_port = far.uplink_port()
+        pass_at = arrival + switch.config.pipeline_delay
+
+        def unpass() -> None:
+            switch.pipeline_passes -= 1
+            packet.pipeline_passes -= 1
+            packet.ip.ttl += 1
+            far_port.link._untransmit(packet, far_port, pass_at)
+
+        return _tx(packet, in_port, tx_at) + [
+            (arrival, (switch,), switch.receive, (packet, in_port), None),
+            (pass_at, (switch, switch.forwarding_table, far_port.link), switch._process,
+             (packet, in_port), unpass),
+            (far_arrival, (far,), far.receive, (packet, far_port), None)]
+    func = getattr(callback, "__func__", None)
+    if func is Switch._process and len(args) == 4:
+        packet, port, arrival, tx_at = args
+        return _tx(packet, port, tx_at) + [
+            (arrival, (port.node,), port.node.receive, (packet, port), None)]
+    if func is Link._deliver:
+        return _tx(*args)
+    if func is Host._dispatch and len(args) == 2:
+        host = callback.__self__
+        return [(args[1], (host,), host.receive, (args[0], host.uplink_port()), None)]
+    return []
+
+
+def give_back(sim: "Simulator", *changed) -> None:
+    """Give each fused entry with a skipped hop that has not run and reads
+    something in ``changed`` (a link, a node, a switch's forwarding table) its
+    earliest skipped event that has not run, under its own seq, and take back
+    what the skipped hops from that one onward counted: whatever fault lands
+    first meets the packet where a hop-by-hop run would have had it."""
+
+    def rewrite(entry: list) -> None:
+        hops = [hop for hop in _skipped(entry[2], entry[3]) if not sim.has_run(hop[0], entry[1])]
+        if any(read is thing for hop in hops for read in hop[1] for thing in changed):
+            for hop in hops:
+                if hop[4] is not None:
+                    hop[4]()
+            entry[0], entry[2], entry[3] = hops[0][0], hops[0][2], hops[0][3]
+
+    sim.refile(rewrite)
 
 
 def connect(sim: "Simulator", node_a, node_b, config: Optional[LinkConfig] = None,

@@ -6,8 +6,8 @@ NetChain queries are UDP packets with a custom header stack
     ETH | IP | UDP | OP KEY VALUE SC S0 S1 ... Sk SEQ
 
 The simulator keeps headers as small slotted dataclasses for speed; the
-wire encoding (used by :mod:`repro.core.protocol` and by tests that check
-the format fits in a jumbo frame) is provided by ``to_bytes``/``from_bytes``
+wire encoding, which only tests use (``tests/test_packet.py`` checks the
+format fits in a jumbo frame), is provided by ``to_bytes``/``from_bytes``
 on each header.  :class:`Packet` itself is a hand-rolled ``__slots__`` class
 because packet construction is on the per-query hot path.
 """

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Container, Dict, Iterable, List, Optional
 
-from repro.netsim.host import refile_passes
+from repro.netsim.link import give_back
 from repro.netsim.topology import Topology
 
 Graph = Dict[str, List[str]]  # node name -> neighbour names
@@ -70,7 +70,7 @@ def install_shortest_path_routes(topology: Topology,
     for switch in routed:
         switch.forwarding_table.clear()
     # A transparent pass skipped so far looks its route up again, at its pass.
-    refile_passes(topology.sim, lambda far, in_port: True)
+    give_back(topology.sim, *(switch.forwarding_table for switch in routed))
     # Routes *toward* an excluded (failed) node are kept, on the full graph:
     # NetChain's failover relies on packets still flowing toward the failed
     # switch until one of its neighbours intercepts them with a redirect

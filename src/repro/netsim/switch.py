@@ -37,7 +37,6 @@ from heapq import heappush
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.netsim.engine import Event
-from repro.netsim.host import refile_passes
 from repro.netsim.node import Node, Port, stable_name_seed
 from repro.netsim.packet import Packet
 from repro.netsim.registers import RegisterFile
@@ -142,10 +141,11 @@ class Switch(Node):
     # ------------------------------------------------------------------ #
 
     def install_program(self, program: PipelineProgram) -> None:
-        """Append a data-plane program to the pipeline (which a transparent
-        pass skipped so far must now meet)."""
+        """Append a data-plane program to the pipeline; the first one ends the
+        switch's transparency, so a pass it skipped comes back to meet it."""
+        from repro.netsim.link import give_back  # link imports this module
         if not self.programs:
-            refile_passes(self.sim, lambda far, in_port: in_port.node is self)
+            give_back(self.sim, self)
         self.programs.append(program)
 
     # ------------------------------------------------------------------ #
@@ -245,30 +245,16 @@ class Switch(Node):
 
     @injected_loss_rate.setter
     def injected_loss_rate(self, rate: float) -> None:
+        from repro.netsim.link import give_back  # link imports this module
         self._injected_loss_rate = rate
         if rate > 0:
-            self._refile_arrivals()
+            give_back(self.sim, self)
 
     def fail(self) -> None:
         """Fail-stop: the switch stops processing and forwarding packets."""
+        from repro.netsim.link import give_back  # link imports this module
         self.failed = True
-        self._refile_arrivals()
-
-    def _refile_arrivals(self) -> None:
-        """Give each fused pass still short of its arrival its arrival event
-        back, to meet the switch's new state there, and each transparent pass
-        the switch skipped its earliest skipped event (``refile_passes``)."""
-        sim = self.sim
-
-        def arrival_event(entry: list) -> None:
-            args = entry[3]
-            if len(args) == 4 and not sim.has_run(args[2], entry[1]):
-                packet, port, entry[0], tx_at = args
-                entry[2], entry[3] = ((self.receive, (packet, port)) if tx_at is None
-                                      else (port.link._deliver, (packet, port, tx_at)))
-
-        sim.refile(self._process, arrival_event)
-        refile_passes(sim, lambda far, in_port: in_port.node is self)
+        give_back(self.sim, self)
 
     def fail_gray(self) -> None:
         """Gray failure: keep forwarding transit traffic but stop serving
@@ -285,7 +271,8 @@ class Switch(Node):
 
         def admitted(entry: list) -> None:
             args = entry[3]
-            if len(args) == 4 and self.config.capacity_pps and sim.has_run(args[2], entry[1]):
+            if (entry[2] == self._process and len(args) == 4 and self.config.capacity_pps
+                    and sim.has_run(args[2], entry[1])):
                 backlog = self._admit(args[2])
                 if backlog is None:
                     Event(sim, entry).cancel()
@@ -294,5 +281,5 @@ class Switch(Node):
                     self.telemetry.switch_enq(self, args[0], backlog, args[2])
                 entry[0], entry[3] = args[2] + (backlog + self.config.pipeline_delay), args[:2]
 
-        sim.refile(self._process, admitted)
+        sim.refile(admitted)
         self._busy_until = 0.0

@@ -318,7 +318,7 @@ def test_refiled_entry_keeps_its_seq_and_has_run_follows_the_order():
         if entry[3] == ("moved",):
             entry[0] = 1.0
 
-    sim.refile(order.append, to_one)
+    sim.refile(to_one)
     sim.run(until=2.5)
     assert order == ["moved", "first", (True, False)]
     assert sim.has_run(2.5, 3) and not sim.has_run(2.5, 4) and not sim.has_run(3.0, 3)

@@ -3,11 +3,14 @@ gray failures, schedules, and their determinism guarantees."""
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
 from repro.core.detector import DetectorConfig, FailureDetector
+from repro.netsim import link as link_module
+from repro.netsim import routing as routing_module
 from repro.netsim.faults import FaultInjector, FaultSchedule, LinkFaultModel, derive_rng
 from repro.netsim.host import HostConfig
 from repro.netsim.link import Link, LinkConfig
@@ -199,12 +202,12 @@ QUEUES = pytest.mark.parametrize("switch_kind", ["queue-free", "queued"])
 
 
 def switch_race(actions, labels=("x",), senders=("H0_0",), switch_kind="queue-free",
-                receiver="H1_0", detail=False):
+                receiver="H1_0", detail=False, setup=()):
     """Send one packet per ``(sender, label)`` to ``receiver`` at time 0,
-    with ``actions`` -- ``(at, action(topology))`` pairs -- scheduled first.
-    Returns the topology, what the receiver got -- each packet's label, or
-    with ``detail`` its label, dispatch time, TTL and pipeline passes -- and
-    each switch's recorder."""
+    after each ``setup(topology)`` has run and with ``actions`` -- ``(at,
+    action(topology))`` pairs -- scheduled first.  Returns the topology, what
+    the receiver got -- each packet's label, or with ``detail`` its label,
+    dispatch time, TTL and pipeline passes -- and each switch's recorder."""
     switch_config, recorded = SWITCH_KINDS[switch_kind]
     topo = build_line(2, hosts_at={0: 2, 1: 1},
                       host_config=HostConfig(stack_delay=10e-6, nic_pps=None),
@@ -216,6 +219,8 @@ def switch_race(actions, labels=("x",), senders=("H0_0",), switch_kind="queue-fr
         recorders[name] = Recorder()
         if recorded:
             switch.install_program(recorders[name])
+    for prepare in setup:
+        prepare(topo)
     for at, action in actions:
         topo.sim.schedule(at, action, topo)
     received = []
@@ -325,56 +330,110 @@ def _delaying():
     return LinkFaultModel(random.Random(0), extra_delay=1e-6)
 
 
-#: Each fault API a transparent pass can race, applied to the path of its
-#: receiver: ``(topology, fused switch, its in-link, its out-link, receiver)``.
-TRANSPARENT_FAULTS = {
-    "fail": lambda topo, switch, link_in, link_out, far: switch.fail(),
-    "injected-loss": lambda topo, switch, link_in, link_out, far: setattr(
-        switch, "injected_loss_rate", 1.0),
-    "gray": lambda topo, switch, link_in, link_out, far: switch.fail_gray(),
-    "in-link-down": lambda topo, switch, link_in, link_out, far: link_in.set_down(),
-    "in-link-faulted": lambda topo, switch, link_in, link_out, far: link_in.set_faults(
-        _delaying()),
-    "out-link-down": lambda topo, switch, link_in, link_out, far: link_out.set_down(),
-    "out-link-faulted": lambda topo, switch, link_in, link_out, far: link_out.set_faults(
-        _delaying()),
-    "far-host-fail": lambda topo, switch, link_in, link_out, far: far.fail(),
-    "route-reinstall": lambda topo, switch, link_in, link_out, far:
-        install_shortest_path_routes(topo),
+#: A loss rate that is drawn but never drops (``random()`` < it only at 0.0).
+VANISHING = 1e-300
+
+
+def take_every_event(topo):
+    """Make ``topo`` a twin that spends an event on every hop and drops,
+    delays or counts nothing differently: a link or switch with a loss rate
+    (drawn at its hop) fuses no TX, arrival or pass, and a host with a NIC
+    rate (too high to queue anything) fuses no arrival."""
+    for link in topo.links:
+        link.config.loss_rate = VANISHING
+    for switch in topo.switches.values():
+        switch.injected_loss_rate = VANISHING
+    for host in topo.hosts.values():
+        host.config.nic_pps = 1e30
+
+
+def _link(topo, name):
+    a, b = name.split("-")
+    return topo.link_between(topo.node(a), topo.node(b))
+
+
+#: Each fault API a fused hop can race: kind -> action(topology, target).
+FAULT_APIS = {
+    "fail": lambda topo, target: topo.node(target).fail(),
+    "recover": lambda topo, target: topo.node(target).recover_device(),
+    "loss": lambda topo, target: setattr(topo.node(target), "injected_loss_rate", 1.0),
+    "lossy": lambda topo, target: setattr(topo.node(target), "injected_loss_rate", VANISHING),
+    "gray": lambda topo, target: topo.node(target).fail_gray(),
+    "program": lambda topo, target: topo.node(target).install_program(Recorder()),
+    "down": lambda topo, target: _link(topo, target).set_down(),
+    "faulted": lambda topo, target: _link(topo, target).set_faults(_delaying()),
+    "routes": lambda topo, target: install_shortest_path_routes(topo),
 }
 
 
-def _instants(tx):
-    """Each interval of a fused pass whose in-link TX is at ``tx`` (and the
-    instants between them), summed in the simulator's own order."""
-    arrival = tx + 200e-9
-    passed = arrival + 0.5e-6
-    far_arrival = passed + 200e-9
-    dispatch = far_arrival + 10e-6
-    return {"before-tx": 5e-6, "at-tx": tx, "tx-to-arrival": (tx + arrival) / 2,
-            "at-arrival": arrival, "arrival-to-pass": (arrival + passed) / 2,
-            "at-pass": passed, "pass-to-far-arrival": (passed + far_arrival) / 2,
-            "at-far-arrival": far_arrival,
-            "far-arrival-to-dispatch": (far_arrival + dispatch) / 2}
+def _apply(fault):
+    """The action of a fault named ``kind:target`` (or ``routes``)."""
+    kind, _, target = fault.partition(":")
+    return lambda topo: FAULT_APIS[kind](topo, target)
 
 
-#: Receiver -> (fused switch, in-link, out-link, instants).  H0_1's packet
-#: is fused at S0 behind H0_0's fused TX; H1_0's at S1, whose in-link S0
-#: transmits on at its own pass (an event: its far node is a switch).
-TRANSPARENT_PATHS = {
-    "H0_1": ("S0", ("H0_0", "S0"), ("S0", "H0_1"), _instants(10e-6)),
-    "H1_0": ("S1", ("S0", "S1"), ("S1", "H1_0"), _instants(S0_PASS)),
-}
-TRANSPARENT_GRID = [(receiver, fault, point) for receiver, path in TRANSPARENT_PATHS.items()
-                    for fault in TRANSPARENT_FAULTS for point in path[3]]
+#: Receiver -> the nodes H0_0's packet crosses.  H0_1's is fused at S0
+#: behind H0_0's fused TX, then into H0_1's RX (or, on transparent
+#: switches, all of it into one pass); H1_0's also at S1 behind S0's pass,
+#: whose TX is an event.
+PATHS = {"H0_1": ("H0_0", "S0", "H0_1"), "H1_0": ("H0_0", "S0", "S1", "H1_0")}
+
+
+def path_faults(path):
+    """Every fault API that one of ``path``'s hops reads."""
+    _sender, *switches, receiver = path
+    return ([f"{kind}:{switch}" for switch in switches
+             for kind in ("fail", "loss", "gray", "program")]
+            + [f"{kind}:{a}-{b}" for a, b in zip(path, path[1:]) for kind in ("down", "faulted")]
+            + [f"fail:{receiver}", "routes"])
+
+
+def path_instants(path):
+    """Each hop of ``path``'s packet and the instant between it and the
+    next, from before the TX to after the dispatch, summed in the
+    simulator's own order (TX at 10 us, 200 ns links, 0.5 us passes)."""
+    hops = [("tx", 10e-6)]
+    for switch in path[1:-1]:
+        arrival = hops[-1][1] + 200e-9
+        hops += [(f"{switch}-arrival", arrival), (f"{switch}-pass", arrival + 0.5e-6)]
+    far_arrival = hops[-1][1] + 200e-9
+    hops += [("far-arrival", far_arrival), ("dispatch", far_arrival + 10e-6)]
+    instants = {"before-tx": 5e-6}
+    for (hop, at), (_next_hop, next_at) in zip(hops, hops[1:] + [("end", hops[-1][1] + 2e-6)]):
+        instants[f"at-{hop}"] = at
+        instants[f"after-{hop}"] = (at + next_at) / 2
+    return instants
+
+
+#: A fault before the TX, then the sender's link going down before the TX:
+#: the first fault must give back the earliest skipped hop, not the first
+#: one it reads, or the TX it kept fused misses the second.
+THEN_DOWN = (7.5e-6, "down:H0_0-S0")
+
+#: Fused shape -> what happens before the send.  ``deliver-*`` sends into
+#: an S0 that is already failed or lossy, so H0_0's fused TX pushes
+#: ``Link._deliver`` and not S0's pass.
+SETUPS = {"pass": (), "deliver-failed": ("fail:S0",), "deliver-lossy": ("lossy:S0",)}
+
+#: ``(switch kind, receiver, setup, faults, instant)``: each fault API of
+#: the path at each instant, and each before the TX followed by
+#: :data:`THEN_DOWN`; a ``deliver-*`` case only on H0_1's path, with S0's
+#: recovery added.
+FUSED_GRID = [
+    (kind, receiver, setup, faults, point)
+    for kind in SWITCH_KINDS for receiver, path in PATHS.items() for setup in SETUPS
+    if setup == "pass" or receiver == "H0_1"
+    for fault in path_faults(path) + (["recover:S0"] if setup == "deliver-failed" else [])
+    for faults, points in (((fault,), path_instants(path)), ((fault, THEN_DOWN[1]), ["before-tx"]))
+    for point in points]
 
 
 def counters(topo):
-    """Every numeric field of every node, port and link."""
+    """Every public numeric field of every node, port and link."""
     values = {}
     for node in topo.all_nodes():
         values[node.name] = {name: value for name, value in vars(node).items()
-                             if isinstance(value, (int, float))}
+                             if isinstance(value, (int, float)) and not name.startswith("_")}
         for port in node.ports.values():
             values[port.name] = (port.tx_packets, port.rx_packets)
     for link in topo.links:
@@ -382,30 +441,31 @@ def counters(topo):
     return values
 
 
-def transparent_race(switch_kind, receiver, fault, point):
-    """What one packet from H0_0 to ``receiver`` did under ``fault`` at
-    ``point``: each delivery (label, time, TTL, passes) and every counter."""
-    switch, link_in, link_out, instants = TRANSPARENT_PATHS[receiver]
+def fused_race(case, twin=False):
+    """What one packet from H0_0 did in ``case`` (see :data:`FUSED_GRID`):
+    each delivery (label, time, TTL, passes), what each switch's programs
+    saw and every counter; with ``twin``, on a topology that takes every
+    hop's event."""
+    kind, receiver, setup, faults, point = case
+    at = path_instants(PATHS[receiver])[point]
+    actions = [(at, _apply(faults[0]))] + [(THEN_DOWN[0], _apply(fault)) for fault in faults[1:]]
+    prepare = [take_every_event] if twin else []
+    topo, received, recorders = switch_race(
+        actions, switch_kind=kind, receiver=receiver, detail=True,
+        setup=prepare + [_apply(fault) for fault in SETUPS[setup]])
+    return received, {name: r.seen for name, r in recorders.items()}, counters(topo)
 
-    def act(topo):
-        links = [topo.link_between(topo.node(a), topo.node(b)) for a, b in (link_in, link_out)]
-        TRANSPARENT_FAULTS[fault](topo, topo.switches[switch], *links, topo.hosts[receiver])
 
-    topo, received, _recorders = switch_race([(instants[point], act)], switch_kind=switch_kind,
-                                             receiver=receiver, detail=True)
-    return received, counters(topo)
-
-
-@pytest.mark.parametrize("receiver, fault, point", TRANSPARENT_GRID)
-def test_a_fault_around_a_transparent_pass_matches_a_pass_that_takes_its_event(
-        receiver, fault, point):
-    """A transparent switch's pass costs no event, so whatever fault lands
-    on one of its skipped hops first gives the earliest one back: delivery,
-    its time and every counter are those of a twin whose switches run a
-    pass-through program (the :class:`Recorder`), which keeps every pass
-    on the event path."""
-    assert (transparent_race("transparent", receiver, fault, point)
-            == transparent_race("queue-free", receiver, fault, point))
+@pytest.mark.parametrize("case", FUSED_GRID, ids=["-".join(
+    [kind, receiver, setup, "+".join(faults), point])
+    for kind, receiver, setup, faults, point in FUSED_GRID])
+def test_a_fault_around_a_fused_hop_matches_a_twin_that_takes_every_event(case):
+    """A hop nothing can observe costs no event -- a host's TX, a switch's
+    arrival, a transparent switch's pass, a host's arrival -- so whatever
+    fault lands on one of them first gives the earliest one back: delivery,
+    its time and TTL, every pass and every counter are those of a twin that
+    spends an event on every hop."""
+    assert fused_race(case) == fused_race(case, twin=True)
 
 
 @pytest.mark.parametrize("receiver, events", [("H0_1", 1), ("H1_0", 2)])
@@ -417,14 +477,61 @@ def test_a_transparent_pass_costs_no_event(receiver, events):
     assert (fused.sim.processed_events, twin.sim.processed_events) == (events, events + 1)
 
 
-def test_the_grid_kills_a_give_back_that_keeps_the_skipped_hops_counted(monkeypatch):
-    """Mutant: a refile gives a skipped event back but leaves the hops after
-    it counted.  The differential grid above catches it."""
-    twins = {case: transparent_race("queue-free", *case) for case in TRANSPARENT_GRID}
+@functools.cache
+def grid_twins():
+    """Each :data:`FUSED_GRID` case's verdict, run on its twin."""
+    return {case: fused_race(case, twin=True) for case in FUSED_GRID}
+
+
+def killed_by_the_grid(monkeypatch, plant):
+    """The :data:`FUSED_GRID` cases whose verdict moves once ``plant``
+    (monkeypatch) has planted a give-back bug."""
+    twins = grid_twins()
+    plant(monkeypatch)
+    return [case for case in FUSED_GRID if fused_race(case) != twins[case]]
+
+
+def first_read_hop_given_back(monkeypatch):
+    """Mutant: a change gives back the first skipped hop that reads it, not
+    the earliest one that has not run."""
+    changed = []
+
+    def give_back(sim, *things):
+        changed[:] = things
+        real_give_back(sim, *things)
+
+    def skipped(callback, args):
+        hops = real_skipped(callback, args)
+        reads = [any(read is thing for read in hop[1] for thing in changed) for hop in hops]
+        return hops[reads.index(True):] if True in reads else hops
+
+    real_give_back, real_skipped = link_module.give_back, link_module._skipped
+    for module in (link_module, routing_module):
+        monkeypatch.setattr(module, "give_back", give_back)
+    monkeypatch.setattr(link_module, "_skipped", skipped)
+
+
+def tx_kept_counted(monkeypatch):
+    """Mutant: a given-back TX hop takes back nothing it counted."""
+    def skipped(callback, args):
+        return [(*hop[:4], None) if hop[2].__name__ == "transmit" else hop
+                for hop in real_skipped(callback, args)]
+
+    real_skipped = link_module._skipped
+    monkeypatch.setattr(link_module, "_skipped", skipped)
+
+
+def later_hops_kept_counted(monkeypatch):
+    """Mutant: a given-back hop leaves the hops from it onward counted."""
     monkeypatch.setattr(Link, "_untransmit", lambda self, packet, dst_port, tx_at: None)
-    killed = [case for case in TRANSPARENT_GRID
-              if transparent_race("transparent", *case) != twins[case]]
-    assert len(killed) > len(TRANSPARENT_GRID) // 4, killed
+
+
+@pytest.mark.parametrize("plant, at_least", [
+    (first_read_hop_given_back, 10), (tx_kept_counted, 100), (later_hops_kept_counted, 100)])
+def test_the_grid_kills_each_planted_give_back_bug(monkeypatch, plant, at_least):
+    """The differential grid above catches each planted bug on its own."""
+    killed = killed_by_the_grid(monkeypatch, plant)
+    assert len(killed) >= at_least, killed
 
 
 def test_link_fault_model_is_seed_deterministic():

@@ -30,7 +30,7 @@ from repro.core.history import History, check_linearizable
 from repro.netsim.faults import FaultInjector, FaultSchedule
 from repro.netsim.host import HostConfig
 from repro.netsim.link import LinkConfig
-from repro.netsim.routing import install_shortest_path_routes
+from repro.netsim.routing import install_shortest_path_routes, reroute_around_failures
 from repro.netsim.topology import Topology
 from repro.workloads import KeyValueWorkload, LoadClient, WorkloadConfig
 from tests.conftest import fault_seeds
@@ -68,8 +68,9 @@ class ZkFaultHarness:
             ZooKeeperConfig(server_msgs_per_sec=None))
         self.keys = [f"k{i:08d}" for i in range(STORE_SIZE)]
         self.ensemble.preload({f"/kv/{key}": b"" for key in self.keys})
-        self.injector = FaultInjector(topo, seed=seed,
-                                      reroute_on_switch_fault=True)
+        self.injector = FaultInjector(topo, seed=seed)
+        self.failed_switches = set()
+        self.injector.observers.append(self.reroute)
         self.history = History(self.sim)
         self.clients = []
         for index in range(2):
@@ -82,6 +83,17 @@ class ZkFaultHarness:
             self.clients.append(LoadClient(ZooKeeperKVClient(session), workload,
                                            concurrency=2, history=self.history,
                                            think_time=4e-3, name=f"z{index}"))
+
+    def reroute(self, event) -> None:
+        """The underlay routes around a switch as it fails or recovers: no
+        NetChain controller owns the failover here."""
+        if event.kind == "switch_fail":
+            self.failed_switches.add(event.target)
+        elif event.kind == "switch_recover":
+            self.failed_switches.discard(event.target)
+        else:
+            return
+        reroute_around_failures(self.topology, self.failed_switches)
 
     def schedule(self) -> FaultSchedule:
         return FaultSchedule(self.injector)

@@ -470,7 +470,7 @@ def test_close_writes_open_traces_as_unfinished_tail_traces(tmp_path):
 
 
 def test_a_refiled_host_tx_takes_back_its_link_span(tmp_path):
-    """``Link._refile_tx`` gives a fused host TX its TX event back, and the
+    """``link.give_back`` gives a fused host TX its TX event back, and the
     hop is traced again when it runs: ``link_untx`` takes back the first
     ``link_tx``'s bits and span, leaving the sums the hooks would have left."""
     writer = NdjsonWriter(tmp_path / "spans.ndjson", trace_mod.TRACE_SCHEMA)
@@ -491,7 +491,7 @@ def test_a_refiled_host_tx_takes_back_its_link_span(tmp_path):
 
 #: ``repro trace run``'s two runs, one with faults set on a client's
 #: uplink mid-run, so fused host TXs get their TX event back
-#: (``Link._refile_tx``), and the same scenario on the server-hosted chain,
+#: (``link.give_back``), and the same scenario on the server-hosted chain,
 #: whose switch passes are transparent (``Link._pass_through``):
 #: case -> (backend, seed, fault schedule).
 IDENTITY_RUNS = {
