@@ -295,6 +295,7 @@ class Tracer:
                 self._write(span)
 
     def link_tx(self, link, packet, latency: float, size: int, at: Optional[float] = None) -> None:
+        # ``link.carry`` adds an untraced segment's bits itself, as here.
         link.tel_bits += size * 8.0
         tid = packet.trace_id
         if tid:

@@ -23,9 +23,9 @@ constant factors *are* the simulator's throughput):
   event keeps the seq the skipped one would have had and carries its time,
   so a fault that lands first gives it back (``link.give_back``, through
   :meth:`Simulator.refile` and :meth:`Simulator.has_run`).  A switch's pass
-  queues its packet as of then; a transparent switch's pass (no rate limit,
-  no program) runs inside its arrival's hop, so a host-switch-host segment
-  costs one event.
+  queues its packet as of then.  A TCP segment between two hosts on a
+  transparent switch (no rate limit, no program) is carried as a payload
+  (``link.carry``): one event, the far host's dispatch, and no packet.
 * Cancellation is a tombstone: the entry's callback slot is set to ``None``
   in place, and the entry is discarded when it surfaces at the top of the
   heap.  A tombstone count triggers heap compaction when more than half the

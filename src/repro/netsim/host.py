@@ -149,6 +149,7 @@ class Host(Node):
         if (link.up and link.faults is None
                 and link.config.loss_rate <= 0 and link.config.reorder_jitter <= 0):
             # Nothing can observe the TX hop: transmit now, as of its time.
+            # (``link.carry`` makes this clean-link test on both its links.)
             self.packets_sent += 1
             port.tx_packets += 1
             link.transmit(packet, port, self.sim._now + delay)
@@ -188,9 +189,8 @@ class Host(Node):
             tel.host_rx(self, packet, delay, self.sim._now)
         self.sim.call_after(delay, self._dispatch, packet)
 
-    def _dispatch(self, packet: Packet, arrival: Optional[float] = None, *passed) -> None:
-        # ``arrival`` rides on a fused RX (Link.transmit), ``passed`` on a fused
-        # transparent pass: the skipped hops' times, for ``link.give_back``.
+    def _dispatch(self, packet: Packet, arrival: Optional[float] = None) -> None:
+        # ``arrival`` rides on a fused RX (Link.transmit), for ``link.give_back``.
         if self.telemetry is not None and arrival is not None:
             self.telemetry.host_rx(self, packet, self.config.stack_delay, arrival)
         if self.failed:

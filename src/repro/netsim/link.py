@@ -14,11 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappush
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.netsim.host import Host
 from repro.netsim.node import Port
-from repro.netsim.packet import IP_WIRE_OVERHEAD, UDP_WIRE_OVERHEAD, Packet
+from repro.netsim.packet import IP_WIRE_OVERHEAD, UDP_WIRE_OVERHEAD, IPv4Header, Packet, UDPHeader
 from repro.netsim.stats import LinkStats
 from repro.netsim.switch import Switch
 
@@ -141,11 +141,10 @@ class Link:
         as of its TX time ``tx_at``; a live :class:`Host` with no RX queue
         gets its dispatch pushed, and a live, loss-free :class:`Switch` its
         pass (which queues the packet as of its arrival), under the seq the
-        arrival would have taken.  A transparent switch's pass runs here
-        too (:meth:`_pass_through`), and the far host's dispatch takes that
-        seq.  The entry carries the skipped hops' times (``arrival``,
-        ``tx_at``), so a fault that lands first can give them back
-        (:func:`give_back`).
+        arrival would have taken.  The entry carries the skipped hops' times
+        (``arrival``, ``tx_at``), so a fault that lands first can give them
+        back (:func:`give_back`).  A TCP segment that nothing can observe
+        never gets here: :func:`carry` hands it over as a payload.
         """
         if from_port is self.port_a:
             dst_port = self.port_b
@@ -195,8 +194,6 @@ class Link:
         sim._seq = seq + 1
         arrival = sent + latency
         if type(node) is Switch:
-            if not node.programs and self._pass_through(packet, dst_port, arrival, seq, tx_at, size):
-                return
             if node._injected_loss_rate <= 0 and not node.failed:
                 heappush(sim._queue, [arrival + node.config.pipeline_delay, seq, node._process,
                                       (packet, dst_port, arrival, tx_at)])
@@ -209,48 +206,6 @@ class Link:
         heappush(sim._queue, [arrival, seq, node.receive, (packet, dst_port)] if tx_at is None
                  else [arrival, seq, self._deliver, (packet, dst_port, tx_at)])
 
-    def _pass_through(self, packet: Packet, in_port: Port, arrival: float, seq: int,
-                      tx_at: Optional[float], size: int) -> bool:
-        """Run the pass of a transparent switch -- live, loss-free, with no
-        rate limit or program, forwarding a packet no tracer follows onto a
-        clean link to a live host with no RX queue -- now, as of
-        ``arrival``, and push that host's dispatch under ``seq``; ``False``
-        if the pass needs its event."""
-        switch = in_port.node
-        ip = packet.ip
-        out_port = switch.forwarding_table.get(ip.dst_ip)
-        if (out_port is None or ip.ttl <= 1 or packet.trace_id or switch.failed
-                or switch._injected_loss_rate > 0 or switch.config.capacity_pps is not None):
-            return False
-        link = out_port.link
-        if link is None or not link.up or link.faults is not None:
-            return False
-        cfg = link.config
-        if cfg.loss_rate > 0 or cfg.reorder_jitter > 0:
-            return False
-        far_port = link.port_b if out_port is link.port_a else link.port_a
-        far = far_port.node
-        if type(far) is not Host or far.failed or far.config.nic_pps is not None:
-            return False
-        switch.pipeline_passes += 1
-        packet.pipeline_passes += 1
-        ip.ttl -= 1
-        switch.packets_sent += 1
-        out_port.tx_packets += 1
-        pass_at = arrival + switch.config.pipeline_delay
-        latency = cfg.delay
-        if cfg.bandwidth_bps:
-            latency += size * 8.0 / cfg.bandwidth_bps
-        if link.telemetry is not None:
-            link.telemetry.link_tx(link, packet, latency, size, pass_at)
-        link.stats.delivered += 1
-        far.packets_received += 1
-        far_port.rx_packets += 1
-        far_arrival = pass_at + latency
-        heappush(self.sim._queue, [far_arrival + far.config.stack_delay, seq, Host._dispatch,
-                                   (far, packet, far_arrival, in_port, arrival, tx_at)])
-        return True
-
     def _deliver(self, packet: Packet, dst_port: Port, tx_at: float) -> None:
         """Arrival of a fused host TX; ``tx_at`` rides on it for :func:`give_back`."""
         dst_port.node.receive(packet, dst_port)
@@ -259,53 +214,176 @@ class Link:
         return f"Link({self.port_a.name} <-> {self.port_b.name})"
 
 
-def _tx(packet: Packet, dst_port: Port, tx_at: Optional[float]) -> list:
-    """The host TX onto ``dst_port``'s link fused into an entry, if ``tx_at`` is set."""
+def carry(host: Host, dst_ip: str, dst_port: int, payload: Any, payload_bytes: int,
+          src_port: int, handler: Callable[[Packet], None],
+          deliver: Callable[[Any], None]) -> bool:
+    """Carry what ``host.send_udp(dst_ip, dst_port, payload, payload_bytes,
+    src_port)`` would send, without a packet, when nothing can observe it;
+    ``False`` (nothing done) if the packet must be sent.
+
+    It is carried when the live, unpaced ``host`` has a clean uplink (up, no
+    fault model, loss or jitter) to a transparent switch (live, loss-free, no
+    rate limit, no program) with a route to ``dst_ip`` onto a clean link,
+    whose far end is a live host with no RX queue.  Everything the packet's
+    walk would count is counted, as of the same times and under the one seq
+    its switch arrival would have taken, and the far host's dispatch is
+    pushed as :func:`_land`."""
+    if host.failed or host.config.nic_pps is not None:
+        return False
+    port = host._uplink
+    if port is None:
+        port = host._uplink = host.uplink_port()
+        if port is None:
+            return False
+    link = port.link
+    cfg = link.config
+    # The clean-link test of Host.send, here for both links.
+    if not link.up or link.faults is not None or cfg.loss_rate > 0 or cfg.reorder_jitter > 0:
+        return False
+    in_port = link.port_b if port is link.port_a else link.port_a
+    switch = in_port.node
+    if (type(switch) is not Switch or switch.programs or switch.failed
+            or switch._injected_loss_rate > 0 or switch.config.capacity_pps is not None):
+        return False
+    out_port = switch.forwarding_table.get(dst_ip)
+    out_link = None if out_port is None else out_port.link
+    if out_link is None:
+        return False
+    out_cfg = out_link.config
+    if (not out_link.up or out_link.faults is not None or out_cfg.loss_rate > 0
+            or out_cfg.reorder_jitter > 0):
+        return False
+    far_port = out_link.port_b if out_port is out_link.port_a else out_link.port_a
+    far = far_port.node
+    if type(far) is not Host or far.failed or far.config.nic_pps is not None:
+        return False
+    sim = host.sim
+    now = sim._now
+    tx_at = now + host.config.stack_delay
+    size = payload_bytes + UDP_WIRE_OVERHEAD
+    bits = size * 8.0
+    # The TX and switch arrival, as Host.send and transmit count them.
+    host.packets_sent += 1
+    port.tx_packets += 1
+    latency = cfg.delay
+    if cfg.bandwidth_bps:
+        latency += bits / cfg.bandwidth_bps
+    if link.telemetry is not None:
+        link.tel_bits += bits  # Tracer.link_tx of an untraced packet
+    link.stats.delivered += 1
+    switch.packets_received += 1
+    in_port.rx_packets += 1
+    seq = sim._seq
+    sim._seq = seq + 1
+    arrival = tx_at + latency
+    # The pass and the far arrival.
+    switch.pipeline_passes += 1
+    switch.packets_sent += 1
+    out_port.tx_packets += 1
+    pass_at = arrival + switch.config.pipeline_delay
+    latency = out_cfg.delay
+    if out_cfg.bandwidth_bps:
+        latency += bits / out_cfg.bandwidth_bps
+    if out_link.telemetry is not None:
+        out_link.tel_bits += bits  # Tracer.link_tx of an untraced packet
+    out_link.stats.delivered += 1
+    far.packets_received += 1
+    far_port.rx_packets += 1
+    far_arrival = pass_at + latency
+    heappush(sim._queue, [far_arrival + far.config.stack_delay, seq, _land,
+                          (far, dst_port, handler, deliver, payload, payload_bytes, src_port,
+                           dst_ip, port, now, tx_at, arrival, far_arrival)])
+    return True
+
+
+def _land(far: Host, dst_port: int, handler: Callable[[Packet], None],
+          deliver: Callable[[Any], None], payload: Any, payload_bytes: int, src_port: int,
+          dst_ip: str, port: Port, created_at: float, tx_at: float, arrival: float,
+          far_arrival: float) -> None:
+    """The far host's dispatch of a segment :func:`carry` carried from
+    ``port`` at ``created_at``: ``deliver(payload)`` while ``handler`` is bound
+    to ``dst_port``, else ``Host._dispatch`` of the packet, built now.  The
+    skipped hops' times are for :func:`give_back`."""
+    if not far.failed and far._sockets.get(dst_port) is handler:
+        deliver(payload)
+    else:
+        far._dispatch(_carried_packet(payload, payload_bytes, src_port, dst_port, dst_ip, port,
+                                      created_at))
+
+
+def _carried_packet(payload: Any, payload_bytes: int, src_port: int, dst_port: int,
+                    dst_ip: str, port: Port, created_at: float) -> Packet:
+    """The packet a carried segment is, as its switch's pass leaves it (TTL
+    64 less one, one pipeline pass)."""
+    return Packet(None, IPv4Header(port.node.ip, dst_ip, 63), UDPHeader(src_port, dst_port),
+                  payload, payload_bytes, None, 1, created_at)
+
+
+def _tx(dst_port: Port, tx_at: Optional[float]) -> list:
+    """The host TX onto ``dst_port``'s link fused into an entry, if ``tx_at``
+    is set, as a hop of :func:`_skipped`."""
+    return [] if tx_at is None else [(tx_at, (dst_port.link,))]
+
+
+def _tx_event(packet: Packet, dst_port: Port, tx_at: Optional[float]) -> list:
+    """The event of :func:`_tx`'s hop, with its take-back."""
     if tx_at is None:
         return []
     link = dst_port.link
     src_port = link.other_end(dst_port)
-    return [(tx_at, (link,), src_port.node.transmit, (packet, src_port),
+    return [(src_port.node.transmit, (packet, src_port),
              lambda: link._untransmit(packet, dst_port, tx_at))]
 
 
-def _skipped(callback: Callable[..., None], args: tuple) -> list:
-    """The events the heap entry ``callback(*args)`` skipped, in order, each
-    as ``(time, what it reads, event callback, args, take-back)``: a fused
-    pass (4-arg ``Switch._process``) skipped its arrival, behind its host's
-    TX if ``tx_at`` is set; a fused TX's arrival (``Link._deliver``) the TX; a
-    fused RX (bound ``Host._dispatch`` with 2 args) the arrival; a transparent
-    pass (unbound ``Host._dispatch``) the TX, the switch's arrival, its pass
-    and the far arrival.  What a hop reads decides its outcome; its take-back
-    undoes what ``Link.transmit`` counted for it."""
-    if callback is Host._dispatch:
-        far, packet, far_arrival, in_port, arrival, tx_at = args
+def _skipped(callback: Callable[..., None], args: tuple) -> tuple:
+    """The events the heap entry ``callback(*args)`` skipped, in order, as
+    ``(hops, events)``: each hop ``(time, what it reads)``, and ``events()``
+    each hop's ``(event callback, args, take-back)``, built only for an entry
+    :func:`give_back` rewrites.  A fused pass (4-arg ``Switch._process``)
+    skipped its arrival, behind its host's TX if ``tx_at`` is set; a fused
+    TX's arrival (``Link._deliver``) the TX; a fused RX (``Host._dispatch``
+    with 2 args) the arrival; a carried segment (:func:`_land`) the TX, the
+    switch's arrival, its pass and the far arrival, its packet built as the
+    pass leaves it.  What a hop reads decides its outcome; its take-back
+    undoes what was counted for it."""
+    if callback is _land:
+        (far, dst_port, _handler, _deliver, payload, payload_bytes, src_port, dst_ip, port,
+         created_at, tx_at, arrival, far_arrival) = args
+        in_port = port.link.other_end(port)
         switch = in_port.node
         far_port = far.uplink_port()
         pass_at = arrival + switch.config.pipeline_delay
 
-        def unpass() -> None:
-            switch.pipeline_passes -= 1
-            packet.pipeline_passes -= 1
-            packet.ip.ttl += 1
-            far_port.link._untransmit(packet, far_port, pass_at)
+        def events() -> list:
+            packet = _carried_packet(payload, payload_bytes, src_port, dst_port, dst_ip, port,
+                                     created_at)
 
-        return _tx(packet, in_port, tx_at) + [
-            (arrival, (switch,), switch.receive, (packet, in_port), None),
-            (pass_at, (switch, switch.forwarding_table, far_port.link), switch._process,
-             (packet, in_port), unpass),
-            (far_arrival, (far,), far.receive, (packet, far_port), None)]
+            def unpass() -> None:
+                switch.pipeline_passes -= 1
+                packet.pipeline_passes -= 1
+                packet.ip.ttl += 1
+                far_port.link._untransmit(packet, far_port, pass_at)
+
+            return _tx_event(packet, in_port, tx_at) + [
+                (switch.receive, (packet, in_port), None),
+                (switch._process, (packet, in_port), unpass),
+                (far.receive, (packet, far_port), None)]
+
+        return _tx(in_port, tx_at) + [
+            (arrival, (switch,)), (pass_at, (switch, switch.forwarding_table, far_port.link)),
+            (far_arrival, (far,))], events
     func = getattr(callback, "__func__", None)
     if func is Switch._process and len(args) == 4:
         packet, port, arrival, tx_at = args
-        return _tx(packet, port, tx_at) + [
-            (arrival, (port.node,), port.node.receive, (packet, port), None)]
+        return _tx(port, tx_at) + [(arrival, (port.node,))], lambda: _tx_event(
+            packet, port, tx_at) + [(port.node.receive, (packet, port), None)]
     if func is Link._deliver:
-        return _tx(*args)
+        return _tx(*args[1:]), lambda: _tx_event(*args)
     if func is Host._dispatch and len(args) == 2:
         host = callback.__self__
-        return [(args[1], (host,), host.receive, (args[0], host.uplink_port()), None)]
-    return []
+        return [(args[1], (host,))], lambda: [
+            (host.receive, (args[0], host.uplink_port()), None)]
+    return [], list
 
 
 def give_back(sim: "Simulator", *changed) -> None:
@@ -316,12 +394,16 @@ def give_back(sim: "Simulator", *changed) -> None:
     first meets the packet where a hop-by-hop run would have had it."""
 
     def rewrite(entry: list) -> None:
-        hops = [hop for hop in _skipped(entry[2], entry[3]) if not sim.has_run(hop[0], entry[1])]
-        if any(read is thing for hop in hops for read in hop[1] for thing in changed):
-            for hop in hops:
-                if hop[4] is not None:
-                    hop[4]()
-            entry[0], entry[2], entry[3] = hops[0][0], hops[0][2], hops[0][3]
+        hops, events = _skipped(entry[2], entry[3])
+        left = [at for at, (time, _reads) in enumerate(hops)
+                if not sim.has_run(time, entry[1])]
+        if any(read is thing for at in left for read in hops[at][1] for thing in changed):
+            events = events()
+            for at in left:
+                if events[at][2] is not None:
+                    events[at][2]()
+            entry[0] = hops[left[0]][0]
+            entry[2], entry[3] = events[left[0]][:2]
 
     sim.refile(rewrite)
 

@@ -69,7 +69,7 @@ def install_shortest_path_routes(topology: Topology,
               if name not in excluded]
     for switch in routed:
         switch.forwarding_table.clear()
-    # A transparent pass skipped so far looks its route up again, at its pass.
+    # A carried segment's pass skipped so far looks its route up again, at its pass.
     give_back(topology.sim, *(switch.forwarding_table for switch in routed))
     # Routes *toward* an excluded (failed) node are kept, on the full graph:
     # NetChain's failover relies on packets still flowing toward the failed

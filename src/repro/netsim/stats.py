@@ -30,7 +30,7 @@ class LinkStats:
     #: Packets handed to the far end, counted when the arrival is scheduled:
     #: a packet still in flight when a run stops is already delivered (and
     #: received by the far node and port), even if that node fails before
-    #: it lands.  A fused hop (a host's TX, a transparent pass's out-link)
+    #: it lands.  A fused hop (a host's TX, a carried TCP segment's links)
     #: counts before its TX time; a fault landing first takes it back.
     delivered: int = 0
     #: Dropped because the link was down (fault-injected or partitioned).

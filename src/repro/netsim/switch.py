@@ -96,8 +96,9 @@ class Switch(Node):
     :meth:`receive` decides fail-stop and injected loss at arrival; :meth:`_process` queues
     the packet as of its arrival, tells the tracer and runs or defers the pass, which
     ``Link.transmit`` pushes itself (no arrival event) for a live switch without loss.
-    With no rate limit and no program the switch is transparent: ``Link.transmit``
-    runs a pass it can forward onto a clean link to a host itself (no pass event).
+    With no rate limit and no program the switch is transparent: a TCP segment
+    between two hosts on it is carried past it by ``link.carry`` (no packet, no
+    pass event), its pass counted.
     """
 
     def __init__(self, sim: "Simulator", name: str, ip: str,
@@ -159,8 +160,9 @@ class Switch(Node):
         if self._injected_loss_rate > 0 and self.rng.random() < self._injected_loss_rate:
             self.dropped_injected += 1
             return
+        # Three args: a pass whose arrival ran (``link._skipped`` reads four as fused).
         self.sim.call_after(self.config.pipeline_delay, self._process, packet, port,
-                            self.sim._now, None)
+                            self.sim._now)
 
     def _admit(self, arrival: float) -> Optional[float]:
         """The wait of a packet queued at ``arrival``; ``None`` if tail-dropped."""
@@ -271,8 +273,8 @@ class Switch(Node):
 
         def admitted(entry: list) -> None:
             args = entry[3]
-            if (entry[2] == self._process and len(args) == 4 and self.config.capacity_pps
-                    and sim.has_run(args[2], entry[1])):
+            if (entry[2] == self._process and len(args) > 2 and self.config.capacity_pps
+                    and (len(args) == 3 or sim.has_run(args[2], entry[1]))):
                 backlog = self._admit(args[2])
                 if backlog is None:
                     Event(sim, entry).cancel()

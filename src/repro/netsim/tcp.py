@@ -14,6 +14,11 @@ machinery:
 It is message-oriented rather than byte-stream-oriented: the unit of
 transmission is an application message, which keeps the model cheap while
 preserving the dynamics that matter for throughput under loss.
+
+A segment rides in a UDP packet wherever something could observe it.  On a
+clean host -> transparent switch -> host path (the server testbeds') nothing
+can, and ``link.carry`` hands it to the peer's segment half instead: no
+packet is built, and every counter and time is the packet's.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.netsim.host import Host
+from repro.netsim.link import carry
 from repro.netsim.packet import Packet
 
 _conn_ids = itertools.count(1)
@@ -111,7 +117,13 @@ class TcpEndpoint:
         self.messages_delivered = 0
         self.retransmissions = 0
         self.closed = False
-        host.bind(local_port, self._on_packet)
+        #: The other side, set by :class:`TcpConnection` once both exist.
+        self._peer: Optional[TcpEndpoint] = None
+        # Bound once: ``link.carry`` hands a segment to ``_deliver`` while
+        # ``_handler`` is what this endpoint's port is bound to.
+        self._handler = self._on_packet
+        self._deliver = self._on_segment
+        host.bind(local_port, self._handler)
 
     # -------------------------------------------------------------- #
     # Sending.
@@ -140,8 +152,12 @@ class TcpEndpoint:
     def _transmit(self, segment: Segment, retries: int) -> None:
         if self.closed:
             return
-        self.host.send_udp(self._remote_ip, self.remote_port, segment,
-                           segment.size_bytes + HEADER_BYTES, self.local_port)
+        # Carried to the peer when nothing can observe it, else sent as a packet.
+        size = segment.size_bytes + HEADER_BYTES
+        peer = self._peer
+        if not carry(self.host, self._remote_ip, self.remote_port, segment, size,
+                     self.local_port, peer._handler, peer._deliver):
+            self.host.send_udp(self._remote_ip, self.remote_port, segment, size, self.local_port)
         # The key ``sim.schedule`` would have given this segment's timer.
         sim = self._sim
         seq = sim._seq
@@ -178,17 +194,21 @@ class TcpEndpoint:
 
     def _on_packet(self, packet: Packet) -> None:
         segment = packet.payload
-        if not isinstance(segment, Segment) or segment.conn_id != self._conn_id:
-            return
+        if isinstance(segment, Segment) and segment.conn_id == self._conn_id:
+            self._on_segment(segment)
+
+    def _on_segment(self, segment: Segment) -> None:
         seq = segment.seq
         if segment.kind == "ack":
             self._on_ack(seq)
             return
         # Data segment: always acknowledge, duplicates included (the ACK
         # carries the segment seq).
-        self.host.send_udp(self._remote_ip, self.remote_port,
-                           Segment(self._conn_id, "ack", seq),
-                           ACK_BYTES, self.local_port)
+        ack = Segment(self._conn_id, "ack", seq)
+        peer = self._peer
+        if not carry(self.host, self._remote_ip, self.remote_port, ack, ACK_BYTES,
+                     self.local_port, peer._handler, peer._deliver):
+            self.host.send_udp(self._remote_ip, self.remote_port, ack, ACK_BYTES, self.local_port)
         if seq != self._expected_seq:
             if seq > self._expected_seq:
                 self._reorder_buffer[seq] = segment
@@ -234,9 +254,10 @@ class TcpConnection:
         self.conn_id = next(_conn_ids)
         port_a = host_a.ephemeral_port()
         port_b = host_b.ephemeral_port()
-        self._endpoints: Dict[str, TcpEndpoint] = {}
-        self._endpoints[host_a.name] = TcpEndpoint(self, host_a, port_a, host_b, port_b)
-        self._endpoints[host_b.name] = TcpEndpoint(self, host_b, port_b, host_a, port_a)
+        end_a = TcpEndpoint(self, host_a, port_a, host_b, port_b)
+        end_b = TcpEndpoint(self, host_b, port_b, host_a, port_a)
+        end_a._peer, end_b._peer = end_b, end_a
+        self._endpoints: Dict[str, TcpEndpoint] = {host_a.name: end_a, host_b.name: end_b}
 
     def endpoint(self, host: Host) -> TcpEndpoint:
         """The endpoint living on ``host``."""

@@ -14,8 +14,10 @@ from repro.netsim import routing as routing_module
 from repro.netsim.faults import FaultInjector, FaultSchedule, LinkFaultModel, derive_rng
 from repro.netsim.host import HostConfig
 from repro.netsim.link import Link, LinkConfig
+from repro.netsim.packet import Packet
 from repro.netsim.routing import install_shortest_path_routes
 from repro.netsim.switch import PipelineAction, PipelineProgram, SwitchConfig
+from repro.netsim.tcp import TcpConnection
 from repro.netsim.topology import build_line, build_testbed
 from tests.conftest import make_cluster
 
@@ -191,8 +193,9 @@ class Recorder(PipelineProgram):
 #: Kind -> (switch config, whether each switch runs a :class:`Recorder`).
 #: ``queue-free`` and ``queued`` (a 0.25 us service time, half a pass, which
 #: admits a packet at its pass, as of its arrival) record every pass; a
-#: ``transparent`` switch has no rate limit and no program, so
-#: ``Link.transmit`` runs its pass inside the arrival's hop, with no event.
+#: ``transparent`` switch has no rate limit and no program, so a TCP segment
+#: between two of its hosts is carried past it (``link.carry``), with no
+#: event and no packet; a UDP packet's pass is an event there too.
 SWITCH_KINDS = {"queue-free": (None, True),
                 "queued": (SwitchConfig(capacity_pps=4e6), True),
                 "transparent": (None, False)}
@@ -201,13 +204,10 @@ SWITCH_KINDS = {"queue-free": (None, True),
 QUEUES = pytest.mark.parametrize("switch_kind", ["queue-free", "queued"])
 
 
-def switch_race(actions, labels=("x",), senders=("H0_0",), switch_kind="queue-free",
-                receiver="H1_0", detail=False, setup=()):
-    """Send one packet per ``(sender, label)`` to ``receiver`` at time 0,
-    after each ``setup(topology)`` has run and with ``actions`` -- ``(at,
-    action(topology))`` pairs -- scheduled first.  Returns the topology, what
-    the receiver got -- each packet's label, or with ``detail`` its label,
-    dispatch time, TTL and pipeline passes -- and each switch's recorder."""
+def line_topology(switch_kind):
+    """H0_0, H0_1 -> S0 -> S1 <- H1_0 on ``switch_kind`` switches, queue-free
+    hosts with a 10 us stack, and each switch's recorder (installed only
+    where the kind runs one)."""
     switch_config, recorded = SWITCH_KINDS[switch_kind]
     topo = build_line(2, hosts_at={0: 2, 1: 1},
                       host_config=HostConfig(stack_delay=10e-6, nic_pps=None),
@@ -219,6 +219,17 @@ def switch_race(actions, labels=("x",), senders=("H0_0",), switch_kind="queue-fr
         recorders[name] = Recorder()
         if recorded:
             switch.install_program(recorders[name])
+    return topo, recorders
+
+
+def switch_race(actions, labels=("x",), senders=("H0_0",), switch_kind="queue-free",
+                receiver="H1_0", detail=False, setup=()):
+    """Send one packet per ``(sender, label)`` to ``receiver`` at time 0,
+    after each ``setup(topology)`` has run and with ``actions`` -- ``(at,
+    action(topology))`` pairs -- scheduled first.  Returns the topology, what
+    the receiver got -- each packet's label, or with ``detail`` its label,
+    dispatch time, TTL and pipeline passes -- and each switch's recorder."""
+    topo, recorders = line_topology(switch_kind)
     for prepare in setup:
         prepare(topo)
     for at, action in actions:
@@ -298,6 +309,22 @@ def test_injected_loss_is_drawn_at_arrival(target, how, offsets, delivered,
     assert topo.switches[target].injected_loss_rate == offsets[-1][1]
 
 
+def test_loss_raised_at_the_instant_a_packet_was_kept_is_not_drawn_again():
+    """S0's loss is drawn at arrival (an event, since the rate is set) and
+    keeps the packet; the rate raised to 1.0 later at that same instant
+    finds its pass queued with its arrival already run, so nothing is drawn
+    again and the packet is delivered."""
+    topo = race_topology()
+    switch = topo.switches["S0"]
+    switch.injected_loss_rate = VANISHING
+    received = []
+    topo.hosts["H0_1"].bind(7000, received.append)
+    topo.hosts["H0_0"].send_udp(topo.hosts["H0_1"].ip, 7000, "x", 10)
+    topo.sim.schedule_at(S0_ARRIVAL, setattr, switch, "injected_loss_rate", 1.0)
+    topo.run(until=1e-3)
+    assert (len(received), switch.dropped_injected, switch.pipeline_passes) == (1, 0, 1)
+
+
 @QUEUES
 @pytest.mark.parametrize("target", ["S0", "S1"], ids=["host-tx-fused", "switch-to-switch"])
 @pytest.mark.parametrize("offset, programs_ran", [
@@ -373,9 +400,8 @@ def _apply(fault):
 
 
 #: Receiver -> the nodes H0_0's packet crosses.  H0_1's is fused at S0
-#: behind H0_0's fused TX, then into H0_1's RX (or, on transparent
-#: switches, all of it into one pass); H1_0's also at S1 behind S0's pass,
-#: whose TX is an event.
+#: behind H0_0's fused TX, then into H0_1's RX; H1_0's also at S1 behind
+#: S0's pass, whose TX is an event.
 PATHS = {"H0_1": ("H0_0", "S0", "H0_1"), "H1_0": ("H0_0", "S0", "S1", "H1_0")}
 
 
@@ -388,17 +414,18 @@ def path_faults(path):
             + [f"fail:{receiver}", "routes"])
 
 
-def path_instants(path):
-    """Each hop of ``path``'s packet and the instant between it and the
-    next, from before the TX to after the dispatch, summed in the
-    simulator's own order (TX at 10 us, 200 ns links, 0.5 us passes)."""
-    hops = [("tx", 10e-6)]
+def path_instants(path, sent=0.0):
+    """Each hop of ``path``'s packet sent at ``sent`` and the instant between
+    it and the next, from before the TX to after the dispatch, summed in the
+    simulator's own order (TX 10 us after the send, 200 ns links, 0.5 us
+    passes)."""
+    hops = [("tx", sent + 10e-6)]
     for switch in path[1:-1]:
         arrival = hops[-1][1] + 200e-9
         hops += [(f"{switch}-arrival", arrival), (f"{switch}-pass", arrival + 0.5e-6)]
     far_arrival = hops[-1][1] + 200e-9
     hops += [("far-arrival", far_arrival), ("dispatch", far_arrival + 10e-6)]
-    instants = {"before-tx": 5e-6}
+    instants = {"before-tx": sent + 5e-6}
     for (hop, at), (_next_hop, next_at) in zip(hops, hops[1:] + [("end", hops[-1][1] + 2e-6)]):
         instants[f"at-{hop}"] = at
         instants[f"after-{hop}"] = (at + next_at) / 2
@@ -427,6 +454,21 @@ FUSED_GRID = [
     for faults, points in (((fault,), path_instants(path)), ((fault, THEN_DOWN[1]), ["before-tx"]))
     for point in points]
 
+#: A TCP message from H0_0 to H0_1 over transparent switches (``tcp``
+#: setup): its data segment and the ACK H0_1 sends back at the data's
+#: dispatch are each carried as a payload (``link.carry``).  Each fault API
+#: the round trip reads -- the sender's failure too, the ACK's far end -- at
+#: each instant of both segments' hops, and each before the TX followed by
+#: :data:`THEN_DOWN`.
+SEGMENT_INSTANTS = {**path_instants(PATHS["H0_1"]), **{
+    f"ack-{point}": at for point, at in path_instants(
+        PATHS["H0_1"][::-1], sent=path_instants(PATHS["H0_1"])["at-dispatch"]).items()}}
+FUSED_GRID += [
+    ("transparent", "H0_1", "tcp", faults, point)
+    for fault in path_faults(PATHS["H0_1"]) + ["fail:H0_0"]
+    for faults, points in (((fault,), SEGMENT_INSTANTS), ((fault, THEN_DOWN[1]), ["before-tx"]))
+    for point in points]
+
 
 def counters(topo):
     """Every public numeric field of every node, port and link."""
@@ -441,12 +483,36 @@ def counters(topo):
     return values
 
 
+def segment_race(faults, point, twin=False):
+    """What a TCP message from H0_0 to H0_1 did with ``faults`` landing at
+    ``point`` of :data:`SEGMENT_INSTANTS`: each delivery (message, time),
+    each side's retransmissions, the sender's smoothed RTT (its ACK's time)
+    and every counter; with ``twin``, on a topology that takes every hop's
+    event."""
+    topo, _recorders = line_topology("transparent")
+    if twin:
+        take_every_event(topo)
+    topo.sim.schedule(SEGMENT_INSTANTS[point], _apply(faults[0]), topo)
+    for fault in faults[1:]:
+        topo.sim.schedule(THEN_DOWN[0], _apply(fault), topo)
+    conn = TcpConnection(topo.hosts["H0_0"], topo.hosts["H0_1"])
+    sender, receiver = conn.endpoint(topo.hosts["H0_0"]), conn.endpoint(topo.hosts["H0_1"])
+    received = []
+    receiver.on_message = lambda message: received.append((message, topo.sim.now))
+    sender.send("x")
+    topo.run(until=0.1)  # two backed-off RTOs (at 20 ms, then 40 ms later)
+    return (received, sender.retransmissions, receiver.retransmissions, sender._srtt,
+            counters(topo))
+
+
 def fused_race(case, twin=False):
     """What one packet from H0_0 did in ``case`` (see :data:`FUSED_GRID`):
     each delivery (label, time, TTL, passes), what each switch's programs
     saw and every counter; with ``twin``, on a topology that takes every
-    hop's event."""
+    hop's event.  A ``tcp`` case is a :func:`segment_race`."""
     kind, receiver, setup, faults, point = case
+    if setup == "tcp":
+        return segment_race(faults, point, twin)
     at = path_instants(PATHS[receiver])[point]
     actions = [(at, _apply(faults[0]))] + [(THEN_DOWN[0], _apply(fault)) for fault in faults[1:]]
     prepare = [take_every_event] if twin else []
@@ -461,20 +527,79 @@ def fused_race(case, twin=False):
     for kind, receiver, setup, faults, point in FUSED_GRID])
 def test_a_fault_around_a_fused_hop_matches_a_twin_that_takes_every_event(case):
     """A hop nothing can observe costs no event -- a host's TX, a switch's
-    arrival, a transparent switch's pass, a host's arrival -- so whatever
-    fault lands on one of them first gives the earliest one back: delivery,
-    its time and TTL, every pass and every counter are those of a twin that
-    spends an event on every hop."""
+    arrival, a host's arrival, and a TCP segment's TX, transparent pass and
+    arrival -- so whatever fault lands on one of them first gives the
+    earliest one back: delivery, its time and TTL, every pass, every
+    retransmission and every counter are those of a twin that spends an
+    event on every hop."""
     assert fused_race(case) == fused_race(case, twin=True)
 
 
-@pytest.mark.parametrize("receiver, events", [("H0_1", 1), ("H1_0", 2)])
-def test_a_transparent_pass_costs_no_event(receiver, events):
-    """H0_1's packet costs its dispatch alone; H1_0's, S0's pass (its far
-    node is a switch) and its dispatch: one event fewer than the twin's."""
-    fused, *_ = switch_race([], switch_kind="transparent", receiver=receiver)
-    twin, *_ = switch_race([], switch_kind="queue-free", receiver=receiver)
-    assert (fused.sim.processed_events, twin.sim.processed_events) == (events, events + 1)
+def packets_built(monkeypatch):
+    """The list each :class:`Packet` built from now on is appended to."""
+    built = []
+    init = Packet.__init__
+
+    def counted(packet, *args, **kwargs):
+        built.append(packet)
+        init(packet, *args, **kwargs)
+
+    monkeypatch.setattr(Packet, "__init__", counted)
+    return built
+
+
+def test_a_clean_segment_costs_one_event_and_builds_no_packet(monkeypatch):
+    """A TCP message over a transparent switch: its data segment and its
+    ACK are carried, one event each (the far host's dispatch), and no
+    packet is built; the twin that takes every hop builds both packets and
+    spends five events on each, to the same end."""
+    built = packets_built(monkeypatch)
+    runs = {}
+    for twin in (False, True):
+        built.clear()
+        topo, _recorders = line_topology("transparent")
+        if twin:
+            take_every_event(topo)
+        conn = TcpConnection(topo.hosts["H0_0"], topo.hosts["H0_1"])
+        received = []
+        conn.endpoint(topo.hosts["H0_1"]).on_message = lambda message: received.append(
+            (message, topo.sim.now))
+        conn.endpoint(topo.hosts["H0_0"]).send("x")
+        topo.run(until=1e-3)  # before the RTO
+        runs[twin] = (received, topo.sim.processed_events, len(built),
+                      conn.endpoint(topo.hosts["H0_0"])._srtt)
+    assert runs[False][1:3] == (2, 0) and runs[True][1:3] == (10, 2)
+    assert (runs[False][0], runs[False][3]) == (runs[True][0], runs[True][3])
+
+
+def test_a_nic_paced_sender_sends_every_segment_as_a_packet(monkeypatch):
+    """H0_0 paces its NIC at 10 us a packet with a two-packet TX queue and
+    sends three messages at once: a paced host is never carried from, so
+    each data segment is a packet -- the third tail-dropped, then sent
+    again at its RTO -- and so is each ACK to H0_0 (an RX queue), on the
+    fused topology as on the twin that takes every event."""
+    built = packets_built(monkeypatch)
+
+    def run(twin):
+        built.clear()
+        topo, _recorders = line_topology("transparent")
+        if twin:
+            take_every_event(topo)
+        sender_host, receiver_host = topo.hosts["H0_0"], topo.hosts["H0_1"]
+        sender_host.config = HostConfig(stack_delay=10e-6, nic_pps=1e5, tx_queue_packets=2)
+        conn = TcpConnection(sender_host, receiver_host)
+        received = []
+        conn.endpoint(receiver_host).on_message = lambda message: received.append(
+            (message, topo.sim.now))
+        for message in ("a", "b", "c"):
+            conn.endpoint(sender_host).send(message)
+        topo.run(until=0.1)
+        return (received, conn.endpoint(sender_host).retransmissions, counters(topo)), len(built)
+
+    (fused, packets), (twin, twin_packets) = run(False), run(True)
+    assert fused == twin
+    assert fused[2]["H0_0"]["tx_dropped"] == fused[1] == 1
+    assert packets == twin_packets == 7
 
 
 @functools.cache
@@ -501,9 +626,12 @@ def first_read_hop_given_back(monkeypatch):
         real_give_back(sim, *things)
 
     def skipped(callback, args):
-        hops = real_skipped(callback, args)
+        hops, events = real_skipped(callback, args)
         reads = [any(read is thing for read in hop[1] for thing in changed) for hop in hops]
-        return hops[reads.index(True):] if True in reads else hops
+        if True not in reads:
+            return hops, events
+        first = reads.index(True)
+        return hops[first:], lambda: events()[first:]
 
     real_give_back, real_skipped = link_module.give_back, link_module._skipped
     for module in (link_module, routing_module):
@@ -514,8 +642,9 @@ def first_read_hop_given_back(monkeypatch):
 def tx_kept_counted(monkeypatch):
     """Mutant: a given-back TX hop takes back nothing it counted."""
     def skipped(callback, args):
-        return [(*hop[:4], None) if hop[2].__name__ == "transmit" else hop
-                for hop in real_skipped(callback, args)]
+        hops, events = real_skipped(callback, args)
+        return hops, lambda: [(*event[:2], None) if event[0].__name__ == "transmit" else event
+                              for event in events()]
 
     real_skipped = link_module._skipped
     monkeypatch.setattr(link_module, "_skipped", skipped)
@@ -526,8 +655,33 @@ def later_hops_kept_counted(monkeypatch):
     monkeypatch.setattr(Link, "_untransmit", lambda self, packet, dst_port, tx_at: None)
 
 
+def carried_far_link_kept_counted(monkeypatch):
+    """Mutant: a given-back carried segment leaves its far link counted."""
+    def skipped(callback, args):
+        hops, events = real_skipped(callback, args)
+        if callback is not link_module._land:
+            return hops, events
+        far_link = hops[-2][1][2]  # what the pass reads: switch, table, far link
+
+        def kept():
+            *before, (process, process_args, unpass), far_arrival = events()
+
+            def take_back():
+                delivered = far_link.stats.delivered
+                unpass()
+                far_link.stats.delivered = delivered
+
+            return [*before, (process, process_args, take_back), far_arrival]
+
+        return hops, kept
+
+    real_skipped = link_module._skipped
+    monkeypatch.setattr(link_module, "_skipped", skipped)
+
+
 @pytest.mark.parametrize("plant, at_least", [
-    (first_read_hop_given_back, 10), (tx_kept_counted, 100), (later_hops_kept_counted, 100)])
+    (first_read_hop_given_back, 10), (tx_kept_counted, 100), (later_hops_kept_counted, 100),
+    (carried_far_link_kept_counted, 100)])
 def test_the_grid_kills_each_planted_give_back_bug(monkeypatch, plant, at_least):
     """The differential grid above catches each planted bug on its own."""
     killed = killed_by_the_grid(monkeypatch, plant)

@@ -191,16 +191,15 @@ def record_data_transmissions(endpoint):
     each data segment ``endpoint`` sends; ``sent["order"]`` lists every
     transmission as ``(time, seq)`` in the order they happened."""
     sent = {"order": []}
-    host, sim = endpoint.host, endpoint.host.sim
-    send_udp = host.send_udp
+    sim = endpoint.host.sim
+    transmit = endpoint._transmit
 
-    def recording(dst_ip, dst_port, payload, payload_bytes, src_port=0):
-        if payload.kind == "data" and src_port == endpoint.local_port:
-            sent.setdefault(payload.seq, []).append((sim.now, endpoint._rto))
-            sent["order"].append((sim.now, payload.seq))
-        return send_udp(dst_ip, dst_port, payload, payload_bytes, src_port)
+    def recording(segment, retries):
+        sent.setdefault(segment.seq, []).append((sim.now, endpoint._rto))
+        sent["order"].append((sim.now, segment.seq))
+        transmit(segment, retries)
 
-    host.send_udp = recording
+    endpoint._transmit = recording
     return sent
 
 
@@ -298,14 +297,13 @@ def test_segments_with_equal_deadlines_retransmit_in_send_order():
     sender, receiver = conn.endpoint(a), conn.endpoint(b)
     order = []
     drop_data(receiver, b, {seq: 1 for seq in range(6)})
-    send_udp = a.send_udp
+    transmit = sender._transmit
 
-    def recording(dst_ip, dst_port, payload, payload_bytes, src_port=0):
-        if payload.kind == "data":
-            order.append((a.sim.now, payload.seq))
-        return send_udp(dst_ip, dst_port, payload, payload_bytes, src_port)
+    def recording(segment, retries):
+        order.append((a.sim.now, segment.seq))
+        transmit(segment, retries)
 
-    a.send_udp = recording
+    sender._transmit = recording
     for i in range(6):
         sender.send(i)
     topo.run(until=1.0)

@@ -60,8 +60,13 @@ TRACE_FILES = ("spans.ndjson", "metrics.ndjson", "events.ndjson")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: ``repro trace run`` arguments -> sha256 of each file they must write.
+#: ``repro trace run`` arguments -> sha256 of each file they must write, and
+#: the same for :data:`IDENTITY_RUNS`' ``server-chain --seed 11`` (the scenario
+#: of ``repro trace run --seed 11`` on the server-hosted chain).
 TRACE_DIGESTS = json.loads((FIXTURES / "trace_digests.json").read_text())
+
+#: The :data:`TRACE_DIGESTS` entries that ``repro trace run`` writes.
+TRACE_RUNS = sorted(argv for argv in TRACE_DIGESTS if argv.startswith("--"))
 
 #: ``repro trace run`` arguments -> the ``trace report`` of its run dir.
 TRACE_REPORTS = {"--seed 11": "seed-11.md", "--seed 7 --failover": "seed-7-failover.md"}
@@ -296,7 +301,7 @@ def trace_run(tmp_path_factory):
 
 
 @pytest.mark.anchor
-@pytest.mark.parametrize("argv", sorted(TRACE_DIGESTS))
+@pytest.mark.parametrize("argv", TRACE_RUNS)
 def test_trace_digests_match_the_dict_per_span_writer(trace_run, argv):
     """Cross-commit anchor: ``fixtures/trace_digests.json`` holds the sha256
     of every file ``repro trace run <argv>`` writes.  ``events.ndjson`` is
@@ -492,7 +497,8 @@ def test_a_refiled_host_tx_takes_back_its_link_span(tmp_path):
 #: ``repro trace run``'s two runs, one with faults set on a client's
 #: uplink mid-run, so fused host TXs get their TX event back
 #: (``link.give_back``), and the same scenario on the server-hosted chain,
-#: whose switch passes are transparent (``Link._pass_through``):
+#: whose TCP segments are carried past a transparent switch (``link.carry``),
+#: their link bits metered into ``metrics.ndjson`` without a packet:
 #: case -> (backend, seed, fault schedule).
 IDENTITY_RUNS = {
     "--seed 11": ("netchain", 11, []),
@@ -534,7 +540,7 @@ def test_a_traced_run_is_the_untraced_run_plus_its_sampler_ticks(tmp_path, case)
     for recorder in ("read_latency", "write_latency"):
         assert getattr(traced, recorder).state_dict() == \
             getattr(untraced, recorder).state_dict()
-    if case in TRACE_DIGESTS:  # the very run ``repro trace run`` writes
+    if case in TRACE_DIGESTS:  # pinned bytes
         assert _dir_digests(run_dir) == TRACE_DIGESTS[case]
     _kept_traces_are_whole(trace_breakdowns(iter_spans(run_dir)))
 
