@@ -25,7 +25,7 @@ import random
 from bench_utils import record_result
 from repro.core.protocol import QueryStatus
 from repro.deploy import DeploymentSpec, build_deployment
-from repro.netsim.link import LinkConfig
+from repro.netsim.faults import LinkFaultModel
 from repro.netsim.switch import PipelineAction
 
 #: The per-hop host stack of the server-hosted baselines in this ablation.
@@ -116,7 +116,7 @@ def test_ablation_sequence_numbers_prevent_inconsistency(benchmark):
             # Aggressive reordering between hops: far larger than the ~50 us
             # spacing at which the (scaled) client emits writes.
             for link in cluster.topology.links:
-                link.config = LinkConfig(delay=200e-9, reorder_jitter=400e-6)
+                link.set_faults(LinkFaultModel(link.rng, reorder_jitter=400e-6))
             keys = [f"key{i}" for i in range(4)]
             cluster.controller.populate(keys)
             if not ordered:

@@ -23,13 +23,15 @@ from typing import Dict, Optional
 
 from repro.core.client import KVClient, KVFuture, KVResult, canonical_key
 from repro.core.protocol import (
+    KEY_BYTES,
     MAX_PROTOTYPE_VALUE_BYTES,
     REPLY_OPS,
+    KeyTooLongError,
     NetChainHeader,
     OpCode,
     QueryStatus,
+    header_key,
     next_query_id,
-    normalize_key,
     normalize_value,
 )
 from repro.netsim.host import Host
@@ -175,7 +177,7 @@ class NetChainAgent(KVClient):
         than a data-plane query.  The future resolves after the control-plane
         latency plus an initial write of the value.
         """
-        key_bytes = canonical_key(key)
+        key_bytes = header_key(key)
         raw_value = normalize_value(value)
         if len(raw_value) > MAX_PROTOTYPE_VALUE_BYTES:
             raise _value_too_long(raw_value)
@@ -208,7 +210,9 @@ class NetChainAgent(KVClient):
     def _submit(self, op: OpCode, key, value: bytes = b"",
                 cas_expected: Optional[bytes] = None,
                 op_name: str = "") -> KVFuture:
-        raw_key = normalize_key(key)
+        raw_key = canonical_key(key)  # header_key, inlined on the per-op path
+        if len(raw_key) > KEY_BYTES:
+            raise KeyTooLongError(raw_key)
         if value and len(value) > MAX_PROTOTYPE_VALUE_BYTES:
             raise _value_too_long(value)
         pending = _Pending(self.sim, op_name, raw_key, op, next_query_id(), value,
@@ -272,7 +276,7 @@ class NetChainAgent(KVClient):
             tel = self.telemetry
             if tel is not None:
                 tel.query_timeout(self, pending)
-            pending.resolve(KVResult(False, pending.op, pending.key.rstrip(b"\x00"), b"",
+            pending.resolve(KVResult(False, pending.op, pending.key, b"",
                                      False, False, True, "timeout",
                                      self.sim.now - pending.created_at, pending.retries,
                                      self.backend, (0, 0)))
@@ -302,7 +306,7 @@ class NetChainAgent(KVClient):
         tel = self.telemetry
         if tel is not None:
             tel.query_reply(self, pending, header, latency)
-        pending.resolve(KVResult(ok, pending.op, header.key.rstrip(b"\x00"), header.value,
+        pending.resolve(KVResult(ok, pending.op, pending.key, header.value,
                                  status is _KEY_NOT_FOUND, status is _CAS_FAILED, False,
                                  None if ok else status.name.lower(), latency,
                                  pending.retries, self.backend,

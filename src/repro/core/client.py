@@ -372,17 +372,17 @@ class KVSession:
 
 
 def canonical_key(key) -> bytes:
-    """The canonical bytes spelling of a key, normalized once at record time.
+    """The one spelling of a key above the wire: a ``str`` in UTF-8, bytes
+    with any trailing NULs stripped.
 
-    The wire protocol pads keys to the fixed 16-byte field
-    (:func:`repro.core.protocol.normalize_key`) while clients and workloads
-    pass the original strings, so the same key has two byte spellings in
-    flight.  Histories canonicalize by stripping the trailing NUL padding --
-    the same canonicalization the hash ring applies
-    (:meth:`repro.core.ring.HashRing.key_position`) -- so a padded and an
-    unpadded spelling land in one per-key stream, whether the operation was
-    recorded live or loaded back from a spilled NDJSON run.
+    Every backend's futures, results and histories, NetChain's headers,
+    switch stores, routes and hash ring hold a key this way.  Only what
+    reads NetChain's fixed 16-byte header field sees it NUL-padded:
+    :meth:`repro.core.protocol.NetChainHeader.to_bytes` writes the field,
+    ``from_bytes`` strips it, and a switch's hot-key sketch hashes it.
     """
+    if type(key) is str:
+        return key.encode("utf-8")
     if isinstance(key, bytes):
         return key.rstrip(b"\x00")
     return str(key).encode("utf-8")

@@ -35,8 +35,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.client import canonical_key
 from repro.core.kvstore import KVStoreConfig, StoreFullError, SwitchKVStore
-from repro.core.protocol import normalize_key, normalize_value
+from repro.core.protocol import normalize_value
 from repro.core.ring import ConsistentHashRing, VirtualNode
 from repro.core.switch_program import NetChainSwitchProgram, RedirectRule
 from repro.netsim.routing import install_shortest_path_routes, reroute_around_failures
@@ -115,11 +116,6 @@ class HotRoute:
         self._rr = (index + 1) % len(self._targets)
         dst_ip, suffix = self._targets[index]
         return dst_ip, suffix, self.vgroup, epochs.get(self.vgroup, 0)
-
-
-def _key_label(raw: bytes) -> str:
-    """A padded key as the event log spells it."""
-    return raw.rstrip(b"\x00").decode("ascii", "replace")
 
 
 @dataclass
@@ -251,7 +247,7 @@ class NetChainController:
         """
         hot_routes = self.hot_routes
         if hot_routes:
-            hot = hot_routes.get(normalize_key(key))
+            hot = hot_routes.get(canonical_key(key))
             if hot is not None:
                 # Writes (and non-rotated reads) of a widened key traverse
                 # the whole wide chain; the commit point is the wide tail.
@@ -270,8 +266,8 @@ class NetChainController:
             ips = tuple(switches[name].ip for name in info.switches)
             entry = (ips, info.vgroup)
             if len(cache) >= 1 << 16:
-                # Bounded like protocol._KEY_CACHE: an unbounded distinct-key
-                # stream (e.g. read misses) must not grow memory forever.
+                # Bounded: an unbounded distinct-key stream (e.g. read
+                # misses) must not grow memory forever.
                 cache.clear()
             cache[key] = entry
         ips, vgroup = entry
@@ -289,7 +285,7 @@ class NetChainController:
         hot_routes = self.hot_routes
         if not hot_routes:
             return None
-        route = hot_routes.get(normalize_key(key))
+        route = hot_routes.get(canonical_key(key))
         if route is None:
             return None
         return route.next_read(self.epochs)
@@ -313,7 +309,7 @@ class NetChainController:
 
     def _insert_now(self, key, value=b"") -> None:
         info = self.chain_for_key(key)
-        raw_key = normalize_key(key)
+        raw_key = canonical_key(key)
         raw_value = normalize_value(value)
         for name in info.switches:
             store = self.stores[name]
@@ -336,7 +332,7 @@ class NetChainController:
 
     def garbage_collect(self, key) -> None:
         """Reclaim the slots of a deleted key on all its chain switches."""
-        raw_key = normalize_key(key)
+        raw_key = canonical_key(key)
         # A deleted key cannot stay widened.
         self.narrow_hot_route(raw_key)
         info = self.chain_for_key(key)
@@ -537,7 +533,7 @@ class NetChainController:
                 program.set_read_gate(raw, version)
         self.hot_routes[raw] = HotRoute(raw, vgroup, wide, ips, extras)
         self._bump_epoch(vgroup)
-        self.event_log.emit("hotkey_widen", key=_key_label(raw),
+        self.event_log.emit("hotkey_widen", key=raw.decode("ascii", "replace"),
                             vgroup=vgroup, width=len(wide))
 
     def narrow_hot_route(self, raw: bytes) -> bool:
@@ -565,7 +561,7 @@ class NetChainController:
                 store.remove_key(raw)
         self._bump_epoch(route.vgroup)
         self.narrowed_hot_routes += 1
-        self.event_log.emit("hotkey_narrow", key=_key_label(raw),
+        self.event_log.emit("hotkey_narrow", key=raw.decode("ascii", "replace"),
                             vgroup=route.vgroup)
         return True
 

@@ -175,10 +175,9 @@ class History:
     def invoke(self, client: str, op: str, key, value=None, expected=None) -> HistoryOp:
         """Record an invocation; returns the record to complete later.
 
-        Keys are canonicalized here, once, by :func:`canonical_key`: a
-        padded wire spelling and the original string land in the same
-        per-key stream, and every downstream consumer (the checker,
-        :meth:`version_violations`, spilled NDJSON runs) sees one spelling.
+        Keys are canonicalized here, once, by :func:`canonical_key`, so
+        every downstream consumer (the checker, :meth:`version_violations`,
+        spilled NDJSON runs) sees one spelling.
         """
         record = HistoryOp(op_id=next(self._ids), client=client, op=op,
                            key=canonical_key(key),

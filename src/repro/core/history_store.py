@@ -145,7 +145,6 @@ def decode_bytes(text: Optional[str]) -> Optional[bytes]:
 _spelled = lru_cache(1024)(lambda data: encode_basestring_ascii(encode_bytes(data)))
 _spelled_time = lru_cache(256)(float.__repr__)
 _decoded = lru_cache(1024)(decode_bytes)
-_decoded_key = lru_cache(1024)(lambda text: canonical_key(decode_bytes(text)))
 
 
 def op_to_record(op: HistoryOp) -> Dict[str, Any]:
@@ -219,16 +218,12 @@ def op_line(op: HistoryOp) -> str:
 
 
 def record_to_op(record: Dict[str, Any]) -> HistoryOp:
-    """Load one record dict back into a :class:`HistoryOp`.
-
-    Keys are canonicalized on load, so a fixture written with the padded
-    wire spelling lands in the same per-key stream as the live recording.
-    """
+    """Load one record dict back into a :class:`HistoryOp`."""
     get, decoded = record.get, _decoded
     ret, version = get("ret"), get("ver")
     return HistoryOp(
         int(record["id"]), record["client"], record["op"],
-        _decoded_key(record["key"]), decoded(get("value")),
+        decoded(record["key"]), decoded(get("value")),
         decoded(get("expected")), float(record["inv"]),
         None if ret is None else float(ret), get("ok"), decoded(get("out")),
         bool(get("nf", False)), bool(get("cf", False)), bool(get("to", False)),
@@ -314,11 +309,11 @@ class HistoryWriter:
         self.offsets_by_id: Optional[array] = None
 
     def append(self, op: HistoryOp) -> None:
-        """Append one operation, final as handed in: records are spelled and
-        indexed 256 at a time, in append order, so the code doing it runs warm."""
+        """Append one operation, final as handed in (its key canonical, as
+        every recorder spells it): records are spelled and indexed 256 at a
+        time, in append order, so the code doing it runs warm."""
         if self._stream.closed:
             raise RuntimeError("HistoryWriter already closed")
-        op.key = canonical_key(op.key)  # spilled records carry the canonical spelling
         self._batch.append(op)
         if len(self._batch) >= 256:
             self._spill()
@@ -469,7 +464,7 @@ class HistoryStore:
         encoded = self.meta.get("initial")
         if encoded is None:
             return None
-        return {canonical_key(decode_bytes(name)): decode_bytes(value)
+        return {decode_bytes(name): decode_bytes(value)
                 for name, value in encoded.items()}
 
     def version_violations(self) -> List[str]:

@@ -66,9 +66,9 @@ import zlib
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.client import KVFuture, KVResult
+from repro.core.client import KVFuture, KVResult, canonical_key
 from repro.core.kvstore import StoreFullError
-from repro.core.protocol import KEY_BYTES, OpCode, normalize_key
+from repro.core.protocol import KEY_BYTES, OpCode, header_key
 from repro.netsim.registers import RegisterFile
 
 
@@ -353,7 +353,10 @@ class HotKeyManager:
             sketch = getattr(program, "hotkeys", None)
             if sketch is None:
                 continue
-            for key, count in sketch.heavy_hitters():
+            # A switch sketch holds the padded header field (see the switch
+            # program's read path); the tier works on canonical keys.
+            for padded, count in sketch.heavy_hitters():
+                key = canonical_key(padded)
                 if key not in hot:
                     totals[key] = totals.get(key, 0) + count
             # Already-widened keys are tracked through estimate(), not the
@@ -362,7 +365,8 @@ class HotKeyManager:
             # the aggregate is still hot -- cooling on table eviction alone
             # would thrash widen/narrow.
             for key in hot:
-                totals[key] = totals.get(key, 0) + sketch.estimate(key)
+                totals[key] = totals.get(key, 0) + sketch.estimate(
+                    key.ljust(KEY_BYTES, b"\x00"))
             sketch.reset()
         if controller.chain_commits != self._commits_seen:
             self.narrow_all()
@@ -400,7 +404,7 @@ class HotKeyManager:
         or no second replica exists).
         """
         controller = self.controller
-        raw = normalize_key(key)
+        raw = canonical_key(key)
         vgroup = controller.ring.vgroup_for_key(raw)
         if raw not in controller.keys_by_vgroup.get(vgroup, set()):
             self.stats.skipped += 1
@@ -512,7 +516,7 @@ class ClientReadCache:
 
     def read(self, agent, key) -> KVFuture:
         """Serve one read through the cache (called by the agent)."""
-        raw = normalize_key(key)
+        raw = header_key(key)
         self.stats.lookups += 1
         entry = self._inflight.get(raw)
         if entry is not None:

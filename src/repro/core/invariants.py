@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.client import canonical_key
 from repro.core.kvstore import SwitchKVStore
-from repro.core.protocol import normalize_key
 
 
 class InvariantViolation(AssertionError):
@@ -33,7 +33,7 @@ def chain_versions(stores: Sequence[SwitchKVStore], key) -> List[Optional[Tuple[
 
     ``None`` marks switches that do not hold the key (e.g. not yet synced).
     """
-    raw = normalize_key(key)
+    raw = canonical_key(key)
     versions: List[Optional[Tuple[int, int]]] = []
     for store in stores:
         item = store.read(raw)
@@ -74,7 +74,7 @@ def check_value_agreement(stores: Sequence[SwitchKVStore], keys: Iterable,
     """Replicas that share a key's version must share its value."""
     violations: List[str] = []
     for key in keys:
-        raw = normalize_key(key)
+        raw = canonical_key(key)
         by_version: Dict[Tuple[int, int], bytes] = {}
         for store in stores:
             item = store.read(raw)
@@ -152,7 +152,7 @@ class ClientObservationChecker:
 
     def observe(self, key, session: int, seq: int) -> bool:
         """Record an observed version; returns ``True`` if it is consistent."""
-        raw = normalize_key(key)
+        raw = canonical_key(key)
         version = (session, seq)
         previous = self.last_seen.get(raw)
         self.observations += 1

@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.core.client import canonical_key
 from repro.core.protocol import (
-    KEY_BYTES,
     MAX_PROTOTYPE_VALUE_BYTES,
     STAGE_VALUE_BYTES,
     VALUE_STAGES,
-    normalize_key,
+    header_key,
 )
 from repro.netsim.switch import Switch
 
@@ -88,8 +88,9 @@ class SwitchKVStore:
         #: The value at each slot, whole (charged above as eight stages and
         #: a length).
         self._value_data: List[bytes] = [b""] * slots
-        #: The exact-match index: key -> slot, and its inverse.
-        self._loc_of_key: Dict[bytes, int] = {}
+        #: The exact-match table: canonical key -> slot, which the switch
+        #: program matches a header's key against; ``_key_of_slot`` inverts it.
+        self.index: Dict[bytes, int] = {}
         self._key_of_slot: Dict[int, bytes] = {}
         self._free_slots: List[int] = list(range(slots - 1, -1, -1))
 
@@ -112,8 +113,8 @@ class SwitchKVStore:
         Insert is a control-plane operation in NetChain (Section 4.1): the
         controller calls this on every switch of the key's chain.
         """
-        key = normalize_key(key)
-        existing = self._loc_of_key.get(key)
+        key = header_key(key)
+        existing = self.index.get(key)
         if existing is not None:
             return existing
         if not self._free_slots:
@@ -121,13 +122,13 @@ class SwitchKVStore:
                                  f"({self.capacity} in use)")
         loc = self._free_slots.pop()
         self._key_of_slot[loc] = key
-        self._loc_of_key[key] = loc
+        self.index[key] = loc
         self.write_loc(loc, b"", 0, 0, True)
         return loc
 
     def remove_key(self, key) -> bool:
         """Garbage-collect a deleted key: free its slot and index entry."""
-        loc = self._loc_of_key.pop(normalize_key(key), None)
+        loc = self.index.pop(canonical_key(key), None)
         if loc is None:
             return False
         del self._key_of_slot[loc]
@@ -141,9 +142,7 @@ class SwitchKVStore:
 
     def lookup(self, key) -> Optional[int]:
         """Index-table lookup: slot for ``key`` or ``None`` on a miss."""
-        if type(key) is bytes and len(key) == KEY_BYTES:
-            return self._loc_of_key.get(key)
-        return self._loc_of_key.get(normalize_key(key))
+        return self.index.get(canonical_key(key))
 
     def load_loc(self, loc: int) -> Tuple[bytes, int, int, bool]:
         """``(value, seq, session, valid)`` at ``loc``: the per-query register read."""
@@ -194,10 +193,10 @@ class SwitchKVStore:
         """Snapshot items (optionally restricted to ``keys``) for state copy."""
         selected = list(keys) if keys is not None else list(self._key_of_slot.values())
         result: Dict[bytes, StoredItem] = {}
-        for key in selected:
-            loc = self.lookup(key)
+        for key in map(canonical_key, selected):
+            loc = self.index.get(key)
             if loc is not None:
-                result[normalize_key(key)] = self.read_loc(loc)
+                result[key] = self.read_loc(loc)
         return result
 
     def import_items(self, items: Dict[bytes, StoredItem]) -> int:

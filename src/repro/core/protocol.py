@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import List, Optional
 
+from repro.core.client import canonical_key
 from repro.netsim.packet import (
     NETCHAIN_UDP_PORT,
     IPv4Header,
@@ -103,34 +104,20 @@ class QueryStatus(IntEnum):
     REJECTED = 3
 
 
-#: Interning cache for string keys: key encoding sits on the per-query hot
-#: path and workloads reuse a small, hot key population.  Bounded so an
-#: adversarial key stream cannot grow it without limit.
-_KEY_CACHE: dict = {}
-_KEY_CACHE_MAX = 1 << 16
+class KeyTooLongError(ValueError):
+    """A key whose canonical bytes do not fit the 16-byte header field."""
+
+    def __init__(self, raw: bytes) -> None:
+        super().__init__(f"key longer than {KEY_BYTES} bytes: {raw!r}")
 
 
-def normalize_key(key) -> bytes:
-    """Encode a key as the fixed-width 16-byte field used on the wire."""
-    if type(key) is str:
-        cached = _KEY_CACHE.get(key)
-        if cached is not None:
-            return cached
-        raw = key.encode("utf-8")
-        if len(raw) > KEY_BYTES:
-            raise ValueError(f"key longer than {KEY_BYTES} bytes: {raw!r}")
-        padded = raw.ljust(KEY_BYTES, b"\x00")
-        if len(_KEY_CACHE) >= _KEY_CACHE_MAX:
-            _KEY_CACHE.clear()
-        _KEY_CACHE[key] = padded
-        return padded
-    if isinstance(key, bytes):
-        raw = key
-    else:
-        raw = str(key).encode("utf-8")
+def header_key(key) -> bytes:
+    """The key a NetChain header carries: its :func:`canonical_key`
+    spelling, refused when the 16-byte wire field cannot hold it."""
+    raw = canonical_key(key)
     if len(raw) > KEY_BYTES:
-        raise ValueError(f"key longer than {KEY_BYTES} bytes: {raw!r}")
-    return raw.ljust(KEY_BYTES, b"\x00")
+        raise KeyTooLongError(raw)
+    return raw
 
 
 def normalize_value(value) -> bytes:
@@ -147,6 +134,8 @@ class NetChainHeader:
     """The NetChain header carried in the UDP payload."""
 
     op: OpCode
+    #: The key's :func:`canonical_key` bytes; only the wire field is
+    #: NUL-padded to :data:`KEY_BYTES` (``to_bytes`` / ``from_bytes``).
     key: bytes
     value: bytes = b""
     seq: int = 0
@@ -178,7 +167,7 @@ class NetChainHeader:
         return size
 
     def to_bytes(self) -> bytes:
-        """Serialize to the wire format."""
+        """Serialize to the wire format (``16s`` pads the key with NULs)."""
         out = bytearray(self._FIXED.pack(
             int(self.op), int(self.status), self.key, self.session, self.seq,
             self.vgroup, self.epoch, self.query_id, len(self.chain)))
@@ -193,7 +182,7 @@ class NetChainHeader:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "NetChainHeader":
-        """Parse the wire format."""
+        """Parse the wire format, stripping the key field's NUL padding."""
         (op, status, key, session, seq, vgroup, epoch, query_id,
          sc) = cls._FIXED.unpack_from(data, 0)
         offset = cls._FIXED.size
@@ -212,8 +201,8 @@ class NetChainHeader:
             cas_expected: Optional[bytes] = None
         else:
             cas_expected = data[offset:offset + cas_len]
-        return cls(OpCode(op), key, value, seq, session, chain, vgroup, epoch,
-                   query_id, QueryStatus(status), cas_expected)
+        return cls(OpCode(op), key.rstrip(b"\x00"), value, seq, session, chain, vgroup,
+                   epoch, query_id, QueryStatus(status), cas_expected)
 
     def copy(self) -> "NetChainHeader":
         """Deep-enough copy for retransmissions and forwarding."""
@@ -246,7 +235,7 @@ def make_read(key, chain_ips: List[str], vgroup: int = 0,
     The caller addresses the packet to ``chain_ips[-1]`` (the tail); the
     header's chain list holds the remaining switches from the tail backwards.
     """
-    return NetChainHeader(OpCode.READ, normalize_key(key), b"", 0, 0,
+    return NetChainHeader(OpCode.READ, header_key(key), b"", 0, 0,
                           list(chain_ips[-2::-1]), vgroup, epoch)
 
 
@@ -257,14 +246,14 @@ def make_write(key, value, chain_ips: List[str], vgroup: int = 0,
     Write queries are addressed to the head; the header carries the rest of
     the chain in traversal order (head to tail).
     """
-    return NetChainHeader(OpCode.WRITE, normalize_key(key), normalize_value(value),
+    return NetChainHeader(OpCode.WRITE, header_key(key), normalize_value(value),
                           0, 0, list(chain_ips[1:]), vgroup, epoch)
 
 
 def make_cas(key, expected, new_value, chain_ips: List[str], vgroup: int = 0,
              epoch: int = 0) -> NetChainHeader:
     """Build a compare-and-swap query (write path, conditional on ``expected``)."""
-    return NetChainHeader(OpCode.CAS, normalize_key(key), normalize_value(new_value),
+    return NetChainHeader(OpCode.CAS, header_key(key), normalize_value(new_value),
                           0, 0, list(chain_ips[1:]), vgroup, epoch,
                           cas_expected=normalize_value(expected))
 
@@ -273,7 +262,7 @@ def make_delete(key, chain_ips: List[str], vgroup: int = 0,
                 epoch: int = 0) -> NetChainHeader:
     """Build a delete query header (data-plane invalidation; the control
     plane garbage-collects the slot, Section 4.1)."""
-    return NetChainHeader(OpCode.DELETE, normalize_key(key), b"", 0, 0,
+    return NetChainHeader(OpCode.DELETE, header_key(key), b"", 0, 0,
                           list(chain_ips[1:]), vgroup, epoch)
 
 
@@ -285,5 +274,5 @@ def make_clean(key, seq: int, session: int, vgroup: int = 0,
     write of a tier-managed key; carries the committed ``(session, seq)``
     so the replica can mark its copy clean (``repro.core.hotkeys``).
     """
-    return NetChainHeader(op=OpCode.CLEAN, key=normalize_key(key), seq=seq,
+    return NetChainHeader(op=OpCode.CLEAN, key=header_key(key), seq=seq,
                           session=session, vgroup=vgroup, epoch=epoch)

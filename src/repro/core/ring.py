@@ -18,6 +18,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.client import canonical_key
+
 
 def _hash64(data: bytes) -> int:
     """Stable 64-bit hash used for ring placement."""
@@ -77,17 +79,8 @@ class ConsistentHashRing:
     # ------------------------------------------------------------------ #
 
     def key_position(self, key) -> int:
-        """Ring position of a key.
-
-        Byte keys are canonicalized by stripping the trailing NUL padding of
-        the 16-byte wire encoding, so a key hashes to the same position
-        whether a caller passes the original string or the padded raw key.
-        """
-        if isinstance(key, bytes):
-            raw = key.rstrip(b"\x00")
-        else:
-            raw = str(key).encode("utf-8")
-        return _hash64(raw)
+        """Ring position of a key: the hash of its canonical bytes."""
+        return _hash64(canonical_key(key))
 
     def _iter_successors(self, position: int):
         """Lazily walk the ring once, starting at/after ``position``.

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.core.kvstore import SwitchKVStore
 from repro.core.protocol import (
+    KEY_BYTES,
     NETCHAIN_UDP_PORT,
     REPLY_FOR,
     REPLY_OPS,
@@ -315,7 +316,7 @@ class NetChainSwitchProgram(PipelineProgram):
             return self._apply_clean(header)
         # A transit-only switch (no storage role) addressed directly is a miss.
         store = self.kvstore
-        loc = store.lookup(header.key) if store is not None else None
+        loc = store.index.get(header.key) if store is not None else None
         if loc is None:
             self.stats.misses += 1
             self._make_reply(switch, packet, header, _KEY_NOT_FOUND)
@@ -330,7 +331,8 @@ class NetChainSwitchProgram(PipelineProgram):
         self.stats.reads += 1
         hotkeys = self.hotkeys
         if hotkeys is not None:
-            hotkeys.record(header.key)
+            # The sketch hashes the 16-byte header field, as a Tofino CMS does.
+            hotkeys.record(header.key.ljust(KEY_BYTES, b"\x00"))
         gate = self._read_gate
         if gate and header.chain:
             # Hot-key tier: a non-tail wide-chain replica serves a rotated

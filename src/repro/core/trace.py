@@ -120,10 +120,8 @@ _OP_NAMES = {op: op.name.lower() for op in OpCode}
 _STATUS_NAMES = {status: status.name.lower() for status in QueryStatus}
 
 
-@lru_cache(maxsize=1 << 16)
-def _key_label(raw: bytes) -> str:
-    """Human-readable spelling of a fixed-width key (trailing NULs stripped)."""
-    return encode_bytes(raw.rstrip(b"\x00")) or ""
+#: A key as spans spell it (its :func:`encode_bytes` text), memoized.
+_key_label = lru_cache(maxsize=1 << 16)(encode_bytes)
 
 
 class _Trace:

@@ -82,7 +82,8 @@ class DeploymentSpec:
         value_size: size of every preloaded value, in bytes.
         store_slots: per-switch key slots; ``None`` sizes them from
             ``store_size``.
-        loss_rate: uniform packet-loss probability on every link.
+        loss_rate: Figure 9(d)'s loss: each switch drops an arriving
+            packet with this probability (``Topology.set_loss_rate``).
         retry_timeout: client retry timeout (NetChain-family).
         unlimited_capacity: drop the scaled capacity ceilings
             (latency-bound experiments).

@@ -58,9 +58,8 @@ class FaultVerdict:
 class LinkFaultModel:
     """Seeded per-packet loss / corruption / reordering / delay on one link.
 
-    This intentionally mirrors (and composes with) the static knobs of
-    :class:`repro.netsim.link.LinkConfig`; the difference is that a fault
-    model is installed and removed *at runtime* by a schedule, and draws
+    The one way a link impairs traffic (``Link.set_faults``): installed and
+    removed at runtime by a schedule, or up front by a caller, and drawing
     from an injectable RNG so scenarios replay.
     """
 

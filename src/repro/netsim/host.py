@@ -146,8 +146,7 @@ class Host(Node):
         if tel is not None:
             tel.host_tx(self, packet, delay)
         link = port.link
-        if (link.up and link.faults is None
-                and link.config.loss_rate <= 0 and link.config.reorder_jitter <= 0):
+        if link.up and link.faults is None:
             # Nothing can observe the TX hop: transmit now, as of its time.
             # (``link.carry`` makes this clean-link test on both its links.)
             self.packets_sent += 1

@@ -1,12 +1,13 @@
-"""Link model: propagation delay, serialization, loss and reordering.
+"""Link model: propagation delay and serialization.
 
 The paper's chain protocol explicitly copes with the network's best-effort
 delivery (Section 4.3): packets between chain switches can be *lost* or
-*reordered*.  Both behaviours are modelled here so that the sequence-number
-ordering protocol and the client retry logic are actually exercised.
-
-Loss injection matches the evaluation setup of Figure 9(d): a loss
-probability applied independently per traversal.
+*reordered*.  A link impairs traffic only through a fault model
+(:class:`repro.netsim.faults.LinkFaultModel`: seeded loss, corruption,
+jitter and delay), so the sequence-number ordering protocol and the client
+retry logic are actually exercised.  Figure 9(d)'s loss is not a link's:
+``DeploymentSpec.loss_rate`` goes through :meth:`Topology.set_loss_rate` to
+each switch's injected loss, drawn as a packet arrives there.
 """
 
 from __future__ import annotations
@@ -36,16 +37,10 @@ class LinkConfig:
         bandwidth_bps: link speed in bits/sec; ``None`` disables
             serialization delay (useful for analytic experiments where the
             capacity model lives in the switch service rate instead).
-        loss_rate: probability that a packet traversing the link is dropped.
-        reorder_jitter: if non-zero, each delivery is additionally delayed by
-            a uniform random amount in ``[0, reorder_jitter]`` seconds, which
-            lets later packets overtake earlier ones.
     """
 
     delay: float = 200e-9
     bandwidth_bps: Optional[float] = 40e9
-    loss_rate: float = 0.0
-    reorder_jitter: float = 0.0
 
 
 class Link:
@@ -156,17 +151,11 @@ class Link:
             self.stats.dropped_down += 1
             return
         cfg = self.config
-        if cfg.loss_rate > 0 and self.rng.random() < cfg.loss_rate:
-            self.stats.dropped_loss += 1
-            return
         latency = cfg.delay
         size = packet.payload_bytes + (
             UDP_WIRE_OVERHEAD if packet.udp is not None else IP_WIRE_OVERHEAD)
         if cfg.bandwidth_bps:
             latency += size * 8.0 / cfg.bandwidth_bps
-        if cfg.reorder_jitter > 0:
-            latency += self.rng.uniform(0.0, cfg.reorder_jitter)
-            self.stats.reordered += 1
         if self.faults is not None:
             verdict = self.faults.on_transmit(packet)
             if verdict.drop:
@@ -222,7 +211,7 @@ def carry(host: Host, dst_ip: str, dst_port: int, payload: Any, payload_bytes: i
     ``False`` (nothing done) if the packet must be sent.
 
     It is carried when the live, unpaced ``host`` has a clean uplink (up, no
-    fault model, loss or jitter) to a transparent switch (live, loss-free, no
+    fault model) to a transparent switch (live, loss-free, no
     rate limit, no program) with a route to ``dst_ip`` onto a clean link,
     whose far end is a live host with no RX queue.  Everything the packet's
     walk would count is counted, as of the same times and under the one seq
@@ -236,9 +225,8 @@ def carry(host: Host, dst_ip: str, dst_port: int, payload: Any, payload_bytes: i
         if port is None:
             return False
     link = port.link
-    cfg = link.config
     # The clean-link test of Host.send, here for both links.
-    if not link.up or link.faults is not None or cfg.loss_rate > 0 or cfg.reorder_jitter > 0:
+    if not link.up or link.faults is not None:
         return False
     in_port = link.port_b if port is link.port_a else link.port_a
     switch = in_port.node
@@ -247,11 +235,7 @@ def carry(host: Host, dst_ip: str, dst_port: int, payload: Any, payload_bytes: i
         return False
     out_port = switch.forwarding_table.get(dst_ip)
     out_link = None if out_port is None else out_port.link
-    if out_link is None:
-        return False
-    out_cfg = out_link.config
-    if (not out_link.up or out_link.faults is not None or out_cfg.loss_rate > 0
-            or out_cfg.reorder_jitter > 0):
+    if out_link is None or not out_link.up or out_link.faults is not None:
         return False
     far_port = out_link.port_b if out_port is out_link.port_a else out_link.port_a
     far = far_port.node
@@ -265,6 +249,7 @@ def carry(host: Host, dst_ip: str, dst_port: int, payload: Any, payload_bytes: i
     # The TX and switch arrival, as Host.send and transmit count them.
     host.packets_sent += 1
     port.tx_packets += 1
+    cfg = link.config
     latency = cfg.delay
     if cfg.bandwidth_bps:
         latency += bits / cfg.bandwidth_bps
@@ -281,6 +266,7 @@ def carry(host: Host, dst_ip: str, dst_port: int, payload: Any, payload_bytes: i
     switch.packets_sent += 1
     out_port.tx_packets += 1
     pass_at = arrival + switch.config.pipeline_delay
+    out_cfg = out_link.config
     latency = out_cfg.delay
     if out_cfg.bandwidth_bps:
         latency += bits / out_cfg.bandwidth_bps

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.client import KVFuture, KVResult
+from repro.core.client import KVFuture, KVResult, canonical_key
 from repro.deploy import BACKENDS, DeploymentSpec, available_backends, build_deployment
 
 ALL_BACKENDS = ["hybrid", "netchain", "primary-backup", "server-chain", "zookeeper"]
@@ -68,17 +68,20 @@ def test_client_roundtrip_through_unified_protocol(backend):
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_every_backend_spells_a_result_key_one_way(backend):
-    """``KVResult.key`` is the caller's key in its ``canonical_key``
-    spelling, never the 16-byte NUL-padded wire field -- on both of
-    hybrid's tiers (its first key is network-resident, its last starts on
-    the servers)."""
+    """A future and its ``KVResult`` both carry the caller's key in its
+    ``canonical_key`` spelling, for all five ops -- on both of hybrid's
+    tiers (its first key is network-resident, its last starts on the
+    servers)."""
     deployment = build_deployment(small_spec(backend))
     client = deployment.clients(1)[0]
     for key in (deployment.keys[0], deployment.keys[-1]):
-        results = [client.read(key).result(), client.write(key, b"v").result(),
-                   client.read(key).result(), client.delete(key).result()]
-        assert all(result.ok for result in results), [r.error for r in results]
-        assert [result.key for result in results] == [key.encode()] * 4
+        futures = [client.read(key), client.write(key, b"v"), client.cas(key, b"v", b"w"),
+                   client.delete(key), client.insert(key, b"x")]
+        results = [future.result() for future in futures]
+        # Hybrid refuses a CAS of a server-tier key; its result is spelled too.
+        assert all(r.ok or r.op == "cas" for r in results), [r.error for r in results]
+        assert [future.key for future in futures] == [canonical_key(key)] * 5
+        assert [result.key for result in results] == [canonical_key(key)] * 5
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)

@@ -367,7 +367,7 @@ def take_every_event(topo):
     (drawn at its hop) fuses no TX, arrival or pass, and a host with a NIC
     rate (too high to queue anything) fuses no arrival."""
     for link in topo.links:
-        link.config.loss_rate = VANISHING
+        link.set_faults(LinkFaultModel(link.rng, loss_rate=VANISHING))
     for switch in topo.switches.values():
         switch.injected_loss_rate = VANISHING
     for host in topo.hosts.values():

@@ -183,9 +183,9 @@ def test_writer_builds_per_key_streams_and_index(tmp_path):
 
 
 def test_padded_and_unpadded_key_spellings_share_one_stream(tmp_path):
-    """Record-time canonicalization: the wire pads keys to 16 bytes with
-    NULs, clients use the raw string -- both spellings are one key, in the
-    in-memory history and in the spilled run alike."""
+    """Record-time canonicalization: a key's bytes with trailing NULs and
+    without are one key, in the in-memory history and in the spilled run
+    alike, and either spelling queries the spilled stream."""
     padded, unpadded = b"kv-7" + b"\x00" * 12, b"kv-7"
     assert canonical_key(padded) == canonical_key(unpadded) == unpadded
 
@@ -198,14 +198,14 @@ def test_padded_and_unpadded_key_spellings_share_one_stream(tmp_path):
     assert a.key == b.key == unpadded
     assert list(history.per_key()) == [unpadded]
 
-    ops = [HistoryOp(op_id=0, client="c0", op="write", key=padded,
-                     value=b"x", invoked_at=1.0, returned_at=2.0, ok=True),
-           HistoryOp(op_id=1, client="c1", op="read", key=unpadded,
-                     invoked_at=3.0, returned_at=4.0, ok=True, output=b"x")]
-    store = write_run(tmp_path / "run", ops)
+    spilling = SpillingHistory(FakeSim(), tmp_path / "run")
+    write = spilling.invoke("c0", "write", padded, value=b"x")
+    spilling.complete(write, KVResult(ok=True, op="write"))
+    read = spilling.invoke("c1", "read", unpadded)
+    spilling.complete(read, KVResult(ok=True, op="read", value=b"x"))
+    store = spilling.finish()
     assert store.keys() == [unpadded]
     assert len(store.ops_for_key(unpadded)) == 2
-    # The padded spelling queries the same stream.
     assert [op.op_id for op in store.ops_for_key(padded)] == [0, 1]
 
 

@@ -26,7 +26,6 @@ from repro.core.hotkeys import (
 )
 from repro.core.hybrid import HybridStore
 from repro.core.kvstore import StoreFullError
-from repro.core.protocol import normalize_key
 from repro.deploy import DeploymentSpec, available_backends
 from repro.deploy.matrix import signature_digest
 from repro.deploy.scenario import ScenarioChecks, WorkloadSpec, run_scenario
@@ -177,7 +176,7 @@ def test_hot_key_widens_and_rotates_reads():
     before = {name: cluster.controller.programs[name].stats.reads
               for name in cluster.controller.members}
     _drive_reads(cluster, agent, "k00000000", interval=1e-4, duration=0.05)
-    raw = normalize_key("k00000000")
+    raw = b"k00000000"
     assert manager.stats.widened >= 1
     assert raw in cluster.controller.hot_routes
     route = cluster.controller.hot_routes[raw]
@@ -214,7 +213,7 @@ def test_hot_route_narrows_on_cooldown():
     controller = cluster.controller
     _drive_reads(cluster, cluster.agent("H0"), "k00000000",
                  interval=1e-4, duration=0.03)
-    raw = normalize_key("k00000000")
+    raw = b"k00000000"
     assert raw in controller.hot_routes
     extras = list(controller.hot_routes[raw].extras)
     assert extras
@@ -236,7 +235,7 @@ def test_writes_remain_visible_through_a_wide_route():
     cluster, _manager = _tier_cluster()
     agent = cluster.agent("H0")
     _drive_reads(cluster, agent, "k00000000", interval=1e-4, duration=0.03)
-    assert normalize_key("k00000000") in cluster.controller.hot_routes
+    assert b"k00000000" in cluster.controller.hot_routes
     assert agent.write("k00000000", b"fresh").result().ok
     # Every rotated read -- whichever replica serves it -- must return the
     # committed value (the clean/dirty gate forwards until CLEAN lands).
@@ -259,7 +258,7 @@ def test_widen_aborted_by_a_full_extra_store_leaves_no_copy():
     cluster.add_switch("S4")
     manager = cluster.enable_hotkey_tier(_FAST_TIER)
     controller = cluster.controller
-    raw = normalize_key("k00000000")
+    raw = b"k00000000"
     base = controller.chain_for_key(raw).switches
     extras = [name for name in controller.members if name not in base]
     assert len(extras) == 2
@@ -293,7 +292,7 @@ def test_switch_failure_narrows_affected_routes():
     controller = cluster.controller
     _drive_reads(cluster, cluster.agent("H0"), "k00000000",
                  interval=1e-4, duration=0.03)
-    raw = normalize_key("k00000000")
+    raw = b"k00000000"
     assert raw in controller.hot_routes
     failed = controller.hot_routes[raw].switches[-1]
     controller.fast_failover(failed)
@@ -311,7 +310,7 @@ def test_someone_elses_reconfiguration_narrows_every_hot_route():
     history = History(cluster.sim)
     clients = [RecordingClient(cluster.agent(host), history, name=host)
                for host in ("H0", "H1")]
-    raw = normalize_key("k00000000")
+    raw = b"k00000000"
     issued = itertools.count(1)
 
     def next_op():
@@ -394,7 +393,7 @@ def test_garbage_collect_forgets_widened_keys():
     controller = cluster.controller
     agent = cluster.agent("H0")
     _drive_reads(cluster, agent, "k00000000", interval=1e-4, duration=0.03)
-    raw = normalize_key("k00000000")
+    raw = b"k00000000"
     assert raw in controller.hot_routes
     assert agent.delete("k00000000").result().ok
     controller.garbage_collect("k00000000")
@@ -463,7 +462,7 @@ def test_cache_epoch_invalidation_reissues_waiters():
     futures = [agent.read("k00000000") for _ in range(3)]
     # Reconfigure the key's group while the read is in flight: the reply
     # is stale by the epoch rule, so the coalesced waiters must re-fetch.
-    vgroup = controller.ring.vgroup_for_key(normalize_key("k00000000"))
+    vgroup = controller.ring.vgroup_for_key(b"k00000000")
     controller.bump_group_epoch(vgroup)
     cluster.run(until=cluster.sim.now + 0.02)
     assert [f.result(0).ok for f in futures] == [True] * 3

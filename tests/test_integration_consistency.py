@@ -16,7 +16,7 @@ from repro.core.invariants import (
     check_chain_invariant,
     check_value_agreement,
 )
-from repro.netsim.link import LinkConfig
+from repro.netsim.faults import LinkFaultModel
 from tests.conftest import make_cluster
 
 
@@ -59,7 +59,7 @@ def test_reordering_links_do_not_break_consistency():
     cluster = make_cluster()
     # Inject heavy reordering jitter on every link.
     for link in cluster.topology.links:
-        link.config = LinkConfig(delay=200e-9, reorder_jitter=30e-6)
+        link.set_faults(LinkFaultModel(link.rng, reorder_jitter=30e-6))
     keys = [f"key{i}" for i in range(5)]
     cluster.controller.populate(keys)
     agents = cluster.agent_list()

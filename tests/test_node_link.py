@@ -67,8 +67,8 @@ def test_serialization_delay_depends_on_size():
 
 
 def test_loss_rate_drops_packets():
-    config = LinkConfig(loss_rate=1.0)
-    sim, a, b, link = make_pair(config)
+    sim, a, b, link = make_pair()
+    link.set_faults(LinkFaultModel(link.rng, loss_rate=1.0))
     for _ in range(10):
         a.transmit(Packet(), a.ports[0])
     sim.run()
@@ -77,8 +77,8 @@ def test_loss_rate_drops_packets():
 
 
 def test_partial_loss_rate_is_statistical():
-    config = LinkConfig(loss_rate=0.5)
-    sim, a, b, link = make_pair(config, seed=7)
+    sim, a, b, link = make_pair(seed=7)
+    link.set_faults(LinkFaultModel(link.rng, loss_rate=0.5))
     for _ in range(500):
         a.transmit(Packet(), a.ports[0])
     sim.run()
@@ -87,8 +87,8 @@ def test_partial_loss_rate_is_statistical():
 
 
 def test_reorder_jitter_can_reorder_packets():
-    config = LinkConfig(delay=1e-6, bandwidth_bps=None, reorder_jitter=50e-6)
-    sim, a, b, _ = make_pair(config, seed=3)
+    sim, a, b, link = make_pair(LinkConfig(delay=1e-6, bandwidth_bps=None), seed=3)
+    link.set_faults(LinkFaultModel(link.rng, reorder_jitter=50e-6))
     packets = [Packet() for _ in range(50)]
     for packet in packets:
         a.transmit(packet, a.ports[0])
@@ -114,7 +114,8 @@ def test_delivered_and_dropped_read_the_per_cause_stats():
     """``Link.delivered`` / ``Link.dropped`` are views of ``Link.stats`` (one
     store per packet), so they agree with it after every kind of traffic:
     lossy, downed, corrupted and delayed."""
-    sim, a, b, link = make_pair(LinkConfig(loss_rate=0.3), seed=5)
+    sim, a, b, link = make_pair(seed=5)
+    link.set_faults(LinkFaultModel(link.rng, loss_rate=0.3))
     sent = 0
 
     def burst(count=200):
@@ -128,7 +129,6 @@ def test_delivered_and_dropped_read_the_per_cause_stats():
     link.set_down()
     burst(10)
     link.set_up()
-    link.config = LinkConfig()
     link.faults = LinkFaultModel(random.Random(2), loss_rate=0.1, corrupt_rate=0.2,
                                  extra_delay=5e-6)
     burst()
@@ -191,7 +191,7 @@ def test_every_transmitted_packet_is_delivered_or_dropped_per_link(cluster, agen
         assert agent.write("k", f"v{index}").result().ok
         assert agent.read("k").result().ok
     s0_s1 = next(link for link in cluster.topology.links if link.name == "S0-S1")
-    s0_s1.config = LinkConfig(loss_rate=0.3)
+    s0_s1.set_faults(LinkFaultModel(s0_s1.rng, loss_rate=0.3))
     for index in range(20):
         agent.write("k", f"w{index}").result()
     cluster.run(until=cluster.sim.now + 0.01)

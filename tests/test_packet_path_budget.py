@@ -43,48 +43,53 @@ from repro.netsim.packet import Packet
 #: packets built).
 #: Measured when committed (after a queued switch took its packets in at the
 #: pass, as of the arrival, so a pass with no backlog ahead costs one event):
-#: NetChain 55.1 / 44.3 per read (58.5 / 49.3 before, 60.5 / 48.3 before every
+#: NetChain 54.1 / 43.3 per read (55.0 / 44.3 before a header carried the
+#: canonical key, unpadded, and a switch matched it in its store's index
+#: directly, 58.5 / 49.3 before that, 60.5 / 48.3 before every
 #: backend built its one ``KVResult`` where the reply lands, 64.8 / 48.3
 #: before a link pushed its arrivals onto the heap itself, a queue-free
 #: switch's pass took the place of its arrival event and a TCP segment stopped
 #: arming a timer of its own, 64.8 / 49.3 before the switch store kept each
 #: value once, 79.0 / 53.3 before a pending query became its
 #: own future and a link arrival the far node's ``receive``, 81.0 / 55.3
-#: before the host hops were fused) and 80.3 / 74.1 per write (85.1 / 81.8,
-#: 87.1 / 80.8, 93.5 / 80.8, 99.5 / 82.8, 115.8 / 86.8, 117.8 / 88.8), 5.99 and
+#: before the host hops were fused) and 77.3 / 71.1 per write (80.3 / 74.1,
+#: 85.1 / 81.8, 87.1 / 80.8, 93.5 / 80.8, 99.5 / 82.8, 115.8 / 86.8,
+#: 117.8 / 88.8), 5.99 and
 #: 8.86 events (8.48 and 12.68 before, 9.48 and 13.68 before a host's TX hop
-#: was fused); server chain 45.0 / 49.0 per read (69.0 / 57.0 before a TCP
+#: was fused); server chain 45.0 / 48.0 per read (45.0 / 49.0 before a str
+#: key's canonical spelling took one C call, 69.0 / 57.0 before a TCP
 #: segment on a clean host -> transparent switch -> host path was carried as
 #: a payload by ``link.carry``, with no packet, 77.0 / 65.0 before a
 #: transparent switch's pass ran inside its arrival's ``Link.transmit``,
-#: 79.0 / 65.0, 105.1 / 79.0, 111.1 / 79.0, 131.1 / 95.0) and 71.1 / 86.1
-#: per write (119.1 / 102.1, 135.1 / 118.1, 137.1 / 118.1, 189.1 / 146.1,
-#: 197.1 / 146.1, 237.1 / 178.1), 4.00 and 8.01 events (8.00 and 16.01 before,
+#: 79.0 / 65.0, 105.1 / 79.0, 111.1 / 79.0, 131.1 / 95.0) and 71.1 / 85.1
+#: per write (71.1 / 86.1, 119.1 / 102.1, 135.1 / 118.1, 137.1 / 118.1,
+#: 189.1 / 146.1, 197.1 / 146.1, 237.1 / 178.1), 4.00 and 8.01 events (8.00 and 16.01 before,
 #: 12.00 and 24.00 before that, 20.00 and 40.00 with no hop fused; a write's
 #: extra 0.01 is RTO keys coming due after their ACK).  Packets built: one
 #: per NetChain op (its query; the reply is the same packet rewritten), none
 #: on the server chain (4.0 per read and 8.0 per write before segments were
 #: carried).
 #: The traced row is hostbench's ``telemetry_on`` mix (30% writes) with the
-#: telemetry plane on: 88.5 Python / 106.1 C calls and 6.72 events per op, the
-#: untraced mix's events plus one per sampler tick (96.3 / 105.2 and 10.78
-#: before a traced switch pass and host TX took the untraced hop path; each
+#: telemetry plane on: 85.9 Python / 102.4 C calls and 6.72 events per op, the
+#: untraced mix's events plus one per sampler tick (87.5 / 104.1 with the
+#: padded key, 96.3 / 105.2 and 10.78 before a traced switch pass and host TX took the untraced hop path; each
 #: float of a ``trc`` line is now looked up among the spellings its shape
 #: remembers, a counted C call, where ``%`` spelled it inside an uncounted one).
 #: The budgets are the measured count plus ~3%.
 BUDGET = {
-    "read": ("netchain", 0.0, False, 56.7, 45.6, 8232, 49316, 8232),
-    "write": ("netchain", 1.0, False, 82.7, 76.4, 8232, 72972, 8232),
-    "traced-mix": ("netchain", 0.3, True, 91.2, 109.3, 8232, 55357, 8232),
-    "server-chain-read": ("server-chain", 0.0, False, 46.4, 50.5, 19776, 79152, 0),
-    "server-chain-write": ("server-chain", 1.0, False, 73.2, 88.7, 9861, 78944, 0),
+    "read": ("netchain", 0.0, False, 55.7, 44.6, 8232, 49316, 8232),
+    "write": ("netchain", 1.0, False, 79.7, 73.3, 8232, 72972, 8232),
+    "traced-mix": ("netchain", 0.3, True, 88.4, 105.5, 8232, 55357, 8232),
+    "server-chain-read": ("server-chain", 0.0, False, 46.4, 49.5, 19776, 79152, 0),
+    "server-chain-write": ("server-chain", 1.0, False, 73.2, 87.6, 9861, 78944, 0),
 }
 
 #: half -> (Python calls/op, C calls/op) of the spilled history.  Measured
-#: when committed (before the line was templated and a key's lines parsed as
-#: one array): 6.2 / 14.9 per appended op (13.0 / 19.1) and 2.7 / 14.4 per
-#: loaded op (12.1 / 30.1).  Measured count plus ~3%.
-HISTORY_BUDGET = {"append": (6.35, 15.3), "load": (2.8, 14.9)}
+#: when committed: 5.2 / 12.9 per appended op (6.2 / 14.9 while the writer
+#: re-canonicalized each key, 13.0 / 19.1 before the line was templated and
+#: a key's lines parsed as one array) and 2.7 / 14.4 per loaded op
+#: (12.1 / 30.1).  Measured count plus ~3%.
+HISTORY_BUDGET = {"append": (5.3, 13.3), "load": (2.8, 14.9)}
 HISTORY_OPS = 5120  # 20 of the writer's batches: every line is spelled inside an append
 
 

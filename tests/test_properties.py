@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core.kvstore import KVStoreConfig, SwitchKVStore
-from repro.core.protocol import NetChainHeader, OpCode, QueryStatus, normalize_key
+from repro.core.protocol import NetChainHeader, OpCode, QueryStatus, header_key
 from repro.core.ring import ConsistentHashRing
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import int_to_ip, ip_to_int
@@ -39,7 +39,7 @@ def test_ip_conversion_roundtrip(value):
        status=st.sampled_from(list(QueryStatus)))
 def test_header_wire_roundtrip_arbitrary_fields(key, value, seq, session, vgroup,
                                                 chain, cas, op, status):
-    header = NetChainHeader(op=op, key=normalize_key(key), value=value, seq=seq,
+    header = NetChainHeader(op=op, key=header_key(key), value=value, seq=seq,
                             session=session, chain=[int_to_ip(i) for i in chain],
                             vgroup=vgroup, status=status, cas_expected=cas)
     decoded = NetChainHeader.from_bytes(header.to_bytes())
@@ -119,7 +119,7 @@ def test_replica_version_filter_converges_to_max(writes):
 def test_kvstore_slot_allocation_is_injective(key_list):
     store = fresh_store(slots=64)
     locations = [store.insert_key(key) for key in key_list]
-    normalized = {normalize_key(key) for key in key_list}
+    normalized = {header_key(key) for key in key_list}
     assert len(set(locations)) == len(normalized)
 
 

@@ -16,16 +16,21 @@ from repro.core.protocol import (
     make_delete,
     make_read,
     make_write,
-    normalize_key,
     normalize_value,
 )
 
 
-def test_normalize_key_pads_to_fixed_width():
-    assert normalize_key("foo") == b"foo" + b"\x00" * (KEY_BYTES - 3)
-    assert len(normalize_key(b"x" * 16)) == KEY_BYTES
+def test_the_key_field_is_padded_on_the_wire_only():
+    """A header carries the canonical key; ``to_bytes`` writes the fixed
+    16-byte field (NUL-padded) and ``from_bytes`` strips it again."""
+    header = make_read("foo", ["10.0.0.1"])
+    assert header.key == b"foo"
+    wire = header.to_bytes()
+    assert wire[2:2 + KEY_BYTES] == b"foo" + b"\x00" * (KEY_BYTES - 3)
+    assert NetChainHeader.from_bytes(wire) == header
+    assert make_write(b"x" * KEY_BYTES, b"v", ["10.0.0.1"]).key == b"x" * KEY_BYTES
     with pytest.raises(ValueError):
-        normalize_key(b"x" * 17)
+        make_write(b"x" * (KEY_BYTES + 1), b"v", ["10.0.0.1"])
 
 
 def test_normalize_value_accepts_common_types():
@@ -36,7 +41,7 @@ def test_normalize_value_accepts_common_types():
 
 
 def test_header_wire_roundtrip():
-    header = NetChainHeader(op=OpCode.WRITE, key=normalize_key("k1"), value=b"hello",
+    header = NetChainHeader(op=OpCode.WRITE, key=b"k1", value=b"hello",
                             seq=7, session=2, chain=["10.0.0.2", "10.0.0.3"], vgroup=12,
                             status=QueryStatus.OK)
     decoded = NetChainHeader.from_bytes(header.to_bytes())
@@ -105,8 +110,8 @@ def test_make_delete():
 
 def test_reply_mapping_covers_all_requests():
     for op, reply in REPLY_FOR.items():
-        assert NetChainHeader(op=op, key=normalize_key("k")).is_request()
-        assert NetChainHeader(op=reply, key=normalize_key("k")).is_reply()
+        assert NetChainHeader(op=op, key=b"k").is_request()
+        assert NetChainHeader(op=reply, key=b"k").is_reply()
 
 
 def test_query_ids_are_unique():

@@ -22,7 +22,6 @@ from repro.core.protocol import (
     make_delete,
     make_read,
     make_write,
-    normalize_key,
 )
 from repro.core.switch_program import NetChainSwitchProgram, RedirectRule
 from repro.netsim.engine import Simulator
@@ -147,10 +146,10 @@ def test_replica_drops_stale_write():
     switch, program = make_program()
     program.kvstore.insert_key("foo")
     # The replica has already applied seq 2 (value C).
-    newer = NetChainHeader(op=OpCode.WRITE, key=normalize_key("foo"), value=b"C", seq=2)
+    newer = NetChainHeader(op=OpCode.WRITE, key=b"foo", value=b"C", seq=2)
     send(program, switch, newer, switch.ip)
     # The delayed older write (seq 1, value B) must be dropped.
-    older = NetChainHeader(op=OpCode.WRITE, key=normalize_key("foo"), value=b"B", seq=1)
+    older = NetChainHeader(op=OpCode.WRITE, key=b"foo", value=b"B", seq=1)
     _, action = send(program, switch, older, switch.ip)
     assert action is PipelineAction.DROP
     assert program.kvstore.read("foo").value == b"C"
@@ -160,9 +159,9 @@ def test_replica_drops_stale_write():
 def test_replica_accepts_newer_write():
     switch, program = make_program()
     program.kvstore.insert_key("foo")
-    first = NetChainHeader(op=OpCode.WRITE, key=normalize_key("foo"), value=b"B", seq=1)
+    first = NetChainHeader(op=OpCode.WRITE, key=b"foo", value=b"B", seq=1)
     send(program, switch, first, switch.ip)
-    second = NetChainHeader(op=OpCode.WRITE, key=normalize_key("foo"), value=b"C", seq=2)
+    second = NetChainHeader(op=OpCode.WRITE, key=b"foo", value=b"C", seq=2)
     _, action = send(program, switch, second, switch.ip)
     assert action is PipelineAction.FORWARD
     assert program.kvstore.read("foo").value == b"C"
@@ -173,16 +172,16 @@ def test_session_number_orders_across_head_changes():
     (Section 5.2: lexicographic (session, seq) ordering)."""
     switch, program = make_program()
     program.kvstore.insert_key("k")
-    old_head_write = NetChainHeader(op=OpCode.WRITE, key=normalize_key("k"), value=b"old",
+    old_head_write = NetChainHeader(op=OpCode.WRITE, key=b"k", value=b"old",
                                     seq=100, session=0)
     send(program, switch, old_head_write, switch.ip)
-    new_head_write = NetChainHeader(op=OpCode.WRITE, key=normalize_key("k"), value=b"new",
+    new_head_write = NetChainHeader(op=OpCode.WRITE, key=b"k", value=b"new",
                                     seq=1, session=1)
     _, action = send(program, switch, new_head_write, switch.ip)
     assert action is PipelineAction.FORWARD
     assert program.kvstore.read("k").value == b"new"
     # And a late write from the old head is now stale.
-    late = NetChainHeader(op=OpCode.WRITE, key=normalize_key("k"), value=b"late",
+    late = NetChainHeader(op=OpCode.WRITE, key=b"k", value=b"late",
                           seq=101, session=0)
     _, action = send(program, switch, late, switch.ip)
     assert action is PipelineAction.DROP
@@ -338,7 +337,7 @@ def test_failover_rule_skips_failed_middle_switch():
     switch, program = make_program(ip="10.0.0.1")
     failed_ip, tail_ip = "10.0.0.2", "10.0.0.3"
     program.add_rule(RedirectRule(match_dst_ip=failed_ip, kind="failover", priority=10))
-    header = NetChainHeader(op=OpCode.WRITE, key=normalize_key("k"), value=b"v", seq=3,
+    header = NetChainHeader(op=OpCode.WRITE, key=b"k", value=b"v", seq=3,
                             chain=[tail_ip])
     packet = build_query_packet(CLIENT_IP, CLIENT_PORT, failed_ip, header)
     action = program.process(switch, packet, None)
@@ -352,7 +351,7 @@ def test_failover_rule_replies_when_failed_switch_was_last_hop():
     switch, program = make_program(ip="10.0.0.1")
     failed_ip = "10.0.0.2"
     program.add_rule(RedirectRule(match_dst_ip=failed_ip, kind="failover", priority=10))
-    header = NetChainHeader(op=OpCode.WRITE, key=normalize_key("k"), value=b"v", seq=3,
+    header = NetChainHeader(op=OpCode.WRITE, key=b"k", value=b"v", seq=3,
                             chain=[])
     packet = build_query_packet(CLIENT_IP, CLIENT_PORT, failed_ip, header)
     action = program.process(switch, packet, None)
@@ -368,7 +367,7 @@ def test_failover_redirect_to_self_processes_locally():
     program.kvstore.insert_key("k")
     failed_ip = "10.0.0.9"
     program.add_rule(RedirectRule(match_dst_ip=failed_ip, kind="failover", priority=10))
-    header = NetChainHeader(op=OpCode.WRITE, key=normalize_key("k"), value=b"v", seq=0,
+    header = NetChainHeader(op=OpCode.WRITE, key=b"k", value=b"v", seq=0,
                             chain=[switch.ip, "10.0.0.3"])
     packet = build_query_packet(CLIENT_IP, CLIENT_PORT, failed_ip, header)
     action = program.process(switch, packet, None)
@@ -384,7 +383,7 @@ def test_forward_rule_overrides_failover_by_priority():
     program.add_rule(RedirectRule(match_dst_ip=failed_ip, kind="failover", priority=10))
     program.add_rule(RedirectRule(match_dst_ip=failed_ip, kind="forward", priority=20,
                                   new_dst_ip=new_ip))
-    header = NetChainHeader(op=OpCode.WRITE, key=normalize_key("k"), value=b"v", seq=1,
+    header = NetChainHeader(op=OpCode.WRITE, key=b"k", value=b"v", seq=1,
                             chain=["10.0.0.3"])
     packet = build_query_packet(CLIENT_IP, CLIENT_PORT, failed_ip, header)
     program.process(switch, packet, None)
@@ -399,17 +398,17 @@ def test_drop_rule_scoped_to_virtual_group_and_writes():
     program.add_rule(RedirectRule(match_dst_ip=failed_ip, kind="drop", priority=30,
                                   vgroups={7}, write_only=True))
     # A write in vgroup 7 is dropped.
-    write = NetChainHeader(op=OpCode.WRITE, key=normalize_key("k"), value=b"v", seq=1,
+    write = NetChainHeader(op=OpCode.WRITE, key=b"k", value=b"v", seq=1,
                            chain=["10.0.0.3"], vgroup=7)
     packet = build_query_packet(CLIENT_IP, CLIENT_PORT, failed_ip, write)
     assert program.process(switch, packet, None) is PipelineAction.DROP
     # A read in vgroup 7 falls through to the failover rule.
-    read = NetChainHeader(op=OpCode.READ, key=normalize_key("k"), chain=["10.0.0.3"],
+    read = NetChainHeader(op=OpCode.READ, key=b"k", chain=["10.0.0.3"],
                           vgroup=7)
     packet = build_query_packet(CLIENT_IP, CLIENT_PORT, failed_ip, read)
     assert program.process(switch, packet, None) is PipelineAction.FORWARD
     # A write in another vgroup is unaffected by the drop rule.
-    other = NetChainHeader(op=OpCode.WRITE, key=normalize_key("k"), value=b"v", seq=1,
+    other = NetChainHeader(op=OpCode.WRITE, key=b"k", value=b"v", seq=1,
                            chain=["10.0.0.3"], vgroup=8)
     packet = build_query_packet(CLIENT_IP, CLIENT_PORT, failed_ip, other)
     assert program.process(switch, packet, None) is PipelineAction.FORWARD
@@ -432,7 +431,7 @@ def test_multiple_failures_chained_redirects():
     failed_1, failed_2, tail = "10.0.0.2", "10.0.0.3", "10.0.0.4"
     program.add_rule(RedirectRule(match_dst_ip=failed_1, kind="failover", priority=10))
     program.add_rule(RedirectRule(match_dst_ip=failed_2, kind="failover", priority=10))
-    header = NetChainHeader(op=OpCode.WRITE, key=normalize_key("k"), value=b"v", seq=2,
+    header = NetChainHeader(op=OpCode.WRITE, key=b"k", value=b"v", seq=2,
                             chain=[failed_2, tail])
     packet = build_query_packet(CLIENT_IP, CLIENT_PORT, failed_1, header)
     action = program.process(switch, packet, None)

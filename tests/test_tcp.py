@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from repro.netsim.faults import LinkFaultModel
 from repro.netsim.host import HostConfig
-from repro.netsim.link import LinkConfig
 from repro.netsim.packet import Packet
 from repro.netsim.routing import install_shortest_path_routes
 from repro.netsim.tcp import INITIAL_CWND, INITIAL_RTO, MAX_RTO, MIN_RTO, Segment, TcpConnection
@@ -12,8 +12,7 @@ from repro.netsim.topology import build_line
 
 def make_pair(loss_rate=0.0, stack_delay=1e-6):
     topo = build_line(1, hosts_at={0: 2},
-                      host_config=HostConfig(stack_delay=stack_delay, nic_pps=None),
-                      link_config=LinkConfig(loss_rate=0.0))
+                      host_config=HostConfig(stack_delay=stack_delay, nic_pps=None))
     install_shortest_path_routes(topo)
     if loss_rate:
         topo.switches["S0"].injected_loss_rate = loss_rate
@@ -126,8 +125,9 @@ def test_in_order_exactly_once_under_reordering_and_loss():
     gaps, so arrivals park in the reorder buffer; delivery is still the
     send order, each message once, and nothing is left parked."""
     topo = build_line(1, hosts_at={0: 2},
-                      host_config=HostConfig(stack_delay=1e-6, nic_pps=None),
-                      link_config=LinkConfig(loss_rate=0.05, reorder_jitter=20e-6))
+                      host_config=HostConfig(stack_delay=1e-6, nic_pps=None))
+    for link in topo.links:
+        link.set_faults(LinkFaultModel(link.rng, loss_rate=0.05, reorder_jitter=20e-6))
     install_shortest_path_routes(topo)
     a, b = topo.hosts.values()
     conn = TcpConnection(a, b)
