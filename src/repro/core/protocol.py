@@ -167,7 +167,9 @@ class NetChainHeader:
         return size
 
     def to_bytes(self) -> bytes:
-        """Serialize to the wire format (``16s`` pads the key with NULs)."""
+        """Serialize to the wire format; ``16s`` NUL-pads the key, a longer one raises."""
+        if len(self.key) > KEY_BYTES:
+            raise KeyTooLongError(self.key)
         out = bytearray(self._FIXED.pack(
             int(self.op), int(self.status), self.key, self.session, self.seq,
             self.vgroup, self.epoch, self.query_id, len(self.chain)))

@@ -25,7 +25,8 @@ constant factors *are* the simulator's throughput):
   :meth:`Simulator.refile` and :meth:`Simulator.has_run`).  A switch's pass
   queues its packet as of then.  A TCP segment between two hosts on a
   transparent switch (no rate limit, no program) is carried as a payload
-  (``link.carry``): one event, the far host's dispatch, and no packet.
+  (``link.carry``): one event, the far host's dispatch, and no packet, on a
+  path its host resolved once and keeps until a ``link.give_back``.
 * Cancellation is a tombstone: the entry's callback slot is set to ``None``
   in place, and the entry is discarded when it surfaces at the top of the
   heap.  A tombstone count triggers heap compaction when more than half the
@@ -148,6 +149,8 @@ class Simulator:
         self._running = False
         self._processed = 0
         self._tombstones = 0
+        #: Advanced by ``link.give_back``: ``link.carry`` resolves an older path again.
+        self._stamp = 0
 
     @property
     def now(self) -> float:

@@ -80,6 +80,8 @@ class Host(Node):
         #: The uplink, remembered by the first :meth:`send` that finds one
         #: (hosts are single-homed and a link, once plugged, stays).
         self._uplink: Optional[Port] = None
+        #: dst IP -> the clean path ``link.carry`` resolved to it, stamped.
+        self._routes: Dict[str, tuple] = {}
         #: Optional telemetry tracer (:class:`repro.core.trace.Tracer`),
         #: told of every packet's stack and NIC-queue time.
         self.telemetry = None
@@ -148,7 +150,7 @@ class Host(Node):
         link = port.link
         if link.up and link.faults is None:
             # Nothing can observe the TX hop: transmit now, as of its time.
-            # (``link.carry`` makes this clean-link test on both its links.)
+            # (``link._route`` makes this clean-link test on both its links.)
             self.packets_sent += 1
             port.tx_packets += 1
             link.transmit(packet, port, self.sim._now + delay)

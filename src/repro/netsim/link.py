@@ -203,6 +203,35 @@ class Link:
         return f"Link({self.port_a.name} <-> {self.port_b.name})"
 
 
+def _route(host: Host, dst_ip: str) -> Optional[tuple]:
+    """:func:`carry`'s path from ``host`` to ``dst_ip``, stamped, with its
+    delays and link speeds read now; ``None`` unless it is clean (see there)."""
+    port = host.uplink_port()
+    if host.failed or host.config.nic_pps is not None or port is None:
+        return None
+    link = port.link
+    # The clean-link test of Host.send, here for both links.
+    if not link.up or link.faults is not None:
+        return None
+    in_port = link.port_b if port is link.port_a else link.port_a
+    switch = in_port.node
+    if (type(switch) is not Switch or switch.programs or switch.failed
+            or switch._injected_loss_rate > 0 or switch.config.capacity_pps is not None):
+        return None
+    out_port = switch.forwarding_table.get(dst_ip)
+    out_link = None if out_port is None else out_port.link
+    if out_link is None or not out_link.up or out_link.faults is not None:
+        return None
+    far_port = out_link.port_b if out_port is out_link.port_a else out_link.port_a
+    far = far_port.node
+    if type(far) is not Host or far.failed or far.config.nic_pps is not None:
+        return None
+    return (host.sim._stamp, host.config.stack_delay, port, link, link.stats, link.config.delay,
+            link.config.bandwidth_bps, in_port, switch, switch.config.pipeline_delay, out_port,
+            out_link, out_link.stats, out_link.config.delay, out_link.config.bandwidth_bps,
+            far_port, far, far.config.stack_delay)
+
+
 def carry(host: Host, dst_ip: str, dst_port: int, payload: Any, payload_bytes: int,
           src_port: int, handler: Callable[[Packet], None],
           deliver: Callable[[Any], None]) -> bool:
@@ -211,51 +240,40 @@ def carry(host: Host, dst_ip: str, dst_port: int, payload: Any, payload_bytes: i
     ``False`` (nothing done) if the packet must be sent.
 
     It is carried when the live, unpaced ``host`` has a clean uplink (up, no
-    fault model) to a transparent switch (live, loss-free, no
-    rate limit, no program) with a route to ``dst_ip`` onto a clean link,
-    whose far end is a live host with no RX queue.  Everything the packet's
-    walk would count is counted, as of the same times and under the one seq
-    its switch arrival would have taken, and the far host's dispatch is
-    pushed as :func:`_land`."""
-    if host.failed or host.config.nic_pps is not None:
-        return False
-    port = host._uplink
-    if port is None:
-        port = host._uplink = host.uplink_port()
-        if port is None:
-            return False
-    link = port.link
-    # The clean-link test of Host.send, here for both links.
-    if not link.up or link.faults is not None:
-        return False
-    in_port = link.port_b if port is link.port_a else link.port_a
-    switch = in_port.node
-    if (type(switch) is not Switch or switch.programs or switch.failed
-            or switch._injected_loss_rate > 0 or switch.config.capacity_pps is not None):
-        return False
-    out_port = switch.forwarding_table.get(dst_ip)
-    out_link = None if out_port is None else out_port.link
-    if out_link is None or not out_link.up or out_link.faults is not None:
-        return False
-    far_port = out_link.port_b if out_port is out_link.port_a else out_link.port_a
-    far = far_port.node
-    if type(far) is not Host or far.failed or far.config.nic_pps is not None:
-        return False
+    fault model) to a transparent switch (live, loss-free, no rate limit, no
+    program) with a route to ``dst_ip`` onto a clean link, whose far end is a
+    live host with no RX queue.  Everything the packet's walk would count is
+    counted, as of the same times and under the one seq its switch arrival
+    would have taken, and the far host's dispatch is pushed as :func:`_land`.
+
+    ``host`` reuses a clean path (:func:`_route`) while its stamp is the
+    simulator's.  What can make it unclean calls :func:`give_back`, which
+    advances the stamp: ``fail``, ``set_down``, ``set_faults``, a first
+    ``install_program``, loss above 0, ``install_shortest_path_routes``.  A
+    recovery, ``set_up`` or loss back to 0 need not: no unclean path is
+    kept.  No config changes once traffic flows."""
     sim = host.sim
+    route = host._routes.get(dst_ip)
+    if route is None or route[0] != sim._stamp:
+        route = _route(host, dst_ip)
+        if route is None:
+            return False
+        host._routes[dst_ip] = route
+    (_stamp, stack_delay, port, link, stats, delay, bandwidth, in_port, switch, pipeline_delay,
+     out_port, out_link, out_stats, out_delay, out_bandwidth, far_port, far,
+     far_stack_delay) = route
     now = sim._now
-    tx_at = now + host.config.stack_delay
-    size = payload_bytes + UDP_WIRE_OVERHEAD
-    bits = size * 8.0
+    tx_at = now + stack_delay
+    bits = (payload_bytes + UDP_WIRE_OVERHEAD) * 8.0
     # The TX and switch arrival, as Host.send and transmit count them.
     host.packets_sent += 1
     port.tx_packets += 1
-    cfg = link.config
-    latency = cfg.delay
-    if cfg.bandwidth_bps:
-        latency += bits / cfg.bandwidth_bps
+    latency = delay
+    if bandwidth:
+        latency += bits / bandwidth
     if link.telemetry is not None:
         link.tel_bits += bits  # Tracer.link_tx of an untraced packet
-    link.stats.delivered += 1
+    stats.delivered += 1
     switch.packets_received += 1
     in_port.rx_packets += 1
     seq = sim._seq
@@ -265,18 +283,17 @@ def carry(host: Host, dst_ip: str, dst_port: int, payload: Any, payload_bytes: i
     switch.pipeline_passes += 1
     switch.packets_sent += 1
     out_port.tx_packets += 1
-    pass_at = arrival + switch.config.pipeline_delay
-    out_cfg = out_link.config
-    latency = out_cfg.delay
-    if out_cfg.bandwidth_bps:
-        latency += bits / out_cfg.bandwidth_bps
+    pass_at = arrival + pipeline_delay
+    latency = out_delay
+    if out_bandwidth:
+        latency += bits / out_bandwidth
     if out_link.telemetry is not None:
         out_link.tel_bits += bits  # Tracer.link_tx of an untraced packet
-    out_link.stats.delivered += 1
+    out_stats.delivered += 1
     far.packets_received += 1
     far_port.rx_packets += 1
     far_arrival = pass_at + latency
-    heappush(sim._queue, [far_arrival + far.config.stack_delay, seq, _land,
+    heappush(sim._queue, [far_arrival + far_stack_delay, seq, _land,
                           (far, dst_port, handler, deliver, payload, payload_bytes, src_port,
                            dst_ip, port, now, tx_at, arrival, far_arrival)])
     return True
@@ -378,6 +395,7 @@ def give_back(sim: "Simulator", *changed) -> None:
     earliest skipped event that has not run, under its own seq, and take back
     what the skipped hops from that one onward counted: whatever fault lands
     first meets the packet where a hop-by-hop run would have had it."""
+    sim._stamp += 1  # every path carry keeps is resolved again
 
     def rewrite(entry: list) -> None:
         hops, events = _skipped(entry[2], entry[3])

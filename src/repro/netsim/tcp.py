@@ -18,7 +18,8 @@ preserving the dynamics that matter for throughput under loss.
 A segment rides in a UDP packet wherever something could observe it.  On a
 clean host -> transparent switch -> host path (the server testbeds') nothing
 can, and ``link.carry`` hands it to the peer's segment half instead: no
-packet is built, and every counter and time is the packet's.
+packet is built, and every counter and time is the packet's.  The host
+resolves that path once and reuses it until the next ``link.give_back``.
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ class TcpEndpoint:
         sim = self._sim
         seq = sim._seq
         sim._seq = seq + 1
-        key = (sim._now + min(MAX_RTO, self._rto * (2 ** retries)), seq)
+        backoff = self._rto * (2 ** retries)
+        key = (sim._now + (backoff if backoff < MAX_RTO else MAX_RTO), seq)
         self._outstanding[segment.seq] = (segment, sim._now, retries, key)
         armed = self._armed
         if not armed or key < armed[0]:
@@ -232,10 +234,12 @@ class TcpEndpoint:
             sample = self._sim._now - sent_at
             srtt = self._srtt
             self._srtt = srtt = sample if srtt is None else 0.875 * srtt + 0.125 * sample
-            self._rto = min(MAX_RTO, max(MIN_RTO, 2.0 * srtt))
+            rto = 2.0 * srtt  # clamped as min(MAX_RTO, max(MIN_RTO, rto)), with no C call
+            self._rto = MIN_RTO if rto <= MIN_RTO else rto if rto < MAX_RTO else MAX_RTO
         # Additive increase: one message per window's worth of ACKs.
         cwnd = self._cwnd
-        self._cwnd = min(float(MAX_CWND), cwnd + 1.0 / max(cwnd, 1.0))
+        cwnd += 1.0 / (cwnd if cwnd > 1.0 else 1.0)
+        self._cwnd = cwnd if cwnd < MAX_CWND else float(MAX_CWND)
         if self._send_queue:
             self._pump()
 

@@ -1,5 +1,9 @@
 """Unit tests for the fault-injection layer: link faults, partitions,
-gray failures, schedules, and their determinism guarantees."""
+gray failures, schedules, and their determinism guarantees.
+
+``PYTHONPATH=src:. python tests/test_faults_models.py`` runs the fused-hop
+grid with each planted give-back bug and prints ``fused-hop grid: planted
+give-back bugs killed K of N``."""
 
 from __future__ import annotations
 
@@ -679,13 +683,56 @@ def carried_far_link_kept_counted(monkeypatch):
     monkeypatch.setattr(link_module, "_skipped", skipped)
 
 
-@pytest.mark.parametrize("plant, at_least", [
-    (first_read_hop_given_back, 10), (tx_kept_counted, 100), (later_hops_kept_counted, 100),
-    (carried_far_link_kept_counted, 100)])
+def stale_route_kept(monkeypatch):
+    """Mutant: a give-back leaves the simulator's route stamp where it was,
+    so a path ``link.carry`` resolved before a fault is reused after it."""
+    def give_back(sim, *things):
+        stamp = sim._stamp
+        real_give_back(sim, *things)
+        sim._stamp = stamp
+
+    real_give_back = link_module.give_back
+    for module in (link_module, routing_module):
+        monkeypatch.setattr(module, "give_back", give_back)
+
+
+#: Each planted give-back bug -> the fewest grid cases that must kill it.
+PLANTED = {first_read_hop_given_back: 10, tx_kept_counted: 100, later_hops_kept_counted: 100,
+           carried_far_link_kept_counted: 100, stale_route_kept: 50}
+
+
+@pytest.mark.parametrize("plant, at_least", PLANTED.items())
 def test_the_grid_kills_each_planted_give_back_bug(monkeypatch, plant, at_least):
     """The differential grid above catches each planted bug on its own."""
     killed = killed_by_the_grid(monkeypatch, plant)
     assert len(killed) >= at_least, killed
+
+
+def test_a_path_is_carried_again_once_it_heals(monkeypatch):
+    """A message from H0_0 to H0_1 is carried; S0 then fails, a message on a
+    second connection meets it as a packet, and S0 recovers.  A message sent
+    after that is carried again -- one event for its data segment and one
+    for its ACK, no packet built -- as no unclean path is kept."""
+    built = packets_built(monkeypatch)
+    topo, _recorders = line_topology("transparent")
+    sender_host, receiver_host = topo.hosts["H0_0"], topo.hosts["H0_1"]
+    conn = TcpConnection(sender_host, receiver_host)
+    lost = TcpConnection(sender_host, receiver_host)
+    received = []
+    conn.endpoint(receiver_host).on_message = received.append
+    conn.endpoint(sender_host).send("a")
+    topo.run(until=1e-3)
+    assert received == ["a"] and topo.sim.processed_events == 2 and not built
+    topo.switches["S0"].fail()
+    lost.endpoint(sender_host).send("lost")
+    topo.run(until=2e-3)
+    assert len(built) == 1 and topo.switches["S0"].packets_dropped == 1
+    topo.switches["S0"].recover_device()
+    events = topo.sim.processed_events
+    conn.endpoint(sender_host).send("b")
+    topo.run(until=3e-3)  # before either RTO
+    assert received == ["a", "b"]
+    assert topo.sim.processed_events - events == 2 and len(built) == 1
 
 
 def test_link_fault_model_is_seed_deterministic():
@@ -855,3 +902,13 @@ def test_detector_reintroduces_healed_partition():
     assert ("S3" not in cluster.controller.failed_switches)
     assert any(name == "S3" for _, name in detector.detections)
     assert any(name == "S3" for _, name in detector.reintroductions)
+
+
+if __name__ == "__main__":
+    killed = []
+    for plant, at_least in PLANTED.items():
+        with pytest.MonkeyPatch.context() as patch:
+            if len(killed_by_the_grid(patch, plant)) >= at_least:
+                killed.append(plant.__name__)
+    print(f"fused-hop grid: planted give-back bugs killed {len(killed)} of {len(PLANTED)} "
+          f"({', '.join(killed)})")

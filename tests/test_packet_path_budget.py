@@ -56,13 +56,15 @@ from repro.netsim.packet import Packet
 #: 85.1 / 81.8, 87.1 / 80.8, 93.5 / 80.8, 99.5 / 82.8, 115.8 / 86.8,
 #: 117.8 / 88.8), 5.99 and
 #: 8.86 events (8.48 and 12.68 before, 9.48 and 13.68 before a host's TX hop
-#: was fused); server chain 45.0 / 48.0 per read (45.0 / 49.0 before a str
+#: was fused); server chain 45.0 / 38.0 per read (45.0 / 48.0 before an ACK
+#: clamped its RTO and window and a send its backoff without ``min`` /
+#: ``max``, 45.0 / 49.0 before a str
 #: key's canonical spelling took one C call, 69.0 / 57.0 before a TCP
 #: segment on a clean host -> transparent switch -> host path was carried as
 #: a payload by ``link.carry``, with no packet, 77.0 / 65.0 before a
 #: transparent switch's pass ran inside its arrival's ``Link.transmit``,
-#: 79.0 / 65.0, 105.1 / 79.0, 111.1 / 79.0, 131.1 / 95.0) and 71.1 / 85.1
-#: per write (71.1 / 86.1, 119.1 / 102.1, 135.1 / 118.1, 137.1 / 118.1,
+#: 79.0 / 65.0, 105.1 / 79.0, 111.1 / 79.0, 131.1 / 95.0) and 71.1 / 65.1
+#: per write (71.1 / 85.1, 71.1 / 86.1, 119.1 / 102.1, 135.1 / 118.1, 137.1 / 118.1,
 #: 189.1 / 146.1, 197.1 / 146.1, 237.1 / 178.1), 4.00 and 8.01 events (8.00 and 16.01 before,
 #: 12.00 and 24.00 before that, 20.00 and 40.00 with no hop fused; a write's
 #: extra 0.01 is RTO keys coming due after their ACK).  Packets built: one
@@ -80,8 +82,8 @@ BUDGET = {
     "read": ("netchain", 0.0, False, 55.7, 44.6, 8232, 49316, 8232),
     "write": ("netchain", 1.0, False, 79.7, 73.3, 8232, 72972, 8232),
     "traced-mix": ("netchain", 0.3, True, 88.4, 105.5, 8232, 55357, 8232),
-    "server-chain-read": ("server-chain", 0.0, False, 46.4, 49.5, 19776, 79152, 0),
-    "server-chain-write": ("server-chain", 1.0, False, 73.2, 87.6, 9861, 78944, 0),
+    "server-chain-read": ("server-chain", 0.0, False, 46.4, 39.1, 19776, 79152, 0),
+    "server-chain-write": ("server-chain", 1.0, False, 73.2, 67.1, 9861, 78944, 0),
 }
 
 #: half -> (Python calls/op, C calls/op) of the spilled history.  Measured

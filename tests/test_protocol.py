@@ -8,6 +8,7 @@ from repro.core.protocol import (
     KEY_BYTES,
     NETCHAIN_UDP_PORT,
     REPLY_FOR,
+    KeyTooLongError,
     NetChainHeader,
     OpCode,
     QueryStatus,
@@ -31,6 +32,15 @@ def test_the_key_field_is_padded_on_the_wire_only():
     assert make_write(b"x" * KEY_BYTES, b"v", ["10.0.0.1"]).key == b"x" * KEY_BYTES
     with pytest.raises(ValueError):
         make_write(b"x" * (KEY_BYTES + 1), b"v", ["10.0.0.1"])
+
+
+def test_a_header_key_round_trips_whole_or_is_refused():
+    """A 16-byte key fills the field and comes back exactly; a header built
+    directly with a 17-byte key is refused at ``to_bytes``, never cut."""
+    full = NetChainHeader(op=OpCode.READ, key=b"k" * (KEY_BYTES - 1) + b"z")
+    assert NetChainHeader.from_bytes(full.to_bytes()) == full
+    with pytest.raises(KeyTooLongError):
+        NetChainHeader(op=OpCode.READ, key=b"k" * (KEY_BYTES + 1)).to_bytes()
 
 
 def test_normalize_value_accepts_common_types():
