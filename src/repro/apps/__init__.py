@@ -9,9 +9,9 @@ from repro.apps.transactions import (
     TransactionClient,
     TransactionStats,
     TransactionWorkloadConfig,
-    cas_locks,
     znode_locks,
 )
+from repro.core.coordination import cas_locks
 
 __all__ = [
     "TransactionWorkloadConfig",

@@ -12,9 +12,10 @@ retries.
 ``(acquire, release)`` lock pair, so many logical clients run concurrently
 inside the discrete-event simulation.  Two pairs exist:
 
-* :func:`cas_locks` -- CAS locks over any :class:`repro.core.client.KVClient`
-  (acquire = CAS(empty -> owner); release = CAS(owner -> empty), so only
-  the owner can release a lock);
+* :func:`repro.core.coordination.cas_locks` -- CAS locks over any
+  :class:`repro.core.client.KVClient` (acquire = CAS(empty -> owner);
+  release = CAS(owner -> empty), so only the owner can release a lock),
+  the same CAS :class:`repro.core.coordination.DistributedLock` issues;
 * :func:`znode_locks` -- ZooKeeper ephemeral znodes (acquire = create,
   release = delete), the paper's one-round-trip recipe for Figure 11.
 """
@@ -23,24 +24,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import List
 
 from repro.baselines.zk_client import ZooKeeperClient
-from repro.core.client import KVClient, KVFuture
+from repro.core.coordination import LockPair
 from repro.netsim.stats import IntervalCounter
 
-#: ``(acquire, release)``: each takes a lock key and returns a future whose
-#: result is ``ok`` when the operation succeeded.
-LockPair = Tuple[Callable[[str], KVFuture], Callable[[str], KVFuture]]
 #: The parent znode of every ephemeral lock; it must exist before a lock.
 LOCK_ROOT = "/txnlocks"
-
-
-def cas_locks(client: KVClient, owner: str) -> LockPair:
-    """CAS locks on ``client``'s keys, held by ``owner``."""
-    owner_bytes = owner.encode()
-    return (lambda key: client.cas(key, b"", owner_bytes),
-            lambda key: client.cas(key, owner_bytes, b""))
+#: Locks acquired per transaction: one hot, the rest cold.
+LOCKS_PER_TXN = 10
+#: Prefix of the hot lock keys.
+HOT_PREFIX = "hot"
+#: Prefix of the cold lock keys.
+COLD_PREFIX = "cold"
 
 
 def znode_locks(session: ZooKeeperClient, owner: str) -> LockPair:
@@ -55,14 +52,8 @@ class TransactionWorkloadConfig:
 
     #: Inverse of the number of hot items; 1.0 means a single hot item.
     contention_index: float = 0.001
-    #: Locks acquired per transaction.
-    locks_per_txn: int = 10
     #: Size of the large, low-contention item set.
     cold_items: int = 10000
-    #: Prefix for hot lock keys.
-    hot_prefix: str = "hot"
-    #: Prefix for cold lock keys.
-    cold_prefix: str = "cold"
     #: RNG seed.
     seed: int = 0
 
@@ -71,10 +62,10 @@ class TransactionWorkloadConfig:
         return max(1, int(round(1.0 / self.contention_index)))
 
     def hot_keys(self) -> List[str]:
-        return [f"{self.hot_prefix}{i:06d}" for i in range(self.num_hot_items())]
+        return [f"{HOT_PREFIX}{i:06d}" for i in range(self.num_hot_items())]
 
     def cold_keys(self) -> List[str]:
-        return [f"{self.cold_prefix}{i:08d}" for i in range(self.cold_items)]
+        return [f"{COLD_PREFIX}{i:08d}" for i in range(self.cold_items)]
 
 
 @dataclass
@@ -109,9 +100,9 @@ class TransactionClient:
         self.running = False
 
     def _pick_lock_set(self) -> List[str]:
-        """One hot lock plus ``locks_per_txn - 1`` distinct cold locks."""
+        """One hot lock plus ``LOCKS_PER_TXN - 1`` distinct cold locks."""
         hot = self._hot[self.rng.randrange(len(self._hot))]
-        cold = self.rng.sample(self._cold, self.config.locks_per_txn - 1)
+        cold = self.rng.sample(self._cold, LOCKS_PER_TXN - 1)
         return [hot] + cold
 
     def _begin_txn(self) -> None:

@@ -15,7 +15,6 @@ from repro.baselines.data_tree import DataTree, Znode, ZnodeError
 from repro.baselines.primary_backup import PrimaryBackupClient, PrimaryBackupCluster
 from repro.baselines.zk_client import ZkResult, ZooKeeperClient, ZooKeeperKVClient
 from repro.baselines.zookeeper import (
-    ZooKeeperConfig,
     ZooKeeperEnsemble,
     ZooKeeperServer,
     build_zookeeper_ensemble,
@@ -25,7 +24,6 @@ __all__ = [
     "DataTree",
     "Znode",
     "ZnodeError",
-    "ZooKeeperConfig",
     "ZooKeeperServer",
     "ZooKeeperEnsemble",
     "build_zookeeper_ensemble",

@@ -18,6 +18,7 @@ from repro.core.client import KVClient, KVFuture, KVResult, canonical_key
 from repro.core.protocol import normalize_value
 from repro.netsim.host import Host
 from repro.netsim.tcp import TcpConnection, TcpEndpoint
+from repro.perfmodel.devices import SERVER_MESSAGE_BYTES
 
 _request_ids = itertools.count(1)
 _client_ids = itertools.count(1)
@@ -51,11 +52,10 @@ def reply_result(future: KVFuture, message, latency: float, backend: str) -> KVR
 class ServerChainReplica:
     """One server in the chain."""
 
-    def __init__(self, index: int, host: Host, message_bytes: int = 150) -> None:
+    def __init__(self, index: int, host: Host) -> None:
         self.index = index
         self.host = host
         self.sim = host.sim
-        self.message_bytes = message_bytes
         self.store: Dict[str, Tuple[bytes, int]] = {}
         self.next_endpoint: Optional[TcpEndpoint] = None
         self.client_endpoints: Dict[str, TcpEndpoint] = {}
@@ -99,7 +99,7 @@ class ServerChainReplica:
             value = message["value"]
             self.store[key] = (value, version)
             if self.next_endpoint is not None:
-                self.next_endpoint.send(message, self.message_bytes)
+                self.next_endpoint.send(message, SERVER_MESSAGE_BYTES)
             else:
                 self._reply(message, value, version)
         elif op == "delete":
@@ -107,7 +107,7 @@ class ServerChainReplica:
                 message = {**message, "existed": key in self.store}
             self.store.pop(key, None)
             if self.next_endpoint is not None:
-                self.next_endpoint.send(message, self.message_bytes)
+                self.next_endpoint.send(message, SERVER_MESSAGE_BYTES)
             else:
                 self._reply(message, not_found=not message["existed"])
 
@@ -120,7 +120,7 @@ class ServerChainReplica:
         endpoint.send({"kind": "reply", "request_id": message["request_id"], "ok": ok,
                        "op": message["op"], "key": message["key"], "value": value,
                        "version": version, "cas_failed": cas_failed,
-                       "not_found": not_found}, self.message_bytes)
+                       "not_found": not_found}, SERVER_MESSAGE_BYTES)
 
 
 class ServerChainClient(KVClient):
@@ -191,7 +191,7 @@ class ServerChainClient(KVClient):
         self._pending[request_id] = (future, self.sim.now)
         endpoint.send({"kind": "request", "request_id": request_id, "op": wire_op,
                        "key": key_str(key), "value": value, "client": self.name,
-                       "expected": expected}, self.cluster.message_bytes)
+                       "expected": expected}, SERVER_MESSAGE_BYTES)
         return future
 
     def _on_reply(self, message: Dict[str, Any]) -> None:
@@ -208,11 +208,10 @@ class ServerChainClient(KVClient):
 class ServerChainCluster:
     """A chain of replicas on servers, plus client factory."""
 
-    def __init__(self, hosts: List[Host], message_bytes: int = 150) -> None:
+    def __init__(self, hosts: List[Host]) -> None:
         if not hosts:
             raise ValueError("a chain needs at least one server")
-        self.message_bytes = message_bytes
-        self.replicas = [ServerChainReplica(i, host, message_bytes)
+        self.replicas = [ServerChainReplica(i, host)
                          for i, host in enumerate(hosts)]
         for left, right in zip(self.replicas, self.replicas[1:], strict=False):
             conn = TcpConnection(left.host, right.host)

@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.baselines.chain_server import ServerChainClient
 from repro.netsim.host import Host
 from repro.netsim.tcp import TcpConnection, TcpEndpoint
+from repro.perfmodel.devices import SERVER_MESSAGE_BYTES
 
 _client_ids = itertools.count(1)
 
@@ -27,10 +28,9 @@ _client_ids = itertools.count(1)
 class _Backup:
     """A backup replica: applies updates and acknowledges them."""
 
-    def __init__(self, index: int, host: Host, message_bytes: int) -> None:
+    def __init__(self, index: int, host: Host) -> None:
         self.index = index
         self.host = host
-        self.message_bytes = message_bytes
         self.store: Dict[str, Tuple[bytes, int]] = {}
         self.primary_endpoint: Optional[TcpEndpoint] = None
         self.updates_applied = 0
@@ -45,15 +45,14 @@ class _Backup:
         self.updates_applied += 1
         if self.primary_endpoint is not None:
             self.primary_endpoint.send({"op": "ack", "request_id": message["request_id"],
-                                        "backup": self.index}, self.message_bytes)
+                                        "backup": self.index}, SERVER_MESSAGE_BYTES)
 
 
 class _Primary:
     """The primary: serves reads, coordinates writes with all backups."""
 
-    def __init__(self, host: Host, message_bytes: int) -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
-        self.message_bytes = message_bytes
         self.store: Dict[str, Tuple[bytes, int]] = {}
         self.backup_endpoints: List[TcpEndpoint] = []
         self.client_endpoints: Dict[str, TcpEndpoint] = {}
@@ -97,7 +96,7 @@ class _Primary:
                       "key": message["key"], "value": value, "version": version,
                       "delete": op == "delete"}
             for endpoint in self.backup_endpoints:
-                endpoint.send(update, self.message_bytes)
+                endpoint.send(update, SERVER_MESSAGE_BYTES)
                 self.messages_sent += 1
             if not self.backup_endpoints:
                 self._complete_write(message["request_id"])
@@ -127,19 +126,18 @@ class _Primary:
         endpoint.send({"kind": "reply", "request_id": request_id, "ok": ok, "op": op,
                        "key": key, "value": value, "version": version,
                        "cas_failed": cas_failed, "not_found": not_found},
-                      self.message_bytes)
+                      SERVER_MESSAGE_BYTES)
         self.messages_sent += 1
 
 
 class PrimaryBackupCluster:
     """A primary plus ``n-1`` backups, with a client factory."""
 
-    def __init__(self, hosts: List[Host], message_bytes: int = 150) -> None:
+    def __init__(self, hosts: List[Host]) -> None:
         if not hosts:
             raise ValueError("primary-backup needs at least one server")
-        self.message_bytes = message_bytes
-        self.primary = _Primary(hosts[0], message_bytes)
-        self.backups = [_Backup(i, host, message_bytes) for i, host in enumerate(hosts[1:])]
+        self.primary = _Primary(hosts[0])
+        self.backups = [_Backup(i, host) for i, host in enumerate(hosts[1:])]
         for backup in self.backups:
             conn = TcpConnection(self.primary.host, backup.host)
             primary_side = conn.endpoint(self.primary.host)

@@ -26,6 +26,7 @@ from repro.core.protocol import normalize_value
 from repro.netsim.host import Host
 from repro.netsim.node import stable_name_seed
 from repro.netsim.tcp import TcpConnection
+from repro.perfmodel.devices import SERVER_MESSAGE_BYTES
 
 
 @dataclass
@@ -78,7 +79,7 @@ class ZooKeeperClient:
         future = KVFuture(self.sim, op=op)
         future.xid = xid
         self._pending[xid] = {"op": op, "sent_at": self.sim.now, "future": future}
-        self._endpoint.send(request, self.ensemble.config.message_bytes)
+        self._endpoint.send(request, SERVER_MESSAGE_BYTES)
         return future
 
     def get_async(self, path: str, watch: bool = False) -> KVFuture:

@@ -24,34 +24,18 @@ The data model (znodes, ephemerals, sequentials, watches) lives in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.baselines.data_tree import DataTree, ZnodeError
 from repro.netsim.host import Host
 from repro.netsim.tcp import TcpConnection, TcpEndpoint
+from repro.perfmodel.devices import (
+    SERVER_MESSAGE_BYTES,
+    ZOOKEEPER_COMMIT_DELAY,
+    ZOOKEEPER_SERVER_MSGS_PER_SEC,
+)
 
 _session_ids = itertools.count(1)
-
-
-@dataclass
-class ZooKeeperConfig:
-    """Ensemble parameters.
-
-    ``server_msgs_per_sec`` is the per-server message-processing capacity
-    *after* the simulation scale factor has been applied; 160K messages/s
-    unscaled reproduces the measured 230 KQPS read-only and 27 KQPS
-    write-only throughput of a 3-server ensemble (Section 8.1).
-    """
-
-    #: Per-server message processing capacity (already scaled), msgs/sec.
-    server_msgs_per_sec: Optional[float] = 160e3
-    #: Transaction log sync (group commit / fsync) latency before a server
-    #: acknowledges a proposal.  Latency-only: group commit keeps it off the
-    #: throughput path.
-    log_sync_delay: float = 1.9e-3
-    #: Approximate size of a request/response message on the wire.
-    message_bytes: int = 150
 
 
 class _ServerCpu:
@@ -77,16 +61,16 @@ class _ServerCpu:
 class ZooKeeperServer:
     """One ensemble member."""
 
-    def __init__(self, server_id: int, host: Host, config: ZooKeeperConfig) -> None:
+    def __init__(self, server_id: int, host: Host,
+                 server_msgs_per_sec: Optional[float]) -> None:
         self.server_id = server_id
         self.host = host
         self.sim = host.sim
-        self.config = config
         self.tree = DataTree()
         self.is_leader = False
         self.leader_id: Optional[int] = None
         self.peers: Dict[int, TcpEndpoint] = {}
-        self.cpu = _ServerCpu(self.sim, config.server_msgs_per_sec)
+        self.cpu = _ServerCpu(self.sim, server_msgs_per_sec)
         self.failed = False
         # Leader state.
         self.epoch = 0
@@ -129,7 +113,7 @@ class ZooKeeperServer:
         if endpoint is None or self.failed:
             return
         delay = self.cpu.charge()
-        self.sim.schedule(delay, lambda: endpoint.send(message, self.config.message_bytes))
+        self.sim.schedule(delay, lambda: endpoint.send(message, SERVER_MESSAGE_BYTES))
 
     def _receive(self, message: Dict[str, Any], peer: Optional[int] = None,
                  session: Optional[int] = None) -> None:
@@ -244,7 +228,7 @@ class ZooKeeperServer:
             self._send(endpoint, proposal)
         # The leader logs the proposal too (group commit latency) before its
         # own ACK counts -- modelled by delaying the quorum check.
-        self.sim.schedule(self.config.log_sync_delay, lambda: self._check_quorum(zxid))
+        self.sim.schedule(ZOOKEEPER_COMMIT_DELAY, lambda: self._check_quorum(zxid))
 
     def _handle_ack(self, message: Dict[str, Any], peer: Optional[int]) -> None:
         proposal = self._proposals.get(message["zxid"])
@@ -274,7 +258,7 @@ class ZooKeeperServer:
     def _handle_proposal(self, message: Dict[str, Any], peer: Optional[int]) -> None:
         # Log-sync (group commit) before acknowledging.
         zxid = message["zxid"]
-        self.sim.schedule(self.config.log_sync_delay,
+        self.sim.schedule(ZOOKEEPER_COMMIT_DELAY,
                           lambda: self._send(self.peers.get(peer),
                                              {"kind": "ack", "zxid": zxid}))
 
@@ -329,9 +313,8 @@ class ZooKeeperServer:
 class ZooKeeperEnsemble:
     """A set of interconnected ZooKeeper servers."""
 
-    def __init__(self, servers: List[ZooKeeperServer], config: ZooKeeperConfig) -> None:
+    def __init__(self, servers: List[ZooKeeperServer]) -> None:
         self.servers = {server.server_id: server for server in servers}
-        self.config = config
         self._next_session = _session_ids
         if servers:
             self.set_leader(servers[0].server_id)
@@ -391,13 +374,16 @@ class ZooKeeperEnsemble:
 
 
 def build_zookeeper_ensemble(hosts: List[Host],
-                             config: Optional[ZooKeeperConfig] = None) -> ZooKeeperEnsemble:
-    """Create servers on the given hosts and fully connect them."""
-    config = config or ZooKeeperConfig()
-    servers = [ZooKeeperServer(i, host, config) for i, host in enumerate(hosts)]
+                             server_msgs_per_sec: Optional[float] = ZOOKEEPER_SERVER_MSGS_PER_SEC
+                             ) -> ZooKeeperEnsemble:
+    """Create servers on the given hosts and fully connect them.
+    ``server_msgs_per_sec`` is each server's message-processing capacity,
+    already scaled (``None`` removes the ceiling)."""
+    servers = [ZooKeeperServer(i, host, server_msgs_per_sec)
+               for i, host in enumerate(hosts)]
     for i, a in enumerate(servers):
         for b in servers[i + 1:]:
             conn = TcpConnection(a.host, b.host)
             a.connect_peer(b.server_id, conn.endpoint(a.host))
             b.connect_peer(a.server_id, conn.endpoint(b.host))
-    return ZooKeeperEnsemble(servers, config)
+    return ZooKeeperEnsemble(servers)

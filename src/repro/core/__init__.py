@@ -22,7 +22,7 @@ from:
   detection, self-tuning chain widening, epoch-invalidated client caching.
 """
 
-from repro.core.agent import AgentConfig, NetChainAgent
+from repro.core.agent import NetChainAgent
 from repro.core.client import (
     KVBatch,
     KVClient,
@@ -64,7 +64,7 @@ from repro.core.invariants import (
     invariant_observer,
     sample_chain_invariants,
 )
-from repro.core.kvstore import KVStoreConfig, StoreFullError, SwitchKVStore
+from repro.core.kvstore import StoreFullError, SwitchKVStore
 from repro.core.protocol import NetChainHeader, OpCode, QueryStatus
 from repro.core.reconfig import (
     MigrationCoordinator,
@@ -89,13 +89,11 @@ __all__ = [
     "QueryStatus",
     "NetChainHeader",
     "SwitchKVStore",
-    "KVStoreConfig",
     "StoreFullError",
     "ConsistentHashRing",
     "VirtualNode",
     "NetChainSwitchProgram",
     "NetChainAgent",
-    "AgentConfig",
     "NetChainController",
     "ControllerConfig",
     "ChainInfo",

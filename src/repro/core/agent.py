@@ -18,7 +18,7 @@ resolves its future with ``timed_out=True``; it never raises.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.core.client import KVClient, KVFuture, KVResult, canonical_key
@@ -54,14 +54,8 @@ def _value_too_long(value: bytes) -> ValueError:
                       f"{len(value)} bytes")
 
 
-@dataclass
-class AgentConfig:
-    """Client-side knobs."""
-
-    #: How long to wait for a reply before retrying (seconds).
-    retry_timeout: float = 500e-6
-    #: Retries before giving up.
-    max_retries: int = 20
+#: Retries before a query gives up with a ``timeout`` result.
+MAX_RETRIES = 20
 
 
 class _Pending(KVFuture):
@@ -107,20 +101,21 @@ class NetChainAgent(KVClient):
 
     backend = "netchain"
 
-    def __init__(self, host: Host, directory, config: Optional[AgentConfig] = None,
+    def __init__(self, host: Host, directory, retry_timeout: float = 500e-6,
                  name: Optional[str] = None) -> None:
         """Args:
             host: the simulated machine this agent runs on.
             directory: an object with ``route_for_key(key) -> (ips, vgroup,
                 epoch)`` and ``insert_key`` for inserts -- normally the
                 :class:`repro.core.controller.NetChainController` itself.
-            config: client configuration.
+            retry_timeout: how long to wait for a reply before retrying
+                (seconds).
             name: label used in statistics.
         """
         self.host = host
         self.sim = host.sim
         self.directory = directory
-        self.config = config or AgentConfig()
+        self.retry_timeout = retry_timeout
         self.name = name or f"agent-{host.name}"
         self.udp_port = next(_agent_ports)
         self.host.bind(self.udp_port, self._on_packet)
@@ -263,13 +258,13 @@ class NetChainAgent(KVClient):
                 tel.query_tx(self, pending, dst_ip)
         host.send(packet)
         pending.timer = self.sim.schedule(
-            self.config.retry_timeout, self._on_timeout, pending.query_id)
+            self.retry_timeout, self._on_timeout, pending.query_id)
 
     def _on_timeout(self, query_id: int) -> None:
         pending = self._pending.get(query_id)
         if pending is None:
             return  # answered: a pending query leaves the table exactly once
-        if pending.retries >= self.config.max_retries:
+        if pending.retries >= MAX_RETRIES:
             self._pending.pop(query_id, None)
             self.timeouts += 1
             self.failed += 1

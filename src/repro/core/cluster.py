@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.agent import AgentConfig, NetChainAgent
+from repro.core.agent import NetChainAgent
 from repro.core.controller import ControllerConfig, NetChainController
 from repro.core.detector import DetectorConfig, FailureDetector
 from repro.netsim.engine import Simulator
@@ -45,12 +45,10 @@ class NetChainCluster:
                 f"chain or add switches")
         self.controller = NetChainController(topology, member_switches=member_switches,
                                              config=controller_config)
-        # One shared config for every agent: it is read-only to the agents
-        # (each allocates its own UDP port).
-        agent_config = AgentConfig(retry_timeout=retry_timeout)
         self.agents: Dict[str, NetChainAgent] = {}
         for name, host in topology.hosts.items():
-            self.agents[name] = NetChainAgent(host, self.controller, config=agent_config)
+            self.agents[name] = NetChainAgent(host, self.controller,
+                                              retry_timeout=retry_timeout)
         self.detector: Optional[FailureDetector] = None
 
     # ------------------------------------------------------------------ #

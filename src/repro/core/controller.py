@@ -26,7 +26,15 @@ through the controller's methods, and every control event lands in one
 
 All controller actions take simulated time (rule installation latency,
 state-synchronization throughput), which is what produces the throughput
-time series of Figure 10.
+time series of Figure 10.  The timings are the prototype's (Sections 5
+and 7) and are module constants, not knobs: a rule install is one 1 ms
+control-channel RPC (:data:`RULE_INSTALL_LATENCY`), failure recovery does
+no pre-synchronization (:data:`RECOVERY_PRESYNC_FRACTION`, the behaviour
+Figure 10 measured) and adds a fixed per-group overhead
+(:data:`RECOVERY_GROUP_OVERHEAD`).  The one timing a deployment sets is
+the state-copy rate, ``ControllerConfig.sync_items_per_sec``: ~140
+items/s is the prototype's per-item RPC copy behind Figure 10(a), and
+the experiments pick their own (``DeploymentSpec.sync_items_per_sec``).
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.client import canonical_key
-from repro.core.kvstore import KVStoreConfig, StoreFullError, SwitchKVStore
+from repro.core.kvstore import StoreFullError, SwitchKVStore
 from repro.core.protocol import normalize_value
 from repro.core.ring import ConsistentHashRing, VirtualNode
 from repro.core.switch_program import NetChainSwitchProgram, RedirectRule
@@ -46,9 +54,26 @@ from repro.netsim.telemetry import ControlEventLog
 from repro.netsim.topology import Topology
 
 
+#: Latency of installing one rule on one switch (control channel RPC).
+RULE_INSTALL_LATENCY = 1e-3
+#: Extra delay before the controller reacts to a failure it was told of;
+#: detection time is the failure detector's probing.
+FAILURE_DETECTION_DELAY = 0.0
+#: Fraction of a failure recovery's state copy done in the
+#: pre-synchronization step (Step 1 of Algorithm 3), during which
+#: availability is unaffected.  The measured prototype (Figure 10) does
+#: none; a planned migration's own is :data:`repro.core.reconfig.PRESYNC_FRACTION`.
+RECOVERY_PRESYNC_FRACTION = 0.0
+#: Fixed per-virtual-group overhead added to each group's recovery (a
+#: planned migration's own is :data:`repro.core.reconfig.PER_GROUP_OVERHEAD`).
+RECOVERY_GROUP_OVERHEAD = 50e-3
+#: Control-plane latency of an insert/delete operation.
+INSERT_LATENCY = 2e-3
+
+
 @dataclass
 class ControllerConfig:
-    """Control-plane parameters.
+    """Control-plane parameters a deployment sets.
 
     The state-synchronization rate is expressed in items per second because
     the prototype controller copies key-value items over per-item RPCs
@@ -62,20 +87,8 @@ class ControllerConfig:
     vnodes_per_switch: int = 10
     #: Key slots per switch store.
     store_slots: int = 65536
-    #: Latency of installing one rule on one switch (control channel RPC).
-    rule_install_latency: float = 1e-3
-    #: Extra delay before the controller reacts to a failure (detection time).
-    failure_detection_delay: float = 0.0
     #: Items per second the controller can copy during state synchronization.
     sync_items_per_sec: float = 140.0
-    #: Fraction of the state copy that happens in the pre-synchronization
-    #: step (Step 1 of Algorithm 3), during which availability is unaffected.
-    #: The measured prototype behaviour (Figure 10) corresponds to 0.0.
-    presync_fraction: float = 0.0
-    #: Fixed per-virtual-group overhead added to each group's recovery.
-    per_group_overhead: float = 50e-3
-    #: Control-plane latency of an insert/delete operation.
-    insert_latency: float = 2e-3
     #: Seed for randomized choices (replacement switch selection).
     seed: int = 0
 
@@ -140,7 +153,7 @@ class NetChainController:
     """The logically centralized NetChain controller."""
 
     def __init__(self, topology: Topology, member_switches: Optional[Sequence[str]] = None,
-                 config: Optional[ControllerConfig] = None) -> None:
+                 *, config: ControllerConfig) -> None:
         """Args:
             topology: the simulated network.
             member_switches: names of the switches that store NetChain data.
@@ -149,7 +162,7 @@ class NetChainController:
         """
         self.topology = topology
         self.sim = topology.sim
-        self.config = config or ControllerConfig()
+        self.config = config
         self.rng = random.Random(self.config.seed)
         self.members: List[str] = list(member_switches or topology.switches.keys())
         if len(self.members) < self.config.replication:
@@ -209,10 +222,10 @@ class NetChainController:
     # ------------------------------------------------------------------ #
 
     def _install_programs(self) -> None:
-        store_config = KVStoreConfig(slots=self.config.store_slots)
+        slots = self.config.store_slots
         for name, switch in self.topology.switches.items():
             if name in self.members:
-                store = SwitchKVStore(switch, config=store_config)
+                store = SwitchKVStore(switch, slots=slots)
                 program = NetChainSwitchProgram(switch, kvstore=store)
                 self.stores[name] = store
             else:
@@ -305,7 +318,7 @@ class NetChainController:
             if on_done is not None:
                 on_done()
 
-        self.sim.schedule(self.config.insert_latency, do_insert)
+        self.sim.schedule(INSERT_LATENCY, do_insert)
 
     def _insert_now(self, key, value=b"") -> None:
         info = self.chain_for_key(key)
@@ -357,7 +370,7 @@ class NetChainController:
 
     def sync_duration(self, num_items: int) -> float:
         """Simulated time to synchronize ``num_items`` items of one group."""
-        return num_items / self.config.sync_items_per_sec + self.config.per_group_overhead
+        return num_items / self.config.sync_items_per_sec + RECOVERY_GROUP_OVERHEAD
 
     def copy_group_state(self, ref_name: str, dest_names: Sequence[str],
                          keys: Sequence[bytes]) -> int:
@@ -580,10 +593,9 @@ class NetChainController:
         if name in self.members:
             raise ValueError(f"{name!r} is already a member switch")
         switch = self.topology.switches[name]
-        store_config = KVStoreConfig(slots=self.config.store_slots)
         program = self.programs.get(name)
         if program is None or program.kvstore is None:
-            store = SwitchKVStore(switch, config=store_config)
+            store = SwitchKVStore(switch, slots=self.config.store_slots)
             program = NetChainSwitchProgram(switch, kvstore=store)
             self.stores[name] = store
             self.programs[name] = program
@@ -623,7 +635,9 @@ class NetChainController:
             self.sim.schedule(recovery_start_delay,
                               lambda: self.failure_recovery(failed, new_switch))
 
-        self.sim.schedule(self.config.failure_detection_delay, react)
+        # An event even at zero delay: it takes its own seq, so running
+        # ``react`` inline would reorder it against events of the same instant.
+        self.sim.schedule(FAILURE_DETECTION_DELAY, react)
 
     def fast_failover(self, failed: str) -> None:
         """Remove ``failed`` from all its chains by updating only its
@@ -641,7 +655,7 @@ class NetChainController:
         # The underlay's fast rerouting steers traffic around the failed
         # device; NetChain relies on it for reachability (Section 4.2).
         reroute_around_failures(self.topology, self.failed_switches)
-        delay = self.config.rule_install_latency
+        delay = RULE_INSTALL_LATENCY
         for neighbor in self.neighbor_switches(failed):
             program = self.programs.get(neighbor.name)
             if program is None:
@@ -761,11 +775,11 @@ class NetChainController:
             return
         keys = sorted(self.keys_by_vgroup.get(vgroup, set()))
         sync_time = self.sync_duration(len(keys))
-        presync_time = sync_time * self.config.presync_fraction
+        presync_time = sync_time * RECOVERY_PRESYNC_FRACTION
         stop_time = sync_time - presync_time
         neighbors = [self.programs[s.name] for s in self.neighbor_switches(failed)
                      if s.name in self.programs]
-        rule_delay = self.config.rule_install_latency
+        rule_delay = RULE_INSTALL_LATENCY
         stop_rules: List[Tuple[NetChainSwitchProgram, RedirectRule]] = []
 
         def cleanup_and_skip() -> None:
@@ -775,7 +789,8 @@ class NetChainController:
             on_done()
 
         def step1_presync() -> None:
-            # Step 1: pre-synchronization; availability unaffected.
+            # Step 1: pre-synchronization; availability unaffected.  Zero
+            # long (RECOVERY_PRESYNC_FRACTION), but still its own event.
             self.sim.schedule(presync_time, step2_phase1)
 
         def step2_phase1() -> None:
@@ -883,7 +898,7 @@ class NetChainController:
             self.event_log.emit("group_shrunk", vgroup=vgroup)
             on_done()
 
-        self.sim.schedule(self.config.rule_install_latency, finish)
+        self.sim.schedule(RULE_INSTALL_LATENCY, finish)
 
     # ------------------------------------------------------------------ #
     # Planned reconfigurations (Section 5, last paragraph).

@@ -21,12 +21,30 @@ with ``.result(deadline)``, which advances the simulator to the reply.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
-from repro.core.client import KVClient, KVTimeout
+from repro.core.client import KVClient, KVFuture, KVTimeout
 
 #: Value representing "unlocked" / "absent" for CAS-based recipes.
 EMPTY = b""
+
+#: ``(acquire, release)``: each takes a lock key and returns a future whose
+#: result is ``ok`` when the operation succeeded.
+LockPair = Tuple[Callable[[str], KVFuture], Callable[[str], KVFuture]]
+
+
+def owner_id(owner) -> bytes:
+    """A lock owner as the bytes a lock key holds."""
+    return owner if isinstance(owner, bytes) else str(owner).encode()
+
+
+def cas_locks(client: KVClient, owner) -> LockPair:
+    """CAS locks on ``client``'s keys, held by ``owner``: acquire is
+    CAS(empty -> owner), release CAS(owner -> empty), so only the owner
+    can release a lock (Section 8.5)."""
+    owner_bytes = owner_id(owner)
+    return (lambda key: client.cas(key, EMPTY, owner_bytes),
+            lambda key: client.cas(key, owner_bytes, EMPTY))
 
 
 class CoordinationError(RuntimeError):
@@ -45,7 +63,8 @@ class DistributedLock:
     def __init__(self, client: KVClient, key, owner) -> None:
         self.client = client
         self.key = key
-        self.owner = owner if isinstance(owner, bytes) else str(owner).encode()
+        self.owner = owner_id(owner)
+        self._cas_acquire, self._cas_release = cas_locks(client, self.owner)
         self.held = False
         #: CAS attempts that lost the race (conflict accounting).
         self.cas_conflicts = 0
@@ -59,7 +78,7 @@ class DistributedLock:
         retries), so callers can tell a held lock from a dead network.
         """
         self.attempts += 1
-        result = self.client.cas(self.key, EMPTY, self.owner).result(deadline)
+        result = self._cas_acquire(self.key).result(deadline)
         if result.timed_out:
             raise KVTimeout(f"lock {self.key!r}: acquire query exhausted retries")
         self.held = result.ok
@@ -76,7 +95,7 @@ class DistributedLock:
 
     def release(self, deadline: float = 5.0) -> bool:
         """Release the lock; returns whether the release took effect."""
-        result = self.client.cas(self.key, self.owner, EMPTY).result(deadline)
+        result = self._cas_release(self.key).result(deadline)
         if result.ok:
             self.held = False
         return result.ok

@@ -23,6 +23,11 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.controller import NetChainController
 
 
+#: Consecutive healthy probes before a failed switch that answers probes
+#: again is reintroduced (hysteresis).
+REINTRODUCE_THRESHOLD = 2
+
+
 @dataclass
 class DetectorConfig:
     """Failure-detection knobs.
@@ -45,9 +50,6 @@ class DetectorConfig:
     #: Preferred replacement switch handed to recovery (None = controller
     #: chooses).
     new_switch: Optional[str] = None
-    #: Consecutive healthy probes before a failed switch that answers
-    #: probes again is reintroduced (hysteresis).
-    reintroduce_threshold: int = 2
 
 
 class FailureDetector:
@@ -131,7 +133,7 @@ class FailureDetector:
             self.heals[name] = 0
             return
         self.heals[name] = self.heals.get(name, 0) + 1
-        if self.heals[name] >= self.config.reintroduce_threshold:
+        if self.heals[name] >= REINTRODUCE_THRESHOLD:
             controller.reintroduce_switch(name)
             self._handled.discard(name)
             self.heals[name] = 0

@@ -76,6 +76,10 @@ from repro.netsim.registers import RegisterFile
 # Detection: count-min sketch + top-k heavy-hitter table.
 # --------------------------------------------------------------------- #
 
+#: Width of one sketch counter and one top-k count, in bytes.
+SKETCH_COUNTER_BYTES = 4
+
+
 @dataclass(frozen=True)
 class SketchConfig:
     """Dimensions of one hot-key sketch.
@@ -88,7 +92,6 @@ class SketchConfig:
 
     rows: int = 3
     width: int = 512
-    counter_bytes: int = 4
     topk: int = 8
 
 
@@ -121,9 +124,9 @@ class HotKeySketch:
         rows = [f"{name}_cms{i}" for i in range(cfg.rows)]
         topk_keys, topk_counts = f"{name}_topk_keys", f"{name}_topk_counts"
         allocate = self._registers.allocate
-        self._rows = [allocate(row, cfg.width, cfg.counter_bytes, initial=0) for row in rows]
+        self._rows = [allocate(row, cfg.width, SKETCH_COUNTER_BYTES, initial=0) for row in rows]
         self._tk_keys = allocate(topk_keys, cfg.topk, KEY_BYTES)
-        self._tk_counts = allocate(topk_counts, cfg.topk, cfg.counter_bytes, initial=0)
+        self._tk_counts = allocate(topk_counts, cfg.topk, SKETCH_COUNTER_BYTES, initial=0)
         self._array_names: List[str] = rows + [topk_keys, topk_counts]
         self._tk_index: Dict[bytes, int] = {}
         #: Total record() calls since the last reset (per-poll read volume).

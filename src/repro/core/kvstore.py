@@ -43,18 +43,6 @@ class ValueTooLargeError(ValueError):
     """Raised when a value exceeds what one pipeline pass can store."""
 
 
-@dataclass
-class KVStoreConfig:
-    """Sizing of the per-switch store.
-
-    The default mirrors the prototype in Section 7: 64K slots per stage,
-    8 stages, 16 bytes per stage (8 MB of value storage per switch).
-    """
-
-    #: Number of key slots (entries in the index table / register array length).
-    slots: int = 65536
-
-
 @dataclass(slots=True)
 class StoredItem:
     """A decoded item as read from the register arrays."""
@@ -72,10 +60,14 @@ class StoredItem:
 class SwitchKVStore:
     """The NetChain storage structures on one switch."""
 
-    def __init__(self, switch: Switch, config: Optional[KVStoreConfig] = None) -> None:
+    def __init__(self, switch: Switch, slots: int = 65536) -> None:
+        """``slots`` is the number of key slots (entries in the index table
+        and length of every register array).  The default mirrors the
+        prototype in Section 7: 64K slots per stage, 8 stages, 16 bytes per
+        stage (8 MB of value storage per switch)."""
         self.switch = switch
-        self.config = config or KVStoreConfig()
-        slots = self.config.slots
+        #: Total number of key slots.
+        self.capacity = slots
         registers = switch.registers
         for i in range(VALUE_STAGES):
             registers.reserve(f"netchain_value_stage{i}", slots, STAGE_VALUE_BYTES)
@@ -93,11 +85,6 @@ class SwitchKVStore:
         self.index: Dict[bytes, int] = {}
         self._key_of_slot: Dict[int, bytes] = {}
         self._free_slots: List[int] = list(range(slots - 1, -1, -1))
-
-    @property
-    def capacity(self) -> int:
-        """Total number of key slots."""
-        return self.config.slots
 
     def used_slots(self) -> int:
         """Number of slots currently holding a key."""

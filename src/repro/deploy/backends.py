@@ -33,7 +33,11 @@ from repro.deploy.spec import DeploymentSpec
 from repro.netsim.host import Host, HostConfig
 from repro.netsim.link import LinkConfig
 from repro.netsim.topology import Topology, build_testbed
-from repro.perfmodel.devices import KERNEL_STACK_DELAY, ZOOKEEPER_COMMIT_DELAY, scaled_testbed
+from repro.perfmodel.devices import (
+    KERNEL_STACK_DELAY,
+    ZOOKEEPER_SERVER_MSGS_PER_SEC,
+    scaled_testbed,
+)
 
 # The server baselines and the hybrid tier are imported by the builders
 # that use them, so a NetChain run loads none of them.
@@ -43,10 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.baselines.zk_client import ZooKeeperClient, ZooKeeperKVClient
     from repro.baselines.zookeeper import ZooKeeperEnsemble
     from repro.core.hybrid import HybridStore
-
-#: Message-processing capacity used for the ZooKeeper servers, calibrated to
-#: the measured ensemble throughput (see repro.baselines.zookeeper).
-ZOOKEEPER_SERVER_MSGS_PER_SEC = 160e3
 
 #: Share of the preloaded keys the ``hybrid`` backend pins into the network
 #: tier (hot data); the rest start on the server tier.
@@ -106,23 +106,19 @@ class _NetChainFamilyDeployment(Deployment):
             self.cluster.detector.stop()
 
     @staticmethod
-    def _build_cluster(spec: DeploymentSpec,
-                       controller_config: Optional[ControllerConfig] = None
-                       ) -> NetChainCluster:
+    def _build_cluster(spec: DeploymentSpec) -> NetChainCluster:
         """The spec's cluster: the scaled testbed (capacity ceilings off
-        when ``unlimited_capacity``, which also reports at scale 1), a
-        controller config from the spec's fields unless one is given
-        (``store_slots`` sized from the store when unset), and the spec's
-        retry timeout.  The replication-versus-members check is the
-        cluster's own."""
-        if controller_config is None:
-            slots = spec.store_slots
-            if slots is None:
-                slots = max(1024, spec.store_size + len(spec.extra_keys) + 1024)
-            controller_config = ControllerConfig(
-                replication=spec.replication,
-                vnodes_per_switch=spec.vnodes_per_switch,
-                store_slots=slots, seed=spec.seed)
+        when ``unlimited_capacity``, which also reports at scale 1), the
+        controller config of the spec's fields (``store_slots`` sized from
+        the preloaded keys when unset), and the spec's retry timeout.  The
+        replication-versus-members check is the cluster's own."""
+        slots = spec.store_slots
+        if slots is None:
+            slots = max(1024, spec.store_size + len(spec.extra_keys) + 1024)
+        controller_config = ControllerConfig(
+            replication=spec.replication,
+            vnodes_per_switch=spec.vnodes_per_switch, store_slots=slots,
+            sync_items_per_sec=spec.sync_items_per_sec, seed=spec.seed)
         scale = 1.0 if spec.unlimited_capacity else spec.scale
         topology = scaled_testbed(scale=scale, num_hosts=spec.num_hosts,
                                   seed=spec.seed,
@@ -142,12 +138,8 @@ class _NetChainFamilyDeployment(Deployment):
 
 @dataclass
 class NetChainDeployment(_NetChainFamilyDeployment):
-    """A NetChain cluster plus the knobs the experiment fixed.
-
-    ``options``: ``controller_config`` (a full
-    :class:`repro.core.controller.ControllerConfig`, overriding the
-    spec-derived one), ``hotkey_tier``.
-    """
+    """A NetChain cluster built from the spec.  ``options``:
+    ``hotkey_tier``."""
 
     cluster: NetChainCluster
     scale: float
@@ -158,16 +150,10 @@ class NetChainDeployment(_NetChainFamilyDeployment):
                                 supports_fault_injection=True,
                                 scaled_throughput=True,
                                 supports_hotkey_tier=True)
-    option_keys = _NetChainFamilyDeployment.option_keys + ("controller_config",)
 
     @classmethod
     def build(cls, spec: DeploymentSpec) -> "NetChainDeployment":
-        controller_config = spec.options.get("controller_config")
-        if isinstance(controller_config, dict):
-            # JSON-deserialized specs (matrix cells) carry the controller
-            # config as a plain field dict.
-            controller_config = ControllerConfig(**controller_config)
-        cluster = cls._build_cluster(spec, controller_config)
+        cluster = cls._build_cluster(spec)
         keys = cluster.populate(spec.store_size, value_size=spec.value_size,
                                 key_prefix=spec.key_prefix)
         if spec.extra_keys:
@@ -272,12 +258,10 @@ class ZooKeeperDeployment(_ServerHostedDeployment):
     @classmethod
     def build(cls, spec: DeploymentSpec) -> "ZooKeeperDeployment":
         topology, servers, client_hosts = cls._testbed(spec)
-        from repro.baselines.zookeeper import ZooKeeperConfig, build_zookeeper_ensemble
+        from repro.baselines.zookeeper import build_zookeeper_ensemble
         server_rate = (None if spec.unlimited_capacity
                        else ZOOKEEPER_SERVER_MSGS_PER_SEC / spec.scale)
-        config = ZooKeeperConfig(server_msgs_per_sec=server_rate,
-                                 log_sync_delay=ZOOKEEPER_COMMIT_DELAY)
-        ensemble = build_zookeeper_ensemble(servers, config)
+        ensemble = build_zookeeper_ensemble(servers, server_rate)
         keys = spec.key_names()
         paths = [f"{cls.path_prefix}{key}" for key in keys]
         ensemble.preload({path: bytes(spec.value_size) for path in paths})

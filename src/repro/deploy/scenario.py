@@ -146,10 +146,6 @@ class ScenarioChecks:
     #: readable from its current chain tail (the reconfiguration
     #: harness's "migration loses no keys" check; NetChain family only).
     no_lost_keys: bool = False
-    #: Extra checks: ``callable(result) -> None | str`` (a string is a
-    #: failure message).
-    custom: List[Callable[["ScenarioResult"], Optional[str]]] = \
-        field(default_factory=list)
 
     def validate(self) -> "ScenarioChecks":
         if self.history_mode not in ("memory", "spill"):
@@ -169,20 +165,14 @@ class ScenarioChecks:
         return self
 
     def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict; raises :class:`ValueError` naming any field
-        that cannot cross a process boundary (``custom`` callables, a live
-        ``VerdictCache`` instance, a non-string ``run_dir``)."""
+        """A JSON-safe dict; raises :class:`ValueError` naming a field that
+        cannot cross a process boundary (a live ``VerdictCache`` instance)."""
         self.validate()
-        if self.custom:
-            raise ValueError(
-                "ScenarioChecks.custom holds callables and cannot be "
-                "serialized; matrix cells must describe checks declaratively")
         if isinstance(self.verdict_cache, VerdictCache):
             raise ValueError(
                 "ScenarioChecks.verdict_cache is a live VerdictCache "
                 "instance; serialize 'default' or None instead")
-        data = {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self) if f.name != "custom"}
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         if data["run_dir"] is not None:
             data["run_dir"] = str(data["run_dir"])
         return data
@@ -190,13 +180,10 @@ class ScenarioChecks:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioChecks":
         """Rebuild validated checks; unknown keys raise :class:`ValueError`
-        naming them ("custom" cannot ride JSON and is rejected too)."""
+        naming them."""
         if not isinstance(data, dict):
             raise ValueError(f"ScenarioChecks.from_dict needs a dict, "
                              f"got {type(data).__name__}")
-        if "custom" in data:
-            raise ValueError("ScenarioChecks.custom holds callables and "
-                             "cannot be deserialized from JSON")
         check_unknown_fields(cls, data, "ScenarioChecks")
         return cls(**data).validate()
 
@@ -608,11 +595,6 @@ def run_scenario(spec: DeploymentSpec,
         if sent != link.delivered + link.dropped:
             result.failures.append(f"link {link.name}: {sent} packets sent but "
                                    f"{link.delivered} delivered + {link.dropped} dropped")
-    for check in checks.custom:
-        message = check(result)
-        if message:
-            result.failures.append(message)
-
     # The process high-water mark, read after verification so spill-mode
     # runs report what the pipeline peaked at.
     result.peak_rss_bytes = peak_rss_bytes()

@@ -7,10 +7,12 @@ seed from which every stochastic choice in the deployment derives.  The
 same spec (same seed) always builds the same deployment; sweeping the
 evaluation matrix is editing fields, not writing a new builder.
 
-Backend-specific knobs that do not generalize (a custom
-``ControllerConfig``, the hot-key tier's knobs, the server hosts' stack
-delay) ride in ``options``; each backend class declares the keys it
-reads, and building a spec with any other key raises.
+The spec is the only description of a deployment's shape: a NetChain
+controller's chain length, virtual groups, store slots, state-copy rate
+and seed are its fields.  Backend-specific knobs that do not generalize
+(the hot-key tier's knobs, the server hosts' stack delay) ride in
+``options``; each backend class declares the keys it reads, and building
+a spec with any other key raises.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 def json_safe(value: Any, where: str) -> Any:
     """Recursively convert ``value`` to JSON-safe types.
 
-    Dataclass config objects (``ControllerConfig``, ``DetectorConfig``,
+    Dataclass config objects (``DetectorConfig``, ``HotKeyTierConfig``,
     ...) become plain field dicts and tuples become lists, so a spec built
     in-process serializes without callers flattening anything by hand.
     Anything else non-JSON raises a :class:`ValueError` naming the
@@ -80,8 +82,11 @@ class DeploymentSpec:
         vnodes_per_switch: virtual groups per switch (NetChain-family).
         store_size: keys preloaded before the workload starts.
         value_size: size of every preloaded value, in bytes.
-        store_slots: per-switch key slots; ``None`` sizes them from
-            ``store_size``.
+        store_slots: per-switch key slots (NetChain-family); ``None``
+            sizes them from ``store_size`` and ``extra_keys``.
+        sync_items_per_sec: items per second the NetChain controller
+            copies during state synchronization (failure recovery and
+            migration); the prototype's ~140 is Figure 10(a)'s.
         loss_rate: Figure 9(d)'s loss: each switch drops an arriving
             packet with this probability (``Topology.set_loss_rate``).
         retry_timeout: client retry timeout (NetChain-family).
@@ -119,6 +124,7 @@ class DeploymentSpec:
     store_size: int = 0
     value_size: int = 64
     store_slots: Optional[int] = None
+    sync_items_per_sec: float = 140.0
     loss_rate: float = 0.0
     retry_timeout: float = 500e-6
     unlimited_capacity: bool = False
@@ -158,11 +164,16 @@ class DeploymentSpec:
             raise ValueError(f"store_size must be >= 0, got {self.store_size}")
         if self.value_size < 0:
             raise ValueError(f"value_size must be >= 0, got {self.value_size}")
+        preloaded = self.store_size + len(self.extra_keys)
         if self.store_slots is not None \
-                and self.store_slots < max(1, self.store_size):
+                and self.store_slots < max(1, preloaded):
             raise ValueError(
                 f"store_slots ({self.store_slots}) must be at least 1 and "
-                f"hold store_size ({self.store_size}) keys")
+                f"hold the {preloaded} preloaded keys (store_size "
+                f"{self.store_size} + {len(self.extra_keys)} extra_keys)")
+        if self.sync_items_per_sec <= 0:
+            raise ValueError(f"sync_items_per_sec must be positive, "
+                             f"got {self.sync_items_per_sec}")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
         if self.retry_timeout <= 0:
@@ -198,8 +209,8 @@ class DeploymentSpec:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-safe dict from which :meth:`from_dict` rebuilds the spec.
 
-        Dataclass configs riding ``options`` (``controller_config``,
-        ``detector_config``) are flattened to field dicts -- the consuming
+        Dataclass configs riding ``options`` (``detector_config``,
+        ``hotkey_tier``) are flattened to field dicts -- the consuming
         backends coerce them back.  Values that cannot cross a process
         boundary as JSON (live objects, open handles) raise
         :class:`ValueError` naming the offending field.

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.controller import ControllerConfig
 from repro.core.detector import DetectorConfig
 from repro.deploy import DeploymentSpec, ScenarioChecks, WorkloadSpec
 from repro.experiments.throughput import adaptive_retry_timeout, measure
@@ -51,13 +50,11 @@ def netchain_testbed_spec(seed: int, scale: float, store_size: int,
     Callers add ``faults`` and the ``detector_config`` / ``reconfig``
     options."""
     return DeploymentSpec(
-        backend="netchain", scale=scale, store_size=store_size,
+        backend="netchain", scale=scale, replication=3, store_size=store_size,
         value_size=value_size, vnodes_per_switch=virtual_groups,
-        retry_timeout=retry_timeout, seed=seed,
-        options={"controller_config": ControllerConfig(
-            replication=3, vnodes_per_switch=virtual_groups,
-            store_slots=max(1024, store_size + 64),
-            sync_items_per_sec=sync_items_per_sec, seed=seed)})
+        store_slots=max(1024, store_size + 64),
+        sync_items_per_sec=sync_items_per_sec, retry_timeout=retry_timeout,
+        seed=seed)
 
 
 def phase_rate(successes: IntervalCounter, start: float, end: float,

@@ -20,10 +20,10 @@ from repro.apps.transactions import (
     LOCK_ROOT,
     TransactionClient,
     TransactionWorkloadConfig,
-    cas_locks,
     transactions_per_second,
     znode_locks,
 )
+from repro.core.coordination import cas_locks
 from repro.deploy import DeploymentSpec, build_deployment
 
 

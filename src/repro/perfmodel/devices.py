@@ -63,6 +63,17 @@ KERNEL_STACK_DELAY = 40e-6
 #: calibrated so write latency lands near the measured ~2.35 ms.
 ZOOKEEPER_COMMIT_DELAY = 1.9e-3
 
+#: ZooKeeper per-server message-processing capacity, msgs/sec (divided by
+#: the scale for a run): 160K unscaled reproduces the measured 230 KQPS
+#: read-only and 27 KQPS write-only throughput of a 3-server ensemble
+#: (Section 8.1).
+ZOOKEEPER_SERVER_MSGS_PER_SEC = 160e3
+
+#: Approximate size of one request, reply or replication message of the
+#: server-hosted baselines (ZooKeeper, server chain, primary-backup) on
+#: the wire.
+SERVER_MESSAGE_BYTES = 150
+
 
 def table1_rows() -> List[Tuple[str, str, str, str]]:
     """The rows of Table 1 (server vs switch packet processing)."""

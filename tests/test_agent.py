@@ -197,7 +197,7 @@ def test_agent_spells_queries_as_the_public_constructors_do(cluster, agent, op):
     ips, vgroup, epoch = check(sent[0])
     controller.commit_chain(vgroup, controller.chain_for_key("k").switches[::-1])
     controller.bump_group_epoch(vgroup)
-    cluster.run(until=cluster.sim.now + 1.5 * agent.config.retry_timeout)
+    cluster.run(until=cluster.sim.now + 1.5 * agent.retry_timeout)
     assert len(sent) == 2 and agent.retransmissions == 1
     assert check(sent[1]) == (ips[::-1], vgroup, epoch + 1)
     assert sent[1].payload.chain is not sent[0].payload.chain

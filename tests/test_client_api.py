@@ -9,18 +9,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps.transactions import TransactionClient, TransactionWorkloadConfig, cas_locks
+from repro.apps.transactions import TransactionClient, TransactionWorkloadConfig
 from repro.baselines import (
     ZooKeeperClient,
-    ZooKeeperConfig,
     ZooKeeperKVClient,
     build_zookeeper_ensemble,
 )
-from repro.core.agent import AgentConfig
+from repro.core.agent import MAX_RETRIES
 from repro.core.client import KVFuture, KVSession, KVTimeout, first, gather
 import repro.baselines
 import repro.core
-from repro.core.coordination import Barrier, DistributedLock
+from repro.core.coordination import Barrier, DistributedLock, cas_locks
 from repro.deploy import DeploymentSpec, available_backends, build_deployment
 from repro.netsim.engine import Simulator
 from repro.netsim.host import HostConfig
@@ -56,8 +55,7 @@ def _zookeeper_backend() -> _Backend:
     topology = build_testbed(host_config=HostConfig(stack_delay=40e-6, nic_pps=None))
     install_shortest_path_routes(topology)
     hosts = [topology.hosts[f"H{i}"] for i in range(4)]
-    ensemble = build_zookeeper_ensemble(hosts[:3],
-                                        ZooKeeperConfig(server_msgs_per_sec=None))
+    ensemble = build_zookeeper_ensemble(hosts[:3], server_msgs_per_sec=None)
 
     def make_client(index: int = 0):
         session = ZooKeeperClient(hosts[3], ensemble, server_id=index % 3)
@@ -153,7 +151,7 @@ def test_dead_network_surfaces_as_a_timeout(deployment):
     if deployment.backend_name in ("netchain", "hybrid"):
         result = future.result(0.3)
         assert result.timed_out and not result.ok and result.error == "timeout"
-        assert result.retries == AgentConfig().max_retries
+        assert result.retries == MAX_RETRIES
         assert deployment.sim.now - before == result.latency
         agent = getattr(client, "agent", client)
         assert (agent.timeouts, agent.failed) == (1, 1)
@@ -454,8 +452,7 @@ def test_load_client_measures_on_any_backend(backend):
 
 
 def test_transaction_client_commits_on_any_backend(backend):
-    config = TransactionWorkloadConfig(contention_index=0.5, cold_items=20, seed=3,
-                                       locks_per_txn=3)
+    config = TransactionWorkloadConfig(contention_index=0.5, cold_items=20, seed=3)
     backend.prepare_keys(config.hot_keys() + config.cold_keys())
     client = TransactionClient(backend.sim, cas_locks(backend.make_client(), "txn-0"), config)
     client.start()

@@ -48,7 +48,7 @@ def test_scale_applies_to_device_capacities():
 
 
 def test_fail_switch_schedules_failure_and_recovery():
-    cluster = make_cluster(failure_detection_delay=0.01)
+    cluster = make_cluster()
     cluster.populate(10)
     (FaultSchedule(FaultInjector(cluster.topology))
      .at(0.01, "fail_switch", "S1")

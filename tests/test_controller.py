@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.controller import ControllerConfig, NetChainController
+from repro.core.controller import INSERT_LATENCY, ControllerConfig, NetChainController
 from repro.netsim.topology import build_testbed
 
 
@@ -36,7 +36,7 @@ def test_insert_key_takes_control_plane_latency(cluster):
     controller.insert_key("slow-key", on_done=lambda: done.append(cluster.sim.now))
     assert controller.chain_for_key("slow-key") is not None
     cluster.run(until=cluster.sim.now + 0.1)
-    assert done and done[0] >= controller.config.insert_latency
+    assert done and done[0] >= INSERT_LATENCY
 
 
 def test_garbage_collect_removes_slots(cluster):

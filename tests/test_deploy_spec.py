@@ -9,7 +9,7 @@ import pytest
 
 import repro.deploy.backends
 from repro.core import ControllerConfig, NetChainCluster
-from repro.deploy import DeploymentSpec, build_deployment
+from repro.deploy import DeploymentSpec, ScenarioChecks, build_deployment
 from repro.deploy.matrix import default_matrix
 from repro.perfmodel.devices import scaled_testbed
 
@@ -35,6 +35,8 @@ def test_default_spec_is_valid():
     ("loss_rate", -0.1),
     ("loss_rate", 1.0),
     ("retry_timeout", 0.0),
+    ("sync_items_per_sec", 0.0),
+    ("sync_items_per_sec", -140.0),
 ])
 def test_invalid_spec_fields_raise(field, value):
     with pytest.raises(ValueError):
@@ -44,6 +46,34 @@ def test_invalid_spec_fields_raise(field, value):
 def test_store_slots_must_hold_store_size():
     with pytest.raises(ValueError, match="store_slots"):
         DeploymentSpec(store_size=100, store_slots=50).validate()
+
+
+def test_store_slots_must_hold_the_extra_keys_too():
+    """Every preloaded key takes a slot: a spec whose ``extra_keys`` do not
+    fit is refused where it was written, not by a full store mid-build."""
+    spec = DeploymentSpec(store_size=4, store_slots=4, extra_keys=["lock0"])
+    with pytest.raises(ValueError, match=r"store_slots \(4\).*5 preloaded keys"):
+        spec.validate()
+    with pytest.raises(ValueError, match="store_slots"):
+        build_deployment(spec)
+    build_deployment(DeploymentSpec(store_size=4, store_slots=5,
+                                    extra_keys=["lock0"])).teardown()
+
+
+@pytest.mark.parametrize("backend", ["netchain", "hybrid"])
+def test_the_spec_is_the_one_source_of_the_controller_config(backend):
+    spec = DeploymentSpec(backend=backend, replication=2, vnodes_per_switch=3,
+                          store_size=8, store_slots=96, seed=5,
+                          sync_items_per_sec=321.0)
+    deployment = build_deployment(spec)
+    config = deployment.cluster.controller.config
+    assert (config.replication, config.vnodes_per_switch, config.store_slots,
+            config.seed, config.sync_items_per_sec) == (2, 3, 96, 5, 321.0)
+    controller = deployment.cluster.controller
+    assert {len(info.switches) for info in controller.chain_table.values()} == {2}
+    assert len(controller.chain_table) == 3 * len(controller.members)
+    assert {store.capacity for store in controller.stores.values()} == {96}
+    deployment.teardown()
 
 
 @pytest.mark.parametrize("event", [
@@ -99,10 +129,26 @@ def test_unknown_option_keys_raise_naming_the_known_ones(backend, key):
     ("telemetry", "metrics"),
     ("telemetry", "events"),
     ("reconfig", "config"),
+    *[(backend, "controller_config") for backend in sorted(repro.deploy.backends.BACKENDS)],
+    ("checks", "custom"),
 ])
 def test_deleted_spec_keys_raise_naming_the_key(where, key):
     """A spec dict carrying a knob that no longer exists is refused, not
-    ignored: in-process and on the JSON path matrix cells take."""
+    ignored: in-process and on the JSON path matrix cells take.  A
+    deployment is described by its spec's fields alone, so no backend takes
+    a ``controller_config`` option; the scenario checks are declarative."""
+    if where == "checks":
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            ScenarioChecks.from_dict({**ScenarioChecks().to_dict(), key: []})
+        return
+    if where in repro.deploy.backends.BACKENDS:
+        spec = DeploymentSpec(backend=where, store_size=8,
+                              options={key: {"sync_items_per_sec": 100.0}})
+        with pytest.raises(ValueError, match=rf"\b{key}\b \(known: .*detector_config"):
+            build_deployment(spec)
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            build_deployment(DeploymentSpec.from_dict(spec.to_dict()))
+        return
     if where == "telemetry":
         fields = {"telemetry": {key: True}}
     elif where == "reconfig":

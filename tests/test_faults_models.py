@@ -897,7 +897,7 @@ def test_detector_reintroduces_healed_partition():
         0.5, "heal_partition").arm()
     detector = cluster.start_failure_detector(DetectorConfig(
         probe_interval=20e-3, suspicion_threshold=2,
-        recovery_start_delay=0.0, reintroduce_threshold=2))
+        recovery_start_delay=0.0))
     cluster.run(until=3.0)
     assert ("S3" not in cluster.controller.failed_switches)
     assert any(name == "S3" for _, name in detector.detections)

@@ -22,7 +22,6 @@ import pytest
 
 from repro.baselines import (
     ZooKeeperClient,
-    ZooKeeperConfig,
     ZooKeeperKVClient,
     build_zookeeper_ensemble,
 )
@@ -64,8 +63,7 @@ class ZkFaultHarness:
         self.topology = topo
         self.sim = topo.sim
         self.ensemble = build_zookeeper_ensemble(
-            [topo.hosts[f"Z{i}"] for i in range(3)],
-            ZooKeeperConfig(server_msgs_per_sec=None))
+            [topo.hosts[f"Z{i}"] for i in range(3)], server_msgs_per_sec=None)
         self.keys = [f"k{i:08d}" for i in range(STORE_SIZE)]
         self.ensemble.preload({f"/kv/{key}": b"" for key in self.keys})
         self.injector = FaultInjector(topo, seed=seed)

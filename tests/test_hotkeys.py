@@ -104,7 +104,7 @@ def test_sketch_deterministic_across_instances():
 def test_sketch_register_backing_charges_and_frees_sram():
     registers = RegisterFile(sram_bytes=64 * 1024)
     before = registers.allocated_bytes()
-    config = SketchConfig(rows=2, width=128, counter_bytes=4, topk=4)
+    config = SketchConfig(rows=2, width=128, topk=4)
     sketch = HotKeySketch(config, registers=registers, name="t")
     # 2 rows of 128 x 4B counters plus the top-k key/count arrays.
     assert registers.allocated_bytes() > before

@@ -12,7 +12,7 @@ from repro.core.invariants import (
     check_chain_invariant,
     check_value_agreement,
 )
-from repro.core.kvstore import KVStoreConfig, SwitchKVStore
+from repro.core.kvstore import SwitchKVStore
 from repro.netsim.engine import Simulator
 from repro.netsim.switch import Switch, SwitchConfig
 
@@ -21,7 +21,7 @@ def make_stores(n=3):
     stores = []
     for i in range(n):
         switch = Switch(Simulator(), f"S{i}", f"10.0.0.{i + 1}", config=SwitchConfig())
-        stores.append(SwitchKVStore(switch, config=KVStoreConfig(slots=16)))
+        stores.append(SwitchKVStore(switch, slots=16))
     return stores
 
 

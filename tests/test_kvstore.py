@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.kvstore import KVStoreConfig, StoreFullError, SwitchKVStore, ValueTooLargeError
+from repro.core.kvstore import StoreFullError, SwitchKVStore, ValueTooLargeError
 from repro.deploy import DeploymentSpec, build_deployment
 from repro.netsim.engine import Simulator
 from repro.netsim.registers import RegisterAllocationError
@@ -13,7 +13,7 @@ from repro.netsim.switch import Switch, SwitchConfig
 
 def make_store(slots=64, sram=None):
     switch = Switch(Simulator(), "S0", "10.0.0.1", config=SwitchConfig(sram_bytes=sram))
-    return SwitchKVStore(switch, config=KVStoreConfig(slots=slots))
+    return SwitchKVStore(switch, slots=slots)
 
 
 def test_insert_and_lookup():

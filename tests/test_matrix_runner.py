@@ -67,13 +67,6 @@ def test_scenario_checks_round_trips():
     assert ScenarioChecks.from_dict(checks.to_dict()) == checks
 
 
-def test_scenario_checks_rejects_custom_in_both_directions():
-    with pytest.raises(ValueError, match="custom"):
-        ScenarioChecks(custom=[lambda r: None]).to_dict()
-    with pytest.raises(ValueError, match="custom"):
-        ScenarioChecks.from_dict({"custom": []})
-
-
 def test_scenario_checks_validates_history_mode():
     with pytest.raises(ValueError, match="history_mode"):
         ScenarioChecks.from_dict({"history_mode": "tape"})

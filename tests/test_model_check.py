@@ -21,7 +21,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.invariants import ClientObservationChecker, check_chain_invariant
-from repro.core.kvstore import KVStoreConfig, SwitchKVStore
+from repro.core.kvstore import SwitchKVStore
 from repro.core.protocol import OpCode, QueryStatus, build_query_packet, make_read, make_write
 from repro.core.switch_program import NetChainSwitchProgram, RedirectRule
 from repro.netsim.engine import Simulator
@@ -46,7 +46,7 @@ class AbstractChain:
             switch = Switch(Simulator(), f"S{i}", f"10.0.0.{i + 1}",
                             config=SwitchConfig(capacity_pps=None))
             program = NetChainSwitchProgram(
-                switch, kvstore=SwitchKVStore(switch, config=KVStoreConfig(slots=16)))
+                switch, kvstore=SwitchKVStore(switch, slots=16))
             for key in KEYS:
                 program.kvstore.insert_key(key)
             self.switches.append(switch)

@@ -127,11 +127,13 @@ def reordered_run():
             cluster.controller, raise_on_violation=False)))
         return schedule
 
-    spec, workload, checks = fault_scenario(seed=1, duration=0.05, store_size=8,
-                                            think_time=0.0, concurrency=4, write_ratio=0.5)
-    checks.custom.append(lambda _result: sampled and (
-        f"{len(sampled)} chain invariant violation(s) in flight: {sampled[0]}"))
-    return run_scenario(spec, workload, checks, schedule_builder=reordering)
+    result = run_scenario(*fault_scenario(seed=1, duration=0.05, store_size=8, think_time=0.0,
+                                          concurrency=4, write_ratio=0.5),
+                          schedule_builder=reordering)
+    if sampled:
+        result.failures.append(
+            f"{len(sampled)} chain invariant violation(s) in flight: {sampled[0]}")
+    return result
 
 
 def test_m1_stale_write_is_caught_end_to_end(monkeypatch):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.kvstore import KVStoreConfig, SwitchKVStore
+from repro.core.kvstore import SwitchKVStore
 from repro.core.protocol import NetChainHeader, OpCode, QueryStatus, header_key
 from repro.core.ring import ConsistentHashRing
 from repro.netsim.engine import Simulator
@@ -76,7 +76,7 @@ def test_ring_chains_are_distinct_and_deterministic(key, replication):
 
 def fresh_store(slots=32):
     switch = Switch(Simulator(), "S", "10.0.0.1", config=SwitchConfig())
-    return SwitchKVStore(switch, config=KVStoreConfig(slots=slots))
+    return SwitchKVStore(switch, slots=slots)
 
 
 @given(key=keys, value=values, seq=st.integers(0, 2**31), session=st.integers(0, 2**15))

@@ -12,7 +12,7 @@ makes the protocol behaviours easy to pin down:
 
 from __future__ import annotations
 
-from repro.core.kvstore import KVStoreConfig, SwitchKVStore
+from repro.core.kvstore import SwitchKVStore
 from repro.core.protocol import (
     NetChainHeader,
     OpCode,
@@ -33,8 +33,7 @@ CLIENT_PORT = 9001
 
 def make_program(ip="10.0.0.1", slots=64):
     switch = Switch(Simulator(), f"S-{ip}", ip, config=SwitchConfig(capacity_pps=None))
-    program = NetChainSwitchProgram(switch, kvstore=SwitchKVStore(
-        switch, config=KVStoreConfig(slots=slots)))
+    program = NetChainSwitchProgram(switch, kvstore=SwitchKVStore(switch, slots=slots))
     return switch, program
 
 

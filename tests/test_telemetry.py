@@ -689,16 +689,14 @@ def test_one_event_log_read_with_and_without_telemetry(tmp_path):
     run without telemetry holds exactly the records the same seed spills
     to ``events.ndjson`` with it."""
     run_dir = tmp_path / "run"
-    overrides = dict(vnodes_per_switch=2, faults=[(0.01, "fail_switch", "S1")], options={
-        "controller_config": {"sync_items_per_sec": 5000.0, "per_group_overhead": 1e-3,
-                              "store_slots": 1024,
-                              "vnodes_per_switch": 2, "seed": SEED},
+    overrides = dict(vnodes_per_switch=2, store_slots=1024, sync_items_per_sec=5000.0,
+                     faults=[(0.01, "fail_switch", "S1")], options={
         "reconfig": {"changes": [[0.005, ["S4"], []]]},
         "detector_config": {"probe_interval": 0.005, "recovery_start_delay": 0.01}})
     checks = ScenarioChecks(linearizability=False)
-    off = run_scenario(_spec(**overrides), _workload(duration=0.1), checks)
+    off = run_scenario(_spec(**overrides), _workload(duration=0.5), checks)
     _run(_spec(telemetry={"run_dir": str(run_dir)}, **overrides),
-         _workload(duration=0.1), checks)
+         _workload(duration=0.5), checks)
     _, spilled = read_ndjson(run_dir / "events.ndjson", "trace-events/v1")
     records = off.deployment.cluster.controller.event_log.as_records()
     kinds = {record["ev"] for record in records}

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 from repro.apps.transactions import (
+    HOT_PREFIX,
     LOCK_ROOT,
+    LOCKS_PER_TXN,
     TransactionClient,
     TransactionWorkloadConfig,
-    cas_locks,
     total_committed,
     transactions_per_second,
     znode_locks,
 )
-from repro.baselines import ZooKeeperClient, ZooKeeperConfig, build_zookeeper_ensemble
+from repro.baselines import ZooKeeperClient, build_zookeeper_ensemble
+from repro.core.coordination import cas_locks
 from repro.netsim.host import HostConfig
 from repro.netsim.routing import install_shortest_path_routes
 from repro.netsim.topology import build_testbed
@@ -32,8 +34,8 @@ def test_lock_set_contains_one_hot_and_nine_cold():
     cluster = make_cluster()
     client = TransactionClient(cluster.sim, cas_locks(cluster.agent("H0"), "c0"), config)
     locks = client._pick_lock_set()
-    assert len(locks) == config.locks_per_txn
-    assert sum(1 for k in locks if k.startswith(config.hot_prefix)) == 1
+    assert len(locks) == LOCKS_PER_TXN == 10
+    assert sum(1 for k in locks if k.startswith(HOT_PREFIX)) == 1
     assert len(set(locks)) == len(locks)
 
 
@@ -100,8 +102,7 @@ def test_zookeeper_transaction_client_commits():
     topo = build_testbed(host_config=HostConfig(stack_delay=40e-6, nic_pps=None))
     install_shortest_path_routes(topo)
     hosts = [topo.hosts[f"H{i}"] for i in range(4)]
-    ensemble = build_zookeeper_ensemble(hosts[:3],
-                                        ZooKeeperConfig(server_msgs_per_sec=None))
+    ensemble = build_zookeeper_ensemble(hosts[:3], server_msgs_per_sec=None)
     ensemble.preload({LOCK_ROOT: b""})
     config = TransactionWorkloadConfig(contention_index=0.5, cold_items=30, seed=2)
     client = TransactionClient(topo.sim, znode_locks(ZooKeeperClient(hosts[3], ensemble),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import ZooKeeperClient, ZooKeeperConfig, build_zookeeper_ensemble
+from repro.baselines import ZooKeeperClient, build_zookeeper_ensemble
 from repro.baselines.data_tree import DataTree, ZnodeError
 from repro.netsim.host import HostConfig
 from repro.netsim.routing import install_shortest_path_routes
@@ -133,7 +133,7 @@ def make_deployment(num_servers=3, server_rate=None):
     install_shortest_path_routes(topo)
     hosts = [topo.hosts[f"H{i}"] for i in range(4)]
     ensemble = build_zookeeper_ensemble(
-        hosts[:num_servers], ZooKeeperConfig(server_msgs_per_sec=server_rate))
+        hosts[:num_servers], server_msgs_per_sec=server_rate)
     return topo, ensemble, hosts[num_servers]
 
 
