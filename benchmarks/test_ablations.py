@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 
 from bench_utils import record_result
-from repro.core.protocol import QueryStatus
+from repro.core.protocol import OpCode, QueryStatus
 from repro.deploy import DeploymentSpec, build_deployment
 from repro.netsim.faults import LinkFaultModel
 from repro.netsim.switch import PipelineAction
@@ -121,13 +121,17 @@ def test_ablation_sequence_numbers_prevent_inconsistency(benchmark):
             cluster.controller.populate(keys)
             if not ordered:
                 # Ablation: replicas apply every write regardless of its
-                # version, i.e. Algorithm 1 without lines 10-13.
+                # version, i.e. Algorithm 1 without lines 10-13.  (No
+                # epoch guard or freeze can fire here: nothing reconfigures.)
                 for program in cluster.controller.programs.values():
                     if program.kvstore is None:
                         continue
 
-                    def process_write_no_check(switch, packet, header, loc,
-                                               prog=program):
+                    def process_query_no_check(switch, packet, header, prog=program,
+                                               process_query=program._process_query):
+                        loc = prog.kvstore.index.get(header.key)
+                        if loc is None or header.op in (OpCode.READ, OpCode.CLEAN):
+                            return process_query(switch, packet, header)
                         stored = prog.kvstore.read_loc(loc)
                         if header.seq == 0 and header.session == 0:
                             header.session = stored.session
@@ -140,7 +144,7 @@ def test_ablation_sequence_numbers_prevent_inconsistency(benchmark):
                         prog._make_reply(switch, packet, header, QueryStatus.OK)
                         return PipelineAction.FORWARD
 
-                    program._process_write = process_write_no_check
+                    program._process_query = process_query_no_check
             agents = cluster.agent_list()
             rng = random.Random(3)
             for i in range(150):

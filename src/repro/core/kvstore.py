@@ -15,9 +15,10 @@ Fig. 3's layout is what the switch SRAM is *charged* for: every slot costs
 8 x 16 value bytes, a 2-byte length, a 4-byte sequence, a 2-byte session
 and a valid byte (137 B).  The model itself keeps each item once -- one
 key -> slot map and one list per field, the value whole -- because nothing
-reads the stripes back.  A value over one pass (k*n = 128 bytes) is
-refused at submit by :class:`repro.core.agent.NetChainAgent`, and
-:meth:`SwitchKVStore.write_loc` refuses it again for a direct caller.
+reads the stripes back (the switch program uses the lists directly).  A value
+over one pass (k*n = 128 bytes) is refused at submit by
+:class:`repro.core.agent.NetChainAgent`, and :meth:`SwitchKVStore.write_loc`
+refuses it again for a direct caller.
 """
 
 from __future__ import annotations
@@ -131,14 +132,10 @@ class SwitchKVStore:
         """Index-table lookup: slot for ``key`` or ``None`` on a miss."""
         return self.index.get(canonical_key(key))
 
-    def load_loc(self, loc: int) -> Tuple[bytes, int, int, bool]:
-        """``(value, seq, session, valid)`` at ``loc``: the per-query register read."""
-        return (self._value_data[loc], self._seq_data[loc],
-                self._session_data[loc], self._valid_data[loc])
-
     def read_loc(self, loc: int) -> StoredItem:
         """Read the value, sequence and session stored at ``loc``."""
-        return StoredItem(*self.load_loc(loc))
+        return StoredItem(self._value_data[loc], self._seq_data[loc],
+                          self._session_data[loc], self._valid_data[loc])
 
     def write_loc(self, loc: int, value: bytes, seq: int, session: int = 0,
                   valid: bool = True) -> None:

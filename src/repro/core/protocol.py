@@ -160,8 +160,9 @@ class NetChainHeader:
         return len(self.chain)
 
     def wire_size(self) -> int:
-        """Size of the encoded header in bytes."""
-        size = self._FIXED_SIZE + 4 * len(self.chain) + 4 + len(self.value)
+        """Size of the encoded header in bytes: :data:`HEADER_BYTES`, 4 per
+        chain hop, the value and the CAS operand."""
+        size = HEADER_BYTES + 4 * len(self.chain) + len(self.value)
         if self.cas_expected is not None:
             size += len(self.cas_expected)
         return size
@@ -217,6 +218,10 @@ class NetChainHeader:
 
     def is_reply(self) -> bool:
         return self.op in REPLY_OPS
+
+
+#: Bytes of a header with no chain hop, value or CAS operand (fixed and length fields).
+HEADER_BYTES = NetChainHeader._FIXED_SIZE + 4
 
 
 def build_query_packet(client_ip: str, client_port: int, dst_ip: str,

@@ -3,10 +3,11 @@
 This is the Python equivalent of the paper's P4 program.  It is installed on
 every NetChain switch and does three things:
 
-1. **Key-value query processing** (Algorithm 1): reads are answered from the
-   local store; writes are sequenced by the head and applied by replicas only
-   if they carry a newer ``(session, seq)`` version, which serializes
-   out-of-order UDP delivery (Section 4.3).
+1. **Key-value query processing** (Algorithm 1, one function on the store's
+   register lists, ``_process_query``, which the failure-rule loop calls
+   too): reads are answered from the local store; writes are sequenced by
+   the head and applied by replicas only if they carry a newer ``(session,
+   seq)`` version, which serializes out-of-order UDP delivery (Section 4.3).
 2. **Chain routing** (Section 4.2): after processing, the switch rewrites
    the destination IP to the next chain hop stored in the header (or back to
    the client when it is the last hop) and lets the underlay L3 routing carry
@@ -32,6 +33,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.core.kvstore import SwitchKVStore
 from repro.core.protocol import (
+    HEADER_BYTES,
     KEY_BYTES,
     NETCHAIN_UDP_PORT,
     REPLY_FOR,
@@ -61,6 +63,7 @@ _DELETE = OpCode.DELETE
 _CLEAN = OpCode.CLEAN
 _OK = QueryStatus.OK
 _KEY_NOT_FOUND = QueryStatus.KEY_NOT_FOUND
+_CAS_FAILED = QueryStatus.CAS_FAILED
 
 
 @dataclass
@@ -233,17 +236,19 @@ class NetChainSwitchProgram(PipelineProgram):
         # the query.
         ip = packet.ip
         my_ip = switch.ip
-        local = ip.dst_ip == my_ip
-        if local and header.op in REPLY_OPS:
+        rules = self.rules
+        if ip.dst_ip != my_ip:
+            if not rules:
+                return _FORWARD  # transit, the steady state
+        elif header.op in REPLY_OPS:
             # A reply addressed to a switch is a protocol error; drop it
             # rather than forward it in a loop.
             return _DROP
-        rules = self.rules
-        if not rules:
+        elif not rules:
             # Fast path: no failure-handling rules installed (the steady
             # state).  Process locally-addressed queries once and forward;
             # the rule/processing alternation below cannot trigger.
-            if not local or header.op not in REQUEST_OPS:
+            if header.op not in REQUEST_OPS:
                 return _FORWARD
             if not self.active:
                 return _DROP
@@ -291,9 +296,9 @@ class NetChainSwitchProgram(PipelineProgram):
 
     def _process_query(self, switch: Switch, packet: Packet,
                        header: NetChainHeader) -> PipelineAction:
-        tel = self.telemetry
-        if tel is not None:
-            tel.switch_stage(switch, packet, header)
+        """Algorithm 1, whole, for one query addressed to this switch."""
+        if self.telemetry is not None:
+            self.telemetry.switch_stage(switch, packet, header)
         op = header.op
         # Reconfiguration guards, checked before the store lookup so a
         # straggler addressed under a superseded chain layout drops even
@@ -321,77 +326,72 @@ class NetChainSwitchProgram(PipelineProgram):
             self.stats.misses += 1
             self._make_reply(switch, packet, header, _KEY_NOT_FOUND)
             return _FORWARD
+        seqs, sessions = store._seq_data, store._session_data  # Fig. 3's register arrays
+        stored_seq, stored_session = seqs[loc], sessions[loc]
         if op is _READ:
-            return self._process_read(switch, packet, header, loc)
-        return self._process_write(switch, packet, header, loc)
-
-    def _process_read(self, switch: Switch, packet: Packet, header: NetChainHeader,
-                      loc: int) -> PipelineAction:
-        value, seq, session, valid = self.kvstore.load_loc(loc)
-        self.stats.reads += 1
-        hotkeys = self.hotkeys
-        if hotkeys is not None:
-            # The sketch hashes the 16-byte header field, as a Tofino CMS does.
-            hotkeys.record(header.key.ljust(KEY_BYTES, b"\x00"))
-        gate = self._read_gate
-        if gate and header.chain:
-            # Hot-key tier: a non-tail wide-chain replica serves a rotated
-            # read only while its copy is clean (== committed); dirty
-            # copies forward toward the wide tail, which always serves.
-            clean = gate.get(header.key)
-            if clean is not None and (session, seq) != clean:
-                packet.ip.dst_ip = header.chain.pop(0)
-                packet.payload_bytes = header.wire_size()
-                self.stats.reads_forwarded_dirty += 1
+            self.stats.reads += 1
+            hotkeys = self.hotkeys
+            if hotkeys is not None:
+                # The sketch hashes the 16-byte header field, as a Tofino CMS does.
+                hotkeys.record(header.key.ljust(KEY_BYTES, b"\x00"))
+            gate = self._read_gate
+            clean = gate.get(header.key) if gate and header.chain else None
+            if clean is None or (stored_session, stored_seq) == clean:
+                if not store._valid_data[loc]:
+                    self._make_reply(switch, packet, header, _KEY_NOT_FOUND)
+                    return _FORWARD
+                header.value, header.seq, header.session = (store._value_data[loc], stored_seq,
+                                                            stored_session)
+                self._make_reply(switch, packet, header, _OK)
                 return _FORWARD
-        if not valid:
-            self._make_reply(switch, packet, header, _KEY_NOT_FOUND)
-            return _FORWARD
-        header.value = value
-        header.seq = seq
-        header.session = session
-        self._make_reply(switch, packet, header, _OK)
-        return _FORWARD
-
-    def _process_write(self, switch: Switch, packet: Packet, header: NetChainHeader,
-                       loc: int) -> PipelineAction:
-        store = self.kvstore
-        stored_value, stored_seq, stored_session, _valid = store.load_loc(loc)
-        op = header.op
-        if header.seq == 0 and header.session == 0:
+            # Hot-key tier: a non-tail wide-chain replica serves a rotated
+            # read only while its copy is clean (== committed); a dirty copy
+            # forwards toward the wide tail, which always serves.
+            self.stats.reads_forwarded_dirty += 1
+        elif header.seq == 0 and header.session == 0:
             # Head: assign a monotonically increasing version.  A new head
             # promoted after a failure uses a larger session number so its
             # versions order after everything the failed head issued.
-            header.session = max(self.head_sessions.get(header.vgroup, 0), stored_session)
+            head_session = self.head_sessions.get(header.vgroup, 0)
+            header.session = head_session if head_session > stored_session else stored_session
             header.seq = stored_seq + 1
-            if op is _CAS and stored_value != (header.cas_expected or b""):
+            if op is _CAS and store._value_data[loc] != (header.cas_expected or b""):
                 self.stats.cas_failures += 1
-                header.value = stored_value
-                self._make_reply(switch, packet, header, QueryStatus.CAS_FAILED)
+                header.value = store._value_data[loc]
+                self._make_reply(switch, packet, header, _CAS_FAILED)
                 return _FORWARD
         elif (header.session, header.seq) <= (stored_session, stored_seq):
             # Stale write: Algorithm 1 line 13, Drop().  The client's
             # retry (writes are idempotent) will carry a newer version.
             self.stats.writes_stale_dropped += 1
             return _DROP
-        if op is _DELETE:
-            store.write_loc(loc, b"", header.seq, header.session, False)
-        else:
-            store.write_loc(loc, header.value, header.seq, header.session, True)
-        self.stats.writes_applied += 1
-        if header.chain:
-            packet.ip.dst_ip = header.chain.pop(0)
-            packet.payload_bytes = header.wire_size()
-            return _FORWARD
-        notify = self._clean_notify
-        if notify:
-            # Hot-key tier: this switch is the wide-chain tail of the key
-            # and just committed a write -- tell the sibling replicas the
-            # new clean version so they resume serving rotated reads.
-            targets = notify.get(header.key)
-            if targets is not None:
-                self._send_clean(switch, header, targets)
-        self._make_reply(switch, packet, header, _OK)
+        if op is not _READ:
+            # (A value over one pass never gets here: the agent refuses it at submit.)
+            if op is _DELETE:
+                store._value_data[loc] = b""
+                store._valid_data[loc] = False
+            else:
+                store._value_data[loc] = header.value
+                store._valid_data[loc] = True
+            seqs[loc] = header.seq
+            sessions[loc] = header.session
+            self.stats.writes_applied += 1
+            if not header.chain:
+                notify = self._clean_notify
+                if notify:
+                    # Hot-key tier: as the wide-chain tail, tell the sibling
+                    # replicas the new clean version (they serve reads again).
+                    targets = notify.get(header.key)
+                    if targets is not None:
+                        self._send_clean(switch, header, targets)
+                self._make_reply(switch, packet, header, _OK)
+                return _FORWARD
+        # On down the chain: one hop fewer on the wire (NetChainHeader.wire_size).
+        chain = header.chain
+        packet.ip.dst_ip = chain.pop(0)
+        cas = header.cas_expected
+        packet.payload_bytes = (HEADER_BYTES + 4 * len(chain) + len(header.value)
+                                + (0 if cas is None else len(cas)))
         return _FORWARD
 
     def _apply_clean(self, header: NetChainHeader) -> "PipelineAction":
@@ -438,5 +438,6 @@ class NetChainSwitchProgram(PipelineProgram):
         udp.dst_port = udp.src_port
         udp.src_port = NETCHAIN_UDP_PORT
         ip.ttl = 64
-        packet.payload_bytes = header.wire_size()
+        cas = header.cas_expected  # NetChainHeader.wire_size, with no chain left
+        packet.payload_bytes = HEADER_BYTES + len(header.value) + (0 if cas is None else len(cas))
         self.stats.replies_sent += 1

@@ -23,10 +23,11 @@ constant factors *are* the simulator's throughput):
   event keeps the seq the skipped one would have had and carries its time,
   so a fault that lands first gives it back (``link.give_back``, through
   :meth:`Simulator.refile` and :meth:`Simulator.has_run`).  A switch's pass
-  queues its packet as of then.  A TCP segment between two hosts on a
+  queues its packet as of then and pushes its next hop from the hop it
+  resolved once (``link._hop``).  A TCP segment between two hosts on a
   transparent switch (no rate limit, no program) is carried as a payload
   (``link.carry``): one event, the far host's dispatch, and no packet, on a
-  path its host resolved once and keeps until a ``link.give_back``.
+  path its host resolved once; both are kept until a ``link.give_back``.
 * Cancellation is a tombstone: the entry's callback slot is set to ``None``
   in place, and the entry is discarded when it surfaces at the top of the
   heap.  A tombstone count triggers heap compaction when more than half the
@@ -149,7 +150,7 @@ class Simulator:
         self._running = False
         self._processed = 0
         self._tombstones = 0
-        #: Advanced by ``link.give_back``: ``link.carry`` resolves an older path again.
+        #: Advanced by ``link.give_back``: an older carried path or switch hop is resolved again.
         self._stamp = 0
 
     @property

@@ -21,7 +21,7 @@ from repro.netsim.host import Host
 from repro.netsim.node import Port
 from repro.netsim.packet import IP_WIRE_OVERHEAD, UDP_WIRE_OVERHEAD, IPv4Header, Packet, UDPHeader
 from repro.netsim.stats import LinkStats
-from repro.netsim.switch import Switch
+from repro.netsim.switch import _DISPATCH, _PASS, _RECEIVE, Switch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.engine import Simulator
@@ -136,10 +136,11 @@ class Link:
         as of its TX time ``tx_at``; a live :class:`Host` with no RX queue
         gets its dispatch pushed, and a live, loss-free :class:`Switch` its
         pass (which queues the packet as of its arrival), under the seq the
-        arrival would have taken.  The entry carries the skipped hops' times
-        (``arrival``, ``tx_at``), so a fault that lands first can give them
-        back (:func:`give_back`).  A TCP segment that nothing can observe
-        never gets here: :func:`carry` hands it over as a payload.
+        arrival would have taken (a switch pass with a clean next hop,
+        :func:`_hop`, pushes that entry itself).  The entry carries the
+        skipped hops' times (``arrival``, ``tx_at``), so a fault that lands
+        first can give them back (:func:`give_back`).  A TCP segment that
+        nothing can observe never gets here: :func:`carry` hands it over.
         """
         if from_port is self.port_a:
             dst_port = self.port_b
@@ -232,6 +233,29 @@ def _route(host: Host, dst_ip: str) -> Optional[tuple]:
             far_port, far, far.config.stack_delay)
 
 
+def _hop(switch: Switch, dst_ip: str) -> Optional[tuple]:
+    """``Switch._process``'s next hop to ``dst_ip``, stamped as :func:`carry`'s path; ``None``
+    unless onto a clean link to a live, loss-free switch, live RX-queue-free host or other node."""
+    out_port = switch.forwarding_table.get(dst_ip)
+    link = None if out_port is None else out_port.link
+    if link is None or not link.up or link.faults is not None:
+        return None
+    far_port = link.port_b if out_port is link.port_a else link.port_a
+    far = far_port.node
+    if type(far) is Switch:
+        if far.failed or far._injected_loss_rate > 0:
+            return None
+        kind, callback, far_delay = _PASS, far._process, far.config.pipeline_delay
+    elif type(far) is Host and far.config.nic_pps is None:
+        if far.failed:
+            return None
+        kind, callback, far_delay = _DISPATCH, far._dispatch, far.config.stack_delay
+    else:
+        kind, callback, far_delay = _RECEIVE, far.receive, 0.0
+    return (switch.sim._stamp, out_port, link, link.stats, far_port, far, link.config.delay,
+            link.config.bandwidth_bps, kind, callback, far_delay)
+
+
 def carry(host: Host, dst_ip: str, dst_port: int, payload: Any, payload_bytes: int,
           src_port: int, handler: Callable[[Packet], None],
           deliver: Callable[[Any], None]) -> bool:
@@ -247,11 +271,12 @@ def carry(host: Host, dst_ip: str, dst_port: int, payload: Any, payload_bytes: i
     would have taken, and the far host's dispatch is pushed as :func:`_land`.
 
     ``host`` reuses a clean path (:func:`_route`) while its stamp is the
-    simulator's.  What can make it unclean calls :func:`give_back`, which
-    advances the stamp: ``fail``, ``set_down``, ``set_faults``, a first
-    ``install_program``, loss above 0, ``install_shortest_path_routes``.  A
-    recovery, ``set_up`` or loss back to 0 need not: no unclean path is
-    kept.  No config changes once traffic flows."""
+    simulator's, as a switch reuses its hop (:func:`_hop`).  What can make
+    either unclean calls :func:`give_back`, which advances the stamp:
+    ``fail``, ``set_down``, ``set_faults``, a first ``install_program``,
+    loss above 0, ``install_shortest_path_routes``.  A recovery, ``set_up``
+    or loss back to 0 need not: no unclean path is kept.  No config changes
+    once traffic flows."""
     sim = host.sim
     route = host._routes.get(dst_ip)
     if route is None or route[0] != sim._stamp:

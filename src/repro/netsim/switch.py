@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.netsim.engine import Event
 from repro.netsim.node import Node, Port, stable_name_seed
-from repro.netsim.packet import Packet
+from repro.netsim.packet import IP_WIRE_OVERHEAD, UDP_WIRE_OVERHEAD, Packet
 from repro.netsim.registers import RegisterFile
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,6 +60,9 @@ class PipelineAction(Enum):
 #: and the pipeline compares actions for every packet.
 _DROP = PipelineAction.DROP
 _FORWARD = PipelineAction.FORWARD
+
+#: What a resolved hop (``link._hop``) pushes at its far end.
+_PASS, _DISPATCH, _RECEIVE = "pass", "dispatch", "receive"
 
 
 class PipelineProgram:
@@ -93,9 +96,9 @@ class SwitchConfig:
 class Switch(Node):
     """A programmable switch: L3 forwarding plus a match-action pipeline.
 
-    :meth:`receive` decides fail-stop and injected loss at arrival; :meth:`_process` queues
-    the packet as of its arrival, tells the tracer and runs or defers the pass, which
-    ``Link.transmit`` pushes itself (no arrival event) for a live switch without loss.
+    :meth:`receive` decides fail-stop and injected loss at arrival; :meth:`_process`, one
+    frame, queues the packet as of its arrival, runs or defers the pass (pushed with no
+    arrival event for a live switch without loss) and pushes the next hop itself.
     With no rate limit and no program the switch is transparent: a TCP segment
     between two hosts on it is carried past it by ``link.carry`` (no packet, no
     pass event), its pass counted.
@@ -109,6 +112,8 @@ class Switch(Node):
         self.rng = rng or random.Random(stable_name_seed(name))
         #: dest-IP -> egress port, installed by the underlay routing protocol.
         self.forwarding_table: Dict[str, Port] = {}
+        #: dest-IP -> the clean next hop ``link._hop`` resolved from it, stamped.
+        self._hops: Dict[str, tuple] = {}
         #: Data-plane programs, run in order on every packet.
         self.programs: List[PipelineProgram] = []
         #: Register arrays (switch SRAM).
@@ -164,33 +169,37 @@ class Switch(Node):
         self.sim.call_after(self.config.pipeline_delay, self._process, packet, port,
                             self.sim._now)
 
-    def _admit(self, arrival: float) -> Optional[float]:
-        """The wait of a packet queued at ``arrival``; ``None`` if tail-dropped."""
-        busy_until = self._busy_until
-        backlog = busy_until - arrival
-        if backlog < 0.0:
-            backlog = 0.0
-            busy_until = arrival
-        service_time = 1.0 / self.config.capacity_pps
-        if backlog / service_time >= self.config.ingress_queue_packets:
-            self.dropped_capacity += 1
-            return None
-        self._busy_until = busy_until + service_time
-        return backlog
-
     def _process(self, packet: Packet, port: Port, arrival: Optional[float] = None,
-                 tx_at: Optional[float] = None) -> None:
-        # A pass carrying its ``arrival`` is queued now, as of then (``tx_at`` is for refiles).
+                 tx_at: Optional[float] = None, entry: Optional[list] = None) -> None:
+        """Queue a pass carrying its ``arrival`` as of then (``tx_at`` is for refiles; ``entry``
+        is one :meth:`recover_device` re-admits); push its next hop as ``Link.transmit`` would."""
+        sim = self.sim
         if arrival is not None:
-            backlog = 0.0 if self.config.capacity_pps is None else self._admit(arrival)
-            if backlog is None:
-                return
+            config = self.config
+            backlog = 0.0
+            pps = config.capacity_pps
+            if pps is not None:
+                busy_until = self._busy_until
+                backlog = busy_until - arrival
+                if backlog < 0.0:
+                    backlog = 0.0
+                    busy_until = arrival
+                service_time = 1.0 / pps
+                if backlog / service_time >= config.ingress_queue_packets:
+                    self.dropped_capacity += 1
+                    if entry is not None:
+                        Event(sim, entry).cancel()
+                    return
+                self._busy_until = busy_until + service_time
             if self.telemetry is not None:
                 self.telemetry.switch_enq(self, packet, backlog, arrival)
+            if entry is not None:
+                entry[0], entry[3] = arrival + (backlog + config.pipeline_delay), (packet, port)
+                return
             if backlog > 0.0:
-                self.sim._seq += 1
-                heappush(self.sim._queue, [arrival + (backlog + self.config.pipeline_delay),
-                                           self.sim._seq - 1, self._process, (packet, port)])
+                sim._seq += 1
+                heappush(sim._queue, [arrival + (backlog + config.pipeline_delay),
+                                      sim._seq - 1, self._process, (packet, port)])
                 return
         if self.failed:
             # Admitted before fail() and due after it: received, so dropped.
@@ -198,20 +207,52 @@ class Switch(Node):
             return
         self.pipeline_passes += 1
         packet.pipeline_passes += 1
-        if not self.serving:
-            if packet.ip.dst_ip == self.ip:
-                self.dropped_not_serving += 1
-                return
-            self.forward(packet)
+        ip = packet.ip
+        if self.serving:
+            for program in self.programs:
+                action = program.process(self, packet, port)
+                if action is _DROP:
+                    self.dropped_by_program += 1
+                    return
+                if action is _FORWARD:
+                    break
+        elif ip.dst_ip == self.ip:
+            self.dropped_not_serving += 1
             return
-        for program in self.programs:
-            action = program.process(self, packet, port)
-            if action is _DROP:
-                self.dropped_by_program += 1
+        dst_ip = ip.dst_ip
+        hop = self._hops.get(dst_ip)
+        if hop is None or hop[0] != sim._stamp:
+            hop = _link._hop(self, dst_ip)
+            if hop is None:
+                self.forward(packet)
                 return
-            if action is _FORWARD:
-                break
-        self.forward(packet)
+            self._hops[dst_ip] = hop
+        (_stamp, out_port, link, stats, far_port, far, delay, bandwidth, kind, callback,
+         far_delay) = hop
+        ttl = ip.ttl - 1
+        ip.ttl = ttl
+        if ttl <= 0:
+            self.packets_dropped += 1
+            return
+        # forward's and Link.transmit's counts, and transmit's push, in their order.
+        self.packets_sent += 1
+        out_port.tx_packets += 1
+        size = packet.payload_bytes + (
+            UDP_WIRE_OVERHEAD if packet.udp is not None else IP_WIRE_OVERHEAD)
+        latency = delay + size * 8.0 / bandwidth if bandwidth else delay
+        now = sim._now
+        if link.telemetry is not None:
+            link.telemetry.link_tx(link, packet, latency, size, now)
+        stats.delivered += 1
+        far.packets_received += 1
+        far_port.rx_packets += 1
+        seq = sim._seq
+        sim._seq = seq + 1
+        arrival = now + latency
+        heappush(sim._queue, [arrival + far_delay, seq, callback,
+                              (packet, far_port, arrival, None) if kind is _PASS
+                              else (packet, arrival) if kind is _DISPATCH
+                              else (packet, far_port)])
 
     def forward(self, packet: Packet) -> None:
         """L3 forward based on destination IP.  The underlay installs no
@@ -227,14 +268,7 @@ class Switch(Node):
         if ttl <= 0:
             self.packets_dropped += 1
             return
-        # Inlined Node.transmit (one call per hop on the hot path).
-        link = out_port.link
-        if link is None:
-            self.packets_dropped += 1
-            return
-        self.packets_sent += 1
-        out_port.tx_packets += 1
-        link.transmit(packet, out_port)
+        self.transmit(packet, out_port)
 
     # ------------------------------------------------------------------ #
     # Failure injection (Section 5 / Section 8.4).
@@ -275,13 +309,10 @@ class Switch(Node):
             args = entry[3]
             if (entry[2] == self._process and len(args) > 2 and self.config.capacity_pps
                     and (len(args) == 3 or sim.has_run(args[2], entry[1]))):
-                backlog = self._admit(args[2])
-                if backlog is None:
-                    Event(sim, entry).cancel()
-                    return
-                if self.telemetry is not None:
-                    self.telemetry.switch_enq(self, args[0], backlog, args[2])
-                entry[0], entry[3] = args[2] + (backlog + self.config.pipeline_delay), args[:2]
+                self._process(args[0], args[1], args[2], None, entry)
 
         sim.refile(admitted)
         self._busy_until = 0.0
+
+
+from repro.netsim import link as _link  # noqa: E402 (bound last: link imports this module)

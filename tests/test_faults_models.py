@@ -227,10 +227,12 @@ def line_topology(switch_kind):
 
 
 def switch_race(actions, labels=("x",), senders=("H0_0",), switch_kind="queue-free",
-                receiver="H1_0", detail=False, setup=()):
-    """Send one packet per ``(sender, label)`` to ``receiver`` at time 0,
+                receiver="H1_0", detail=False, setup=(), sent=0.0):
+    """Send one packet per ``(sender, label)`` to ``receiver`` at ``sent``,
     after each ``setup(topology)`` has run and with ``actions`` -- ``(at,
-    action(topology))`` pairs -- scheduled first.  Returns the topology, what
+    action(topology))`` pairs -- scheduled first; a later ``sent`` follows a
+    ``warm-up`` packet from the first sender at time 0, which leaves each
+    switch on the path its next hop resolved.  Returns the topology, what
     the receiver got -- each packet's label, or with ``detail`` its label,
     dispatch time, TTL and pipeline passes -- and each switch's recorder."""
     topo, recorders = line_topology(switch_kind)
@@ -242,8 +244,16 @@ def switch_race(actions, labels=("x",), senders=("H0_0",), switch_kind="queue-fr
     topo.hosts[receiver].bind(7000, lambda packet: received.append(
         (packet.payload, topo.sim.now, packet.ip.ttl, packet.pipeline_passes) if detail
         else packet.payload))
-    for sender, label in zip(senders, labels, strict=True):
-        topo.hosts[sender].send_udp(topo.hosts[receiver].ip, 7000, label, 10)
+
+    def send():
+        for sender, label in zip(senders, labels, strict=True):
+            topo.hosts[sender].send_udp(topo.hosts[receiver].ip, 7000, label, 10)
+
+    if sent:
+        topo.hosts[senders[0]].send_udp(topo.hosts[receiver].ip, 7000, "warm-up", 10)
+        topo.sim.schedule(sent, send)
+    else:
+        send()
     topo.run(until=1e-3)
     return topo, received, recorders
 
@@ -441,6 +451,11 @@ def path_instants(path, sent=0.0):
 #: one it reads, or the TX it kept fused misses the second.
 THEN_DOWN = (7.5e-6, "down:H0_0-S0")
 
+#: When a UDP grid case sends its packet: a warm-up packet sent at 0 has
+#: crossed the path by then, so each switch meets the case's faults with its
+#: next hop already resolved (``link._hop``) and must resolve it again.
+WARMED = 100e-6
+
 #: Fused shape -> what happens before the send.  ``deliver-*`` sends into
 #: an S0 that is already failed or lossy, so H0_0's fused TX pushes
 #: ``Link._deliver`` and not S0's pass.
@@ -517,12 +532,13 @@ def fused_race(case, twin=False):
     kind, receiver, setup, faults, point = case
     if setup == "tcp":
         return segment_race(faults, point, twin)
-    at = path_instants(PATHS[receiver])[point]
-    actions = [(at, _apply(faults[0]))] + [(THEN_DOWN[0], _apply(fault)) for fault in faults[1:]]
+    at = path_instants(PATHS[receiver], sent=WARMED)[point]
+    actions = [(at, _apply(faults[0]))] + [
+        (WARMED + THEN_DOWN[0], _apply(fault)) for fault in faults[1:]]
     prepare = [take_every_event] if twin else []
     topo, received, recorders = switch_race(
         actions, switch_kind=kind, receiver=receiver, detail=True,
-        setup=prepare + [_apply(fault) for fault in SETUPS[setup]])
+        setup=prepare + [_apply(fault) for fault in SETUPS[setup]], sent=WARMED)
     return received, {name: r.seen for name, r in recorders.items()}, counters(topo)
 
 
@@ -696,9 +712,27 @@ def stale_route_kept(monkeypatch):
         monkeypatch.setattr(module, "give_back", give_back)
 
 
+class _Current(int):
+    """A stamp that never differs from the simulator's."""
+
+    def __ne__(self, other):
+        return False
+
+
+def stale_hop_kept(monkeypatch):
+    """Mutant: a switch reuses the next hop it resolved after a give-back,
+    so a pass after a fault pushes its packet past it."""
+    def hop(switch, dst_ip):
+        record = real_hop(switch, dst_ip)
+        return None if record is None else (_Current(record[0]), *record[1:])
+
+    real_hop = link_module._hop
+    monkeypatch.setattr(link_module, "_hop", hop)
+
+
 #: Each planted give-back bug -> the fewest grid cases that must kill it.
 PLANTED = {first_read_hop_given_back: 10, tx_kept_counted: 100, later_hops_kept_counted: 100,
-           carried_far_link_kept_counted: 100, stale_route_kept: 50}
+           carried_far_link_kept_counted: 100, stale_route_kept: 50, stale_hop_kept: 150}
 
 
 @pytest.mark.parametrize("plant, at_least", PLANTED.items())
@@ -733,6 +767,34 @@ def test_a_path_is_carried_again_once_it_heals(monkeypatch):
     topo.run(until=3e-3)  # before either RTO
     assert received == ["a", "b"]
     assert topo.sim.processed_events - events == 2 and len(built) == 1
+
+
+def test_a_switch_hop_is_resolved_again_once_it_heals():
+    """H0_0's packet to H1_0 costs three events, S0's pass, S1's and H1_0's
+    dispatch: each switch pushes the next from the hop it resolved.  S1
+    then fails, and a second packet meets it at its arrival, an event; once
+    S1 recovers, a third packet is pushed past S0 to S1's pass again, as no
+    unclean hop is kept."""
+    topo, recorders = line_topology("queue-free")
+    sender, receiver = topo.hosts["H0_0"], topo.hosts["H1_0"]
+    s0, s1 = topo.switches["S0"], topo.switches["S1"]
+    received = []
+    receiver.bind(7000, lambda packet: received.append(packet.payload))
+
+    def send(label, until):
+        events = topo.sim.processed_events
+        sender.send_udp(receiver.ip, 7000, label, 10)
+        topo.run(until=until)
+        return topo.sim.processed_events - events
+
+    assert send("a", 1e-3) == 3 and received == ["a"]
+    s1.fail()
+    assert send("lost", 2e-3) == 2 and s1.packets_dropped == 1
+    assert s0._hops[receiver.ip][0] != topo.sim._stamp  # unclean: not recorded
+    s1.recover_device()
+    assert send("b", 3e-3) == 3 and received == ["a", "b"]
+    assert s0._hops[receiver.ip][0] == topo.sim._stamp
+    assert recorders["S1"].seen == ["a", "b"]
 
 
 def test_link_fault_model_is_seed_deterministic():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.kvstore import StoreFullError, SwitchKVStore, ValueTooLargeError
+from repro.core.kvstore import StoredItem, StoreFullError, SwitchKVStore, ValueTooLargeError
 from repro.deploy import DeploymentSpec, build_deployment
 from repro.netsim.engine import Simulator
 from repro.netsim.registers import RegisterAllocationError
@@ -98,7 +98,7 @@ def test_value_too_large_rejected():
     store.write_loc(loc, bytes(128), seq=1)
     with pytest.raises(ValueTooLargeError, match="128-byte pipeline limit"):
         store.write_loc(loc, bytes(129), seq=2)
-    assert store.load_loc(loc) == (bytes(128), 1, 0, True)
+    assert store.read_loc(loc) == StoredItem(bytes(128), 1, 0, True)
 
 
 

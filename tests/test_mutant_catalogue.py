@@ -3,7 +3,11 @@
 Each mutant is a monkeypatch of the NetChain data plane -- no source is
 edited -- and is killed only by an end-to-end check of a scenario run
 (history, chain invariants, lost keys), never by a unit test asserting the
-mechanism.
+mechanism.  M1 and M4 wrap ``NetChainSwitchProgram.process`` and change the
+key's registers for the pass; M3 wraps ``_process_query``, Algorithm 1's one
+function, which the failure-rule loop calls too.  A mutant planted on a
+function no pass calls would survive silently, so each must also change
+the outcome of one pass of its own (``test_each_mutant_is_planted_where_a_pass_runs``).
 
 * **M1, a replica applies a stale write** (Algorithm 1 line 13 never
   drops).  A write reordered behind a newer one on a switch-to-switch link
@@ -35,69 +39,93 @@ import pytest
 
 from repro.core.invariants import sample_chain_invariants
 from repro.core.kvstore import SwitchKVStore
-from repro.core.protocol import QueryStatus
+from repro.core.protocol import NetChainHeader, OpCode, QueryStatus, build_query_packet
 from repro.core.switch_program import NetChainSwitchProgram
 from repro.deploy import run_scenario
 from repro.experiments.failures import fault_scenario
-from repro.netsim.switch import PipelineAction
+from repro.netsim.engine import Simulator
+from repro.netsim.switch import PipelineAction, Switch
 
 #: The testbed's switch ring.
 SWITCH_LINKS = (("S0", "S1"), ("S1", "S2"), ("S2", "S3"), ("S0", "S3"))
 
 
+def stored_row(program, header):
+    """The store slot of ``header``'s key on ``program``'s switch, if any."""
+    store = program.kvstore
+    return None if store is None else store.index.get(header.key)
+
+
+def is_write(header) -> bool:
+    """A write, CAS or delete on its way down a chain (a request, not a read)."""
+    return header.is_request() and header.op not in (OpCode.READ, OpCode.CLEAN)
+
+
 def stale_writes_applied(monkeypatch) -> None:
     """M1: a replica's stale-write check is never true.  The check compares
-    a chain write's version with the stored one, so the mutant shows it the
-    lowest version instead."""
-    process_write = NetChainSwitchProgram._process_write
+    a chain write's version with the stored one, so for the pass of a
+    non-head write the mutant stores the lowest version (0, 0) in the key's
+    registers, and puts the real one back if the write did not overwrite it."""
+    process = NetChainSwitchProgram.process
 
-    def no_stale_check(self, switch, packet, header, loc):
-        if header.seq == 0 and header.session == 0:  # the head assigns it
-            return process_write(self, switch, packet, header, loc)
+    def no_stale_check(self, switch, packet, in_port):
+        header = packet.payload
+        loc = None
+        if (type(header) is NetChainHeader and is_write(header)
+                and (header.seq, header.session) != (0, 0)):  # the head assigns it
+            loc = stored_row(self, header)
+        if loc is None:
+            return process(self, switch, packet, in_port)
         store = self.kvstore
-        store.load_loc = lambda loc: (SwitchKVStore.load_loc(store, loc)[0], 0, 0, True)
+        version = store._seq_data[loc], store._session_data[loc]
+        store._seq_data[loc] = store._session_data[loc] = 0
         try:
-            return process_write(self, switch, packet, header, loc)
+            return process(self, switch, packet, in_port)
         finally:
-            del store.load_loc
+            if (store._seq_data[loc], store._session_data[loc]) == (0, 0):
+                store._seq_data[loc], store._session_data[loc] = version
 
-    monkeypatch.setattr(NetChainSwitchProgram, "_process_write", no_stale_check)
+    monkeypatch.setattr(NetChainSwitchProgram, "process", no_stale_check)
 
 
 def penultimate_acks_early(monkeypatch) -> None:
-    """M3: a write at the hop before the tail is answered there too."""
-    process_write = NetChainSwitchProgram._process_write
+    """M3: a write the hop before the tail applies and forwards to the tail
+    is answered there too.  It is planted on Algorithm 1's one function, so
+    the write a failover rule hands to its switch is answered early too."""
+    process_query = NetChainSwitchProgram._process_query
 
-    def acks_early(self, switch, packet, header, loc):
-        penultimate = len(header.chain) == 1
-        action = process_write(self, switch, packet, header, loc)
+    def acks_early(self, switch, packet, header):
+        penultimate = is_write(header) and len(header.chain) == 1
+        action = process_query(self, switch, packet, header)
         if penultimate and action is PipelineAction.FORWARD and header.is_request():
             ack = packet.copy()
             self._make_reply(switch, ack, ack.payload, QueryStatus.OK)
             switch.forward(ack)
         return action
 
-    monkeypatch.setattr(NetChainSwitchProgram, "_process_write", acks_early)
+    monkeypatch.setattr(NetChainSwitchProgram, "_process_query", acks_early)
 
 
 def reads_report_an_older_version(monkeypatch) -> None:
-    """M4: a read reply carries its version's predecessor (same session)."""
-    process_read = NetChainSwitchProgram._process_read
+    """M4: a read reply carries its version's predecessor (same session):
+    for a read's pass the key's sequence register holds one less."""
+    process = NetChainSwitchProgram.process
 
-    def one_behind(self, switch, packet, header, loc):
-        store = self.kvstore
-
-        def load_loc(loc):
-            value, seq, session, valid = SwitchKVStore.load_loc(store, loc)
-            return value, seq - 1 if seq > 1 else seq, session, valid
-
-        store.load_loc = load_loc
+    def one_behind(self, switch, packet, in_port):
+        header = packet.payload
+        loc = None
+        if type(header) is NetChainHeader and header.op is OpCode.READ:
+            loc = stored_row(self, header)
+        seqs = None if loc is None else self.kvstore._seq_data
+        if seqs is None or seqs[loc] <= 1:
+            return process(self, switch, packet, in_port)
+        seqs[loc] -= 1
         try:
-            return process_read(self, switch, packet, header, loc)
+            return process(self, switch, packet, in_port)
         finally:
-            del store.load_loc
+            seqs[loc] += 1
 
-    monkeypatch.setattr(NetChainSwitchProgram, "_process_read", one_behind)
+    monkeypatch.setattr(NetChainSwitchProgram, "process", one_behind)
 
 
 def lossy(schedule, _cluster):
@@ -193,6 +221,37 @@ def test_m4_older_read_version_is_caught_end_to_end(monkeypatch):
 CATALOGUE = {"M1": (stale_writes_applied, reordered_run),
              "M3": (penultimate_acks_early, lossy_failover_run),
              "M4": (reads_report_an_older_version, read_write_run)}
+
+
+def one_pass(header):
+    """What one pass of ``header``, addressed to a switch storing ``k`` at
+    version (1, 5), does: its action, the header after it, the stored row
+    and what the switch forwarded on its own (it has no routes)."""
+    switch = Switch(Simulator(), "S", "10.0.0.2")
+    program = NetChainSwitchProgram(switch, kvstore=SwitchKVStore(switch, slots=8))
+    store = program.kvstore
+    store.write_loc(store.insert_key("k"), b"old", 5, 1)
+    packet = build_query_packet("10.1.0.1", 9001, switch.ip, header)
+    action = program.process(switch, packet, None)
+    return (action, header.op, header.value, header.seq, header.session, header.chain,
+            store.read("k"), switch.dropped_no_route)
+
+
+#: Mutant -> the pass it must change: a replica's stale write (M1), a write
+#: one hop before the tail (M3) and a read at the tail (M4).
+PASSES = {"M1": lambda: NetChainHeader(OpCode.WRITE, b"k", b"new", 4, 1, ["10.0.0.4"]),
+          "M3": lambda: NetChainHeader(OpCode.WRITE, b"k", b"new", 6, 1, ["10.0.0.4"]),
+          "M4": lambda: NetChainHeader(OpCode.READ, b"k", b"", 0, 0, ["10.0.0.1"])}
+
+
+@pytest.mark.parametrize("name", sorted(PASSES))
+def test_each_mutant_is_planted_where_a_pass_runs(monkeypatch, name):
+    """A mutant planted on a function no pass calls any more changes
+    nothing and is not killed, whatever the end-to-end checks: each must
+    change the outcome of its own pass."""
+    control = one_pass(PASSES[name]())
+    CATALOGUE[name][0](monkeypatch)
+    assert one_pass(PASSES[name]()) != control, f"{name} is planted where no pass runs"
 
 
 def killed_end_to_end(plant, run) -> bool:

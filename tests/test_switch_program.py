@@ -12,6 +12,10 @@ makes the protocol behaviours easy to pin down:
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
+import pytest
+
 from repro.core.kvstore import SwitchKVStore
 from repro.core.protocol import (
     NetChainHeader,
@@ -23,7 +27,7 @@ from repro.core.protocol import (
     make_read,
     make_write,
 )
-from repro.core.switch_program import NetChainSwitchProgram, RedirectRule
+from repro.core.switch_program import NetChainSwitchProgram, ProgramStats, RedirectRule
 from repro.netsim.engine import Simulator
 from repro.netsim.switch import PipelineAction, Switch, SwitchConfig
 
@@ -437,3 +441,224 @@ def test_multiple_failures_chained_redirects():
     assert action is PipelineAction.FORWARD
     assert packet.ip.dst_ip == tail
     assert header.chain == []
+
+
+# --------------------------------------------------------------------- #
+# Algorithm 1 as a table: one pass of one query on one switch.
+# --------------------------------------------------------------------- #
+
+#: The switch under test, the chain hops after it and the client.
+ME, NEXT, LAST, CLIENT = "10.0.0.2", "10.0.0.3", "10.0.0.4", CLIENT_IP
+TABLE_VGROUP = 7
+#: Role -> the chain hops the header still carries (a read's run back
+#: toward the head): a head forwards down two, a replica one, a tail none.
+ROLE_CHAIN = {"head": [NEXT, LAST], "replica": [LAST], "tail": []}
+#: Stored row of key ``k`` -> ``(value, seq, session, valid)``.
+ROWS = {"valid": (b"old", 5, 1, True), "deleted": (b"", 5, 1, False), "absent": None}
+#: Header version -> ``(session, seq)``; the stored row's is (1, 5).
+VERSIONS = {"unsequenced": (0, 0), "newer": (1, 6), "equal": (1, 5), "older": (1, 4)}
+#: Op -> (opcode, header value, CAS expected value).
+OPS = {"read": (OpCode.READ, b"", None), "write": (OpCode.WRITE, b"new", None),
+       "cas-hit": (OpCode.CAS, b"new", b"old"), "cas-miss": (OpCode.CAS, b"new", b"other"),
+       "delete": (OpCode.DELETE, b"", None), "clean": (OpCode.CLEAN, b"", None)}
+FORWARD, DROP = PipelineAction.FORWARD, PipelineAction.DROP
+
+
+def one_pass(op, role, row, version, guard):
+    """Run one query through ``process`` on a fresh switch that heads its
+    virtual group under session 2 at epoch 3, with ``guard`` installed."""
+    switch, program = make_program(ip=ME, slots=8)
+    program.set_head_session(TABLE_VGROUP, 2)
+    store = program.kvstore
+    if ROWS[row] is not None:
+        store.write_loc(store.insert_key("k"), *ROWS[row])
+    code, value, expected = OPS[op]
+    session, seq = VERSIONS[version]
+    header = NetChainHeader(code, b"k", value, seq, session, list(ROLE_CHAIN[role]),
+                            TABLE_VGROUP, 3, cas_expected=expected)
+    if guard == "stale-epoch":
+        program.set_vgroup_epoch(TABLE_VGROUP, 4)
+    elif guard == "frozen":
+        program.freeze_vgroup_writes(TABLE_VGROUP)
+    elif guard == "inactive":
+        program.active = False
+    elif guard in ("dirty-gate", "clean-gate"):
+        program.set_read_gate(b"k", (1, 4) if guard == "dirty-gate" else (1, 5))
+    packet = build_query_packet(CLIENT, CLIENT_PORT, ME, header)
+    action = program.process(switch, packet, None)
+    return switch, program, packet, action
+
+
+#: ``(op, role, stored row, header version, guard)`` -> ``(action, reply
+#: (op, status) or None, header (session, seq, value, chain), payload_bytes,
+#: destination)`` and ``(stored row after, nonzero ProgramStats, read gate
+#: after)``, as the program answered when the table was written.
+ALGORITHM_1 = [
+    (("read", "head", "valid", "unsequenced", "none"),
+     (FORWARD, ("READ_REPLY", "OK"), (1, 5, b"old", []), 44, CLIENT),
+     ((b"old", 5, 1, True), {"reads": 1, "replies_sent": 1}, None)),
+    (("read", "head", "deleted", "unsequenced", "none"),
+     (FORWARD, ("READ_REPLY", "KEY_NOT_FOUND"), (0, 0, b"", []), 41, CLIENT),
+     ((b"", 5, 1, False), {"reads": 1, "replies_sent": 1}, None)),
+    (("read", "head", "absent", "unsequenced", "none"),
+     (FORWARD, ("READ_REPLY", "KEY_NOT_FOUND"), (0, 0, b"", []), 41, CLIENT),
+     (None, {"replies_sent": 1, "misses": 1}, None)),
+    (("read", "replica", "valid", "unsequenced", "none"),
+     (FORWARD, ("READ_REPLY", "OK"), (1, 5, b"old", []), 44, CLIENT),
+     ((b"old", 5, 1, True), {"reads": 1, "replies_sent": 1}, None)),
+    (("read", "replica", "deleted", "unsequenced", "none"),
+     (FORWARD, ("READ_REPLY", "KEY_NOT_FOUND"), (0, 0, b"", []), 41, CLIENT),
+     ((b"", 5, 1, False), {"reads": 1, "replies_sent": 1}, None)),
+    (("read", "replica", "absent", "unsequenced", "none"),
+     (FORWARD, ("READ_REPLY", "KEY_NOT_FOUND"), (0, 0, b"", []), 41, CLIENT),
+     (None, {"replies_sent": 1, "misses": 1}, None)),
+    (("read", "tail", "valid", "unsequenced", "none"),
+     (FORWARD, ("READ_REPLY", "OK"), (1, 5, b"old", []), 44, CLIENT),
+     ((b"old", 5, 1, True), {"reads": 1, "replies_sent": 1}, None)),
+    (("read", "tail", "deleted", "unsequenced", "none"),
+     (FORWARD, ("READ_REPLY", "KEY_NOT_FOUND"), (0, 0, b"", []), 41, CLIENT),
+     ((b"", 5, 1, False), {"reads": 1, "replies_sent": 1}, None)),
+    (("read", "tail", "absent", "unsequenced", "none"),
+     (FORWARD, ("READ_REPLY", "KEY_NOT_FOUND"), (0, 0, b"", []), 41, CLIENT),
+     (None, {"replies_sent": 1, "misses": 1}, None)),
+    (("write", "replica", "valid", "unsequenced", "none"),
+     (FORWARD, None, (2, 6, b"new", []), 44, LAST),
+     ((b"new", 6, 2, True), {"writes_applied": 1}, None)),
+    (("write", "replica", "valid", "newer", "none"),
+     (FORWARD, None, (1, 6, b"new", []), 44, LAST),
+     ((b"new", 6, 1, True), {"writes_applied": 1}, None)),
+    (("write", "replica", "valid", "equal", "none"),
+     (DROP, None, (1, 5, b"new", [LAST]), 48, ME),
+     ((b"old", 5, 1, True), {"writes_stale_dropped": 1}, None)),
+    (("write", "replica", "valid", "older", "none"),
+     (DROP, None, (1, 4, b"new", [LAST]), 48, ME),
+     ((b"old", 5, 1, True), {"writes_stale_dropped": 1}, None)),
+    (("write", "replica", "deleted", "unsequenced", "none"),
+     (FORWARD, None, (2, 6, b"new", []), 44, LAST),
+     ((b"new", 6, 2, True), {"writes_applied": 1}, None)),
+    (("write", "replica", "deleted", "newer", "none"),
+     (FORWARD, None, (1, 6, b"new", []), 44, LAST),
+     ((b"new", 6, 1, True), {"writes_applied": 1}, None)),
+    (("write", "replica", "deleted", "equal", "none"),
+     (DROP, None, (1, 5, b"new", [LAST]), 48, ME),
+     ((b"", 5, 1, False), {"writes_stale_dropped": 1}, None)),
+    (("write", "replica", "deleted", "older", "none"),
+     (DROP, None, (1, 4, b"new", [LAST]), 48, ME),
+     ((b"", 5, 1, False), {"writes_stale_dropped": 1}, None)),
+    (("write", "replica", "absent", "unsequenced", "none"),
+     (FORWARD, ("WRITE_REPLY", "KEY_NOT_FOUND"), (0, 0, b"new", []), 44, CLIENT),
+     (None, {"replies_sent": 1, "misses": 1}, None)),
+    (("write", "replica", "absent", "newer", "none"),
+     (FORWARD, ("WRITE_REPLY", "KEY_NOT_FOUND"), (1, 6, b"new", []), 44, CLIENT),
+     (None, {"replies_sent": 1, "misses": 1}, None)),
+    (("write", "replica", "absent", "equal", "none"),
+     (FORWARD, ("WRITE_REPLY", "KEY_NOT_FOUND"), (1, 5, b"new", []), 44, CLIENT),
+     (None, {"replies_sent": 1, "misses": 1}, None)),
+    (("write", "replica", "absent", "older", "none"),
+     (FORWARD, ("WRITE_REPLY", "KEY_NOT_FOUND"), (1, 4, b"new", []), 44, CLIENT),
+     (None, {"replies_sent": 1, "misses": 1}, None)),
+    (("write", "head", "valid", "unsequenced", "none"),
+     (FORWARD, None, (2, 6, b"new", [LAST]), 48, NEXT),
+     ((b"new", 6, 2, True), {"writes_applied": 1}, None)),
+    (("write", "head", "valid", "newer", "none"),
+     (FORWARD, None, (1, 6, b"new", [LAST]), 48, NEXT),
+     ((b"new", 6, 1, True), {"writes_applied": 1}, None)),
+    (("write", "tail", "valid", "unsequenced", "none"),
+     (FORWARD, ("WRITE_REPLY", "OK"), (2, 6, b"new", []), 44, CLIENT),
+     ((b"new", 6, 2, True), {"writes_applied": 1, "replies_sent": 1}, None)),
+    (("write", "tail", "valid", "newer", "none"),
+     (FORWARD, ("WRITE_REPLY", "OK"), (1, 6, b"new", []), 44, CLIENT),
+     ((b"new", 6, 1, True), {"writes_applied": 1, "replies_sent": 1}, None)),
+    (("cas-hit", "head", "valid", "unsequenced", "none"),
+     (FORWARD, None, (2, 6, b"new", [LAST]), 51, NEXT),
+     ((b"new", 6, 2, True), {"writes_applied": 1}, None)),
+    (("cas-hit", "replica", "valid", "newer", "none"),
+     (FORWARD, None, (1, 6, b"new", []), 47, LAST),
+     ((b"new", 6, 1, True), {"writes_applied": 1}, None)),
+    (("cas-hit", "tail", "valid", "newer", "none"),
+     (FORWARD, ("CAS_REPLY", "OK"), (1, 6, b"new", []), 47, CLIENT),
+     ((b"new", 6, 1, True), {"writes_applied": 1, "replies_sent": 1}, None)),
+    (("cas-miss", "head", "valid", "unsequenced", "none"),
+     (FORWARD, ("CAS_REPLY", "CAS_FAILED"), (2, 6, b"old", []), 49, CLIENT),
+     ((b"old", 5, 1, True), {"cas_failures": 1, "replies_sent": 1}, None)),
+    (("cas-miss", "head", "deleted", "unsequenced", "none"),
+     (FORWARD, ("CAS_REPLY", "CAS_FAILED"), (2, 6, b"", []), 46, CLIENT),
+     ((b"", 5, 1, False), {"cas_failures": 1, "replies_sent": 1}, None)),
+    (("cas-miss", "head", "absent", "unsequenced", "none"),
+     (FORWARD, ("CAS_REPLY", "KEY_NOT_FOUND"), (0, 0, b"new", []), 49, CLIENT),
+     (None, {"replies_sent": 1, "misses": 1}, None)),
+    (("delete", "head", "valid", "unsequenced", "none"),
+     (FORWARD, None, (2, 6, b"", [LAST]), 45, NEXT),
+     ((b"", 6, 2, False), {"writes_applied": 1}, None)),
+    (("delete", "replica", "valid", "newer", "none"),
+     (FORWARD, None, (1, 6, b"", []), 41, LAST),
+     ((b"", 6, 1, False), {"writes_applied": 1}, None)),
+    (("delete", "tail", "valid", "newer", "none"),
+     (FORWARD, ("DELETE_REPLY", "OK"), (1, 6, b"", []), 41, CLIENT),
+     ((b"", 6, 1, False), {"writes_applied": 1, "replies_sent": 1}, None)),
+    (("delete", "tail", "deleted", "older", "none"),
+     (DROP, None, (1, 4, b"", []), 41, ME),
+     ((b"", 5, 1, False), {"writes_stale_dropped": 1}, None)),
+    (("delete", "head", "absent", "unsequenced", "none"),
+     (FORWARD, ("DELETE_REPLY", "KEY_NOT_FOUND"), (0, 0, b"", []), 41, CLIENT),
+     (None, {"replies_sent": 1, "misses": 1}, None)),
+    (("clean", "tail", "valid", "newer", "clean-gate"),
+     (DROP, None, (1, 6, b"", []), 41, ME),
+     ((b"old", 5, 1, True), {}, (1, 6))),
+    (("clean", "tail", "valid", "equal", "clean-gate"),
+     (DROP, None, (1, 5, b"", []), 41, ME),
+     ((b"old", 5, 1, True), {}, (1, 5))),
+    (("clean", "tail", "valid", "older", "clean-gate"),
+     (DROP, None, (1, 4, b"", []), 41, ME),
+     ((b"old", 5, 1, True), {}, (1, 5))),
+    (("clean", "tail", "valid", "newer", "none"),
+     (DROP, None, (1, 6, b"", []), 41, ME),
+     ((b"old", 5, 1, True), {}, None)),
+    (("read", "head", "valid", "unsequenced", "stale-epoch"),
+     (DROP, None, (0, 0, b"", [NEXT, LAST]), 49, ME),
+     ((b"old", 5, 1, True), {"dropped_stale_epoch": 1}, None)),
+    (("write", "head", "valid", "unsequenced", "stale-epoch"),
+     (DROP, None, (0, 0, b"new", [NEXT, LAST]), 52, ME),
+     ((b"old", 5, 1, True), {"dropped_stale_epoch": 1}, None)),
+    (("read", "head", "valid", "unsequenced", "frozen"),
+     (FORWARD, ("READ_REPLY", "OK"), (1, 5, b"old", []), 44, CLIENT),
+     ((b"old", 5, 1, True), {"reads": 1, "replies_sent": 1}, None)),
+    (("write", "head", "valid", "unsequenced", "frozen"),
+     (DROP, None, (0, 0, b"new", [NEXT, LAST]), 52, ME),
+     ((b"old", 5, 1, True), {"dropped_frozen": 1}, None)),
+    (("read", "head", "valid", "unsequenced", "inactive"),
+     (DROP, None, (0, 0, b"", [NEXT, LAST]), 49, ME),
+     ((b"old", 5, 1, True), {}, None)),
+    (("write", "head", "valid", "unsequenced", "inactive"),
+     (DROP, None, (0, 0, b"new", [NEXT, LAST]), 52, ME),
+     ((b"old", 5, 1, True), {}, None)),
+    (("read", "replica", "valid", "unsequenced", "dirty-gate"),
+     (FORWARD, None, (0, 0, b"", []), 41, LAST),
+     ((b"old", 5, 1, True), {"reads": 1, "reads_forwarded_dirty": 1}, (1, 4))),
+    (("read", "replica", "valid", "unsequenced", "clean-gate"),
+     (FORWARD, ("READ_REPLY", "OK"), (1, 5, b"old", []), 44, CLIENT),
+     ((b"old", 5, 1, True), {"reads": 1, "replies_sent": 1}, (1, 5))),
+    (("read", "tail", "valid", "unsequenced", "dirty-gate"),
+     (FORWARD, ("READ_REPLY", "OK"), (1, 5, b"old", []), 44, CLIENT),
+     ((b"old", 5, 1, True), {"reads": 1, "replies_sent": 1}, (1, 4))),
+    (("read", "tail", "valid", "unsequenced", "clean-gate"),
+     (FORWARD, ("READ_REPLY", "OK"), (1, 5, b"old", []), 44, CLIENT),
+     ((b"old", 5, 1, True), {"reads": 1, "replies_sent": 1}, (1, 5))),
+]
+
+
+@pytest.mark.parametrize("case, packet_after, state_after", ALGORITHM_1,
+                         ids=["-".join(case) for case, _packet, _state in ALGORITHM_1])
+def test_algorithm_1_table(case, packet_after, state_after):
+    """Each query kind, chain role, stored row, header version and guard:
+    what the pass decides, the packet it leaves and the state it keeps."""
+    _switch, program, packet, action = one_pass(*case)
+    header = packet.payload
+    reply = (header.op.name, header.status.name) if header.is_reply() else None
+    assert (action, reply, (header.session, header.seq, header.value, header.chain),
+            packet.payload_bytes, packet.ip.dst_ip) == packet_after
+    item = program.kvstore.read("k")
+    row, stats, gate = state_after
+    assert (None if item is None else (item.value, item.seq, item.session, item.valid)) == row
+    assert asdict(program.stats) == asdict(ProgramStats(**stats))
+    assert program._read_gate.get(b"k") == gate
